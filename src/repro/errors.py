@@ -24,6 +24,7 @@ __all__ = [
     "ProtocolError",
     "PersistenceError",
     "RecoveryError",
+    "CursorError",
     "SqlError",
     "SqlSyntaxError",
     "SqlPlanError",
@@ -129,6 +130,10 @@ class PersistenceError(ReproError):
 
 class RecoveryError(PersistenceError):
     """Snapshot + WAL recovery could not rebuild a consistent engine state."""
+
+
+class CursorError(PersistenceError):
+    """A subscriber cursor names a shard or position its stream never reached."""
 
 
 # ---------------------------------------------------------------------------

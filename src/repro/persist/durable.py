@@ -34,7 +34,7 @@ from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.core.service import ActiveViewService, ExecutionMode
 from repro.core.trigger import TriggerSpec
-from repro.errors import PersistenceError, RecoveryError
+from repro.errors import CursorError, PersistenceError, RecoveryError
 from repro.persist.records import (
     activation_from_record,
     activation_to_record,
@@ -372,6 +372,8 @@ class DurableServer:
         }
         #: Activations re-enqueued per subscriber name on this open.
         self.redelivered: dict[str, int] = {}
+        #: Acks naming a position beyond the stream head (never persisted).
+        self.acks_refused = 0
 
         # Recovery done — attach the durability hooks for new work.
         self._shard_wrappers = self.sharded.add_commit_listener(
@@ -412,6 +414,16 @@ class DurableServer:
             )
 
     def _on_ack(self, subscriber: str, shard: int, sequence: int) -> None:
+        # _accepted only grows and an activation is accepted before any
+        # subscriber sees it, so this unlocked read can never refuse a
+        # position a client honestly received.
+        if sequence > self._accepted.get(shard, -1):
+            # Beyond the stream head (or no such shard): persisting it would
+            # skip everything fired up to that position while the subscriber
+            # is away; clamping to the head would ack activations it may
+            # never have received.  Refuse and count.
+            self.acks_refused += 1
+            return
         cursor = self._cursors.setdefault(subscriber, {})
         if sequence > cursor.get(shard, 0):
             cursor[shard] = sequence
@@ -427,10 +439,24 @@ class DurableServer:
         :meth:`subscribe` computes the backlog — skips redelivery of
         everything at or below those positions.  Positions behind the
         persisted cursor are ignored (cursors only move forward), so a
-        stale client cursor can never rewind delivery.
+        stale client cursor can never rewind delivery.  A position beyond
+        the shard's accepted head (or on a shard that does not exist)
+        raises :class:`~repro.errors.CursorError` and nothing is persisted:
+        such a cursor would silently discard every activation fired up to
+        it.
         """
-        for shard, sequence in cursor.items():
-            self._on_ack(name, int(shard), int(sequence))
+        positions = {int(shard): int(seq) for shard, seq in cursor.items()}
+        for shard, sequence in positions.items():
+            head = self._accepted.get(shard)
+            if head is None:
+                raise CursorError(f"cursor names shard {shard}, which does not exist")
+            if sequence > head:
+                raise CursorError(
+                    f"cursor position {sequence} on shard {shard} is beyond "
+                    f"the stream head {head}"
+                )
+        for shard, sequence in positions.items():
+            self._on_ack(name, shard, sequence)
 
     def subscribe(
         self, name: str, capacity: int = 256, *, subscriber: Subscriber | None = None
@@ -613,6 +639,7 @@ class DurableServer:
             "accepted": accepted,
             "cursors": cursors,
             "redelivered": dict(self.redelivered),
+            "acks_refused": self.acks_refused,
         }
 
     def close(self) -> None:

@@ -1,19 +1,18 @@
 """Network front end for the serving layer: framed protocol, server, client.
 
 See :mod:`repro.serving.net.protocol` for the wire format,
-:mod:`repro.serving.net.netserver` for the multi-loop asyncio server
-(:mod:`repro.serving.net.connection` holds the per-loop connection
-runtime, :mod:`repro.serving.net.frames` the cross-loop encode cache),
+:mod:`repro.serving.net.netserver` for the multi-loop asyncio server and
+:mod:`repro.serving.net.connection` for its framed connections,
 :mod:`repro.serving.net.client` for the asyncio client, and
-``docs/networking.md`` for the protocol reference.
+``docs/networking.md`` for the protocol reference.  The transport-neutral
+half — shared with the web gateway (:mod:`repro.serving.web`) — is
+:mod:`repro.serving.net.session` (the session runtime),
+:mod:`repro.serving.net.loops` (loop group hosting),
+:mod:`repro.serving.net.requests` (DML/DDL/stats request layer) and
+:mod:`repro.serving.net.frames` (the cross-loop encode cache).
 """
 
 from repro.serving.net.client import NetClient, NetSubscription
-from repro.serving.net.connection import (
-    LoopSubscriber,
-    WakeHub,
-    subscription_filter,
-)
 from repro.serving.net.frames import SharedFrameCache
 from repro.serving.net.netserver import NetworkServer
 from repro.serving.net.protocol import (
@@ -30,6 +29,11 @@ from repro.serving.net.protocol import (
     read_frame,
     statement_from_wire,
     statement_to_wire,
+)
+from repro.serving.net.session import (
+    LoopSubscriber,
+    WakeHub,
+    subscription_filter,
 )
 
 __all__ = [

@@ -1,19 +1,12 @@
-"""Per-loop connection runtime for the network front end.
+"""The TCP transport of the session runtime: framing, handshake, batching.
 
-Everything in this module runs on (or hands off to) **one** of the server's
-event loops: :class:`_Connection` owns a client's framed reader loop,
-serialized writer loop, and subscription state; :class:`LoopSubscriber`
-bridges shard worker threads to that loop without ever blocking them; and
-:class:`_SubmitAggregator` turns ticket completions into one ``result``
-reply.  The loop-group orchestration (listener sockets, loop threads,
-lifecycle) lives in :mod:`repro.serving.net.netserver`.
-
-:class:`WakeHub`, :class:`LoopSubscriber`, and :func:`subscription_filter`
-are the front-end-agnostic half of this module: they know nothing about the
-framed TCP protocol, only about handing activations from shard worker
-threads to an event loop under a bounded budget.  The HTTP/WebSocket
-gateway (:mod:`repro.serving.web`) reuses them verbatim, so both front ends
-share one pause/flush/backpressure discipline by construction.
+:class:`_Connection` is a :class:`~repro.serving.net.session.Session` that
+speaks the length+CRC framed protocol of :mod:`repro.serving.net.protocol`:
+it reads frames, negotiates capabilities in the ``hello``/``welcome``
+handshake, routes ``submit`` / ``ddl`` / ``stats`` through the shared
+request layer (:mod:`repro.serving.net.requests`), and shapes activation
+delivery.  Everything a subscription *does* — attach, acks, watermarks, the
+slow-consumer pause — is the session's.
 
 Activation delivery has two shapes, chosen per connection at handshake:
 
@@ -24,315 +17,39 @@ Activation delivery has two shapes, chosen per connection at handshake:
   bounded by a count budget, a byte budget, and a linger deadline
   (:class:`~repro.serving.net.netserver.NetworkServer` parameters).  A
   batch of one degenerates to the plain single frame, so the shared encode
-  cache is hit either way.
-
-The pause/flush discipline is unchanged from the single-loop front end: a
-slow consumer's subscription detaches, everything buffered (including a
-pending batch) flushes, and a terminal ``paused`` frame carries the
-watermarks actually sent.
+  cache is hit either way.  A pending batch counts as buffered: it flushes
+  before a ``paused`` frame and on cleanup.
 """
 
 from __future__ import annotations
 
 import asyncio
-import socket
-import threading
-from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import ProtocolError, ServingError
+from repro.serving.net import requests
 from repro.serving.net.protocol import (
     CAP_ACTIVATION_BATCH,
     PROTOCOL_VERSION,
     encode_frame,
     negotiate_caps,
     read_frame,
-    result_to_wire,
-    statement_from_wire,
 )
-from repro.serving.server import Ticket
-from repro.serving.subscribers import Activation, Subscriber
+from repro.serving.net.session import Session
+from repro.serving.subscribers import Activation
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.serving.net.netserver import _LoopRuntime
-
-__all__ = [
-    "LoopSubscriber",
-    "WakeHub",
-    "subscription_filter",
-    "_Connection",
-    "_SubmitAggregator",
-]
+__all__ = ["_Connection"]
 
 
-class WakeHub:
-    """Coalesces producer→loop wakeups into one callback per burst.
+class _Connection(Session):
+    """One TCP client: framed reader loop over the shared session."""
 
-    Every ``call_soon_threadsafe`` pays for a lock, a callback handle and a
-    self-pipe write; a fan-out burst used to pay that once per *subscriber*
-    per delivery run — hundreds of wakeup syscalls per activation on a busy
-    loop, and the dominant cross-thread cost once frames themselves are
-    shared.  The hub funnels them: producers post callables under one lock,
-    and only the post that finds the hub idle schedules the single drain
-    callback.  The drain runs every posted callable in FIFO order, so the
-    per-subscriber ordering contract (draining wakeup before the overflow
-    callback) is exactly as strong as scheduling each callable directly.
-    """
+    transport = "net"
+    bad_input = "bad-statement"
+    ack_needs_subscription = True
+    encode = staticmethod(encode_frame)
 
-    __slots__ = ("_loop", "_lock", "_pending", "_armed", "_dead", "posts", "wakeups")
-
-    def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
-        self._loop = loop
-        self._lock = threading.Lock()
-        #: ``(fn, on_fail)`` pairs not yet handed to the loop.
-        self._pending: list[tuple[Callable[[], None], Callable[[], None] | None]] = []
-        self._armed = False
-        self._dead = False
-        self.posts = 0
-        self.wakeups = 0
-
-    def post(
-        self, fn: Callable[[], None], on_fail: Callable[[], None] | None = None
-    ) -> None:
-        """Run ``fn()`` on the loop soon; ``on_fail()`` if the loop is gone."""
-        arm = False
-        with self._lock:
-            dead = self._dead
-            if not dead:
-                self._pending.append((fn, on_fail))
-                self.posts += 1
-                if not self._armed:
-                    self._armed = arm = True
-                    self.wakeups += 1
-        if dead:
-            if on_fail is not None:
-                on_fail()
-            return
-        if not arm:
-            return
-        try:
-            self._loop.call_soon_threadsafe(self._drain)
-        except RuntimeError:
-            # The loop is gone (server stopped mid-delivery).  Every pending
-            # post would otherwise be lost silently — run the failure hooks
-            # so subscribers stop accepting instead of leaking reservations.
-            with self._lock:
-                self._dead = True
-                failed, self._pending = self._pending, []
-                self._armed = False
-            for _fn, fail in failed:
-                if fail is not None:
-                    fail()
-
-    def _drain(self) -> None:  # loop thread
-        while True:
-            with self._lock:
-                batch = self._pending
-                if not batch:
-                    self._armed = False
-                    return
-                self._pending = []
-            for fn, _fail in batch:
-                fn()
-
-
-class LoopSubscriber(Subscriber):
-    """A subscriber whose delivery hands off to a connection's event loop.
-
-    ``_offer`` runs on the producing shard worker's thread and must never
-    block it (the in-process :class:`Subscriber` blocks on a full queue —
-    correct for one consumer thread, fatal for one slow socket among
-    thousands).  Instead it reserves a slot of the connection's bounded
-    send buffer under a lock, appends to a pending run, and makes sure one
-    *wakeup* is scheduled on the loop; the wakeup drains the whole run in
-    one callback.  The wakeup itself travels through the loop's
-    :class:`WakeHub`, so a burst touching many subscribers on one loop
-    pays for a single ``call_soon_threadsafe``, not one per subscriber.
-    Coalescing the handoff this way (instead of one
-    ``call_soon_threadsafe`` per activation) is what lets a fan-out burst
-    actually reach the connection as a run — the batching layer then folds
-    the run into batch frames instead of finding one activation at a time.
-    When the buffer is full the subscriber flips to *paused* and schedules
-    the overflow policy; loop-callback FIFO guarantees the draining wakeup
-    runs first, so every reserved activation is framed before the
-    ``paused`` frame.  ``release`` is called by the connection after the
-    frame (one activation's worth, or a whole batch's) has been written
-    and drained.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        *,
-        limit: int,
-        hub: WakeHub,
-        deliver: Callable[[Activation], None],
-        overflow: Callable[[], None],
-        accept: Callable[[Activation], bool] | None = None,
-        run_end: Callable[[], None] | None = None,
-    ) -> None:
-        super().__init__(name, capacity=max(1, limit))
-        self.limit = limit
-        self._hub = hub
-        self._deliver = deliver
-        self._overflow = overflow
-        self._accept = accept
-        self._run_end = run_end
-        self._flight_lock = threading.Lock()
-        #: Activations reserved but not yet handed to the loop, drained as
-        #: one run by the next wakeup (guarded by ``_flight_lock``).
-        self._pending_run: list[Activation] = []
-        self._wake_scheduled = False
-        #: Activations handed to the loop whose frames are not yet drained —
-        #: the bounded send buffer (<= ``limit`` by construction; the
-        #: slow-consumer regression test asserts it).
-        self.inflight = 0
-        #: True once the buffer overflowed; no further deliveries happen.
-        self.paused = False
-        #: Activations skipped by the subscription's view/path filter.
-        self.filtered = 0
-        #: Activations refused because the subscription was paused (or its
-        #: connection closed) — redeliverable from a durable outbox, and
-        #: never silently lost: the client was told via the ``paused`` frame.
-        self.refused = 0
-
-    def _offer(self, activation: Activation, give_up: Callable[[], bool]) -> bool:
-        if self._accept is not None and not self._accept(activation):
-            self.filtered += 1
-            return True
-        if self.closed or self.paused:
-            self.refused += 1
-            return False
-        with self._flight_lock:
-            if self.inflight >= self.limit:
-                self.paused = True
-                self.refused += 1
-                self._schedule(self._overflow)
-                return False
-            self.inflight += 1
-            self._pending_run.append(activation)
-            wake = not self._wake_scheduled
-            if wake:
-                self._wake_scheduled = True
-        self.delivered += 1
-        if wake:
-            self._schedule(self._wake)
-        return True
-
-    def _wake(self) -> None:
-        """Drain every pending activation in one loop callback."""
-        delivered = False
-        while True:
-            with self._flight_lock:
-                run = self._pending_run
-                if not run:
-                    # Only stand down with the run empty under the lock: a
-                    # producer that appended meanwhile saw the wakeup still
-                    # scheduled and skipped scheduling another.
-                    self._wake_scheduled = False
-                    break
-                self._pending_run = []
-            for activation in run:
-                self._deliver(activation)
-            delivered = True
-        if delivered and self._run_end is not None:
-            # The run is over — nothing more is coming in *this* callback,
-            # so a batching connection flushes its pending batch now rather
-            # than paying the linger for a burst that has already ended.
-            self._run_end()
-
-    def _schedule(self, fn: Callable[[], None]) -> None:
-        # When the loop is gone (server stopped mid-delivery) the slot can
-        # never drain, so the hub's failure hook stops accepting instead of
-        # leaking reservations.
-        self._hub.post(fn, self.close)
-
-    def release(self, count: int = 1) -> None:
-        """Return send-buffer slots (a frame's activations written + drained)."""
-        with self._flight_lock:
-            self.inflight -= count
-
-
-def subscription_filter(
-    view: str | None, path: list | None
-) -> Callable[[Activation], bool] | None:
-    """Build the optional view/path acceptance predicate for a subscription."""
-    if view is None and path is None:
-        return None
-    prefix = tuple(path) if path is not None else None
-
-    def accept(activation: Activation) -> bool:
-        if view is not None and activation.view != view:
-            return False
-        if prefix is not None and activation.path[: len(prefix)] != prefix:
-            return False
-        return True
-
-    return accept
-
-
-class _SubmitAggregator:
-    """Collects one submit request's tickets and replies once all resolve.
-
-    Done-callbacks run on shard worker threads; the last one hands the
-    fully-resolved set back to the connection's loop.  No thread blocks
-    waiting — the resolution *is* the notification.
-    """
-
-    def __init__(self, connection: "_Connection", msg_id: int, tickets: list[Ticket]):
-        self._connection = connection
-        self._msg_id = msg_id
-        self._tickets = tickets
-        self._lock = threading.Lock()
-        self._remaining = len(tickets)
-        for ticket in tickets:
-            ticket.add_done_callback(self._one_done)
-
-    def _one_done(self, _ticket: Ticket) -> None:
-        with self._lock:
-            self._remaining -= 1
-            if self._remaining:
-                return
-        self._connection.schedule(self._reply)
-
-    def _reply(self) -> None:  # loop thread
-        results: list[list[dict]] = []
-        for ticket in self._tickets:
-            try:
-                outcome = ticket.result(timeout=0)
-            except Exception as error:  # noqa: BLE001 - forwarded to the client
-                self._connection.send_error(self._msg_id, "execution", str(error))
-                return
-            parts = outcome if isinstance(outcome, list) else [outcome]
-            results.append([result_to_wire(part) for part in parts])
-        self._connection.send(
-            {"type": "result", "id": self._msg_id, "results": results}
-        )
-
-
-class _Connection:
-    """One client connection: framed reader loop + serialized writer loop."""
-
-    def __init__(
-        self,
-        runtime: "_LoopRuntime",
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        self.runtime = runtime
-        self.server = runtime.server
-        self.reader = reader
-        self.writer = writer
-        # Bounded: activations respect the subscriber's inflight cap, and a
-        # well-behaved client has at most a handful of replies outstanding.
-        # Overflow means the peer pipelines requests without reading replies
-        # — the connection is cut rather than buffering without limit.
-        self._out: asyncio.Queue = asyncio.Queue(
-            maxsize=self.server.send_buffer + 64
-        )
-        self._writer_task: asyncio.Task | None = None
-        self.subscriber: LoopSubscriber | None = None
-        self._sent_watermark: dict[int, int] = {}
-        self._loop = asyncio.get_running_loop()
+    def __init__(self, runtime, reader, writer) -> None:
+        super().__init__(runtime, reader, writer)
         #: True once the peer negotiated ``activation_batch`` *and* the
         #: server has batching enabled; otherwise every activation travels
         #: as its own frame, exactly as before the capability existed.
@@ -340,98 +57,27 @@ class _Connection:
         self._pending_batch: list[Activation] = []
         self._pending_bytes = 0
         self._linger_handle: asyncio.TimerHandle | None = None
+        if self.front.batch_eager_flush:
+            # The run is over — nothing more is coming in *this* wakeup, so
+            # flush now rather than paying the linger for a burst that has
+            # already ended.
+            self._run_end = self._flush
 
-    # ------------------------------------------------------------------ sending
+    # ------------------------------------------------------------------ reading
 
-    def send(
-        self, message: dict | bytes, after: Callable[[], None] | None = None
-    ) -> None:
-        """Queue a frame (loop thread only); ``after`` runs once it drained.
-
-        ``message`` is a message dict, or pre-encoded frame bytes (the
-        shared-fan-out path).
-        """
-        try:
-            self._out.put_nowait((message, after))
-        except asyncio.QueueFull:
-            self.runtime.counters["overflow_closes"] += 1
-            if after is not None:
-                after()
-            try:
-                self.writer.close()
-            except (ConnectionError, OSError):  # pragma: no cover - defensive
-                pass
-
-    def send_error(self, msg_id: int | None, code: str, message: str) -> None:
-        self.send({"type": "error", "id": msg_id, "code": code, "message": message})
-
-    def schedule(self, fn: Callable, *args: Any) -> None:
-        """Run ``fn(*args)`` on the loop from any thread (no-op if loop died)."""
-        try:
-            self._loop.call_soon_threadsafe(fn, *args)
-        except RuntimeError:
-            pass
-
-    async def _writer_loop(self) -> None:
-        counters = self.runtime.counters
+    async def _read_loop(self) -> None:
+        await self._handshake()
         while True:
-            item = await self._out.get()
-            if item is None:
-                return
-            message, after = item
-            try:
-                frame = (
-                    message if isinstance(message, bytes) else encode_frame(message)
-                )
-                self.writer.write(frame)
-                await self.writer.drain()
-                counters["frames_sent"] += 1
-                counters["bytes_sent"] += len(frame)
-            except (ConnectionError, OSError):
-                # Peer went away mid-write: stop writing, let the reader
-                # loop observe the broken transport and run the cleanup.
-                return
-            finally:
-                if after is not None:
-                    after()
+            message = await read_frame(self.reader, max_frame=self.front.max_frame)
+            self.counters["frames_received"] += 1
+            await self._dispatch(message)
 
-    # ------------------------------------------------------------------ lifecycle
-
-    async def run(self) -> None:
-        self.runtime.counters["connections_opened"] += 1
-        if self.server.write_buffer_limit is not None:
-            # A small high-water mark — transport *and* kernel send buffer —
-            # makes ``drain()`` (and therefore the inflight accounting)
-            # track the consumer's real pace instead of buffering depth;
-            # tests pin the pause policy with this.
-            limit = self.server.write_buffer_limit
-            self.writer.transport.set_write_buffer_limits(high=limit)
-            raw = self.writer.get_extra_info("socket")
-            if raw is not None:
-                raw.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, limit)
-        self._writer_task = asyncio.ensure_future(self._writer_loop())
-        try:
-            await self._handshake()
-            while True:
-                try:
-                    message = await read_frame(
-                        self.reader, max_frame=self.server.max_frame
-                    )
-                except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                    break  # closed (possibly mid-frame) — a clean goodbye
-                self.runtime.counters["frames_received"] += 1
-                await self._dispatch(message)
-        except ProtocolError as error:
-            self.runtime.counters["protocol_errors"] += 1
-            self.send_error(None, "protocol", str(error))
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            await self._cleanup()
+    def _protocol_error(self, error: ProtocolError) -> None:
+        self.send_error(None, "protocol", str(error))
 
     async def _handshake(self) -> None:
         try:
-            hello = await read_frame(self.reader, max_frame=self.server.max_frame)
+            hello = await read_frame(self.reader, max_frame=self.front.max_frame)
         except (asyncio.IncompleteReadError, ConnectionError, OSError):
             raise ProtocolError("connection closed before the hello frame")
         if hello["type"] != "hello":
@@ -442,7 +88,7 @@ class _Connection:
                 f"server {PROTOCOL_VERSION}"
             )
         caps = negotiate_caps(hello.get("caps"))
-        if not self.server.batching:
+        if not self.front.batching:
             caps = caps - {CAP_ACTIVATION_BATCH}
         self.batching = CAP_ACTIVATION_BATCH in caps
         self.send(
@@ -451,266 +97,112 @@ class _Connection:
                 "version": PROTOCOL_VERSION,
                 "caps": sorted(caps),
                 "server": {
-                    "shards": self.server.core.shard_count,
-                    "durable": self.server.durable is not None,
-                    "loops": self.server.loops,
+                    "shards": self.front.core.shard_count,
+                    "durable": self.front.durable is not None,
+                    "loops": self.front.loops,
                 },
             }
         )
-
-    async def _cleanup(self) -> None:
-        self._detach_subscriber()
-        self._flush_batch()
-        # Flush what is already queued (bounded by the send buffer), then
-        # close the transport.  A dead peer just errors the writer loop out.
-        try:
-            self._out.put_nowait(None)
-        except asyncio.QueueFull:
-            if self._writer_task is not None:
-                self._writer_task.cancel()
-        if self._writer_task is not None:
-            try:
-                await asyncio.wait_for(self._writer_task, timeout=5)
-            except (asyncio.TimeoutError, asyncio.CancelledError):
-                self._writer_task.cancel()
-        try:
-            self.writer.close()
-            await self.writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-        self.runtime.connections.discard(self)
-
-    def _detach_subscriber(self) -> None:
-        if self.subscriber is not None:
-            self.server.core.unsubscribe(self.subscriber)
 
     # ------------------------------------------------------------------ dispatch
 
     async def _dispatch(self, message: dict) -> None:
         mtype = message["type"]
-        if mtype == "submit":
-            await self._handle_submit(message)
-        elif mtype == "ddl":
-            await self._handle_ddl(message)
-        elif mtype == "subscribe":
-            await self._handle_subscribe(message)
-        elif mtype == "ack":
+        if mtype == "ack":
             self._handle_ack(message)
-        elif mtype == "stats":
-            self._handle_stats(message)
-        elif mtype == "ping":
-            self.send({"type": "pong", "id": self._request_id(message)})
-        else:
+            return
+        if mtype not in ("submit", "ddl", "subscribe", "stats", "ping"):
             raise ProtocolError(f"unknown message type {mtype!r}")
-
-    @staticmethod
-    def _request_id(message: dict) -> int:
         msg_id = message.get("id")
         if not isinstance(msg_id, int):
-            raise ProtocolError(f"{message['type']!r} message needs an integer 'id'")
-        return msg_id
+            raise ProtocolError(f"{mtype!r} message needs an integer 'id'")
+        if mtype == "submit":
+            await self._handle_submit(msg_id, message)
+        elif mtype == "ddl":
+            await self._handle_ddl(msg_id, message)
+        elif mtype == "subscribe":
+            await self._handle_subscribe(msg_id, message)
+        elif mtype == "stats":
+            self.send(
+                {
+                    "type": "stats_reply",
+                    "id": msg_id,
+                    **requests.stats_body(
+                        self.front.core, self.front.durable,
+                        net=self.front.net_report(),
+                    ),
+                }
+            )
+        else:
+            self.send({"type": "pong", "id": msg_id})
 
-    async def _handle_submit(self, message: dict) -> None:
-        msg_id = self._request_id(message)
-        wire_statements = message.get("statements")
-        if not isinstance(wire_statements, list) or not wire_statements:
-            self.send_error(msg_id, "bad-statement",
-                            "'statements' must be a non-empty list")
-            return
+    async def _handle_submit(self, msg_id: int, message: dict) -> None:
         try:
-            statements = [statement_from_wire(record) for record in wire_statements]
+            tickets = await requests.submit(
+                self.front.core, message.get("statements")
+            )
         except ProtocolError as error:
-            self.send_error(msg_id, "bad-statement", str(error))
+            self.send_error(msg_id, self.bad_input, str(error))
             return
-        tickets: list[Ticket] = []
-        try:
-            # Submitted in arrival order from worker threads: a full shard
-            # queue blocks this connection's dispatch (its backpressure),
-            # never the shared event loop.
-            for statement in statements:
-                tickets.append(
-                    await asyncio.to_thread(self.server.core.submit, statement)
-                )
         except ServingError as error:
-            # Statements already queued will resolve through the aggregator
-            # path on a later submit; the client sees this request fail.
+            # Statements already queued still execute; the client sees this
+            # request fail.
             self.send_error(msg_id, "state", str(error))
             return
         except Exception as error:  # noqa: BLE001 - routing errors etc.
             self.send_error(msg_id, "execution", str(error))
             return
-        self.runtime.counters["statements_submitted"] += len(statements)
-        _SubmitAggregator(self, msg_id, tickets)
+        self.counters["statements_submitted"] += len(tickets)
 
-    async def _handle_ddl(self, message: dict) -> None:
-        msg_id = self._request_id(message)
-        op = message.get("op")
-        core = self.server.core
-        try:
-            if op == "create_trigger":
-                source = message.get("source")
-                if not isinstance(source, str):
-                    raise ProtocolError("create_trigger needs a 'source' string")
-                spec = await asyncio.to_thread(core.create_trigger, source)
-                names = [spec.name]
-            elif op == "register_triggers_bulk":
-                sources = message.get("sources")
-                if (not isinstance(sources, list)
-                        or not all(isinstance(s, str) for s in sources)):
-                    raise ProtocolError(
-                        "register_triggers_bulk needs a 'sources' string list"
-                    )
-                specs = await asyncio.to_thread(core.register_triggers_bulk, sources)
-                names = [spec.name for spec in specs]
-            elif op in ("drop_trigger", "drop_view"):
-                name = message.get("name")
-                if not isinstance(name, str):
-                    raise ProtocolError(f"{op} needs a 'name' string")
-                target = core.drop_trigger if op == "drop_trigger" else core.drop_view
-                await asyncio.to_thread(target, name)
-                names = [name]
+        def reply(resolved: asyncio.Future) -> None:  # loop thread
+            error = resolved.exception()
+            if error is not None:
+                self.send_error(msg_id, "execution", str(error))
             else:
-                raise ProtocolError(f"unknown ddl op {op!r}")
+                self.send(
+                    {"type": "result", "id": msg_id, "results": resolved.result()}
+                )
+
+        # No await: the connection keeps dispatching while tickets resolve.
+        requests.ticket_results(tickets).add_done_callback(reply)
+
+    async def _handle_ddl(self, msg_id: int, message: dict) -> None:
+        try:
+            names = await requests.run_ddl(
+                self.front.core, message.get("op"), message
+            )
         except ProtocolError as error:
-            self.send_error(msg_id, "bad-statement", str(error))
+            self.send_error(msg_id, self.bad_input, str(error))
             return
         except Exception as error:  # noqa: BLE001 - trigger/translation errors
             self.send_error(msg_id, "execution", str(error))
             return
         self.send({"type": "ddl_ok", "id": msg_id, "names": names})
 
-    async def _handle_subscribe(self, message: dict) -> None:
-        msg_id = self._request_id(message)
-        if self.subscriber is not None and not self.subscriber.paused \
-                and not self.subscriber.closed:
-            self.send_error(msg_id, "state",
-                            "this connection already has an active subscription")
-            return
-        name = message.get("name")
-        view = message.get("view")
-        path = message.get("path")
-        cursor = message.get("cursor")
-        if name is not None and not isinstance(name, str):
-            self.send_error(msg_id, "bad-statement", "'name' must be a string or None")
-            return
-        if path is not None and not isinstance(path, (list, tuple)):
-            self.send_error(msg_id, "bad-statement", "'path' must be a step list")
-            return
-        durable = self.server.durable
-        resumable = durable is not None and name is not None
-        if cursor is not None and not resumable:
-            # Cursors need the durable outbox AND a stable name; refusing is
-            # the no-silent-fallback contract — an ignored cursor would turn
-            # at-least-once into silently-lossy.
-            self.send_error(
-                msg_id, "unsupported",
-                "cursors require a durable server and a named subscription",
-            )
-            return
-        limit = self.server.send_buffer
-        subscriber = LoopSubscriber(
-            name or f"net-anon-{id(self)}",
-            limit=limit,
-            hub=self.runtime.wake_hub,
-            deliver=self._deliver_activation,
-            overflow=self._pause_subscription,
-            accept=subscription_filter(view, path),
-            run_end=self._flush_batch if self.server.batch_eager_flush else None,
-        )
-        self.subscriber = subscriber
-        self._sent_watermark = {}
-        try:
-            if resumable:
-                def attach() -> None:
-                    if cursor is not None:
-                        durable.fast_forward(name, cursor)
-                    durable.subscribe(name, subscriber=subscriber)
+    # ------------------------------------------------------------------ batching
 
-                await asyncio.to_thread(attach)
-            else:
-                self.server.core.attach_subscriber(subscriber)
-        except Exception as error:  # noqa: BLE001 - persistence/serving errors
-            self.subscriber = None
-            self.send_error(msg_id, "execution", str(error))
-            return
-        self.runtime.counters["subscriptions_opened"] += 1
-        self.send(
-            {
-                "type": "subscribed",
-                "id": msg_id,
-                "name": subscriber.name,
-                "durable": resumable,
-            }
-        )
-
-    def _handle_ack(self, message: dict) -> None:
-        shard = message.get("shard")
-        sequence = message.get("seq")
-        if not isinstance(shard, int) or not isinstance(sequence, int):
-            raise ProtocolError("ack needs integer 'shard' and 'seq'")
-        if self.subscriber is None:
-            raise ProtocolError("ack without a subscription")
-        # Valid after a pause too: acking what arrived before the pause is
-        # exactly what advances the durable cursor for the resume.
-        self.subscriber.ack_position(shard, sequence)
-
-    def _handle_stats(self, message: dict) -> None:
-        msg_id = self._request_id(message)
-        core = self.server.core
-        reply = {
-            "type": "stats_reply",
-            "id": msg_id,
-            "evaluation": {
-                str(k): int(v) for k, v in core.evaluation_report().items()
-            },
-            "shards": [stats.as_dict() for stats in core.stats],
-            "queues": core.queue_depths,
-            "activations_published": core.activations_published,
-            "net": self.server.net_report(),
-        }
-        if self.server.durable is not None:
-            reply["durability"] = self.server.durable.durability_report()
-        self.send(reply)
-
-    # ------------------------------------------------------------------ fan-out
-
-    def _deliver_activation(self, activation: Activation) -> None:  # loop thread
-        subscriber = self.subscriber
-        watermark = self._sent_watermark
-        if activation.sequence > watermark.get(activation.shard, 0):
-            watermark[activation.shard] = activation.sequence
-        self.runtime.counters["activations_sent"] += 1
+    def _emit(self, activation: Activation) -> None:  # loop thread
         if not self.batching:
-            # Pre-framed once per activation, shared by every subscribed
-            # connection on every loop — at fan-out scale the encode would
-            # otherwise dominate.
-            frame, hit = self.server.frame_cache.single_frame(activation)
-            self._count_cache(hit)
-            release = subscriber.release if subscriber is not None else None
-            self.send(frame, after=release)
+            super()._emit(activation)
             return
-        # Batching: the byte budget is checked *before* appending so one
-        # flush never exceeds it (and therefore never exceeds max_frame);
-        # the count budget is checked after.
-        size = self.server.frame_cache.frame_size(activation)
+        # The byte budget is checked *before* appending so one flush never
+        # exceeds it (and therefore never exceeds max_frame); the count
+        # budget is checked after.
+        size = self.front.frame_cache.frame_size(activation)
         if self._pending_batch and (
-            self._pending_bytes + size > self.server.batch_max_bytes
+            self._pending_bytes + size > self.front.batch_max_bytes
         ):
-            self._flush_batch()
+            self._flush()
         self._pending_batch.append(activation)
         self._pending_bytes += size
-        if len(self._pending_batch) >= self.server.batch_max_count:
-            self._flush_batch()
+        if len(self._pending_batch) >= self.front.batch_max_count:
+            self._flush()
         elif self._linger_handle is None:
-            self._linger_handle = self._loop.call_later(
-                self.server.batch_linger, self._flush_batch
+            self._linger_handle = self.runtime.loop.call_later(
+                self.front.batch_linger, self._flush
             )
 
-    def _count_cache(self, hit: bool) -> None:
-        key = "shared_encode_hits" if hit else "shared_encode_misses"
-        self.runtime.counters[key] += 1
-
-    def _flush_batch(self) -> None:  # loop thread
+    def _flush(self) -> None:  # loop thread
         if self._linger_handle is not None:
             self._linger_handle.cancel()
             self._linger_handle = None
@@ -719,37 +211,16 @@ class _Connection:
             return
         self._pending_batch = []
         self._pending_bytes = 0
-        subscriber = self.subscriber
         if len(pending) == 1:
-            frame, hit = self.server.frame_cache.single_frame(pending[0])
-            release = subscriber.release if subscriber is not None else None
-            self.send(frame, after=release)
-        else:
-            frame, hit = self.server.frame_cache.batch_frame(tuple(pending))
-            count = len(pending)
-            release = (
-                (lambda: subscriber.release(count))
-                if subscriber is not None else None
-            )
-            self.runtime.counters["activation_batches_sent"] += 1
-            self.runtime.counters["batched_activations_sent"] += count
-            self.send(frame, after=release)
-        self._count_cache(hit)
-
-    def _pause_subscription(self) -> None:  # loop thread
-        subscriber = self.subscriber
-        if subscriber is None:
+            super()._emit(pending[0])
             return
-        self.runtime.counters["subscriptions_paused"] += 1
-        # Detach first so shard workers stop offering; everything already
-        # buffered — the pending batch included — still flushes (FIFO),
-        # then the pause notice arrives.
-        self._detach_subscriber()
-        self._flush_batch()
+        frame, hit = self.front.frame_cache.batch_frame(tuple(pending))
+        count = len(pending)
+        self.counters["activation_batches_sent"] += 1
+        self.counters["batched_activations_sent"] += count
+        self._count_cache(hit)
+        subscriber = self.subscriber
         self.send(
-            {
-                "type": "paused",
-                "reason": "slow-consumer",
-                "sent": {shard: seq for shard, seq in self._sent_watermark.items()},
-            }
+            frame,
+            after=(lambda: subscriber.release(count)) if subscriber is not None else None,
         )

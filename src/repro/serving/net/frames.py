@@ -1,22 +1,17 @@
 """Cross-loop cache of encoded activation frames.
 
 One fired activation fans out to every subscribed connection; at fan-out
-scale the dominant cost is not the socket write but the *encode* (codec +
-CRC) if it happens once per connection.  PR 8 cached the encoded frame per
-activation on the single event loop; with the front end sharded across
-loops (:mod:`repro.serving.net.netserver`) the cache must be shared across
-threads, so :class:`SharedFrameCache` guards it with a plain lock — one
-encode per activation (or per batch shape) process-wide, every loop reuses
-the bytes.
+scale the dominant cost is not the socket write but the *encode* if it
+happens once per connection.  :class:`FrameCache` encodes each activation
+once process-wide — whatever the transport's encoder produces, every loop
+and every connection reuses the bytes — guarded by a plain lock because the
+front end's loops run on separate threads.
 
-Two frame shapes are cached:
-
-* **single** — ``activation {payload}``, sent to every subscriber that did
-  not negotiate the batching capability, and for batches of one;
-* **batch** — ``activation_batch {payloads: [...]}``, keyed by the identity
-  tuple of its activations, so connections whose linger windows coalesce
-  the same run of activations (the common hot-subscription case) share one
-  encode.
+The encoder is the only transport-specific part: :class:`SharedFrameCache`
+plugs in the length+CRC ``activation`` frame of the TCP protocol (and adds
+the ``activation_batch`` shape on top), the web gateway's
+:class:`~repro.serving.web.webframes.JsonFrameCache` plugs in an unmasked
+WebSocket TEXT frame around a JSON body.
 
 Entries pin their activation objects, which keeps the ``id()`` keys stable
 while cached; eviction is FIFO-bounded, sized so a fan-out burst stays
@@ -26,32 +21,35 @@ resident.  All methods are thread-safe and callable from any loop thread.
 from __future__ import annotations
 
 import threading
+from typing import Callable
 
-from repro.serving.net.protocol import activation_to_wire, encode_frame
+from repro.persist.records import activation_to_record
+from repro.serving.net.protocol import encode_frame
 from repro.serving.subscribers import Activation
 
-__all__ = ["SharedFrameCache"]
+__all__ = ["FrameCache", "SharedFrameCache"]
 
 
-class SharedFrameCache:
-    """Encode each activation (and batch shape) once, share it everywhere."""
+class FrameCache:
+    """Identity-keyed, FIFO-bounded cache of one frame per activation."""
 
-    def __init__(self, capacity: int = 2048) -> None:
+    def __init__(
+        self, encode: Callable[[dict], bytes], capacity: int = 2048
+    ) -> None:
+        #: Activation wire record → the complete frame every subscriber gets.
+        self._encode = encode
         self.capacity = capacity
         self._lock = threading.Lock()
-        # id(activation) -> (activation, wire record, single frame bytes)
+        # id(activation) -> (activation, wire record, frame bytes)
         self._singles: dict[int, tuple[Activation, dict, bytes]] = {}
-        # tuple of ids -> (activations, batch frame bytes)
-        self._batches: dict[tuple, tuple[tuple[Activation, ...], bytes]] = {}
 
     def _single_entry(self, activation: Activation) -> tuple[tuple, bool]:
         # lock held by the caller
         entry = self._singles.get(id(activation))
         if entry is not None and entry[0] is activation:
             return entry, True
-        record = activation_to_wire(activation)
-        frame = encode_frame({"type": "activation", "payload": record})
-        entry = (activation, record, frame)
+        record = activation_to_record(activation)
+        entry = (activation, record, self._encode(record))
         self._singles[id(activation)] = entry
         self._trim(self._singles)
         return entry, False
@@ -61,10 +59,30 @@ class SharedFrameCache:
             cache.pop(next(iter(cache)))
 
     def single_frame(self, activation: Activation) -> tuple[bytes, bool]:
-        """The ``activation`` frame for one activation; returns (bytes, hit)."""
+        """The frame carrying one activation alone; returns (bytes, hit)."""
         with self._lock:
             entry, hit = self._single_entry(activation)
             return entry[2], hit
+
+
+class SharedFrameCache(FrameCache):
+    """The TCP protocol's frames: ``activation`` and ``activation_batch``.
+
+    * **single** — ``activation {payload}``, sent to every subscriber that
+      did not negotiate the batching capability, and for batches of one;
+    * **batch** — ``activation_batch {payloads: [...]}``, keyed by the
+      identity tuple of its activations, so connections whose linger
+      windows coalesce the same run of activations (the common
+      hot-subscription case) share one encode.
+    """
+
+    def __init__(self, capacity: int = 2048) -> None:
+        super().__init__(
+            lambda record: encode_frame({"type": "activation", "payload": record}),
+            capacity,
+        )
+        # tuple of ids -> (activations, batch frame bytes)
+        self._batches: dict[tuple, tuple[tuple[Activation, ...], bytes]] = {}
 
     def frame_size(self, activation: Activation) -> int:
         """Encoded size of one activation's single frame (batch byte budget).

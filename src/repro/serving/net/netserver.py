@@ -8,9 +8,9 @@ full serving surface — DML submission (single and batch, with ticket-style
 ``result`` replies), trigger DDL including bulk registration, activation
 subscriptions with resumable cursors, and server statistics.
 
-The front end is a **loop group**: ``loops`` asyncio event loops, each on
-its own daemon thread, each owning its connections' reader/writer/
-subscription state outright — no state is shared between loops except the
+The front end is a **loop group** (:mod:`repro.serving.net.loops`):
+``loops`` asyncio event loops, each on its own daemon thread, each owning
+its connections outright — no state is shared between loops except the
 :class:`~repro.serving.net.frames.SharedFrameCache` (one activation encode,
 every loop reuses the bytes) and the serving core underneath.  Each
 connection costs a reader coroutine and a writer coroutine, not a thread,
@@ -18,20 +18,8 @@ which is what makes connection-scale fan-out (10k+ subscribers) reachable;
 sharding the loops lets encode+drain work use more than one core
 (``benchmarks/bench_net_fanout.py`` drives the sweep).
 
-Two accept strategies, chosen automatically:
-
-* **SO_REUSEPORT** (default where the platform supports it and
-  ``loops > 1``) — every loop binds its own listener on the same address
-  and the kernel load-balances accepted connections across them; no accept
-  hot spot, no cross-thread hand-off.
-* **accept-and-hand-off** (fallback; force with ``reuse_port=False``) —
-  loop 0 owns the single listener and deals accepted sockets round-robin to
-  the loop group; the target loop adopts the raw socket into its own
-  streams.  Slightly more cross-thread traffic per *accept*, but delivery
-  still runs entirely on the owning loop.
-
 Bridging the thread world and the loops, backpressured both ways (the
-details live in :mod:`repro.serving.net.connection`):
+details live in :mod:`repro.serving.net.session`):
 
 * **DML inbound** — a connection's statements are submitted to the shard
   queues via worker threads (``asyncio.to_thread``) in arrival order; a
@@ -43,9 +31,9 @@ details live in :mod:`repro.serving.net.connection`):
   negotiated the ``activation_batch`` capability get pending activations
   coalesced into one frame (count budget ``batch_max_count``, byte budget
   ``batch_max_bytes``, linger deadline ``batch_linger``); slots release
-  only after the frame drains.  A slow consumer still **pauses** exactly as
-  before: detach, flush (pending batch included), terminal ``paused``
-  frame, durable resume via the persisted cursor.
+  only after the frame drains.  A slow consumer **pauses**: detach, flush
+  (pending batch included), terminal ``paused`` frame, durable resume via
+  the persisted cursor.
 
 ``docs/networking.md`` is the protocol reference (the "scaling the front
 end" section covers loop-count and batching tuning);
@@ -57,180 +45,18 @@ batching modes.
 
 from __future__ import annotations
 
-import asyncio
-import socket
-import threading
-
 from repro.errors import NetworkError
 from repro.persist.durable import DurableServer
-from repro.serving.net.connection import WakeHub, _Connection
+from repro.serving.net.connection import _Connection
 from repro.serving.net.frames import SharedFrameCache
+from repro.serving.net.loops import FrontEnd
 from repro.serving.net.protocol import DEFAULT_MAX_FRAME
 from repro.serving.server import ActiveViewServer
 
 __all__ = ["NetworkServer"]
 
-#: Listen backlog per listener socket.
-_BACKLOG = 512
 
-
-def _new_counters() -> dict[str, int]:
-    """One loop's wire counters (aggregated by ``NetworkServer.counters``)."""
-    return {
-        "connections_opened": 0,
-        "frames_received": 0,
-        "frames_sent": 0,
-        "bytes_sent": 0,
-        "statements_submitted": 0,
-        "subscriptions_opened": 0,
-        "subscriptions_paused": 0,
-        "activations_sent": 0,
-        "activation_batches_sent": 0,
-        "batched_activations_sent": 0,
-        "shared_encode_hits": 0,
-        "shared_encode_misses": 0,
-        "protocol_errors": 0,
-        "overflow_closes": 0,
-        "handoffs": 0,
-    }
-
-
-class _LoopRuntime:
-    """One event loop of the group: a daemon thread owning its connections.
-
-    All of a runtime's mutable state — its ``connections`` set and its
-    ``counters`` — is touched only from its own loop thread (reads from
-    other threads are reporting-only), so the loops never contend on locks
-    in the delivery path.
-    """
-
-    def __init__(self, server: "NetworkServer", index: int) -> None:
-        self.server = server
-        self.index = index
-        self.listen_sock: socket.socket | None = None
-        self.loop: asyncio.AbstractEventLoop | None = None
-        #: Set together with ``loop``; coalesces producer wakeups targeting
-        #: this loop into one ``call_soon_threadsafe`` per burst.
-        self.wake_hub: WakeHub | None = None
-        self.thread: threading.Thread | None = None
-        self.connections: set[_Connection] = set()
-        self.counters = _new_counters()
-        self._started = threading.Event()
-        self._shutdown: asyncio.Event | None = None
-        self._accept_task: asyncio.Task | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
-
-    # ------------------------------------------------------------------ lifecycle
-
-    def start(self) -> None:
-        self.thread = threading.Thread(
-            target=self._run, name=f"net-loop-{self.index}", daemon=True
-        )
-        self.thread.start()
-        if not self._started.wait(timeout=30):
-            raise NetworkError(
-                f"network loop {self.index} failed to start within 30s"
-            )
-
-    def request_stop(self) -> None:
-        loop = self.loop
-        if loop is None:
-            return
-        try:
-            loop.call_soon_threadsafe(self._signal_shutdown)
-        except RuntimeError:
-            pass
-
-    def _signal_shutdown(self) -> None:  # loop thread
-        if self._shutdown is not None:
-            self._shutdown.set()
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self.wake_hub = WakeHub(loop)
-        self.loop = loop
-        try:
-            loop.run_until_complete(self._serve())
-        finally:
-            asyncio.set_event_loop(None)
-            loop.close()
-
-    async def _serve(self) -> None:
-        self._shutdown = asyncio.Event()
-        if self.listen_sock is not None:
-            self._accept_task = asyncio.ensure_future(self._accept_loop())
-        self._started.set()
-        try:
-            await self._shutdown.wait()
-        finally:
-            if self._accept_task is not None:
-                self._accept_task.cancel()
-                try:
-                    await self._accept_task
-                except (asyncio.CancelledError, OSError):
-                    pass
-            if self.listen_sock is not None:
-                self.listen_sock.close()
-            for connection in list(self.connections):
-                try:
-                    connection.writer.close()
-                except (ConnectionError, OSError):  # pragma: no cover - defensive
-                    pass
-            # Reader loops observe their closed transports and clean up
-            # (detaching subscribers); give them a beat to finish.
-            for _ in range(100):
-                if not self.connections:
-                    break
-                await asyncio.sleep(0.02)
-
-    # ------------------------------------------------------------------ accepting
-
-    async def _accept_loop(self) -> None:
-        loop = asyncio.get_running_loop()
-        assert self.listen_sock is not None
-        while True:
-            try:
-                conn, _addr = await loop.sock_accept(self.listen_sock)
-            except asyncio.CancelledError:
-                raise
-            except OSError:
-                return
-            target = self.server._route_connection(self)
-            if target is self:
-                self._spawn(conn)
-            else:
-                self.counters["handoffs"] += 1
-                target.adopt(conn)
-
-    def adopt(self, conn: socket.socket) -> None:
-        """Take ownership of an accepted socket (called from another loop)."""
-        loop = self.loop
-        if loop is None:
-            conn.close()
-            return
-        try:
-            loop.call_soon_threadsafe(self._spawn, conn)
-        except RuntimeError:
-            conn.close()
-
-    def _spawn(self, conn: socket.socket) -> None:  # loop thread
-        task = asyncio.ensure_future(self._run_connection(conn))
-        self._conn_tasks.add(task)
-        task.add_done_callback(self._conn_tasks.discard)
-
-    async def _run_connection(self, conn: socket.socket) -> None:
-        try:
-            reader, writer = await asyncio.open_connection(sock=conn)
-        except OSError:
-            conn.close()
-            return
-        connection = _Connection(self, reader, writer)
-        self.connections.add(connection)
-        await connection.run()
-
-
-class NetworkServer:
+class NetworkServer(FrontEnd):
     """TCP front end for an :class:`ActiveViewServer` / :class:`DurableServer`.
 
     Parameters
@@ -277,13 +103,9 @@ class NetworkServer:
         instead: slightly better coalescing for workloads that trickle
         activations just under the linger apart, at the linger's latency
         cost.
-
-    The server owns ``loops`` daemon threads, each running a private
-    asyncio loop; every public method is callable from ordinary threads.
-    Lifecycle composes with the serving stack's: start the inner server
-    first, stop the network front end first (``with`` blocks nest
-    naturally).
     """
+
+    extra_counters = ("activation_batches_sent", "batched_activations_sent")
 
     def __init__(
         self,
@@ -302,14 +124,10 @@ class NetworkServer:
         batch_linger: float = 0.002,
         batch_eager_flush: bool = True,
     ) -> None:
-        if isinstance(server, DurableServer):
-            self.durable: DurableServer | None = server
-            self.core: ActiveViewServer = server.server
-        else:
-            self.durable = None
-            self.core = server
-        if send_buffer < 1:
-            raise NetworkError("send_buffer must be at least 1")
+        super().__init__(
+            server, host=host, port=port, send_buffer=send_buffer,
+            write_buffer_limit=write_buffer_limit,
+        )
         if loops < 1:
             raise NetworkError("loops must be at least 1")
         if batch_max_count < 1:
@@ -318,16 +136,9 @@ class NetworkServer:
             raise NetworkError("batch_max_bytes must be at least 1")
         if batch_linger < 0:
             raise NetworkError("batch_linger must be >= 0")
-        self.host = host
-        self.port = port
         self.loops = loops
         self.reuse_port = reuse_port
         self.max_frame = max_frame
-        self.send_buffer = send_buffer
-        #: Optional transport high-water mark (bytes).  ``drain()`` then
-        #: waits for the actual socket instead of a large default buffer,
-        #: which makes slow-consumer detection prompt; tests set it low.
-        self.write_buffer_limit = write_buffer_limit
         self.batching = batching
         self.batch_max_count = batch_max_count
         # The byte budget must leave headroom under max_frame: a flush can
@@ -335,164 +146,12 @@ class NetworkServer:
         self.batch_max_bytes = min(batch_max_bytes, max(1, max_frame // 2))
         self.batch_linger = batch_linger
         self.batch_eager_flush = batch_eager_flush
-        #: ``(host, port)`` actually bound (set by :meth:`start`).
-        self.address: tuple[str, int] | None = None
         #: One encode per activation (or batch shape), shared by every loop.
         self.frame_cache = SharedFrameCache()
-        self._runtimes: list[_LoopRuntime] = []
-        self._counter_base = _new_counters()
-        self._reuse_port_active = False
-        self._next_handoff = 0
 
-    # ------------------------------------------------------------------ lifecycle
-
-    def start(self) -> "NetworkServer":
-        """Bind the listener(s) and start serving; returns ``self``."""
-        if self._runtimes:
-            return self
-        want_reuse = self.loops > 1 and self.reuse_port is not False
-        use_reuse = want_reuse and hasattr(socket, "SO_REUSEPORT")
-        listeners: list[socket.socket] = []
-        try:
-            first = self._make_listener(self.port, reuse_port=use_reuse)
-            listeners.append(first)
-            if use_reuse:
-                bound_port = first.getsockname()[1]
-                for _ in range(self.loops - 1):
-                    listeners.append(
-                        self._make_listener(bound_port, reuse_port=True)
-                    )
-        except OSError as error:
-            for sock in listeners:
-                sock.close()
-            raise NetworkError(
-                f"network server failed to bind: {error}"
-            ) from error
-        sockname = first.getsockname()
-        self.address = (sockname[0], sockname[1])
-        self._reuse_port_active = use_reuse
-        self._next_handoff = 0
-        self._runtimes = [_LoopRuntime(self, index) for index in range(self.loops)]
-        for index, runtime in enumerate(self._runtimes):
-            runtime.listen_sock = listeners[index] if index < len(listeners) else None
-        try:
-            for runtime in self._runtimes:
-                runtime.start()
-        except BaseException:
-            self.stop()
-            raise
-        return self
-
-    def stop(self) -> None:
-        """Close every listener and connection; join the loop threads."""
-        runtimes, self._runtimes = self._runtimes, []
-        if not runtimes:
-            return
-        for runtime in runtimes:
-            runtime.request_stop()
-        for runtime in runtimes:
-            if runtime.thread is not None:
-                runtime.thread.join(timeout=30)
-            for key, value in runtime.counters.items():
-                self._counter_base[key] = self._counter_base.get(key, 0) + value
-        self.address = None
-
-    def __enter__(self) -> "NetworkServer":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
-
-    def _make_listener(self, port: int, *, reuse_port: bool) -> socket.socket:
-        family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
-        sock = socket.socket(family, socket.SOCK_STREAM)
-        try:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            if reuse_port:
-                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-            sock.bind((self.host, port))
-            sock.listen(_BACKLOG)
-            sock.setblocking(False)
-        except OSError:
-            sock.close()
-            raise
-        return sock
-
-    def _route_connection(self, acceptor: _LoopRuntime) -> _LoopRuntime:
-        """Pick the owning loop for a freshly accepted connection.
-
-        With SO_REUSEPORT the kernel already balanced the accept onto
-        ``acceptor``; with the hand-off fallback, the single acceptor deals
-        round-robin across the group.  Called only from the acceptor's own
-        loop thread, so the rotation needs no lock.
-        """
-        if self._reuse_port_active or self.loops == 1:
-            return acceptor
-        target = self._runtimes[self._next_handoff % len(self._runtimes)]
-        self._next_handoff += 1
-        return target
-
-    # ------------------------------------------------------------------ reporting
-
-    @property
-    def counters(self) -> dict[str, int]:
-        """Aggregate wire counters across the loop group (plus past runs)."""
-        total = dict(self._counter_base)
-        for runtime in self._runtimes:
-            for key, value in runtime.counters.items():
-                total[key] = total.get(key, 0) + value
-        return total
-
-    @property
-    def connection_count(self) -> int:
-        """Currently open connections across all loops."""
-        return sum(len(runtime.connections) for runtime in self._runtimes)
+    async def _serve_connection(self, runtime, reader, writer) -> None:
+        await _Connection(runtime, reader, writer).run()
 
     def net_report(self) -> dict:
         """Wire-encodable counters + per-loop and per-subscription detail."""
-        per_loop = []
-        subscriptions = []
-        for runtime in self._runtimes:
-            loop_subscriptions = 0
-            for connection in list(runtime.connections):
-                subscriber = connection.subscriber
-                if subscriber is None:
-                    continue
-                loop_subscriptions += 1
-                subscriptions.append(
-                    {
-                        "loop": runtime.index,
-                        "name": subscriber.name,
-                        "buffered": subscriber.inflight,
-                        "limit": subscriber.limit,
-                        "paused": subscriber.paused,
-                        "delivered": subscriber.delivered,
-                        "refused": subscriber.refused,
-                        "filtered": subscriber.filtered,
-                    }
-                )
-            hub = runtime.wake_hub
-            per_loop.append(
-                {
-                    "loop": runtime.index,
-                    "connections": len(runtime.connections),
-                    "subscriptions": loop_subscriptions,
-                    "wake_posts": hub.posts if hub is not None else 0,
-                    "wake_wakeups": hub.wakeups if hub is not None else 0,
-                    **dict(runtime.counters),
-                }
-            )
-        return {
-            **self.counters,
-            "connections_active": self.connection_count,
-            "loops": self.loops,
-            "reuse_port": self._reuse_port_active,
-            "per_loop": per_loop,
-            "subscriptions": subscriptions,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "running" if self._runtimes else "stopped"
-        return (
-            f"NetworkServer({state}, address={self.address}, loops={self.loops})"
-        )
+        return self._report()

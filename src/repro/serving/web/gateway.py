@@ -7,17 +7,16 @@ including bulk registration, and server statistics; and WebSocket
 subscription streams carrying JSON-encoded activations with server-side
 view/path filters, client acks, and durable resumable cursors.
 
-The delivery semantics are *the same machinery*, not a re-implementation:
-WebSocket sessions attach a :class:`~repro.serving.net.connection.LoopSubscriber`
-through the same :class:`~repro.serving.net.connection.WakeHub`, so the
-PR 8/9 discipline holds verbatim — shard workers never block, each
-subscription buffers at most ``send_buffer`` undrained activations, a slow
-consumer is **paused** (detach → flush → terminal ``paused`` message with
-per-shard sent watermarks) rather than blocked or silently dropped, and a
-durable resume fast-forwards the persisted cursor
-(:meth:`~repro.persist.durable.DurableServer.fast_forward`) before
-re-subscribing.  Cursors on a non-durable backend are refused outright —
-an ignored cursor would silently turn at-least-once into lossy.
+Only the bytes are the gateway's own.  It is hosted on the front ends' loop
+runtime (:mod:`repro.serving.net.loops`, at the constant one loop), REST
+bodies are answered by the shared request layer
+(:mod:`repro.serving.net.requests`), and a WebSocket session *is* a
+:class:`~repro.serving.net.session.Session` — so the delivery discipline
+holds by construction: shard workers never block, each subscription buffers
+at most ``send_buffer`` undrained activations, a slow consumer is
+**paused** (detach → flush → terminal ``paused`` message with per-shard
+sent watermarks) rather than blocked or silently dropped, and a durable
+resume fast-forwards the persisted cursor before re-subscribing.
 
 One activation is JSON-encoded (and WebSocket-framed) **once** process-wide
 via :class:`~repro.serving.web.webframes.JsonFrameCache`; server→client
@@ -39,7 +38,7 @@ GET       ``/ws``                 WebSocket upgrade → subscription session
 ========  ======================  =============================================
 
 ``docs/networking.md`` ("Web gateway") documents the JSON message schema
-and the cursor-semantics parity with the TCP path.
+and the two places the WebSocket stream deliberately differs from TCP.
 """
 
 from __future__ import annotations
@@ -47,20 +46,14 @@ from __future__ import annotations
 import asyncio
 import base64
 import json
-import socket
-import threading
-from typing import Any, Callable
+from typing import Any
 
-from repro.errors import NetworkError, ProtocolError
+from repro.errors import ProtocolError
 from repro.persist.durable import DurableServer
-from repro.serving.net.connection import (
-    LoopSubscriber,
-    WakeHub,
-    subscription_filter,
-)
-from repro.serving.net.protocol import result_to_wire, statement_from_wire
+from repro.serving.net import requests
+from repro.serving.net.loops import FrontEnd
+from repro.serving.net.session import Session
 from repro.serving.server import ActiveViewServer
-from repro.serving.subscribers import Activation
 from repro.serving.web import wsproto
 from repro.serving.web.http import (
     DEFAULT_MAX_BODY,
@@ -72,179 +65,54 @@ from repro.serving.web.http import (
     read_request,
     response_bytes,
 )
-from repro.serving.web.webframes import JsonFrameCache
+from repro.serving.web.webframes import JsonFrameCache, text_frame
 
 __all__ = ["WebGateway"]
 
 #: How long a REST submit waits for its tickets before giving up (seconds).
 _SUBMIT_TIMEOUT = 60.0
 
-
-def _new_counters() -> dict[str, int]:
-    return {
-        "connections_opened": 0,
-        "requests_received": 0,
-        "responses_sent": 0,
-        "ws_upgrades": 0,
-        "ws_messages_received": 0,
-        "ws_frames_sent": 0,
-        "ws_bytes_sent": 0,
-        "statements_submitted": 0,
-        "subscriptions_opened": 0,
-        "subscriptions_paused": 0,
-        "activations_sent": 0,
-        "acks_received": 0,
-        "protocol_errors": 0,
-        "overflow_closes": 0,
-    }
+#: What the shared frame counters are called in :meth:`WebGateway.web_report`
+#: (REST responses are counted separately, as ``responses_sent``).
+_WS_COUNTER_NAMES = {
+    "frames_received": "ws_messages_received",
+    "frames_sent": "ws_frames_sent",
+    "bytes_sent": "ws_bytes_sent",
+}
 
 
-class _WsSession:
-    """One WebSocket subscription session on the gateway's loop.
+class _WsSession(Session):
+    """One WebSocket subscription stream: RFC 6455 frames, JSON text."""
 
-    Mirrors the TCP :class:`~repro.serving.net.connection._Connection`
-    delivery state: a bounded out-queue drained by a serialized writer
-    task, a :class:`LoopSubscriber` handing activations over from shard
-    workers, and the pause-don't-block-don't-drop overflow policy.  The
-    out-queue is sized ``send_buffer + 64``: activations respect the
-    subscriber's inflight cap, so control traffic (pongs, replies, the
-    terminal ``paused`` message) always finds a slot.
-    """
+    transport = "web"
+    bad_input = "bad-request"
+    ack_needs_subscription = False
+    encode = staticmethod(text_frame)
 
-    def __init__(
-        self,
-        gateway: "WebGateway",
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        self.gateway = gateway
-        self.reader = reader
-        self.writer = writer
-        self._out: asyncio.Queue = asyncio.Queue(
-            maxsize=gateway.send_buffer + 64
-        )
-        self._writer_task: asyncio.Task | None = None
-        self.subscriber: LoopSubscriber | None = None
-        self._sent_watermark: dict[int, int] = {}
-        self._loop = asyncio.get_running_loop()
-        self._closing = False
-
-    # ---------------------------------------------------------------- sending
-
-    def send_bytes(
-        self, frame: bytes, after: Callable[[], None] | None = None
-    ) -> None:
-        """Queue one encoded frame (loop thread only)."""
-        try:
-            self._out.put_nowait((frame, after))
-        except asyncio.QueueFull:
-            self.gateway.counters["overflow_closes"] += 1
-            if after is not None:
-                after()
-            try:
-                self.writer.close()
-            except (ConnectionError, OSError):  # pragma: no cover - defensive
-                pass
-
-    def send_json(
-        self, message: dict, after: Callable[[], None] | None = None
-    ) -> None:
-        body = json.dumps(message, separators=(",", ":")).encode("utf-8")
-        self.send_bytes(wsproto.encode_frame(wsproto.OP_TEXT, body), after)
-
-    def send_error(self, msg_id: Any, code: str, message: str) -> None:
-        self.send_json(
-            {"type": "error", "id": msg_id, "code": code, "message": message}
-        )
-
-    async def _writer_loop(self) -> None:
-        counters = self.gateway.counters
-        while True:
-            item = await self._out.get()
-            if item is None:
-                return
-            frame, after = item
-            try:
-                self.writer.write(frame)
-                await self.writer.drain()
-                counters["ws_frames_sent"] += 1
-                counters["ws_bytes_sent"] += len(frame)
-            except (ConnectionError, OSError):
-                return
-            finally:
-                if after is not None:
-                    after()
-
-    # ---------------------------------------------------------------- lifecycle
-
-    async def run(self) -> None:
-        self.gateway.counters["ws_upgrades"] += 1
-        self._writer_task = asyncio.ensure_future(self._writer_loop())
+    async def _read_loop(self) -> None:
         ws_reader = wsproto.WsReader(
             self.reader,
             require_mask=True,
-            max_message=self.gateway.max_ws_message,
+            max_message=self.front.max_ws_message,
         )
-        try:
-            while True:
-                try:
-                    opcode, payload = await ws_reader.next_message()
-                except (asyncio.IncompleteReadError, ConnectionError, OSError):
-                    break  # peer vanished (possibly mid-frame): clean goodbye
-                self.gateway.counters["ws_messages_received"] += 1
-                if opcode == wsproto.OP_CLOSE:
-                    # Echo the close and stop reading; anything the peer
-                    # pipelined after its close frame is intentionally not
-                    # processed (acks already handled above took effect).
-                    if not self._closing:
-                        self._closing = True
-                        self.send_bytes(wsproto.encode_close())
-                    break
-                if opcode == wsproto.OP_PING:
-                    self.send_bytes(
-                        wsproto.encode_frame(wsproto.OP_PONG, payload)
-                    )
-                    continue
-                if opcode == wsproto.OP_PONG:
-                    continue
+        while True:
+            opcode, payload = await ws_reader.next_message()
+            self.counters["frames_received"] += 1
+            if opcode == wsproto.OP_CLOSE:
+                # Echo the close and stop reading; anything the peer
+                # pipelined after its close frame is intentionally not
+                # processed (acks already handled above took effect).
+                self.send(wsproto.encode_close())
+                return
+            if opcode == wsproto.OP_PING:
+                self.send(wsproto.encode_frame(wsproto.OP_PONG, payload))
+            elif opcode != wsproto.OP_PONG:
                 await self._dispatch_text(opcode, payload)
-        except ProtocolError as error:
-            self.gateway.counters["protocol_errors"] += 1
-            self._closing = True
-            self.send_bytes(
-                wsproto.encode_close(
-                    wsproto.CLOSE_PROTOCOL_ERROR, str(error)[:80]
-                )
-            )
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            await self._cleanup()
 
-    async def _cleanup(self) -> None:
-        self._detach_subscriber()
-        try:
-            self._out.put_nowait(None)
-        except asyncio.QueueFull:
-            if self._writer_task is not None:
-                self._writer_task.cancel()
-        if self._writer_task is not None:
-            try:
-                await asyncio.wait_for(self._writer_task, timeout=5)
-            except (asyncio.TimeoutError, asyncio.CancelledError):
-                self._writer_task.cancel()
-        try:
-            self.writer.close()
-            await self.writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
-        self.gateway._sessions.discard(self)
-
-    def _detach_subscriber(self) -> None:
-        if self.subscriber is not None:
-            self.gateway.core.unsubscribe(self.subscriber)
-
-    # ---------------------------------------------------------------- dispatch
+    def _protocol_error(self, error: ProtocolError) -> None:
+        self.send(
+            wsproto.encode_close(wsproto.CLOSE_PROTOCOL_ERROR, str(error)[:80])
+        )
 
     async def _dispatch_text(self, opcode: int, payload: bytes) -> None:
         if opcode != wsproto.OP_TEXT:
@@ -257,143 +125,16 @@ class _WsSession:
             raise ProtocolError("message must be an object with a 'type'")
         mtype = message["type"]
         if mtype == "subscribe":
-            await self._handle_subscribe(message)
+            await self._handle_subscribe(message.get("id"), message)
         elif mtype == "ack":
             self._handle_ack(message)
         elif mtype == "ping":
-            self.send_json({"type": "pong", "id": message.get("id")})
+            self.send({"type": "pong", "id": message.get("id")})
         else:
             raise ProtocolError(f"unknown message type {mtype!r}")
 
-    async def _handle_subscribe(self, message: dict) -> None:
-        msg_id = message.get("id")
-        if self.subscriber is not None and not self.subscriber.paused \
-                and not self.subscriber.closed:
-            self.send_error(msg_id, "state",
-                            "this session already has an active subscription")
-            return
-        name = message.get("name")
-        view = message.get("view")
-        path = message.get("path")
-        cursor = message.get("cursor")
-        if name is not None and not isinstance(name, str):
-            self.send_error(msg_id, "bad-request",
-                            "'name' must be a string or null")
-            return
-        if path is not None and not isinstance(path, list):
-            self.send_error(msg_id, "bad-request", "'path' must be a step list")
-            return
-        if cursor is not None and not (
-            isinstance(cursor, dict)
-            and all(
-                isinstance(k, str) and k.lstrip("-").isdigit()
-                and isinstance(v, int)
-                for k, v in cursor.items()
-            )
-        ):
-            self.send_error(
-                msg_id, "bad-request",
-                "'cursor' must map shard (stringified int) to sequence",
-            )
-            return
-        durable = self.gateway.durable
-        resumable = durable is not None and name is not None
-        if cursor is not None and not resumable:
-            # Same no-silent-fallback contract as the TCP path: an ignored
-            # cursor would quietly break at-least-once.
-            self.send_error(
-                msg_id, "unsupported",
-                "cursors require a durable server and a named subscription",
-            )
-            return
-        subscriber = LoopSubscriber(
-            name or f"web-anon-{id(self)}",
-            limit=self.gateway.send_buffer,
-            hub=self.gateway.wake_hub,
-            deliver=self._deliver_activation,
-            overflow=self._pause_subscription,
-            accept=subscription_filter(view, path),
-        )
-        self.subscriber = subscriber
-        self._sent_watermark = {}
-        try:
-            if resumable:
-                def attach() -> None:
-                    if cursor is not None:
-                        durable.fast_forward(name, {
-                            int(shard): sequence
-                            for shard, sequence in cursor.items()
-                        })
-                    durable.subscribe(name, subscriber=subscriber)
 
-                await asyncio.to_thread(attach)
-            else:
-                self.gateway.core.attach_subscriber(subscriber)
-        except Exception as error:  # noqa: BLE001 - persistence/serving errors
-            self.subscriber = None
-            self.send_error(msg_id, "execution", str(error))
-            return
-        self.gateway.counters["subscriptions_opened"] += 1
-        self.send_json(
-            {
-                "type": "subscribed",
-                "id": msg_id,
-                "name": subscriber.name,
-                "durable": resumable,
-            }
-        )
-
-    def _handle_ack(self, message: dict) -> None:
-        shard = message.get("shard")
-        sequence = message.get("seq")
-        if not isinstance(shard, int) or not isinstance(sequence, int):
-            raise ProtocolError("ack needs integer 'shard' and 'seq'")
-        self.gateway.counters["acks_received"] += 1
-        subscriber = self.subscriber
-        if subscriber is None:
-            # Ack-after-close tolerance: a client draining its receive
-            # buffer may ack activations that raced the close of its
-            # subscription.  There is no cursor to advance, but the ack is
-            # not a protocol violation — ignore it rather than kill the
-            # session (the durable outbox simply redelivers on resume).
-            return
-        # Valid after a pause too: acking what arrived before the pause is
-        # exactly what advances the durable cursor for the resume.
-        subscriber.ack_position(shard, sequence)
-
-    # ---------------------------------------------------------------- fan-out
-
-    def _deliver_activation(self, activation: Activation) -> None:  # loop thread
-        subscriber = self.subscriber
-        if activation.sequence > self._sent_watermark.get(activation.shard, 0):
-            self._sent_watermark[activation.shard] = activation.sequence
-        self.gateway.counters["activations_sent"] += 1
-        frame = self.gateway.frame_cache.frame(activation)
-        release = subscriber.release if subscriber is not None else None
-        self.send_bytes(frame, after=release)
-
-    def _pause_subscription(self) -> None:  # loop thread
-        subscriber = self.subscriber
-        if subscriber is None:
-            return
-        self.gateway.counters["subscriptions_paused"] += 1
-        # Detach first so shard workers stop offering; everything already
-        # buffered still flushes (the out-queue is FIFO), then the pause
-        # notice arrives as the stream's terminal message.
-        self._detach_subscriber()
-        self.send_json(
-            {
-                "type": "paused",
-                "reason": "slow-consumer",
-                "sent": {
-                    str(shard): seq
-                    for shard, seq in self._sent_watermark.items()
-                },
-            }
-        )
-
-
-class WebGateway:
+class WebGateway(FrontEnd):
     """HTTP + WebSocket front end for an :class:`ActiveViewServer`.
 
     Parameters
@@ -416,12 +157,9 @@ class WebGateway:
         Optional transport high-water mark (bytes); a low value makes
         ``drain()`` track the consumer's real pace, so slow-consumer
         detection is prompt (tests use this).
-
-    The gateway owns one daemon thread running a private asyncio loop;
-    every public method is callable from ordinary threads.  Lifecycle
-    composes with the serving stack's: start the inner server first, stop
-    the gateway first.
     """
+
+    extra_counters = ("requests_received", "responses_sent", "ws_upgrades")
 
     def __init__(
         self,
@@ -435,413 +173,154 @@ class WebGateway:
         max_ws_message: int = wsproto.DEFAULT_MAX_MESSAGE,
         write_buffer_limit: int | None = None,
     ) -> None:
-        if isinstance(server, DurableServer):
-            self.durable: DurableServer | None = server
-            self.core: ActiveViewServer = server.server
-        else:
-            self.durable = None
-            self.core = server
-        if send_buffer < 1:
-            raise NetworkError("send_buffer must be at least 1")
-        self.host = host
-        self.port = port
-        self.send_buffer = send_buffer
+        super().__init__(
+            server, host=host, port=port, send_buffer=send_buffer,
+            write_buffer_limit=write_buffer_limit,
+        )
         self.max_header = max_header
         self.max_body = max_body
         self.max_ws_message = max_ws_message
-        self.write_buffer_limit = write_buffer_limit
-        #: ``(host, port)`` actually bound (set by :meth:`start`).
-        self.address: tuple[str, int] | None = None
+        # The stream limit bounds ``readuntil`` (the header block read);
+        # frame payload reads use ``readexactly`` and budget themselves.
+        self.stream_limit = max_header + 1024
         #: One JSON encode + WebSocket frame per activation, shared.
         self.frame_cache = JsonFrameCache()
-        self.counters = _new_counters()
-        self.wake_hub: WakeHub | None = None
-        self._sessions: set[_WsSession] = set()
-        self._client_tasks: set[asyncio.Task] = set()
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-        self._started = threading.Event()
-        self._startup_error: BaseException | None = None
-        self._shutdown: asyncio.Event | None = None
-        self._server: asyncio.Server | None = None
-
-    # ---------------------------------------------------------------- lifecycle
-
-    def start(self) -> "WebGateway":
-        """Bind the listener and start serving; returns ``self``."""
-        if self._thread is not None:
-            return self
-        self._startup_error = None
-        self._started.clear()
-        self._thread = threading.Thread(
-            target=self._run, name="web-gateway", daemon=True
-        )
-        self._thread.start()
-        if not self._started.wait(timeout=30):
-            raise NetworkError("web gateway failed to start within 30s")
-        if self._startup_error is not None:
-            error = self._startup_error
-            self._thread.join(timeout=5)
-            self._thread = None
-            raise NetworkError(f"web gateway failed to bind: {error}")
-        return self
-
-    def stop(self) -> None:
-        """Close the listener and every session; join the loop thread."""
-        thread = self._thread
-        if thread is None:
-            return
-        loop = self._loop
-        if loop is not None:
-            try:
-                loop.call_soon_threadsafe(self._signal_shutdown)
-            except RuntimeError:
-                pass
-        thread.join(timeout=30)
-        self._thread = None
-        self._loop = None
-        self.address = None
-
-    def __enter__(self) -> "WebGateway":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
-
-    def _signal_shutdown(self) -> None:  # loop thread
-        if self._shutdown is not None:
-            self._shutdown.set()
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self.wake_hub = WakeHub(loop)
-        self._loop = loop
-        try:
-            loop.run_until_complete(self._serve())
-        finally:
-            asyncio.set_event_loop(None)
-            loop.close()
-
-    async def _serve(self) -> None:
-        self._shutdown = asyncio.Event()
-        try:
-            # The stream limit bounds ``readuntil`` (the header block read);
-            # frame payload reads use ``readexactly`` and budget themselves.
-            self._server = await asyncio.start_server(
-                self._handle_client,
-                self.host,
-                self.port,
-                limit=self.max_header + 1024,
-            )
-        except OSError as error:
-            self._startup_error = error
-            self._started.set()
-            return
-        sockname = self._server.sockets[0].getsockname()
-        self.address = (sockname[0], sockname[1])
-        self._started.set()
-        try:
-            await self._shutdown.wait()
-        finally:
-            self._server.close()
-            await self._server.wait_closed()
-            for session in list(self._sessions):
-                try:
-                    session.writer.close()
-                except (ConnectionError, OSError):  # pragma: no cover
-                    pass
-            for _ in range(100):
-                if not self._sessions:
-                    break
-                await asyncio.sleep(0.02)
-            # Idle keep-alive HTTP connections sit in read_request with no
-            # session to close them; cancel their handler tasks so the loop
-            # shuts down with nothing pending.
-            for task in list(self._client_tasks):
-                task.cancel()
-            if self._client_tasks:
-                await asyncio.gather(
-                    *self._client_tasks, return_exceptions=True
-                )
 
     # ---------------------------------------------------------------- serving
 
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self.counters["connections_opened"] += 1
-        task = asyncio.current_task()
-        if task is not None:
-            self._client_tasks.add(task)
-            task.add_done_callback(self._client_tasks.discard)
-        if self.write_buffer_limit is not None:
-            # Small high-water mark — transport *and* kernel send buffer —
-            # so ``drain()`` (and the inflight accounting built on it)
-            # tracks the consumer's real pace instead of buffering depth.
-            writer.transport.set_write_buffer_limits(
-                high=self.write_buffer_limit
-            )
-            raw = writer.get_extra_info("socket")
-            if raw is not None:
-                raw.setsockopt(
-                    socket.SOL_SOCKET, socket.SO_SNDBUF,
-                    self.write_buffer_limit,
+    async def _serve_connection(self, runtime, reader, writer) -> None:
+        counters = runtime.counters
+        while True:
+            try:
+                request = await read_request(
+                    reader, max_header=self.max_header, max_body=self.max_body
                 )
-        try:
-            while True:
-                try:
-                    request = await read_request(
-                        reader,
-                        max_header=self.max_header,
-                        max_body=self.max_body,
-                    )
-                except HttpError as error:
-                    self.counters["protocol_errors"] += 1
-                    writer.write(error_response(error.status, str(error)))
+            except HttpError as error:
+                counters["protocol_errors"] += 1
+                writer.write(error_response(error.status, str(error)))
+                await writer.drain()
+                return
+            if request is None:
+                return
+            counters["requests_received"] += 1
+            if "upgrade" in request.header("connection").lower() \
+                    and request.header("upgrade").lower() == "websocket":
+                refusal = self._refuse_upgrade(request)
+                if refusal is not None:
+                    counters["protocol_errors"] += 1
+                    writer.write(error_response(*refusal))
                     await writer.drain()
                     return
-                if request is None:
-                    return
-                self.counters["requests_received"] += 1
-                if self._wants_upgrade(request):
-                    await self._upgrade(request, reader, writer)
-                    return  # the session consumed the connection
-                response = await self._route(request)
-                writer.write(response)
+                writer.write(
+                    response_bytes(
+                        101,
+                        extra_headers={
+                            "Upgrade": "websocket",
+                            "Connection": "Upgrade",
+                            "Sec-WebSocket-Accept": wsproto.accept_key(
+                                request.header("sec-websocket-key")
+                            ),
+                        },
+                    )
+                )
                 await writer.drain()
-                self.counters["responses_sent"] += 1
-                if not request.keep_alive:
-                    return
-        except (ConnectionError, OSError, asyncio.IncompleteReadError):
-            pass
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    # ---------------------------------------------------------------- upgrade
+                counters["ws_upgrades"] += 1
+                await _WsSession(runtime, reader, writer).run()
+                return  # the session consumed the connection
+            writer.write(await self._route(request, counters))
+            await writer.drain()
+            counters["responses_sent"] += 1
+            if not request.keep_alive:
+                return
 
     @staticmethod
-    def _wants_upgrade(request: HttpRequest) -> bool:
-        return "upgrade" in request.header("connection").lower() \
-            and request.header("upgrade").lower() == "websocket"
-
-    async def _upgrade(
-        self,
-        request: HttpRequest,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        def refuse(status: int, message: str) -> bytes:
-            self.counters["protocol_errors"] += 1
-            return error_response(status, message)
-
+    def _refuse_upgrade(request: HttpRequest) -> tuple[int, str] | None:
+        """Why a WebSocket upgrade request cannot proceed, if it cannot."""
         if request.path != "/ws":
-            writer.write(refuse(404, f"no WebSocket endpoint at {request.path}"))
-            await writer.drain()
-            return
+            return 404, f"no WebSocket endpoint at {request.path}"
         if request.method != "GET":
-            writer.write(refuse(405, "WebSocket upgrade must be a GET"))
-            await writer.drain()
-            return
-        key = request.header("sec-websocket-key")
-        version = request.header("sec-websocket-version")
-        if version != "13":
-            writer.write(refuse(426, "only WebSocket version 13 is supported"))
-            await writer.drain()
-            return
-        if not _valid_ws_key(key):
-            writer.write(refuse(400, "missing or malformed Sec-WebSocket-Key"))
-            await writer.drain()
-            return
-        writer.write(
-            response_bytes(
-                101,
-                extra_headers={
-                    "Upgrade": "websocket",
-                    "Connection": "Upgrade",
-                    "Sec-WebSocket-Accept": wsproto.accept_key(key),
-                },
-            )
-        )
-        await writer.drain()
-        session = _WsSession(self, reader, writer)
-        self._sessions.add(session)
-        await session.run()
+            return 405, "WebSocket upgrade must be a GET"
+        if request.header("sec-websocket-version") != "13":
+            return 426, "only WebSocket version 13 is supported"
+        if not _valid_ws_key(request.header("sec-websocket-key")):
+            return 400, "missing or malformed Sec-WebSocket-Key"
+        return None
 
     # ---------------------------------------------------------------- routing
 
-    async def _route(self, request: HttpRequest) -> bytes:
+    async def _route(self, request: HttpRequest, counters: dict) -> bytes:
         try:
-            handler = self._resolve(request)
-            if handler is None:
-                raise HttpError(404, f"no route for {request.method} "
-                                     f"{request.path}")
-            return await handler(request)
-        except HttpError as error:
-            self.counters["protocol_errors"] += 1
-            return error_response(error.status, str(error), keep_alive=True)
+            return json_response(await self._answer(request, counters))
+        except ProtocolError as error:
+            # Malformed input; an HttpError carries a more specific status.
+            counters["protocol_errors"] += 1
+            return error_response(
+                getattr(error, "status", 400), str(error), keep_alive=True
+            )
         except Exception as error:  # noqa: BLE001 - surfaced, never a crash
             return error_response(500, str(error), keep_alive=True)
 
-    def _resolve(self, request: HttpRequest):
+    async def _answer(self, request: HttpRequest, counters: dict) -> dict:
+        """The JSON body answering one REST request."""
         method, path = request.method, request.path
-        if method == "POST" and path == "/v1/submit":
-            return self._handle_submit
-        if method == "POST" and path == "/v1/submit-batch":
-            return self._handle_submit_batch
-        if method == "POST" and path == "/v1/triggers":
-            return self._handle_triggers
-        if method == "DELETE" and path.startswith("/v1/triggers/"):
-            return self._handle_drop_trigger
-        if method == "DELETE" and path.startswith("/v1/views/"):
-            return self._handle_drop_view
         if method == "GET" and path == "/v1/stats":
-            return self._handle_stats
-        return None
-
-    @staticmethod
-    def _json_object(request: HttpRequest) -> dict:
+            return requests.stats_body(
+                self.core, self.durable, web=self.web_report()
+            )
+        for prefix, op in (
+            ("/v1/triggers/", "drop_trigger"), ("/v1/views/", "drop_view")
+        ):
+            if method == "DELETE" and path.startswith(prefix):
+                name = path[len(prefix):]
+                if not name:
+                    raise HttpError(400, f"name missing from path {path}")
+                return {"names": await requests.run_ddl(
+                    self.core, op, {"name": name}
+                )}
+        if method != "POST" or path not in (
+            "/v1/submit", "/v1/submit-batch", "/v1/triggers"
+        ):
+            raise HttpError(404, f"no route for {method} {path}")
         payload = request.json()
         if not isinstance(payload, dict):
             raise HttpError(400, "request body must be a JSON object")
-        return payload
-
-    def _parse_statement(self, record: object):
-        if not isinstance(record, dict):
-            raise HttpError(400, "each statement must be a JSON object")
-        try:
-            return statement_from_wire(record)
-        except ProtocolError as error:
-            raise HttpError(400, str(error))
-
-    async def _await_tickets(self, tickets: list) -> list[list[dict]]:
-        def wait() -> list[list[dict]]:
-            results = []
-            for ticket in tickets:
-                outcome = ticket.result(timeout=_SUBMIT_TIMEOUT)
-                parts = outcome if isinstance(outcome, list) else [outcome]
-                results.append([result_to_wire(part) for part in parts])
-            return results
-
-        return await asyncio.to_thread(wait)
-
-    async def _handle_submit(self, request: HttpRequest) -> bytes:
-        payload = self._json_object(request)
-        statement = self._parse_statement(payload.get("statement"))
-        ticket = await asyncio.to_thread(self.core.submit, statement)
-        self.counters["statements_submitted"] += 1
-        results = await self._await_tickets([ticket])
-        return json_response({"results": results[0]})
-
-    async def _handle_submit_batch(self, request: HttpRequest) -> bytes:
-        payload = self._json_object(request)
-        records = payload.get("statements")
-        if not isinstance(records, list) or not records:
-            raise HttpError(400, "'statements' must be a non-empty list")
-        statements = [self._parse_statement(record) for record in records]
-        tickets = []
-        for statement in statements:
-            # Arrival order via worker threads; a full shard queue blocks
-            # this request's thread, never the gateway loop.
-            tickets.append(await asyncio.to_thread(self.core.submit, statement))
-        self.counters["statements_submitted"] += len(statements)
-        results = await self._await_tickets(tickets)
-        return json_response({"results": results})
-
-    async def _handle_triggers(self, request: HttpRequest) -> bytes:
-        payload = self._json_object(request)
-        source = payload.get("source")
-        sources = payload.get("sources")
-        if (source is None) == (sources is None):
-            raise HttpError(400,
-                            "provide exactly one of 'source' or 'sources'")
-        if source is not None:
-            if not isinstance(source, str):
-                raise HttpError(400, "'source' must be a string")
-            spec = await asyncio.to_thread(self.core.create_trigger, source)
-            names = [spec.name]
-        else:
-            if not isinstance(sources, list) \
-                    or not all(isinstance(s, str) for s in sources):
-                raise HttpError(400, "'sources' must be a string list")
-            specs = await asyncio.to_thread(
-                self.core.register_triggers_bulk, sources
-            )
-            names = [spec.name for spec in specs]
-        return json_response({"names": names})
-
-    async def _handle_drop_trigger(self, request: HttpRequest) -> bytes:
-        name = request.path[len("/v1/triggers/"):]
-        if not name:
-            raise HttpError(400, "trigger name missing from path")
-        await asyncio.to_thread(self.core.drop_trigger, name)
-        return json_response({"names": [name]})
-
-    async def _handle_drop_view(self, request: HttpRequest) -> bytes:
-        name = request.path[len("/v1/views/"):]
-        if not name:
-            raise HttpError(400, "view name missing from path")
-        await asyncio.to_thread(self.core.drop_view, name)
-        return json_response({"names": [name]})
-
-    async def _handle_stats(self, request: HttpRequest) -> bytes:
-        core = self.core
-        reply = {
-            "evaluation": {
-                str(k): int(v) for k, v in core.evaluation_report().items()
-            },
-            "shards": [stats.as_dict() for stats in core.stats],
-            "queues": core.queue_depths,
-            "activations_published": core.activations_published,
-            "web": self.web_report(),
+        if path == "/v1/triggers":
+            one = payload.get("source") is not None
+            if one == (payload.get("sources") is not None):
+                raise HttpError(
+                    400, "provide exactly one of 'source' or 'sources'"
+                )
+            op = "create_trigger" if one else "register_triggers_bulk"
+            return {"names": await requests.run_ddl(self.core, op, payload)}
+        if path == "/v1/submit":
+            results = await self._submit([payload.get("statement")], counters)
+            return {"results": results[0]}
+        return {
+            "results": await self._submit(payload.get("statements"), counters)
         }
-        if self.durable is not None:
-            reply["durability"] = self.durable.durability_report()
-        return json_response(reply)
+
+    async def _submit(self, records: Any, counters: dict) -> list[list[dict]]:
+        tickets = await requests.submit(self.core, records)
+        counters["statements_submitted"] += len(tickets)
+        try:
+            return await asyncio.wait_for(
+                requests.ticket_results(tickets), _SUBMIT_TIMEOUT
+            )
+        except TimeoutError:
+            raise TimeoutError("statement still pending after timeout") from None
 
     # ---------------------------------------------------------------- reporting
 
-    @property
-    def connection_count(self) -> int:
-        """Currently open WebSocket sessions."""
-        return len(self._sessions)
-
     def web_report(self) -> dict:
         """Wire-encodable counters plus per-subscription detail."""
-        subscriptions = []
-        for session in list(self._sessions):
-            subscriber = session.subscriber
-            if subscriber is None:
-                continue
-            subscriptions.append(
-                {
-                    "name": subscriber.name,
-                    "buffered": subscriber.inflight,
-                    "limit": subscriber.limit,
-                    "paused": subscriber.paused,
-                    "delivered": subscriber.delivered,
-                    "refused": subscriber.refused,
-                    "filtered": subscriber.filtered,
-                }
-            )
-        hub = self.wake_hub
+        report = self._report()
+        per_loop = report.pop("per_loop")
         return {
-            **dict(self.counters),
-            "ws_sessions_active": len(self._sessions),
-            "shared_encode_hits": self.frame_cache.hits,
-            "shared_encode_misses": self.frame_cache.misses,
-            "wake_posts": hub.posts if hub is not None else 0,
-            "wake_wakeups": hub.wakeups if hub is not None else 0,
-            "subscriptions": subscriptions,
+            **{_WS_COUNTER_NAMES.get(k, k): v for k, v in report.items()},
+            "ws_sessions_active": sum(len(r.sessions) for r in self._runtimes),
+            "wake_posts": sum(loop["wake_posts"] for loop in per_loop),
+            "wake_wakeups": sum(loop["wake_wakeups"] for loop in per_loop),
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "running" if self._thread is not None else "stopped"
-        return f"WebGateway({state}, address={self.address})"
 
 
 def _valid_ws_key(key: str) -> bool:

@@ -1,56 +1,38 @@
 """Shared one-encode-per-activation cache of WebSocket activation frames.
 
-The web twin of :class:`repro.serving.net.frames.SharedFrameCache`: at
-fan-out scale the dominant per-subscriber cost is serializing the
-activation, not writing the socket.  Server→client WebSocket frames are
-unmasked (RFC 6455 masks only the client direction), so one encode — JSON
-message body *and* the complete TEXT frame around it — is byte-identical
-for every subscriber and can be cached once per activation process-wide.
-
-Entries are keyed by activation identity (``id``) and pin the activation
-object so the key stays stable while cached; eviction is FIFO-bounded like
-the TCP cache.  Thread-safe: shard workers and the gateway loop both
-touch it.
+Server→client WebSocket frames are unmasked (RFC 6455 masks only the client
+direction), so one encode — JSON message body *and* the complete TEXT frame
+around it — is byte-identical for every subscriber.  :class:`JsonFrameCache`
+is the front ends' one :class:`~repro.serving.net.frames.FrameCache` with
+that encoder plugged in.
 """
 
 from __future__ import annotations
 
 import json
-import threading
 
-from repro.persist.records import activation_to_record
+from repro.serving.net.frames import FrameCache
 from repro.serving.subscribers import Activation
 from repro.serving.web.wsproto import OP_TEXT, encode_frame
 
-__all__ = ["JsonFrameCache"]
+__all__ = ["JsonFrameCache", "text_frame"]
 
 
-class JsonFrameCache:
+def text_frame(message: dict) -> bytes:
+    """One JSON message as a complete unmasked TEXT frame."""
+    body = json.dumps(message, separators=(",", ":")).encode("utf-8")
+    return encode_frame(OP_TEXT, body)
+
+
+class JsonFrameCache(FrameCache):
     """Encode each activation's WebSocket TEXT frame once, share it."""
 
     def __init__(self, capacity: int = 2048) -> None:
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        # id(activation) -> (activation, complete unmasked TEXT frame bytes)
-        self._frames: dict[int, tuple[Activation, bytes]] = {}
-        self.hits = 0
-        self.misses = 0
+        super().__init__(
+            lambda record: text_frame({"type": "activation", "payload": record}),
+            capacity,
+        )
 
     def frame(self, activation: Activation) -> bytes:
         """The complete ``{"type": "activation", ...}`` TEXT frame."""
-        with self._lock:
-            entry = self._frames.get(id(activation))
-            if entry is not None and entry[0] is activation:
-                self.hits += 1
-                return entry[1]
-            body = json.dumps(
-                {"type": "activation",
-                 "payload": activation_to_record(activation)},
-                separators=(",", ":"),
-            ).encode("utf-8")
-            frame = encode_frame(OP_TEXT, body)
-            self._frames[id(activation)] = (activation, frame)
-            self.misses += 1
-            while len(self._frames) > self.capacity:
-                self._frames.pop(next(iter(self._frames)))
-            return frame
+        return self.single_frame(activation)[0]

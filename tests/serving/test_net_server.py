@@ -312,6 +312,32 @@ class TestWireBasics:
 
         run(scenario())
 
+    def test_ack_before_subscribe_is_a_protocol_error(self, stack):
+        """One of the two deliberate TCP/WebSocket differences.
+
+        The gateway tolerates the same ack
+        (``test_web_gateway.py::test_ack_with_no_subscription_is_ignored``).
+        """
+        _, net = stack
+        host, port = net.address
+
+        async def scenario():
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(encode_frame({"type": "hello", "version": PROTOCOL_VERSION}))
+            writer.write(encode_frame({"type": "ack", "shard": 0, "seq": 1}))
+            await writer.drain()
+            assert (await read_frame(reader))["type"] == "welcome"
+            error = await read_frame(reader)
+            assert (error["type"], error["id"], error["code"]) == (
+                "error", None, "protocol"
+            )
+            assert "ack without a subscription" in error["message"]
+            assert await reader.read() == b""  # and the connection is cut
+            writer.close()
+
+        run(scenario())
+        assert net.counters["protocol_errors"] == 1
+
     def test_lifecycle_stop_with_open_connections(self, stack):
         server, net = stack
         host, port = net.address
@@ -390,7 +416,8 @@ class TestDurableCursors:
                 UpdateStatement("vendor", {"price": 199.0}, keys=[("Buy.com", "P2")])
             )
             consumer = await NetClient.connect(host, port)
-            skipping = await consumer.subscribe("skipper", cursor={0: 10, 1: 10})
+            heads = (await producer.stats())["durability"]["accepted"]
+            skipping = await consumer.subscribe("skipper", cursor=dict(heads))
             with pytest.raises(asyncio.TimeoutError):
                 await skipping.get(timeout=0.3)
             await producer.close()

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import shutil
+import socket
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -22,6 +25,7 @@ from repro.errors import NetworkError
 from repro.persist import DurableServer
 from repro.relational.dml import InsertStatement, UpdateStatement
 from repro.serving import ActiveViewServer
+from repro.serving.net import NetClient, NetworkServer
 from repro.serving.web import (
     GatewayError,
     WebClient,
@@ -240,6 +244,78 @@ class TestRest:
                 assert stats["web"]["requests_received"] >= 5
 
         run(scenario())
+
+
+    def test_pending_submits_do_not_starve_other_requests(self, live):
+        """In-flight submits park no executor thread (regression).
+
+        As many submits as the default executor has threads wait behind one
+        slow action; an unrelated DDL request — which needs a worker thread
+        of that same executor — must still complete.
+        """
+        host, port = live.address
+        release = threading.Event()
+        live.core.register_action("block", lambda node: release.wait(30))
+        pending = min(32, (os.cpu_count() or 1) + 4)
+
+        async def scenario():
+            async with await WebClient.connect(host, port) as admin:
+                await admin.create_trigger(
+                    "CREATE TRIGGER Slow AFTER UPDATE ON view('catalog')/product "
+                    "DO block(NEW_NODE)"
+                )
+                clients = [
+                    await WebClient.connect(host, port) for _ in range(pending)
+                ]
+                submits = [
+                    asyncio.ensure_future(client.submit(
+                        UpdateStatement("vendor", {"price": 50.0 + index},
+                                        keys=[("Amazon", "P1")])
+                    ))
+                    for index, client in enumerate(clients)
+                ]
+                try:
+                    while live.counters["statements_submitted"] < pending:
+                        await asyncio.sleep(0.01)
+                    assert not any(task.done() for task in submits)
+                    name = await asyncio.wait_for(
+                        admin.create_trigger(NEW_PRODUCT), timeout=10
+                    )
+                    assert name == "NewProduct"
+                finally:
+                    release.set()
+                for results in await asyncio.gather(*submits):
+                    assert results[0]["rowcount"] == 1
+                for client in clients:
+                    await client.close()
+
+        run(scenario())
+
+    def test_lifecycle_stop_with_idle_keep_alive_connections(
+        self, live, capfd, caplog
+    ):
+        host, port = live.address
+        idle = []
+        for _ in range(3):
+            raw = socket.create_connection((host, port), timeout=10)
+            raw.sendall(b"GET /v1/stats HTTP/1.1\r\nHost: h\r\n\r\n")
+            assert raw.recv(65536).startswith(b"HTTP/1.1 200")
+            idle.append(raw)  # keep-alive: parked in the next request read
+        try:
+            assert live.connection_count == 3
+            live.stop()  # must not hang on, or complain about, the idle ones
+            assert live.address is None
+            live.stop()  # idempotent
+            for raw in idle:
+                assert raw.recv(1) == b""  # closed by the gateway
+        finally:
+            for raw in idle:
+                raw.close()
+        assert capfd.readouterr().err == ""
+        assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
+        # The serving layer is untouched and restartable behind a new gateway.
+        with WebGateway(live.core) as replacement:
+            assert replacement.address is not None
 
 
 # ------------------------------------------------------------------ WebSocket
@@ -463,8 +539,9 @@ class TestWebSocket:
                     await ws.close()
 
         run(scenario())
-        assert live.frame_cache.misses == 1
-        assert live.frame_cache.hits == 7
+        report = live.web_report()
+        assert report["shared_encode_misses"] == 1
+        assert report["shared_encode_hits"] == 7
 
 
 # ------------------------------------------------- close-handshake edge cases
@@ -590,5 +667,138 @@ class TestCloseHandshake:
             await ws.ack_position(0, 7)
             await ws.ping()  # the session is still alive and answering
             await ws.close()
+
+        run(scenario())
+
+
+# ---------------------------------- one session runtime, both transports
+
+
+#: The two places the transports deliberately differ; everything else in
+#: this section is one code path (``repro.serving.net.session.Session``).
+BAD_INPUT = {"tcp": "bad-statement", "ws": "bad-request"}
+
+
+@pytest.fixture(params=["tcp", "ws"])
+def transport(request, durable_live):
+    """``(kind, connect)`` — subscriber connections of either transport.
+
+    The TCP front end goes in front of the *same* ``DurableServer`` the
+    gateway fixture serves, so a case written once runs through the TCP
+    connection and the WebSocket session alike; DML goes in over REST.
+    """
+    if request.param == "ws":
+        yield "ws", lambda: WsClient.connect(*durable_live.address)
+        return
+    with NetworkServer(durable_live.durable) as net:
+        yield "tcp", lambda: NetClient.connect(*net.address)
+
+
+async def _subscribe_raw(client, **fields):
+    """Send a subscribe request the typed clients would refuse to build."""
+    if isinstance(client, NetClient):
+        return await client._request({"type": "subscribe", **fields})
+    client._next_id += 1
+    reply = asyncio.get_running_loop().create_future()
+    client._replies[client._next_id] = reply
+    client._send_json({"type": "subscribe", "id": client._next_id, **fields})
+    return await reply
+
+
+async def _drain(subscription) -> list:
+    received = []
+    while True:
+        try:
+            activation = await subscription.get(timeout=1.0)
+        except asyncio.TimeoutError:
+            return received
+        if activation is None:
+            return received
+        received.append(activation)
+
+
+class TestSharedSessionRuntime:
+    def test_cursor_beyond_head_is_refused_and_resume_loses_nothing(
+        self, durable_live, transport
+    ):
+        kind, connect = transport
+        host, port = durable_live.address
+
+        async def scenario():
+            async with await WebClient.connect(host, port) as admin:
+                await admin.create_trigger(PRICE_WATCH)
+                client = await connect()
+                for cursor in ({0: 10**9, 1: 10**9}, {7: 0}):
+                    with pytest.raises(NetworkError, match=BAD_INPUT[kind]):
+                        await client.subscribe("inbox", cursor=cursor)
+                # Nothing was persisted, and the connection is still good.
+                assert "inbox" not in durable_live.durable.durability_report()[
+                    "cursors"
+                ]
+                await client.subscribe("inbox")
+                await client.close()
+
+                for price in (31.0, 32.0, 33.0):  # fired while offline
+                    await admin.submit(
+                        UpdateStatement("vendor", {"price": price},
+                                        keys=[("Amazon", "P1")])
+                    )
+                revived = await connect()
+                redelivered = await _drain(await revived.subscribe("inbox"))
+                assert len(redelivered) == 3
+                await revived.close()
+
+        run(scenario())
+
+    def test_ack_beyond_head_is_counted_not_persisted(
+        self, durable_live, transport
+    ):
+        _kind, connect = transport
+        host, port = durable_live.address
+        durable = durable_live.durable
+
+        async def scenario():
+            async with await WebClient.connect(host, port) as admin:
+                await admin.create_trigger(PRICE_WATCH)
+                client = await connect()
+                subscription = await client.subscribe("inbox")
+                await admin.submit(
+                    UpdateStatement("vendor", {"price": 34.0},
+                                    keys=[("Amazon", "P1")])
+                )
+                fired = await subscription.get(timeout=10)
+                await client.ack_position(fired.shard, 10**9)
+                await client.ack_position(7, 1)  # no such shard
+                await client.ping()  # both acks are processed by now
+                report = durable.durability_report()
+                assert report["acks_refused"] == 2
+                assert report["cursors"]["inbox"][fired.shard] < fired.sequence
+                assert 7 not in report["cursors"]["inbox"]
+                await client.close()
+
+                # Not clamped either: the unacked activation comes back.
+                revived = await connect()
+                redelivered = await _drain(await revived.subscribe("inbox"))
+                assert [(a.shard, a.sequence) for a in redelivered] == [
+                    (fired.shard, fired.sequence)
+                ]
+                await revived.close()
+
+        run(scenario())
+
+    @pytest.mark.parametrize(
+        "cursor", [[1, 2], "0:1", {"x": 1}, {0: "1"}, {0: None}]
+    )
+    def test_malformed_cursor_gets_the_bad_input_code(self, transport, cursor):
+        kind, connect = transport
+
+        async def scenario():
+            client = await connect()
+            with pytest.raises(NetworkError, match=BAD_INPUT[kind]) as excinfo:
+                await _subscribe_raw(client, name="inbox", cursor=cursor)
+            assert "cursor" in str(excinfo.value)
+            assert "Error" not in str(excinfo.value)  # no leaked internals
+            await client.ping()  # refused before any damage: still alive
+            await client.close()
 
         run(scenario())

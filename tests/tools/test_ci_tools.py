@@ -7,7 +7,7 @@ Covers the three scripts the workflow leans on:
   report written either way, and the build failed either way;
 * ``tools/check_bench_regression.py`` — baseline entries with a renamed
   headline metric must be *warned about by name*, never silently skipped;
-* ``tools/ci_paths.py`` — diff classification for the docs and web-smoke
+* ``tools/ci_paths.py`` — diff classification for the docs, web-smoke and e2e-gate
   jobs, including the comment-only-src-change skip.
 """
 
@@ -260,27 +260,43 @@ class TestCiPathsClassification:
         (diff_repo / "src/repro/serving/gateway.py").write_text(
             "def serve():\n    return 99\n"
         )
-        assert classify_at(diff_repo) == {"docs": "true", "web": "true"}
+        assert classify_at(diff_repo) == {
+            "docs": "true", "web": "true", "bench": "true",
+        }
 
-    def test_comment_only_serving_change_skips_both(self, diff_repo):
+    def test_comment_only_serving_change_skips_all(self, diff_repo):
         (diff_repo / "src/repro/serving/gateway.py").write_text(
             "# a comment\ndef serve():\n    return 1\n"
         )
-        assert classify_at(diff_repo) == {"docs": "false", "web": "false"}
+        assert classify_at(diff_repo) == {
+            "docs": "false", "web": "false", "bench": "false",
+        }
 
     def test_non_serving_src_change_skips_web(self, diff_repo):
         (diff_repo / "src/repro/xqgm/eval.py").write_text(
             "def evaluate():\n    return 3\n"
         )
-        assert classify_at(diff_repo) == {"docs": "true", "web": "false"}
+        assert classify_at(diff_repo) == {
+            "docs": "true", "web": "false", "bench": "true",
+        }
 
-    def test_test_churn_skips_both(self, diff_repo):
+    def test_test_churn_skips_all(self, diff_repo):
         (diff_repo / "tests/test_x.py").write_text(
             "def test_x():\n    assert True\n"
         )
-        assert classify_at(diff_repo) == {"docs": "false", "web": "false"}
+        assert classify_at(diff_repo) == {
+            "docs": "false", "web": "false", "bench": "false",
+        }
 
     def test_web_example_change_triggers_web(self, diff_repo):
         (diff_repo / "examples").mkdir()
         (diff_repo / "examples/web_subscribers.py").write_text("print('hi')\n")
-        assert classify_at(diff_repo) == {"docs": "true", "web": "true"}
+        assert classify_at(diff_repo) == {
+            "docs": "true", "web": "true", "bench": "false",
+        }
+
+    def test_benchmark_declaration_change_triggers_only_bench(self, diff_repo):
+        (diff_repo / "BENCHMARK.json").write_text('{"run_seconds": 12}\n')
+        assert classify_at(diff_repo) == {
+            "docs": "false", "web": "false", "bench": "true",
+        }

@@ -1,13 +1,16 @@
 #!/usr/bin/env python
-"""Decide which CI jobs a diff actually needs — the docs and web-smoke jobs.
+"""Decide which CI jobs a diff actually needs — docs, web-smoke and e2e-gate.
 
 The docs job executes every Python block in ``README.md`` and ``docs/*.md``
 against the live API, so it must run whenever the docs themselves change
 *or* the public behaviour under them might have.  The web-smoke job runs
 ``examples/web_subscribers.py`` end to end, so it must run whenever the
-serving/persistence stack under the web gateway might have changed.  But a
+serving/persistence stack under the web gateway might have changed.  The
+e2e-gate job runs the repo benchmark (``BENCHMARK.json``) on the base and
+head checkouts, so it must run whenever the program under ``src/repro/``
+might behave differently, or the benchmark's declaration did.  But a
 large class of ``src`` changes — comment edits, formatting — cannot affect
-either.  This script compares the **AST** of each changed ``src`` Python
+any of them.  This script compares the **AST** of each changed ``src`` Python
 file between the base and head revisions: comment-only (and
 whitespace-only) edits produce identical ASTs and let the jobs skip;
 any semantic change (docstrings included — they are part of the AST, and
@@ -17,14 +20,15 @@ Anything that is not a ``src`` Python file is classified by path alone:
 docs / README / examples / the checker itself always need the docs job;
 test and benchmark churn never does.  The web-smoke job cares only about
 the gateway's dependency cone: ``src/repro/serving/``, ``src/repro/persist/``,
-and its own example script.
+and its own example script; the e2e gate only about ``src/repro/`` and
+``BENCHMARK.json``.
 
 Usage (from CI)::
 
     python tools/ci_paths.py --base <sha> --head <sha>
 
-Prints ``docs=true|false`` and ``web=true|false`` and appends the same
-lines to ``$GITHUB_OUTPUT`` when set.  Any git/parse error makes every
+Prints ``bench=true|false``, ``docs=true|false`` and ``web=true|false`` and
+appends the same lines to ``$GITHUB_OUTPUT`` when set.  Any git/parse error makes every
 answer ``true`` — the jobs run when in doubt.
 """
 
@@ -50,6 +54,9 @@ _WEB_PATHS = (
     "src/repro/persist/",
     "examples/web_subscribers.py",
 )
+
+#: What the e2e gate measures: the program, and the benchmark's declaration.
+_BENCH_PATHS = ("src/repro/", "BENCHMARK.json")
 
 
 def _git(*args: str) -> str:
@@ -86,7 +93,7 @@ def _semantically_changed(base: str, head: str, path: str) -> bool:
 
 
 def classify(base: str, head: str) -> dict[str, bool]:
-    """Which skippable jobs the ``base...head`` diff needs: docs, web."""
+    """Which skippable jobs the ``base...head`` diff needs: docs, web, bench."""
     changed = [
         line
         for line in _git("diff", "--name-only", f"{base}...{head}").splitlines()
@@ -94,7 +101,8 @@ def classify(base: str, head: str) -> dict[str, bool]:
     ]
     docs = False
     web = False
-    # Cache AST comparisons: a serving-layer file feeds both decisions.
+    bench = False
+    # Cache AST comparisons: a serving-layer file feeds all three decisions.
     semantic: dict[str, bool] = {}
 
     def changed_semantically(path: str) -> bool:
@@ -105,6 +113,11 @@ def classify(base: str, head: str) -> dict[str, bool]:
     for path in changed:
         if not web and path.startswith(_WEB_PATHS):
             web = (
+                changed_semantically(path)
+                if path.startswith("src/") else True
+            )
+        if not bench and path.startswith(_BENCH_PATHS):
+            bench = (
                 changed_semantically(path)
                 if path.startswith("src/") else True
             )
@@ -120,7 +133,7 @@ def classify(base: str, head: str) -> dict[str, bool]:
             pass
         elif changed_semantically(path):
             docs = True
-    return {"docs": docs, "web": web}
+    return {"docs": docs, "web": web, "bench": bench}
 
 
 def docs_needed(base: str, head: str) -> bool:
@@ -136,8 +149,8 @@ def main(argv: list[str]) -> int:
     try:
         outputs = classify(args.base, args.head)
     except Exception as error:  # noqa: BLE001 - any failure means "run the jobs"
-        print(f"ci_paths: {error} — defaulting to docs=web=true", file=sys.stderr)
-        outputs = {"docs": True, "web": True}
+        print(f"ci_paths: {error} — defaulting to every job", file=sys.stderr)
+        outputs = {"docs": True, "web": True, "bench": True}
     lines = [
         f"{job}={'true' if needed else 'false'}"
         for job, needed in sorted(outputs.items())
