@@ -17,9 +17,13 @@ relational statement, *without materializing the view*:
    injective views evaluated with pruned transition tables (Theorem 3 /
    ``CreateANOpt``).
 
-The returned :class:`AffectedNodeGraph` keeps handles to the intermediate
-pieces so the Trigger Pushdown stage (Section 5) can re-derive optimized
-variants (semi-join pushdown of the affected keys, GROUPED-AGG compensation).
+Steps 1–3 do not depend on the event: :func:`create_an_sides` builds them
+once (:class:`AffectedNodeSides`) and :func:`an_graph_over` /
+:func:`combine_sides` add the per-event steps 4–5 on top, referencing the
+same side operators for all three events.
+The Trigger Pushdown stage (Section 5) re-derives optimized sides from the
+same pieces (semi-join pushdown of the affected keys, GROUPED-AGG
+compensation) and combines them the same way.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from repro.errors import TriggerCompilationError
 from repro.relational.database import Database
 from repro.relational.schema import TableSchema
 from repro.relational.triggers import TriggerEvent
-from repro.xqgm.expressions import ColumnRef, Expression
+from repro.xqgm.expressions import ColumnRef, Constant, Expression
 from repro.xqgm.graph import replace_table_variant
 from repro.xqgm.keys import derive_keys
 from repro.xqgm.operators import (
@@ -46,7 +50,17 @@ from repro.xqgm.operators import (
 from repro.xqgm.views import PathGraph
 from repro.core.affected_keys import AffectedKeyGraph, create_ak_graph
 
-__all__ = ["AffectedNodeGraph", "NodesDiffer", "create_an_graph", "OLD_NODE", "NEW_NODE"]
+__all__ = [
+    "AffectedNodeGraph",
+    "AffectedNodeSides",
+    "NodesDiffer",
+    "an_graph_over",
+    "create_an_graph",
+    "create_an_sides",
+    "combine_sides",
+    "OLD_NODE",
+    "NEW_NODE",
+]
 
 OLD_NODE = "OLD_NODE"
 NEW_NODE = "NEW_NODE"
@@ -76,9 +90,10 @@ class NodesDiffer(Expression):
         return self
 
     def uses_parameters(self) -> bool:
-        """Precise-classification hook: the difference check never reads
-        parameter bindings, so subplans containing it stay cacheable across
-        trigger-group firings (see :func:`repro.xqgm.columnar.compile_columnar_plan`).
+        """Hook read by :func:`repro.xqgm.expressions.expression_uses_parameters`:
+        the difference check never reads parameter bindings, so an UPDATE
+        translation's root is not VOLATILE and its pairs may be shared by
+        every trigger group one statement fires.
         """
         return False
 
@@ -104,25 +119,50 @@ class NodesDiffer(Expression):
 
 
 @dataclass
-class AffectedNodeGraph:
-    """``G_affected`` plus the handles the pushdown stage needs."""
+class AffectedNodeSides:
+    """The event-independent half of Figure 12, built once per (``G``, ``B``).
 
-    event: TriggerEvent
+    INSERT, UPDATE and DELETE pairs all derive from the same two sub-plans —
+    keys ⋈ ``G`` (:attr:`new_side`, producing ``NEW_NODE``) and keys ⋈
+    ``G_old`` (:attr:`old_side`, producing ``OLD_NODE``) over one affected-key
+    union (:attr:`union_keys`); only the last operator differs per event
+    (:func:`combine_sides`).  The three event graphs of one monitored path
+    therefore reference the *same* operator objects here, which is what lets
+    the plan engines evaluate each side once per statement however many
+    trigger groups and events that statement fires.
+    """
+
     table: str
-    top: Operator
+    path_graph: PathGraph
     key_columns: tuple[str, ...]
     old_key_columns: tuple[str, ...]
     covered_key_columns: tuple[str, ...]
-    path_graph: PathGraph
     # Intermediate pieces (Figure 12 variable names):
     ak_inserted: AffectedKeyGraph | None
     ak_deleted: AffectedKeyGraph | None
-    union_keys: Operator | None
+    union_keys: Operator
     union_key_columns: tuple[str, ...]
-    new_side: Operator | None
-    old_side: Operator | None
-    g_old_top: Operator | None
+    new_side: Operator
+    old_side: Operator
+    g_old_top: Operator
+
+
+@dataclass
+class AffectedNodeGraph:
+    """``G_affected`` for one event: the per-event combine over shared sides."""
+
+    event: TriggerEvent
+    top: Operator
     checks_difference: bool
+    sides: AffectedNodeSides
+
+    @property
+    def table(self) -> str:
+        return self.sides.table
+
+    @property
+    def key_columns(self) -> tuple[str, ...]:
+        return self.sides.key_columns
 
     @property
     def node_columns(self) -> tuple[str, str]:
@@ -130,22 +170,18 @@ class AffectedNodeGraph:
         return (OLD_NODE, NEW_NODE)
 
 
-def create_an_graph(
-    event: TriggerEvent,
+def create_an_sides(
     path_graph: PathGraph,
     table: str,
     catalog: Database | Mapping[str, TableSchema],
     *,
     use_pruned_transitions: bool = True,
-    check_difference: bool | None = None,
-) -> AffectedNodeGraph:
-    """``CreateANGraph(E, G, B)`` of Figure 12.
+) -> AffectedNodeSides:
+    """The event-independent steps of ``CreateANGraph``: affected keys, their
+    union, and both node sides.
 
     ``use_pruned_transitions`` selects the pruned transition tables of
-    Definition 8 (drop rows whose values did not change).  ``check_difference``
-    forces/suppresses the final ``OLD_NODE ≠ NEW_NODE`` selection for UPDATE
-    events; the default (``None``) lets the caller decide later — the service
-    enables it unless the view is injective (Theorem 3).
+    Definition 8 (drop rows whose values did not change).
     """
     if isinstance(catalog, Database):
         catalog = {name: catalog.schema(name) for name in catalog.table_names()}
@@ -205,51 +241,18 @@ def create_an_graph(
         node_output=NEW_NODE, key_suffix="", label="new-nodes",
         join_columns=covered_key_columns,
     )
-    old_key_columns = tuple(f"{column}#old" for column in key_columns)
     old_side = _node_side(
         union_keys, union_key_columns, g_old_top, node_column, key_columns,
         node_output=OLD_NODE, key_suffix="#old", label="old-nodes",
         join_columns=covered_key_columns,
     )
 
-    # Step 5: combine according to the event.
-    pairs = [(new, old) for new, old in zip(key_columns, old_key_columns)]
-    if check_difference is None:
-        # Safe default: verify the node actually changed.  Callers suppress the
-        # check for injective views with pruned transition tables (Theorem 3).
-        check_difference = True
-    if event is TriggerEvent.UPDATE:
-        top: Operator = JoinOp([new_side, old_side], equi_pairs=pairs, label="an-update-join")
-        checks = bool(check_difference)
-        if check_difference:
-            top = SelectOp(top, NodesDiffer(), label="old-differs-from-new")
-        top = _final_projection(top, key_columns, old_key_columns, has_old=True, has_new=True)
-    elif event is TriggerEvent.INSERT:
-        anti = JoinOp(
-            [new_side, old_side], equi_pairs=pairs, kind=JoinKind.ANTI, label="an-insert-anti"
-        )
-        top = _final_projection(anti, key_columns, old_key_columns, has_old=False, has_new=True)
-        checks = False
-    elif event is TriggerEvent.DELETE:
-        anti = JoinOp(
-            [old_side, new_side],
-            equi_pairs=[(old, new) for new, old in pairs],
-            kind=JoinKind.ANTI,
-            label="an-delete-anti",
-        )
-        top = _final_projection(anti, key_columns, old_key_columns, has_old=True, has_new=False)
-        checks = False
-    else:  # pragma: no cover - defensive
-        raise TriggerCompilationError(f"unknown trigger event {event!r}")
-
-    return AffectedNodeGraph(
-        event=event,
+    return AffectedNodeSides(
         table=table,
-        top=top,
-        key_columns=key_columns,
-        old_key_columns=old_key_columns,
-        covered_key_columns=covered_key_columns,
         path_graph=path_graph,
+        key_columns=key_columns,
+        old_key_columns=tuple(f"{column}#old" for column in key_columns),
+        covered_key_columns=covered_key_columns,
         ak_inserted=None if ak_inserted.is_empty else ak_inserted,
         ak_deleted=None if ak_deleted.is_empty else ak_deleted,
         union_keys=union_keys,
@@ -257,8 +260,79 @@ def create_an_graph(
         new_side=new_side,
         old_side=old_side,
         g_old_top=g_old_top,
-        checks_difference=checks,
     )
+
+
+def combine_sides(
+    event: TriggerEvent,
+    new_side: Operator,
+    old_side: Operator,
+    key_columns: tuple[str, ...],
+    old_key_columns: tuple[str, ...],
+    check_difference: bool,
+) -> Operator:
+    """The per-event steps of ``CreateANGraph``: the one join that differs.
+
+    Inner join for UPDATE (both nodes exist; ``check_difference`` adds the
+    ``OLD_NODE ≠ NEW_NODE`` selection), left anti join for INSERT (no old
+    node), right anti join for DELETE (no new node), then the standard
+    output projection.  The sides are referenced, never copied.
+    """
+    pairs = [(new, old) for new, old in zip(key_columns, old_key_columns)]
+    if event is TriggerEvent.UPDATE:
+        top: Operator = JoinOp([new_side, old_side], equi_pairs=pairs, label="an-update-join")
+        if check_difference:
+            top = SelectOp(top, NodesDiffer(), label="old-differs-from-new")
+        return _final_projection(top, key_columns, old_key_columns, has_old=True, has_new=True)
+    if event is TriggerEvent.INSERT:
+        anti = JoinOp(
+            [new_side, old_side], equi_pairs=pairs, kind=JoinKind.ANTI, label="an-insert-anti"
+        )
+        return _final_projection(anti, key_columns, old_key_columns, has_old=False, has_new=True)
+    if event is TriggerEvent.DELETE:
+        anti = JoinOp(
+            [old_side, new_side],
+            equi_pairs=[(old, new) for new, old in pairs],
+            kind=JoinKind.ANTI,
+            label="an-delete-anti",
+        )
+        return _final_projection(anti, key_columns, old_key_columns, has_old=True, has_new=False)
+    raise TriggerCompilationError(f"unknown trigger event {event!r}")  # pragma: no cover
+
+
+def an_graph_over(
+    sides: AffectedNodeSides, event: TriggerEvent, check_difference: bool | None = None
+) -> AffectedNodeGraph:
+    """``G_affected`` for ``event`` over already built sides.
+
+    ``check_difference`` forces/suppresses the final ``OLD_NODE ≠ NEW_NODE``
+    selection for UPDATE events; the default (``None``) is the safe one —
+    verify the node actually changed.  Callers suppress the check for
+    injective views with pruned transition tables (Theorem 3).
+    """
+    checks = event is TriggerEvent.UPDATE and (
+        True if check_difference is None else bool(check_difference)
+    )
+    top = combine_sides(
+        event, sides.new_side, sides.old_side, sides.key_columns, sides.old_key_columns, checks
+    )
+    return AffectedNodeGraph(event=event, top=top, checks_difference=checks, sides=sides)
+
+
+def create_an_graph(
+    event: TriggerEvent,
+    path_graph: PathGraph,
+    table: str,
+    catalog: Database | Mapping[str, TableSchema],
+    *,
+    use_pruned_transitions: bool = True,
+    check_difference: bool | None = None,
+) -> AffectedNodeGraph:
+    """``CreateANGraph(E, G, B)`` of Figure 12: sides, then the event's combine."""
+    sides = create_an_sides(
+        path_graph, table, catalog, use_pruned_transitions=use_pruned_transitions
+    )
+    return an_graph_over(sides, event, check_difference)
 
 
 def _union_affected_keys(
@@ -331,8 +405,6 @@ def _final_projection(
     has_new: bool,
 ) -> Operator:
     """Standardize the output: OLD_NODE, NEW_NODE, and the canonical key columns."""
-    from repro.xqgm.expressions import Constant
-
     projections: list[tuple[str, Expression]] = []
     projections.append((OLD_NODE, ColumnRef(OLD_NODE) if has_old else Constant(None)))
     projections.append((NEW_NODE, ColumnRef(NEW_NODE) if has_new else Constant(None)))

@@ -22,6 +22,16 @@ GROUPED-AGG implementations:
   transition tables, the final ``OLD_NODE ≠ NEW_NODE`` check is dropped
   (Theorem 3).
 
+Translation is split the way Figure 12 is: the **event-independent half**
+(:class:`SharedSides` — affected-key union, pushed ``NEW_NODE`` side, and the
+compensated or full ``OLD_NODE`` side) is built once per (monitored path,
+base table, pushdown options), and each XML event adds only its thin
+**combine** (join / anti join / difference check / output projection) on top
+of those very operator objects.  At run time every side is therefore
+evaluated once per relational statement, whatever mix of INSERT, UPDATE and
+DELETE trigger groups that statement fires (see
+:meth:`CompiledTableTrigger.affected_pairs`).
+
 The result, :class:`CompiledTableTrigger`, carries both the faithful
 reference graph and the optimized executable graph, plus a Figure 16-style
 SQL rendering.
@@ -29,8 +39,8 @@ SQL rendering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Sequence
 
 from repro.errors import TriggerCompilationError
 from repro.relational.database import Database
@@ -38,18 +48,19 @@ from repro.relational.triggers import TriggerContext, TriggerEvent
 from repro.xqgm.expressions import AttributeSpec, ColumnRef, ElementConstructor, Expression
 from repro.xqgm.evaluate import EvaluationContext, evaluate
 from repro.xqgm.graph import ensure_columns
-from repro.xqgm.columnar import ColumnarPlan, compile_columnar_plan
-from repro.xqgm.physical import PhysicalPlan, ResultCache, compile_plan
-from repro.xqgm.operators import JoinKind, JoinOp, Operator, ProjectOp, SelectOp
+from repro.xqgm.columnar import ColumnarCompiler, ColumnarPlan
+from repro.xqgm.physical import PhysicalPlan, PlanCompiler, ResultCache
+from repro.xqgm.operators import JoinOp, Operator, ProjectOp
 from repro.xqgm.rewrite import compensate_old_aggregates, prune_columns, push_semijoin
 from repro.xqgm.views import PathGraph, ViewElementSpec
 from repro.core.affected_nodes import (
     NEW_NODE,
     OLD_NODE,
     AffectedNodeGraph,
-    NodesDiffer,
-    create_an_graph,
-    _final_projection,
+    AffectedNodeSides,
+    an_graph_over,
+    combine_sides,
+    create_an_sides,
     _node_side,
 )
 from repro.core.events import events_by_table, get_source_events
@@ -59,6 +70,7 @@ from repro.core.sqlgen import render_sql_trigger
 __all__ = [
     "OldNodeRequirement",
     "PushdownOptions",
+    "SharedSides",
     "CompiledTableTrigger",
     "translate_path",
     "AffectedPair",
@@ -106,6 +118,143 @@ class AffectedPair:
     new_node: Any
 
 
+class SharedSides:
+    """The event-independent half of a translation, for one base table.
+
+    Figure 12 derives the INSERT, UPDATE and DELETE pairs of a monitored path
+    from the same sub-plans; this object owns them once for every trigger
+    group and XML event on ``(path_graph, table)`` that uses the same
+    affected-key pushdown and transition-table options:
+
+    * :attr:`reference` — the faithful ``CreateANGraph`` sides;
+    * :attr:`union_keys` / :attr:`new_side` — the affected-key union and the
+      ``NEW_NODE`` side actually evaluated (affected keys pushed into ``G`` as
+      semi-joins when the path is single-level, the reference side otherwise);
+    * :meth:`old_side` — the ``OLD_NODE`` side, in up to two variants: the
+      full pre-update nodes, and the GROUPED-AGG *compensated* side that
+      decides which keys existed without touching ``B_old``.
+
+    The sides are lowered once, by one compiler per engine; the per-event
+    plans (:meth:`compile`) reference those compiled nodes, which the
+    compilers mark statement-shared — one evaluation per relational
+    statement serves every group and event the statement fires.
+
+    Old-side variants and per-event plans are added lazily, so an instance
+    is mutated after construction: callers serialize on the cache that hands
+    it out (the service's ``PlanCache`` builds and extends it under its
+    lock).
+    """
+
+    def __init__(
+        self,
+        path_graph: PathGraph,
+        table: str,
+        database: Database,
+        *,
+        push_affected_keys: bool = True,
+        use_pruned_transitions: bool = True,
+    ) -> None:
+        self.path_graph = path_graph
+        self.table = table
+        self.reference: AffectedNodeSides = create_an_sides(
+            path_graph, table, database, use_pruned_transitions=use_pruned_transitions
+        )
+        # The affected-key semi-join pushdown and the old-aggregate
+        # compensation are currently applied when the monitored element is a
+        # top-level element of the view (a single-level path).  Triggers on
+        # nested paths (whose affected keys span several hierarchy levels)
+        # keep the faithful CreateANGraph sides, which are always correct.
+        single_level = len(path_graph.level_specs) == 1
+        self.pushes_keys = push_affected_keys and single_level
+        self.can_compensate = single_level
+        self.union_keys = self.reference.union_keys
+        self.new_side = (
+            self._pushed_side(path_graph.top, NEW_NODE, "", "new-nodes-pushed")
+            if self.pushes_keys
+            else self.reference.new_side
+        )
+        # compensated? -> (old side, uses_compensation)
+        self._old_sides: dict[bool, tuple[Operator, bool]] = {}
+        # Compilation captures only schema information, so the plans run
+        # against any database with this catalog.
+        self._compilers = (PlanCompiler(database), ColumnarCompiler(database))
+        self._share(self.union_keys)
+        self._share(self.new_side)
+
+    def _pushed_side(
+        self, graph_top: Operator, node_output: str, key_suffix: str, label: str
+    ) -> Operator:
+        """``keys ⋈ graph`` with the affected keys pushed into ``graph``."""
+        reference = self.reference
+        pushed = push_semijoin(
+            graph_top,
+            list(zip(reference.covered_key_columns, reference.union_key_columns)),
+            self.union_keys,
+        )
+        return _node_side(
+            self.union_keys, reference.union_key_columns, pushed,
+            self.path_graph.node_column, reference.key_columns,
+            node_output=node_output, key_suffix=key_suffix, label=label,
+            join_columns=reference.covered_key_columns,
+        )
+
+    def _share(self, side: Operator) -> None:
+        for compiler in self._compilers:
+            compiler.share(side)
+
+    def old_side(self, compensated: bool) -> tuple[Operator, bool]:
+        """``(OLD_NODE side, uses_compensation)`` for the requested variant.
+
+        ``compensated`` asks for the GROUPED-AGG keys-only side; where that
+        rewrite does not apply (nested paths, non-distributive aggregates)
+        the full side is returned instead, flagged ``False``.
+        """
+        entry = self._old_sides.get(compensated)
+        if entry is not None:
+            return entry
+        side = _compensated_old_side(self) if compensated and self.can_compensate else None
+        if side is not None:
+            entry = (side, True)
+        elif compensated:
+            entry = self.old_side(False)
+        elif self.pushes_keys:
+            entry = (
+                self._pushed_side(self.reference.g_old_top, OLD_NODE, "#old", "old-nodes-pushed"),
+                False,
+            )
+        else:
+            entry = (self.reference.old_side, False)
+        self._old_sides[compensated] = entry
+        self._share(entry[0])
+        return entry
+
+    @property
+    def shared_operators(self) -> tuple[Operator, ...]:
+        """The distinct operators evaluated at most once per statement."""
+        sides = [self.union_keys, self.new_side, *(side for side, _ in self._old_sides.values())]
+        return tuple({id(side): side for side in sides}.values())
+
+    def compile(
+        self, top: Operator
+    ) -> list[tuple[PhysicalPlan | ColumnarPlan | None, str | None]]:
+        """Lower a per-event graph over these sides: ``(plan, error)`` per engine.
+
+        Physical first, columnar second.  Runs at translation time, never on
+        the DML hot path.  A graph an engine cannot lower yields
+        ``(None, repr(error))`` for it: evaluation then falls back (columnar →
+        compiled → interpreted oracle), correct but slower, and the failure
+        is surfaced through ``ActiveViewService.evaluation_report`` rather
+        than swallowed.
+        """
+        lowered = []
+        for compiler in self._compilers:
+            try:
+                lowered.append((compiler.plan(top), None))
+            except Exception as error:
+                lowered.append((None, repr(error)))
+        return lowered
+
+
 @dataclass
 class CompiledTableTrigger:
     """The translation of one monitored path / XML event for one base table.
@@ -131,6 +280,9 @@ class CompiledTableTrigger:
     checks_difference: bool
     uses_compensation: bool
     options: PushdownOptions
+    #: The event-independent half this translation combines — the same
+    #: object for every sibling group / event on this path and table.
+    sides: SharedSides
     sql_text: str = ""
     physical_plan: PhysicalPlan | None = None
     #: ``repr`` of the exception if physical lowering failed (interpreter
@@ -144,19 +296,6 @@ class CompiledTableTrigger:
     #: ``repr`` of the exception if columnar lowering failed (row engines in
     #: effect); surfaced as ``columnar_plan_errors`` in ``evaluation_report``.
     columnar_compile_error: str | None = None
-    #: Single-slot ``(root stamp, pairs)`` memo for the columnar engine.  All
-    #: sibling trigger groups fired by one statement evaluate this translation
-    #: under the same root stamp (context token + table versions), so the
-    #: derived pairs list is shared across them without re-entering the
-    #: engine.  Stored as one tuple so concurrent shard threads can never
-    #: observe a stamp paired with another firing's pairs; table version
-    #: stamps embed per-``Table``-instance uids, so a translation shared
-    #: across shard services (each with its own database) never aliases.
-    _columnar_pairs_memo: tuple | None = field(default=None, repr=False, compare=False)
-    #: Single-slot ``(context token, root stamp)`` memo: the stamp is
-    #: reassembled only when a new statement starts firing (same atomic
-    #: one-tuple discipline as ``_columnar_pairs_memo``).
-    _columnar_stamp_memo: tuple | None = field(default=None, repr=False, compare=False)
 
     def affected_pairs(
         self,
@@ -166,7 +305,6 @@ class CompiledTableTrigger:
         use_compiled: bool = True,
         use_columnar: bool = False,
         result_cache: ResultCache | None = None,
-        cache_context_results: bool = True,
         stats: dict[str, int] | None = None,
         engine_stats: dict[str, int] | None = None,
     ) -> list[AffectedPair]:
@@ -175,90 +313,80 @@ class CompiledTableTrigger:
         ``use_columnar`` prefers the columnar plan, ``use_compiled`` the
         physical row plan (the default); each falls back to the next engine —
         columnar → compiled → interpreter — when no plan could be lowered.
-        ``result_cache`` enables version-stamped reuse of stable subplan
-        results across firings (``cache_context_results=False`` restricts it
-        to cross-statement STABLE reuse); ``stats`` collects evaluation
-        counters (``index_probes`` / ``hash_joins`` / ``cache_hits`` / ...).
-        ``engine_stats`` (always-on, unlike ``stats``) accumulates the
-        columnar firing/batch/fallback counters the service reports.
-        """
-        def make_context() -> EvaluationContext:
-            context = EvaluationContext(database, trigger_context)
-            if stats is not None:
-                context.collect_stats = True
-                context.stats = stats
-            return context
 
-        context: EvaluationContext | None = None
+        The two plan engines work through the statement's evaluation memo
+        (``trigger_context.evaluation_memo``): each shared side is computed
+        by whichever sibling group or event translation fires first and read
+        back by the others, and the derived pairs list of this translation is
+        itself kept there, so the groups sharing the translation return it
+        without entering the engine (treat it as immutable).  The interpreter
+        never consults the memo — it stays the independent oracle.
+
+        ``result_cache`` additionally reuses STABLE subplan results across
+        statements; ``stats`` collects evaluation counters (``index_probes``
+        / ``hash_joins`` / ``cache_hits`` / ...).  ``engine_stats``
+        (always-on, unlike ``stats``) accumulates the sharing counters
+        (``shared_side_evaluations`` / ``shared_side_reuses`` /
+        ``pairs_memo_hits``) and the columnar firing/batch/fallback counters
+        the service reports.
+        """
+        def bump(counter: str, amount: int = 1) -> None:
+            if engine_stats is not None and amount:
+                engine_stats[counter] = engine_stats.get(counter, 0) + amount
+
+        plan: PhysicalPlan | ColumnarPlan | None = None
         if use_columnar:
-            columnar = self.columnar_plan
-            if columnar is not None:
-                # Table versions cannot move while one statement's triggers
-                # fire, so the root stamp is a pure function of the firing's
-                # context token — assemble it once per statement instead of
-                # once per sibling group.  On the memo-hit fast path sibling
-                # firings return before even building an EvaluationContext.
-                stamp_memo = self._columnar_stamp_memo
-                if stamp_memo is not None and stamp_memo[0] == trigger_context.context_token:
-                    stamp = stamp_memo[1]
-                else:
-                    context = make_context()
-                    stamp = columnar.result_stamp(context, cache_context_results)
-                    self._columnar_stamp_memo = (trigger_context.context_token, stamp)
-                memoized = self._columnar_pairs_memo
-                if (
-                    stamp is not None
-                    and memoized is not None
-                    and memoized[0] == stamp
-                ):
-                    # A sibling group already derived the pairs for this root
-                    # stamp; the shared list must be treated as immutable.
-                    if engine_stats is not None:
-                        engine_stats["columnar_firings"] = (
-                            engine_stats.get("columnar_firings", 0) + 1
-                        )
-                    return memoized[1]
-                if context is None:
-                    context = make_context()
-                context.result_cache = result_cache
-                context.cache_context_results = cache_context_results
-                batch = columnar.execute(context).materialize()
-                if engine_stats is not None:
-                    engine_stats["columnar_firings"] = (
-                        engine_stats.get("columnar_firings", 0) + 1
-                    )
-                    engine_stats["columnar_batches"] = (
-                        engine_stats.get("columnar_batches", 0) + context.columnar_batches
-                    )
-                layout = columnar.layout
-                columns = batch.columns
-                key_columns = [columns[layout.index[c]] for c in self.key_columns]
-                old_column = columns[layout.index[OLD_NODE]]
-                new_column = columns[layout.index[NEW_NODE]]
-                pairs = [
-                    AffectedPair(key=key, old_node=old, new_node=new)
-                    for key, old, new in zip(zip(*key_columns), old_column, new_column)
-                ]
-                if stamp is not None:
-                    self._columnar_pairs_memo = (stamp, pairs)
+            plan = self.columnar_plan
+            if plan is None:
+                # No columnar lowering for this translation: fall through to
+                # the row engines, counted so the degradation is never silent.
+                bump("columnar_fallbacks")
+        columnar = plan is not None
+        if plan is None and use_compiled:
+            plan = self.physical_plan
+
+        memo = trigger_context.evaluation_memo
+        if plan is not None and plan.shareable:
+            pairs = memo.get(plan)
+            if pairs is not None:
+                bump("pairs_memo_hits")
+                if columnar:
+                    bump("columnar_firings")
                 return pairs
-            # No columnar lowering for this translation: fall through to the
-            # row engines, counted so the degradation is never silent.
-            if engine_stats is not None:
-                engine_stats["columnar_fallbacks"] = (
-                    engine_stats.get("columnar_fallbacks", 0) + 1
-                )
-        if context is None:
-            context = make_context()
-        plan = self.physical_plan if use_compiled else None
-        if plan is not None:
-            context.result_cache = result_cache
-            context.cache_context_results = cache_context_results
-            layout = plan.layout
-            key_slots = [layout.index[column] for column in self.key_columns]
-            old_slot = layout.index[OLD_NODE]
-            new_slot = layout.index[NEW_NODE]
+
+        context = EvaluationContext(database, trigger_context)
+        if stats is not None:
+            context.collect_stats = True
+            context.stats = stats
+        if plan is None:
             return [
+                AffectedPair(
+                    key=tuple(row[column] for column in self.key_columns),
+                    old_node=row[OLD_NODE],
+                    new_node=row[NEW_NODE],
+                )
+                for row in evaluate(self.executable_top, context)
+            ]
+        context.result_cache = result_cache
+        context.shared_results = memo
+        index = plan.layout.index
+        if columnar:
+            batch = plan.execute(context).materialize()
+            bump("columnar_firings")
+            bump("columnar_batches", context.columnar_batches)
+            columns = batch.columns
+            key_columns = [columns[index[c]] for c in self.key_columns]
+            pairs = [
+                AffectedPair(key=key, old_node=old, new_node=new)
+                for key, old, new in zip(
+                    zip(*key_columns), columns[index[OLD_NODE]], columns[index[NEW_NODE]]
+                )
+            ]
+        else:
+            key_slots = [index[column] for column in self.key_columns]
+            old_slot = index[OLD_NODE]
+            new_slot = index[NEW_NODE]
+            pairs = [
                 AffectedPair(
                     key=tuple(row[i] for i in key_slots),
                     old_node=row[old_slot],
@@ -266,11 +394,10 @@ class CompiledTableTrigger:
                 )
                 for row in plan.execute(context)
             ]
-        rows = evaluate(self.executable_top, context)
-        pairs = []
-        for row in rows:
-            key = tuple(row[column] for column in self.key_columns)
-            pairs.append(AffectedPair(key=key, old_node=row[OLD_NODE], new_node=row[NEW_NODE]))
+        bump("shared_side_evaluations", context.shared_side_evaluations)
+        bump("shared_side_reuses", context.shared_side_reuses)
+        if plan.shareable:
+            memo[plan] = pairs
         return pairs
 
     @property
@@ -285,11 +412,19 @@ def translate_path(
     database: Database,
     options: PushdownOptions | None = None,
     trigger_name: str = "xmlTrigger",
+    shared_sides: Callable[[tuple, Callable[[], SharedSides]], SharedSides] | None = None,
 ) -> dict[str, CompiledTableTrigger]:
     """Translate one monitored path + XML event into per-table SQL triggers.
 
-    Runs Event Pushdown to find the relevant base tables, then builds the
-    affected-node graph and its optimized executable form for each.
+    Runs Event Pushdown to find the relevant base tables, then combines the
+    event-independent sides of each into the event's affected-node graph and
+    its optimized executable form.
+
+    ``shared_sides(key, build)`` is the get-or-build hook of whoever keeps
+    the :class:`SharedSides` between calls (the service passes its plan
+    cache's, so sibling events, sibling groups and sibling shard services
+    all combine the same sides); ``key`` starts with the view name and the
+    monitored path.  Without it every call builds private sides.
     """
     options = options or PushdownOptions()
     columns: frozenset[str] | None = None
@@ -305,21 +440,45 @@ def translate_path(
 
     compiled: dict[str, CompiledTableTrigger] = {}
     for table, relational_events in per_table.items():
+        def build() -> SharedSides:
+            return SharedSides(
+                path_graph,
+                table,
+                database,
+                push_affected_keys=options.push_affected_keys,
+                use_pruned_transitions=options.use_pruned_transitions,
+            )
+
+        if shared_sides is None:
+            sides = build()
+        else:
+            sides = shared_sides(
+                (
+                    path_graph.view_name,
+                    tuple(path_graph.path),
+                    table,
+                    options.push_affected_keys,
+                    options.use_pruned_transitions,
+                ),
+                build,
+            )
         compiled[table] = _translate_for_table(
-            path_graph, xml_event, table, relational_events, database, options, trigger_name
+            sides, xml_event, relational_events, options, trigger_name
         )
     return compiled
 
 
 def _translate_for_table(
-    path_graph: PathGraph,
+    sides: SharedSides,
     xml_event: TriggerEvent,
-    table: str,
     relational_events: dict[TriggerEvent, frozenset[str] | None],
-    database: Database,
     options: PushdownOptions,
     trigger_name: str,
 ) -> CompiledTableTrigger:
+    # Everything graph-related comes from the sides: a cached instance may
+    # have been built over a sibling service's (equal) path graph.
+    path_graph = sides.path_graph
+    table = sides.table
     injective = path_graph_is_injective(path_graph, table)
     if options.check_difference is not None:
         check_difference = options.check_difference
@@ -327,42 +486,28 @@ def _translate_for_table(
         # Theorem 3: injective view + pruned transition tables need no check.
         check_difference = not (injective and options.use_pruned_transitions)
 
-    reference = create_an_graph(
-        xml_event,
-        path_graph,
-        table,
-        database,
-        use_pruned_transitions=options.use_pruned_transitions,
-        check_difference=check_difference,
+    reference = an_graph_over(sides.reference, xml_event, check_difference)
+
+    # The thin per-event combine over the shared (optimized) sides.
+    old_side, uses_compensation = sides.old_side(
+        options.compensate_old_aggregates
+        and options.old_node_requirement != OldNodeRequirement.FULL
     )
+    if sides.new_side is sides.reference.new_side and old_side is sides.reference.old_side:
+        executable = reference.top
+    else:
+        executable = combine_sides(
+            xml_event,
+            sides.new_side,
+            old_side,
+            reference.key_columns,
+            sides.reference.old_key_columns,
+            reference.checks_difference,
+        )
 
-    executable, uses_compensation = _build_executable(
-        reference, path_graph, table, database, options, check_difference
+    (physical_plan, physical_compile_error), (columnar_plan, columnar_compile_error) = (
+        sides.compile(executable)
     )
-
-    # Lower the executable graph into the slot-based physical plan once, at
-    # translation time (never on the DML hot path).  Compilation captures
-    # only schema information, so the plan runs against any database with
-    # this catalog.  A graph the lowering cannot handle falls back to the
-    # interpreted oracle at evaluation time — correct but slower, so the
-    # failure is recorded on the translation and surfaced through
-    # ``ActiveViewService.evaluation_report`` rather than swallowed.
-    physical_compile_error = None
-    try:
-        physical_plan = compile_plan(executable, database)
-    except Exception as error:
-        physical_plan = None
-        physical_compile_error = repr(error)
-
-    # The columnar lowering is compiled alongside (same translate-time cost
-    # model); failures degrade to the row engines and are reported per firing
-    # as ``columnar_fallbacks`` / per translation as ``columnar_plan_errors``.
-    columnar_compile_error = None
-    try:
-        columnar_plan = compile_columnar_plan(executable, database)
-    except Exception as error:
-        columnar_plan = None
-        columnar_compile_error = repr(error)
 
     sql_text = render_sql_trigger(
         name=f"sql_{trigger_name}_{table}",
@@ -389,6 +534,7 @@ def _translate_for_table(
         checks_difference=check_difference,
         uses_compensation=uses_compensation,
         options=options,
+        sides=sides,
         sql_text=sql_text,
         physical_plan=physical_plan,
         physical_compile_error=physical_compile_error,
@@ -397,111 +543,7 @@ def _translate_for_table(
     )
 
 
-def _build_executable(
-    reference: AffectedNodeGraph,
-    path_graph: PathGraph,
-    table: str,
-    database: Database,
-    options: PushdownOptions,
-    check_difference: bool,
-) -> tuple[Operator, bool]:
-    """Build the optimized graph actually evaluated inside the SQL trigger."""
-    # The affected-key semi-join pushdown and the old-aggregate compensation
-    # are currently applied when the monitored element is a top-level element
-    # of the view (a single-level path).  Triggers on nested paths (whose
-    # affected keys span several hierarchy levels) fall back to the faithful
-    # CreateANGraph plan, which is always correct.
-    single_level = len(path_graph.level_specs) == 1
-    options = PushdownOptions(
-        push_affected_keys=options.push_affected_keys and single_level,
-        use_pruned_transitions=options.use_pruned_transitions,
-        compensate_old_aggregates=options.compensate_old_aggregates and single_level,
-        old_node_requirement=options.old_node_requirement,
-        check_difference=options.check_difference,
-    )
-    if not options.push_affected_keys and not options.compensate_old_aggregates:
-        return reference.top, False
-
-    catalog = {name: database.schema(name) for name in database.table_names()}
-    g_top = path_graph.top
-    g_old_top = reference.g_old_top
-    key_columns = reference.key_columns
-    covered = reference.covered_key_columns
-    union_keys = reference.union_keys
-    union_key_columns = reference.union_key_columns
-    node_column = path_graph.node_column
-    assert union_keys is not None and g_old_top is not None
-
-    push_pairs = [
-        (graph_column, union_column)
-        for graph_column, union_column in zip(covered, union_key_columns)
-    ]
-
-    # ---- NEW side -------------------------------------------------------------
-    new_graph: Operator = g_top
-    if options.push_affected_keys:
-        new_graph = push_semijoin(g_top, push_pairs, union_keys)
-    new_side = _node_side(
-        union_keys, union_key_columns, new_graph, node_column, key_columns,
-        node_output=NEW_NODE, key_suffix="", label="new-nodes-pushed",
-        join_columns=covered,
-    )
-
-    # ---- OLD side -------------------------------------------------------------
-    uses_compensation = False
-    old_key_columns = tuple(f"{column}#old" for column in key_columns)
-    old_side: Operator | None = None
-
-    if options.compensate_old_aggregates and options.old_node_requirement != OldNodeRequirement.FULL:
-        old_side = _compensated_old_side(
-            reference, path_graph, table, catalog, options, key_columns, old_key_columns
-        )
-        uses_compensation = old_side is not None
-
-    if old_side is None:
-        old_graph: Operator = g_old_top
-        if options.push_affected_keys:
-            old_graph = push_semijoin(g_old_top, push_pairs, union_keys)
-        old_side = _node_side(
-            union_keys, union_key_columns, old_graph, node_column, key_columns,
-            node_output=OLD_NODE, key_suffix="#old", label="old-nodes-pushed",
-            join_columns=covered,
-        )
-
-    # ---- combine per event -------------------------------------------------------
-    pairs = [(new, old) for new, old in zip(key_columns, old_key_columns)]
-    event = reference.event
-    if event is TriggerEvent.UPDATE:
-        top: Operator = JoinOp([new_side, old_side], equi_pairs=pairs, label="an-update-join")
-        if check_difference:
-            top = SelectOp(top, NodesDiffer(), label="old-differs-from-new")
-        top = _final_projection(top, key_columns, old_key_columns, has_old=True, has_new=True)
-    elif event is TriggerEvent.INSERT:
-        anti = JoinOp(
-            [new_side, old_side], equi_pairs=pairs, kind=JoinKind.ANTI, label="an-insert-anti"
-        )
-        top = _final_projection(anti, key_columns, old_key_columns, has_old=False, has_new=True)
-    else:  # DELETE
-        anti = JoinOp(
-            [old_side, new_side],
-            equi_pairs=[(old, new) for new, old in pairs],
-            kind=JoinKind.ANTI,
-            label="an-delete-anti",
-        )
-        top = _final_projection(anti, key_columns, old_key_columns, has_old=True, has_new=False)
-
-    return top, uses_compensation
-
-
-def _compensated_old_side(
-    reference: AffectedNodeGraph,
-    path_graph: PathGraph,
-    table: str,
-    catalog: Mapping[str, Any],
-    options: PushdownOptions,
-    key_columns: tuple[str, ...],
-    old_key_columns: tuple[str, ...],
-) -> Operator | None:
+def _compensated_old_side(sides: SharedSides) -> Operator | None:
     """GROUPED-AGG old side: keys of pre-update nodes, without touching B_old.
 
     Returns ``None`` when the rewrite does not apply (non-distributive
@@ -509,15 +551,15 @@ def _compensated_old_side(
     structurally impossible), in which case the caller falls back to the
     plain (pushed) ``G_old`` evaluation.
     """
-    g_old_top = reference.g_old_top
-    union_keys = reference.union_keys
-    union_key_columns = reference.union_key_columns
-    assert g_old_top is not None and union_keys is not None
+    reference = sides.reference
+    path_graph = sides.path_graph
+    key_columns = reference.key_columns
+    union_keys = sides.union_keys
 
     # Only the key columns (plus whatever the view's own predicates reference,
     # which prune_columns keeps automatically) are needed on the old side.
     try:
-        pruned = prune_columns(g_old_top, list(key_columns))
+        pruned = prune_columns(reference.g_old_top, list(key_columns))
     except Exception:
         return None
 
@@ -538,17 +580,13 @@ def _compensated_old_side(
             except Exception:
                 continue
 
-    compensated = compensate_old_aggregates(pruned, table)
+    compensated = compensate_old_aggregates(pruned, sides.table)
     if compensated is None:
         return None
 
-    covered = reference.covered_key_columns
+    pairs = list(zip(reference.covered_key_columns, reference.union_key_columns))
     old_graph: Operator = compensated
-    if options.push_affected_keys:
-        pairs = [
-            (graph_column, union_column)
-            for graph_column, union_column in zip(covered, union_key_columns)
-        ]
+    if sides.pushes_keys:
         try:
             old_graph = push_semijoin(compensated, pairs, union_keys)
         except Exception:
@@ -556,10 +594,7 @@ def _compensated_old_side(
 
     joined = JoinOp(
         [union_keys, old_graph],
-        equi_pairs=[
-            (union_column, graph_column)
-            for graph_column, union_column in zip(covered, union_key_columns)
-        ],
+        equi_pairs=[(union_column, graph_column) for graph_column, union_column in pairs],
         label="old-keys-compensated",
     )
 
@@ -571,7 +606,7 @@ def _compensated_old_side(
         spec, list(key_columns) + attribute_columns
     )
     projections: list[tuple[str, Expression]] = [(OLD_NODE, old_node_expression)]
-    for column, old_column in zip(key_columns, old_key_columns):
+    for column, old_column in zip(key_columns, reference.old_key_columns):
         projections.append((old_column, ColumnRef(column)))
     return ProjectOp(joined, projections, label="old-nodes-compensated")
 

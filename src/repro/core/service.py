@@ -21,7 +21,10 @@
 Trigger compilation is memoized in a plan cache keyed by (view, monitored
 path, XML event, pushdown options), so structurally identical trigger groups
 — most notably the one-group-per-trigger populations of UNGROUPED mode —
-share a single pushdown derivation.
+share a single pushdown derivation.  The event-independent half of every
+translation (affected keys, NEW_NODE side, OLD_NODE side) is cached there
+too, once per (view, path, table), so the INSERT, UPDATE and DELETE groups on
+one path combine the same sides — and each statement evaluates them once.
 
 Three execution modes reproduce the systems evaluated in Section 6:
 ``UNGROUPED``, ``GROUPED``, and ``GROUPED_AGG``.
@@ -50,6 +53,7 @@ from repro.core.pushdown import (
     CompiledTableTrigger,
     OldNodeRequirement,
     PushdownOptions,
+    SharedSides,
     translate_path,
 )
 from repro.core.semantics import check_trigger_specifiable
@@ -144,23 +148,29 @@ class PlanCache:
 
     The cache maps ``(view, path, XML event, pushdown-option fingerprint)``
     keys to the per-table :class:`CompiledTableTrigger` translations derived
-    by Trigger Pushdown.  Compiled plans reference base tables *by name* and
-    receive the database at evaluation time, so one cache may be shared by
-    several :class:`ActiveViewService` instances — in particular by the
+    by Trigger Pushdown, and — next to them — ``(view, path, table, ...)``
+    keys to the :class:`~repro.core.pushdown.SharedSides` those translations
+    combine, so every event and option set on one path reuses one
+    event-independent half.  Compiled plans reference base tables *by name*
+    and receive the database at evaluation time, so one cache may be shared
+    by several :class:`ActiveViewService` instances — in particular by the
     per-shard services of a :class:`repro.serving.ActiveViewServer`, whose
     shards all expose the same catalog.  Sharing means an N-shard server pays
     the pushdown derivation once per distinct plan, not once per shard.
 
     Thread safety: :meth:`get_or_compile` holds the cache lock for the whole
     lookup-or-compile, so concurrent callers racing on the same key compile
-    exactly once (the others block briefly and then hit).  Compilation runs
-    at trigger-creation time, never on the serving hot path, so the coarse
-    lock does not affect DML throughput.
+    exactly once (the others block briefly and then hit).  The lock is
+    re-entrant because a compilation looks its sides up through
+    :meth:`shared_sides`; it also serializes the lazy extension of a
+    ``SharedSides``.  Compilation runs at trigger-creation time, never on the
+    serving hot path, so the coarse lock does not affect DML throughput.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()
         self._plans: dict[tuple, dict[str, CompiledTableTrigger]] = {}
+        self._sides: dict[tuple, SharedSides] = {}
         self.hits = 0
         self.misses = 0
 
@@ -180,6 +190,19 @@ class PlanCache:
             self.misses += 1
             return translations, False
 
+    def shared_sides(self, key: tuple, build: Callable[[], SharedSides]) -> SharedSides:
+        """The sides cached under ``key``, built at most once.
+
+        The ``shared_sides`` hook of
+        :func:`~repro.core.pushdown.translate_path`; not counted in
+        :attr:`hits` / :attr:`misses`, which describe whole translations.
+        """
+        with self._lock:
+            sides = self._sides.get(key)
+            if sides is None:
+                sides = self._sides[key] = build()
+            return sides
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._plans)
@@ -188,7 +211,8 @@ class PlanCache:
         """Drop every cached plan compiled for ``view``; returns the count.
 
         Plan keys are ``(view, path, event, option fingerprint)`` tuples, so
-        a dropped view's plans can be evicted without touching the others.
+        a dropped view's plans can be evicted without touching the others;
+        its shared sides (keys start with the view name too) go with them.
         On a cache shared across shard services the eviction is global — the
         next ``create_trigger`` for a re-registered view simply recompiles.
         """
@@ -196,6 +220,8 @@ class PlanCache:
             doomed = [key for key in self._plans if key[0] == view]
             for key in doomed:
                 del self._plans[key]
+            for key in [key for key in self._sides if key[0] == view]:
+                del self._sides[key]
             return len(doomed)
 
 
@@ -237,20 +263,28 @@ class ActiveViewService:
         # Compiled physical plans (repro.xqgm.physical) are the default
         # trigger-firing engine; the interpreted evaluator remains the oracle
         # and the fallback for graphs the lowering cannot handle.  The result
-        # cache reuses stable subplan results across firings while the input
-        # tables' version counters are unchanged; it observes *this* service's
-        # database only, so it is per-service even when the PlanCache (and
-        # thereby the compiled plans) is shared across shard services.
+        # cache reuses STABLE subplan results across statements while the
+        # input tables' version counters are unchanged; it observes *this*
+        # service's database only, so it is per-service even when the
+        # PlanCache (and thereby the compiled plans) is shared across shard
+        # services.  Within one statement the engines share each OLD/NEW node
+        # side and each translation's pairs through the statement's own
+        # evaluation memo (TriggerContext.evaluation_memo).
         self.use_compiled_plans = use_compiled_plans
         # The batch-oriented columnar engine (repro.xqgm.columnar) is opt-in:
         # it prefers the columnar lowering per firing and degrades to the row
         # engines for translations without one — every such degradation is
         # counted (columnar_fallbacks / columnar_plan_errors in
-        # :meth:`evaluation_report`), never silent.  The columnar counters
-        # are maintained on the hot path regardless of collect_eval_stats so
-        # the zero-silent-fallback guarantee is always observable.
+        # :meth:`evaluation_report`), never silent.
         self.use_columnar = use_columnar
-        self.columnar_stats: dict[str, int] = {
+        # Always-on engine counters (maintained on the hot path regardless of
+        # collect_eval_stats): statement-level sharing, and the columnar
+        # firing/batch/fallback counts that keep the zero-silent-fallback
+        # guarantee observable.
+        self.engine_stats: dict[str, int] = {
+            "shared_side_evaluations": 0,
+            "shared_side_reuses": 0,
+            "pairs_memo_hits": 0,
             "columnar_firings": 0,
             "columnar_batches": 0,
             "columnar_fallbacks": 0,
@@ -657,9 +691,19 @@ class ActiveViewService:
         — the equivalence suites assert it stays zero on indexable
         populations).
 
+        Statement-level sharing is always counted too:
+        ``shared_side_evaluations`` is how many times a shared OLD/NEW node
+        side (or affected-key union) was actually computed,
+        ``shared_side_reuses`` how many times a sibling trigger group or
+        event translation of the same statement read one back, and
+        ``pairs_memo_hits`` how many firings returned a translation's pairs
+        without entering the engine at all.  One statement never evaluates
+        more sides than its ``(path, table)`` has registered.
+
         The ``columnar_*`` counters are likewise always maintained:
         ``columnar_firings`` / ``columnar_batches`` count firings served by
-        the columnar engine and the column batches they materialized;
+        the columnar engine (pairs-memo hits included) and the column
+        batches they materialized;
         ``columnar_fallbacks`` counts firings that degraded to the row
         engines because a translation has no columnar lowering, and
         ``columnar_plan_errors`` the currently-installed translations in that
@@ -677,7 +721,7 @@ class ActiveViewService:
             for translation in compiled.translations.values()
             if translation.physical_plan is None
         )
-        report.update(self.columnar_stats)
+        report.update(self.engine_stats)
         report["columnar_plan_errors"] = sum(
             1
             for compiled in self._groups.values()
@@ -781,7 +825,12 @@ class ActiveViewService:
         translations, was_hit = self._plan_cache.get_or_compile(
             plan_key,
             lambda: translate_path(
-                path_graph, spec.event, self.database, options, trigger_name=spec.name
+                path_graph,
+                spec.event,
+                self.database,
+                options,
+                trigger_name=spec.name,
+                shared_sides=self._plan_cache.shared_sides,
             ),
         )
         if was_hit:
@@ -872,22 +921,14 @@ class ActiveViewService:
                 # listener updated them before this trigger fired).
                 pairs = self.backend.affected_pairs(backend_plan, context)
             else:
-                # CONTEXT-level (statement-shared) caching pays off when work
-                # can repeat within one firing: several trigger groups
-                # evaluating shared subgraphs per statement.  With a single
-                # group each plan runs once per firing, so only
-                # cross-statement STABLE reuse is worth its bookkeeping —
-                # CONTEXT stamping is switched off.
-                use_engine_cache = self.use_compiled_plans or self.use_columnar
                 pairs = translation.affected_pairs(
                     self.database,
                     context,
                     use_compiled=self.use_compiled_plans,
                     use_columnar=self.use_columnar,
-                    result_cache=self.result_cache if use_engine_cache else None,
-                    cache_context_results=len(self._groups) > 1,
+                    result_cache=self.result_cache,
                     stats=self.eval_stats if self.collect_eval_stats else None,
-                    engine_stats=self.columnar_stats if self.use_columnar else None,
+                    engine_stats=self.engine_stats,
                 )
             if not pairs:
                 return

@@ -18,7 +18,6 @@ exactly as described in Section 4.2.
 from __future__ import annotations
 
 import enum
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
@@ -96,13 +95,18 @@ class TriggerContext:
     batch_inserted: TransitionTable | None = None
     batch_deleted: TransitionTable | None = None
     batch_seen: set | None = None
-    #: Process-unique token identifying this firing's transition tables.
-    #: Every SQL trigger fired for one (statement, table, event) receives the
-    #: *same* context object, so the token lets the compiled-plan result
-    #: cache (:mod:`repro.xqgm.physical`) reuse delta-dependent subplan
-    #: results across the many trigger groups fired by one statement while
-    #: never confusing two different firings.
-    context_token: int = field(init=False, repr=False, compare=False)
+    #: Statement-scoped evaluation memo.  Every SQL trigger fired for one
+    #: (statement, table, event) receives the *same* context object, so the
+    #: compiled plan engines (:mod:`repro.xqgm.physical` /
+    #: :mod:`repro.xqgm.columnar`) keep here, on first computation, the rows
+    #: of each shared OLD/NEW node side and each translation's derived
+    #: (OLD_NODE, NEW_NODE) pairs; the sibling trigger groups and sibling
+    #: XML-event translations fired by the statement read them back instead
+    #: of re-deriving them.  Keys are the engines' own plan / operator
+    #: objects.  The memo holds what the plans computed from the database as
+    #: the statement left it, and dies with the context — nothing is carried
+    #: to the next statement or shared between shard threads.
+    evaluation_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     #: Shared scratch space for the matching engine: xpath probe results per
     #: ``(old node id, new node id)`` pair, reused across the many trigger
     #: groups fired by this statement when they probe the same affected nodes
@@ -115,11 +119,6 @@ class TriggerContext:
     _net_pruned_deleted: TransitionTable | None = field(
         default=None, init=False, repr=False, compare=False
     )
-
-    _tokens = itertools.count(1)
-
-    def __post_init__(self) -> None:
-        self.context_token = next(TriggerContext._tokens)
 
     # -- derived tables --------------------------------------------------------
 

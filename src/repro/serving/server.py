@@ -558,8 +558,11 @@ class ActiveViewServer:
         :class:`~repro.core.service.PlanCache` (the view-closure contract
         guarantees every shard exposes the same catalog), but each shard
         service keeps its **own** version-stamped result cache — cached rows
-        are data, and every shard holds different data.  This report merges
-        the per-shard counters for a whole-server view.
+        are data, and every shard holds different data — and every statement
+        its own evaluation memo, on whichever shard thread fires it.  This
+        report merges the per-shard counters for a whole-server view,
+        including the statement-sharing ones (``shared_side_evaluations`` /
+        ``shared_side_reuses`` / ``pairs_memo_hits``).
         """
         combined: dict[str, int] = {}
         for service in self.services:

@@ -18,12 +18,14 @@ This package provides:
 * graph utilities: cloning with shared-subgraph preservation, table-variant
   substitution, column propagation (:mod:`repro.xqgm.graph`);
 * a one-time lowering of logical graphs into compiled physical plans — slot
-  tuples, closure expressions, and a version-stamped shared-subgraph result
-  cache (:mod:`repro.xqgm.physical`; see ``docs/performance.md``);
+  tuples, closure expressions, statement-shared subplans, and a
+  version-stamped cross-statement result cache (:mod:`repro.xqgm.physical`;
+  see ``docs/performance.md``);
 * a batch-oriented columnar lowering of the same graphs — column batches
   with shared selections, vectorized predicate masks, bulk hash joins and
   sort-clustered grouped aggregation (:mod:`repro.xqgm.columnar`), reusing
-  the physical engine's stability classes and row-major result cache.
+  the physical engine's compiler, stability classes and row-major result
+  cache.
 """
 
 from repro.xqgm.expressions import (
@@ -54,8 +56,19 @@ from repro.xqgm.operators import (
 from repro.xqgm.keys import derive_keys, operator_key
 from repro.xqgm.graph import clone_graph, ensure_columns, replace_table_variant, walk
 from repro.xqgm.evaluate import EvaluationContext, evaluate
-from repro.xqgm.physical import PhysicalPlan, ResultCache, SlotLayout, compile_plan
-from repro.xqgm.columnar import ColumnBatch, ColumnarPlan, compile_columnar_plan
+from repro.xqgm.physical import (
+    PhysicalPlan,
+    PlanCompiler,
+    ResultCache,
+    SlotLayout,
+    compile_plan,
+)
+from repro.xqgm.columnar import (
+    ColumnBatch,
+    ColumnarCompiler,
+    ColumnarPlan,
+    compile_columnar_plan,
+)
 from repro.xqgm.views import PathGraph, ViewDefinition, ViewElementSpec
 
 __all__ = [
@@ -65,6 +78,7 @@ __all__ = [
     "BooleanExpr",
     "ColumnBatch",
     "ColumnRef",
+    "ColumnarCompiler",
     "ColumnarPlan",
     "Comparison",
     "Constant",
@@ -79,6 +93,7 @@ __all__ = [
     "Parameter",
     "PathGraph",
     "PhysicalPlan",
+    "PlanCompiler",
     "ProjectOp",
     "ResultCache",
     "SelectOp",

@@ -36,23 +36,17 @@ replays the compiled engine's adaptive input ordering, build-side selection
 and index-probe profitability test over the same logical operator ids, so a
 cache-free evaluation produces bit-identical row *order* as well.
 
-The engine reuses the version-stamped :class:`~repro.xqgm.physical.ResultCache`
-unchanged: cache entries stay **row-major** (``list[tuple]``), converted at
+The engine reuses the row engine's compiler (:class:`ColumnarCompiler` only
+swaps the node classes, so both engines classify every subplan identically)
+and both of its reuse mechanisms.  Statement-shared nodes keep their
+:class:`ColumnBatch` in the statement's evaluation memo, keyed by the
+columnar node itself, so the two engines never read each other's format.
+The version-stamped :class:`~repro.xqgm.physical.ResultCache` is used
+unchanged: its entries stay **row-major** (``list[tuple]``), converted at
 the boundary by :meth:`ColumnBatch.to_rows` / :meth:`ColumnBatch.from_rows`.
 Logical subgraphs shared between plans running on different engines can
-therefore serve each other's hits — and the cache never holds engine-specific
-objects.
-
-One deliberate classification difference: stability derivation here uses a
-**precise** parameter-dependence test that honours a per-expression
-``uses_parameters()`` hook (see
-:meth:`repro.core.affected_nodes.NodesDiffer.uses_parameters`), where the row
-compiler conservatively treats unknown expression types as
-parameter-dependent.  The difference-check select at the root of UPDATE
-translations is therefore CONTEXT-cacheable here — sibling trigger groups
-fired by one statement hit at the root instead of re-filtering the joined
-result per group, which is where the bulk of the columnar engine's headline
-speedup on the ungrouped Figure 17 stress comes from.
+therefore serve each other's cross-statement hits — and the cache never holds
+engine-specific objects.
 """
 
 from __future__ import annotations
@@ -74,7 +68,6 @@ from repro.xqgm.expressions import (
     compile_expr_columns,
     compile_predicate,
     compile_predicate_columns,
-    expression_uses_parameters,
 )
 from repro.xqgm.operators import (
     ConstantsOp,
@@ -89,16 +82,9 @@ from repro.xqgm.operators import (
     UnionOp,
     UnnestOp,
 )
-from repro.xqgm.physical import (
-    CONTEXT,
-    STABLE,
-    VOLATILE,
-    SlotLayout,
-    _MergeSpec,
-    _operator_uses_parameters,
-)
+from repro.xqgm.physical import VOLATILE, PlanCompiler, SlotLayout, _MergeSpec
 
-__all__ = ["ColumnBatch", "ColumnarPlan", "compile_columnar_plan"]
+__all__ = ["ColumnBatch", "ColumnarPlan", "ColumnarCompiler", "compile_columnar_plan"]
 
 
 class ColumnBatch:
@@ -197,14 +183,15 @@ def _key_rows(
 class ColumnarOp:
     """One columnar operator: produces a :class:`ColumnBatch` for a logical node.
 
-    The caching protocol is byte-compatible with
+    The reuse protocol is that of
     :meth:`repro.xqgm.physical.PhysicalOp.rows`: same stability classes, same
-    stamp assembly, same two-step retention — only the in-memory exchange
-    format differs, and the cache itself stays row-major.
+    statement-shared nodes, same version stamps — only the in-memory exchange
+    format differs, and the result cache itself stays row-major.
     """
 
     __slots__ = ("logical", "logical_id", "kind", "rows_counter", "layout",
-                 "table_deps", "stability", "cache_eligible", "width")
+                 "cache_key", "table_deps", "stability", "cache_eligible", "shared",
+                 "width")
 
     def __init__(self, logical: Operator, layout: SlotLayout) -> None:
         self.logical = logical
@@ -212,39 +199,42 @@ class ColumnarOp:
         self.kind = logical.kind.lower()
         self.rows_counter = "rows_" + self.kind
         self.layout = layout
+        self.cache_key = (logical.id, layout.columns)
         self.width = len(layout.columns)
         self.table_deps: tuple[str, ...] = ()
         self.stability = VOLATILE
         self.cache_eligible = False
+        self.shared = False
 
     def batch(self, ctx: EvaluationContext, memo: dict[int, Any]) -> ColumnBatch:
-        """The node's batch (memoized per execution, cached across firings)."""
+        """The node's batch (memoized per execution, shared per statement)."""
         hit = memo.get(self.logical_id)
         if hit is not None:
             return hit
-        cache = ctx.result_cache
-        stamp = None
-        if cache is not None and self.cache_eligible:
+        shared = ctx.shared_results if self.shared else None
+        if shared is not None:
+            hit = shared.get(self)
+            if hit is not None:
+                ctx.shared_side_reuses += 1
+                memo[self.logical_id] = hit
+                return hit
+        cache = ctx.result_cache if self.cache_eligible else None
+        if cache is not None:
             database = ctx.database
-            if self.stability == STABLE:
-                stamp = tuple(
-                    database.table(name).version_stamp for name in self.table_deps
-                )
-            elif ctx.cache_context_results and ctx.trigger_context is not None:
-                stamp = (ctx.trigger_context.context_token,) + tuple(
-                    database.table(name).version_stamp for name in self.table_deps
-                )
-            if stamp is not None:
-                cached = cache.lookup(self.logical_id, stamp)
-                if cached is not None:
-                    ctx._bump("cache_hits")
-                    out = ColumnBatch.from_rows(cached, self.width)
-                    memo[self.logical_id] = out
-                    return out
+            stamp = tuple(database.table(name).version_stamp for name in self.table_deps)
+            cached = cache.lookup(self.cache_key, stamp)
+            if cached is not None:
+                ctx._bump("cache_hits")
+                out = ColumnBatch.from_rows(cached, self.width)
+                memo[self.logical_id] = out
+                return out
         out = self._compute(ctx, memo)
         ctx.columnar_batches += 1
-        if stamp is not None:
-            cache.store(self.logical_id, stamp, out.to_rows())
+        if cache is not None:
+            cache.store(self.cache_key, stamp, out.to_rows())
+        if shared is not None:
+            shared[self] = out
+            ctx.shared_side_evaluations += 1
         memo[self.logical_id] = out
         if ctx.collect_stats:
             ctx._bump(self.rows_counter, len(out))
@@ -1068,40 +1058,13 @@ class ColumnarPlan:
     def __init__(self, root: ColumnarOp) -> None:
         self.root = root
         self.layout = root.layout
+        #: Same meaning as :attr:`repro.xqgm.physical.PhysicalPlan.shareable`.
+        self.shareable = root.stability != VOLATILE
 
     def execute(self, context: EvaluationContext) -> ColumnBatch:
         """Evaluate the plan; returns the root's :class:`ColumnBatch`."""
         memo: dict[int, Any] = {}
         return self.root.batch(context, memo)
-
-    def result_stamp(
-        self, context: EvaluationContext, cache_context_results: bool
-    ) -> tuple | None:
-        """The root's freshness stamp, or ``None`` when results can't be reused.
-
-        This is exactly the stamp :meth:`ColumnarOp.batch` would assemble for
-        the root: two executions under equal stamps produce equal results, so
-        callers (the pushdown layer's per-translation pairs memo) may reuse a
-        derived result without entering the engine at all.  Returns ``None``
-        for VOLATILE roots and for CONTEXT roots outside a firing (or when
-        context-scoped reuse is disabled), mirroring the result cache's
-        eligibility gate.
-        """
-        root = self.root
-        database = context.database
-        if root.stability == STABLE:
-            return tuple(
-                database.table(name).version_stamp for name in root.table_deps
-            )
-        if (
-            root.stability == CONTEXT
-            and cache_context_results
-            and context.trigger_context is not None
-        ):
-            return (context.trigger_context.context_token,) + tuple(
-                database.table(name).version_stamp for name in root.table_deps
-            )
-        return None
 
     def execute_rows(self, context: EvaluationContext) -> list[tuple]:
         """Evaluate and convert to the physical engine's slot-row form."""
@@ -1116,66 +1079,16 @@ class ColumnarPlan:
         return f"ColumnarPlan(root={self.root.kind}, columns={list(self.layout.columns)})"
 
 
-def _expression_uses_parameters_precise(expression: Any) -> bool:
-    """Parameter-dependence test honouring a ``uses_parameters()`` hook.
+class ColumnarCompiler(PlanCompiler):
+    """:class:`~repro.xqgm.physical.PlanCompiler` producing columnar nodes.
 
-    Falls back to the conservative
-    :func:`~repro.xqgm.expressions.expression_uses_parameters` for expression
-    types without the hook.  The row compiler deliberately keeps the
-    conservative test (its classification — and therefore its measured
-    baseline — is pinned by PR 4's suites); only the columnar engine opts
-    into precision.
-    """
-    hook = getattr(expression, "uses_parameters", None)
-    if hook is not None:
-        return bool(hook())
-    return expression_uses_parameters(expression)
-
-
-class _ColumnarCompiler:
-    """Mirror of :class:`repro.xqgm.physical._Compiler` for columnar nodes.
-
-    The stability derivation is identical except for the precise
-    parameter-dependence test (see module docstring); the heavy-subtree
-    eligibility rule and table-dependency union are byte-for-byte the same.
+    Stability derivation, cache eligibility, table dependencies and
+    statement sharing are inherited unchanged; only the node classes differ.
     """
 
-    def __init__(self, catalog) -> None:
-        self.catalog = catalog
-        self.memo: dict[int, ColumnarOp] = {}
-        self._heavy: dict[int, bool] = {}
-
-    def compile(self, op: Operator) -> ColumnarOp:
-        node = self.memo.get(op.id)
-        if node is not None:
-            return node
-        node = self._build(op)
-        if isinstance(op, TableOp):
-            children: list[ColumnarOp] = []
-            stability = STABLE if op.variant is TableVariant.CURRENT else CONTEXT
-        elif isinstance(op, ConstantsOp):
-            children = []
-            stability = VOLATILE
-        else:
-            children = [self.memo[input_op.id] for input_op in op.inputs]
-            stability = min(child.stability for child in children)
-            if stability != VOLATILE and _operator_uses_parameters(
-                op, _expression_uses_parameters_precise
-            ):
-                stability = VOLATILE
-        deps: set[str] = set()
-        for child in children:
-            deps.update(child.table_deps)
-        if isinstance(op, TableOp):
-            deps.add(op.table)
-        node.table_deps = tuple(sorted(deps))
-        node.stability = stability
-        self._heavy[op.id] = isinstance(op, (JoinOp, GroupByOp, UnionOp)) or any(
-            self._heavy[input_op.id] for input_op in op.inputs
-        )
-        node.cache_eligible = stability != VOLATILE and self._heavy[op.id]
-        self.memo[op.id] = node
-        return node
+    def plan(self, top: Operator) -> ColumnarPlan:
+        """The columnar plan for the graph rooted at ``top``."""
+        return ColumnarPlan(self.compile(top))
 
     def _build(self, op: Operator) -> ColumnarOp:
         if isinstance(op, TableOp):
@@ -1201,7 +1114,7 @@ class _ColumnarCompiler:
 
 
 def compile_columnar_plan(top: Operator, catalog) -> ColumnarPlan:
-    """Lower the logical graph rooted at ``top`` into a columnar plan.
+    """Lower the logical graph rooted at ``top`` into a standalone columnar plan.
 
     ``catalog`` is the :class:`~repro.relational.database.Database` whose
     schemas bind unbound table scans; only schema information is captured, so
@@ -1211,7 +1124,4 @@ def compile_columnar_plan(top: Operator, catalog) -> ColumnarPlan:
     and fall back to the row engines, counting the fallback in
     ``evaluation_report`` so it is never silent.
     """
-    root = _ColumnarCompiler(catalog).compile(top)
-    if root.stability != VOLATILE:
-        root.cache_eligible = True
-    return ColumnarPlan(root)
+    return ColumnarCompiler(catalog).plan(top)

@@ -70,16 +70,22 @@ class EvaluationContext:
     collect_stats: bool = False
     stats: dict[str, int] = field(default_factory=dict)
     #: Optional :class:`repro.xqgm.physical.ResultCache` enabling the
-    #: version-stamped reuse of stable subplan results across firings.  Only
-    #: consulted by the compiled physical engine; the interpreter (the oracle)
+    #: version-stamped reuse of STABLE subplan results across statements.
+    #: Only consulted by the compiled engines; the interpreter (the oracle)
     #: always evaluates from scratch.
     result_cache: Any = None
-    #: Whether CONTEXT-level (delta-dependent, statement-shared) subplan
-    #: results may be cached.  Services disable this when only one trigger
-    #: group is installed — each plan then runs once per firing, so there is
-    #: nothing to share and the bookkeeping would be pure overhead; STABLE
-    #: (cross-statement) caching stays on regardless.
-    cache_context_results: bool = True
+    #: The firing statement's evaluation memo
+    #: (:attr:`repro.relational.triggers.TriggerContext.evaluation_memo`):
+    #: operators the plan compiler marked statement-shared store their rows
+    #: here on first computation and read them back for every sibling trigger
+    #: group / event translation the statement fires.  ``None`` (evaluation
+    #: outside a firing) disables sharing; the interpreter never consults it.
+    shared_results: dict | None = None
+    #: Statement-shared operators computed / served from ``shared_results``
+    #: during this evaluation (always maintained; the service accumulates
+    #: them into ``evaluation_report``).
+    shared_side_evaluations: int = 0
+    shared_side_reuses: int = 0
     #: Number of column batches materialized by the columnar engine
     #: (:mod:`repro.xqgm.columnar`) during this evaluation — one per operator
     #: `_compute`, excluding memo/result-cache hits.  Always maintained (not

@@ -1078,12 +1078,19 @@ def compile_predicate_columns(
 def expression_uses_parameters(expression: Expression) -> bool:
     """Whether evaluating ``expression`` may read the parameter bindings.
 
-    Used by the result cache to exclude parameter-dependent subplans from
-    cross-firing reuse.  Unknown expression types are conservatively assumed
-    to use parameters (they cannot be inspected).
+    Decides a subplan's stability class: parameter-dependent subplans are
+    VOLATILE — never reused across firings nor shared between the trigger
+    groups fired by one statement.  Expression types defined outside this
+    module answer through a ``uses_parameters()`` method (see
+    :class:`repro.core.affected_nodes.NodesDiffer`); unknown types without
+    one are conservatively assumed to use parameters (they cannot be
+    inspected).
     """
     if isinstance(expression, Parameter):
         return True
+    hook = getattr(expression, "uses_parameters", None)
+    if hook is not None:
+        return bool(hook())
     if isinstance(expression, (ColumnRef, Constant)):
         return False
     if isinstance(expression, (Comparison, Arithmetic)):

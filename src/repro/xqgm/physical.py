@@ -24,27 +24,37 @@ driver runs the same adaptive input ordering
 (:func:`repro.xqgm.evaluate._input_cost_estimate` over the same logical
 operator ids), the same build-side selection, the same index-probe
 profitability test, and the same duplicate-column resolution as the
-interpreted merge operations.  When the cache serves a subplan, nodes below
-it skip evaluation and are absent from the execution memo, so a later join
-may order its inputs from static estimates instead of exact memoized
-cardinalities — the output *multiset* is always identical, but row order
-within one firing may then differ from a cold run.  The property tests pin
-compiled == interpreted on randomized workloads (ordered when cache-free,
-normalized otherwise).
+interpreted merge operations.  When a cached or statement-shared result
+serves a subplan, nodes below it skip evaluation and are absent from the
+execution memo, so a later join may order its inputs from static estimates
+instead of exact memoized cardinalities — the output *multiset* is always
+identical, but row order within one firing may then differ from a cold run.
+The property tests pin compiled == interpreted on randomized workloads
+(ordered when nothing was reused, normalized otherwise).
 
-On top of the compiled plan sits a **version-stamped result cache**
-(:class:`ResultCache`): every :class:`~repro.relational.table.Table` carries
-a monotonic version counter advanced by each mutation, and the result of any
-*stable* subplan — one reading only CURRENT table scans, with no transition
-tables, constants tables, or parameters anywhere below it — is stamped with
-the versions of the tables it read.  On the next firing (of the same
-trigger, or of *any* trigger whose plan shares the subgraph — entries are
-keyed by the logical operator id, and trigger groups share logical
-subgraphs through the plan cache) the stamped result is reused iff every
-input table version is unchanged.  This is the data-level realization of
-the paper's shared trigger processing (Section 5): the shared subgraphs of
-grouped triggers are now shared *computations* across firings, not just
-shared plan text.
+Two reuse mechanisms sit on top of the compiled plan, both driven by the
+compile-time stability classification (``STABLE`` / ``CONTEXT`` /
+``VOLATILE``, see :class:`PhysicalOp`):
+
+* **Statement-shared results.**  One statement fires every qualifying trigger
+  group and event translation with the same
+  :class:`~repro.relational.triggers.TriggerContext`, and the translations of
+  one monitored path are thin per-event combines over the *same* side
+  operators (Figure 12: INSERT, UPDATE and DELETE pairs derive from one
+  ``NEW_NODE`` and one ``OLD_NODE`` sub-plan).  The translator hands those
+  sides to :meth:`PlanCompiler.share`; a shared node stores its rows in the
+  context's statement-scoped evaluation memo on first computation and every
+  later plan execution of that statement reads them back.  The memo dies
+  with the statement, so it needs no stamps, no eviction and no warm-up.
+  This is the data-level realization of the paper's shared trigger
+  processing (Section 5).
+
+* **Cross-statement results.**  Every
+  :class:`~repro.relational.table.Table` carries a monotonic version counter
+  advanced by each mutation, and the result of a heavy ``STABLE`` subplan —
+  one reading only CURRENT table scans — is kept in a :class:`ResultCache`
+  stamped with the versions of the tables it read; it is reused on any later
+  firing iff every input table version is unchanged.
 
 Plans are immutable after compilation and safe to share across threads and
 across shard services (they reference base tables by name and receive the
@@ -54,8 +64,9 @@ owned by exactly one database's service (each shard keeps its own).
 
 A third engine lowers the same logical graphs to batch-oriented *columnar*
 operators (:mod:`repro.xqgm.columnar`); it reuses this module's slot
-layouts, stability classes, merge-spec slot arithmetic, and result cache
-(entries stay row-major so both engines can serve each other's hits), while
+layouts, stability classes, compiler, merge-spec slot arithmetic, and result
+cache (entries stay row-major so both engines can serve each other's hits),
+while
 replacing per-row closure application with column-at-a-time evaluation.
 This compiled row engine remains the fallback and the reference the
 columnar engine is differentially fuzzed against.
@@ -63,7 +74,7 @@ columnar engine is differentially fuzzed against.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 from repro.errors import EvaluationError
 from repro.relational.types import sort_key
@@ -95,7 +106,7 @@ from repro.xqgm.operators import (
     UnnestOp,
 )
 
-__all__ = ["SlotLayout", "ResultCache", "PhysicalPlan", "compile_plan"]
+__all__ = ["SlotLayout", "ResultCache", "PhysicalPlan", "PlanCompiler", "compile_plan"]
 
 
 class SlotLayout:
@@ -119,48 +130,48 @@ class SlotLayout:
 
 
 class ResultCache:
-    """Version-stamped cache of stable subplan results, shared across firings.
+    """Version-stamped cache of STABLE subplan results, shared across statements.
 
-    Entries map a *logical* operator id to ``(stamp, rows)`` where the stamp
-    is the tuple of ``(table uid, table version)`` pairs for every base table
-    the subplan reads.  A lookup whose stamp differs is a miss (counted as an
-    invalidation) and the stale entry is overwritten by the next store — the
-    cache needs no notifications: any committed change (per-statement DML,
-    batched execution, bulk loads, recovery replay) advances the table
-    version counters it stamps against.
+    Entries map a compiled subplan's :attr:`PhysicalOp.cache_key` to
+    ``(stamp, rows)`` where the stamp is the tuple of ``(table uid, table
+    version)`` pairs for every base table the subplan reads.  The key is the
+    *logical* operator id plus the column layout it was lowered with: plans
+    lowered separately over a shared logical subgraph (trigger groups on
+    other events or base tables of the same view) serve each other's hits,
+    while a lowering made before a later translation widened that subgraph
+    (``ensure_columns`` adds pass-through key columns in place) can never be
+    handed rows of the other shape.
 
-    Retention is **two-step**: the first evaluation under a given stamp only
-    records a marker (no rows are kept), the second evaluation under the
-    *same* stamp stores the rows, and every further one is a hit.  Subplans
-    that never repeat under one stamp — the common case for fully pushed,
-    delta-driven plans firing once per statement — therefore cost two dict
-    operations per firing and retain nothing, while genuinely shared
-    subgraphs (sibling trigger groups and event translations fired by one
-    statement, stable subtrees across statements) converge to cache hits
-    after one warm-up evaluation.
+    A lookup whose stamp differs is a miss (counted as an invalidation) and
+    the stale entry is overwritten by the next store — the cache needs no
+    notifications: any committed change (per-statement DML, batched
+    execution, bulk loads, recovery replay) advances the table version
+    counters it stamps against.
+
+    Only subplans that are a pure function of CURRENT table contents live
+    here.  Results that depend on a statement's transition tables are shared
+    through the statement's own evaluation memo instead (see
+    :meth:`PhysicalOp.rows`) and never outlive it.
 
     One instance must only ever observe a single database (stamps are
     per-table-instance) and is designed for the engine's single-writer
     execution model: lookups and stores are plain dict operations (atomic
     under the GIL; no lock on the firing hot path), so concurrent *readers*
     of the stats see merely slightly stale counters.  The cache is bounded
-    (``max_entries``, oldest-inserted evicted first) so long-lived services
-    cannot grow it without bound.
+    (``max_entries``, least recently written evicted first) so long-lived
+    services cannot grow it without bound.
     """
 
     def __init__(self, max_entries: int = 512) -> None:
-        self._entries: dict[int, tuple[tuple, list[tuple] | None]] = {}
-        # Nodes that repeated under one stamp at least once: proven reusable,
-        # so their rows are retained immediately under every later stamp.
-        self._hot: set[int] = set()
+        self._entries: dict[Any, tuple[tuple, list[tuple]]] = {}
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
 
-    def lookup(self, node_id: int, stamp: tuple) -> list[tuple] | None:
+    def lookup(self, key: Any, stamp: tuple) -> list[tuple] | None:
         """Rows cached for the subplan iff its input versions are unchanged."""
-        entry = self._entries.get(node_id)
+        entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
             return None
@@ -168,53 +179,23 @@ class ResultCache:
             self.invalidations += 1
             self.misses += 1
             return None
-        rows = entry[1]
-        if rows is None:
-            self.misses += 1
-            return None
         self.hits += 1
-        return rows
+        return entry[1]
 
-    def store(self, node_id: int, stamp: tuple, rows: list[tuple]) -> None:
-        """Record an evaluation: marker on first observation, rows on repeat.
-
-        Called right after a :meth:`lookup` miss for the same stamp.  A first
-        observation under a stamp writes only a ``(stamp, None)`` marker; a
-        second evaluation under the *same* stamp (found via the marker)
-        retains the rows, which the next :meth:`lookup` serves as a hit —
-        the two-step retention that keeps never-repeated results out of the
-        cache.  A node that repeats once is *hot*: demonstrably shared (e.g.
-        by sibling trigger groups firing per statement), so its rows are
-        retained immediately under every later stamp — from then on only
-        the first evaluation per stamp computes.
-        """
+    def store(self, key: Any, stamp: tuple, rows: list[tuple]) -> None:
+        """Retain the rows computed under ``stamp`` (after a lookup miss)."""
         entries = self._entries
-        entry = entries.get(node_id)
-        if entry is not None:
-            # Re-inserting moves the key to the end of the dict: eviction
-            # below pops the *least recently written* entry, so long-lived
-            # stable entries that keep getting refreshed are never the first
-            # to go (LRU-on-write).
-            del entries[node_id]
-        if node_id in self._hot:
-            entries[node_id] = (stamp, rows)
-        elif entry is not None and entry[0] == stamp and entry[1] is None:
-            self._hot.add(node_id)
-            entries[node_id] = (stamp, rows)
-            return
-        else:
-            entries[node_id] = (stamp, None)
+        # Re-inserting moves the key to the end of the dict: eviction pops
+        # the *least recently written* entry, so long-lived entries that keep
+        # getting refreshed are never the first to go (LRU-on-write).
+        entries.pop(key, None)
+        entries[key] = (stamp, rows)
         while len(entries) > self.max_entries:
-            evicted = next(iter(entries))
-            del entries[evicted]
-            # Keep the hot set bounded alongside the entries: an evicted
-            # node simply re-proves its reusability if it is still live.
-            self._hot.discard(evicted)
+            del entries[next(iter(entries))]
 
     def clear(self) -> None:
-        """Drop every entry and the hot-node set (counters are kept)."""
+        """Drop every entry (counters are kept)."""
         self._entries.clear()
-        self._hot.clear()
 
     def stats(self) -> dict[str, int]:
         """Hit / miss / invalidation counters plus the current size."""
@@ -234,38 +215,42 @@ class ResultCache:
 # ---------------------------------------------------------------------------
 
 
-#: Subtree stability levels for the result cache.
-STABLE = 2  #: pure function of CURRENT table contents (stamp: table versions)
-CONTEXT = 1  #: also reads the firing's transition tables (stamp: + context token)
-VOLATILE = 0  #: reads constants tables or parameters — never cached
+#: Subtree stability levels: what a subplan's result is a function of.
+STABLE = 2  #: CURRENT table contents only — reusable across statements
+CONTEXT = 1  #: also the firing's transition tables — shareable within one statement
+VOLATILE = 0  #: constants tables or parameters — never reused
 
 
 class PhysicalOp:
     """One compiled operator: produces slot rows for a logical node.
 
-    ``stability`` classifies the whole subtree for the result cache:
+    ``stability`` classifies the whole subtree and is the rule for what may
+    be reused:
 
     * ``STABLE`` — only CURRENT table scans below; the result is a pure
       function of the input tables' contents, so it is reusable **across
-      statements** while those tables' version counters are unchanged.
+      statements** while those tables' version counters are unchanged
+      (``cache_eligible`` marks the STABLE nodes heavy enough to be worth a
+      :class:`ResultCache` entry, stored under ``cache_key``).
     * ``CONTEXT`` — the subtree also reads the firing's transition tables
-      (delta scans, ``B_old`` reconstruction).  One statement fires *every*
-      qualifying trigger group with the same
-      :class:`~repro.relational.triggers.TriggerContext`, and plans compiled
-      for the same monitored path share logical subgraphs, so these results
-      are reusable across the groups and sibling event translations fired
-      by one statement — stamped with the context token so two different
-      firings can never be confused.
+      (delta scans, ``B_old`` reconstruction).  The result is the same for
+      every plan execution under one
+      :class:`~repro.relational.triggers.TriggerContext`, so it may be
+      shared by the trigger groups and sibling event translations one
+      statement fires — never beyond.
     * ``VOLATILE`` — reads constants tables or parameter bindings; never
-      cached.
+      reused.
 
-    ``table_deps`` names the base tables the subtree reads — the version
-    stamp is assembled from them at lookup time, which is the cache's only
-    invalidation rule (any commit path advances the counters).
+    ``shared`` marks a non-VOLATILE node the translator registered through
+    :meth:`PlanCompiler.share`: its rows live in the statement's evaluation
+    memo (``ctx.shared_results``, keyed by the node itself) from their first
+    computation on.  ``table_deps`` names the base tables the subtree reads —
+    the cross-statement version stamp is assembled from them at lookup time,
+    which is the result cache's only invalidation rule.
     """
 
     __slots__ = ("logical", "logical_id", "kind", "rows_counter", "layout",
-                 "table_deps", "stability", "cache_eligible")
+                 "cache_key", "table_deps", "stability", "cache_eligible", "shared")
 
     def __init__(self, logical: Operator, layout: SlotLayout) -> None:
         self.logical = logical
@@ -273,36 +258,39 @@ class PhysicalOp:
         self.kind = logical.kind.lower()
         self.rows_counter = "rows_" + self.kind
         self.layout = layout
+        self.cache_key = (logical.id, layout.columns)
         self.table_deps: tuple[str, ...] = ()
         self.stability = VOLATILE
         self.cache_eligible = False
+        self.shared = False
 
     def rows(self, ctx: EvaluationContext, memo: dict[int, list[tuple]]) -> list[tuple]:
-        """Slot rows for this node (memoized per execution, cached across)."""
+        """Slot rows for this node (memoized per execution, shared per statement)."""
         hit = memo.get(self.logical_id)
         if hit is not None:
             return hit
-        cache = ctx.result_cache
-        stamp = None
-        if cache is not None and self.cache_eligible:
+        shared = ctx.shared_results if self.shared else None
+        if shared is not None:
+            hit = shared.get(self)
+            if hit is not None:
+                ctx.shared_side_reuses += 1
+                memo[self.logical_id] = hit
+                return hit
+        cache = ctx.result_cache if self.cache_eligible else None
+        if cache is not None:
             database = ctx.database
-            if self.stability == STABLE:
-                stamp = tuple(
-                    database.table(name).version_stamp for name in self.table_deps
-                )
-            elif ctx.cache_context_results and ctx.trigger_context is not None:
-                stamp = (ctx.trigger_context.context_token,) + tuple(
-                    database.table(name).version_stamp for name in self.table_deps
-                )
-            if stamp is not None:
-                cached = cache.lookup(self.logical_id, stamp)
-                if cached is not None:
-                    ctx._bump("cache_hits")
-                    memo[self.logical_id] = cached
-                    return cached
+            stamp = tuple(database.table(name).version_stamp for name in self.table_deps)
+            hit = cache.lookup(self.cache_key, stamp)
+            if hit is not None:
+                ctx._bump("cache_hits")
+                memo[self.logical_id] = hit
+                return hit
         out = self._compute(ctx, memo)
-        if stamp is not None:
-            cache.store(self.logical_id, stamp, out)
+        if cache is not None:
+            cache.store(self.cache_key, stamp, out)
+        if shared is not None:
+            shared[self] = out
+            ctx.shared_side_evaluations += 1
         memo[self.logical_id] = out
         if ctx.collect_stats:
             ctx._bump(self.rows_counter, len(out))
@@ -928,12 +916,19 @@ class PhysicalPlan:
     def __init__(self, root: PhysicalOp) -> None:
         self.root = root
         self.layout = root.layout
+        #: Whether every execution under one statement's context yields the
+        #: same rows (the root is not VOLATILE) — callers may then derive
+        #: from the result once per statement.
+        self.shareable = root.stability != VOLATILE
 
     def execute(self, context: EvaluationContext) -> list[tuple]:
         """Evaluate the plan; returns slot rows (see :attr:`layout`).
 
-        When ``context.result_cache`` is set, stable subplan results are
-        reused across calls while their input table versions are unchanged.
+        ``context.shared_results`` (a statement's evaluation memo) lets
+        statement-shared nodes reuse what an earlier execution under the same
+        statement computed; ``context.result_cache`` reuses STABLE subplan
+        results across statements while their input table versions are
+        unchanged.
         """
         memo: dict[int, list[tuple]] = {}
         return self.root.rows(context, memo)
@@ -947,49 +942,69 @@ class PhysicalPlan:
         return f"PhysicalPlan(root={self.root.kind}, columns={list(self.layout.columns)})"
 
 
-def _operator_uses_parameters(
-    op: Operator,
-    expression_test: Callable[[Any], bool] = expression_uses_parameters,
-) -> bool:
-    """Whether evaluating ``op`` itself may read the parameter bindings.
-
-    ``expression_test`` decides per embedded expression; the default is the
-    conservative :func:`~repro.xqgm.expressions.expression_uses_parameters`
-    (unknown expression types count as parameter-dependent).  The columnar
-    compiler (:mod:`repro.xqgm.columnar`) passes a precise variant that
-    honours a per-expression ``uses_parameters()`` hook.
-    """
+def _operator_uses_parameters(op: Operator) -> bool:
+    """Whether evaluating ``op`` itself may read the parameter bindings."""
     if isinstance(op, SelectOp):
-        return expression_test(op.predicate)
+        return expression_uses_parameters(op.predicate)
     if isinstance(op, ProjectOp):
-        return any(expression_test(e) for _, e in op.projections)
+        return any(expression_uses_parameters(e) for _, e in op.projections)
     if isinstance(op, JoinOp):
-        return op.condition is not None and expression_test(op.condition)
+        return op.condition is not None and expression_uses_parameters(op.condition)
     if isinstance(op, GroupByOp):
         return any(
-            aggregate.argument is not None and expression_test(aggregate.argument)
+            aggregate.argument is not None and expression_uses_parameters(aggregate.argument)
             for aggregate in op.aggregates
         )
     return False
 
 
-class _Compiler:
+class PlanCompiler:
+    """Lowers logical graphs over one catalog into physical plans.
+
+    One compiler lowers each logical operator at most once, so the plans it
+    produces share the compiled nodes of shared logical subgraphs: the
+    translator registers the event-independent sides of a monitored path
+    (:meth:`share`) and every per-event plan (:meth:`plan`) references one
+    compiled node per side — which is also what keys the side's rows in the
+    statement's evaluation memo.
+
+    ``catalog`` is the :class:`~repro.relational.database.Database` whose
+    schemas bind unbound table scans; only schema information is captured,
+    so the compiled plans may execute against any database with the same
+    catalog (the shard services of a server share them).  Compilation is not
+    thread-safe; the service compiles under its plan cache's lock.
+    """
+
     def __init__(self, catalog) -> None:
         self.catalog = catalog  # Database (schemas looked up by table name)
         self.memo: dict[int, PhysicalOp] = {}
         self._heavy: dict[int, bool] = {}  # logical id -> subtree does real work
+        self._shared: set[int] = set()  # logical ids to lower as statement-shared
+
+    def share(self, op: Operator) -> None:
+        """Lower ``op`` as a statement-shared node (VOLATILE nodes never are).
+
+        Call before the first plan over ``op`` is compiled; nothing is
+        lowered here, so an operator an engine cannot lower fails where the
+        plan that needs it is compiled.
+        """
+        self._shared.add(op.id)
+
+    def plan(self, top: Operator) -> PhysicalPlan:
+        """The physical plan for the graph rooted at ``top``."""
+        return PhysicalPlan(self.compile(top))
 
     def compile(self, op: Operator) -> PhysicalOp:
         node = self.memo.get(op.id)
         if node is not None:
             return node
         node = self._build(op)
-        # Stability / cache eligibility, derived bottom-up.  A node is STABLE
-        # when its whole subtree reads only CURRENT base tables; CONTEXT when
-        # transition tables or the pre-update reconstruction appear below
-        # (reusable across the trigger groups fired by one statement, keyed
-        # by the context token); VOLATILE — never cached — when a constants
-        # table or a parameter binding is consulted anywhere below.
+        # Stability, derived bottom-up.  A node is STABLE when its whole
+        # subtree reads only CURRENT base tables; CONTEXT when transition
+        # tables or the pre-update reconstruction appear below (the same for
+        # every trigger group fired by one statement); VOLATILE — never
+        # reused — when a constants table or a parameter binding is consulted
+        # anywhere below.
         if isinstance(op, TableOp):
             children: list[PhysicalOp] = []
             stability = STABLE if op.variant is TableVariant.CURRENT else CONTEXT
@@ -1008,17 +1023,15 @@ class _Compiler:
             deps.add(op.table)
         node.table_deps = tuple(sorted(deps))
         node.stability = stability
-        # Caching has a (small) per-node bookkeeping cost, so only nodes with
-        # real work below them — a join, aggregation, or union somewhere in
-        # the subtree — are eligible; scan/filter/projection chains over the
-        # (tiny) transition tables recompute faster than they stamp.  The
-        # plan root is additionally marked eligible by compile_plan: a root
-        # hit short-circuits a whole plan evaluation for the sibling trigger
-        # groups fired by the same statement.
+        # Cross-statement caching has a (small) per-node bookkeeping cost, so
+        # only STABLE nodes with real work below them — a join, aggregation,
+        # or union somewhere in the subtree — are eligible; scan/filter/
+        # projection chains recompute faster than they stamp.
         self._heavy[op.id] = isinstance(op, (JoinOp, GroupByOp, UnionOp)) or any(
             self._heavy[input_op.id] for input_op in op.inputs
         )
-        node.cache_eligible = stability != VOLATILE and self._heavy[op.id]
+        node.cache_eligible = stability == STABLE and self._heavy[op.id]
+        node.shared = stability != VOLATILE and op.id in self._shared
         self.memo[op.id] = node
         return node
 
@@ -1046,14 +1059,9 @@ class _Compiler:
 
 
 def compile_plan(top: Operator, catalog) -> PhysicalPlan:
-    """Lower the logical graph rooted at ``top`` into a physical plan.
+    """Lower the logical graph rooted at ``top`` into a standalone physical plan.
 
-    ``catalog`` is the :class:`~repro.relational.database.Database` whose
-    schemas bind unbound table scans; only schema information is captured,
-    so the compiled plan may execute against any database with the same
-    catalog (the shard services of a server share one compiled plan).
+    See :class:`PlanCompiler` for what ``catalog`` binds; nothing in a plan
+    compiled this way is statement-shared.
     """
-    root = _Compiler(catalog).compile(top)
-    if root.stability != VOLATILE:
-        root.cache_eligible = True
-    return PhysicalPlan(root)
+    return PlanCompiler(catalog).plan(top)

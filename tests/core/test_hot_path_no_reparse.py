@@ -11,6 +11,12 @@ parameterized AST, the constants, and the structural shape together, and
 These tests pin the invariant mechanically: after registration, a stream
 of firing statements performs **zero** XPath parses — in the translated
 service (every mode) and in the MATERIALIZED baseline.
+
+The same counter-based style pins the other per-statement invariant of the
+hot path: a statement fired against N sibling trigger groups runs the plan
+engine **once**, not N times (the groups read the statement's evaluation
+memo), and sibling XML events add one thin combine each — never a second
+evaluation of a shared OLD/NEW node side.
 """
 
 from __future__ import annotations
@@ -136,3 +142,92 @@ def test_analysis_is_cached_per_spec(count_parses):
     assert count_parses["calls"] == warmup, (
         "trigger accessors re-parsed despite the per-spec caches"
     )
+
+
+def _sibling_groups(count: int) -> list[str]:
+    """``count`` UNGROUPED triggers: one group each, all on one translation."""
+    return [
+        f"CREATE TRIGGER Sib{index} AFTER UPDATE ON view('catalog')/product "
+        f"WHERE OLD_NODE/@name = 'CRT 15' DO sink(NEW_NODE)"
+        for index in range(count)
+    ]
+
+
+@pytest.mark.parametrize("siblings", [1, 2, 7])
+def test_sibling_groups_execute_the_shared_plan_once_per_statement(monkeypatch, siblings):
+    from repro.xqgm.physical import PhysicalOp, PhysicalPlan
+
+    counter = {"executes": 0, "side_computes": 0}
+    original_execute = PhysicalPlan.execute
+
+    def counting_execute(self, context):
+        counter["executes"] += 1
+        before = context.shared_side_evaluations
+        rows = original_execute(self, context)
+        counter["side_computes"] += context.shared_side_evaluations - before
+        return rows
+
+    monkeypatch.setattr(PhysicalPlan, "execute", counting_execute)
+
+    database = build_paper_database(with_foreign_keys=False)
+    service = ActiveViewService(database, mode=ExecutionMode.UNGROUPED)
+    service.register_view(catalog_view())
+    service.register_action("sink", lambda *args: None)
+    for text in _sibling_groups(siblings):
+        service.create_trigger(text)
+    assert service.group_count() == siblings
+    translations = {
+        id(compiled.translations["vendor"]) for compiled in service._groups.values()
+    }
+    assert len(translations) == 1
+    (compiled, *_) = service._groups.values()
+    sides = compiled.translations["vendor"].sides
+    assert all(
+        isinstance(node, PhysicalOp) and node.shared
+        for node in map(sides._compilers[0].compile, sides.shared_operators)
+    )
+
+    for statement in _statements():
+        counter["executes"] = counter["side_computes"] = 0
+        service.execute(statement)
+        assert counter["executes"] == 1, (
+            f"{counter['executes']} plan executions for {siblings} sibling groups"
+        )
+        assert counter["side_computes"] == len(sides.shared_operators) == 3
+    assert len(service.fired) % siblings == 0 and service.fired
+    report = service.evaluation_report()
+    assert report["pairs_memo_hits"] == (siblings - 1) * len(_statements())
+
+
+def test_sibling_events_add_a_combine_not_a_side_evaluation(monkeypatch):
+    from repro.xqgm.physical import PhysicalPlan
+
+    counter = {"executes": 0}
+    original_execute = PhysicalPlan.execute
+
+    def counting_execute(self, context):
+        counter["executes"] += 1
+        return original_execute(self, context)
+
+    monkeypatch.setattr(PhysicalPlan, "execute", counting_execute)
+
+    database = build_paper_database(with_foreign_keys=False)
+    service = ActiveViewService(database, mode=ExecutionMode.UNGROUPED)
+    service.register_view(catalog_view())
+    service.register_action("sink", lambda *args: None)
+    for text in _sibling_groups(3) + [
+        "CREATE TRIGGER Ins AFTER INSERT ON view('catalog')/product DO sink(NEW_NODE)",
+        "CREATE TRIGGER Del AFTER DELETE ON view('catalog')/product DO sink(OLD_NODE)",
+    ]:
+        service.create_trigger(text)
+
+    for statement in _statements():
+        before = service.evaluation_report()
+        counter["executes"] = 0
+        service.execute(statement)
+        after = service.evaluation_report()
+        # One execution per event translation (UPDATE, INSERT, DELETE) ...
+        assert counter["executes"] == 3
+        # ... over sides that were each computed exactly once.
+        assert after["shared_side_evaluations"] - before["shared_side_evaluations"] == 3
+        assert after["shared_side_reuses"] - before["shared_side_reuses"] == 4

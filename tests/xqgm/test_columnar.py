@@ -7,8 +7,9 @@ single-row batches.  The vectorized expression layer is compared against
 the row-compiled closures value-for-value; whole plans are compared against
 the interpreted evaluator *and* the compiled row engine including output
 row order.  The PR 7 support surface — ``Table.scan_positions`` /
-``Table.indexed_rows``, the sorted index probe, ``ColumnarPlan.result_stamp``
-and the pushdown layer's shared pairs memo — is covered at the bottom.
+``Table.indexed_rows``, the sorted index probe, result reuse (cross-statement
+result cache, statement-shared nodes) and the pushdown layer's shared pairs
+memo — is covered at the bottom.
 """
 
 import math
@@ -311,47 +312,103 @@ def test_sorted_probe_matches_row_engine_order(db):
     ), "the sorted probe never engaged for the shared scan"
 
 
-class TestResultStamp:
-    def test_stable_root_stamps_with_table_versions(self, db):
-        plan = compile_columnar_plan(vendor_table(db), db)
-        assert plan.root.stability == STABLE
-        context = EvaluationContext(db)
-        stamp = plan.result_stamp(context, cache_context_results=True)
-        assert stamp == (db.table("vendor").version_stamp,)
+def _in_firing(db, body):
+    """Run ``body(trigger_context)`` inside one vendor UPDATE firing."""
+    from repro.relational import TriggerEvent
+    from repro.relational.triggers import StatementTrigger
+
+    db.register_trigger(StatementTrigger(
+        name="probe", table="vendor",
+        events=frozenset({TriggerEvent.UPDATE}), body=body,
+    ))
+    try:
+        db.execute(UpdateStatement(
+            "vendor", lambda r: {"price": r["price"] + 1.0},
+            where=lambda r: r["vid"] == "Amazon" and r["pid"] == "P1",
+        ))
+    finally:
+        db.drop_trigger("probe")
+
+
+class TestReuse:
+    def test_stable_root_reused_until_a_table_version_moves(self, db):
+        from repro.xqgm.physical import ResultCache
+
+        top = GroupByOp(vendor_table(db), ["V.pid"], [AggregateSpec("n", "count")])
+        plan = compile_columnar_plan(top, db)
+        assert plan.root.stability == STABLE and plan.root.cache_eligible
+        cache = ResultCache()
+        run = lambda: plan.execute_rows(EvaluationContext(db, result_cache=cache))
+        first = run()
+        assert run() == first and cache.stats()["hits"] == 1
         db.execute(UpdateStatement(
             "vendor", {"price": 2.0},
             where=lambda r: r["vid"] == "Amazon" and r["pid"] == "P1",
         ))
-        assert plan.result_stamp(context, cache_context_results=True) != stamp
+        assert run() == first  # counts unchanged, but recomputed:
+        assert cache.stats()["invalidations"] == 1 and cache.stats()["hits"] == 1
 
-    def test_context_root_requires_firing(self, db):
-        plan = compile_columnar_plan(vendor_table(db, TableVariant.OLD), db)
+    def test_context_results_never_enter_the_result_cache(self, db):
+        from repro.xqgm.physical import ResultCache
+
+        top = GroupByOp(
+            vendor_table(db, TableVariant.OLD), ["V.pid"], [AggregateSpec("n", "count")]
+        )
+        plan = compile_columnar_plan(top, db)
+        assert plan.root.stability == CONTEXT and not plan.root.cache_eligible
+        cache = ResultCache()
+        _in_firing(db, lambda trigger_context: plan.execute(
+            EvaluationContext(db, trigger_context, result_cache=cache)
+        ))
+        assert cache.stats() == {"entries": 0, "hits": 0, "misses": 0, "invalidations": 0}
+
+    def test_shared_context_node_is_computed_once_per_statement(self, db):
+        from repro.xqgm.columnar import ColumnarCompiler
+
+        side = GroupByOp(
+            vendor_table(db, TableVariant.OLD), ["V.pid"], [AggregateSpec("n", "count")]
+        )
+        compiler = ColumnarCompiler(db)
+        compiler.share(side)
+        plans = [
+            compiler.plan(ProjectOp(side, [("pid", ColumnRef("V.pid"))])),
+            compiler.plan(SelectOp(side, Comparison(">", ColumnRef("n"), Constant(0)))),
+        ]
+        assert all(plan.shareable for plan in plans)
+        counts = []
+
+        def fire(trigger_context):
+            memo = trigger_context.evaluation_memo
+            assert memo == {}  # a fresh statement starts with an empty memo
+            for plan in plans:
+                context = EvaluationContext(db, trigger_context, shared_results=memo)
+                plan.execute(context)
+                counts.append(
+                    (context.shared_side_evaluations, context.shared_side_reuses)
+                )
+            assert isinstance(memo[compiler.compile(side)], ColumnBatch)
+
+        _in_firing(db, fire)
+        _in_firing(db, fire)  # the next statement computes the side again
+        assert counts == [(1, 0), (0, 1), (1, 0), (0, 1)]
+
+    def test_no_sharing_outside_a_firing(self, db):
+        """Without a statement memo every execution computes (and nothing
+        is retained anywhere): a shared node is not a cache."""
+        from repro.xqgm.columnar import ColumnarCompiler
+
+        side = GroupByOp(
+            vendor_table(db, TableVariant.OLD), ["V.pid"], [AggregateSpec("n", "count")]
+        )
+        compiler = ColumnarCompiler(db)
+        compiler.share(side)
+        plan = compiler.plan(side)
         assert plan.root.stability == CONTEXT
-        # Outside a firing there is no context token: no reusable stamp.
-        assert plan.result_stamp(EvaluationContext(db), True) is None
-
-        captured = []
-
-        def capture(trigger_context):
-            inner = EvaluationContext(db, trigger_context)
-            captured.append(plan.result_stamp(inner, True))
-            captured.append(plan.result_stamp(inner, False))
-
-        from repro.relational import TriggerEvent
-        from repro.relational.triggers import StatementTrigger
-
-        db.register_trigger(StatementTrigger(
-            name="probe", table="vendor",
-            events=frozenset({TriggerEvent.UPDATE}), body=capture,
-        ))
-        db.execute(UpdateStatement(
-            "vendor", {"price": 3.0},
-            where=lambda r: r["vid"] == "Amazon" and r["pid"] == "P1",
-        ))
-        with_context, without_context = captured
-        assert with_context is not None
-        assert with_context[1:] == (db.table("vendor").version_stamp,)
-        assert without_context is None  # context-scoped reuse disabled
+        for _ in range(2):
+            context = EvaluationContext(db)
+            plan.execute(context)
+            assert (context.shared_side_evaluations, context.shared_side_reuses) == (0, 0)
+            assert context.columnar_batches > 0
 
 
 def test_pairs_memo_shares_nodes_across_sibling_groups():

@@ -3,8 +3,9 @@
 Every operator kind and expression form is compiled and compared against the
 interpreted evaluator (the oracle) on the Figure 2 database — including
 output row *order*, which the physical engine preserves bit-for-bit.  The
-version-stamped result cache's retention and invalidation rules are pinned
-here; randomized end-to-end equivalence lives in
+version-stamped result cache's retention and invalidation rules and the
+statement-scoped sharing of compiled nodes are pinned here; randomized
+end-to-end equivalence lives in
 ``tests/property/test_property_compiled_equivalence.py``.
 """
 
@@ -47,7 +48,7 @@ from repro.xqgm.expressions import (
     expression_uses_parameters,
 )
 from repro.xqgm.operators import ConstantsOp
-from repro.xqgm.physical import CONTEXT, STABLE, VOLATILE
+from repro.xqgm.physical import CONTEXT, STABLE, VOLATILE, PlanCompiler
 
 from tests.conftest import build_paper_database
 
@@ -318,7 +319,7 @@ class TestResultCache:
         )
         assert compile_plan(parameterized, db).root.stability == VOLATILE
 
-    def test_two_step_retention_then_hits(self, db):
+    def test_stable_result_retained_and_served(self, db):
         plan = self.make_plan_and_context(db)
         cache = ResultCache()
 
@@ -326,12 +327,47 @@ class TestResultCache:
             context = EvaluationContext(db, result_cache=cache)
             return plan.execute(context)
 
-        first = execute()   # observed once: marker only
-        assert cache.stats()["hits"] == 0
-        second = execute()  # second observation: rows retained
-        third = execute()   # hit
+        first = execute()   # misses: the projection and the group-by below it
+        assert cache.stats()["hits"] == 0 and cache.stats()["entries"] == 2
+        second = execute()  # a hit at the root: nothing below is consulted
+        third = execute()
         assert first == second == third
-        assert cache.stats()["hits"] == 1
+        assert cache.stats()["hits"] == 2 and cache.stats()["misses"] == 2
+
+    def test_context_results_stay_out_of_the_cache(self, db):
+        """Delta-dependent results are statement-scoped: never cross-statement."""
+        delta = GroupByOp(
+            vendor_table(db, TableVariant.OLD), ["V.pid"], [AggregateSpec("n", "count")]
+        )
+        plan = compile_plan(delta, db)
+        assert plan.root.stability == CONTEXT and not plan.root.cache_eligible
+        cache = ResultCache()
+        plan.execute(EvaluationContext(db, result_cache=cache))
+        plan.execute(EvaluationContext(db, result_cache=cache))
+        assert cache.stats() == {"entries": 0, "hits": 0, "misses": 0, "invalidations": 0}
+
+    def test_lowerings_of_different_shape_never_share_rows(self, db):
+        """Translating for another base table may widen a shared logical
+        subgraph in place (``ensure_columns``); a plan lowered before and one
+        lowered after then read the same operator with different layouts and
+        must not be served each other's rows."""
+        from repro.xqgm.graph import ensure_columns
+
+        grouped = GroupByOp(vendor_table(db), ["V.pid"], [AggregateSpec("n", "count")])
+        shared = ProjectOp(grouped, [("n", ColumnRef("n"))])
+        narrow = compile_plan(shared, db)
+        ensure_columns(shared, ["V.pid"])
+        wide = compile_plan(shared, db)
+        assert narrow.layout.columns == ("n",) and wide.layout.columns == ("n", "V.pid")
+        assert narrow.root.logical is wide.root.logical
+
+        cache = ResultCache()
+        run = lambda plan: plan.execute(EvaluationContext(db, result_cache=cache))
+        for _ in range(2):
+            assert sorted(run(narrow)) == [(2,), (2,), (3,)]
+            assert sorted(run(wide)) == [(2, "P2"), (2, "P3"), (3, "P1")]
+        # ... while equal shapes of one logical node do share (the group-by).
+        assert cache.stats()["hits"] >= 2
 
     def test_every_mutation_path_invalidates(self, db):
         plan = self.make_plan_and_context(db)
@@ -391,3 +427,139 @@ class TestResultCache:
             cache.lookup(node_id, (1,))
             cache.store(node_id, (1,), [])
         assert len(cache) <= 2
+
+
+class TestStatementSharing:
+    """Nodes registered through ``PlanCompiler.share`` live in the statement's
+    evaluation memo: computed by the first plan that needs them, read back by
+    every later plan execution of the same statement, gone with it."""
+
+    def side(self, db, variant=TableVariant.OLD):
+        return GroupByOp(vendor_table(db, variant), ["V.pid"], [AggregateSpec("n", "count")])
+
+    def fire(self, db, body):
+        from repro.relational.triggers import StatementTrigger
+
+        db.register_trigger(StatementTrigger(
+            name="probe", table="vendor",
+            events=frozenset({TriggerEvent.UPDATE}), body=body,
+        ))
+        try:
+            db.execute(UpdateStatement(
+                "vendor", lambda r: {"price": r["price"] + 1.0},
+                where=lambda r: r["vid"] == "Amazon" and r["pid"] == "P1",
+            ))
+        finally:
+            db.drop_trigger("probe")
+
+    def test_plans_of_one_compiler_share_the_compiled_node(self, db):
+        side = self.side(db)
+        compiler = PlanCompiler(db)
+        compiler.share(side)
+        first = compiler.plan(ProjectOp(side, [("pid", ColumnRef("V.pid"))]))
+        second = compiler.plan(SelectOp(side, Comparison(">", ColumnRef("n"), Constant(0))))
+        assert first.root.input is second.root.input is compiler.compile(side)
+        assert first.root.input.shared and not first.root.shared
+        assert first.shareable and second.shareable
+
+    def test_computed_once_per_statement_and_never_across(self, db):
+        side = self.side(db)
+        compiler = PlanCompiler(db)
+        compiler.share(side)
+        plans = [
+            compiler.plan(ProjectOp(side, [("pid", ColumnRef("V.pid"))])),
+            compiler.plan(SelectOp(side, Comparison(">", ColumnRef("n"), Constant(0)))),
+        ]
+        counts, memos = [], []
+
+        def body(trigger_context):
+            memo = trigger_context.evaluation_memo
+            assert memo == {}  # fresh per statement
+            memos.append(memo)
+            for plan in plans:
+                context = EvaluationContext(db, trigger_context, shared_results=memo)
+                rows = plan.execute(context)
+                assert rows == compile_plan(plan.root.logical, db).execute(
+                    EvaluationContext(db, trigger_context)
+                )
+                counts.append(
+                    (context.shared_side_evaluations, context.shared_side_reuses)
+                )
+            assert list(memo) == [compiler.compile(side)]
+
+        self.fire(db, body)
+        self.fire(db, body)
+        assert counts == [(1, 0), (0, 1), (1, 0), (0, 1)]
+        assert memos[0] is not memos[1]
+
+    def test_interpreter_and_memo_free_contexts_do_not_share(self, db):
+        side = self.side(db)
+        compiler = PlanCompiler(db)
+        compiler.share(side)
+        plan = compiler.plan(side)
+
+        def body(trigger_context):
+            for _ in range(2):
+                context = EvaluationContext(db, trigger_context)  # no shared_results
+                plan.execute(context)
+                assert context.shared_side_evaluations == context.shared_side_reuses == 0
+            evaluate(side, EvaluationContext(
+                db, trigger_context, shared_results=trigger_context.evaluation_memo
+            ))
+            assert trigger_context.evaluation_memo == {}
+
+        self.fire(db, body)
+
+    def test_volatile_nodes_are_never_shared(self, db):
+        parameterized = SelectOp(
+            vendor_table(db), Comparison("=", ColumnRef("V.pid"), Parameter("p"))
+        )
+        compiler = PlanCompiler(db)
+        compiler.share(parameterized)
+        plan = compiler.plan(parameterized)
+        assert not plan.root.shared and not plan.shareable
+        memo: dict = {}
+        for pid, expected in (("P1", 3), ("P2", 2)):
+            context = EvaluationContext(db, parameters={"p": pid}, shared_results=memo)
+            assert len(plan.execute(context)) == expected
+        assert memo == {}
+
+    def test_update_root_has_the_same_stability_in_both_compilers(self, db):
+        """``NodesDiffer`` answers ``uses_parameters()``: the difference-check
+        select at the root of an UPDATE translation is CONTEXT for the row
+        compiler exactly as for the columnar one (it used to be VOLATILE in
+        the row engine only, which kept its sibling groups from sharing)."""
+        from repro.core.pushdown import PushdownOptions, translate_path
+        from repro.xqgm.views import catalog_view
+
+        path_graph = catalog_view().path_graph("/product", db)
+        translation = translate_path(
+            path_graph, TriggerEvent.UPDATE, db, PushdownOptions(check_difference=True)
+        )["vendor"]
+        assert translation.checks_difference
+        row_root = translation.physical_plan.root
+        columnar_root = translation.columnar_plan.root
+        assert row_root.stability == columnar_root.stability == CONTEXT
+        assert translation.physical_plan.shareable and translation.columnar_plan.shareable
+        for row_node, columnar_node in zip(
+            _walk(row_root), _walk(columnar_root), strict=True
+        ):
+            assert row_node.logical is columnar_node.logical
+            assert (row_node.stability, row_node.cache_eligible, row_node.shared) == (
+                columnar_node.stability, columnar_node.cache_eligible, columnar_node.shared
+            )
+
+
+def _walk(node):
+    """Pre-order traversal of a compiled plan (either engine)."""
+    yield node
+    children = getattr(node, "children", None)
+    if children is None:
+        children = [
+            child for child in (
+                getattr(node, "input", None), getattr(node, "left", None),
+                getattr(node, "right", None),
+            ) if child is not None
+        ]
+    for child in children:
+        yield from _walk(child)
