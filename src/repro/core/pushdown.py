@@ -49,7 +49,7 @@ from repro.xqgm.expressions import AttributeSpec, ColumnRef, ElementConstructor,
 from repro.xqgm.evaluate import EvaluationContext, evaluate
 from repro.xqgm.graph import ensure_columns
 from repro.xqgm.columnar import ColumnarCompiler, ColumnarPlan
-from repro.xqgm.physical import PhysicalPlan, PlanCompiler, ResultCache
+from repro.xqgm.physical import PhysicalPlan, PlanCompiler, ResultCache, version_stamp
 from repro.xqgm.operators import JoinOp, Operator, ProjectOp
 from repro.xqgm.rewrite import compensate_old_aggregates, prune_columns, push_semijoin
 from repro.xqgm.views import PathGraph, ViewElementSpec
@@ -319,7 +319,11 @@ class CompiledTableTrigger:
         by whichever sibling group or event translation fires first and read
         back by the others, and the derived pairs list of this translation is
         itself kept there, so the groups sharing the translation return it
-        without entering the engine (treat it as immutable).  The interpreter
+        without entering the engine (treat it as immutable).  Memo entries
+        are keyed by the plan or side *and* the version stamps of the base
+        tables it reads: when an earlier group's action ran DML of its own
+        on one of them, the later groups recompute against the tables as
+        they now stand — exactly what the interpreter does.  The interpreter
         never consults the memo — it stays the independent oracle.
 
         ``result_cache`` additionally reuses STABLE subplan results across
@@ -346,8 +350,10 @@ class CompiledTableTrigger:
             plan = self.physical_plan
 
         memo = trigger_context.evaluation_memo
+        memo_key = None
         if plan is not None and plan.shareable:
-            pairs = memo.get(plan)
+            memo_key = (plan, version_stamp(database, plan.table_deps))
+            pairs = memo.get(memo_key)
             if pairs is not None:
                 bump("pairs_memo_hits")
                 if columnar:
@@ -396,8 +402,8 @@ class CompiledTableTrigger:
             ]
         bump("shared_side_evaluations", context.shared_side_evaluations)
         bump("shared_side_reuses", context.shared_side_reuses)
-        if plan.shareable:
-            memo[plan] = pairs
+        if memo_key is not None:
+            memo[memo_key] = pairs
         return pairs
 
     @property
@@ -493,17 +499,14 @@ def _translate_for_table(
         options.compensate_old_aggregates
         and options.old_node_requirement != OldNodeRequirement.FULL
     )
-    if sides.new_side is sides.reference.new_side and old_side is sides.reference.old_side:
-        executable = reference.top
-    else:
-        executable = combine_sides(
-            xml_event,
-            sides.new_side,
-            old_side,
-            reference.key_columns,
-            sides.reference.old_key_columns,
-            reference.checks_difference,
-        )
+    executable = combine_sides(
+        xml_event,
+        sides.new_side,
+        old_side,
+        reference.key_columns,
+        sides.reference.old_key_columns,
+        reference.checks_difference,
+    )
 
     (physical_plan, physical_compile_error), (columnar_plan, columnar_compile_error) = (
         sides.compile(executable)

@@ -82,7 +82,7 @@ from repro.xqgm.operators import (
     UnionOp,
     UnnestOp,
 )
-from repro.xqgm.physical import VOLATILE, PlanCompiler, SlotLayout, _MergeSpec
+from repro.xqgm.physical import VOLATILE, PlanCompiler, SlotLayout, _MergeSpec, version_stamp
 
 __all__ = ["ColumnBatch", "ColumnarPlan", "ColumnarCompiler", "compile_columnar_plan"]
 
@@ -212,16 +212,16 @@ class ColumnarOp:
         if hit is not None:
             return hit
         shared = ctx.shared_results if self.shared else None
+        cache = ctx.result_cache if self.cache_eligible else None
+        if shared is not None or cache is not None:
+            stamp = version_stamp(ctx.database, self.table_deps)
         if shared is not None:
-            hit = shared.get(self)
+            hit = shared.get((self, stamp))
             if hit is not None:
                 ctx.shared_side_reuses += 1
                 memo[self.logical_id] = hit
                 return hit
-        cache = ctx.result_cache if self.cache_eligible else None
         if cache is not None:
-            database = ctx.database
-            stamp = tuple(database.table(name).version_stamp for name in self.table_deps)
             cached = cache.lookup(self.cache_key, stamp)
             if cached is not None:
                 ctx._bump("cache_hits")
@@ -233,7 +233,7 @@ class ColumnarOp:
         if cache is not None:
             cache.store(self.cache_key, stamp, out.to_rows())
         if shared is not None:
-            shared[self] = out
+            shared[(self, stamp)] = out
             ctx.shared_side_evaluations += 1
         memo[self.logical_id] = out
         if ctx.collect_stats:
@@ -1058,8 +1058,9 @@ class ColumnarPlan:
     def __init__(self, root: ColumnarOp) -> None:
         self.root = root
         self.layout = root.layout
-        #: Same meaning as :attr:`repro.xqgm.physical.PhysicalPlan.shareable`.
+        #: Same meaning as on :class:`~repro.xqgm.physical.PhysicalPlan`.
         self.shareable = root.stability != VOLATILE
+        self.table_deps = root.table_deps
 
     def execute(self, context: EvaluationContext) -> ColumnBatch:
         """Evaluate the plan; returns the root's :class:`ColumnBatch`."""
@@ -1092,7 +1093,7 @@ class ColumnarCompiler(PlanCompiler):
 
     def _build(self, op: Operator) -> ColumnarOp:
         if isinstance(op, TableOp):
-            return CTableScan(op, self.catalog.schema(op.table))
+            return CTableScan(op, self.schemas[op.table])
         if isinstance(op, ConstantsOp):
             return CConstants(op)
         if isinstance(op, SelectOp):

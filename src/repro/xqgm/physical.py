@@ -215,6 +215,16 @@ class ResultCache:
 # ---------------------------------------------------------------------------
 
 
+def version_stamp(database, tables: Sequence[str]) -> tuple:
+    """The ``(table uid, version)`` of every named table, in order.
+
+    What a result computed from those tables is fresh against: it stays
+    valid exactly as long as the stamp compares equal (see
+    :attr:`repro.relational.table.Table.version_stamp`).
+    """
+    return tuple(database.table(name).version_stamp for name in tables)
+
+
 #: Subtree stability levels: what a subplan's result is a function of.
 STABLE = 2  #: CURRENT table contents only — reusable across statements
 CONTEXT = 1  #: also the firing's transition tables — shareable within one statement
@@ -243,10 +253,13 @@ class PhysicalOp:
 
     ``shared`` marks a non-VOLATILE node the translator registered through
     :meth:`PlanCompiler.share`: its rows live in the statement's evaluation
-    memo (``ctx.shared_results``, keyed by the node itself) from their first
-    computation on.  ``table_deps`` names the base tables the subtree reads —
-    the cross-statement version stamp is assembled from them at lookup time,
-    which is the result cache's only invalidation rule.
+    memo (``ctx.shared_results``) from their first computation on.
+    ``table_deps`` names the base tables the subtree reads; their
+    :func:`version_stamp`, assembled at lookup time, is the result cache's
+    only invalidation rule and the second half of a memo key — ``(node,
+    stamp)`` — so a trigger action that changes one of those tables while
+    its statement's other groups have yet to fire makes them recompute (the
+    superseded rows stay in the memo until the statement ends).
     """
 
     __slots__ = ("logical", "logical_id", "kind", "rows_counter", "layout",
@@ -270,16 +283,16 @@ class PhysicalOp:
         if hit is not None:
             return hit
         shared = ctx.shared_results if self.shared else None
+        cache = ctx.result_cache if self.cache_eligible else None
+        if shared is not None or cache is not None:
+            stamp = version_stamp(ctx.database, self.table_deps)
         if shared is not None:
-            hit = shared.get(self)
+            hit = shared.get((self, stamp))
             if hit is not None:
                 ctx.shared_side_reuses += 1
                 memo[self.logical_id] = hit
                 return hit
-        cache = ctx.result_cache if self.cache_eligible else None
         if cache is not None:
-            database = ctx.database
-            stamp = tuple(database.table(name).version_stamp for name in self.table_deps)
             hit = cache.lookup(self.cache_key, stamp)
             if hit is not None:
                 ctx._bump("cache_hits")
@@ -289,7 +302,7 @@ class PhysicalOp:
         if cache is not None:
             cache.store(self.cache_key, stamp, out)
         if shared is not None:
-            shared[self] = out
+            shared[(self, stamp)] = out
             ctx.shared_side_evaluations += 1
         memo[self.logical_id] = out
         if ctx.collect_stats:
@@ -920,6 +933,9 @@ class PhysicalPlan:
         #: same rows (the root is not VOLATILE) — callers may then derive
         #: from the result once per statement.
         self.shareable = root.stability != VOLATILE
+        #: Base tables the plan reads: a result derived from an execution
+        #: holds while their :func:`version_stamp` does.
+        self.table_deps = root.table_deps
 
     def execute(self, context: EvaluationContext) -> list[tuple]:
         """Evaluate the plan; returns slot rows (see :attr:`layout`).
@@ -969,14 +985,15 @@ class PlanCompiler:
     statement's evaluation memo.
 
     ``catalog`` is the :class:`~repro.relational.database.Database` whose
-    schemas bind unbound table scans; only schema information is captured,
-    so the compiled plans may execute against any database with the same
-    catalog (the shard services of a server share them).  Compilation is not
-    thread-safe; the service compiles under its plan cache's lock.
+    schemas bind unbound table scans; only the schemas are kept — a
+    long-lived compiler never pins the database — so the compiled plans may
+    execute against any database with the same catalog (the shard services
+    of a server share them).  Compilation is not thread-safe; the service
+    compiles under its plan cache's lock.
     """
 
     def __init__(self, catalog) -> None:
-        self.catalog = catalog  # Database (schemas looked up by table name)
+        self.schemas = {name: catalog.schema(name) for name in catalog.table_names()}
         self.memo: dict[int, PhysicalOp] = {}
         self._heavy: dict[int, bool] = {}  # logical id -> subtree does real work
         self._shared: set[int] = set()  # logical ids to lower as statement-shared
@@ -1037,7 +1054,7 @@ class PlanCompiler:
 
     def _build(self, op: Operator) -> PhysicalOp:
         if isinstance(op, TableOp):
-            return PTableScan(op, self.catalog.schema(op.table))
+            return PTableScan(op, self.schemas[op.table])
         if isinstance(op, ConstantsOp):
             return PConstants(op)
         if isinstance(op, SelectOp):

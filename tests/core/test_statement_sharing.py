@@ -9,7 +9,12 @@ the plan engines keep each side's rows and each translation's pairs in
 * the memo's lifetime — empty on a fresh context, one per statement, never
   visible to the next statement or to another shard thread firing the same
   (shared) translations concurrently;
-* ``drop_view`` + re-registering a *changed* view never serves a stale side;
+* DML issued by a trigger action while its statement's other groups are
+  still to fire: they recompute what read the changed tables, like the
+  interpreter (memo keys carry table version stamps);
+* ``drop_view`` + re-registering a *changed* view never serves a stale side,
+  and an old-side variant first needed long after the other plans were
+  lowered still lowers on both engines;
 * trigger DDL that makes a group disappear and reappear keeps the sharing.
 
 The randomized cross-engine pin is
@@ -18,13 +23,15 @@ The randomized cross-engine pin is
 
 from __future__ import annotations
 
+import gc
 import sys
 import threading
+import weakref
 
 import pytest
 
 from repro.core.service import ActiveViewService, ExecutionMode, PlanCache
-from repro.relational import TriggerEvent
+from repro.relational import Column, DataType, TableSchema, TriggerEvent
 from repro.relational.dml import DeleteStatement, InsertStatement, UpdateStatement
 from repro.relational.table import TransitionTable
 from repro.relational.triggers import StatementTrigger, TriggerContext
@@ -131,11 +138,18 @@ def test_memo_is_per_statement_and_holds_the_sides_and_pairs(use_columnar):
             (t.columnar_plan if use_columnar else t.physical_plan)
             for t in (c.translations["vendor"] for c in service._groups.values())
         }
-        # Each side once, each distinct translation's pairs once — nothing else.
-        assert set(memo) == nodes | plans
-    # Nothing of statement 1 is visible to statement 2: same keys (the plans
-    # are the same objects), different values.
-    assert all(first[key] is not second[key] for key in first)
+        # Each side once, each distinct translation's pairs once — nothing
+        # else — each keyed with the version stamps of the tables it reads.
+        assert {key for key, _ in memo} == nodes | plans
+        assert len(memo) == len(nodes | plans)
+    assert all(
+        stamp == tuple(database.table(name).version_stamp for name in key.table_deps)
+        for key, stamp in second
+    )
+    # Nothing of statement 1 is visible to statement 2: the plans are the
+    # same objects, the stamps (hence the keys) and the values are not.
+    assert not set(first) & set(second)
+    assert not {id(value) for value in first.values()} & {id(value) for value in second.values()}
     # Six groups on five translations (UPDATE none / shallow / full, INSERT,
     # DELETE) over four sides (keys, new, compensated old, full old).
     assert len(plans) == 5 and len(sides.shared_operators) == 4
@@ -228,6 +242,116 @@ def test_concurrent_shard_threads_never_see_each_others_memo():
         assert counters["pairs_memo_hits"] == statements
 
 
+# ------------------------------------------------------- DML issued by an action
+
+
+NESTING = [
+    "CREATE TRIGGER Nest AFTER UPDATE ON view('catalog')/product DO nest(NEW_NODE/@name)",
+    "CREATE TRIGGER UpdNew AFTER UPDATE ON view('catalog')/product "
+    "WHERE NEW_NODE/@name = 'CRT 15' DO sink(NEW_NODE)",
+    "CREATE TRIGGER UpdOld AFTER UPDATE ON view('catalog')/product "
+    "WHERE OLD_NODE/@name = 'CRT 15' DO sink(NEW_NODE/vendor)",
+    "CREATE TRIGGER UpdFull AFTER UPDATE ON view('catalog')/product "
+    "WHERE count(OLD_NODE/vendor) >= 2 DO sink(OLD_NODE/vendor)",
+    "CREATE TRIGGER Del AFTER DELETE ON view('catalog')/product DO sink(OLD_NODE/vendor)",
+]
+
+
+def build_nesting_service(mode, nested, **options):
+    """``Nest`` fires first and (at the outer level only) executes
+    ``nested(database)`` while the statement's other groups are still to fire."""
+    database = build_paper_database(with_foreign_keys=False)
+    database.create_table(TableSchema(
+        "audit", [Column("id", DataType.INTEGER, nullable=False)], primary_key=["id"],
+    ))
+    service = ActiveViewService(database, mode=mode, **options)
+    service.register_view(catalog_view())
+    service.register_action("sink", lambda *args: None)
+    depth = []
+
+    def nest(*args):
+        if depth:
+            return
+        depth.append(1)
+        try:
+            for statement in nested(database):
+                service.execute(statement)
+        finally:
+            depth.pop()
+
+    service.register_action("nest", nest)
+    for text in NESTING:
+        service.create_trigger(text)
+    return database, service
+
+
+_NESTED_DML = {
+    # Another vendor row of the updated product: every later group's
+    # NEW_NODE (and full OLD_NODE) must show 999.0.
+    "update": lambda db: [UpdateStatement("vendor", {"price": 999.0}, keys=[("Bestbuy", "P1")])],
+    # LCD 19 drops out of the view under the outer statement's feet.
+    "delete": lambda db: [DeleteStatement("vendor", keys=[("Buy.com", "P2")])],
+    # ... and a vendor (a different one per outer statement) joins CRT 15.
+    "insert": lambda db: [InsertStatement(
+        "vendor", [{"vid": f"Shop{len(db.table('vendor'))}", "pid": "P3", "price": 7.0}]
+    )],
+}
+
+
+@pytest.mark.parametrize("nested", sorted(_NESTED_DML))
+@pytest.mark.parametrize("mode", [ExecutionMode.GROUPED, ExecutionMode.GROUPED_AGG])
+def test_groups_fired_after_an_actions_own_dml_see_it_like_the_interpreter(mode, nested):
+    """An action that modifies a table the view reads: the sibling groups the
+    outer statement has yet to fire must not be served the sides and pairs
+    memoised before that DML — the interpreter, which recomputes per group,
+    is the reference."""
+    outer = [
+        UpdateStatement("vendor", {"price": 5.0}, keys=[("Amazon", "P1")]),
+        UpdateStatement("vendor", {"price": 6.0}, keys=[("Bestbuy", "P2")]),
+    ]
+    fired = {}
+    for engine, options in (
+        ("interpreted", {"use_compiled_plans": False}),
+        ("compiled", {}),
+        ("columnar", {"use_columnar": True}),
+    ):
+        database, service = build_nesting_service(mode, _NESTED_DML[nested], **options)
+        for statement in outer:
+            service.execute(statement)
+        fired[engine] = [
+            (f.trigger, f.event.value, f.key,
+             None if f.old_node is None else serialize(f.old_node),
+             None if f.new_node is None else serialize(f.new_node))
+            for f in service.fired
+        ]
+        report = service.evaluation_report()
+        assert report["compiled_plan_fallbacks"] == report["columnar_fallbacks"] == 0
+    assert len(fired["interpreted"]) > len(NESTING) - 1  # the nested statement fired too
+    assert fired["compiled"] == fired["interpreted"]
+    assert fired["columnar"] == fired["interpreted"]
+
+
+@pytest.mark.parametrize("use_columnar", [False, True])
+def test_action_dml_on_an_unrelated_table_keeps_the_sharing(use_columnar):
+    """The common shape of a writing action — an audit row per activation —
+    touches nothing the view reads, so the statement still evaluates each
+    side once."""
+    counter = iter(range(1, 100))
+    log = lambda db: [InsertStatement("audit", [{"id": next(counter)}])]
+    database, service = build_nesting_service(
+        ExecutionMode.GROUPED_AGG, log, use_columnar=use_columnar
+    )
+    (sides,) = sides_of(service)
+    before = sharing(service)
+    service.execute(price_update(1))
+    after = sharing(service)
+    assert len(database.table("audit")) == 1
+    assert after["shared_side_evaluations"] - before["shared_side_evaluations"] == len(
+        sides.shared_operators
+    )
+    assert after["shared_side_reuses"] > before["shared_side_reuses"]
+
+
 # ------------------------------------------------------------------- invalidation
 
 
@@ -274,6 +398,74 @@ def test_drop_view_then_changed_view_never_serves_a_stale_side():
     assert {f.event for f in oracle.fired} == set(TriggerEvent)
     assert normalize(service.fired) == normalize(oracle.fired)
     assert normalize(sibling.fired) == normalize(oracle.fired)
+
+
+def test_cached_sides_keep_no_database_alive():
+    """A shared PlanCache outlives the shard service that built an entry; the
+    sides' compilers keep schemas, not that service's database."""
+    cache = PlanCache()
+    database, service = build_service(plan_cache=cache)
+    alive = weakref.ref(database)
+    del database, service
+    gc.collect()
+    assert alive() is None
+    assert len(cache) > 0 and cache._sides
+
+
+@pytest.mark.parametrize("push_affected_keys", [True, False])
+@pytest.mark.parametrize("mode", [ExecutionMode.GROUPED, ExecutionMode.GROUPED_AGG])
+def test_old_side_variant_added_after_every_tables_sides_were_lowered(mode, push_affected_keys):
+    """The full OLD_NODE side is built — and lowered by the sides' long-lived
+    compilers — only when the first group that needs it registers.  By then
+    the sides of *both* base tables exist (building the second widens the
+    shared view graph in place) and their other plans were lowered long ago;
+    the late variant must still lower on both engines and agree with the
+    interpreter."""
+    early = [TRIGGERS[0], TRIGGERS[1], TRIGGERS[4]]  # no / shallow old node
+    late = [TRIGGERS[3], TRIGGERS[5]]  # full old node: UPDATE and DELETE
+    statements = [
+        price_update(1),
+        UpdateStatement("product", {"pname": "CRT 17"}, keys=[("P1",)]),
+        DeleteStatement("vendor", keys=[("Buy.com", "P2")]),  # LCD 19 leaves the view
+        InsertStatement("vendor", [{"vid": "Buy.com", "pid": "P2", "price": 2.0}]),
+        DeleteStatement("product", keys=[("P3",)]),
+    ]
+    fired = {}
+    for engine, options in (
+        ("interpreted", {"use_compiled_plans": False}),
+        ("compiled", {}),
+        ("columnar", {"use_columnar": True}),
+    ):
+        database = build_paper_database(with_foreign_keys=False)
+        service = ActiveViewService(
+            database, mode=mode, push_affected_keys=push_affected_keys, **options
+        )
+        service.register_view(catalog_view())
+        service.register_action("sink", lambda *args: None)
+        for text in early:
+            service.create_trigger(text)
+        service.execute(price_update(0))  # every early plan has run
+        variants = {
+            table: len(sides.shared_operators)
+            for table in ("product", "vendor") for sides in sides_of(service, table)
+        }
+        for text in late:
+            service.create_trigger(text)
+        if mode is ExecutionMode.GROUPED_AGG:
+            # The compensated side was there; the full one joined it.
+            assert all(
+                len(sides.shared_operators) == variants[table] + 1
+                for table in ("product", "vendor") for sides in sides_of(service, table)
+            )
+        for statement in statements:
+            service.execute(statement)
+        report = service.evaluation_report()
+        assert report["compiled_plan_fallbacks"] == 0, report
+        assert report["columnar_plan_errors"] == report["columnar_fallbacks"] == 0, report
+        fired[engine] = normalize(service.fired)
+    assert {f[0] for f in fired["interpreted"]} >= {"UpdFull", "Del"}
+    assert fired["compiled"] == fired["interpreted"]
+    assert fired["columnar"] == fired["interpreted"]
 
 
 def test_group_that_disappears_and_reappears_keeps_sharing():

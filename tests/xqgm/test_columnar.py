@@ -386,7 +386,11 @@ class TestReuse:
                 counts.append(
                     (context.shared_side_evaluations, context.shared_side_reuses)
                 )
-            assert isinstance(memo[compiler.compile(side)], ColumnBatch)
+            # One entry: the side, keyed with its tables' version stamps.
+            ((node, stamp),) = memo
+            assert node is compiler.compile(side)
+            assert stamp == (db.table("vendor").version_stamp,)
+            assert isinstance(memo[node, stamp], ColumnBatch)
 
         _in_firing(db, fire)
         _in_firing(db, fire)  # the next statement computes the side again

@@ -485,12 +485,46 @@ class TestStatementSharing:
                 counts.append(
                     (context.shared_side_evaluations, context.shared_side_reuses)
                 )
-            assert list(memo) == [compiler.compile(side)]
+            # One entry: the side, keyed with its tables' version stamps.
+            assert list(memo) == [
+                (compiler.compile(side), (db.table("vendor").version_stamp,))
+            ]
 
         self.fire(db, body)
         self.fire(db, body)
         assert counts == [(1, 0), (0, 1), (1, 0), (0, 1)]
         assert memos[0] is not memos[1]
+
+    @pytest.mark.parametrize("columnar", [False, True])
+    def test_a_change_to_a_table_the_side_reads_recomputes_it(self, db, columnar):
+        """DML issued mid-firing (a trigger action's own statement): the side
+        is keyed with its tables' version stamps, so it is computed again over
+        the changed table, while a write elsewhere leaves it shared."""
+        from repro.xqgm.columnar import ColumnarCompiler
+
+        side = self.side(db, TableVariant.CURRENT)
+        compiler = (ColumnarCompiler if columnar else PlanCompiler)(db)
+        compiler.share(side)
+        plan = compiler.plan(side)
+
+        def count(trigger_context):
+            context = EvaluationContext(
+                db, trigger_context, shared_results=trigger_context.evaluation_memo
+            )
+            result = plan.execute(context)
+            rows = result.to_rows() if columnar else result
+            return dict(rows)["P1"], context.shared_side_evaluations, context.shared_side_reuses
+
+        def body(trigger_context):
+            assert count(trigger_context) == (3, 1, 0)
+            db.insert("product", {"pid": "P9", "pname": "x", "mfr": "y"})  # not read
+            assert count(trigger_context) == (3, 0, 1)
+            db.insert("vendor", {"vid": "Newegg", "pid": "P1", "price": 1.0})
+            assert count(trigger_context) == (4, 1, 0)
+            assert count(trigger_context) == (4, 0, 1)
+            assert len(trigger_context.evaluation_memo) == 2  # superseded rows stay
+
+        self.fire(db, body)
 
     def test_interpreter_and_memo_free_contexts_do_not_share(self, db):
         side = self.side(db)
