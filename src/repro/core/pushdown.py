@@ -39,7 +39,7 @@ SQL rendering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.errors import TriggerCompilationError
@@ -53,6 +53,7 @@ from repro.xqgm.physical import PhysicalPlan, PlanCompiler, ResultCache, version
 from repro.xqgm.operators import JoinOp, Operator, ProjectOp
 from repro.xqgm.rewrite import compensate_old_aggregates, prune_columns, push_semijoin
 from repro.xqgm.views import PathGraph, ViewElementSpec
+from repro.xmlmodel.serialize import EncodedPair
 from repro.core.affected_nodes import (
     NEW_NODE,
     OLD_NODE,
@@ -116,6 +117,13 @@ class AffectedPair:
     key: tuple
     old_node: Any
     new_node: Any
+    #: The pair's serialized nodes, filled on first read.  The statement's
+    #: pairs memo hands one pair to every sibling group, so every firing of
+    #: the pair — and every encoder behind it — shares this one holder.
+    encoded: EncodedPair = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.encoded = EncodedPair(self.old_node, self.new_node)
 
 
 class SharedSides:

@@ -43,6 +43,7 @@ from repro.relational.database import Database
 from repro.relational.dml import Batch, BatchResult, BulkLoad, Statement, StatementResult
 from repro.relational.triggers import StatementTrigger, TriggerContext, TriggerEvent
 from repro.xmlmodel.node import XmlNode
+from repro.xmlmodel.serialize import EncodedPair
 from repro.xmlmodel.xpath import XPath
 from repro.xqgm.physical import ResultCache
 from repro.xqgm.views import PathGraph, ViewDefinition
@@ -88,6 +89,8 @@ class FiredTrigger:
     old_node: XmlNode | None
     new_node: XmlNode | None
     action_call: ActionCall | None = None
+    #: The affected pair's serialized nodes (shared by every firing of it).
+    encoded: EncodedPair | None = None
 
 
 @dataclass
@@ -422,11 +425,14 @@ class ActiveViewService:
         """Register a hook invoked with every :class:`FiredTrigger` as it fires.
 
         Listeners run synchronously on the executing thread, after the
-        trigger's action function.  The serving layer uses this to fan
-        activations out to subscriber queues; tests use it to observe firings
-        without going through ``service.fired``.
+        trigger's action function, **most recently registered first**.  The
+        serving layer registers its fan-out when the server is built, so a
+        listener added to a served service has seen a firing before any
+        subscriber — in this process or across a socket — can receive it.
+        Tests use listeners to observe firings without going through
+        ``service.fired``.
         """
-        self._listeners.append(listener)
+        self._listeners.insert(0, listener)
 
     def remove_activation_listener(self, listener: Callable[[FiredTrigger], None]) -> None:
         """Remove a previously registered activation listener (idempotent)."""
@@ -1003,6 +1009,7 @@ class ActiveViewService:
                         old_node=pair.old_node,
                         new_node=pair.new_node,
                         action_call=call,
+                        encoded=pair.encoded,
                     )
                     self._fired.append(fired)
                     for listener in self._listeners:

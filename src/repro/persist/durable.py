@@ -57,6 +57,10 @@ OUTBOX_FILE = "outbox.log"
 CURSORS_FILE = "cursors.log"
 META_FILE = "meta.log"
 
+#: In-memory outbox entries at which an append first re-checks what every
+#: known subscriber has acked (see ``DurableServer._drop_acked``).
+PENDING_RECHECK = 1024
+
 
 class _RegistryLog:
     """Shared DDL-log handling: replay, recording, and compaction."""
@@ -257,6 +261,8 @@ class DurableServer:
           ddl.log         registry: view registrations + trigger specs
           shard<i>/       snapshot.bin + wal.log per shard
           outbox.log      accepted activations not yet acked by everyone
+                          (as of the last snapshot; acked ones leave memory
+                          on ack, the file when snapshot() compacts it)
           cursors.log     per-subscriber per-shard ack cursors + sequences
 
     Construction recovers everything: shard databases (snapshot + WAL
@@ -321,9 +327,11 @@ class DurableServer:
         )
 
         # Outbox + cursors: pending activations and where each named
-        # subscriber's consumption stands.  _pending mirrors the outbox file
-        # (restored entries + everything accepted since open) and is guarded
-        # by _pending_lock because shard workers append concurrently and
+        # subscriber's consumption stands.  _pending holds, in outbox order,
+        # every accepted activation some known subscriber has not acked, plus
+        # a bounded number of acked ones not yet forgotten (_drop_acked; the
+        # file keeps them until snapshot() compacts it).  It is guarded by
+        # _pending_lock because shard workers append concurrently and
         # subscribe() reads it for the redelivery backlog.
         self.outbox = RecordLog(self.directory / OUTBOX_FILE, sync=sync)
         self._pending_lock = threading.Lock()
@@ -370,6 +378,7 @@ class DurableServer:
         self._accepted: dict[int, int] = {
             shard: seq for shard, seq in enumerate(sequences)
         }
+        self._drop_acked()
         #: Activations re-enqueued per subscriber name on this open.
         self.redelivered: dict[str, int] = {}
         #: Acks naming a position beyond the stream head (never persisted).
@@ -404,14 +413,54 @@ class DurableServer:
 
     def _log_activation(self, activation: Activation) -> None:
         # Runs on the shard worker thread, before any subscriber delivery:
-        # "accepted" means "in the outbox".  The in-memory mirror keeps
-        # subscribe()'s backlog computation accurate mid-process.
+        # "accepted" means "in the outbox".  The frame is built before the
+        # lock is taken (the sibling activations of one node share one
+        # serialization through the activation's encoded-pair holder), so
+        # shard workers contend only for the file write.
+        frame = RecordLog.frame(activation_to_record(activation))
         with self._pending_lock:
-            self.outbox.append(activation_to_record(activation))
+            self.outbox.append_frame(frame)
             self._pending.append(activation)
             self._accepted[activation.shard] = max(
                 self._accepted.get(activation.shard, 0), activation.sequence
             )
+            if len(self._pending) >= self._recheck_at:
+                self._drop_acked()
+
+    def _ack_floor(self) -> dict[int, int]:
+        """Per shard, the position every known subscriber has acked.
+
+        Activations at or below it can never be redelivered to anyone.
+        With no subscribers at all, nothing retained is ever consumable
+        (a future new name starts at the accepted watermark), so the floor
+        is the watermark itself — otherwise the outbox would grow forever.
+        """
+        cursors = list(self._cursors.values())
+        return {
+            shard: min(
+                (cursor.get(shard, 0) for cursor in cursors),
+                default=self._accepted.get(shard, 0),
+            )
+            for shard in range(self.sharded.shard_count)
+        }
+
+    def _unacked(self) -> list[Activation]:
+        """In-memory outbox entries some known subscriber has not acked."""
+        floor = self._ack_floor()
+        return [a for a in self._pending if a.sequence > floor[a.shard]]
+
+    def _drop_acked(self) -> None:
+        """Forget in-memory outbox entries nobody can be redelivered.
+
+        Caller holds ``_pending_lock``.  Runs when an append finds
+        ``_pending`` at its re-check mark, which is then set to twice what
+        survived: amortized O(1) per activation, nothing on the ack path,
+        and ``_pending`` stays within ``max(PENDING_RECHECK, 2 x unacked)``
+        however long the server runs.  The outbox *file* is compacted by
+        :meth:`snapshot` only.
+        """
+        self._pending = self._unacked()
+        self._recheck_at = max(PENDING_RECHECK, 2 * len(self._pending))
 
     def _on_ack(self, subscriber: str, shard: int, sequence: int) -> None:
         # _accepted only grows and an activation is accepted before any
@@ -588,14 +637,6 @@ class DurableServer:
             wal.truncate()
         service = self.server.services[0]
         self._registry.compact(service.views, list(service.triggers))
-        # Keep only activations some known subscriber still has not acked.
-        # With no subscribers at all, nothing retained is ever consumable
-        # (a future new name starts at the accepted watermark), so the floor
-        # is the watermark itself — otherwise the outbox would grow forever.
-        floor: dict[int, int] = {}
-        for shard in range(self.sharded.shard_count):
-            acked = [cursor.get(shard, 0) for cursor in self._cursors.values()]
-            floor[shard] = min(acked) if acked else self._accepted.get(shard, 0)
         # Cursor/sequence state is rewritten BEFORE the outbox is compacted:
         # a crash between the two leaves acked entries in the outbox (cursors
         # filter them out on redelivery — harmless), whereas the opposite
@@ -613,13 +654,10 @@ class DurableServer:
         )
         self.cursors.rewrite(cursor_records)
         with self._pending_lock:
-            retained = [
-                activation
-                for activation in _dedupe_activations(self._pending)
-                if activation.sequence > floor.get(activation.shard, 0)
-            ]
-            self.outbox.rewrite(activation_to_record(a) for a in retained)
-            self._pending = retained
+            # Keep only activations some known subscriber still has not acked.
+            self._drop_acked()
+            self._pending = _dedupe_activations(self._pending)
+            self.outbox.rewrite(activation_to_record(a) for a in self._pending)
 
     def durability_report(self) -> dict:
         """Wire-encodable snapshot of the outbox and cursor state.
@@ -627,9 +665,11 @@ class DurableServer:
         Surfaced by the network front end's ``stats`` frame so an operator
         can see, per durable subscriber, how far its cursor lags the
         accepted watermark (the redelivery debt a crash would incur).
+        ``outbox_pending`` counts the accepted activations some known
+        subscriber has not acked.
         """
         with self._pending_lock:
-            pending = len(self._pending)
+            pending = len(self._unacked())
             accepted = dict(self._accepted)
             cursors = {
                 name: dict(cursor) for name, cursor in list(self._cursors.items())

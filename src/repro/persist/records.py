@@ -12,8 +12,10 @@ and the outbox all share one vocabulary:
 * XML trigger specs ↔ their declarative fields (name, event, view, path,
   condition text, action call) — the whole translation pipeline re-derives
   SQL triggers, groups, and constants tables from these at recovery;
-* activations ↔ scalars plus the OLD/NEW nodes serialized as XML text
-  (re-parsed on redelivery).
+* activations ↔ scalars plus the OLD/NEW nodes as XML text, read from the
+  activation's :class:`~repro.xmlmodel.serialize.EncodedPair` (one
+  serialization per affected pair, whoever encodes first) and re-parsed on
+  redelivery.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from repro.relational.types import DataType
 from repro.relational.triggers import TriggerEvent
 from repro.serving.subscribers import Activation
 from repro.xmlmodel.parse import parse_xml
-from repro.xmlmodel.serialize import serialize
+from repro.xmlmodel.serialize import EncodedPair
 
 __all__ = [
     "schema_to_record",
@@ -131,7 +133,13 @@ def spec_from_record(record: dict) -> TriggerSpec:
 
 
 def activation_to_record(activation: Activation) -> dict:
-    """Serialize an activation; OLD/NEW nodes become XML text."""
+    """Serialize an activation; OLD/NEW nodes become XML text.
+
+    The text comes from the activation's encoded-pair holder, so the sibling
+    activations of one affected node and every encoder of one activation
+    (outbox, TCP frame, WebSocket frame) share one serialization.
+    """
+    encoded = activation.encoded
     return {
         "shard": activation.shard,
         "sequence": activation.sequence,
@@ -140,8 +148,8 @@ def activation_to_record(activation: Activation) -> dict:
         "path": list(activation.path),
         "event": activation.event.value,
         "key": list(activation.key),
-        "old": serialize(activation.old_node) if activation.old_node is not None else None,
-        "new": serialize(activation.new_node) if activation.new_node is not None else None,
+        "old": encoded.old_text,
+        "new": encoded.new_text,
     }
 
 
@@ -173,7 +181,14 @@ def _parse_node(source: str, cache: MutableMapping[str, Any] | None):
 def activation_from_record(
     record: dict, *, node_cache: MutableMapping[str, Any] | None = None
 ) -> Activation:
-    """Rebuild an activation, re-parsing (or cache-sharing) the nodes."""
+    """Rebuild an activation, re-parsing (or cache-sharing) the nodes.
+
+    The received text fills the activation's encoded-pair holder, so
+    redelivering or re-encoding a decoded activation serializes nothing.
+    """
+    old_text, new_text = record["old"], record["new"]
+    old_node = _parse_node(old_text, node_cache) if old_text is not None else None
+    new_node = _parse_node(new_text, node_cache) if new_text is not None else None
     return Activation(
         shard=record["shard"],
         sequence=record["sequence"],
@@ -182,12 +197,7 @@ def activation_from_record(
         path=tuple(record["path"]),
         event=TriggerEvent(record["event"]),
         key=tuple(record["key"]),
-        old_node=(
-            _parse_node(record["old"], node_cache)
-            if record["old"] is not None else None
-        ),
-        new_node=(
-            _parse_node(record["new"], node_cache)
-            if record["new"] is not None else None
-        ),
+        old_node=old_node,
+        new_node=new_node,
+        encoded=EncodedPair(old_node, new_node, old_text, new_text),
     )

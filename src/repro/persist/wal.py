@@ -78,10 +78,18 @@ class RecordLog:
 
     # ------------------------------------------------------------------ writing
 
+    @staticmethod
+    def frame(record: dict) -> bytes:
+        """One record as the bytes :meth:`append_frame` writes (no I/O, no lock)."""
+        payload = encode_value(record)
+        return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+
     def append(self, record: dict) -> None:
         """Append one record (a dict of codec-encodable values)."""
-        payload = encode_value(record)
-        frame = _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+        self.append_frame(self.frame(record))
+
+    def append_frame(self, frame: bytes) -> None:
+        """Append one already framed record (see :meth:`frame`)."""
         with self._lock:
             self._file.write(frame)
             if self.sync != "none":
@@ -116,8 +124,7 @@ class RecordLog:
         tmp = self.path.with_name(self.path.name + ".tmp")
         with open(tmp, "wb") as handle:
             for record in records:
-                payload = encode_value(record)
-                handle.write(_HEADER.pack(len(payload), zlib.crc32(payload)) + payload)
+                handle.write(self.frame(record))
             handle.flush()
             os.fsync(handle.fileno())
         with self._lock:

@@ -516,7 +516,12 @@ class Database:
 
     @property
     def statement_log(self) -> list[StatementResult]:
-        """All statements executed so far (most recent last)."""
+        """Statements executed so far (most recent last).
+
+        Under a serving layer this is a recent window, not a history: a
+        shard worker trims it after every micro-batch
+        (:data:`repro.serving.server.HISTORY_WINDOW`).
+        """
         return self._statement_log
 
     def row_count(self, table: str) -> int:

@@ -14,8 +14,15 @@ the ``activation_batch`` shape on top), the web gateway's
 WebSocket TEXT frame around a JSON body.
 
 Entries pin their activation objects, which keeps the ``id()`` keys stable
-while cached; eviction is FIFO-bounded, sized so a fan-out burst stays
-resident.  All methods are thread-safe and callable from any loop thread.
+while cached — and with them the activations' node trees, so the cache is
+bounded by the **bytes of the frames it holds**, not by an entry count: a
+2 KB single frame and a 200 KB batch frame each pin memory in proportion to
+their size.  Eviction is FIFO; the budget covers a fan-out burst (see
+:data:`FRAME_BUDGET_BYTES`), and a connection that comes for an evicted
+frame re-encodes it — a counted miss, never an error.  The record an entry
+keeps costs no second serialization either way: its node text lives in the
+activation's :class:`~repro.xmlmodel.serialize.EncodedPair`.  All methods
+are thread-safe and callable from any loop thread.
 """
 
 from __future__ import annotations
@@ -27,36 +34,62 @@ from repro.persist.records import activation_to_record
 from repro.serving.net.protocol import encode_frame
 from repro.serving.subscribers import Activation
 
-__all__ = ["FrameCache", "SharedFrameCache"]
+__all__ = ["FrameCache", "SharedFrameCache", "FRAME_BUDGET_BYTES"]
+
+#: Frame bytes one cache keeps per frame shape (single, batch).  A frame has
+#: to stay resident from its first encode until the slowest subscribed
+#: connection has been handed it — one fan-out burst, which the per-
+#: subscription send buffer bounds (256 activations by default, 0.5-2 KB a
+#: frame): 4 MiB leaves that burst an order of magnitude of headroom for
+#: loops running out of step, and caps what the entries pin.
+FRAME_BUDGET_BYTES = 4 * 1024 * 1024
+
+
+class _FrameStore:
+    """FIFO dict of entries ending in their frame, bounded by frame bytes."""
+
+    def __init__(self, budget: int) -> None:
+        self.budget = budget
+        self.bytes = 0
+        self.entries: dict = {}
+
+    def put(self, key, entry: tuple) -> None:
+        replaced = self.entries.pop(key, None)
+        if replaced is not None:
+            self.bytes -= len(replaced[-1])
+        self.entries[key] = entry
+        self.bytes += len(entry[-1])
+        while self.bytes > self.budget:
+            evicted = self.entries.pop(next(iter(self.entries)))
+            self.bytes -= len(evicted[-1])
 
 
 class FrameCache:
-    """Identity-keyed, FIFO-bounded cache of one frame per activation."""
+    """Identity-keyed, FIFO cache of one frame per activation, bounded in bytes."""
 
     def __init__(
-        self, encode: Callable[[dict], bytes], capacity: int = 2048
+        self, encode: Callable[[dict], bytes], budget_bytes: int = FRAME_BUDGET_BYTES
     ) -> None:
         #: Activation wire record → the complete frame every subscriber gets.
         self._encode = encode
-        self.capacity = capacity
         self._lock = threading.Lock()
         # id(activation) -> (activation, wire record, frame bytes)
-        self._singles: dict[int, tuple[Activation, dict, bytes]] = {}
+        self._singles = _FrameStore(budget_bytes)
+
+    @property
+    def retained_bytes(self) -> int:
+        """Bytes of the frames currently cached (at most the budget per shape)."""
+        return self._singles.bytes
 
     def _single_entry(self, activation: Activation) -> tuple[tuple, bool]:
         # lock held by the caller
-        entry = self._singles.get(id(activation))
+        entry = self._singles.entries.get(id(activation))
         if entry is not None and entry[0] is activation:
             return entry, True
         record = activation_to_record(activation)
         entry = (activation, record, self._encode(record))
-        self._singles[id(activation)] = entry
-        self._trim(self._singles)
+        self._singles.put(id(activation), entry)
         return entry, False
-
-    def _trim(self, cache: dict) -> None:
-        while len(cache) > self.capacity:
-            cache.pop(next(iter(cache)))
 
     def single_frame(self, activation: Activation) -> tuple[bytes, bool]:
         """The frame carrying one activation alone; returns (bytes, hit)."""
@@ -76,13 +109,18 @@ class SharedFrameCache(FrameCache):
       hot-subscription case) share one encode.
     """
 
-    def __init__(self, capacity: int = 2048) -> None:
+    def __init__(self, budget_bytes: int = FRAME_BUDGET_BYTES) -> None:
         super().__init__(
             lambda record: encode_frame({"type": "activation", "payload": record}),
-            capacity,
+            budget_bytes,
         )
         # tuple of ids -> (activations, batch frame bytes)
-        self._batches: dict[tuple, tuple[tuple[Activation, ...], bytes]] = {}
+        self._batches = _FrameStore(budget_bytes)
+
+    @property
+    def retained_bytes(self) -> int:
+        """Bytes of the single and batch frames currently cached."""
+        return self._singles.bytes + self._batches.bytes
 
     def frame_size(self, activation: Activation) -> int:
         """Encoded size of one activation's single frame (batch byte budget).
@@ -101,7 +139,7 @@ class SharedFrameCache(FrameCache):
         """The ``activation_batch`` frame for a run; returns (bytes, hit)."""
         key = tuple(id(a) for a in activations)
         with self._lock:
-            entry = self._batches.get(key)
+            entry = self._batches.entries.get(key)
             if entry is not None and all(
                 cached is live for cached, live in zip(entry[0], activations)
             ):
@@ -110,6 +148,5 @@ class SharedFrameCache(FrameCache):
             frame = encode_frame(
                 {"type": "activation_batch", "payloads": records}
             )
-            self._batches[key] = (tuple(activations), frame)
-            self._trim(self._batches)
+            self._batches.put(key, (tuple(activations), frame))
             return frame, False

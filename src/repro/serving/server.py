@@ -61,6 +61,14 @@ __all__ = ["ActiveViewServer", "Ticket", "ShardStats"]
 #: Queue sentinel asking a shard worker to exit.
 _STOP = object()
 
+#: Entries a serving shard keeps in each of its history lists (its
+#: service's ``fired`` / ``action_calls``, its database's ``statement_log``).
+#: The lists exist for inspection (a batch's firings travel on its result,
+#: activations go to subscribers), so a worker forgets everything older
+#: after every micro-batch and a server's memory does not grow with the
+#: statements it has served.
+HISTORY_WINDOW = 1024
+
 
 class Ticket:
     """Completion handle for one submitted statement.
@@ -406,6 +414,7 @@ class ActiveViewServer:
                 key=fired.key,
                 old_node=fired.old_node,
                 new_node=fired.new_node,
+                encoded=fired.encoded,
             )
             for hook in self._activation_hooks:
                 hook(activation)
@@ -520,7 +529,12 @@ class ActiveViewServer:
 
     @property
     def fired(self) -> list[FiredTrigger]:
-        """All firings across shards (per-shard order preserved, shards concatenated)."""
+        """Recent firings across shards (per-shard order preserved, shards concatenated).
+
+        A window, not a history: each shard worker keeps its last
+        :data:`HISTORY_WINDOW` firings.  Consume activations through
+        :meth:`subscribe`.
+        """
         combined: list[FiredTrigger] = []
         for service in self.services:
             combined.extend(service.fired)
@@ -601,6 +615,10 @@ class ActiveViewServer:
                     break
                 chunk.append(extra)
             self._run_chunk(service, stats, chunk)
+            for history in (
+                service.fired, service.action_calls, service.database.statement_log
+            ):
+                del history[:-HISTORY_WINDOW]
             for _ in chunk:
                 shard_queue.task_done()
 

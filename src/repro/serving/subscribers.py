@@ -23,11 +23,12 @@ from __future__ import annotations
 
 import queue
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from repro.relational.triggers import TriggerEvent
 from repro.xmlmodel.node import XmlNode
+from repro.xmlmodel.serialize import EncodedPair
 
 __all__ = ["Activation", "Subscriber"]
 
@@ -39,6 +40,11 @@ class Activation:
     ``sequence`` increases monotonically per shard, so
     ``(shard, sequence)`` totally orders the activations produced by one
     shard worker — and therefore all activations of any single node.
+
+    ``encoded`` holds the nodes' serialized text, shared by reference with
+    every other activation of the same affected pair: whichever encoder
+    reads it first (outbox, TCP frame, WebSocket frame) serializes, the
+    rest reuse.  An activation built without one makes its own.
     """
 
     shard: int
@@ -50,6 +56,13 @@ class Activation:
     key: tuple
     old_node: XmlNode | None
     new_node: XmlNode | None
+    encoded: EncodedPair | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.encoded is None:
+            object.__setattr__(
+                self, "encoded", EncodedPair(self.old_node, self.new_node)
+            )
 
 
 class Subscriber:

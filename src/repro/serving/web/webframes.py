@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 
-from repro.serving.net.frames import FrameCache
+from repro.serving.net.frames import FRAME_BUDGET_BYTES, FrameCache
 from repro.serving.subscribers import Activation
 from repro.serving.web.wsproto import OP_TEXT, encode_frame
 
@@ -27,10 +27,10 @@ def text_frame(message: dict) -> bytes:
 class JsonFrameCache(FrameCache):
     """Encode each activation's WebSocket TEXT frame once, share it."""
 
-    def __init__(self, capacity: int = 2048) -> None:
+    def __init__(self, budget_bytes: int = FRAME_BUDGET_BYTES) -> None:
         super().__init__(
             lambda record: text_frame({"type": "activation", "payload": record}),
-            capacity,
+            budget_bytes,
         )
 
     def frame(self, activation: Activation) -> bytes:

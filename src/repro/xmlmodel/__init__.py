@@ -28,7 +28,7 @@ from repro.xmlmodel.node import (
     fragment,
     text,
 )
-from repro.xmlmodel.serialize import serialize
+from repro.xmlmodel.serialize import EncodedPair, serialize
 from repro.xmlmodel.parse import parse_xml
 from repro.xmlmodel.xpath import XPath, evaluate_xpath, parse_xpath
 
@@ -36,6 +36,7 @@ __all__ = [
     "Attribute",
     "Document",
     "Element",
+    "EncodedPair",
     "Fragment",
     "Text",
     "XmlNode",

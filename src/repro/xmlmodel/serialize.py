@@ -1,9 +1,11 @@
 """Serialization of XML nodes to text.
 
-Used by examples, the baseline's node comparison, and tests.  The output is
-deterministic (attribute order is the insertion order recorded on the
-element), which is what makes the paper's "string comparison in the tagger"
-(Appendix E.1) a sound way to detect ``OLD_NODE = NEW_NODE``.
+Used by examples, the baseline's node comparison, tests, and — through
+:class:`EncodedPair` — by everything that writes an activation's nodes to
+a log or a socket.  The output is deterministic (attribute order is the
+insertion order recorded on the element), which is what makes the paper's
+"string comparison in the tagger" (Appendix E.1) a sound way to detect
+``OLD_NODE = NEW_NODE``.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from repro.errors import XmlError
 from repro.xmlmodel.node import Document, Element, Fragment, Text, XmlNode
 
-__all__ = ["serialize", "escape_text", "escape_attribute"]
+__all__ = ["serialize", "escape_text", "escape_attribute", "EncodedPair"]
 
 _TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
 _ATTR_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"}
@@ -85,3 +87,49 @@ def _serialize_element(node: Element, parts: list[str], indent: int | None, dept
             _serialize(child, parts, indent, depth + 1)
     parts.append("\n")
     parts.append(f"{pad}</{node.name}>")
+
+
+class EncodedPair:
+    """Compact XML text of one (OLD_NODE, NEW_NODE) pair, serialized at most once.
+
+    Section 5 computes each affected pair once per statement however many
+    triggers watch the node; this holder extends that to the pair's *text*.
+    It is created with the pair, handed by reference to every firing of the
+    pair, and read by every encoder behind it (outbox record, TCP frame,
+    WebSocket frame), so one statement serializes each distinct node once.
+
+    The text lives here, not on the node: an :class:`Element` is mutable,
+    a delivered pair is a read-only snapshot.  Filling is idempotent — two
+    threads racing on an empty slot both store the same string — so readers
+    on shard workers and event loops need no lock.
+    """
+
+    __slots__ = ("_old_node", "_new_node", "_old_text", "_new_text")
+
+    def __init__(
+        self,
+        old_node: XmlNode | None,
+        new_node: XmlNode | None,
+        old_text: str | None = None,
+        new_text: str | None = None,
+    ) -> None:
+        self._old_node = old_node
+        self._new_node = new_node
+        self._old_text = old_text
+        self._new_text = new_text
+
+    @property
+    def old_text(self) -> str | None:
+        """Serialized OLD_NODE (``None`` when the pair has no old node)."""
+        text = self._old_text
+        if text is None and self._old_node is not None:
+            text = self._old_text = serialize(self._old_node)
+        return text
+
+    @property
+    def new_text(self) -> str | None:
+        """Serialized NEW_NODE (``None`` when the pair has no new node)."""
+        text = self._new_text
+        if text is None and self._new_node is not None:
+            text = self._new_text = serialize(self._new_node)
+        return text

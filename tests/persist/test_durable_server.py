@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import PersistenceError
 from repro.persist import DurableServer
+from repro.persist import durable as durable_module
 from repro.relational import Column, DataType, ForeignKey, TableSchema
 from repro.relational.dml import UpdateStatement
 from repro.xqgm.views import catalog_view
@@ -179,6 +180,72 @@ def test_snapshot_with_no_subscribers_drops_outbox(tmp_path):
     with recovered:
         recovered.execute(UpdateStatement("vendor", {"price": 11.0}, keys=[("Amazon", "P1")]))
     assert max(recovered.server.sequences) == 2
+    recovered.close()
+
+
+def test_outbox_pending_counts_what_someone_has_not_acked(tmp_path):
+    server = open_server(tmp_path)
+    populate(server)
+    inbox = server.subscribe("inbox", capacity=64)
+    audit = server.subscribe("audit", capacity=64)
+    with server:
+        server.execute(UpdateStatement("vendor", {"price": 10.0}, keys=[("Amazon", "P1")]))
+        server.execute(UpdateStatement("vendor", {"price": 20.0}, keys=[("Amazon", "P1")]))
+    first, second = inbox.drain()
+    inbox.ack(second)
+    assert server.durability_report()["outbox_pending"] == 2  # audit acked nothing
+    audit.ack(first)
+    assert server.durability_report()["outbox_pending"] == 1
+    audit.ack(second)
+    assert server.durability_report()["outbox_pending"] == 0
+    server.close()
+
+
+def test_crash_redelivers_exactly_the_unacked_after_acks_trimmed_the_mirror(
+    tmp_path, monkeypatch
+):
+    """Differential against the cursors: the in-memory outbox forgets what
+    every subscriber has acked while the server runs, and a resumed
+    subscriber still gets exactly what *its* cursor has not covered —
+    nothing above the slower of two cursors is ever dropped."""
+    monkeypatch.setattr(durable_module, "PENDING_RECHECK", 4)
+    server = open_server(tmp_path)
+    populate(server)
+    fast = server.subscribe("fast", capacity=256)
+    slow = server.subscribe("slow", capacity=256)
+    stream = []
+    slow_acks = 7
+    with server:
+        for step in range(24):
+            key = (("Amazon", "P1"), ("Buy.com", "P2"))[step % 2]
+            server.execute(UpdateStatement("vendor", {"price": 300.0 + step}, keys=[key]))
+            for activation in fast.drain():
+                stream.append(activation)
+                fast.ack(activation)
+            for activation in slow.drain():
+                if slow_acks:
+                    slow_acks -= 1
+                    slow.ack(activation)
+    assert len(stream) == 24
+
+    def position(activation):
+        return activation.shard, activation.sequence
+
+    cursor = slow.acked
+    unacked = [position(a) for a in stream if a.sequence > cursor.get(a.shard, 0)]
+    assert len(unacked) == 24 - 7
+    mirror = [position(a) for a in server._pending]
+    assert len(mirror) < len(stream)  # acked-by-both entries were forgotten ...
+    assert set(unacked) <= set(mirror)  # ... and nothing slow still needs
+    assert server.durability_report()["outbox_pending"] == len(unacked)
+    # Crash: no close(), no snapshot().
+
+    recovered = open_server(tmp_path)
+    assert recovered.durability_report()["outbox_pending"] == len(unacked)
+    resumed = recovered.subscribe("slow", capacity=256)
+    assert sorted(position(a) for a in resumed.drain()) == sorted(unacked)
+    assert recovered.subscribe("fast", capacity=256).drain() == []
+    assert recovered.redelivered == {"slow": len(unacked), "fast": 0}
     recovered.close()
 
 

@@ -540,7 +540,8 @@ class TestStatsPlumbing:
                 sub["name"] == "watcher" for sub in net_stats["subscriptions"]
             )
             durability = stats["durability"]
-            assert durability["outbox_pending"] >= 1
+            # "pending" means unacked by someone: the only subscriber acked.
+            assert durability["outbox_pending"] == 0
             cursor = durability["cursors"]["watcher"]
             assert cursor[activation.shard] == activation.sequence
         finally:
