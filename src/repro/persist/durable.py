@@ -27,6 +27,8 @@ DDL log.  ``docs/operations.md`` is the runbook for all of this.
 
 from __future__ import annotations
 
+import itertools
+import math
 import os
 import pathlib
 import threading
@@ -36,8 +38,8 @@ from repro.core.service import ActiveViewService, ExecutionMode
 from repro.core.trigger import TriggerSpec
 from repro.errors import CursorError, PersistenceError, RecoveryError
 from repro.persist.records import (
-    activation_from_record,
-    activation_to_record,
+    bundle_from_record,
+    bundle_to_record,
     spec_from_record,
     spec_to_record,
 )
@@ -326,20 +328,10 @@ class DurableServer:
             self._resolver,
         )
 
-        # Outbox + cursors: pending activations and where each named
-        # subscriber's consumption stands.  _pending holds, in outbox order,
-        # every accepted activation some known subscriber has not acked, plus
-        # a bounded number of acked ones not yet forgotten (_drop_acked; the
-        # file keeps them until snapshot() compacts it).  It is guarded by
-        # _pending_lock because shard workers append concurrently and
-        # subscribe() reads it for the redelivery backlog.
-        self.outbox = RecordLog(self.directory / OUTBOX_FILE, sync=sync)
-        self._pending_lock = threading.Lock()
-        self._pending: list[Activation] = [
-            activation_from_record(record) for record in self.outbox.replay()
-        ]
-        if self.outbox.torn_tail:
-            self.outbox.trim()
+        # Cursors + outbox: where each named subscriber's consumption
+        # stands, and the pending activations.  The cursors are read first, so
+        # an outbox bundle every known subscriber has acked is dropped on its
+        # ``shard`` / ``last`` fields alone, no node parsed.
         self.cursors = RecordLog(self.directory / CURSORS_FILE, sync=sync)
         self._cursors: dict[str, dict[int, int]] = {}
         sequences = [0] * shard_count
@@ -360,10 +352,30 @@ class DurableServer:
                 raise RecoveryError(f"unknown cursor record kind {kind!r}")
         if self.cursors.torn_tail:
             self.cursors.trim()
-        for activation in self._pending:
-            sequences[activation.shard] = max(
-                sequences[activation.shard], activation.sequence
-            )
+        # _pending holds, in outbox order, every accepted activation some
+        # known subscriber has not acked, plus a bounded number of acked ones
+        # not yet forgotten (_drop_acked; the file keeps them until
+        # snapshot() compacts it).  It is guarded by _pending_lock because
+        # shard workers append concurrently and subscribe() reads it for the
+        # redelivery backlog.
+        self.outbox = RecordLog(self.directory / OUTBOX_FILE, sync=sync)
+        self._pending_lock = threading.Lock()
+        self._pending: list[Activation] = []
+        floor = self._ack_floor()
+        for record in self.outbox.replay():
+            if "acts" not in record:
+                raise RecoveryError(
+                    f"{self.outbox.path} holds per-activation records written "
+                    "by an earlier version; with that version, let every "
+                    "subscriber ack what it received and call snapshot() (an "
+                    "empty outbox carries over), then reopen"
+                )
+            shard, last = record["shard"], record["last"]
+            sequences[shard] = max(sequences[shard], last)
+            if last > floor[shard]:
+                self._pending.extend(bundle_from_record(record, floor[shard]))
+        if self.outbox.torn_tail:
+            self.outbox.trim()
         # Ack cursors are also sequence floors: an acked (shard, seq) must
         # have existed.  This keeps numbering correct even if a crash landed
         # between outbox compaction and the cursor-log rewrite.
@@ -373,8 +385,8 @@ class DurableServer:
         self.server.seed_sequences(sequences)
         # Per-shard watermark of activations *accepted into the outbox*,
         # maintained under _pending_lock.  It lags the server's sequence
-        # counter by exactly the hook-in-flight window, which is what makes
-        # it the correct initial cursor for a brand-new subscriber.
+        # counter by exactly the bundle being collected or appended, which is
+        # what makes it the correct initial cursor for a brand-new subscriber.
         self._accepted: dict[int, int] = {
             shard: seq for shard, seq in enumerate(sequences)
         }
@@ -389,7 +401,7 @@ class DurableServer:
             lambda index, kind, payload: self.wals[index].log_event(kind, payload)
         )
         self.server.services[0].add_ddl_listener(self._registry.record)
-        self.server.add_activation_hook(self._log_activation)
+        self.server.add_activation_hook(self._log_bundle)
 
     # ------------------------------------------------------------------ meta
 
@@ -411,36 +423,31 @@ class DurableServer:
 
     # ------------------------------------------------------------------ durability
 
-    def _log_activation(self, activation: Activation) -> None:
+    def _log_bundle(self, bundle: Sequence[Activation]) -> None:
         # Runs on the shard worker thread, before any subscriber delivery:
-        # "accepted" means "in the outbox".  The frame is built before the
-        # lock is taken (the sibling activations of one node share one
-        # serialization through the activation's encoded-pair holder), so
-        # shard workers contend only for the file write.
-        frame = RecordLog.frame(activation_to_record(activation))
+        # "accepted" means "in the outbox".  The bundle is one record, framed
+        # before the lock is taken, so shard workers contend only for one
+        # file write and flush per micro-batch.
+        frame = RecordLog.frame(bundle_to_record(bundle))
+        shard, last = bundle[-1].shard, bundle[-1].sequence
         with self._pending_lock:
             self.outbox.append_frame(frame)
-            self._pending.append(activation)
-            self._accepted[activation.shard] = max(
-                self._accepted.get(activation.shard, 0), activation.sequence
-            )
+            self._pending.extend(bundle)
+            self._accepted[shard] = max(self._accepted.get(shard, 0), last)
             if len(self._pending) >= self._recheck_at:
                 self._drop_acked()
 
-    def _ack_floor(self) -> dict[int, int]:
+    def _ack_floor(self) -> dict[int, float]:
         """Per shard, the position every known subscriber has acked.
 
         Activations at or below it can never be redelivered to anyone.
         With no subscribers at all, nothing retained is ever consumable
         (a future new name starts at the accepted watermark), so the floor
-        is the watermark itself — otherwise the outbox would grow forever.
+        is infinite — otherwise the outbox would grow forever.
         """
         cursors = list(self._cursors.values())
         return {
-            shard: min(
-                (cursor.get(shard, 0) for cursor in cursors),
-                default=self._accepted.get(shard, 0),
-            )
+            shard: min((cursor.get(shard, 0) for cursor in cursors), default=math.inf)
             for shard in range(self.sharded.shard_count)
         }
 
@@ -473,9 +480,11 @@ class DurableServer:
             # never have received.  Refuse and count.
             self.acks_refused += 1
             return
+        known = subscriber in self._cursors
         cursor = self._cursors.setdefault(subscriber, {})
-        if sequence > cursor.get(shard, 0):
-            cursor[shard] = sequence
+        if known and sequence <= cursor.get(shard, 0):
+            return  # a repeated ack (after a redelivery, say) moves nothing
+        cursor[shard] = sequence
         self.cursors.append(
             {"kind": "ack", "sub": subscriber, "shard": shard, "seq": sequence}
         )
@@ -527,7 +536,7 @@ class DurableServer:
 
         ``subscriber`` optionally injects a pre-built subscriber (the
         network front end passes one whose delivery hands off to its event
-        loop).  An injected subscriber's ``_offer`` must be non-blocking;
+        loop).  An injected subscriber's ``_offer_many`` must be non-blocking;
         in exchange it owns its own overflow policy, so the backlog-fits-
         capacity check is skipped — a refused backlog entry stays unacked
         in the outbox and is simply redelivered on the next resume, which
@@ -551,7 +560,7 @@ class DurableServer:
         # activation whose hook ran but whose fan-out is still in flight can
         # arrive twice — at-least-once permits that.  Lock order (pending ->
         # subscribers) matches the producer path, and the capacity check
-        # keeps the _offer loop non-blocking, so no deadlock.
+        # keeps the backlog hand-off non-blocking, so no deadlock.
         with self._pending_lock:
             known = name in self._cursors
             if known:
@@ -567,8 +576,7 @@ class DurableServer:
                         f"redeliver but capacity {capacity}; subscribe with a "
                         "larger capacity"
                     )
-                for activation in backlog:
-                    subscriber._offer(activation, give_up=lambda: False)
+                subscriber._offer_many(backlog, give_up=lambda: False)
                 self.redelivered[name] = len(backlog)
             else:
                 # The accepted watermark — not the server's sequence counter,
@@ -657,7 +665,10 @@ class DurableServer:
             # Keep only activations some known subscriber still has not acked.
             self._drop_acked()
             self._pending = _dedupe_activations(self._pending)
-            self.outbox.rewrite(activation_to_record(a) for a in self._pending)
+            self.outbox.rewrite(
+                bundle_to_record(list(run))
+                for _, run in itertools.groupby(self._pending, lambda a: a.shard)
+            )
 
     def durability_report(self) -> dict:
         """Wire-encodable snapshot of the outbox and cursor state.
@@ -687,7 +698,7 @@ class DurableServer:
         self.stop(drain=True)
         self.sharded.remove_commit_listeners(self._shard_wrappers)
         self.server.services[0].remove_ddl_listener(self._registry.record)
-        self.server.remove_activation_hook(self._log_activation)
+        self.server.remove_activation_hook(self._log_bundle)
         for wal in self.wals:
             wal.close()
         self._registry.log.close()

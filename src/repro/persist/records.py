@@ -15,7 +15,8 @@ and the outbox all share one vocabulary:
 * activations ↔ scalars plus the OLD/NEW nodes as XML text, read from the
   activation's :class:`~repro.xmlmodel.serialize.EncodedPair` (one
   serialization per affected pair, whoever encodes first) and re-parsed on
-  redelivery.
+  redelivery — one record per activation on the wire, one record per
+  *bundle* (a node table plus thin rows) in the outbox.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ __all__ = [
     "spec_from_record",
     "activation_to_record",
     "activation_from_record",
+    "bundle_to_record",
+    "bundle_from_record",
 ]
 
 
@@ -133,7 +136,7 @@ def spec_from_record(record: dict) -> TriggerSpec:
 
 
 def activation_to_record(activation: Activation) -> dict:
-    """Serialize an activation; OLD/NEW nodes become XML text.
+    """Serialize an activation for the wire; OLD/NEW nodes become XML text.
 
     The text comes from the activation's encoded-pair holder, so the sibling
     activations of one affected node and every encoder of one activation
@@ -201,3 +204,56 @@ def activation_from_record(
         new_node=new_node,
         encoded=EncodedPair(old_node, new_node, old_text, new_text),
     )
+
+
+def bundle_to_record(activations: Sequence[Activation]) -> dict:
+    """One shard's activations, in sequence order, as one outbox record.
+
+    ``nodes`` holds each distinct ``[OLD text, NEW text]`` once and ``acts``
+    one thin row per activation naming its nodes by index.  Distinct means
+    "of a different :class:`EncodedPair`" — sibling activations share theirs
+    by reference — so no text is hashed or compared.  ``shard`` and ``last``
+    (the highest sequence) come first: recovery drops a bundle everyone has
+    acked on those two alone.
+    """
+    nodes: list[list[str | None]] = []
+    index: dict[int, int] = {}
+    acts = []
+    for activation in activations:
+        encoded = activation.encoded
+        at = index.get(id(encoded))
+        if at is None:
+            at = index[id(encoded)] = len(nodes)
+            nodes.append([encoded.old_text, encoded.new_text])
+        acts.append([
+            activation.sequence, activation.trigger, activation.view,
+            activation.path, activation.event.value, activation.key, at,
+        ])
+    return {
+        "shard": activations[0].shard, "last": activations[-1].sequence,
+        "nodes": nodes, "acts": acts,
+    }
+
+
+def bundle_from_record(record: dict, after: float = 0) -> list[Activation]:
+    """The record's activations beyond sequence ``after``.
+
+    Each node they name is parsed once and each pair gets one
+    :class:`EncodedPair` holding the stored text, shared by its activations
+    — as when the bundle was produced.
+    """
+    shard = record["shard"]
+    pairs: dict[int, tuple] = {}
+    activations = []
+    for sequence, trigger, view, path, event, key, at in record["acts"]:
+        if sequence <= after:
+            continue
+        pair = pairs.get(at)
+        if pair is None:
+            texts = record["nodes"][at]
+            old, new = (None if text is None else parse_xml(text) for text in texts)
+            pair = pairs[at] = old, new, EncodedPair(old, new, *texts)
+        activations.append(Activation(
+            shard, sequence, trigger, view, path, TriggerEvent(event), key, *pair
+        ))
+    return activations

@@ -25,9 +25,9 @@ details live in :mod:`repro.serving.net.session`):
   queues via worker threads (``asyncio.to_thread``) in arrival order; a
   full shard queue blocks only that connection's dispatch loop, never an
   event loop.
-* **Activations outbound** — each subscription's ``_offer`` never blocks
-  the shard worker: it reserves a slot of the connection's bounded send
-  buffer and hands the activation to the owning loop.  Clients that
+* **Activations outbound** — each subscription's ``_offer_many`` never
+  blocks the shard worker: it reserves the bundle's slots of the
+  connection's bounded send buffer and hands the run to the owning loop.  Clients that
   negotiated the ``activation_batch`` capability get pending activations
   coalesced into one frame (count budget ``batch_max_count``, byte budget
   ``batch_max_bytes``, linger deadline ``batch_linger``); slots release

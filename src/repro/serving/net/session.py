@@ -31,7 +31,7 @@ from __future__ import annotations
 import asyncio
 import socket
 import threading
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.errors import CursorError, ProtocolError
 from repro.serving.subscribers import Activation, Subscriber
@@ -116,15 +116,15 @@ class WakeHub:
 class LoopSubscriber(Subscriber):
     """A subscriber whose delivery hands off to a connection's event loop.
 
-    ``_offer`` runs on the producing shard worker's thread and must never
-    block it (the in-process :class:`Subscriber` blocks on a full queue —
-    correct for one consumer thread, fatal for one slow socket among
-    thousands).  Instead it reserves a slot of the connection's bounded
-    send buffer under a lock, appends to a pending run, and makes sure one
-    *wakeup* is scheduled on the loop; the wakeup drains the whole run in
-    one callback.  The wakeup itself travels through the loop's
-    :class:`WakeHub`, so a burst touching many subscribers on one loop
-    pays for a single ``call_soon_threadsafe``, not one per subscriber.
+    ``_offer_many`` runs on the producing shard worker's thread and must
+    never block it (the in-process :class:`Subscriber` blocks on a full
+    queue — correct for one consumer thread, fatal for one slow socket among
+    thousands).  Instead it reserves the bundle's slots of the connection's
+    bounded send buffer under one lock acquisition, extends a pending run,
+    and makes sure one *wakeup* is scheduled on the loop; the wakeup drains
+    the whole run in one callback.  The wakeup itself travels through the
+    loop's :class:`WakeHub`, so a burst touching many subscribers on one
+    loop pays for a single ``call_soon_threadsafe``, not one per subscriber.
     Coalescing the handoff this way (instead of one
     ``call_soon_threadsafe`` per activation) is what lets a fan-out burst
     actually reach the connection as a run — the batching layer then folds
@@ -173,28 +173,33 @@ class LoopSubscriber(Subscriber):
         #: never silently lost: the client was told via the ``paused`` frame.
         self.refused = 0
 
-    def _offer(self, activation: Activation, give_up: Callable[[], bool]) -> bool:
-        if self._accept is not None and not self._accept(activation):
-            self.filtered += 1
-            return True
+    def _offer_many(
+        self, activations: Sequence[Activation], give_up: Callable[[], bool]
+    ) -> None:
+        accept = self._accept
+        if accept is not None:
+            wanted = [a for a in activations if accept(a)]
+            self.filtered += len(activations) - len(wanted)
+        else:
+            wanted = activations
         if self.closed or self.paused:
-            self.refused += 1
-            return False
+            self.refused += len(wanted)
+            return
         with self._flight_lock:
-            if self.inflight >= self.limit:
-                self.paused = True
-                self.refused += 1
-                self._schedule(self._overflow)
-                return False
-            self.inflight += 1
-            self._pending_run.append(activation)
-            wake = not self._wake_scheduled
-            if wake:
+            # The outcome of offering one by one: the prefix that fits the
+            # send buffer is reserved, the first that does not pauses.
+            room = max(0, self.limit - self.inflight)
+            taken = wanted if len(wanted) <= room else wanted[:room]
+            self.inflight += len(taken)
+            self._pending_run.extend(taken)
+            if taken and not self._wake_scheduled:
                 self._wake_scheduled = True
-        self.delivered += 1
-        if wake:
-            self._schedule(self._wake)
-        return True
+                self._schedule(self._wake)
+            if len(taken) < len(wanted):
+                self.paused = True
+                self._schedule(self._overflow)
+        self.delivered += len(taken)
+        self.refused += len(wanted) - len(taken)
 
     def _wake(self) -> None:
         """Drain every pending activation in one loop callback."""

@@ -247,12 +247,16 @@ class ActiveViewServer:
         ]
         self.stats: list[ShardStats] = [ShardStats() for _ in database.shards]
         self._sequences: list[int] = [0] * database.shard_count
+        # Per shard, the bundle: what its worker's current execute_batch call
+        # has fired so far.  Only that worker touches it.
+        self._bundles: list[list[Activation]] = [[] for _ in database.shards]
         # Activation hooks run on the producing shard's worker thread BEFORE
         # subscriber fan-out — the durable outbox appends here, so a delivery
-        # can never precede its durable record (see repro.persist.outbox).
-        self._activation_hooks: list[Callable[[Activation], None]] = []
+        # can never precede its durable record (see repro.persist.durable).
+        self._activation_hooks: list[Callable[[Sequence[Activation]], None]] = []
         self._subscribers: list[Subscriber] = []
         self._subscribers_lock = threading.Lock()
+        self._anonymous = 0  # anonymous subscribers named so far
         self._threads: list[threading.Thread] = []
         self._running = False
         self._aborting = threading.Event()
@@ -340,9 +344,12 @@ class ActiveViewServer:
     def subscribe(self, name: str | None = None, capacity: int = 256) -> Subscriber:
         """Attach a bounded activation subscriber (see :mod:`repro.serving.subscribers`)."""
         with self._subscribers_lock:
-            # Name generation and append share one critical section so
-            # concurrent anonymous subscribers never collide on a name.
-            subscriber = Subscriber(name or f"subscriber{len(self._subscribers) + 1}", capacity)
+            # One critical section and a counter that never goes back:
+            # anonymous names never collide, even after an unsubscribe.
+            if name is None:
+                self._anonymous += 1
+                name = f"subscriber{self._anonymous}"
+            subscriber = Subscriber(name, capacity)
             self._subscribers.append(subscriber)
             return subscriber
 
@@ -365,18 +372,24 @@ class ActiveViewServer:
             if subscriber in self._subscribers:
                 self._subscribers.remove(subscriber)
 
-    def add_activation_hook(self, hook: Callable[[Activation], None]) -> None:
-        """Register a hook invoked with every :class:`Activation` before fan-out.
+    def add_activation_hook(self, hook: Callable[[Sequence[Activation]], None]) -> None:
+        """Register a hook invoked with every bundle before fan-out.
 
-        Hooks run synchronously on the producing shard's worker thread, after
-        the trigger's action but before any subscriber receives the
-        activation.  The persistence layer uses this ordering guarantee to
-        append each activation to a durable outbox before delivery, making
+        A bundle is every :class:`Activation` one shard worker produced in
+        one micro-batch, in sequence order (never empty).  Hooks run on that
+        worker's thread, after the batch's actions but before any subscriber
+        receives any of it and before any of its tickets resolves.  The
+        persistence layer appends the bundle to a durable outbox here, making
         accepted-but-undelivered activations recoverable after a crash.
+
+        A hook that raises drops the bundle: no subscriber receives it, the
+        micro-batch's tickets carry the hook's error (an action's error, if
+        one came first, chained behind it) and the bundle's sequence numbers
+        stay consumed, so subscribers see a gap.
         """
         self._activation_hooks.append(hook)
 
-    def remove_activation_hook(self, hook: Callable[[Activation], None]) -> None:
+    def remove_activation_hook(self, hook: Callable[[Sequence[Activation]], None]) -> None:
         """Remove a previously registered activation hook (idempotent)."""
         try:
             self._activation_hooks.remove(hook)
@@ -403,27 +416,28 @@ class ActiveViewServer:
         def listener(fired: FiredTrigger) -> None:
             # Runs on the shard's (single) executing thread, inside the
             # shard database's lock — per-shard sequences need no extra lock.
+            # It only numbers and collects: _run_chunk delivers the bundle.
             self._sequences[shard] += 1
-            activation = Activation(
-                shard=shard,
-                sequence=self._sequences[shard],
-                trigger=fired.trigger,
-                view=fired.view,
-                path=fired.path,
-                event=fired.event,
-                key=fired.key,
-                old_node=fired.old_node,
-                new_node=fired.new_node,
-                encoded=fired.encoded,
-            )
-            for hook in self._activation_hooks:
-                hook(activation)
-            with self._subscribers_lock:
-                targets = [s for s in self._subscribers if not s.closed]
-            for subscriber in targets:
-                subscriber._offer(activation, give_up=self._aborting.is_set)
+            self._bundles[shard].append(Activation(
+                shard, self._sequences[shard], fired.trigger, fired.view,
+                fired.path, fired.event, fired.key, fired.old_node,
+                fired.new_node, fired.encoded,
+            ))
 
         return listener
+
+    def _deliver_bundle(self, shard: int) -> None:
+        """Hand the shard's collected bundle to the hooks, then the subscribers."""
+        bundle = self._bundles[shard]
+        if not bundle:
+            return
+        self._bundles[shard] = []
+        for hook in self._activation_hooks:
+            hook(bundle)
+        with self._subscribers_lock:
+            targets = [s for s in self._subscribers if not s.closed]
+        for subscriber in targets:
+            subscriber._offer_many(bundle, give_up=self._aborting.is_set)
 
     # ------------------------------------------------------------------ lifecycle
 
@@ -589,7 +603,6 @@ class ActiveViewServer:
     def _worker_loop(self, index: int) -> None:
         shard_queue = self._queues[index]
         service = self.services[index]
-        stats = self.stats[index]
         while True:
             item = shard_queue.get()
             if item is _STOP:
@@ -614,7 +627,7 @@ class ActiveViewServer:
                     shard_queue.put(extra)   # ... and requeue it for later
                     break
                 chunk.append(extra)
-            self._run_chunk(service, stats, chunk)
+            self._run_chunk(index, chunk)
             for history in (
                 service.fired, service.action_calls, service.database.statement_log
             ):
@@ -622,16 +635,21 @@ class ActiveViewServer:
             for _ in chunk:
                 shard_queue.task_done()
 
-    def _run_chunk(
-        self, service: ActiveViewService, stats: ShardStats, chunk: Sequence[_Submission]
-    ) -> None:
+    def _run_chunk(self, shard: int, chunk: Sequence[_Submission]) -> None:
+        stats = self.stats[shard]
         statements = [submission.statement for submission in chunk]
         try:
-            batch = service.execute_batch(statements)
+            try:
+                batch = self.services[shard].execute_batch(statements)
+            finally:
+                # Whatever fired is delivered — also when a later action
+                # raised — as one bundle, before any ticket resolves.
+                self._deliver_bundle(shard)
         except Exception as exc:  # noqa: BLE001 - forwarded to the submitters
-            # execute_many semantics: the failing statement's predecessors are
-            # applied, triggers have not fired.  The whole micro-batch's
-            # tickets carry the error; max_batch bounds this blast radius.
+            # execute_many semantics: a failing statement's predecessors are
+            # applied and no trigger has fired (a failing action or hook comes
+            # later).  The whole micro-batch's tickets carry the error;
+            # max_batch bounds this blast radius.
             stats.errors += 1
             for submission in chunk:
                 submission.ticket._fail(exc)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import queue
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from repro.relational.triggers import TriggerEvent
 from repro.xmlmodel.node import XmlNode
@@ -167,28 +167,28 @@ class Subscriber:
 
     # ------------------------------------------------------------------ producer
 
-    def _offer(self, activation: Activation, give_up: Callable[[], bool]) -> bool:
-        """Deliver with backpressure; called by shard workers only.
+    def _offer_many(
+        self, activations: Sequence[Activation], give_up: Callable[[], bool]
+    ) -> None:
+        """Deliver one bundle in order; called by shard workers only.
 
-        Blocks in short waits while the queue is full, re-checking
-        ``give_up()`` (server force-stopping) and :attr:`closed` between
-        attempts — this loop is what makes delivery at-least-once rather than
-        best-effort.  Returns True when the activation was enqueued.
+        Each item is put with backpressure: blocking in short waits while the
+        queue is full, re-checking ``give_up()`` (server force-stopping) and
+        :attr:`closed` between attempts — this loop is what makes delivery
+        at-least-once rather than best-effort.
         """
-        while not self.closed:
-            try:
-                self._queue.put(activation, timeout=0.05)
-            except queue.Full:
-                if give_up():
-                    self.abandoned += 1
-                    return False
-                continue
-            self.delivered += 1
-            return True
-        # Closed (possibly while we were blocked on a full queue): the
-        # delivery is lost, and the counter must say so.
-        self.abandoned += 1
-        return False
+        for activation in activations:
+            while not (self.closed or self._queue.full() and give_up()):
+                try:
+                    self._queue.put(activation, timeout=0.05)
+                except queue.Full:
+                    continue
+                self.delivered += 1
+                break
+            else:
+                # Closed (possibly while we were blocked on a full queue) or
+                # given up: the delivery is lost, and the counter must say so.
+                self.abandoned += 1
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "closed" if self.closed else "open"

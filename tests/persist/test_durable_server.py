@@ -201,6 +201,29 @@ def test_outbox_pending_counts_what_someone_has_not_acked(tmp_path):
     server.close()
 
 
+def test_ack_that_does_not_move_the_cursor_is_not_persisted(tmp_path):
+    """A repeated ack (every duplicate after a redelivery is one) used to
+    append a record all the same, growing cursors.log for nothing."""
+    server = open_server(tmp_path, shard_count=1)
+    populate(server)
+    inbox = server.subscribe("inbox", capacity=64)
+    with server:
+        server.execute(UpdateStatement("vendor", {"price": 10.0}, keys=[("Amazon", "P1")]))
+        server.execute(UpdateStatement("vendor", {"price": 20.0}, keys=[("Amazon", "P1")]))
+    first, second = inbox.drain()
+    inbox.ack(second)
+    size = server.cursors.byte_size
+    inbox.ack(second)
+    inbox.ack(first)
+    assert server.cursors.byte_size == size
+    # Crash: a fresh open still sees the cursor where the one real ack put it.
+    recovered = open_server(tmp_path, shard_count=1)
+    assert recovered.durability_report()["cursors"] == {"inbox": {0: second.sequence}}
+    assert recovered.subscribe("inbox", capacity=64).drain() == []
+    recovered.close()
+    server.close()
+
+
 def test_crash_redelivers_exactly_the_unacked_after_acks_trimmed_the_mirror(
     tmp_path, monkeypatch
 ):
@@ -327,3 +350,38 @@ def test_torn_outbox_tail_is_ignored(tmp_path):
     inbox = recovered.subscribe("inbox", capacity=64)
     assert len(inbox.drain()) == 1
     recovered.close()
+
+
+def test_failed_outbox_append_drops_the_bundle_and_leaves_a_gap(tmp_path, monkeypatch):
+    """A bundle the outbox could not take is offered to nobody: its statements
+    are applied, their tickets carry the write error, and its sequence
+    numbers stay consumed — a gap, never a position with two meanings."""
+    server = open_server(tmp_path, shard_count=1)
+    populate(server)
+    inbox = server.subscribe("inbox", capacity=64)
+    server.start()
+
+    def price(value):
+        return UpdateStatement("vendor", {"price": value}, keys=[("Amazon", "P1")])
+
+    def disk_full(frame):
+        raise OSError("disk full")
+
+    server.execute(price(10.0))
+    with monkeypatch.context() as patch:
+        patch.setattr(server.outbox, "append_frame", disk_full)
+        with pytest.raises(OSError, match="disk full"):
+            server.execute(price(20.0))
+    server.execute(price(30.0))
+    server.drain()
+    first, third = inbox.drain()
+    assert (first.sequence, third.sequence) == (1, 3)
+    assert server.durability_report()["accepted"] == {0: 3}
+    # Crash: the reopened server redelivers the same two and numbers on from 3.
+    recovered = open_server(tmp_path, shard_count=1)
+    assert [a.sequence for a in recovered.subscribe("inbox", capacity=64).drain()] == [1, 3]
+    with recovered:
+        recovered.execute(price(40.0))
+    assert recovered.durability_report()["accepted"] == {0: 4}
+    recovered.close()
+    server.close()

@@ -3,6 +3,8 @@ sibling-trigger hierarchy behind a durable server."""
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from repro.persist import DurableServer
@@ -113,3 +115,31 @@ def price_update(workload: HierarchyWorkload, top: int, price: float) -> UpdateS
     """Reprice the first leaf under ``top`` (one affected node, ``SIBLINGS`` firings)."""
     leaf = workload.leaf_ids_by_top()[top][0]
     return UpdateStatement("leaf", {"price": price}, keys=[(leaf,)])
+
+
+def stream_position(activation) -> tuple:
+    """What a delivered stream is compared on: position, trigger, key, node texts."""
+    encoded = activation.encoded
+    return (
+        activation.shard, activation.sequence, activation.trigger, activation.key,
+        encoded.old_text, encoded.new_text,
+    )
+
+
+@pytest.fixture
+def serialize_calls(monkeypatch) -> dict:
+    """``{"serialize": n}``: calls of ``xmlmodel.serialize`` during the test.
+
+    Patches the *module* attribute (the package attribute of the same name
+    is the function itself).
+    """
+    module = importlib.import_module("repro.xmlmodel.serialize")
+    calls = {"serialize": 0}
+    original = module.serialize
+
+    def counting_serialize(node, **options):
+        calls["serialize"] += 1
+        return original(node, **options)
+
+    monkeypatch.setattr(module, "serialize", counting_serialize)
+    return calls

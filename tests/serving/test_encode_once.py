@@ -15,7 +15,6 @@ the parent commit).  Counted, not timed, in the style of
 from __future__ import annotations
 
 import asyncio
-import importlib
 import threading
 
 from repro.serving.net import NetClient, NetworkServer
@@ -29,20 +28,11 @@ from tests.serving.conftest import (
     sibling_hierarchy,
 )
 
-serialize_module = importlib.import_module("repro.xmlmodel.serialize")
-
 BATCH = 32
 
 
-def test_each_distinct_node_is_serialized_once_per_statement(tmp_path, monkeypatch):
-    calls = {"serialize": 0}
-    original = serialize_module.serialize
-
-    def counting_serialize(node, **options):
-        calls["serialize"] += 1
-        return original(node, **options)
-
-    monkeypatch.setattr(serialize_module, "serialize", counting_serialize)
+def test_each_distinct_node_is_serialized_once_per_statement(tmp_path, serialize_calls):
+    calls = serialize_calls
 
     # The action blocks while ``hold`` is clear, which parks the (single)
     # shard worker inside a statement so the next BATCH submissions queue up

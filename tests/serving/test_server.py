@@ -5,7 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.core.service import ExecutionMode
-from repro.errors import IntegrityError, ServerStoppedError, ShardRoutingError
+from repro.errors import (
+    IntegrityError,
+    ServerStoppedError,
+    ShardRoutingError,
+    TriggerActivationError,
+)
 from repro.relational import (
     Column,
     DataType,
@@ -257,6 +262,46 @@ class TestActiveViewServer:
         with server:
             server.execute(UpdateStatement("vendor", {"price": 72.0}, keys=[("Amazon", "P1")]))
         assert sum(stats.statements for stats in server.stats) == 2
+
+    def test_anonymous_subscriber_names_never_collide(self):
+        """Names used to come from the live count, so an unsubscribe made the
+        next anonymous subscriber reuse a live one's name."""
+        server, _ = build_server()
+        first, second = server.subscribe(), server.subscribe()
+        server.unsubscribe(first)
+        third = server.subscribe()
+        assert len({first.name, second.name, third.name}) == 3
+
+    def test_raising_activation_hook_drops_the_bundle(self):
+        """The batch's tickets carry the hook's error (an action's error, if
+        one came first, chained behind it), no subscriber gets the bundle,
+        and its sequence numbers are not reused."""
+        server, _ = build_server(shard_count=1)
+        calls: list = []
+
+        def hook(bundle):
+            calls.append(len(bundle))
+            if len(calls) == 1:
+                raise OSError("hook failed")
+
+        def explode(node):
+            raise ValueError("action failed")
+
+        server.register_action("explode", explode)
+        server.create_trigger(
+            "CREATE TRIGGER Late AFTER UPDATE ON view('catalog')/product "
+            "WHERE OLD_NODE/@name = 'CRT 15' DO explode(NEW_NODE)"
+        )
+        server.add_activation_hook(hook)
+        subscriber = server.subscribe("audit")
+        with server:
+            with pytest.raises(OSError, match="hook failed") as raised:
+                server.execute(UpdateStatement("vendor", {"price": 75.0}, keys=[("Amazon", "P1")]))
+            assert isinstance(raised.value.__context__, TriggerActivationError)
+            server.drop_trigger("Late")
+            server.execute(UpdateStatement("vendor", {"price": 76.0}, keys=[("Amazon", "P1")]))
+        assert calls == [1, 1]
+        assert [a.sequence for a in subscriber.drain()] == [2]
 
     def test_wrapping_a_plain_database_serves_one_shard(self):
         server = ActiveViewServer(build_paper_database())

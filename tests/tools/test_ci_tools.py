@@ -264,6 +264,15 @@ class TestCiPathsClassification:
             "docs": "true", "web": "true", "bench": "true",
         }
 
+    def test_persist_change_triggers_the_e2e_gate(self, diff_repo):
+        (diff_repo / "src/repro/persist").mkdir()
+        (diff_repo / "src/repro/persist/durable.py").write_text(
+            "def append():\n    return 1\n"
+        )
+        assert classify_at(diff_repo) == {
+            "docs": "true", "web": "true", "bench": "true",
+        }
+
     def test_comment_only_serving_change_skips_all(self, diff_repo):
         (diff_repo / "src/repro/serving/gateway.py").write_text(
             "# a comment\ndef serve():\n    return 1\n"
