@@ -100,12 +100,14 @@ class PushdownOptions:
     def cache_key(self) -> tuple:
         """Hashable fingerprint: two option sets with equal keys compile to
         interchangeable plans, so the service's plan cache can share the
-        translation across trigger groups."""
+        translation across trigger groups.  Of the old-node requirement only
+        "FULL or not" reaches the translation (NONE and SHALLOW both take the
+        compensated old side where there is one)."""
         return (
             self.push_affected_keys,
             self.use_pruned_transitions,
             self.compensate_old_aggregates,
-            self.old_node_requirement,
+            self.old_node_requirement != OldNodeRequirement.FULL,
             self.check_difference,
         )
 

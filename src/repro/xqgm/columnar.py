@@ -59,7 +59,7 @@ from repro.xqgm.evaluate import (
     EvaluationContext,
     _PROBE_RATIO,
     _hashable,
-    _input_cost_estimate,
+    _cost_template,
     _pairs_for,
     _table_rows,
 )
@@ -253,8 +253,6 @@ class CTableScan(ColumnarOp):
     __slots__ = ("schema", "projection")
 
     def __init__(self, logical: TableOp, schema) -> None:
-        if logical.columns is None:
-            logical.bind_schema(schema.column_names)
         super().__init__(logical, SlotLayout(
             [logical.qualified(c) for c in logical.columns]
         ))
@@ -412,11 +410,11 @@ class CInnerJoin(ColumnarOp):
                 )
         return self._permutations[key]
 
-    def _input_estimate(
-        self, logical_input, ctx: EvaluationContext, memo: dict[int, Any]
-    ):
+    def _input_estimate(self, position: int, ctx: EvaluationContext, memo: dict[int, Any]):
         """Input cost estimate, mirroring the row engines' memo state.
 
+        The memo is asked by the compiled child's ``logical_id`` (structural
+        twins share one node, see :class:`~repro.xqgm.physical.PInnerJoin`).
         A scan the columnar engine answered with a sorted probe was *hash
         materialized* by the row engines at the same point (they have no
         probe for memoized scans), so their estimate sees it as free.  The
@@ -424,18 +422,22 @@ class CInnerJoin(ColumnarOp):
         echoing ``(0, length)`` here keeps the adaptive join driver choosing
         the same input order as the row engines.
         """
-        if logical_input.id not in memo:
-            length = memo.get((_HASHED_SCAN, logical_input.id))
-            if length is not None:
-                return (0, length)
-        return _input_cost_estimate(logical_input, ctx, memo)
+        child_id = self.children[position].logical_id
+        known = memo.get(child_id)
+        if known is not None:
+            return (0, len(known))
+        length = memo.get((_HASHED_SCAN, child_id))
+        if length is not None:
+            return (0, length)
+        rank, size = _cost_template(self.logical.inputs[position])
+        return (rank, size(ctx.database))
 
     def _compute(self, ctx: EvaluationContext, memo: dict[int, Any]) -> ColumnBatch:
         logical: JoinOp = self.logical  # type: ignore[assignment]
         children = self.children
         indexed = list(range(len(children)))
         indexed.sort(
-            key=lambda i: (self._input_estimate(logical.inputs[i], ctx, memo), i)
+            key=lambda i: (self._input_estimate(i, ctx, memo), i)
         )
 
         acc_columns: Sequence[Sequence[Any]] | None = None
@@ -587,7 +589,7 @@ class CInnerJoin(ColumnarOp):
             and transition is not None
             and transition.table == right_op.table
         )
-        if right_op.id in memo or (_HASHED_SCAN, right_op.id) in memo:
+        if child.logical_id in memo or (_HASHED_SCAN, child.logical_id) in memo:
             return None  # the row engines hash here; _try_sorted_probe mirrors them
         table = ctx.database.table(right_op.table)
         schema = table.schema
@@ -682,7 +684,7 @@ class CInnerJoin(ColumnarOp):
         right_op: TableOp = child.logical  # type: ignore[assignment]
         if right_op.variant not in (TableVariant.CURRENT, TableVariant.OLD):
             return None
-        if right_op.id not in memo and (_HASHED_SCAN, right_op.id) not in memo:
+        if child.logical_id not in memo and (_HASHED_SCAN, child.logical_id) not in memo:
             return None  # an unmaterialized scan is _try_index_probe's case
         transition = ctx.trigger_context
         old_of_updated_table = (
@@ -754,7 +756,7 @@ class CInnerJoin(ColumnarOp):
             for pos, row in deleted_with_pos.get(probe_value, ()):
                 hits.append((pos, i, row))
         hits.sort(key=lambda hit: (hit[0], hit[1]))
-        memo[(_HASHED_SCAN, right_op.id)] = right_len
+        memo[(_HASHED_SCAN, child.logical_id)] = right_len
 
         left_indexes = [hit[1] for hit in hits]
         matched_rows = [hit[2] for hit in hits]
@@ -1091,26 +1093,25 @@ class ColumnarCompiler(PlanCompiler):
         """The columnar plan for the graph rooted at ``top``."""
         return ColumnarPlan(self.compile(top))
 
-    def _build(self, op: Operator) -> ColumnarOp:
+    def _build(self, op: Operator, children: list[ColumnarOp]) -> ColumnarOp:
         if isinstance(op, TableOp):
             return CTableScan(op, self.schemas[op.table])
         if isinstance(op, ConstantsOp):
             return CConstants(op)
         if isinstance(op, SelectOp):
-            return CSelect(op, self.compile(op.input))
+            return CSelect(op, *children)
         if isinstance(op, ProjectOp):
-            return CProject(op, self.compile(op.input))
+            return CProject(op, *children)
         if isinstance(op, JoinOp):
-            children = [self.compile(input_op) for input_op in op.inputs]
             if op.join_kind is JoinKind.INNER:
                 return CInnerJoin(op, children)
-            return CTwoWayJoin(op, children[0], children[1])
+            return CTwoWayJoin(op, *children)
         if isinstance(op, GroupByOp):
-            return CGroupBy(op, self.compile(op.input))
+            return CGroupBy(op, *children)
         if isinstance(op, UnionOp):
-            return CUnion(op, [self.compile(input_op) for input_op in op.inputs])
+            return CUnion(op, children)
         if isinstance(op, UnnestOp):
-            return CUnnest(op, self.compile(op.input))
+            return CUnnest(op, *children)
         raise EvaluationError(f"cannot compile operator {op.kind} to columnar form")
 
 

@@ -105,6 +105,18 @@ class Constant(Expression):
     def evaluate(self, row: Row, parameters: Mapping[str, Any] | None = None) -> Any:
         return self.value
 
+    # ``1``, ``1.0`` and ``True`` compare equal but are different literals
+    # (they serialize differently); plan lowering merges equal subplans.
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is Constant
+            and type(other.value) is type(self.value)
+            and other.value == self.value
+        )
+
+    def __hash__(self) -> int:
+        return hash((type(self.value), self.value))
+
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return repr(self.value)
 

@@ -18,11 +18,20 @@ This module lowers a logical XQGM graph **once** into a physical plan:
   indexes, and tuple concatenation replaces dictionary merging;
 * group-by groups and sorts through slot indexes.
 
+Lowering is also where plan decisions are taken, as the relational optimizer
+takes them for the paper's generated trigger (Section 5, Figure 16): common
+subexpressions are removed — one physical node per distinct subplan
+*signature*, so the structural twins translation leaves behind are evaluated
+once (:class:`PlanCompiler`) — and everything about a join that follows from
+its input order is a *recipe* fixed on first use of that order
+(:class:`PInnerJoin`).  The interpreter keeps evaluating the graph as
+translated.
+
 Semantics match the interpreter exactly.  With no result cache in play the
 match is bit-identical **including output row order**: the physical join
-driver runs the same adaptive input ordering
-(:func:`repro.xqgm.evaluate._input_cost_estimate` over the same logical
-operator ids), the same build-side selection, the same index-probe
+driver runs the same adaptive input ordering (the estimates of
+:func:`repro.xqgm.evaluate._input_cost_estimate`, asked of the execution
+memo by compiled node), the same build-side selection, the same index-probe
 profitability test, and the same duplicate-column resolution as the
 interpreted merge operations.  When a cached or statement-shared result
 serves a subplan, nodes below it skip evaluation and are absent from the
@@ -74,6 +83,7 @@ columnar engine is differentially fuzzed against.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Sequence
 
 from repro.errors import EvaluationError
@@ -81,8 +91,8 @@ from repro.relational.types import sort_key
 from repro.xqgm.evaluate import (
     EvaluationContext,
     _PROBE_RATIO,
+    _cost_template,
     _hashable,
-    _input_cost_estimate,
     _pairs_for,
     _table_rows,
 )
@@ -104,6 +114,7 @@ from repro.xqgm.operators import (
     TableVariant,
     UnionOp,
     UnnestOp,
+    _operator_counter,
 )
 
 __all__ = ["SlotLayout", "ResultCache", "PhysicalPlan", "PlanCompiler", "compile_plan"]
@@ -323,8 +334,6 @@ class PTableScan(PhysicalOp):
     __slots__ = ("schema", "passthrough", "projection")
 
     def __init__(self, logical: TableOp, schema) -> None:
-        if logical.columns is None:
-            logical.bind_schema(schema.column_names)
         super().__init__(logical, SlotLayout(
             [logical.qualified(c) for c in logical.columns]
         ))
@@ -471,114 +480,162 @@ class _MergeSpec:
         return tuple(out)
 
 
+class _JoinStep:
+    """One input joined onto the accumulated rows, as fixed by an input order.
+
+    ``spec`` merges a row of ``child`` into the accumulated layout;
+    ``left_key`` holds the accumulated slots of the oriented equi pairs
+    (``None``: no usable pair, a cross product) and ``left_key_of`` /
+    ``right_key_of`` extract either side's hash key.  ``base_columns`` is set
+    when ``child`` scans a CURRENT or OLD base table and the pairs name only
+    its columns — the static half of the index-probe test — together with
+    ``primary`` (they are its primary key), their ``probe_indexes`` in a
+    stored row, and the merge's ``append_sources`` / ``overwrite_sources`` as
+    *schema* indexes: a probe reads raw storage tuples, not the scan's
+    (possibly projected) slots.
+    """
+
+    __slots__ = ("child", "spec", "left_key", "left_key_of", "right_key_of",
+                 "base_columns", "primary", "probe_indexes", "append_sources",
+                 "overwrite_sources")
+
+    def __init__(
+        self, acc_layout: SlotLayout, child: PhysicalOp, pairs: list[tuple[str, str]]
+    ) -> None:
+        self.child = child
+        self.spec = spec = _MergeSpec(acc_layout, child.layout.columns)
+        self.left_key = self.base_columns = None
+        if not pairs:
+            return
+        right_columns = [b for _, b in pairs]
+        self.left_key = acc_layout.slots([a for a, _ in pairs])
+        self.left_key_of = itemgetter(*self.left_key)
+        self.right_key_of = itemgetter(*child.layout.slots(right_columns))
+        if not isinstance(child, PTableScan):
+            return
+        scan: TableOp = child.logical  # type: ignore[assignment]
+        prefix = f"{scan.alias}."
+        if scan.variant not in (TableVariant.CURRENT, TableVariant.OLD) or not all(
+            column.startswith(prefix) for column in right_columns
+        ):
+            return
+        schema = child.schema
+        self.base_columns = tuple(column[len(prefix):] for column in right_columns)
+        self.primary = self.base_columns == tuple(schema.primary_key)
+        self.probe_indexes = tuple(schema.column_index(c) for c in self.base_columns)
+        self.append_sources = tuple(child.projection[i] for i in spec.append)
+        self.overwrite_sources = tuple(
+            (acc_slot, child.projection[right_slot]) for acc_slot, right_slot in spec.overwrite
+        )
+
+
 class PInnerJoin(PhysicalOp):
     """N-ary inner join mirroring the interpreter's adaptive join driver.
 
-    Input ordering, connected-input preference, build-side selection and the
-    index-probe switch are all decided at run time from the same estimates
-    the interpreter uses, so both engines produce identical row orders; the
-    slot arithmetic for each (input order, merge site) is compiled lazily on
-    first use and memoized on the plan (idempotent, safe under the GIL).
+    The input order is decided per execution from the interpreter's
+    estimates (:func:`repro.xqgm.evaluate._input_cost_estimate`: exact
+    cardinalities of inputs already in the execution memo, the static cost
+    template otherwise).  Everything that follows from an order — which input
+    joins next (connected inputs preferred), its oriented equi pairs and key
+    slots, the merge of duplicated columns, the condition over the final
+    runtime layout and the permutation onto the static one — is a *recipe*,
+    built on first use of that order and kept on the node (idempotent, safe
+    under the GIL).  Per execution only the data-dependent choices remain:
+    the order, index probe or hash join, and the hash build side — the same
+    tests the interpreter applies, so both engines produce identical row
+    orders.
+
+    The memo is asked by the *physical* child's ``logical_id``: structural
+    twins share one node, so a twin evaluated earlier in the execution counts
+    as already materialized.
     """
 
-    __slots__ = ("children", "has_condition", "_conditions", "_merge_specs",
-                 "_permutations")
+    __slots__ = ("children", "estimates", "_recipes")
 
     def __init__(self, logical: JoinOp, children: Sequence[PhysicalOp]) -> None:
         super().__init__(logical, SlotLayout(logical.output_columns))
         self.children = tuple(children)
-        self.has_condition = logical.condition is not None
-        # accumulated columns -> condition compiled over that runtime layout
-        self._conditions: dict[tuple, Any] = {}
-        # (accumulated columns, right columns) -> _MergeSpec
-        self._merge_specs: dict[tuple, _MergeSpec] = {}
-        # accumulated columns -> slot permutation onto the static layout
-        self._permutations: dict[tuple, tuple[int, ...] | None] = {}
-
-    def _merge_spec(self, acc_layout: SlotLayout, right_columns: tuple[str, ...]) -> _MergeSpec:
-        key = (acc_layout.columns, right_columns)
-        spec = self._merge_specs.get(key)
-        if spec is None:
-            spec = _MergeSpec(acc_layout, right_columns)
-            self._merge_specs[key] = spec
-        return spec
-
-    def _permutation(self, acc_layout: SlotLayout) -> tuple[int, ...] | None:
-        """Slot permutation from a runtime layout onto the static layout."""
-        key = acc_layout.columns
-        if key not in self._permutations:
-            if key == self.layout.columns:
-                self._permutations[key] = None
-            else:
-                self._permutations[key] = tuple(
-                    acc_layout.index[column] for column in self.layout.columns
-                )
-        return self._permutations[key]
-
-    def _compute(self, ctx: EvaluationContext, memo: dict[int, list[tuple]]) -> list[tuple]:
-        logical: JoinOp = self.logical  # type: ignore[assignment]
-        children = self.children
-        indexed = list(range(len(children)))
-        indexed.sort(
-            key=lambda i: (_input_cost_estimate(logical.inputs[i], ctx, memo), i)
+        #: per input: (memo id, static rank, size estimator over a database)
+        self.estimates = tuple(
+            (child.logical_id, *_cost_template(input_op))
+            for child, input_op in zip(children, logical.inputs)
         )
+        # input order -> (first input, steps, compiled condition, permutation)
+        self._recipes: dict[tuple[int, ...], tuple] = {}
 
-        result: list[tuple] | None = None
-        acc_layout: SlotLayout | None = None
+    def _recipe(self, order: tuple[int, ...]) -> tuple:
+        logical: JoinOp = self.logical  # type: ignore[assignment]
+        remaining = [self.children[position] for position in order]
+        first = remaining.pop(0)
+        acc_layout = first.layout
+        steps: list[_JoinStep] = []
         consumed_pairs: set[tuple[str, str]] = set()
-        remaining = list(indexed)
-
         while remaining:
-            if result is None:
-                first = children[remaining.pop(0)]
-                result = first.rows(ctx, memo)
-                acc_layout = first.layout
-                continue
             acc_columns = set(acc_layout.columns)
-            chosen_index = None
-            for candidate_index, child_position in enumerate(remaining):
-                candidate = children[child_position]
-                if _pairs_for(
-                    acc_columns, set(candidate.layout.columns), logical.equi_pairs
-                ):
+            # Prefer the next input connected to the accumulated result.
+            chosen_index = 0
+            for candidate_index, candidate in enumerate(remaining):
+                if _pairs_for(acc_columns, set(candidate.layout.columns), logical.equi_pairs):
                     chosen_index = candidate_index
                     break
-            if chosen_index is None:
-                chosen_index = 0
-            child = children[remaining.pop(chosen_index)]
-            pairs = _pairs_for(acc_columns, set(child.layout.columns), logical.equi_pairs)
-            pairs = [pair for pair in pairs if pair not in consumed_pairs]
-            if pairs:
-                result, acc_layout = self._join_with(
-                    result, acc_layout, child, pairs, ctx, memo
+            child = remaining.pop(chosen_index)
+            pairs = [
+                pair
+                for pair in _pairs_for(
+                    acc_columns, set(child.layout.columns), logical.equi_pairs
                 )
-                consumed_pairs.update(pairs)
-                consumed_pairs.update((b, a) for a, b in pairs)
-            else:
-                # Cross product ({**left, **right}: the right side wins dups).
-                right_rows = child.rows(ctx, memo)
-                spec = self._merge_spec(acc_layout, child.layout.columns)
-                if spec.concat:
-                    result = [left + right for left in result for right in right_rows]
-                else:
-                    merge = spec.merge_right_wins
-                    result = [
-                        merge(left, right) for left in result for right in right_rows
-                    ]
-                acc_layout = spec.layout
+                if pair not in consumed_pairs
+            ]
+            consumed_pairs.update(pairs)
+            consumed_pairs.update((b, a) for a, b in pairs)
+            step = _JoinStep(acc_layout, child, pairs)
+            steps.append(step)
+            acc_layout = step.spec.layout
+        # The interpreter filters by name over the merged dicts; slots of the
+        # runtime layout carry the same winning values.
+        condition = (
+            compile_predicate(logical.condition, acc_layout.index)
+            if logical.condition is not None
+            else None
+        )
+        permutation = (
+            None
+            if acc_layout.columns == self.layout.columns
+            else acc_layout.slots(self.layout.columns)
+        )
+        return first, tuple(steps), condition, permutation
 
-        if result is None:
-            return []
-        if self.has_condition:
-            # The interpreter filters by name over the merged dicts; slots of
-            # the runtime layout carry the same winning values.
-            condition = self._conditions.get(acc_layout.columns)
-            if condition is None:
-                condition = compile_predicate(logical.condition, acc_layout.index)
-                self._conditions[acc_layout.columns] = condition
+    def _compute(self, ctx: EvaluationContext, memo: dict[int, list[tuple]]) -> list[tuple]:
+        database = ctx.database
+        costs = []
+        for position, (memo_id, rank, size) in enumerate(self.estimates):
+            rows = memo.get(memo_id)
+            costs.append(
+                (0, len(rows), position) if rows is not None
+                else (rank, size(database), position)
+            )
+        costs.sort()
+        order = tuple([cost[2] for cost in costs])
+        recipe = self._recipes.get(order)
+        if recipe is None:
+            recipe = self._recipes[order] = self._recipe(order)
+        first, steps, condition, permutation = recipe
+
+        result = first.rows(ctx, memo)
+        for step in steps:
+            if step.left_key is not None:
+                result = self._join_with(result, step, ctx, memo)
+                continue
+            # Cross product ({**left, **right}: the right side wins dups).
+            right_rows = step.child.rows(ctx, memo)
+            if step.spec.concat:
+                result = [left + right for left in result for right in right_rows]
+            else:
+                merge = step.spec.merge_right_wins
+                result = [merge(left, right) for left in result for right in right_rows]
+        if condition is not None:
             parameters = ctx.parameters
             result = [row for row in result if condition(row, parameters)]
-        permutation = self._permutation(acc_layout)
         if permutation is not None:
             result = [tuple(row[i] for i in permutation) for row in result]
         return result
@@ -586,105 +643,79 @@ class PInnerJoin(PhysicalOp):
     def _join_with(
         self,
         left_rows: list[tuple],
-        acc_layout: SlotLayout,
-        child: PhysicalOp,
-        pairs: list[tuple[str, str]],
+        step: _JoinStep,
         ctx: EvaluationContext,
         memo: dict[int, list[tuple]],
-    ) -> tuple[list[tuple], SlotLayout]:
-        left_columns = [a for a, _ in pairs]
-        right_columns = [b for _, b in pairs]
-
-        probed = self._try_index_probe(
-            left_rows, acc_layout, left_columns, child, right_columns, ctx, memo
-        )
+    ) -> list[tuple]:
+        probed = self._try_index_probe(left_rows, step, ctx, memo)
         if probed is not None:
             return probed
 
-        right_rows = child.rows(ctx, memo)
+        right_rows = step.child.rows(ctx, memo)
         ctx._bump("hash_joins")
-        left_key = acc_layout.slots(left_columns)
-        right_key = child.layout.slots(right_columns)
-        spec = self._merge_spec(acc_layout, child.layout.columns)
-        merge = spec.merge_left_wins
+        left_key = step.left_key_of
+        right_key = step.right_key_of
+        merge = step.spec.merge_left_wins
         output: list[tuple] = []
-        table: dict[tuple, list[tuple]] = {}
+        table: dict[Any, list[tuple]] = {}
         if len(right_rows) <= len(left_rows):
             for row in right_rows:
-                table.setdefault(tuple(row[i] for i in right_key), []).append(row)
+                table.setdefault(right_key(row), []).append(row)
             for row in left_rows:
-                key = tuple(row[i] for i in left_key)
-                for match in table.get(key, ()):
+                for match in table.get(left_key(row), ()):
                     output.append(merge(row, match))
         else:
             for row in left_rows:
-                table.setdefault(tuple(row[i] for i in left_key), []).append(row)
+                table.setdefault(left_key(row), []).append(row)
             for row in right_rows:
-                key = tuple(row[i] for i in right_key)
-                for match in table.get(key, ()):
+                for match in table.get(right_key(row), ()):
                     output.append(merge(match, row))
-        return output, spec.layout
+        return output
 
     def _try_index_probe(
         self,
         left_rows: list[tuple],
-        acc_layout: SlotLayout,
-        left_columns: list[str],
-        child: PhysicalOp,
-        right_columns: list[str],
+        step: _JoinStep,
         ctx: EvaluationContext,
         memo: dict[int, list[tuple]],
-    ) -> tuple[list[tuple], SlotLayout] | None:
+    ) -> list[tuple] | None:
         """Index nested-loop probe (same profitability test as the oracle)."""
-        if not isinstance(child, PTableScan):
+        base_columns = step.base_columns
+        if base_columns is None:
             return None
-        right_op: TableOp = child.logical  # type: ignore[assignment]
-        if right_op.variant not in (TableVariant.CURRENT, TableVariant.OLD):
+        child = step.child
+        if child.logical_id in memo:  # already materialized; a hash join is cheaper
             return None
-        transition = ctx.trigger_context
-        old_of_updated_table = (
-            right_op.variant is TableVariant.OLD
-            and transition is not None
-            and transition.table == right_op.table
-        )
-        if right_op.id in memo:  # already materialized; a hash join is cheaper
-            return None
-        table = ctx.database.table(right_op.table)
-        schema = table.schema
-        prefix = f"{right_op.alias}."
-        base_columns = []
-        for column in right_columns:
-            if not column.startswith(prefix):
-                return None
-            base_columns.append(column[len(prefix):])
-        primary = tuple(base_columns) == tuple(schema.primary_key)
+        scan: TableOp = child.logical  # type: ignore[assignment]
+        table = ctx.database.table(scan.table)
+        primary = step.primary
         if not (primary or table.has_index_on(base_columns)):
             return None
         if len(left_rows) > max(16, _PROBE_RATIO * len(table)):
             return None
         ctx._bump("index_probes", len(left_rows))
 
+        transition = ctx.trigger_context
+        old_of_updated_table = (
+            scan.variant is TableVariant.OLD
+            and transition is not None
+            and transition.table == scan.table
+        )
         inserted_keys: set[tuple] = set()
         deleted_by_probe: dict[tuple, list[tuple]] = {}
-        if old_of_updated_table and transition is not None:
-            inserted_keys = {schema.key_of(row) for row in transition.net_inserted}
-            probe_indexes = [schema.column_index(column) for column in base_columns]
+        if old_of_updated_table:
+            key_of = table.schema.key_of
+            inserted_keys = {key_of(row) for row in transition.net_inserted}
+            probe_indexes = step.probe_indexes
             for row in transition.net_deleted:
                 deleted_by_probe.setdefault(
                     tuple(row[i] for i in probe_indexes), []
                 ).append(row)
 
-        # The probe reads raw storage tuples, so the merge appends/overwrites
-        # through schema indexes instead of the scan's (possibly projected)
-        # slots ({**left, ...right columns...}: the right side wins dups).
-        spec = self._merge_spec(acc_layout, child.layout.columns)
-        column_order = [schema.column_index(name) for name in right_op.columns]
-        append_sources = tuple(column_order[i] for i in spec.append)
-        overwrite_sources = tuple(
-            (acc_slot, column_order[right_slot]) for acc_slot, right_slot in spec.overwrite
-        )
-        left_key = acc_layout.slots(left_columns)
-
+        # {**left, ...right columns...}: the right side wins dups.
+        left_key = step.left_key
+        append_sources = step.append_sources
+        overwrite_sources = step.overwrite_sources
         output: list[tuple] = []
         for left in left_rows:
             probe_value = tuple(left[i] for i in left_key)
@@ -694,7 +725,7 @@ class PInnerJoin(PhysicalOp):
             else:
                 matches = table.lookup(base_columns, probe_value)
             if old_of_updated_table:
-                matches = [row for row in matches if schema.key_of(row) not in inserted_keys]
+                matches = [row for row in matches if key_of(row) not in inserted_keys]
                 matches = matches + deleted_by_probe.get(probe_value, [])
             if overwrite_sources:
                 for row in matches:
@@ -706,7 +737,7 @@ class PInnerJoin(PhysicalOp):
             else:
                 for row in matches:
                     output.append(left + tuple(row[i] for i in append_sources))
-        return output, spec.layout
+        return output
 
 
 class PTwoWayJoin(PhysicalOp):
@@ -974,15 +1005,48 @@ def _operator_uses_parameters(op: Operator) -> bool:
     return False
 
 
+def _parameters(op: Operator) -> tuple:
+    """The operator's own parameters — everything but its inputs — as a value.
+
+    Expressions and aggregate specs are frozen dataclasses and hash as they
+    are.  A join's output columns are left out: they follow from its inputs.
+    A constants table is bound by name at run time and keeps its identity.
+    """
+    if isinstance(op, TableOp):
+        return (op.table, op.alias, op.variant, op.columns)
+    if isinstance(op, SelectOp):
+        return (op.predicate,)
+    if isinstance(op, ProjectOp):
+        return tuple(op.projections)
+    if isinstance(op, JoinOp):
+        return (op.join_kind, op.equi_pairs, op.condition)
+    if isinstance(op, GroupByOp):
+        return (op.grouping, op.aggregates, op.order_within_group)
+    if isinstance(op, UnionOp):
+        columns = op.output_columns
+        return (op.all, columns, tuple(tuple(m[c] for c in columns) for m in op.mappings))
+    if isinstance(op, UnnestOp):
+        return (op.source_column, op.item_column, op.ordinal_column)
+    return (op.id,)
+
+
 class PlanCompiler:
     """Lowers logical graphs over one catalog into physical plans.
 
-    One compiler lowers each logical operator at most once, so the plans it
-    produces share the compiled nodes of shared logical subgraphs: the
-    translator registers the event-independent sides of a monitored path
-    (:meth:`share`) and every per-event plan (:meth:`plan`) references one
-    compiled node per side — which is also what keys the side's rows in the
-    statement's evaluation memo.
+    Lowering is hash-consed: an operator's *signature* is its kind, its own
+    parameters (:func:`_parameters`) and the compiled nodes of its inputs —
+    by identity, so a signature is as flat as the operator however deep the
+    graph below — and one compiler keeps one node per signature.  The
+    structural twins the translator leaves behind (``clone_graph`` /
+    ``push_semijoin`` / compensation copies carry fresh operator ids) thus
+    lower to one node, evaluated once per execution, and the plans of one
+    compiler share the nodes of shared subgraphs: the translator registers
+    the event-independent sides of a monitored path (:meth:`share`) and every
+    per-event plan (:meth:`plan`) references one compiled node per side —
+    which is also what keys the side's rows in the statement's evaluation
+    memo.  The signature is taken from the operator as it stands, so an
+    operator widened in place since an earlier lowering (``ensure_columns``)
+    is lowered afresh.
 
     ``catalog`` is the :class:`~repro.relational.database.Database` whose
     schemas bind unbound table scans; only the schemas are kept — a
@@ -994,42 +1058,71 @@ class PlanCompiler:
 
     def __init__(self, catalog) -> None:
         self.schemas = {name: catalog.schema(name) for name in catalog.table_names()}
-        self.memo: dict[int, PhysicalOp] = {}
-        self._heavy: dict[int, bool] = {}  # logical id -> subtree does real work
-        self._shared: set[int] = set()  # logical ids to lower as statement-shared
+        self.memo: dict[tuple, PhysicalOp] = {}  # signature -> its one node
+        self._heavy: dict[int, bool] = {}  # node's logical id -> subtree does real work
+        # logical id of a share()d side -> its node, once lowered
+        self._shared: dict[int, PhysicalOp | None] = {}
 
     def share(self, op: Operator) -> None:
         """Lower ``op`` as a statement-shared node (VOLATILE nodes never are).
 
-        Call before the first plan over ``op`` is compiled; nothing is
-        lowered here, so an operator an engine cannot lower fails where the
-        plan that needs it is compiled.
+        Nothing is lowered here, so an operator an engine cannot lower fails
+        where the plan that needs it is compiled.  A shared side keeps the
+        node of its first lowering — every plan over it reads the one entry
+        the statement's memo holds — even when a later translation has
+        widened the graph below it (for operators of its own).
         """
-        self._shared.add(op.id)
+        self._shared.setdefault(op.id)
 
     def plan(self, top: Operator) -> PhysicalPlan:
         """The physical plan for the graph rooted at ``top``."""
         return PhysicalPlan(self.compile(top))
 
     def compile(self, op: Operator) -> PhysicalOp:
-        node = self.memo.get(op.id)
+        """The node for ``op``'s signature, lowering what has none yet."""
+        return self._lower(op, {})
+
+    def _lower(self, op: Operator, seen: dict[int, PhysicalOp]) -> PhysicalOp:
+        # ``seen`` (logical id -> node) holds for this call only: it keeps the
+        # walk linear in a DAG, and the graph may be widened between calls.
+        node = seen.get(op.id) or self._shared.get(op.id)
         if node is not None:
             return node
-        node = self._build(op)
-        # Stability, derived bottom-up.  A node is STABLE when its whole
-        # subtree reads only CURRENT base tables; CONTEXT when transition
-        # tables or the pre-update reconstruction appear below (the same for
-        # every trigger group fired by one statement); VOLATILE — never
-        # reused — when a constants table or a parameter binding is consulted
-        # anywhere below.
+        if isinstance(op, TableOp) and op.columns is None:
+            op.bind_schema(self.schemas[op.table].column_names)
+        children = [self._lower(input_op, seen) for input_op in op.inputs]
+        signature = (type(op), _parameters(op), *children)
+        try:
+            node = self.memo.get(signature)
+        except TypeError:  # an unhashable constant in an expression: no twins
+            signature = (op.id, *children)
+            node = self.memo.get(signature)
+        if node is None:
+            node = self._build(op, children)
+            self._classify(op, node, children)
+            self.memo[signature] = node
+        if op.id in self._shared:
+            self._shared[op.id] = node
+            node.shared = node.stability != VOLATILE
+        seen[op.id] = node
+        return node
+
+    def _classify(self, op: Operator, node: PhysicalOp, children: list[PhysicalOp]) -> None:
+        """Derive a new node's reuse classification from its children's."""
+        if node.logical_id in self._heavy:
+            # ``op`` was widened since an earlier lowering, which still serves
+            # its twins: the two nodes must not answer to one memo key.
+            node.logical_id = next(_operator_counter)
+        # A node is STABLE when its whole subtree reads only CURRENT base
+        # tables; CONTEXT when transition tables or the pre-update
+        # reconstruction appear below (the same for every trigger group fired
+        # by one statement); VOLATILE — never reused — when a constants table
+        # or a parameter binding is consulted anywhere below.
         if isinstance(op, TableOp):
-            children: list[PhysicalOp] = []
             stability = STABLE if op.variant is TableVariant.CURRENT else CONTEXT
         elif isinstance(op, ConstantsOp):
-            children = []
             stability = VOLATILE
         else:
-            children = [self.memo[input_op.id] for input_op in op.inputs]
             stability = min(child.stability for child in children)
             if stability != VOLATILE and _operator_uses_parameters(op):
                 stability = VOLATILE
@@ -1044,34 +1137,30 @@ class PlanCompiler:
         # only STABLE nodes with real work below them — a join, aggregation,
         # or union somewhere in the subtree — are eligible; scan/filter/
         # projection chains recompute faster than they stamp.
-        self._heavy[op.id] = isinstance(op, (JoinOp, GroupByOp, UnionOp)) or any(
-            self._heavy[input_op.id] for input_op in op.inputs
-        )
-        node.cache_eligible = stability == STABLE and self._heavy[op.id]
-        node.shared = stability != VOLATILE and op.id in self._shared
-        self.memo[op.id] = node
-        return node
+        heavy = self._heavy[node.logical_id] = isinstance(
+            op, (JoinOp, GroupByOp, UnionOp)
+        ) or any(self._heavy[child.logical_id] for child in children)
+        node.cache_eligible = stability == STABLE and heavy
 
-    def _build(self, op: Operator) -> PhysicalOp:
+    def _build(self, op: Operator, children: list[PhysicalOp]) -> PhysicalOp:
         if isinstance(op, TableOp):
             return PTableScan(op, self.schemas[op.table])
         if isinstance(op, ConstantsOp):
             return PConstants(op)
         if isinstance(op, SelectOp):
-            return PSelect(op, self.compile(op.input))
+            return PSelect(op, *children)
         if isinstance(op, ProjectOp):
-            return PProject(op, self.compile(op.input))
+            return PProject(op, *children)
         if isinstance(op, JoinOp):
-            children = [self.compile(input_op) for input_op in op.inputs]
             if op.join_kind is JoinKind.INNER:
                 return PInnerJoin(op, children)
-            return PTwoWayJoin(op, children[0], children[1])
+            return PTwoWayJoin(op, *children)
         if isinstance(op, GroupByOp):
-            return PGroupBy(op, self.compile(op.input))
+            return PGroupBy(op, *children)
         if isinstance(op, UnionOp):
-            return PUnion(op, [self.compile(input_op) for input_op in op.inputs])
+            return PUnion(op, children)
         if isinstance(op, UnnestOp):
-            return PUnnest(op, self.compile(op.input))
+            return PUnnest(op, *children)
         raise EvaluationError(f"cannot compile operator {op.kind}")
 
 

@@ -42,7 +42,8 @@ from tests.conftest import build_paper_database
 
 #: Four UPDATE groups (none / shallow twice / full old node), one INSERT, one
 #: DELETE — in GROUPED-AGG the compensated and the full old side coexist, and
-#: the two shallow groups are sibling groups of one translation.
+#: the none group and the two shallow groups are sibling groups of one
+#: translation (only "FULL or not" reaches a plan).
 TRIGGERS = [
     "CREATE TRIGGER UpdNew AFTER UPDATE ON view('catalog')/product "
     "WHERE NEW_NODE/@name = 'CRT 15' DO sink(NEW_NODE)",
@@ -150,9 +151,9 @@ def test_memo_is_per_statement_and_holds_the_sides_and_pairs(use_columnar):
     # same objects, the stamps (hence the keys) and the values are not.
     assert not set(first) & set(second)
     assert not {id(value) for value in first.values()} & {id(value) for value in second.values()}
-    # Six groups on five translations (UPDATE none / shallow / full, INSERT,
+    # Six groups on four translations (UPDATE none-or-shallow / full, INSERT,
     # DELETE) over four sides (keys, new, compensated old, full old).
-    assert len(plans) == 5 and len(sides.shared_operators) == 4
+    assert len(plans) == 4 and len(sides.shared_operators) == 4
 
 
 def test_interpreter_leaves_the_memo_alone():
@@ -178,9 +179,24 @@ def test_each_side_is_evaluated_once_per_statement():
     assert after["shared_side_evaluations"] - before["shared_side_evaluations"] == len(
         sides.shared_operators
     )
-    # Six groups, five distinct translations: UpdOld and UpdNot share one.
-    assert after["pairs_memo_hits"] - before["pairs_memo_hits"] == 1
+    # Six groups, four distinct translations: UpdNew, UpdOld and UpdNot share one.
+    assert after["pairs_memo_hits"] - before["pairs_memo_hits"] == 2
     assert after["shared_side_reuses"] > before["shared_side_reuses"]
+
+
+def test_none_and_shallow_old_node_groups_share_one_translation():
+    """A group that never reads OLD_NODE and one that reads only its key
+    attributes translate alike (``pushdown`` only asks "FULL or not"): the
+    second is a plan-cache hit on the very translation of the first, and a
+    statement hands it the first's pairs instead of executing a plan."""
+    _, service = build_service(triggers=TRIGGERS[:2])  # UpdNew (none), UpdOld (shallow)
+    assert service.group_count() == 2
+    assert (service.plan_cache_hits, service.plan_cache_misses) == (1, 1)
+    first, second = (c.translations["vendor"] for c in service._groups.values())
+    assert first is second and first.uses_compensation
+    service.execute(price_update(1))
+    assert {f.trigger for f in service.fired} == {"UpdNew", "UpdOld"}
+    assert sharing(service)["pairs_memo_hits"] == 1
 
 
 def test_concurrent_shard_threads_never_see_each_others_memo():
@@ -239,7 +255,7 @@ def test_concurrent_shard_threads_never_see_each_others_memo():
         assert normalize(service.fired) == normalize(oracle.fired), f"worker {worker}"
         counters = sharing(service)
         assert counters["shared_side_evaluations"] == statements * 4
-        assert counters["pairs_memo_hits"] == statements
+        assert counters["pairs_memo_hits"] == statements * 2
 
 
 # ------------------------------------------------------- DML issued by an action

@@ -22,6 +22,13 @@ A companion deterministic test pins the result cache's invalidation rule on
 and WAL recovery replay all bump table versions, so a firing after any of
 them must observe the new data (compared against a cache-free interpreted
 evaluation of the same state).
+
+The graph-level properties at the end draw *plans* rather than workloads:
+graphs holding ``clone_graph`` copies of a subgraph under a join and under a
+union (the structural twins translation produces, which lowering merges into
+one physical node) and a three-input inner join whose input cardinalities
+flip between executions of one plan (two recipes of one node) — compiled ==
+interpreted in rows **and order**.
 """
 
 from __future__ import annotations
@@ -35,7 +42,29 @@ from repro.core.baseline import MaterializedBaseline
 from repro.core.language import parse_trigger
 from repro.core.service import ActiveViewService, ExecutionMode
 from repro.relational.dml import DeleteStatement, InsertStatement, UpdateStatement
+from repro.relational import TriggerEvent
+from repro.relational.triggers import TriggerContext
 from repro.xmlmodel import serialize
+from repro.xqgm import (
+    AggregateSpec,
+    Arithmetic,
+    ColumnRef,
+    Comparison,
+    Constant,
+    EvaluationContext,
+    GroupByOp,
+    JoinOp,
+    ProjectOp,
+    SelectOp,
+    TableOp,
+    TableVariant,
+    UnionOp,
+    evaluate,
+)
+from repro.xqgm.columnar import ColumnarCompiler
+from repro.xqgm.graph import clone_graph, walk
+from repro.xqgm.physical import PInnerJoin, PlanCompiler
+from repro.xqgm.rewrite import push_semijoin
 from repro.xqgm.views import catalog_view
 
 from tests.conftest import build_paper_database
@@ -422,3 +451,177 @@ def test_result_cache_invalidates_on_every_commit_path():
 
     # Versions moved on every path, so stale stamps were discarded.
     assert comp.result_cache.stats()["invalidations"] > 0
+
+
+# ---------------------------------------------------------------------------
+# Graph-level: structural twins (one physical node) and join recipes
+# ---------------------------------------------------------------------------
+
+_VARIANTS = [TableVariant.CURRENT, TableVariant.OLD, TableVariant.DELTA_INSERTED]
+
+
+def _vendor_scan(db, variant=TableVariant.CURRENT):
+    return TableOp("vendor", "V", db.schema("vendor").column_names, variant)
+
+
+def _product_scan(db):
+    return TableOp("product", "P", db.schema("product").column_names)
+
+
+def _leg(db, shape, variant, threshold):
+    """A subgraph over ``vendor`` that exposes ``V.pid`` (the twins' join key)."""
+    vendor = _vendor_scan(db, variant)
+    cheap = Comparison("<", ColumnRef("V.price"), Constant(float(threshold)))
+    if shape == 0:
+        return SelectOp(vendor, cheap)
+    if shape == 1:
+        return GroupByOp(vendor, ["V.pid"], [AggregateSpec("n", "count")])
+    if shape == 2:
+        return ProjectOp(
+            SelectOp(vendor, cheap),
+            [("V.pid", ColumnRef("V.pid")),
+             ("double", Arithmetic("*", ColumnRef("V.price"), Constant(2)))],
+        )
+    return JoinOp([_product_scan(db), SelectOp(vendor, cheap)], equi_pairs=[("P.pid", "V.pid")])
+
+
+def _renamed(op, suffix="#t"):
+    return ProjectOp(op, [(column + suffix, ColumnRef(column)) for column in op.output_columns])
+
+
+def _twin_graph(db, kind, leg, all_rows, with_product):
+    """``leg`` beside a ``clone_graph`` copy of itself, as translation leaves them."""
+    twin = clone_graph(leg)
+    assert {op.id for op in walk(twin)}.isdisjoint(op.id for op in walk(leg))
+    if kind == "join":  # distinct names: the copy renamed, then joined back on the key
+        inputs, pairs = [leg, _renamed(twin)], [("V.pid", "V.pid#t")]
+        if with_product and "P.pid" not in leg.output_columns:
+            inputs.append(_product_scan(db))
+            pairs.append(("V.pid", "P.pid"))
+        return JoinOp(inputs, equi_pairs=pairs)
+    if kind == "join_same_names":  # every column duplicated: the merge sites decide
+        return JoinOp([leg, twin], equi_pairs=[("V.pid", "V.pid")])
+    if kind == "union":
+        return UnionOp([leg, twin, clone_graph(leg)], all=all_rows)
+    # The translator's own shape: affected keys joined to a graph into which
+    # push_semijoin copied (a deduplication of) those very keys.
+    keys = _renamed(
+        ProjectOp(_vendor_scan(db, TableVariant.DELTA_INSERTED), [("V.pid", ColumnRef("V.pid"))]),
+        "#key",
+    )
+    pushed = push_semijoin(leg, [("V.pid", "V.pid#key")], clone_graph(keys))
+    return JoinOp([keys, pushed], equi_pairs=[("V.pid#key", "V.pid")])
+
+
+def _fired_context(db, pid, price):
+    """Update one product's vendors, firing nothing: the transition tables
+    the OLD / delta scans of a drawn graph read."""
+    result = db.execute(
+        UpdateStatement("vendor", {"price": float(price)}, where=lambda r: r["pid"] == pid),
+        fire_triggers=False,
+    )
+    return TriggerContext(db, "vendor", TriggerEvent.UPDATE, result.inserted, result.deleted)
+
+
+def _nodes(root):
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(
+                getattr(node, "children", None)
+                or [getattr(node, name) for name in ("input", "left", "right")
+                    if hasattr(node, name)]
+            )
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("compiler_class", [PlanCompiler, ColumnarCompiler])
+@given(
+    kind=st.sampled_from(["join", "join_same_names", "union", "pushed"]),
+    shape=st.integers(0, 3),
+    variant=st.sampled_from(_VARIANTS),
+    threshold=st.integers(50, 400),
+    all_rows=st.booleans(),
+    with_product=st.booleans(),
+    updates=st.lists(
+        st.tuples(st.sampled_from(_PIDS[:3]), st.integers(10, 400)), min_size=1, max_size=3
+    ),
+)
+@settings(
+    max_examples=_EXAMPLES * 4,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_twins_under_joins_and_unions_match_interpreted_in_order(
+    compiler_class, kind, shape, variant, threshold, all_rows, with_product, updates
+):
+    db = build_paper_database(with_foreign_keys=False)
+    top = _twin_graph(db, kind, _leg(db, shape, variant, threshold), all_rows, with_product)
+    plan = compiler_class(db).plan(top)  # the columnar compiler inherits the merging
+    # The copies really are one node each: fewer nodes than logical operators.
+    assert len(_nodes(plan.root)) < len(list(walk(top)))
+    for pid, price in updates:  # one plan, several statements
+        trigger_context = _fired_context(db, pid, price)
+        interpreted = evaluate(top, EvaluationContext(db, trigger_context))
+        compiled = plan.execute_mappings(EvaluationContext(db, trigger_context))
+        assert compiled == interpreted
+
+
+_growth = st.lists(
+    st.tuples(st.sampled_from(["product", "vendor"]), st.integers(1, 12)), min_size=1, max_size=4
+)
+
+
+def _three_way(db):
+    """vendor ⋈ product ⋈ per-product counts; every input's static estimate
+    is a table size, so which input drives the join depends on the data."""
+    counts = GroupByOp(
+        _renamed(_vendor_scan(db), "#c"), ["V.pid#c"], [AggregateSpec("n", "count")]
+    )
+    return JoinOp(
+        [SelectOp(_vendor_scan(db), Comparison(">", ColumnRef("V.price"), Constant(0.0))),
+         SelectOp(_product_scan(db), Comparison("!=", ColumnRef("P.pname"), Constant("none"))),
+         counts],
+        equi_pairs=[("V.pid", "P.pid"), ("P.pid", "V.pid#c")],
+    )
+
+
+def _grow(db, table, count, serial):
+    if table == "product":
+        db.load_rows("product", [
+            {"pid": f"X{serial}_{i}", "pname": f"extra {i}", "mfr": "m"} for i in range(count)
+        ])
+    else:
+        db.load_rows("vendor", [
+            {"vid": f"v{serial}_{i}", "pid": _PIDS[i % 3], "price": 5.0 + i} for i in range(count)
+        ])
+
+
+@given(growth=_growth)
+@settings(max_examples=_EXAMPLES * 2, deadline=None)
+def test_three_input_join_follows_flipping_cardinalities(growth):
+    db = build_paper_database(with_foreign_keys=False)
+    top = _three_way(db)
+    plan = PlanCompiler(db).plan(top)
+    assert plan.execute_mappings(EvaluationContext(db)) == evaluate(top, EvaluationContext(db))
+    for serial, (table, count) in enumerate(growth):
+        _grow(db, table, count, serial)
+        assert plan.execute_mappings(EvaluationContext(db)) == evaluate(
+            top, EvaluationContext(db)
+        )
+
+
+def test_flipped_cardinalities_use_a_second_recipe_of_the_same_node():
+    db = build_paper_database(with_foreign_keys=False)
+    top = _three_way(db)
+    plan = PlanCompiler(db).plan(top)
+    (join,) = [node for node in _nodes(plan.root) if isinstance(node, PInnerJoin)]
+    assert len(db.table("product")) < len(db.table("vendor"))
+    assert plan.execute_mappings(EvaluationContext(db)) == evaluate(top, EvaluationContext(db))
+    assert list(join._recipes) == [(1, 0, 2)]  # product drives
+    _grow(db, "product", 12, 0)
+    assert len(db.table("product")) > len(db.table("vendor"))
+    assert plan.execute_mappings(EvaluationContext(db)) == evaluate(top, EvaluationContext(db))
+    assert list(join._recipes) == [(1, 0, 2), (0, 2, 1)]

@@ -234,7 +234,11 @@ def _assert_population(service, population, mode) -> None:
         compiled = by_name[f"g{group}m0"]
         requirement = _TEMPLATES[template][1]
         for translation in compiled.translations.values():
-            assert translation.options.old_node_requirement == requirement
+            # NONE and SHALLOW share one translation (PushdownOptions.cache_key):
+            # only "FULL or not" is a property of the plan.
+            assert (translation.options.old_node_requirement == OldNodeRequirement.FULL) == (
+                requirement == OldNodeRequirement.FULL
+            )
             compensated = (
                 mode is ExecutionMode.GROUPED_AGG
                 and path == "topelem"
