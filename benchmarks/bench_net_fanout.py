@@ -15,19 +15,23 @@ the same server: every connection must receive exactly the oracle's
 activation sequence, per shard, in order — delivery at scale, not best-effort
 sampling.
 
-The standalone run sweeps the front-end configuration: an unbatched
-single-loop reference point (today's wire path with batching negotiated
-off) against activation frame batching at ``loops`` ∈ {1, 2, 4}.  The
-headline metric is the batched 4-loop aggregate delivery rate
+The standalone run sweeps loops × ``caps``: a single-loop reference point
+whose clients negotiate no capability (``caps=()``: one ``activation``
+frame per fired trigger) against clients that take each delivery run as
+one node-table ``activation_batch`` frame, at ``loops`` ∈ {1, 2, 4}.  Every
+point also checks the shared encode: a run is encoded once and the bytes
+are handed to every connection that gets the same run, on any loop
+(``shared_encode_misses`` stays a ~1/connections share of the lookups).
+The headline metric is the run-framed 4-loop aggregate delivery rate
 (``batched_deliveries_per_s``), gated by
 ``tools/check_bench_regression.py``; the run itself additionally asserts
-the batched multi-loop front end beats the **recorded PR 8 single-loop
-baseline** (the first ``deliveries_per_s`` record in
+the multi-loop front end beats the **recorded PR 8 single-loop baseline**
+(the first ``deliveries_per_s`` record in
 ``benchmarks/results/BENCH_net_fanout.json``, measured before the
-multi-loop/batching work) by ``MIN_SPEEDUP``x.  The in-run unbatched
-point is reported, not gated: it shares this PR's delivery-path
-optimizations (coalesced wakeups, decode caches), so it moves together
-with the batched points and understates the speedup over PR 8.
+multi-loop work) by ``MIN_SPEEDUP``x.  The in-run single-frame point is
+reported, not gated: it shares the delivery path (coalesced wakeups,
+decode caches), so it moves together with the run-framed points and
+understates the speedup over PR 8.
 
 Run with pytest (scaled-down)::
 
@@ -73,12 +77,17 @@ UPDATES = 12
 #: Handshakes in flight at once while building the connection population.
 CONNECT_BATCH = 100
 
-#: Loop counts swept by the standalone run (batching on).
+#: Loop counts swept by the standalone run (clients with the capability).
 LOOP_SWEEP = (1, 2, 4)
 
-#: Required speedup of the batched 4-loop point over the recorded PR 8
-#: single-loop baseline — the PR's acceptance gate.
+#: Required speedup of the run-framed 4-loop point over the recorded PR 8
+#: single-loop baseline — the acceptance gate.
 MIN_SPEEDUP = 2.0
+
+#: ``caps`` of the two kinds of client: everything the client speaks (a
+#: delivery run is one ``activation_batch`` frame), or nothing (one
+#: ``activation`` frame per fired trigger).
+RUN_FRAMES, SINGLE_FRAMES = None, ()
 
 #: The PR 8 single-loop front end measured 680 deliveries/s at 1000
 #: connections on the reference container (first record in
@@ -105,28 +114,20 @@ def pr8_baseline_deliveries_per_s() -> float:
             return float(record["deliveries_per_s"])
     return PR8_BASELINE_DELIVERIES_PER_S
 
-#: Batch linger for the batched sweep points.  Fan-out throughput wants a
-#: linger generous relative to the engine's burst production (~tens of ms
-#: for a statement batch) so one burst coalesces into one frame per
-#: connection; the 2 ms server default favors latency instead.
-BATCH_LINGER = 0.02
 
 
-def build_stack(*, loops: int = 1, batching: bool = True) -> tuple:
+def build_stack(*, loops: int = 1) -> tuple:
     """A started server + network front end running the hierarchy workload."""
     harness = ExperimentHarness(PARAMETERS)
     server, workload = harness.build_server(PARAMETERS, shard_count=2)
     oracle = Subscriber("oracle", capacity=65536)
     server.attach_subscriber(oracle)
     server.start()
-    net = NetworkServer(
-        server, send_buffer=4096, loops=loops, batching=batching,
-        batch_linger=BATCH_LINGER,
-    ).start()
+    net = NetworkServer(server, send_buffer=4096, loops=loops).start()
     return server, net, workload, oracle
 
 
-async def _fan_out(host, port, statements, connections):
+async def _fan_out(host, port, statements, connections, caps):
     """Connect, subscribe, produce, and consume; returns the measured run."""
     clients: list[NetClient] = []
     connect_started = time.perf_counter()
@@ -134,7 +135,7 @@ async def _fan_out(host, port, statements, connections):
         batch = min(CONNECT_BATCH, connections - batch_start)
         clients.extend(
             await asyncio.gather(
-                *(NetClient.connect(host, port) for _ in range(batch))
+                *(NetClient.connect(host, port, caps=caps) for _ in range(batch))
             )
         )
     subscriptions = []
@@ -174,14 +175,14 @@ async def _fan_out(host, port, statements, connections):
     return connect_seconds, fanout_seconds, expected, per_connection
 
 
-def run_fanout(connections: int, *, loops: int = 1, batching: bool = True) -> dict:
+def run_fanout(connections: int, *, loops: int = 1, caps=RUN_FRAMES) -> dict:
     """One measured fan-out point, equivalence-checked against the oracle."""
-    server, net, workload, oracle = build_stack(loops=loops, batching=batching)
+    server, net, workload, oracle = build_stack(loops=loops)
     try:
         statements = workload.client_streams(1, UPDATES)[0]
         host, port = net.address
         connect_seconds, fanout_seconds, expected, per_connection = asyncio.run(
-            _fan_out(host, port, statements, connections)
+            _fan_out(host, port, statements, connections, caps)
         )
         server.drain()
         oracle_stream = oracle.drain()
@@ -209,12 +210,22 @@ def run_fanout(connections: int, *, loops: int = 1, batching: bool = True) -> di
         deliveries = expected * connections
         report = net.net_report()
         assert report["subscriptions_paused"] == 0, "fan-out paused a subscriber"
-        if not batching:
+        run_frames = caps is RUN_FRAMES
+        if not run_frames:
             assert report["activation_batches_sent"] == 0
+        # One encode per run (per activation for single frames), shared by
+        # every connection handed the same one: the encodes are a
+        # ~1/connections share of the lookups.  The slack covers loops that
+        # drain a shard's bundles in different groupings.
+        encodes = report["shared_encode_misses"]
+        lookups = encodes + report["shared_encode_hits"]
+        assert encodes * connections <= 4 * lookups, (
+            f"{encodes} encodes for {lookups} frame lookups over {connections} connections"
+        )
         return {
             "connections": connections,
             "loops": loops,
-            "batching": batching,
+            "run_frames": run_frames,
             "activations": expected,
             "deliveries": deliveries,
             "connect_per_s": round(connections / max(connect_seconds, 1e-9), 1),
@@ -223,6 +234,7 @@ def run_fanout(connections: int, *, loops: int = 1, batching: bool = True) -> di
             "frames_sent": report["frames_sent"],
             "activation_batches_sent": report["activation_batches_sent"],
             "shared_encode_hits": report["shared_encode_hits"],
+            "shared_encode_misses": encodes,
         }
     finally:
         net.stop()
@@ -230,14 +242,14 @@ def run_fanout(connections: int, *, loops: int = 1, batching: bool = True) -> di
 
 
 @pytest.mark.parametrize(
-    "loops,batching", [(1, False), (2, True)], ids=["baseline", "loops2-batched"]
+    "loops,caps", [(1, SINGLE_FRAMES), (2, RUN_FRAMES)], ids=["baseline", "loops2-runs"]
 )
-def test_every_connection_receives_the_oracle_stream(loops, batching):
+def test_every_connection_receives_the_oracle_stream(loops, caps):
     """Scaled-down acceptance: full equivalence at 64 connections."""
-    result = run_fanout(64, loops=loops, batching=batching)
+    result = run_fanout(64, loops=loops, caps=caps)
     assert result["deliveries"] == result["activations"] * 64
     assert result["activations"] > 0
-    if batching:
+    if result["run_frames"]:
         assert result["activation_batches_sent"] > 0
 
 
@@ -245,20 +257,21 @@ def main() -> None:  # pragma: no cover - CLI convenience
     from benchmarks.common import record_result
 
     def show(result: dict) -> None:
-        mode = "batched " if result["batching"] else "unbatched"
+        mode = "run frames   " if result["run_frames"] else "single frames"
         print(
             f"loops={result['loops']}  {mode}  "
             f"connections={result['connections']}  "
             f"activations={result['activations']}  "
             f"frames={result['frames_sent']}  "
+            f"encodes={result['shared_encode_misses']}  "
             f"fan-out {result['deliveries_per_s']:9.0f} deliveries/s"
         )
 
-    unbatched = run_fanout(CONNECTIONS, loops=1, batching=False)
+    unbatched = run_fanout(CONNECTIONS, loops=1, caps=SINGLE_FRAMES)
     show(unbatched)
     sweep = []
     for loops in LOOP_SWEEP:
-        point = run_fanout(CONNECTIONS, loops=loops, batching=True)
+        point = run_fanout(CONNECTIONS, loops=loops, caps=RUN_FRAMES)
         sweep.append(point)
         show(point)
     headline = sweep[-1]
@@ -269,9 +282,9 @@ def main() -> None:  # pragma: no cover - CLI convenience
     )
     print("equivalence vs in-process oracle: OK (every run, every connection)")
     print(
-        f"batched loops={headline['loops']} vs PR 8 baseline "
+        f"run frames loops={headline['loops']} vs PR 8 baseline "
         f"({pr8_baseline:.0f}/s): {speedup:.2f}x"
-        f"  (vs in-run unbatched: {vs_unbatched:.2f}x)"
+        f"  (vs in-run single frames: {vs_unbatched:.2f}x)"
     )
     assert speedup >= MIN_SPEEDUP, (
         f"front end too slow: {speedup:.2f}x < required {MIN_SPEEDUP}x"

@@ -13,12 +13,12 @@ per shard, in order — delivery at scale, not best-effort sampling.
 The interesting question versus the TCP front end is the cost of the web
 packaging: JSON activation records inside RFC 6455 TEXT frames instead of
 CRC-framed binary, with the :class:`~repro.serving.web.JsonFrameCache`
-amortizing the encode to once per activation process-wide.  The headline
+amortizing the encode to once per delivery run process-wide.  The headline
 metric is the aggregate delivery rate (``ws_deliveries_per_s``), gated by
 ``tools/check_bench_regression.py``; the standalone run additionally
 asserts the fan-out moved at least ``MIN_DELIVERIES`` activation
 deliveries (the ≥1000-activation acceptance floor) and that the frame
-cache did its job (one encode per activation, not per connection).
+cache did its job (one encode per delivery run, not per connection).
 
 Run with pytest (scaled-down)::
 
@@ -157,10 +157,17 @@ def run_fanout(connections: int) -> dict:
         deliveries = expected * connections
         report = gateway.web_report()
         assert report["subscriptions_paused"] == 0, "fan-out paused a subscriber"
-        # One JSON encode per activation, not per connection: the cache
-        # misses once per activation and hits for every other delivery.
-        assert report["shared_encode_misses"] <= expected
-        assert report["shared_encode_hits"] >= deliveries - expected
+        # One JSON encode per delivery run, not per connection: the cache
+        # misses once per run and hits for every other connection handed the
+        # same one, so the encodes are a ~1/connections share of the
+        # lookups (the slack covers connections whose wake-ups grouped a
+        # shard's bundles differently).
+        encodes = report["shared_encode_misses"]
+        lookups = encodes + report["shared_encode_hits"]
+        assert encodes <= expected
+        assert encodes * connections <= 4 * lookups, (
+            f"{encodes} encodes for {lookups} frame lookups over {connections} connections"
+        )
         return {
             "connections": connections,
             "activations": expected,

@@ -15,8 +15,9 @@ and the outbox all share one vocabulary:
 * activations ↔ scalars plus the OLD/NEW nodes as XML text, read from the
   activation's :class:`~repro.xmlmodel.serialize.EncodedPair` (one
   serialization per affected pair, whoever encodes first) and re-parsed on
-  redelivery — one record per activation on the wire, one record per
-  *bundle* (a node table plus thin rows) in the outbox.
+  redelivery — a node table plus thin rows, one record per *bundle* in
+  the outbox and one per delivery *run* on the wire (an activation that
+  travels alone keeps the flat single-activation record).
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ __all__ = [
     "activation_from_record",
     "bundle_to_record",
     "bundle_from_record",
+    "run_to_record",
+    "run_from_record",
 ]
 
 
@@ -206,29 +209,39 @@ def activation_from_record(
     )
 
 
-def bundle_to_record(activations: Sequence[Activation]) -> dict:
-    """One shard's activations, in sequence order, as one outbox record.
+def _node_table(activations: Sequence[Activation]) -> tuple[list, list[int]]:
+    """``([[OLD text, NEW text] per distinct pair], each activation's index in it)``.
 
-    ``nodes`` holds each distinct ``[OLD text, NEW text]`` once and ``acts``
-    one thin row per activation naming its nodes by index.  Distinct means
-    "of a different :class:`EncodedPair`" — sibling activations share theirs
-    by reference — so no text is hashed or compared.  ``shard`` and ``last``
-    (the highest sequence) come first: recovery drops a bundle everyone has
-    acked on those two alone.
+    Distinct means "of a different :class:`EncodedPair`" — sibling
+    activations share theirs by reference — so no text is hashed or compared.
     """
     nodes: list[list[str | None]] = []
     index: dict[int, int] = {}
-    acts = []
+    places = []
     for activation in activations:
         encoded = activation.encoded
         at = index.get(id(encoded))
         if at is None:
             at = index[id(encoded)] = len(nodes)
             nodes.append([encoded.old_text, encoded.new_text])
-        acts.append([
-            activation.sequence, activation.trigger, activation.view,
-            activation.path, activation.event.value, activation.key, at,
-        ])
+        places.append(at)
+    return nodes, places
+
+
+def bundle_to_record(activations: Sequence[Activation]) -> dict:
+    """One shard's activations, in sequence order, as one outbox record.
+
+    ``nodes`` holds each distinct ``[OLD text, NEW text]`` once and ``acts``
+    one thin row per activation naming its nodes by index
+    (:func:`_node_table`).  ``shard`` and ``last``
+    (the highest sequence) come first: recovery drops a bundle everyone has
+    acked on those two alone.
+    """
+    nodes, places = _node_table(activations)
+    acts = [
+        [a.sequence, a.trigger, a.view, a.path, a.event.value, a.key, at]
+        for a, at in zip(activations, places)
+    ]
     return {
         "shard": activations[0].shard, "last": activations[-1].sequence,
         "nodes": nodes, "acts": acts,
@@ -257,3 +270,42 @@ def bundle_from_record(record: dict, after: float = 0) -> list[Activation]:
             shard, sequence, trigger, view, path, TriggerEvent(event), key, *pair
         ))
     return activations
+
+
+def run_to_record(activations: Sequence[Activation]) -> dict:
+    """A delivery run — any shards, any order — as one wire record.
+
+    The bundle record's shape with the shard moved into the rows: ``nodes``
+    holds each distinct ``[OLD text, NEW text]`` once, ``acts`` one row
+    ``[shard, sequence, trigger, view, path, event, key, nodes index]`` per
+    activation, in run order.
+    """
+    nodes, places = _node_table(activations)
+    acts = [
+        [a.shard, a.sequence, a.trigger, a.view, a.path, a.event.value, a.key, at]
+        for a, at in zip(activations, places)
+    ]
+    return {"nodes": nodes, "acts": acts}
+
+
+def run_from_record(
+    record: dict, *, node_cache: MutableMapping[str, Any] | None = None
+) -> list[Activation]:
+    """The activations of a run record, in order.
+
+    Each entry of the node table is parsed once (or taken from
+    ``node_cache``) and gets one :class:`EncodedPair` holding the received
+    text, shared by the activations that name it.
+    """
+    pairs = []
+    for old_text, new_text in record["nodes"]:
+        old = None if old_text is None else _parse_node(old_text, node_cache)
+        new = None if new_text is None else _parse_node(new_text, node_cache)
+        pairs.append((old, new, EncodedPair(old, new, old_text, new_text)))
+    return [
+        Activation(
+            shard, sequence, trigger, view, tuple(path), TriggerEvent(event), tuple(key),
+            *pairs[at],
+        )
+        for shard, sequence, trigger, view, path, event, key, at in record["acts"]
+    ]

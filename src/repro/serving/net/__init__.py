@@ -23,10 +23,10 @@ from repro.serving.net.protocol import (
     SUPPORTED_CAPS,
     activation_from_wire,
     activation_to_wire,
-    batch_payloads,
     encode_frame,
     negotiate_caps,
     read_frame,
+    run_from_wire,
     statement_from_wire,
     statement_to_wire,
 )
@@ -50,9 +50,9 @@ __all__ = [
     "SUPPORTED_CAPS",
     "MAX_BATCH_ACTIVATIONS",
     "negotiate_caps",
-    "batch_payloads",
     "encode_frame",
     "read_frame",
+    "run_from_wire",
     "statement_to_wire",
     "statement_from_wire",
     "activation_to_wire",

@@ -28,7 +28,7 @@ from its durable cursor.  A typical resilient consumer is a loop::
 from __future__ import annotations
 
 import asyncio
-from typing import Any, AsyncIterator, Iterable, Mapping, Sequence
+from typing import AsyncIterator, Iterable, Mapping, Sequence
 
 from repro.errors import NetworkError, ProtocolError
 from repro.relational.dml import Statement
@@ -37,12 +37,12 @@ from repro.serving.net.protocol import (
     PROTOCOL_VERSION,
     SUPPORTED_CAPS,
     activation_from_wire,
-    batch_payloads,
     decode_payload,
     encode_frame,
     negotiate_caps,
     read_frame,
     read_frame_payload,
+    run_from_wire,
     statement_to_wire,
 )
 from repro.serving.subscribers import Activation
@@ -53,8 +53,8 @@ __all__ = ["NetClient", "NetSubscription"]
 _STREAM_END = object()
 
 #: Process-wide decode memo for server *push* frames, keyed by the frame's
-#: CRC-verified payload bytes.  The server encodes an activation (or batch)
-#: once and writes the identical frame to every subscriber; a process
+#: CRC-verified payload bytes.  The server encodes a delivery run once and
+#: writes the identical frame to every subscriber; a process
 #: holding many subscriber connections receives those same bytes once per
 #: connection, and this is the decode-side mirror of that shared encode
 #: cache: one payload decode + one Activation materialization per distinct
@@ -98,9 +98,6 @@ class NetSubscription:
         #: Set once no further activations can arrive.
         self.ended = False
         self._queue: asyncio.Queue = asyncio.Queue()
-
-    def _on_activation(self, payload: Any) -> None:
-        self._queue.put_nowait(activation_from_wire(payload))
 
     def _on_decoded(self, activation: Activation) -> None:
         self._queue.put_nowait(activation)
@@ -174,7 +171,7 @@ class NetClient:
         self.server_info: dict = {}
         #: Capabilities negotiated with the server (the intersection of what
         #: both endpoints announced); ``activation_batch`` in here means the
-        #: server may coalesce activations into batch frames.
+        #: server sends each delivery run as one node-table frame.
         self.caps: frozenset[str] = frozenset()
         #: The connection's subscription, once :meth:`subscribe` succeeded.
         self.subscription: NetSubscription | None = None
@@ -205,9 +202,8 @@ class NetClient:
 
         ``caps`` announces capabilities to the server (default: everything
         this client implementation speaks, currently ``activation_batch``).
-        Pass ``caps=()`` to negotiate none — the server then behaves exactly
-        as toward a pre-capability client, one ``activation`` frame per
-        fired trigger.
+        Pass ``caps=()`` to negotiate none — the server then sends one
+        ``activation`` frame per fired trigger.
         """
         announce = sorted(SUPPORTED_CAPS if caps is None else caps)
         reader, writer = await asyncio.open_connection(host, port)
@@ -353,14 +349,10 @@ class NetClient:
                         self.subscription._on_decoded(activation)
                 elif mtype == "activation_batch":
                     # Strictly validated even when no subscription is live:
-                    # a malformed batch is a protocol error, not a silent
-                    # drop.  One bad record fails the frame exactly like a
-                    # malformed single activation would.
-                    payloads = batch_payloads(message)
+                    # a malformed frame is a protocol error, not a silent
+                    # drop.  Each distinct node text is parsed once.
+                    activations = tuple(run_from_wire(message))
                     self.batches_received += 1
-                    activations = tuple(
-                        activation_from_wire(record) for record in payloads
-                    )
                     _remember_push(payload_bytes, True, activations)
                     if self.subscription is not None:
                         for activation in activations:

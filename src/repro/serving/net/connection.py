@@ -1,24 +1,21 @@
-"""The TCP transport of the session runtime: framing, handshake, batching.
+"""The TCP transport of the session runtime: framing, handshake, submits.
 
 :class:`_Connection` is a :class:`~repro.serving.net.session.Session` that
 speaks the length+CRC framed protocol of :mod:`repro.serving.net.protocol`:
 it reads frames, negotiates capabilities in the ``hello``/``welcome``
-handshake, routes ``submit`` / ``ddl`` / ``stats`` through the shared
-request layer (:mod:`repro.serving.net.requests`), and shapes activation
-delivery.  Everything a subscription *does* — attach, acks, watermarks, the
-slow-consumer pause — is the session's.
+handshake and routes ``submit`` / ``ddl`` / ``stats`` through the shared
+request layer (:mod:`repro.serving.net.requests`).  Everything a
+subscription *does* — attach, acks, watermarks, framing a delivery run, the
+slow-consumer pause — is the session's; the handshake only decides whether
+this peer takes a run as one ``activation_batch`` frame (it announced the
+capability) or as one ``activation`` frame per fired trigger.
 
-Activation delivery has two shapes, chosen per connection at handshake:
-
-* **single-frame** — one ``activation`` frame per fired trigger (the only
-  shape an un-upgraded client ever sees);
-* **batched** — for clients that negotiated the ``activation_batch``
-  capability, pending activations coalesce into one length+CRC frame,
-  bounded by a count budget, a byte budget, and a linger deadline
-  (:class:`~repro.serving.net.netserver.NetworkServer` parameters).  A
-  batch of one degenerates to the plain single frame, so the shared encode
-  cache is hit either way.  A pending batch counts as buffered: it flushes
-  before a ``paused`` frame and on cleanup.
+A client may pipeline submits.  Each is on its shard queue before the next
+frame is read, so a pipelined burst executes as one micro-batch; the reader
+yields to the loop's other connections every :data:`_YIELD_EVERY` frames and
+stops reading while :data:`~repro.serving.net.session.REPLY_SLACK`
+statements are unanswered, which keeps the replies of any client that reads
+them inside the session's bounded out-queue.
 """
 
 from __future__ import annotations
@@ -34,10 +31,14 @@ from repro.serving.net.protocol import (
     negotiate_caps,
     read_frame,
 )
-from repro.serving.net.session import Session
-from repro.serving.subscribers import Activation
+from repro.serving.net.session import REPLY_SLACK, Session
 
 __all__ = ["_Connection"]
+
+#: Frames one connection dispatches before letting the loop run something
+#: else.  Reading buffered frames and enqueueing their statements never
+#: waits, so without this a deep pipeline would hold the loop until empty.
+_YIELD_EVERY = 32
 
 
 class _Connection(Session):
@@ -50,27 +51,26 @@ class _Connection(Session):
 
     def __init__(self, runtime, reader, writer) -> None:
         super().__init__(runtime, reader, writer)
-        #: True once the peer negotiated ``activation_batch`` *and* the
-        #: server has batching enabled; otherwise every activation travels
-        #: as its own frame, exactly as before the capability existed.
-        self.batching = False
-        self._pending_batch: list[Activation] = []
-        self._pending_bytes = 0
-        self._linger_handle: asyncio.TimerHandle | None = None
-        if self.front.batch_eager_flush:
-            # The run is over — nothing more is coming in *this* wakeup, so
-            # flush now rather than paying the linger for a burst that has
-            # already ended.
-            self._run_end = self._flush
+        #: Statements submitted on this connection whose reply has not yet
+        #: been written out.
+        self._unanswered = 0
+        self._answered = asyncio.Event()
 
     # ------------------------------------------------------------------ reading
 
     async def _read_loop(self) -> None:
         await self._handshake()
+        frames = 0
         while True:
+            while self._unanswered >= REPLY_SLACK:
+                self._answered.clear()
+                await self._answered.wait()
             message = await read_frame(self.reader, max_frame=self.front.max_frame)
             self.counters["frames_received"] += 1
             await self._dispatch(message)
+            frames += 1
+            if frames % _YIELD_EVERY == 0:
+                await asyncio.sleep(0)
 
     def _protocol_error(self, error: ProtocolError) -> None:
         self.send_error(None, "protocol", str(error))
@@ -88,9 +88,7 @@ class _Connection(Session):
                 f"server {PROTOCOL_VERSION}"
             )
         caps = negotiate_caps(hello.get("caps"))
-        if not self.front.batching:
-            caps = caps - {CAP_ACTIVATION_BATCH}
-        self.batching = CAP_ACTIVATION_BATCH in caps
+        self.run_frames = CAP_ACTIVATION_BATCH in caps
         self.send(
             {
                 "type": "welcome",
@@ -153,18 +151,24 @@ class _Connection(Session):
             self.send_error(msg_id, "execution", str(error))
             return
         self.counters["statements_submitted"] += len(tickets)
+        self._unanswered += len(tickets)
+
+        def answered() -> None:  # loop thread, once the reply has drained
+            self._unanswered -= len(tickets)
+            self._answered.set()
 
         def reply(resolved: asyncio.Future) -> None:  # loop thread
             error = resolved.exception()
             if error is not None:
-                self.send_error(msg_id, "execution", str(error))
+                answer = {
+                    "type": "error", "id": msg_id, "code": "execution", "message": str(error),
+                }
             else:
-                self.send(
-                    {"type": "result", "id": msg_id, "results": resolved.result()}
-                )
+                answer = {"type": "result", "id": msg_id, "results": resolved.result()}
+            self.send(answer, after=answered)
 
         # No await: the connection keeps dispatching while tickets resolve.
-        requests.ticket_results(tickets).add_done_callback(reply)
+        requests.ticket_results(tickets, self.runtime.wake_hub).add_done_callback(reply)
 
     async def _handle_ddl(self, msg_id: int, message: dict) -> None:
         try:
@@ -178,49 +182,3 @@ class _Connection(Session):
             self.send_error(msg_id, "execution", str(error))
             return
         self.send({"type": "ddl_ok", "id": msg_id, "names": names})
-
-    # ------------------------------------------------------------------ batching
-
-    def _emit(self, activation: Activation) -> None:  # loop thread
-        if not self.batching:
-            super()._emit(activation)
-            return
-        # The byte budget is checked *before* appending so one flush never
-        # exceeds it (and therefore never exceeds max_frame); the count
-        # budget is checked after.
-        size = self.front.frame_cache.frame_size(activation)
-        if self._pending_batch and (
-            self._pending_bytes + size > self.front.batch_max_bytes
-        ):
-            self._flush()
-        self._pending_batch.append(activation)
-        self._pending_bytes += size
-        if len(self._pending_batch) >= self.front.batch_max_count:
-            self._flush()
-        elif self._linger_handle is None:
-            self._linger_handle = self.runtime.loop.call_later(
-                self.front.batch_linger, self._flush
-            )
-
-    def _flush(self) -> None:  # loop thread
-        if self._linger_handle is not None:
-            self._linger_handle.cancel()
-            self._linger_handle = None
-        pending = self._pending_batch
-        if not pending:
-            return
-        self._pending_batch = []
-        self._pending_bytes = 0
-        if len(pending) == 1:
-            super()._emit(pending[0])
-            return
-        frame, hit = self.front.frame_cache.batch_frame(tuple(pending))
-        count = len(pending)
-        self.counters["activation_batches_sent"] += 1
-        self.counters["batched_activations_sent"] += count
-        self._count_cache(hit)
-        subscriber = self.subscriber
-        self.send(
-            frame,
-            after=(lambda: subscriber.release(count)) if subscriber is not None else None,
-        )

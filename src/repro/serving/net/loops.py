@@ -56,6 +56,8 @@ _COUNTERS = (
     "subscriptions_opened",
     "subscriptions_paused",
     "activations_sent",
+    "activation_batches_sent",
+    "batched_activations_sent",
     "acks_received",
     "shared_encode_hits",
     "shared_encode_misses",

@@ -19,28 +19,29 @@ sharding the loops lets encode+drain work use more than one core
 (``benchmarks/bench_net_fanout.py`` drives the sweep).
 
 Bridging the thread world and the loops, backpressured both ways (the
-details live in :mod:`repro.serving.net.session`):
+details live in :mod:`repro.serving.net.session` and
+:mod:`repro.serving.net.requests`):
 
-* **DML inbound** — a connection's statements are submitted to the shard
-  queues via worker threads (``asyncio.to_thread``) in arrival order; a
-  full shard queue blocks only that connection's dispatch loop, never an
-  event loop.
+* **DML inbound** — a connection's statements go from its read loop
+  straight onto the shard queues, in arrival order, so a pipelined burst
+  runs as one micro-batch; only a full shard queue moves that statement's
+  enqueue to a worker thread, which blocks that connection's dispatch loop
+  and never an event loop.
 * **Activations outbound** — each subscription's ``_offer_many`` never
   blocks the shard worker: it reserves the bundle's slots of the
-  connection's bounded send buffer and hands the run to the owning loop.  Clients that
-  negotiated the ``activation_batch`` capability get pending activations
-  coalesced into one frame (count budget ``batch_max_count``, byte budget
-  ``batch_max_bytes``, linger deadline ``batch_linger``); slots release
-  only after the frame drains.  A slow consumer **pauses**: detach, flush
-  (pending batch included), terminal ``paused`` frame, durable resume via
-  the persisted cursor.
+  connection's bounded send buffer and hands the run to the owning loop,
+  which frames it once — one ``activation_batch`` (node table plus rows)
+  for clients that negotiated the capability, split only at half of
+  ``max_frame``; slots release only after the frame drains.  A slow
+  consumer **pauses**: detach, terminal ``paused`` frame behind everything
+  already framed, durable resume via the persisted cursor.
 
 ``docs/networking.md`` is the protocol reference (the "scaling the front
-end" section covers loop-count and batching tuning);
+end" section covers loop-count tuning);
 ``tests/serving/test_net_protocol_fuzz.py`` pins the no-crash guarantee and
 ``tests/property/test_property_net_equivalence.py`` pins delivery
 equivalence against the in-process subscriber oracle across loop counts and
-batching modes.
+frame shapes.
 """
 
 from __future__ import annotations
@@ -80,32 +81,13 @@ class NetworkServer(FrontEnd):
         this).
     max_frame:
         Per-frame payload cap, enforced before any payload is read —
-        configurable on both endpoints (the client's cap is what bounds a
-        batched frame it is willing to decode).
+        configurable on both endpoints.  A delivery run that would encode
+        to more than half of it is split into several frames.
     send_buffer:
         Per-subscription bound on activations buffered toward one client
-        (frames handed to the loop but not yet drained).  Crossing it
-        pauses the subscription — see the module docstring's slow-consumer
-        policy.
-    batching, batch_max_count, batch_max_bytes, batch_linger:
-        Activation frame batching for clients that negotiated the
-        ``activation_batch`` capability: a hot subscription's pending
-        activations coalesce into one frame, flushed when ``batch_max_count``
-        activations or ``batch_max_bytes`` encoded bytes accumulate, or
-        ``batch_linger`` seconds after the first pending activation —
-        whichever comes first.  ``batching=False`` disables the capability
-        server-wide (every client gets single frames).
-    batch_eager_flush:
-        Flush the pending batch as soon as a delivery run (the burst of
-        activations handed to the connection in one loop wakeup) ends —
-        the default, pairing burst-sized batches with zero added latency.
-        ``False`` holds the batch for the full linger/count/byte budgets
-        instead: slightly better coalescing for workloads that trickle
-        activations just under the linger apart, at the linger's latency
-        cost.
+        (handed to the loop but not yet drained).  Crossing it pauses the
+        subscription — see the module docstring's slow-consumer policy.
     """
-
-    extra_counters = ("activation_batches_sent", "batched_activations_sent")
 
     def __init__(
         self,
@@ -118,11 +100,6 @@ class NetworkServer(FrontEnd):
         max_frame: int = DEFAULT_MAX_FRAME,
         send_buffer: int = 256,
         write_buffer_limit: int | None = None,
-        batching: bool = True,
-        batch_max_count: int = 128,
-        batch_max_bytes: int = 256 * 1024,
-        batch_linger: float = 0.002,
-        batch_eager_flush: bool = True,
     ) -> None:
         super().__init__(
             server, host=host, port=port, send_buffer=send_buffer,
@@ -130,24 +107,11 @@ class NetworkServer(FrontEnd):
         )
         if loops < 1:
             raise NetworkError("loops must be at least 1")
-        if batch_max_count < 1:
-            raise NetworkError("batch_max_count must be at least 1")
-        if batch_max_bytes < 1:
-            raise NetworkError("batch_max_bytes must be at least 1")
-        if batch_linger < 0:
-            raise NetworkError("batch_linger must be >= 0")
         self.loops = loops
         self.reuse_port = reuse_port
         self.max_frame = max_frame
-        self.batching = batching
-        self.batch_max_count = batch_max_count
-        # The byte budget must leave headroom under max_frame: a flush can
-        # not produce a frame the peer's read limit would reject.
-        self.batch_max_bytes = min(batch_max_bytes, max(1, max_frame // 2))
-        self.batch_linger = batch_linger
-        self.batch_eager_flush = batch_eager_flush
-        #: One encode per activation (or batch shape), shared by every loop.
-        self.frame_cache = SharedFrameCache()
+        #: One encode per delivery run, shared by every loop.
+        self.frame_cache = SharedFrameCache(max_frame=max_frame)
 
     async def _serve_connection(self, runtime, reader, writer) -> None:
         await _Connection(runtime, reader, writer).run()

@@ -30,9 +30,10 @@ DML statements cross the wire as constant records only
 primary-key target lists are all expressible; Python callables (predicate
 ``where=`` / computed ``assignments=``) are *code* and are rejected
 client-side rather than pickled.  Activations reuse the durable outbox
-record vocabulary (:mod:`repro.persist.records`), so what a network
-subscriber receives is byte-for-byte what a crash-recovery redelivery would
-replay.
+record vocabulary (:mod:`repro.persist.records`): one that travels alone is
+the flat record, a delivery run is the outbox's node table plus thin rows
+(:func:`~repro.persist.records.run_to_record`), so every distinct node text
+crosses the wire — and is parsed by the receiver — once per frame.
 """
 
 from __future__ import annotations
@@ -44,7 +45,11 @@ from typing import Any, Mapping
 
 from repro.errors import ProtocolError
 from repro.persist.codec import decode_value, encode_value
-from repro.persist.records import activation_from_record, activation_to_record
+from repro.persist.records import (
+    activation_from_record,
+    activation_to_record,
+    run_from_record,
+)
 from repro.relational.dml import (
     DeleteStatement,
     InsertStatement,
@@ -71,14 +76,15 @@ __all__ = [
     "result_to_wire",
     "activation_to_wire",
     "activation_from_wire",
-    "batch_payloads",
+    "run_from_wire",
 ]
 
 #: Bumped on any frame- or message-level incompatibility; the ``hello`` /
 #: ``welcome`` handshake rejects mismatched peers explicitly.  Capabilities
 #: (below) extend the protocol *within* a version: a peer that does not
-#: announce a capability simply never receives its frames.
-PROTOCOL_VERSION = 1
+#: announce a capability simply never receives its frames.  Version 2 gave
+#: ``activation_batch`` its node-table shape.
+PROTOCOL_VERSION = 2
 
 #: Default cap on one frame's payload (bytes).  Large enough for a bulk
 #: trigger registration or a fat activation node, small enough that a
@@ -88,17 +94,16 @@ DEFAULT_MAX_FRAME = 8 * 1024 * 1024
 #: ``(length, crc32)`` — the same header the WAL's record frames use.
 HEADER = struct.Struct(">II")
 
-#: Capability: the client understands ``activation_batch`` frames (several
-#: activations coalesced into one length+CRC frame).  A client that does not
-#: announce it keeps receiving one ``activation`` frame per activation — the
-#: upgrade is opt-in per connection, never a silent behavior change.
+#: Capability: the client understands ``activation_batch`` frames (a whole
+#: delivery run in one length+CRC frame).  A client that does not announce
+#: it receives one ``activation`` frame per activation.
 CAP_ACTIVATION_BATCH = "activation_batch"
 
 #: Every capability this endpoint implementation knows how to speak.
 SUPPORTED_CAPS = frozenset({CAP_ACTIVATION_BATCH})
 
-#: Hard cap on activations in one ``activation_batch`` frame.  The byte
-#: budget usually flushes far earlier; this bounds what a hostile or buggy
+#: Hard cap on activations in one node-table frame.  The byte budget
+#: usually splits a run far earlier; this bounds what a hostile or buggy
 #: peer can make the decoder materialize from a single frame.
 MAX_BATCH_ACTIVATIONS = 4096
 
@@ -315,25 +320,50 @@ def activation_from_wire(record: Any) -> Activation:
         raise ProtocolError(f"malformed activation record: {error}") from error
 
 
-def batch_payloads(
+def run_from_wire(
     message: Mapping[str, Any], *, max_activations: int = MAX_BATCH_ACTIVATIONS
-) -> list:
-    """Validate an ``activation_batch`` message and return its payload list.
+) -> list[Activation]:
+    """Decode a node-table message (TCP ``activation_batch``, web ``activations``).
 
     The frame layer already bounded the bytes; this bounds and shapes the
-    *contents*: ``payloads`` must be a non-empty list of at most
-    ``max_activations`` records.  The records themselves are decoded one by
-    one with :func:`activation_from_wire` by the caller, so a batch with one
-    malformed record fails exactly like a malformed single frame.
+    *contents* before anything is built from them: ``nodes`` is a list of
+    ``[old text or None, new text or None]``, ``acts`` a non-empty list of
+    at most ``max_activations`` eight-field rows whose last field indexes
+    ``nodes``.  Each distinct node text is then parsed once; one that does
+    not parse fails the frame exactly like a malformed single activation.
     """
-    payloads = message.get("payloads")
-    if not isinstance(payloads, list) or not payloads:
+    nodes, acts = message.get("nodes"), message.get("acts")
+    if not isinstance(nodes, list):
+        raise ProtocolError("an activation run needs a 'nodes' list")
+    for entry in nodes:
+        if not (
+            isinstance(entry, (list, tuple)) and len(entry) == 2
+            and all(text is None or isinstance(text, str) for text in entry)
+        ):
+            raise ProtocolError("a 'nodes' entry must be [old text or None, new text or None]")
+    if not isinstance(acts, list) or not acts:
+        raise ProtocolError("an activation run needs a non-empty 'acts' list")
+    if len(acts) > max_activations:
         raise ProtocolError(
-            "activation_batch needs a non-empty 'payloads' list"
-        )
-    if len(payloads) > max_activations:
-        raise ProtocolError(
-            f"activation_batch of {len(payloads)} activations exceeds the "
+            f"activation run of {len(acts)} activations exceeds the "
             f"{max_activations}-activation limit"
         )
-    return payloads
+    for row in acts:
+        if not isinstance(row, (list, tuple)) or len(row) != 8:
+            raise ProtocolError(
+                "an 'acts' row must be [shard, sequence, trigger, view, path, event, "
+                "key, nodes index]"
+            )
+        shard, sequence, trigger, view, path, _event, key, at = row
+        if not (
+            type(shard) is int and type(sequence) is int
+            and isinstance(trigger, str) and isinstance(view, str)
+            and isinstance(path, (list, tuple)) and isinstance(key, (list, tuple))
+        ):
+            raise ProtocolError(f"malformed activation row {row!r}")
+        if type(at) is not int or not 0 <= at < len(nodes):
+            raise ProtocolError(f"activation row names node {at!r} of {len(nodes)}")
+    try:
+        return run_from_record(message, node_cache=_WIRE_NODE_CACHE)
+    except Exception as error:
+        raise ProtocolError(f"malformed activation record: {error}") from error

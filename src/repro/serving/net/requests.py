@@ -6,10 +6,17 @@ what happens in between lives here once.  Malformed input raises
 :class:`~repro.errors.ProtocolError` (each transport answers with its own
 bad-input code); anything the serving stack raises propagates unchanged.
 
-No thread is parked per in-flight statement: a full shard queue blocks only
-the submitting request's worker thread for the duration of the *enqueue*,
-and completion travels back through ticket done-callbacks into a loop
-future (:func:`ticket_results`).
+Statements go from the loop straight onto the shard queues
+(:meth:`~repro.serving.server.ActiveViewServer.try_submit`), so a burst a
+client pipelines is on the queues — and runs as one micro-batch — by the
+time the shard worker next looks.  A thread hop per statement would let
+the worker's whole chunk run in between (one thread at a time executes
+Python), admitting one statement per chunk.  Only a full shard queue sends
+that one statement to the blocking enqueue on a worker thread, which blocks
+the submitting request and nothing else; completion travels back through
+ticket done-callbacks and the loop's
+:class:`~repro.serving.net.session.WakeHub` into a loop future
+(:func:`ticket_results`) — one wake-up per micro-batch.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from typing import Any
 from repro.errors import ProtocolError
 from repro.persist.durable import DurableServer
 from repro.serving.net.protocol import result_to_wire, statement_from_wire
+from repro.serving.net.session import WakeHub
 from repro.serving.server import ActiveViewServer, Ticket
 
 __all__ = ["run_ddl", "stats_body", "submit", "ticket_results"]
@@ -29,26 +37,32 @@ __all__ = ["run_ddl", "stats_body", "submit", "ticket_results"]
 async def submit(core: ActiveViewServer, records: Any) -> list[Ticket]:
     """Decode a request's statement records and enqueue them, one ticket each.
 
-    Submitted in arrival order from worker threads: a full shard queue
-    blocks this request (its backpressure), never the shared event loop.
+    In arrival order and, while the shard queues have room, without
+    yielding.  A full queue is this request's backpressure: it waits for
+    room on a worker thread, never on the shared event loop.
     """
     if not isinstance(records, list) or not records:
         raise ProtocolError("'statements' must be a non-empty list")
-    statements = [statement_from_wire(record) for record in records]
-    return [
-        await asyncio.to_thread(core.submit, statement) for statement in statements
-    ]
+    tickets = []
+    for statement in [statement_from_wire(record) for record in records]:
+        ticket = core.try_submit(statement)
+        if ticket is None:
+            ticket = await asyncio.to_thread(core.submit, statement)
+        tickets.append(ticket)
+    return tickets
 
 
-def ticket_results(tickets: list[Ticket]) -> "asyncio.Future[list[list[dict]]]":
+def ticket_results(
+    tickets: list[Ticket], hub: WakeHub
+) -> "asyncio.Future[list[list[dict]]]":
     """A loop future for the tickets' per-statement wire results.
 
-    Done-callbacks run on shard worker threads; the last one hands the
-    fully-resolved set back to the calling loop.  The future fails with the
-    first statement's execution error, if any.
+    Done-callbacks run on shard worker threads; the last one posts the
+    fully-resolved set to the calling loop's ``hub``, where the
+    completions of one micro-batch (and its activations) share a wake-up.
+    The future fails with the first statement's execution error, if any.
     """
-    loop = asyncio.get_running_loop()
-    future: asyncio.Future = loop.create_future()
+    future: asyncio.Future = asyncio.get_running_loop().create_future()
     lock = threading.Lock()
     remaining = len(tickets)
 
@@ -72,10 +86,7 @@ def ticket_results(tickets: list[Ticket]) -> "asyncio.Future[list[list[dict]]]":
             remaining -= 1
             if remaining:
                 return
-        try:
-            loop.call_soon_threadsafe(resolve)
-        except RuntimeError:
-            pass  # the loop is gone (front end stopped): nobody to tell
+        hub.post(resolve)  # a loop that is gone has nobody to tell
 
     for ticket in tickets:
         ticket.add_done_callback(one_done)

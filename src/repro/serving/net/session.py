@@ -15,14 +15,19 @@ about any wire format:
   terminal ``paused`` message carrying the watermarks actually sent),
   never blocked and never silently dropped.
 
+The unit of delivery is the **run**: what one loop wake-up drains from a
+subscription — normally everything one shard micro-batch fired — leaves as
+one frame (:mod:`repro.serving.net.frames`), encoded once and shared by
+every connection handed the same activations.
+
 A transport subclasses :class:`Session` and supplies its *codec*: how a
 control message becomes bytes (:meth:`Session.encode`), which frame cache
-turns an activation into bytes (the front end's ``frame_cache``), the error
-code answering malformed request fields (:attr:`Session.bad_input`), and
+turns a run into bytes (the front end's ``frame_cache``), the error code
+answering malformed request fields (:attr:`Session.bad_input`), and
 whether an ack with no subscription is a protocol error
 (:attr:`Session.ack_needs_subscription`) — plus its reader loop.  The TCP
 connection (:mod:`repro.serving.net.connection`) adds length+CRC framing,
-the hello handshake and activation batching; the WebSocket session
+the hello handshake and pipelined submits; the WebSocket session
 (:mod:`repro.serving.web.gateway`) adds RFC 6455 framing and JSON text.
 """
 
@@ -31,6 +36,7 @@ from __future__ import annotations
 import asyncio
 import socket
 import threading
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.errors import CursorError, ProtocolError
@@ -39,7 +45,13 @@ from repro.serving.subscribers import Activation, Subscriber
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.serving.net.loops import _LoopRuntime
 
-__all__ = ["LoopSubscriber", "Session", "WakeHub", "subscription_filter"]
+__all__ = ["LoopSubscriber", "REPLY_SLACK", "Session", "WakeHub", "subscription_filter"]
+
+#: Out-queue slots a session keeps beyond its subscription's send buffer,
+#: for replies and the terminal ``paused`` message; also how many
+#: statements a connection may have submitted and not yet been answered
+#: before its reader stops reading (see the TCP connection's read loop).
+REPLY_SLACK = 64
 
 
 class WakeHub:
@@ -126,15 +138,15 @@ class LoopSubscriber(Subscriber):
     loop's :class:`WakeHub`, so a burst touching many subscribers on one
     loop pays for a single ``call_soon_threadsafe``, not one per subscriber.
     Coalescing the handoff this way (instead of one
-    ``call_soon_threadsafe`` per activation) is what lets a fan-out burst
-    actually reach the connection as a run — the batching layer then folds
-    the run into batch frames instead of finding one activation at a time.
+    ``call_soon_threadsafe`` per activation) is what lets a micro-batch's
+    bundle reach the connection whole: ``deliver`` is called once per
+    drained run and the session frames the run as one message.
     When the buffer is full the subscriber flips to *paused* and schedules
     the overflow policy; loop-callback FIFO guarantees the draining wakeup
     runs first, so every reserved activation is framed before the
-    ``paused`` frame.  ``release`` is called by the connection after the
-    frame (one activation's worth, or a whole batch's) has been written
-    and drained.
+    ``paused`` frame.  ``release`` is called by the connection after a
+    frame (with however many activations it carried) has been written and
+    drained.
     """
 
     def __init__(
@@ -143,10 +155,9 @@ class LoopSubscriber(Subscriber):
         *,
         limit: int,
         hub: WakeHub,
-        deliver: Callable[[Activation], None],
+        deliver: Callable[[list[Activation]], None],
         overflow: Callable[[], None],
         accept: Callable[[Activation], bool] | None = None,
-        run_end: Callable[[], None] | None = None,
     ) -> None:
         super().__init__(name, capacity=max(1, limit))
         self.limit = limit
@@ -154,7 +165,6 @@ class LoopSubscriber(Subscriber):
         self._deliver = deliver
         self._overflow = overflow
         self._accept = accept
-        self._run_end = run_end
         self._flight_lock = threading.Lock()
         #: Activations reserved but not yet handed to the loop, drained as
         #: one run by the next wakeup (guarded by ``_flight_lock``).
@@ -182,10 +192,13 @@ class LoopSubscriber(Subscriber):
             self.filtered += len(activations) - len(wanted)
         else:
             wanted = activations
-        if self.closed or self.paused:
-            self.refused += len(wanted)
-            return
         with self._flight_lock:
+            if self.closed or self.paused:
+                # Checked under the lock: two shard workers whose bundles
+                # both overflow must pause the subscription once, and
+                # neither may reserve anything behind the pause.
+                self.refused += len(wanted)
+                return
             # The outcome of offering one by one: the prefix that fits the
             # send buffer is reserved, the first that does not pauses.
             room = max(0, self.limit - self.inflight)
@@ -198,12 +211,11 @@ class LoopSubscriber(Subscriber):
             if len(taken) < len(wanted):
                 self.paused = True
                 self._schedule(self._overflow)
-        self.delivered += len(taken)
-        self.refused += len(wanted) - len(taken)
+            self.delivered += len(taken)
+            self.refused += len(wanted) - len(taken)
 
     def _wake(self) -> None:
-        """Drain every pending activation in one loop callback."""
-        delivered = False
+        """Hand everything pending to the session, as one run, in one callback."""
         while True:
             with self._flight_lock:
                 run = self._pending_run
@@ -212,16 +224,9 @@ class LoopSubscriber(Subscriber):
                     # producer that appended meanwhile saw the wakeup still
                     # scheduled and skipped scheduling another.
                     self._wake_scheduled = False
-                    break
+                    return
                 self._pending_run = []
-            for activation in run:
-                self._deliver(activation)
-            delivered = True
-        if delivered and self._run_end is not None:
-            # The run is over — nothing more is coming in *this* callback,
-            # so a batching connection flushes its pending batch now rather
-            # than paying the linger for a burst that has already ended.
-            self._run_end()
+            self._deliver(run)
 
     def _schedule(self, fn: Callable[[], None]) -> None:
         # When the loop is gone (server stopped mid-delivery) the slot can
@@ -229,7 +234,7 @@ class LoopSubscriber(Subscriber):
         # leaking reservations.
         self._hub.post(fn, self.close)
 
-    def release(self, count: int = 1) -> None:
+    def release(self, count: int) -> None:
         """Return send-buffer slots (a frame's activations written + drained)."""
         with self._flight_lock:
             self.inflight -= count
@@ -308,20 +313,21 @@ class Session:
         self.counters = runtime.counters
         self.reader = reader
         self.writer = writer
-        # Bounded: activations respect the subscriber's inflight cap, and a
-        # well-behaved client has at most a handful of replies outstanding
-        # (the slack keeps a slot free for pongs and the terminal ``paused``
-        # message).  Overflow means the peer pipelines requests without
-        # reading replies — the connection is cut rather than buffering
-        # without limit.
+        # Bounded: a subscription's frames respect its inflight cap (a frame
+        # carries at least one activation), submit replies the reader's
+        # admission limit, and the second slack covers the replies a reader
+        # sends inline (pongs, stats) plus the terminal ``paused`` message.
+        # Overflow means the peer pipelines requests without reading replies
+        # — the connection is cut rather than buffering without limit.
         self._out: asyncio.Queue = asyncio.Queue(
-            maxsize=self.front.send_buffer + 64
+            maxsize=self.front.send_buffer + 2 * REPLY_SLACK
         )
         self._writer_task: asyncio.Task | None = None
         self.subscriber: LoopSubscriber | None = None
         self._sent_watermark: dict[int, int] = {}
-        #: Called when a delivery run ends (see :class:`LoopSubscriber`).
-        self._run_end: Callable[[], None] | None = None
+        #: Whether the peer takes a run as one node-table frame; otherwise
+        #: every activation travels as its own ``activation`` frame.
+        self.run_frames = True
 
     # ------------------------------------------------------------------ sending
 
@@ -350,23 +356,35 @@ class Session:
 
     async def _writer_loop(self) -> None:
         counters = self.counters
+        out = self._out
         while True:
-            item = await self._out.get()
-            if item is None:
-                return
-            frame, after = item
+            # Everything queued leaves in one write: each write is a system
+            # call, and a loop thread that makes one while a shard worker is
+            # computing gets the interpreter back a whole chunk later.
+            items = [await out.get()]
+            while not out.empty():
+                items.append(out.get_nowait())
+            closing = None in items
+            if closing:
+                del items[items.index(None):]
             try:
-                self.writer.write(frame)
-                await self.writer.drain()
-                counters["frames_sent"] += 1
-                counters["bytes_sent"] += len(frame)
+                # A transport that is closing (cut on overflow, or lost) has
+                # nowhere to write to; the callbacks below still run.
+                if items and not self.writer.is_closing():
+                    self.writer.writelines([frame for frame, _after in items])
+                    await self.writer.drain()
+                    counters["frames_sent"] += len(items)
+                    counters["bytes_sent"] += sum(len(frame) for frame, _after in items)
             except (ConnectionError, OSError):
                 # Peer went away mid-write: stop writing, let the reader
                 # loop observe the broken transport and run the cleanup.
                 return
             finally:
-                if after is not None:
-                    after()
+                for _frame, after in items:
+                    if after is not None:
+                        after()
+            if closing:
+                return
 
     # ------------------------------------------------------------------ lifecycle
 
@@ -396,7 +414,6 @@ class Session:
 
     async def _cleanup(self) -> None:
         self._detach_subscriber()
-        self._flush()
         # Flush what is already queued (bounded by the send buffer); the
         # loop runtime closes the transport once this returns.  A dead peer
         # just errors the writer loop out.
@@ -454,10 +471,9 @@ class Session:
             name or f"{self.transport}-anon-{id(self)}",
             limit=self.front.send_buffer,
             hub=self.runtime.wake_hub,
-            deliver=self._deliver_activation,
+            deliver=self._deliver_run,
             overflow=self._pause_subscription,
             accept=subscription_filter(view, path),
-            run_end=self._run_end,
         )
         self.subscriber = subscriber
         self._sent_watermark = {}
@@ -507,38 +523,38 @@ class Session:
 
     # ------------------------------------------------------------------ fan-out
 
-    def _deliver_activation(self, activation: Activation) -> None:  # loop thread
+    def _deliver_run(self, run: list[Activation]) -> None:  # loop thread
         watermark = self._sent_watermark
-        if activation.sequence > watermark.get(activation.shard, 0):
-            watermark[activation.shard] = activation.sequence
-        self.counters["activations_sent"] += 1
-        self._emit(activation)
-
-    def _emit(self, activation: Activation) -> None:
-        # Pre-framed once per activation, shared by every subscribed
-        # connection on every loop — at fan-out scale the encode would
-        # otherwise dominate.
-        frame, hit = self.front.frame_cache.single_frame(activation)
-        self._count_cache(hit)
-        subscriber = self.subscriber
-        self.send(frame, after=subscriber.release if subscriber is not None else None)
-
-    def _count_cache(self, hit: bool) -> None:
-        key = "shared_encode_hits" if hit else "shared_encode_misses"
-        self.counters[key] += 1
-
-    def _flush(self) -> None:
-        """Queue whatever :meth:`_emit` is still holding back (nothing)."""
+        for activation in run:
+            if activation.sequence > watermark.get(activation.shard, 0):
+                watermark[activation.shard] = activation.sequence
+        counters = self.counters
+        counters["activations_sent"] += len(run)
+        # Framed once per run and shared by every subscribed connection on
+        # every loop — at fan-out scale the encode would otherwise dominate.
+        cache = self.front.frame_cache
+        subscriber = self.subscriber  # None once a failed attach let go of it
+        for part in [run] if self.run_frames else [[a] for a in run]:
+            frames, hit = cache.run_frames(part)
+            counters["shared_encode_hits" if hit else "shared_encode_misses"] += 1
+            for frame, count in frames:
+                if count > 1:
+                    counters["activation_batches_sent"] += 1
+                    counters["batched_activations_sent"] += count
+                self.send(
+                    frame,
+                    after=partial(subscriber.release, count) if subscriber is not None else None,
+                )
 
     def _pause_subscription(self) -> None:  # loop thread
         if self.subscriber is None:
             return
         self.counters["subscriptions_paused"] += 1
         # Detach first so shard workers stop offering; everything already
-        # buffered still flushes (the out-queue is FIFO), then the pause
-        # notice arrives as the stream's terminal message.
+        # handed over is framed and queued (the draining wakeup runs before
+        # this callback, the out-queue is FIFO), then the pause notice
+        # arrives as the stream's terminal message.
         self._detach_subscriber()
-        self._flush()
         self.send(
             {
                 "type": "paused",

@@ -193,7 +193,8 @@ class ActiveViewServer:
         statement (a failure fails its whole micro-batch's tickets).
     queue_capacity:
         Per-shard submission-queue bound; :meth:`submit` blocks when the
-        owning shard's queue is full (producer backpressure).
+        owning shard's queue is full (producer backpressure) and
+        :meth:`try_submit` returns ``None`` instead.
     service_options:
         Extra keyword arguments forwarded to every per-shard
         :class:`~repro.core.service.ActiveViewService` — e.g.
@@ -226,6 +227,8 @@ class ActiveViewServer:
             database = ShardedDatabase.from_databases([database], name=database.name)
         if max_batch < 1:
             raise ServingError("max_batch must be at least 1")
+        if queue_capacity < 1:
+            raise ServingError("queue_capacity must be at least 1")
         self.sharded = database
         self.max_batch = max_batch
         self.plan_cache = PlanCache()
@@ -242,9 +245,11 @@ class ActiveViewServer:
             )
             for shard in database.shards
         ]
-        self._queues: list[queue.Queue] = [
-            queue.Queue(maxsize=queue_capacity) for _ in database.shards
-        ]
+        self._queues: list[queue.Queue] = [queue.Queue() for _ in database.shards]
+        # Per shard, the free slots of its submission queue.  The bound is
+        # kept here, not in the Queue, so that an enqueue can take the slots
+        # of every shard it needs — or none of them — without blocking.
+        self._slots = [threading.Semaphore(queue_capacity) for _ in database.shards]
         self.stats: list[ShardStats] = [ShardStats() for _ in database.shards]
         self._sequences: list[int] = [0] * database.shard_count
         # Per shard, the bundle: what its worker's current execute_batch call
@@ -487,7 +492,7 @@ class ActiveViewServer:
         # have enqueued behind the sentinel after the drain; sweep the queues
         # so no ticket is left hanging (and no stale sentinel can kill a
         # restarted worker).
-        for shard_queue in self._queues:
+        for shard_queue, slots in zip(self._queues, self._slots):
             while True:
                 try:
                     item = shard_queue.get_nowait()
@@ -495,6 +500,7 @@ class ActiveViewServer:
                     break
                 if item is not _STOP:
                     item.ticket._fail(ServerStoppedError("server stopped before execution"))
+                    slots.release()
                 shard_queue.task_done()
 
     def __enter__(self) -> "ActiveViewServer":
@@ -513,21 +519,43 @@ class ActiveViewServer:
         complete when all shards have run them.  Blocks only when the target
         queue is full (backpressure).
         """
+        targets = self._targets(statement)
+        ticket = Ticket(parts=len(targets))
+        for index in targets:
+            self._slots[index].acquire()
+            self._put(index, statement, ticket)
+        return ticket
+
+    def try_submit(self, statement: Statement) -> Ticket | None:
+        """:meth:`submit` for a caller that must not block (an event loop).
+
+        Returns ``None``, with nothing enqueued anywhere, when a shard queue
+        the statement needs is full — a broadcast statement is on every
+        shard's queue or on none.
+        """
+        targets = self._targets(statement)
+        for taken, index in enumerate(targets):
+            if not self._slots[index].acquire(blocking=False):
+                for held in targets[:taken]:
+                    self._slots[held].release()
+                return None
+        ticket = Ticket(parts=len(targets))
+        for index in targets:
+            self._put(index, statement, ticket)
+        return ticket
+
+    def _targets(self, statement: Statement) -> Sequence[int]:
+        """The shards whose queues ``statement`` goes on (all, for a broadcast)."""
         if not self._running:
             raise ServerStoppedError("server is not running (call start())")
         shard = self.sharded.statement_shard(statement)
-        if shard is None:
-            ticket = Ticket(parts=self.shard_count)
-            for index, shard_queue in enumerate(self._queues):
-                with self._submit_lock:
-                    self.stats[index].submitted += 1
-                shard_queue.put(_Submission(statement, ticket))
-        else:
-            ticket = Ticket()
-            with self._submit_lock:
-                self.stats[shard].submitted += 1
-            self._queues[shard].put(_Submission(statement, ticket))
-        return ticket
+        return range(self.shard_count) if shard is None else (shard,)
+
+    def _put(self, shard: int, statement: Statement, ticket: Ticket) -> None:
+        """Enqueue on ``shard``, whose slot the caller has taken."""
+        with self._submit_lock:
+            self.stats[shard].submitted += 1
+        self._queues[shard].put(_Submission(statement, ticket))
 
     def execute(
         self, statement: Statement, timeout: float | None = 30.0
@@ -602,6 +630,7 @@ class ActiveViewServer:
 
     def _worker_loop(self, index: int) -> None:
         shard_queue = self._queues[index]
+        slots = self._slots[index]
         service = self.services[index]
         while True:
             item = shard_queue.get()
@@ -610,6 +639,7 @@ class ActiveViewServer:
                 return
             if self._aborting.is_set():
                 item.ticket._fail(ServerStoppedError("server stopped before execution"))
+                slots.release()
                 shard_queue.task_done()
                 continue
             # Micro-batch under load: drain whatever else is already queued,
@@ -627,6 +657,7 @@ class ActiveViewServer:
                     shard_queue.put(extra)   # ... and requeue it for later
                     break
                 chunk.append(extra)
+            slots.release(len(chunk))
             self._run_chunk(index, chunk)
             for history in (
                 service.fired, service.action_calls, service.database.statement_log

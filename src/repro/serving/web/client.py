@@ -16,21 +16,19 @@ import asyncio
 import base64
 import json
 import os
-from typing import Any
 
 from repro.errors import NetworkError, ProtocolError
-from repro.persist.records import activation_from_record
 from repro.relational.dml import Statement
-from repro.serving.net.protocol import statement_to_wire
+from repro.serving.net.protocol import (
+    activation_from_wire,
+    run_from_wire,
+    statement_to_wire,
+)
 from repro.serving.subscribers import Activation
 from repro.serving.web import wsproto
 from repro.serving.web.http import DEFAULT_MAX_HEADER
 
 __all__ = ["GatewayError", "WebClient", "WsClient", "WebSubscription"]
-
-#: Decoded XML nodes shared across every subscription in this process
-#: (redeliveries and fan-out tests decode the same serialized node).
-_NODE_CACHE: dict[str, Any] = {}
 
 _STREAM_END = object()
 
@@ -176,7 +174,7 @@ class WebSubscription:
     """One WebSocket subscription's activation stream.
 
     ``get`` yields :class:`~repro.serving.subscribers.Activation` objects
-    (nodes re-parsed from the JSON payload through a shared cache), or
+    (each distinct node text of a message parsed once), or
     ``None`` once the stream ended.  After a ``paused`` message from the
     gateway, :attr:`paused` is set and :attr:`sent_watermark` holds the
     per-shard high-water mark of what the server framed before pausing —
@@ -412,14 +410,22 @@ class WsClient:
         finally:
             self._finish()
 
-    def _dispatch(self, message: dict) -> None:
+    def _dispatch(self, message: object) -> None:
+        if not isinstance(message, dict):
+            raise ProtocolError("a gateway message must be a JSON object")
         mtype = message.get("type")
+        if mtype == "activations":
+            # Validated even with no subscription to feed: a malformed
+            # message ends the connection, it is not dropped in silence.
+            activations = run_from_wire(message)
+            if self.subscription is not None:
+                for activation in activations:
+                    self.subscription._push(activation)
+            return
         if mtype == "activation":
             if self.subscription is not None:
                 self.subscription._push(
-                    activation_from_record(
-                        message["payload"], node_cache=_NODE_CACHE
-                    )
+                    activation_from_wire(message.get("payload"))
                 )
             return
         if mtype == "paused":

@@ -18,10 +18,12 @@ at most ``send_buffer`` undrained activations, a slow consumer is
 sent watermarks) rather than blocked or silently dropped, and a durable
 resume fast-forwards the persisted cursor before re-subscribing.
 
-One activation is JSON-encoded (and WebSocket-framed) **once** process-wide
-via :class:`~repro.serving.web.webframes.JsonFrameCache`; server→client
-frames are unmasked per RFC 6455, which is exactly what makes the bytes
-shareable across subscribers.
+One delivery run — what a shard micro-batch fired, as one ``activations``
+message of a node table plus rows — is JSON-encoded (and WebSocket-framed)
+**once** process-wide via
+:class:`~repro.serving.web.webframes.JsonFrameCache`; server→client frames
+are unmasked per RFC 6455, which is exactly what makes the bytes shareable
+across subscribers.
 
 Endpoints (all request/response bodies JSON):
 
@@ -183,8 +185,8 @@ class WebGateway(FrontEnd):
         # The stream limit bounds ``readuntil`` (the header block read);
         # frame payload reads use ``readexactly`` and budget themselves.
         self.stream_limit = max_header + 1024
-        #: One JSON encode + WebSocket frame per activation, shared.
-        self.frame_cache = JsonFrameCache()
+        #: One JSON encode + WebSocket frame per delivery run, shared.
+        self.frame_cache = JsonFrameCache(max_frame=max_ws_message)
 
     # ---------------------------------------------------------------- serving
 
@@ -227,7 +229,7 @@ class WebGateway(FrontEnd):
                 counters["ws_upgrades"] += 1
                 await _WsSession(runtime, reader, writer).run()
                 return  # the session consumed the connection
-            writer.write(await self._route(request, counters))
+            writer.write(await self._route(request, runtime))
             await writer.drain()
             counters["responses_sent"] += 1
             if not request.keep_alive:
@@ -248,19 +250,19 @@ class WebGateway(FrontEnd):
 
     # ---------------------------------------------------------------- routing
 
-    async def _route(self, request: HttpRequest, counters: dict) -> bytes:
+    async def _route(self, request: HttpRequest, runtime) -> bytes:
         try:
-            return json_response(await self._answer(request, counters))
+            return json_response(await self._answer(request, runtime))
         except ProtocolError as error:
             # Malformed input; an HttpError carries a more specific status.
-            counters["protocol_errors"] += 1
+            runtime.counters["protocol_errors"] += 1
             return error_response(
                 getattr(error, "status", 400), str(error), keep_alive=True
             )
         except Exception as error:  # noqa: BLE001 - surfaced, never a crash
             return error_response(500, str(error), keep_alive=True)
 
-    async def _answer(self, request: HttpRequest, counters: dict) -> dict:
+    async def _answer(self, request: HttpRequest, runtime) -> dict:
         """The JSON body answering one REST request."""
         method, path = request.method, request.path
         if method == "GET" and path == "/v1/stats":
@@ -293,21 +295,23 @@ class WebGateway(FrontEnd):
             op = "create_trigger" if one else "register_triggers_bulk"
             return {"names": await requests.run_ddl(self.core, op, payload)}
         if path == "/v1/submit":
-            results = await self._submit([payload.get("statement")], counters)
+            results = await self._submit([payload.get("statement")], runtime)
             return {"results": results[0]}
         return {
-            "results": await self._submit(payload.get("statements"), counters)
+            "results": await self._submit(payload.get("statements"), runtime)
         }
 
-    async def _submit(self, records: Any, counters: dict) -> list[list[dict]]:
+    async def _submit(self, records: Any, runtime) -> list[list[dict]]:
         tickets = await requests.submit(self.core, records)
-        counters["statements_submitted"] += len(tickets)
+        runtime.counters["statements_submitted"] += len(tickets)
+        results = requests.ticket_results(tickets, runtime.wake_hub)
+        # One timer on the future the tickets resolve: a REST submit's round
+        # trip is the caller's whole latency, so no waiter task around it.
+        timer = runtime.loop.call_later(_SUBMIT_TIMEOUT, _expire, results)
         try:
-            return await asyncio.wait_for(
-                requests.ticket_results(tickets), _SUBMIT_TIMEOUT
-            )
-        except TimeoutError:
-            raise TimeoutError("statement still pending after timeout") from None
+            return await results
+        finally:
+            timer.cancel()
 
     # ---------------------------------------------------------------- reporting
 
@@ -321,6 +325,11 @@ class WebGateway(FrontEnd):
             "wake_posts": sum(loop["wake_posts"] for loop in per_loop),
             "wake_wakeups": sum(loop["wake_wakeups"] for loop in per_loop),
         }
+
+
+def _expire(results: asyncio.Future) -> None:
+    if not results.done():
+        results.set_exception(TimeoutError("statement still pending after timeout"))
 
 
 def _valid_ws_key(key: str) -> bool:

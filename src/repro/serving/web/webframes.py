@@ -1,10 +1,11 @@
-"""Shared one-encode-per-activation cache of WebSocket activation frames.
+"""Shared one-encode-per-run cache of WebSocket activation frames.
 
 Server→client WebSocket frames are unmasked (RFC 6455 masks only the client
 direction), so one encode — JSON message body *and* the complete TEXT frame
 around it — is byte-identical for every subscriber.  :class:`JsonFrameCache`
 is the front ends' one :class:`~repro.serving.net.frames.FrameCache` with
-that encoder plugged in.
+that encoder plugged in: a delivery run is one ``activations`` message
+(node table plus rows), a run of one the plain ``activation`` message.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 
 from repro.serving.net.frames import FRAME_BUDGET_BYTES, FrameCache
 from repro.serving.subscribers import Activation
-from repro.serving.web.wsproto import OP_TEXT, encode_frame
+from repro.serving.web.wsproto import DEFAULT_MAX_MESSAGE, OP_TEXT, encode_frame
 
 __all__ = ["JsonFrameCache", "text_frame"]
 
@@ -25,14 +26,13 @@ def text_frame(message: dict) -> bytes:
 
 
 class JsonFrameCache(FrameCache):
-    """Encode each activation's WebSocket TEXT frame once, share it."""
+    """Encode each run's WebSocket TEXT frame once, share it."""
 
-    def __init__(self, budget_bytes: int = FRAME_BUDGET_BYTES) -> None:
-        super().__init__(
-            lambda record: text_frame({"type": "activation", "payload": record}),
-            budget_bytes,
-        )
+    def __init__(
+        self, budget_bytes: int = FRAME_BUDGET_BYTES, *, max_frame: int = DEFAULT_MAX_MESSAGE
+    ) -> None:
+        super().__init__(text_frame, "activations", max_frame, budget_bytes)
 
     def frame(self, activation: Activation) -> bytes:
         """The complete ``{"type": "activation", ...}`` TEXT frame."""
-        return self.single_frame(activation)[0]
+        return self.run_frames((activation,))[0][0][0]

@@ -17,7 +17,12 @@ cursor** over a fresh connection.  The stream must deliver:
 The oracle is the in-process :class:`repro.serving.Subscriber` attached to
 the *same* durable server, so the comparison isolates precisely the web
 path: HTTP parsing, JSON activation encoding, RFC 6455 framing, the
-thread↔asyncio bridge, cursor persistence, and resume.
+thread↔asyncio bridge, cursor persistence, and resume.  Statements posted
+as one batch form micro-batches, whose delivery runs arrive as one
+``activations`` node-table message; the comparison includes both node
+texts and also runs with a byte budget that splits every run, with
+server-side filters that keep a subset of a bundle, and with a send buffer
+that takes only a prefix of one.
 """
 
 from __future__ import annotations
@@ -28,13 +33,19 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.persist import DurableServer
 from repro.relational.dml import DeleteStatement, InsertStatement, UpdateStatement
-from repro.serving.web import WebClient, WebGateway, WsClient
+from repro.serving.web import JsonFrameCache, WebClient, WebGateway, WsClient
 from repro.xqgm.views import catalog_view
 
+from tests.property.test_property_net_equivalence import (
+    OUTLET_TRIGGERS,
+    _assert_per_shard_order,
+    _outlet_view,
+)
 from tests.serving.conftest import build_sharded_paper_database, by_product
 
 _EXAMPLES = int(os.environ.get("REPRO_PROPERTY_EXAMPLES", "15"))
@@ -90,17 +101,22 @@ def _signature(activation):
         activation.shard,
         activation.sequence,
         activation.trigger,
+        activation.view,
+        activation.path,
         activation.event.value,
         activation.key,
+        activation.encoded.old_text,
+        activation.encoded.new_text,
     )
 
 
-def _open_stack(directory: Path):
+def _open_stack(directory: Path, outlet: bool = False):
+    views = [catalog_view()] + ([_outlet_view()] if outlet else [])
     server = DurableServer(
         directory,
         shard_count=2,
         key_fn=by_product,
-        views=[catalog_view()],
+        views=views,
         actions={"sink": lambda value: None},
     )
     reference = build_sharded_paper_database(1)
@@ -109,10 +125,30 @@ def _open_stack(directory: Path):
     snapshot = reference.snapshot()
     server.sharded.load_rows("product", snapshot["product"])
     server.sharded.load_rows("vendor", snapshot["vendor"])
-    server.ensure_view(catalog_view())
-    for definition in TRIGGERS:
+    for view in views:
+        server.ensure_view(view)
+    for definition in TRIGGERS + (OUTLET_TRIGGERS if outlet else []):
         server.ensure_trigger(definition)
     return server
+
+
+async def _post(host, port, actions, batched: bool) -> None:
+    """DML goes in over the REST surface — a different connection entirely.
+
+    One statement per request, or all of them as one ``submit-batch``:
+    enqueued back to back, they run as micro-batches and what those fire
+    leaves as node-table messages.
+    """
+    existing = set(_INITIAL)
+    statements = [
+        s for s in (_to_statement(action, existing) for action in actions) if s is not None
+    ]
+    async with await WebClient.connect(host, port) as rest:
+        if batched and statements:
+            assert len(await rest.submit_batch(statements)) == len(statements)
+        else:
+            for statement in statements:
+                await rest.submit(statement)
 
 
 async def _consume_session(
@@ -137,8 +173,9 @@ async def _consume_session(
     return consumed
 
 
+@pytest.mark.parametrize("split", [False, True], ids=["runs", "split"])
 @settings(
-    max_examples=min(_EXAMPLES, 30),
+    max_examples=min(_EXAMPLES, 30) // 2 + 1,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
@@ -146,24 +183,31 @@ async def _consume_session(
     actions=st.lists(_actions, min_size=1, max_size=10),
     kill_after=st.integers(0, 20),
     ack_prefix=st.integers(0, 20),
+    batched=st.booleans(),
 )
 def test_web_delivery_with_kill_and_resume_matches_oracle(
-    actions, kill_after, ack_prefix
+    split, actions, kill_after, ack_prefix, batched
 ):
     with tempfile.TemporaryDirectory() as raw_dir:
         server = _open_stack(Path(raw_dir))
         oracle = server.subscribe("oracle", capacity=4096)
         gateway = WebGateway(server, send_buffer=4096)
+        if split:
+            # A byte budget no two activations fit: every run is split.
+            gateway.frame_cache = JsonFrameCache(max_frame=2)
         server.start()
         gateway.start()
         try:
             host, port = gateway.address
             sessions = asyncio.run(
-                _scenario(host, port, actions, kill_after, ack_prefix)
+                _scenario(host, port, actions, kill_after, ack_prefix, batched)
             )
+            report = gateway.web_report()
         finally:
             gateway.stop()
             server.stop()
+        if split:
+            assert report["activation_batches_sent"] == 0
 
         oracle_signatures = Counter(_signature(a) for a in oracle.drain())
         all_consumed = [a for session in sessions for a in session]
@@ -179,30 +223,16 @@ def test_web_delivery_with_kill_and_resume_matches_oracle(
 
         # Per-shard (and therefore per-node) order within every session.
         for session in sessions:
-            per_shard: dict[int, list[int]] = {}
-            for activation in session:
-                per_shard.setdefault(activation.shard, []).append(
-                    activation.sequence
-                )
-            for sequences in per_shard.values():
-                assert sequences == sorted(sequences)
+            _assert_per_shard_order(session)
 
 
-async def _scenario(host, port, actions, kill_after, ack_prefix):
-    existing = set(_INITIAL)
+async def _scenario(host, port, actions, kill_after, ack_prefix, batched):
     sessions: list[list] = []
 
     ws = await WsClient.connect(host, port)
     subscription = await ws.subscribe("consumer")
     assert subscription.durable, "silent fallback to a non-durable stream"
-
-    # DML goes in over the REST surface — a different connection entirely.
-    async with await WebClient.connect(host, port) as rest:
-        for action in actions:
-            statement = _to_statement(action, existing)
-            if statement is None:
-                continue
-            await rest.submit(statement)
+    await _post(host, port, actions, batched)
 
     # Session 1: consume part of the stream, ack only a prefix of that,
     # then die without so much as a goodbye.
@@ -337,3 +367,74 @@ def test_client_supplied_cursor_matches_server_side_resume(actions, ack_count):
         # Nothing at or below the handed-back cursor is redelivered.
         for activation in second:
             assert activation.sequence > cursor.get(activation.shard, 0)
+
+
+@settings(
+    max_examples=min(_EXAMPLES, 30),
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(
+    actions=st.lists(_actions, min_size=2, max_size=12),
+    keep=st.sampled_from([
+        {}, {"view": "outlet"}, {"view": "catalog"}, {"path": ["product"]},
+        {"view": "outlet", "path": ["product"]}, {"path": ["vendor"]},
+    ]),
+    send_buffer=st.sampled_from([1, 2, 3, 5, 4096]),
+)
+def test_filtered_and_paused_streams_match_the_filtered_oracle(actions, keep, send_buffer):
+    """A filter keeps a subset of each bundle; a small send buffer takes a
+    prefix of what is left and pauses.  Acking and re-subscribing until the
+    stream runs dry yields exactly the oracle's activations the filter keeps
+    — each once, ``paused`` always the last word of its session."""
+    with tempfile.TemporaryDirectory() as raw_dir:
+        server = _open_stack(Path(raw_dir), outlet=True)
+        oracle = server.subscribe("oracle", capacity=4096)
+        gateway = WebGateway(server, send_buffer=send_buffer)
+        server.start()
+        gateway.start()
+        try:
+            host, port = gateway.address
+
+            async def scenario():
+                ws = await WsClient.connect(host, port)
+                sessions, pauses = [], []
+                subscription = await ws.subscribe("picky", **keep)
+                await _post(host, port, actions, batched=True)
+                while True:
+                    session = await _consume_session(ws, subscription)
+                    sessions.append(session)
+                    if not subscription.paused:
+                        break
+                    pauses.append((subscription.sent_watermark, list(session)))
+                    await ws.ping()  # the acks are in before the resume
+                    subscription = await ws.subscribe("picky", **keep)
+                await ws.close()
+                return sessions, pauses
+
+            sessions, pauses = asyncio.run(scenario())
+            paused = gateway.web_report()["subscriptions_paused"]
+        finally:
+            gateway.stop()
+            server.stop()
+
+        def kept(activation) -> bool:
+            return (
+                keep.get("view", activation.view) == activation.view
+                and activation.path[: len(keep.get("path", ()))] == tuple(keep.get("path", ()))
+            )
+
+        expected = Counter(_signature(a) for a in oracle.drain() if kept(a))
+        consumed = Counter(_signature(a) for session in sessions for a in session)
+        # Everything was acked before each resume: no loss, no repeat.
+        assert consumed == expected
+        assert paused == len(pauses)
+        for session in sessions:
+            _assert_per_shard_order(session)
+        for sent, session in pauses:
+            high: dict[int, int] = {}
+            for activation in session:
+                high[activation.shard] = max(high.get(activation.shard, 0), activation.sequence)
+            assert sent == high
+        if send_buffer == 4096:
+            assert not pauses

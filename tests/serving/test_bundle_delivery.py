@@ -181,7 +181,7 @@ class RecordingHub:
 def loop_subscriber(name: str, limit: int):
     hub, seen = RecordingHub(), []
     subscriber = LoopSubscriber(
-        name, limit=limit, hub=hub, deliver=seen.append,
+        name, limit=limit, hub=hub, deliver=seen.extend,
         overflow=lambda: seen.append("paused"),
     )
     return subscriber, hub, seen

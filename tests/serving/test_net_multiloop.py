@@ -1,11 +1,11 @@
-"""The multi-loop front end and activation frame batching.
+"""The multi-loop front end and the framing of delivery runs.
 
 Pins the PR-specific behaviors the generic wire tests do not: connection
 placement across the loop group (both accept strategies), per-loop stats
-reporting, frame batching under the count/byte/linger budgets, the
-``activation_batch`` capability negotiation (an un-upgraded client keeps
-getting single frames), and client-side ack coalescing with durable-cursor
-semantics intact.
+reporting, one frame per delivery run — where a run ends, how the byte
+budget and the row cap split one — the ``activation_batch`` capability
+negotiation (an un-upgraded client keeps getting single frames), and
+client-side ack coalescing with durable-cursor semantics intact.
 """
 
 from __future__ import annotations
@@ -18,7 +18,14 @@ import pytest
 from repro.persist import DurableServer
 from repro.relational.dml import InsertStatement, UpdateStatement
 from repro.serving import ActiveViewServer
-from repro.serving.net import NetClient, NetworkServer
+from repro.serving.net import NetClient, NetworkServer, SharedFrameCache
+from repro.serving.net.protocol import (
+    HEADER,
+    MAX_BATCH_ACTIVATIONS,
+    activation_from_wire,
+    decode_payload,
+    run_from_wire,
+)
 from repro.xqgm.views import catalog_view
 
 from tests.serving.conftest import build_sharded_paper_database, by_product
@@ -164,213 +171,176 @@ class TestLoopGroupPlacement:
             server.stop()
 
 
-# ------------------------------------------------------------------- batching
+# ------------------------------------------------------------------ run frames
+
+TWO_NODES = [("P1",), ("P5",)]
 
 
-class TestActivationBatching:
-    def test_burst_coalesces_into_batch_frames(self):
-        """A burst within the linger window arrives as batch frames.
+async def add_second_node(producer: NetClient) -> None:
+    """Give P1's shard a second catalog node.
 
-        ``batch_eager_flush=False`` pins pure linger semantics: activations
-        trickling in over separate delivery runs still coalesce as long as
-        they land inside the linger window.
-        """
+    P5 routes to the same shard as P1 but carries a distinct pname, so one
+    statement touching both updates two catalog nodes: two activations in
+    one bundle, one delivery run.  It needs two vendors to clear the view's
+    min_vendors bar, and the inserts themselves fire nothing — the trigger
+    only watches updates.
+    """
+    await producer.execute(
+        InsertStatement("product", [{"pid": "P5", "pname": "OLED 27", "mfr": "LG"}])
+    )
+    await producer.execute(
+        InsertStatement(
+            "vendor",
+            [
+                {"vid": "V8", "pid": "P5", "price": 300.0},
+                {"vid": "V9", "pid": "P5", "price": 310.0},
+            ],
+        )
+    )
+
+
+def built_activation(sequence: int, shard: int = 0):
+    return activation_from_wire({
+        "shard": shard, "sequence": sequence, "trigger": "t", "view": "v",
+        "path": ["p"], "event": "UPDATE", "key": [sequence],
+        "old": None, "new": f"<p>{sequence:04d}" + "x" * 96 + "</p>",
+    })
+
+
+class TestRunFrames:
+    def test_a_run_is_one_frame_and_the_next_statement_starts_the_next(self):
+        """Run boundaries are micro-batch boundaries: what one statement
+        fired leaves as one ``activation_batch`` the moment it is handed
+        over, and nothing lingers for the statement after it."""
         server = make_server()
-        net = NetworkServer(
-            server, batch_linger=0.2, batch_eager_flush=False
-        ).start()
+        net = NetworkServer(server).start()
         try:
             host, port = net.address
-            updates = 6
+            rounds = 4
 
             async def scenario():
                 client = await NetClient.connect(host, port)
                 assert "activation_batch" in client.caps
                 subscription = await client.subscribe()
                 producer = await NetClient.connect(host, port)
-                # Individual submits: the columnar engine coalesces same-key
-                # updates inside one batch statement, and this test needs six
-                # distinct activations landing within the linger window.
-                for i in range(updates):
-                    await producer.execute(
-                        UpdateStatement("product", {"mfr": f"v{i}"}, keys=[("P1",)])
-                    )
+                await add_second_node(producer)
                 received = []
-                for _ in range(updates):
-                    activation = await subscription.get(timeout=10)
-                    assert activation is not None
-                    received.append(activation)
-                report = net.net_report()
-                batches = client.batches_received
-                await client.close()
-                await producer.close()
-                return received, report, batches
-
-            received, report, batches = run(scenario())
-            sequences = [a.sequence for a in received]
-            assert sequences == sorted(sequences)  # order survives batching
-            assert batches >= 1
-            assert report["activation_batches_sent"] >= 1
-            assert report["batched_activations_sent"] >= 2
-            assert report["activations_sent"] == updates
-        finally:
-            net.stop()
-            server.stop()
-
-    def test_count_budget_flushes_exact_batches(self):
-        """batch_max_count=2 with a long linger yields exactly 3 batches."""
-        server = make_server()
-        net = NetworkServer(
-            server, batch_max_count=2, batch_linger=30.0, batch_eager_flush=False
-        ).start()
-        try:
-            host, port = net.address
-            updates = 6
-
-            async def scenario():
-                client = await NetClient.connect(host, port)
-                subscription = await client.subscribe()
-                producer = await NetClient.connect(host, port)
-                for i in range(updates):
+                for turn in range(rounds):
                     await producer.execute(
-                        UpdateStatement("product", {"mfr": f"c{i}"}, keys=[("P1",)])
+                        UpdateStatement("product", {"mfr": f"run-{turn}"}, keys=TWO_NODES)
                     )
-                for _ in range(updates):
-                    assert await subscription.get(timeout=10) is not None
+                    await producer.execute(
+                        UpdateStatement("product", {"mfr": f"one-{turn}"}, keys=[("P1",)])
+                    )
+                    for _ in range(3):
+                        activation = await subscription.get(timeout=10)
+                        assert activation is not None
+                        received.append(activation)
+                    # Each awaited statement was framed before its reply.
+                    assert client.batches_received == turn + 1
                 report = net.net_report()
                 await client.close()
                 await producer.close()
-                return report, client.batches_received
+                return received, report
 
-            report, batches = run(scenario())
-            # Without the count budget nothing would flush before the 30 s
-            # linger; every frame was therefore a full batch of two.
-            assert report["activation_batches_sent"] == updates // 2
-            assert report["batched_activations_sent"] == updates
-            assert batches == updates // 2
+            received, report = run(scenario())
+            sequences = [a.sequence for a in received]
+            assert sequences == sorted(sequences)  # order survives the framing
+            assert report["activation_batches_sent"] == rounds
+            assert report["batched_activations_sent"] == 2 * rounds
+            assert report["activations_sent"] == 3 * rounds
         finally:
             net.stop()
             server.stop()
 
-    def test_eager_flush_batches_a_single_statement_burst(self):
-        """Default mode: a multi-row statement's burst flushes as batches
-        at the end of its delivery run — no linger latency, and at least
-        one multi-activation frame for the shard holding several keys."""
+    def test_a_run_over_the_byte_budget_degrades_to_smaller_frames(self):
+        """A frame budget below one activation never builds a multi-frame."""
         server = make_server()
         net = NetworkServer(server).start()
+        net.frame_cache = SharedFrameCache(max_frame=2)
         try:
             host, port = net.address
+            rounds = 3
 
             async def scenario():
                 client = await NetClient.connect(host, port)
                 subscription = await client.subscribe()
                 producer = await NetClient.connect(host, port)
-                # P5 routes to the same shard as P1 but carries a distinct
-                # pname, so one statement touching both updates two catalog
-                # nodes: two activations in a single delivery run, flushed
-                # as one batch.  It needs two vendors to clear the view's
-                # min_vendors bar, and the inserts themselves fire nothing —
-                # the trigger only watches updates.
-                await producer.execute(
-                    InsertStatement(
-                        "product",
-                        [{"pid": "P5", "pname": "OLED 27", "mfr": "LG"}],
-                    )
-                )
-                await producer.execute(
-                    InsertStatement(
-                        "vendor",
-                        [
-                            {"vid": "V8", "pid": "P5", "price": 300.0},
-                            {"vid": "V9", "pid": "P5", "price": 310.0},
-                        ],
-                    )
-                )
-                # Whether both activations share one delivery run depends on
-                # thread scheduling, so repeat the burst until a batch frame
-                # shows up (bounded; one run is usually enough).
-                received = 0
-                for attempt in range(20):
+                await add_second_node(producer)
+                keys = []
+                for turn in range(rounds):
                     await producer.execute(
-                        UpdateStatement(
-                            "product",
-                            {"mfr": f"burst-{attempt}"},
-                            keys=[("P1",), ("P5",)],
-                        )
+                        UpdateStatement("product", {"mfr": f"b{turn}"}, keys=TWO_NODES)
                     )
                     for _ in range(2):
                         activation = await subscription.get(timeout=10)
                         assert activation is not None
-                        received += 1
-                    if client.batches_received:
-                        break
-                batches = client.batches_received
-                await client.close()
-                await producer.close()
-                return received, batches
-
-            received, batches = run(scenario())
-            assert received >= 2 and received % 2 == 0
-            assert batches >= 1
-        finally:
-            net.stop()
-            server.stop()
-
-    def test_tiny_byte_budget_degrades_to_single_frames(self):
-        """A byte budget below one activation never builds a multi-frame."""
-        server = make_server()
-        net = NetworkServer(
-            server, batch_max_bytes=1, batch_linger=0.2, batch_eager_flush=False
-        ).start()
-        try:
-            host, port = net.address
-            updates = 4
-
-            async def scenario():
-                client = await NetClient.connect(host, port)
-                subscription = await client.subscribe()
-                producer = await NetClient.connect(host, port)
-                for i in range(updates):
-                    await producer.execute(
-                        UpdateStatement("product", {"mfr": f"b{i}"}, keys=[("P1",)])
-                    )
-                for _ in range(updates):
-                    assert await subscription.get(timeout=10) is not None
+                        keys.append((activation.sequence, activation.key))
                 report = net.net_report()
                 await client.close()
                 await producer.close()
-                return report, client.batches_received
+                return keys, report, client.batches_received
 
-            report, batches = run(scenario())
+            keys, report, batches = run(scenario())
+            assert keys == sorted(keys) and len(keys) == 2 * rounds
             assert report["activation_batches_sent"] == 0
             assert batches == 0
-            assert report["activations_sent"] == updates
+            assert report["activations_sent"] == 2 * rounds
         finally:
             net.stop()
             server.stop()
 
+    def test_the_byte_budget_halves_a_run_until_every_frame_fits(self):
+        run_of = [built_activation(sequence) for sequence in range(1, 14)]
+        whole = SharedFrameCache().run_frames(run_of)[0]
+        assert [count for _frame, count in whole] == [13]
+        limit = len(whole[0][0]) // 3
+        frames, hit = SharedFrameCache(max_frame=2 * limit).run_frames(run_of)
+        assert not hit and len(frames) > 2
+        assert all(len(frame) <= limit for frame, _count in frames)
+        assert sum(count for _frame, count in frames) == 13
+        decoded = []
+        for frame, count in frames:
+            message = decode_payload(frame[HEADER.size:])
+            part = (
+                run_from_wire(message) if message["type"] == "activation_batch"
+                else [activation_from_wire(message["payload"])]
+            )
+            assert len(part) == count
+            decoded += part
+        assert decoded == run_of
+
+    def test_a_run_beyond_the_row_cap_is_split_before_it_is_encoded(self):
+        run_of = [built_activation(sequence) for sequence in range(MAX_BATCH_ACTIVATIONS + 2)]
+        frames, _hit = SharedFrameCache().run_frames(run_of)
+        assert [count for _frame, count in frames] == [
+            MAX_BATCH_ACTIVATIONS // 2 + 1, MAX_BATCH_ACTIVATIONS // 2 + 1
+        ]
+
     def test_un_upgraded_client_still_gets_every_activation_single_framed(self):
-        """caps=() negotiates nothing: zero behavior change for old clients."""
+        """caps=() negotiates nothing: one ``activation`` frame per firing,
+        also for a run a capable client would get as one frame."""
         server = make_server()
-        net = NetworkServer(server, batch_linger=0.2).start()
+        net = NetworkServer(server).start()
         try:
             host, port = net.address
-            updates = 6
+            rounds = 3
 
             async def scenario():
                 client = await NetClient.connect(host, port, caps=())
                 assert client.caps == frozenset()
                 subscription = await client.subscribe()
                 producer = await NetClient.connect(host, port, caps=())
-                for i in range(updates):
-                    await producer.execute(
-                        UpdateStatement("product", {"mfr": f"o{i}"}, keys=[("P1",)])
-                    )
+                await add_second_node(producer)
                 received = []
-                for _ in range(updates):
-                    activation = await subscription.get(timeout=10)
-                    assert activation is not None
-                    received.append(activation)
+                for turn in range(rounds):
+                    await producer.execute(
+                        UpdateStatement("product", {"mfr": f"o{turn}"}, keys=TWO_NODES)
+                    )
+                    for _ in range(2):
+                        activation = await subscription.get(timeout=10)
+                        assert activation is not None
+                        received.append(activation)
                 report = net.net_report()
                 batches = client.batches_received
                 await client.close()
@@ -378,27 +348,10 @@ class TestActivationBatching:
                 return received, report, batches
 
             received, report, batches = run(scenario())
-            assert len(received) == updates
+            assert len(received) == 2 * rounds
             assert batches == 0
             assert report["activation_batches_sent"] == 0
-            assert report["activations_sent"] == updates
-        finally:
-            net.stop()
-            server.stop()
-
-    def test_server_side_batching_off_disables_the_capability(self):
-        server = make_server()
-        net = NetworkServer(server, batching=False).start()
-        try:
-            host, port = net.address
-
-            async def scenario():
-                client = await NetClient.connect(host, port)
-                caps = set(client.caps)
-                await client.close()
-                return caps
-
-            assert run(scenario()) == set()
+            assert report["activations_sent"] == 2 * rounds
         finally:
             net.stop()
             server.stop()

@@ -32,9 +32,9 @@ from repro.serving.net.protocol import (
     HEADER,
     MAX_BATCH_ACTIVATIONS,
     PROTOCOL_VERSION,
-    batch_payloads,
     encode_frame,
     read_frame,
+    run_from_wire,
 )
 from repro.xqgm.views import catalog_view
 
@@ -300,9 +300,7 @@ class TestLiveServerFuzz:
             await writer.drain()
             welcome = await asyncio.wait_for(read_frame(reader), timeout=5)
             assert welcome["type"] == "welcome"
-            writer.write(
-                encode_frame({"type": "activation_batch", "payloads": [{"x": 1}]})
-            )
+            writer.write(encode_frame({"type": "activation_batch", **good_run()}))
             await writer.drain()
             error = await asyncio.wait_for(read_frame(reader), timeout=5)
             assert error["type"] == "error"
@@ -310,6 +308,28 @@ class TestLiveServerFuzz:
             assert await asyncio.wait_for(reader.read(), timeout=5) == b""
             writer.close()
 
+        asyncio.run(scenario())
+
+    def test_version_one_hello_is_refused_explicitly(self, live):
+        """A peer of the previous protocol version is told so, then cut —
+        it would not understand the node-table ``activation_batch``."""
+        host, port = live.address
+
+        async def scenario():
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(encode_frame(
+                {"type": "hello", "version": 1, "caps": ["activation_batch"]}
+            ))
+            await writer.drain()
+            error = await asyncio.wait_for(read_frame(reader), timeout=5)
+            assert error["type"] == "error" and error["code"] == "protocol"
+            assert "version mismatch: client 1, server 2" in error["message"]
+            assert await asyncio.wait_for(reader.read(), timeout=5) == b""
+            writer.close()
+            async with await NetClient.connect(host, port) as client:
+                await client.ping()
+
+        assert PROTOCOL_VERSION == 2
         asyncio.run(scenario())
 
     def test_oversized_frame_gets_error_frame_then_close(self, live):
@@ -331,32 +351,105 @@ class TestLiveServerFuzz:
 
         asyncio.run(scenario())
 
-# ------------------------------------------------------------- batched frames
+# ---------------------------------------------------------- node-table frames
+
+NODE = "<p>x</p>"
 
 
-class TestBatchPayloadValidation:
-    def test_shapes_that_are_not_batches_are_rejected(self):
-        for message in (
-            {"type": "activation_batch"},
-            {"type": "activation_batch", "payloads": []},
-            {"type": "activation_batch", "payloads": "nope"},
-            {"type": "activation_batch", "payloads": {"a": 1}},
-            {"type": "activation_batch", "payloads": 7},
-        ):
+def good_run(rows: int = 2) -> dict:
+    """A well-formed node-table body (``nodes`` + ``acts``)."""
+    return {
+        "nodes": [[None, NODE], [NODE, "<p>y</p>"]],
+        "acts": [
+            [0, n + 1, "t", "v", ["p"], "UPDATE", [n], n % 2] for n in range(rows)
+        ],
+    }
+
+
+def broken_runs() -> list[dict]:
+    """Every way a node-table body can be wrong, one defect each."""
+    def row(**changes) -> list:
+        fields = dict(shard=0, sequence=1, trigger="t", view="v", path=["p"],
+                      event="UPDATE", key=[1], at=0)
+        fields.update(changes)
+        return list(fields.values())
+
+    def with_row(*rows) -> dict:
+        return {"nodes": [[None, NODE]], "acts": list(rows)}
+
+    return [
+        {},
+        {"acts": good_run()["acts"]},
+        {"nodes": good_run()["nodes"]},
+        {"nodes": "nope", "acts": good_run()["acts"]},
+        {"nodes": {"0": [None, NODE]}, "acts": good_run()["acts"]},
+        {"nodes": 7, "acts": good_run()["acts"]},
+        {"nodes": [NODE], "acts": [row()]},
+        {"nodes": [[NODE]], "acts": [row()]},
+        {"nodes": [[None, NODE, NODE]], "acts": [row()]},
+        {"nodes": [[None, 42]], "acts": [row()]},
+        {"nodes": [[None, b"<p/>"]], "acts": [row()]},
+        {"nodes": [[None, "<p>unclosed"]], "acts": [row()]},
+        {"nodes": [[None, "&bogus;"]], "acts": [row()]},
+        {"nodes": good_run()["nodes"], "acts": []},
+        {"nodes": good_run()["nodes"], "acts": "nope"},
+        {"nodes": good_run()["nodes"], "acts": {"a": 1}},
+        with_row(42),
+        with_row({"shard": 0}),
+        with_row(row()[:-1]),          # wrong arity: 7 fields
+        with_row(row() + [0]),         # wrong arity: 9 fields
+        with_row(row(at=1)),           # index out of range
+        with_row(row(at=-1)),          # ... from the other end
+        with_row(row(at=10**9)),
+        with_row(row(at="0")),
+        with_row(row(at=True)),
+        with_row(row(at=None)),
+        with_row(row(shard="0")),
+        with_row(row(sequence=1.5)),
+        with_row(row(trigger=None)),
+        with_row(row(view=7)),
+        with_row(row(path="p")),
+        with_row(row(key=1)),
+        with_row(row(event="EXPLODE")),
+        with_row(row(event=3)),
+        with_row(row(), row(at=5)),    # one bad row fails the frame
+    ]
+
+
+class TestRunValidation:
+    def test_a_good_run_decodes_with_each_node_parsed_once(self):
+        activations = run_from_wire(good_run(4))
+        assert [a.sequence for a in activations] == [1, 2, 3, 4]
+        assert activations[0].new_node is activations[2].new_node
+        assert activations[0].encoded is activations[2].encoded
+        assert activations[1].old_node == activations[0].new_node
+        assert activations[0].path == ("p",) and activations[0].key == (0,)
+
+    def test_shapes_that_are_not_runs_are_rejected(self):
+        for body in broken_runs():
             with pytest.raises(ProtocolError):
-                batch_payloads(message)
+                run_from_wire({"type": "activation_batch", **body})
 
-    def test_batch_count_limit_is_enforced(self):
-        oversized = {
-            "type": "activation_batch",
-            "payloads": [{}] * (MAX_BATCH_ACTIVATIONS + 1),
-        }
+    def test_row_count_limit_is_enforced(self):
+        oversized = good_run(MAX_BATCH_ACTIVATIONS + 1)
         with pytest.raises(ProtocolError, match="limit"):
-            batch_payloads(oversized)
-        records = [{"n": i} for i in range(3)]
-        assert batch_payloads(
-            {"type": "activation_batch", "payloads": records}, max_activations=4
-        ) == records
+            run_from_wire(oversized)
+        assert len(run_from_wire(good_run(4), max_activations=4)) == 4
+        with pytest.raises(ProtocolError, match="limit"):
+            run_from_wire(good_run(5), max_activations=4)
+
+    def test_random_bodies_never_escape_as_anything_else(self, session_rng):
+        for _ in range(300):
+            message = random_message(session_rng)
+            message["type"] = "activation_batch"
+            if session_rng.random() < 0.5:
+                message["nodes"] = good_run()["nodes"]
+            if session_rng.random() < 0.5:
+                message["acts"] = good_run()["acts"]
+            try:
+                run_from_wire(message)
+            except ProtocolError:
+                pass
 
 
 def hostile_push_outcome(frames: list[bytes], *, max_frame: int = 64 * 1024):
@@ -428,43 +521,48 @@ def hostile_push_outcome(frames: list[bytes], *, max_frame: int = 64 * 1024):
 
 
 class TestHostileBatchPushes:
-    """A batching server that turns hostile must never hang the client."""
+    """A server that turns hostile must never hang or crash the client."""
+
+    def test_a_good_batch_frame_is_delivered(self):
+        frame = encode_frame({"type": "activation_batch", **good_run(3)})
+        received, ended = hostile_push_outcome([frame])
+        assert [a.sequence for a in received] == [1, 2, 3]
+        assert ended  # the scripted server hangs up afterwards
 
     def test_torn_batch_frame_ends_the_stream_cleanly(self):
-        frame = encode_frame(
-            {"type": "activation_batch", "payloads": [{"shard": 0}] * 4}
-        )
+        frame = encode_frame({"type": "activation_batch", **good_run(4)})
         received, ended = hostile_push_outcome([frame[: len(frame) - 3]])
         assert received == []
         assert ended
 
     def test_bit_flipped_batch_frame_is_detected(self, session_rng):
-        frame = bytearray(
-            encode_frame({"type": "activation_batch", "payloads": [{"shard": 0}]})
-        )
+        frame = bytearray(encode_frame({"type": "activation_batch", **good_run()}))
         frame[session_rng.randrange(len(frame))] ^= 1 << session_rng.randrange(8)
         received, ended = hostile_push_outcome([bytes(frame)])
         assert received == []
         assert ended
 
     def test_malformed_batch_shapes_end_the_stream(self):
-        for message in (
-            {"type": "activation_batch"},
-            {"type": "activation_batch", "payloads": []},
-            {"type": "activation_batch", "payloads": "nope"},
-            {"type": "activation_batch", "payloads": [42]},
-            {"type": "activation_batch", "payloads": [{"not": "an activation"}]},
-        ):
-            received, ended = hostile_push_outcome([encode_frame(message)])
+        for body in broken_runs():
+            try:
+                frame = encode_frame({"type": "activation_batch", **body})
+            except Exception:  # noqa: BLE001 - not codec-encodable: cannot be sent
+                continue
+            received, ended = hostile_push_outcome([frame])
             assert received == []
-            assert ended, message
+            assert ended, body
+
+    def test_a_previous_version_batch_body_ends_the_stream(self):
+        frame = encode_frame(
+            {"type": "activation_batch", "payloads": [{"shard": 0, "sequence": 1}]}
+        )
+        received, ended = hostile_push_outcome([frame])
+        assert received == []
+        assert ended
 
     def test_overcount_batch_is_rejected_not_processed(self):
         frame = encode_frame(
-            {
-                "type": "activation_batch",
-                "payloads": [{}] * (MAX_BATCH_ACTIVATIONS + 1),
-            }
+            {"type": "activation_batch", **good_run(MAX_BATCH_ACTIVATIONS + 1)}
         )
         received, ended = hostile_push_outcome([frame])
         assert received == []
@@ -476,7 +574,8 @@ class TestHostileBatchPushes:
         frame = encode_frame(
             {
                 "type": "activation_batch",
-                "payloads": [{"pad": "x" * 1024} for _ in range(128)],
+                "nodes": [[None, "<p>" + "x" * 1024 + "</p>"] for _ in range(128)],
+                "acts": good_run()["acts"],
             }
         )
         assert len(frame) > 4096

@@ -112,13 +112,16 @@ def test_frame_cache_evicts_oldest_frames_by_bytes_and_re_encodes_on_return():
 
     cache = SharedFrameCache(1000)
     activations = [activation(sequence) for sequence in range(10, 22)]
-    frames = [cache.single_frame(a) for a in activations]
-    size = len(frames[0][0])
-    assert all(not hit and len(frame) == size for frame, hit in frames)
+    frames = [cache.run_frames([a]) for a in activations]
+    size = len(frames[0][0][0][0])
+    assert all(not hit and parts == [(parts[0][0], 1)] and len(parts[0][0]) == size
+               for parts, hit in frames)
     assert cache.retained_bytes == (1000 // size) * size  # as many as fit, no more
-    assert cache.single_frame(activations[-1]) == (frames[-1][0], True)
-    assert cache.single_frame(activations[0]) == (frames[0][0], False)  # evicted: a miss
-    batch = tuple(activations[-3:])
-    frame, hit = cache.batch_frame(batch)
-    assert not hit and cache.batch_frame(batch) == (frame, True)
-    assert cache.retained_bytes <= 2 * 1000
+    assert cache.run_frames(activations[-1:]) == (frames[-1][0], True)
+    assert cache.run_frames(activations[:1]) == (frames[0][0], False)  # evicted: a miss
+    run = activations[-3:]
+    parts, hit = cache.run_frames(run)
+    assert not hit and [count for _frame, count in parts] == [3]
+    # An equal run — other list, other Activation objects — is the same entry.
+    assert cache.run_frames([activation(a.sequence) for a in run]) == (parts, True)
+    assert cache.retained_bytes <= 1000

@@ -291,6 +291,43 @@ class TestRest:
 
         run(scenario())
 
+    def test_submit_still_pending_at_the_limit_is_a_500_and_the_timer_is_disarmed(
+        self, live, monkeypatch
+    ):
+        """One timer on the ticket future: it expires a stuck submit with the
+        limit's own words, and a submit that completes cancels it."""
+        from repro.serving.web import gateway as gateway_module
+
+        host, port = live.address
+        release = threading.Event()
+        live.core.register_action("block", lambda node: release.wait(30))
+        monkeypatch.setattr(gateway_module, "_SUBMIT_TIMEOUT", 0.3)
+        loop = live._runtimes[0].loop
+        statement = UpdateStatement("vendor", {"price": 71.0}, keys=[("Amazon", "P1")])
+
+        async def scenario():
+            async with await WebClient.connect(host, port) as client:
+                await client.create_trigger(
+                    "CREATE TRIGGER Slow AFTER UPDATE ON view('catalog')/product "
+                    "DO block(NEW_NODE)"
+                )
+                with pytest.raises(GatewayError) as refused:
+                    await client.submit(statement)
+                assert refused.value.status == 500
+                assert "statement still pending after timeout" in str(refused.value)
+                release.set()
+                # The connection is still good, and a submit that completes
+                # leaves no timer behind on the gateway's loop.
+                live.core.drain()
+                assert (await client.submit(statement))[0]["rowcount"] == 1
+                await asyncio.sleep(0.05)
+                assert not [h for h in loop._scheduled if not h.cancelled()]
+
+        try:
+            run(scenario())
+        finally:
+            release.set()
+
     def test_lifecycle_stop_with_idle_keep_alive_connections(
         self, live, capfd, caplog
     ):

@@ -35,10 +35,12 @@ from repro.relational.dml import UpdateStatement
 from repro.serving import ActiveViewServer
 from repro.serving.web import WebClient, WebGateway, WsClient
 from repro.serving.web import wsproto
-from repro.serving.web.http import HttpError, read_request
+from repro.serving.web.http import HttpError, read_request, response_bytes
+from repro.serving.web.webframes import text_frame
 from repro.xqgm.views import catalog_view
 
 from tests.serving.conftest import build_sharded_paper_database
+from tests.serving.test_net_protocol_fuzz import broken_runs, good_run
 
 #: Exceptions a hostile byte stream is *allowed* to produce.
 ALLOWED = (ProtocolError, asyncio.IncompleteReadError)
@@ -530,3 +532,85 @@ class TestLiveGatewayFuzz:
             writer.close()
 
         asyncio.run(asyncio.wait_for(scenario(), timeout=30))
+
+
+# ------------------------------------------------------- hostile gateway pushes
+
+
+def hostile_ws_push_outcome(messages: list[bytes]):
+    """Upgrade a real WsClient against a scripted gateway, push ``messages``.
+
+    Returns ``(activations_received, stream_ended)``: a hostile push may
+    only ever end the stream — never hang the client, never escape its
+    reader as an exception.
+    """
+
+    async def handle(reader, writer):
+        request = await read_request(reader)
+        writer.write(response_bytes(101, extra_headers={
+            "Upgrade": "websocket",
+            "Connection": "Upgrade",
+            "Sec-WebSocket-Accept": wsproto.accept_key(request.header("sec-websocket-key")),
+        }))
+        ws_reader = wsproto.WsReader(reader, require_mask=True)
+        _opcode, payload = await ws_reader.next_message()
+        subscribe = json.loads(payload)
+        writer.write(text_frame(
+            {"type": "subscribed", "id": subscribe["id"], "name": "victim", "durable": False}
+        ))
+        for message in messages:
+            writer.write(wsproto.encode_frame(wsproto.OP_TEXT, message))
+        await writer.drain()
+        writer.close()
+
+    async def scenario():
+        server = await asyncio.start_server(handle, "127.0.0.1", 0)
+        host, port = server.sockets[0].getsockname()[:2]
+        try:
+            client = await WsClient.connect(host, port)
+            subscription = await client.subscribe("victim")
+            received = []
+            while True:
+                activation = await subscription.get(timeout=10)
+                if activation is None:
+                    break
+                received.append(activation)
+            await client.close()
+            return received, True
+        finally:
+            server.close()
+            await server.wait_closed()
+
+    return asyncio.run(asyncio.wait_for(scenario(), timeout=30))
+
+
+class TestHostileActivationsPushes:
+    """The ``activations`` node-table message, as strictly read as TCP's."""
+
+    def test_a_good_activations_message_is_delivered(self):
+        body = json.dumps({"type": "activations", **good_run(3)}).encode()
+        received, ended = hostile_ws_push_outcome([body])
+        assert [a.sequence for a in received] == [1, 2, 3]
+        assert received[0].new_node is received[2].new_node  # parsed once
+        assert ended
+
+    def test_malformed_activations_shapes_end_the_stream(self):
+        for broken in broken_runs():
+            try:
+                body = json.dumps({"type": "activations", **broken}).encode()
+            except TypeError:  # not JSON-encodable: cannot be sent
+                continue
+            received, ended = hostile_ws_push_outcome([body])
+            assert received == [] and ended, broken
+
+    def test_everything_before_the_bad_message_was_delivered(self):
+        good = json.dumps({"type": "activations", **good_run(2)}).encode()
+        bad = json.dumps({"type": "activations", "nodes": [], "acts": [[0] * 8]}).encode()
+        received, ended = hostile_ws_push_outcome([good, bad, good])
+        assert [a.sequence for a in received] == [1, 2]
+        assert ended
+
+    def test_non_json_and_non_object_messages_end_the_stream(self):
+        for body in (b"\xff\xfe", b"not json", b"[1,2]", b"7", b'"activations"'):
+            received, ended = hostile_ws_push_outcome([body])
+            assert received == [] and ended, body
