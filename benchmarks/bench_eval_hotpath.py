@@ -9,7 +9,7 @@ joins and index probes (:mod:`repro.xqgm.physical`).
 On top sits the data-level realization of the paper's shared trigger
 processing (Section 5): the trigger groups compiled for one monitored path
 share one translation (and all three XML events share its OLD/NEW node
-sides), and the plan engines keep each side's rows and each translation's
+sides), and the compiled plans keep each side's rows and each translation's
 derived pairs in the firing statement's evaluation memo — the *first* group
 fired by a statement computes, every sibling group reads back.  This
 benchmark therefore drives the paper's own trigger-scaling stress — the
@@ -20,21 +20,12 @@ the paper built GROUPED mode for; the compiled engine recovers the sharing
 at the data level, and the gate asserts it fires triggers at **>= 3x** the
 interpreted throughput (measured speedups are far higher).
 
-The batch-oriented *columnar* engine (:mod:`repro.xqgm.columnar`) shares
-the statement memo, so it is gated like the compiled one: **>= 3x** the
-interpreted evaluator on the ungrouped stress — measured against the full
-Figure 17 trigger population (pinned, not scaled down, because per-statement
-amortization across sibling groups is exactly the quantity under test; the
-table sizes still scale with ``REPRO_BENCH_SCALE``) — and **>= 0.7x** the
-compiled engine there (no regression; batch execution of a one-node delta
-sits at parity with row execution).
-
 For transparency the standalone run also reports the GROUPED_AGG default
 point, where one group serves the whole population and per-statement
 evaluation is already delta-bounded — there nothing repeats within a
-statement, and both fast engines are gated only on *not regressing*
-(>= 0.7x; in practice they sit at parity, with the XML-node construction
-shared by all engines dominating).
+statement, and the compiled engine is gated only on *not regressing*
+(>= 0.7x; in practice it sits at parity, with the XML-node construction
+both engines share dominating).
 
 Run with pytest::
 
@@ -45,7 +36,6 @@ or standalone for a text comparison (also asserts every gate)::
     PYTHONPATH=src python -m benchmarks.bench_eval_hotpath
 """
 
-import dataclasses
 import gc
 import time
 
@@ -64,14 +54,6 @@ HOTPATH_PARAMETERS = WorkloadParameters(
     seed=42,
 )
 
-#: The columnar gate's stress: same tables, but the trigger population is
-#: pinned at the full Figure 17 count regardless of ``REPRO_BENCH_SCALE`` —
-#: scaling the population down would scale away the sibling-group sharing
-#: the columnar engine is built to exploit.
-COLUMNAR_STRESS_PARAMETERS = dataclasses.replace(
-    HOTPATH_PARAMETERS, num_triggers=100, satisfied_triggers=20
-)
-
 #: Statements per timed run (plus warm-up).
 _CHECK_STATEMENTS = 40
 _WARMUP_STATEMENTS = 5
@@ -79,13 +61,10 @@ _WARMUP_STATEMENTS = 5
 
 def _run(mode: ExecutionMode, use_compiled: bool,
          parameters: WorkloadParameters = HOTPATH_PARAMETERS,
-         statements: int = _CHECK_STATEMENTS,
-         use_columnar: bool = False):
+         statements: int = _CHECK_STATEMENTS):
     """Time ``statements`` updates; returns (seconds, firings, firing log)."""
     harness = ExperimentHarness(parameters, updates=1)
-    setup = harness.build_setup(
-        parameters, mode, use_compiled_plans=use_compiled, use_columnar=use_columnar
-    )
+    setup = harness.build_setup(parameters, mode, use_compiled_plans=use_compiled)
     pool = setup.workload.update_statements(
         statements + _WARMUP_STATEMENTS, setup.database
     )
@@ -122,53 +101,6 @@ def test_compiled_hotpath_3x_ungrouped():
     )
 
 
-def test_columnar_hotpath_3x_ungrouped():
-    """Acceptance gate: the columnar engine fires triggers at >= 3x the
-    interpreted evaluator's throughput on the ungrouped Figure 17 stress,
-    and does not regress against the compiled row engine there (>= 0.7x).
-
-    Ratios are taken between each engine's *best* run (min over trials):
-    scheduler noise hits individual runs, not engines, so min/min converges
-    on the true ratio where per-trial ratios flake.
-    """
-    best = {"interpreted": float("inf"), "compiled": float("inf"), "columnar": float("inf")}
-    for _ in range(3):
-        logs = {}
-        for engine, options in (
-            ("interpreted", dict(use_compiled=False)),
-            ("compiled", dict(use_compiled=True)),
-            ("columnar", dict(use_compiled=False, use_columnar=True)),
-        ):
-            gc.collect()
-            seconds, fired, log, setup = _run(
-                ExecutionMode.UNGROUPED, parameters=COLUMNAR_STRESS_PARAMETERS, **options
-            )
-            assert fired > 0
-            logs[engine] = sorted(log)
-            best[engine] = min(best[engine], seconds)
-        # Same activations whichever engine: they are interchangeable.
-        assert logs["columnar"] == logs["compiled"] == logs["interpreted"]
-        # The columnar engine must actually have served every firing.
-        report = setup.service.evaluation_report()
-        assert report["columnar_firings"] > 0
-        assert report["columnar_fallbacks"] == 0
-        assert report["columnar_plan_errors"] == 0
-        if (
-            best["interpreted"] / best["columnar"] >= 3.3
-            and best["compiled"] / best["columnar"] >= 0.85
-        ):
-            break
-    over_interpreted = best["interpreted"] / best["columnar"]
-    over_compiled = best["compiled"] / best["columnar"]
-    assert over_interpreted >= 3.0, (
-        f"columnar trigger firing only {over_interpreted:.2f}x the interpreted evaluator"
-    )
-    assert over_compiled >= 0.7, (
-        f"columnar engine regressed against the compiled one: {over_compiled:.2f}x "
-        f"(compiled {best['compiled'] * 1000:.1f} ms, columnar {best['columnar'] * 1000:.1f} ms)"
-    )
-
-
 def test_compiled_no_regression_grouped_agg():
     """The grouped default point must not regress (evaluation is delta-bounded).
 
@@ -196,69 +128,35 @@ def test_compiled_no_regression_grouped_agg():
     assert best >= 0.7, f"compiled engine regressed the grouped path: {best:.2f}x"
 
 
-def test_columnar_no_regression_grouped_agg():
-    """The columnar engine must not regress the grouped default point either
-    (same rationale and floor as the compiled no-regression gate)."""
-    best = 0.0
-    for _ in range(4):
-        gc.collect()
-        interpreted, fired_i, log_i, _ = _run(
-            ExecutionMode.GROUPED_AGG, False, statements=100
-        )
-        gc.collect()
-        columnar, fired_k, log_k, setup = _run(
-            ExecutionMode.GROUPED_AGG, False, statements=100, use_columnar=True
-        )
-        assert fired_i == fired_k > 0
-        assert sorted(log_i) == sorted(log_k)
-        assert setup.service.evaluation_report()["columnar_fallbacks"] == 0
-        best = max(best, interpreted / columnar)
-        if best >= 0.85:
-            break
-    assert best >= 0.7, f"columnar engine regressed the grouped path: {best:.2f}x"
-
-
 def main() -> None:  # pragma: no cover - CLI convenience
     record: dict = {
         "statements": _CHECK_STATEMENTS,
         "num_triggers": HOTPATH_PARAMETERS.num_triggers,
-        "columnar_num_triggers": COLUMNAR_STRESS_PARAMETERS.num_triggers,
     }
     for mode in (ExecutionMode.UNGROUPED, ExecutionMode.GROUPED_AGG):
         interpreted, fired, _, _ = _run(mode, False)
         compiled, fired_c, _, setup = _run(mode, True)
-        columnar, fired_k, _, columnar_setup = _run(mode, False, use_columnar=True)
-        assert fired == fired_c == fired_k
+        assert fired == fired_c
         sharing = setup.service.evaluation_report()
-        report = columnar_setup.service.evaluation_report()
         print(
             f"{mode.value:>12}: {_CHECK_STATEMENTS} updates, {fired} firings  "
             f"interpreted {interpreted * 1000:8.1f} ms   "
             f"compiled {compiled * 1000:8.1f} ms   "
-            f"columnar {columnar * 1000:8.1f} ms   "
-            f"speedup {interpreted / compiled:5.1f}x / {interpreted / columnar:5.1f}x   "
+            f"speedup {interpreted / compiled:5.1f}x   "
             f"pairs-memo hits {sharing['pairs_memo_hits']}"
         )
         record[mode.value] = {
             "interpreted_ms": round(interpreted * 1000, 2),
             "compiled_ms": round(compiled * 1000, 2),
-            "columnar_ms": round(columnar * 1000, 2),
             "speedup": round(interpreted / compiled, 2),
-            "columnar_speedup": round(interpreted / columnar, 2),
             "firings": fired,
             "pairs_memo_hits": sharing["pairs_memo_hits"],
             "shared_side_evaluations": sharing["shared_side_evaluations"],
-            "columnar_batches": report["columnar_batches"],
-            "columnar_fallbacks": report["columnar_fallbacks"],
         }
     test_compiled_hotpath_3x_ungrouped()
     print("hot-path assertion (>= 3x on the ungrouped Figure 17 stress): OK")
-    test_columnar_hotpath_3x_ungrouped()
-    print("columnar assertion (>= 3x interpreted, >= 0.7x compiled, ungrouped stress): OK")
     test_compiled_no_regression_grouped_agg()
     print("no-regression assertion (grouped_agg, compiled): OK")
-    test_columnar_no_regression_grouped_agg()
-    print("no-regression assertion (grouped_agg, columnar): OK")
     print("trajectory:", record_result(
         "eval_hotpath", record,
         headline="ungrouped.compiled_ms", higher_is_better=False,

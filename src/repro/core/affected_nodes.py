@@ -92,27 +92,10 @@ class NodesDiffer(Expression):
     def uses_parameters(self) -> bool:
         """Hook read by :func:`repro.xqgm.expressions.expression_uses_parameters`:
         the difference check never reads parameter bindings, so an UPDATE
-        translation's root is not VOLATILE and its pairs may be shared by
+        translation's root is not volatile and its pairs may be shared by
         every trigger group one statement fires.
         """
         return False
-
-    def compile_columns(self, layout: Mapping[str, int]):
-        """Vectorized form for the columnar engine: one mask column per batch.
-
-        Mirrors :meth:`evaluate` exactly, including the ``row.get`` semantics
-        (a column missing from the layout reads as ``None`` rather than
-        raising).
-        """
-        left_slot = layout.get(self.left)
-        right_slot = layout.get(self.right)
-
-        def differ(columns, length, parameters):
-            left = columns[left_slot] if left_slot is not None else [None] * length
-            right = columns[right_slot] if right_slot is not None else [None] * length
-            return [a != b for a, b in zip(left, right)]
-
-        return differ
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"({self.left} <> {self.right})"
@@ -128,7 +111,7 @@ class AffectedNodeSides:
     union (:attr:`union_keys`); only the last operator differs per event
     (:func:`combine_sides`).  The three event graphs of one monitored path
     therefore reference the *same* operator objects here, which is what lets
-    the plan engines evaluate each side once per statement however many
+    the compiled plans evaluate each side once per statement however many
     trigger groups and events that statement fires.
     """
 

@@ -48,8 +48,7 @@ from repro.relational.triggers import TriggerContext, TriggerEvent
 from repro.xqgm.expressions import AttributeSpec, ColumnRef, ElementConstructor, Expression
 from repro.xqgm.evaluate import EvaluationContext, evaluate
 from repro.xqgm.graph import ensure_columns
-from repro.xqgm.columnar import ColumnarCompiler, ColumnarPlan
-from repro.xqgm.physical import PhysicalPlan, PlanCompiler, ResultCache, version_stamp
+from repro.xqgm.physical import PhysicalPlan, PlanCompiler, version_stamp
 from repro.xqgm.operators import JoinOp, Operator, ProjectOp
 from repro.xqgm.rewrite import compensate_old_aggregates, prune_columns, push_semijoin
 from repro.xqgm.views import PathGraph, ViewElementSpec
@@ -144,10 +143,10 @@ class SharedSides:
       full pre-update nodes, and the GROUPED-AGG *compensated* side that
       decides which keys existed without touching ``B_old``.
 
-    The sides are lowered once, by one compiler per engine; the per-event
-    plans (:meth:`compile`) reference those compiled nodes, which the
-    compilers mark statement-shared — one evaluation per relational
-    statement serves every group and event the statement fires.
+    The sides are lowered once, by one compiler; the per-event plans
+    (:meth:`compile`) reference those compiled nodes, which the compiler
+    marks statement-shared — one evaluation per relational statement serves
+    every group and event the statement fires.
 
     Old-side variants and per-event plans are added lazily, so an instance
     is mutated after construction: callers serialize on the cache that hands
@@ -187,9 +186,9 @@ class SharedSides:
         self._old_sides: dict[bool, tuple[Operator, bool]] = {}
         # Compilation captures only schema information, so the plans run
         # against any database with this catalog.
-        self._compilers = (PlanCompiler(database), ColumnarCompiler(database))
-        self._share(self.union_keys)
-        self._share(self.new_side)
+        self._compiler = PlanCompiler(database)
+        self._compiler.share(self.union_keys)
+        self._compiler.share(self.new_side)
 
     def _pushed_side(
         self, graph_top: Operator, node_output: str, key_suffix: str, label: str
@@ -207,10 +206,6 @@ class SharedSides:
             node_output=node_output, key_suffix=key_suffix, label=label,
             join_columns=reference.covered_key_columns,
         )
-
-    def _share(self, side: Operator) -> None:
-        for compiler in self._compilers:
-            compiler.share(side)
 
     def old_side(self, compensated: bool) -> tuple[Operator, bool]:
         """``(OLD_NODE side, uses_compensation)`` for the requested variant.
@@ -235,7 +230,7 @@ class SharedSides:
         else:
             entry = (self.reference.old_side, False)
         self._old_sides[compensated] = entry
-        self._share(entry[0])
+        self._compiler.share(entry[0])
         return entry
 
     @property
@@ -244,25 +239,19 @@ class SharedSides:
         sides = [self.union_keys, self.new_side, *(side for side, _ in self._old_sides.values())]
         return tuple({id(side): side for side in sides}.values())
 
-    def compile(
-        self, top: Operator
-    ) -> list[tuple[PhysicalPlan | ColumnarPlan | None, str | None]]:
-        """Lower a per-event graph over these sides: ``(plan, error)`` per engine.
+    def compile(self, top: Operator) -> tuple[PhysicalPlan | None, str | None]:
+        """Lower a per-event graph over these sides: ``(plan, error)``.
 
-        Physical first, columnar second.  Runs at translation time, never on
-        the DML hot path.  A graph an engine cannot lower yields
-        ``(None, repr(error))`` for it: evaluation then falls back (columnar →
-        compiled → interpreted oracle), correct but slower, and the failure
-        is surfaced through ``ActiveViewService.evaluation_report`` rather
-        than swallowed.
+        Runs at translation time, never on the DML hot path.  A graph the
+        compiler cannot lower yields ``(None, repr(error))``: evaluation then
+        falls back to the interpreted oracle, correct but slower, and the
+        failure is surfaced through ``ActiveViewService.evaluation_report``
+        (``compiled_plan_fallbacks``) rather than swallowed.
         """
-        lowered = []
-        for compiler in self._compilers:
-            try:
-                lowered.append((compiler.plan(top), None))
-            except Exception as error:
-                lowered.append((None, repr(error)))
-        return lowered
+        try:
+            return self._compiler.plan(top), None
+        except Exception as error:
+            return None, repr(error)
 
 
 @dataclass
@@ -299,13 +288,6 @@ class CompiledTableTrigger:
     #: fallback in effect); surfaced through the service's
     #: ``evaluation_report`` so the fallback can never go unnoticed.
     physical_compile_error: str | None = None
-    #: The batch-oriented columnar lowering (:mod:`repro.xqgm.columnar`),
-    #: selected per firing with ``use_columnar=True``; shares the plan-cache
-    #: entry with the row plans.
-    columnar_plan: ColumnarPlan | None = None
-    #: ``repr`` of the exception if columnar lowering failed (row engines in
-    #: effect); surfaced as ``columnar_plan_errors`` in ``evaluation_report``.
-    columnar_compile_error: str | None = None
 
     def affected_pairs(
         self,
@@ -313,18 +295,15 @@ class CompiledTableTrigger:
         trigger_context: TriggerContext,
         *,
         use_compiled: bool = True,
-        use_columnar: bool = False,
-        result_cache: ResultCache | None = None,
         stats: dict[str, int] | None = None,
         engine_stats: dict[str, int] | None = None,
     ) -> list[AffectedPair]:
         """Evaluate the executable graph for one fired statement.
 
-        ``use_columnar`` prefers the columnar plan, ``use_compiled`` the
-        physical row plan (the default); each falls back to the next engine —
-        columnar → compiled → interpreter — when no plan could be lowered.
+        ``use_compiled`` runs the physical plan (the default); without it, or
+        when no plan could be lowered, the interpreter evaluates the graph.
 
-        The two plan engines work through the statement's evaluation memo
+        The compiled plan works through the statement's evaluation memo
         (``trigger_context.evaluation_memo``): each shared side is computed
         by whichever sibling group or event translation fires first and read
         back by the others, and the derived pairs list of this translation is
@@ -336,29 +315,17 @@ class CompiledTableTrigger:
         they now stand — exactly what the interpreter does.  The interpreter
         never consults the memo — it stays the independent oracle.
 
-        ``result_cache`` additionally reuses STABLE subplan results across
-        statements; ``stats`` collects evaluation counters (``index_probes``
-        / ``hash_joins`` / ``cache_hits`` / ...).  ``engine_stats``
-        (always-on, unlike ``stats``) accumulates the sharing counters
+        ``stats`` collects evaluation counters (``index_probes`` /
+        ``hash_joins`` / ...).  ``engine_stats`` (always-on, unlike
+        ``stats``) accumulates the sharing counters the service reports
         (``shared_side_evaluations`` / ``shared_side_reuses`` /
-        ``pairs_memo_hits``) and the columnar firing/batch/fallback counters
-        the service reports.
+        ``pairs_memo_hits``).
         """
         def bump(counter: str, amount: int = 1) -> None:
             if engine_stats is not None and amount:
                 engine_stats[counter] = engine_stats.get(counter, 0) + amount
 
-        plan: PhysicalPlan | ColumnarPlan | None = None
-        if use_columnar:
-            plan = self.columnar_plan
-            if plan is None:
-                # No columnar lowering for this translation: fall through to
-                # the row engines, counted so the degradation is never silent.
-                bump("columnar_fallbacks")
-        columnar = plan is not None
-        if plan is None and use_compiled:
-            plan = self.physical_plan
-
+        plan = self.physical_plan if use_compiled else None
         memo = trigger_context.evaluation_memo
         memo_key = None
         if plan is not None and plan.shareable:
@@ -366,8 +333,6 @@ class CompiledTableTrigger:
             pairs = memo.get(memo_key)
             if pairs is not None:
                 bump("pairs_memo_hits")
-                if columnar:
-                    bump("columnar_firings")
                 return pairs
 
         context = EvaluationContext(database, trigger_context)
@@ -383,33 +348,19 @@ class CompiledTableTrigger:
                 )
                 for row in evaluate(self.executable_top, context)
             ]
-        context.result_cache = result_cache
         context.shared_results = memo
         index = plan.layout.index
-        if columnar:
-            batch = plan.execute(context).materialize()
-            bump("columnar_firings")
-            bump("columnar_batches", context.columnar_batches)
-            columns = batch.columns
-            key_columns = [columns[index[c]] for c in self.key_columns]
-            pairs = [
-                AffectedPair(key=key, old_node=old, new_node=new)
-                for key, old, new in zip(
-                    zip(*key_columns), columns[index[OLD_NODE]], columns[index[NEW_NODE]]
-                )
-            ]
-        else:
-            key_slots = [index[column] for column in self.key_columns]
-            old_slot = index[OLD_NODE]
-            new_slot = index[NEW_NODE]
-            pairs = [
-                AffectedPair(
-                    key=tuple(row[i] for i in key_slots),
-                    old_node=row[old_slot],
-                    new_node=row[new_slot],
-                )
-                for row in plan.execute(context)
-            ]
+        key_slots = [index[column] for column in self.key_columns]
+        old_slot = index[OLD_NODE]
+        new_slot = index[NEW_NODE]
+        pairs = [
+            AffectedPair(
+                key=tuple(row[i] for i in key_slots),
+                old_node=row[old_slot],
+                new_node=row[new_slot],
+            )
+            for row in plan.execute(context)
+        ]
         bump("shared_side_evaluations", context.shared_side_evaluations)
         bump("shared_side_reuses", context.shared_side_reuses)
         if memo_key is not None:
@@ -518,9 +469,7 @@ def _translate_for_table(
         reference.checks_difference,
     )
 
-    (physical_plan, physical_compile_error), (columnar_plan, columnar_compile_error) = (
-        sides.compile(executable)
-    )
+    physical_plan, physical_compile_error = sides.compile(executable)
 
     sql_text = render_sql_trigger(
         name=f"sql_{trigger_name}_{table}",
@@ -551,8 +500,6 @@ def _translate_for_table(
         sql_text=sql_text,
         physical_plan=physical_plan,
         physical_compile_error=physical_compile_error,
-        columnar_plan=columnar_plan,
-        columnar_compile_error=columnar_compile_error,
     )
 
 

@@ -45,7 +45,6 @@ from repro.relational.triggers import StatementTrigger, TriggerContext, TriggerE
 from repro.xmlmodel.node import XmlNode
 from repro.xmlmodel.serialize import EncodedPair
 from repro.xmlmodel.xpath import XPath
-from repro.xqgm.physical import ResultCache
 from repro.xqgm.views import PathGraph, ViewDefinition
 from repro.core.activation import ActionRegistry, TriggerActivator
 from repro.core.grouping import ConstantsRow, TriggerGroup
@@ -251,8 +250,6 @@ class ActiveViewService:
         strict_actions: bool = False,
         plan_cache: PlanCache | None = None,
         use_compiled_plans: bool = True,
-        use_columnar: bool = False,
-        result_cache_size: int = 512,
         collect_eval_stats: bool = False,
         backend: Any = None,
         use_matching_indexes: bool = True,
@@ -263,38 +260,22 @@ class ActiveViewService:
         self.push_affected_keys = push_affected_keys
         self.use_pruned_transitions = use_pruned_transitions
         self.create_indexes = create_indexes
-        # Compiled physical plans (repro.xqgm.physical) are the default
-        # trigger-firing engine; the interpreted evaluator remains the oracle
-        # and the fallback for graphs the lowering cannot handle.  The result
-        # cache reuses STABLE subplan results across statements while the
-        # input tables' version counters are unchanged; it observes *this*
-        # service's database only, so it is per-service even when the
-        # PlanCache (and thereby the compiled plans) is shared across shard
-        # services.  Within one statement the engines share each OLD/NEW node
-        # side and each translation's pairs through the statement's own
-        # evaluation memo (TriggerContext.evaluation_memo).
+        # Compiled physical plans (repro.xqgm.physical) are the trigger-firing
+        # engine; the interpreted evaluator remains the oracle and the
+        # fallback for graphs the lowering cannot handle.  Within one
+        # statement the compiled plans share each OLD/NEW node side and each
+        # translation's pairs through the statement's own evaluation memo
+        # (TriggerContext.evaluation_memo); nothing is kept across statements.
         self.use_compiled_plans = use_compiled_plans
-        # The batch-oriented columnar engine (repro.xqgm.columnar) is opt-in:
-        # it prefers the columnar lowering per firing and degrades to the row
-        # engines for translations without one — every such degradation is
-        # counted (columnar_fallbacks / columnar_plan_errors in
-        # :meth:`evaluation_report`), never silent.
-        self.use_columnar = use_columnar
-        # Always-on engine counters (maintained on the hot path regardless of
-        # collect_eval_stats): statement-level sharing, and the columnar
-        # firing/batch/fallback counts that keep the zero-silent-fallback
-        # guarantee observable.
+        # Always-on statement-sharing counters (maintained on the hot path
+        # regardless of collect_eval_stats).
         self.engine_stats: dict[str, int] = {
             "shared_side_evaluations": 0,
             "shared_side_reuses": 0,
             "pairs_memo_hits": 0,
-            "columnar_firings": 0,
-            "columnar_batches": 0,
-            "columnar_fallbacks": 0,
         }
-        self.result_cache = ResultCache(max_entries=result_cache_size)
         # When enabled, evaluation counters (index_probes / hash_joins /
-        # cache_hits / rows_* ...) accumulate here across firings.
+        # rows_* ...) accumulate here across firings.
         self.collect_eval_stats = collect_eval_stats
         self.eval_stats: dict[str, int] = {}
         self.registry = ActionRegistry()
@@ -402,13 +383,9 @@ class ActiveViewService:
             key: graph for key, graph in self._path_graphs.items() if key[0] != name
         }
         self._plan_cache.invalidate_view(name)
-        # Cached subplan results of the dropped view's plans would never be
-        # looked up again (recompiled plans carry fresh operator ids), but
-        # dropping them now returns the memory immediately.  Backend plans
-        # are keyed by the same (view, path, event, options) plan keys, so
-        # the dropped view's lowered statements (and any recorded lowering
-        # failures) are evicted alongside.
-        self.result_cache.clear()
+        # Backend plans are keyed by the same (view, path, event, options)
+        # plan keys, so the dropped view's lowered statements (and any
+        # recorded lowering failures) are evicted alongside.
         self._backend_plans = {
             key: plan for key, plan in self._backend_plans.items() if key[0][0] != name
         }
@@ -684,15 +661,15 @@ class ActiveViewService:
             self._backend_errors.clear()
 
     def evaluation_report(self) -> dict[str, int]:
-        """Evaluation counters plus result-cache statistics.
+        """Evaluation, sharing and matching counters.
 
-        The ``index_probes`` / ``hash_joins`` / ``cache_hits`` / ``rows_*``
-        counters accumulate only when the service was created with
-        ``collect_eval_stats=True``; the ``result_cache_*`` entries and
-        ``compiled_plan_fallbacks`` (translations whose physical lowering
-        failed and run on the interpreter — expected to be zero) are always
-        maintained, as are the ``matching_*`` counters of the sublinear
-        matching engine (``matching_fallbacks`` counts candidate selections
+        The ``index_probes`` / ``hash_joins`` / ``rows_*`` counters
+        accumulate only when the service was created with
+        ``collect_eval_stats=True``; ``compiled_plan_fallbacks``
+        (translations whose physical lowering failed and run on the
+        interpreter — expected to be zero) is always maintained, as are the
+        ``matching_*`` counters of the sublinear matching engine
+        (``matching_fallbacks`` counts candidate selections
         that had to scan linearly because a condition has no indexable atom
         — the equivalence suites assert it stays zero on indexable
         populations).
@@ -705,20 +682,8 @@ class ActiveViewService:
         ``pairs_memo_hits`` how many firings returned a translation's pairs
         without entering the engine at all.  One statement never evaluates
         more sides than its ``(path, table)`` has registered.
-
-        The ``columnar_*`` counters are likewise always maintained:
-        ``columnar_firings`` / ``columnar_batches`` count firings served by
-        the columnar engine (pairs-memo hits included) and the column
-        batches they materialized;
-        ``columnar_fallbacks`` counts firings that degraded to the row
-        engines because a translation has no columnar lowering, and
-        ``columnar_plan_errors`` the currently-installed translations in that
-        state — both expected to be zero, and asserted zero by the columnar
-        equivalence suite so unlowerable operators can never pass silently.
         """
         report = dict(self.eval_stats)
-        for key, value in self.result_cache.stats().items():
-            report[f"result_cache_{key}"] = value
         for key, value in self.match_stats.as_dict().items():
             report[f"matching_{key}"] = value
         report["compiled_plan_fallbacks"] = sum(
@@ -728,12 +693,9 @@ class ActiveViewService:
             if translation.physical_plan is None
         )
         report.update(self.engine_stats)
-        report["columnar_plan_errors"] = sum(
-            1
-            for compiled in self._groups.values()
-            for translation in compiled.translations.values()
-            if translation.columnar_plan is None
-        )
+        # Always 0: the cross-statement result cache and the columnar engine
+        # are gone, but benchmarks/e2e/measure.py still reads these keys.
+        report.update(result_cache_hits=0, result_cache_misses=0, columnar_fallbacks=0)
         if self.backend is not None:
             report["backend_plans"] = len(self._backend_plans)
             report["backend_lowering_fallbacks"] = len(self._backend_errors)
@@ -931,8 +893,6 @@ class ActiveViewService:
                     self.database,
                     context,
                     use_compiled=self.use_compiled_plans,
-                    use_columnar=self.use_columnar,
-                    result_cache=self.result_cache,
                     stats=self.eval_stats if self.collect_eval_stats else None,
                     engine_stats=self.engine_stats,
                 )

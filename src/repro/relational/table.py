@@ -75,16 +75,14 @@ class Table:
         # Monotonic data-version counter.  Every mutation path — per-statement
         # DML, batched execution, trigger-bypassing bulk loads, and WAL
         # recovery replay — lands in insert_row / _remove / update_where, so
-        # the counter advances on every commit path.  The compiled-plan result
-        # cache (repro.xqgm.physical) stamps cached subplan results with the
-        # versions of the tables they read; a stamp mismatch is the cache's
-        # only invalidation rule.
+        # the counter advances on every commit path.  The compiled plans
+        # (repro.xqgm.physical) key what a statement's evaluation memo holds
+        # with the versions of the tables it was computed from, so a trigger
+        # action's own DML is seen by the groups its statement fires later.
         self._version = 0
         self._uid = next(_table_uids)
         # index name -> (columns, mapping value-tuple -> set of storage keys)
         self._indexes: dict[str, tuple[tuple[str, ...], dict[tuple, set[tuple]]]] = {}
-        # Version-stamped {storage key -> scan position} map (see scan_positions).
-        self._positions: tuple[int, dict[tuple, int]] | None = None
         # Unique constraints get dedicated indexes for O(1) enforcement.
         for constraint in schema.unique_constraints:
             self.create_index(
@@ -105,7 +103,7 @@ class Table:
 
     @property
     def version_stamp(self) -> tuple[int, int]:
-        """``(table uid, version)`` — the result cache's freshness token.
+        """``(table uid, version)`` — the statement memo's freshness token.
 
         The counter is advanced inline by the storage mutators themselves
         (``insert_row`` / ``_remove``); any new mutation path must route
@@ -177,39 +175,6 @@ class Table:
     def contains_key(self, key: tuple) -> bool:
         """Whether a row with this primary-key value exists."""
         return tuple(key) in self._rows if self.schema.primary_key else False
-
-    def scan_positions(self) -> dict[tuple, int]:
-        """``{storage key -> position in scan order}`` for the current version.
-
-        Scan order is the order :meth:`rows` / iteration produce, so the map
-        lets an index probe reorder its matches into the order a full scan
-        would have emitted them (the columnar engine's bulk probes rely on
-        this to reproduce hash-join output order).  The map is rebuilt lazily
-        when the table version has advanced and must not be mutated.
-        """
-        cached = self._positions
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        positions = {key: i for i, key in enumerate(self._rows)}
-        self._positions = (self._version, positions)
-        return positions
-
-    def indexed_rows(
-        self, columns: Sequence[str], value: Sequence[Any]
-    ) -> list[tuple[tuple, tuple]]:
-        """``(storage key, row)`` pairs whose ``columns`` equal ``value``.
-
-        Requires a hash index covering ``columns`` (empty list when the index
-        exists but no row matches); raises :class:`SchemaError` when no such
-        index exists — callers are expected to check :meth:`has_index_on`.
-        The pairs are unordered (hash-bucket order).
-        """
-        mapping = self._index_for(columns)
-        if mapping is None:
-            raise SchemaError(
-                f"table {self.name!r} has no index on {tuple(columns)!r}"
-            )
-        return [(key, self._rows[key]) for key in mapping.get(tuple(value), ())]
 
     def lookup(self, columns: Sequence[str], value: Sequence[Any]) -> list[tuple]:
         """Return all rows whose ``columns`` equal ``value``.

@@ -97,16 +97,16 @@ class TriggerContext:
     batch_seen: set | None = None
     #: Statement-scoped evaluation memo.  Every SQL trigger fired for one
     #: (statement, table, event) receives the *same* context object, so the
-    #: compiled plan engines (:mod:`repro.xqgm.physical` /
-    #: :mod:`repro.xqgm.columnar`) keep here, on first computation, the rows
-    #: of each shared OLD/NEW node side and each translation's derived
-    #: (OLD_NODE, NEW_NODE) pairs; the sibling trigger groups and sibling
-    #: XML-event translations fired by the statement read them back instead
-    #: of re-deriving them.  Keys pair the engines' own plan / operator
-    #: objects with the version stamps of the base tables they read, so a
-    #: trigger action that itself modifies such a table is seen by the
-    #: groups fired after it.  The memo dies with the context — nothing is
-    #: carried to the next statement or shared between shard threads.
+    #: compiled plan engine (:mod:`repro.xqgm.physical`) keeps here, on
+    #: first computation, the rows of each shared OLD/NEW node side and each
+    #: translation's derived (OLD_NODE, NEW_NODE) pairs; the sibling trigger
+    #: groups and sibling XML-event translations fired by the statement read
+    #: them back instead of re-deriving them.  Keys pair the engine's own
+    #: plan / operator objects with the version stamps of the base tables
+    #: they read, so a trigger action that itself modifies such a table is
+    #: seen by the groups fired after it.  The memo dies with the context —
+    #: nothing is carried to the next statement or shared between shard
+    #: threads.
     evaluation_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     #: Shared scratch space for the matching engine: xpath probe results per
     #: ``(old node id, new node id)`` pair, reused across the many trigger

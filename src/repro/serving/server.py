@@ -198,10 +198,9 @@ class ActiveViewServer:
     service_options:
         Extra keyword arguments forwarded to every per-shard
         :class:`~repro.core.service.ActiveViewService` — e.g.
-        ``{"use_columnar": True}`` switches every shard's trigger firing to
-        the batch-oriented columnar engine (:mod:`repro.xqgm.columnar`); its
-        ``columnar_*`` counters then aggregate across shards in
-        :meth:`evaluation_report` like every other counter.
+        ``{"use_compiled_plans": False}`` makes every shard fire through the
+        interpreted oracle; the counters aggregate across shards in
+        :meth:`evaluation_report`.
 
     Views, actions and triggers registered through the server are installed
     on every shard service; trigger compilation cost is shared through one
@@ -210,8 +209,8 @@ class ActiveViewServer:
     (:mod:`repro.xqgm.physical`) — once, not N times.  The view-closure
     contract makes that sound: every shard exposes the same catalog, and a
     compiled plan references tables by name only.  What is *not* shared is
-    the per-service result cache (cached subplan rows are one shard's data);
-    see :meth:`evaluation_report`.
+    data: each statement's evaluation memo lives on the shard thread that
+    fires it (see :meth:`evaluation_report`).
     """
 
     def __init__(
@@ -608,14 +607,13 @@ class ActiveViewServer:
             service.clear_logs()
 
     def evaluation_report(self) -> dict[str, int]:
-        """Summed evaluation counters and result-cache stats across shards.
+        """Summed evaluation counters across shards.
 
         Compiled physical plans are shared across shards through the server's
         :class:`~repro.core.service.PlanCache` (the view-closure contract
-        guarantees every shard exposes the same catalog), but each shard
-        service keeps its **own** version-stamped result cache — cached rows
-        are data, and every shard holds different data — and every statement
-        its own evaluation memo, on whichever shard thread fires it.  This
+        guarantees every shard exposes the same catalog), but every statement
+        keeps its own evaluation memo, on whichever shard thread fires it —
+        rows are data, and every shard holds different data.  This
         report merges the per-shard counters for a whole-server view,
         including the statement-sharing ones (``shared_side_evaluations`` /
         ``shared_side_reuses`` / ``pairs_memo_hits``).

@@ -50,8 +50,8 @@ class ExperimentPoint:
     updates: int
     fired_per_update: float
     #: Evaluation counters captured for this point (``index_probes`` /
-    #: ``hash_joins`` / ``cache_hits`` / ``result_cache_*``), populated when
-    #: the setup was built with ``collect_eval_stats=True``.
+    #: ``hash_joins`` / ...), populated when the setup was built with
+    #: ``collect_eval_stats=True``.
     stats: dict = field(default_factory=dict)
 
     def as_row(self) -> dict:
@@ -63,7 +63,7 @@ class ExperimentPoint:
             "avg_ms_per_update": round(self.avg_ms, 3),
             "fired_per_update": round(self.fired_per_update, 2),
         }
-        for counter in ("index_probes", "hash_joins", "cache_hits"):
+        for counter in ("index_probes", "hash_joins"):
             if counter in self.stats:
                 row[counter] = self.stats[counter]
         return row
@@ -120,10 +120,10 @@ class ExperimentSetup:
         return 0
 
     def evaluation_report(self) -> dict:
-        """Evaluation counters + result-cache stats of the wired service.
+        """Evaluation counters of the wired service.
 
         Empty for the MATERIALIZED baseline (it has no generated plans).
-        The ``index_probes`` / ``hash_joins`` / ``cache_hits`` counters
+        The ``index_probes`` / ``hash_joins`` counters
         accumulate only when the setup was built with
         ``collect_eval_stats=True``.
         """
@@ -216,7 +216,7 @@ class ExperimentHarness:
         self.base_parameters = base_parameters or WorkloadParameters()
         self.updates = updates
         # When enabled, sweep setups collect the evaluation counters
-        # (index_probes / hash_joins / cache_hits) into each point's
+        # (index_probes / hash_joins) into each point's
         # ``stats``.  Off by default so timed figure sweeps measure the
         # bare hot path, exactly like the pre-existing baselines.
         self.collect_eval_stats = collect_eval_stats
@@ -232,7 +232,6 @@ class ExperimentHarness:
         durable_dir: str | None = None,
         durability_sync: str = "flush",
         use_compiled_plans: bool = True,
-        use_columnar: bool = False,
         collect_eval_stats: bool = False,
         backend: str | None = None,
         use_matching_indexes: bool = True,
@@ -249,10 +248,8 @@ class ExperimentHarness:
 
         ``use_compiled_plans`` toggles the compiled physical engine (on by
         default; off runs the interpreted oracle — the comparison the
-        evaluation-hot-path benchmark draws), ``use_columnar`` switches
-        trigger firing to the batch-oriented columnar engine
-        (:mod:`repro.xqgm.columnar`; the row engines stay as fallbacks), and
-        ``collect_eval_stats`` enables the evaluation counters surfaced by
+        evaluation-hot-path benchmark draws), and ``collect_eval_stats``
+        enables the evaluation counters surfaced by
         :meth:`ExperimentSetup.evaluation_report`.
 
         ``backend`` selects an execution backend by name (e.g. ``"sqlite"``)
@@ -300,7 +297,6 @@ class ExperimentHarness:
             database,
             mode=mode,
             use_compiled_plans=use_compiled_plans,
-            use_columnar=use_columnar,
             collect_eval_stats=collect_eval_stats,
             backend=backend,
             use_matching_indexes=use_matching_indexes,

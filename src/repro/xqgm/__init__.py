@@ -18,14 +18,10 @@ This package provides:
 * graph utilities: cloning with shared-subgraph preservation, table-variant
   substitution, column propagation (:mod:`repro.xqgm.graph`);
 * a one-time lowering of logical graphs into compiled physical plans — slot
-  tuples, closure expressions, statement-shared subplans, and a
-  version-stamped cross-statement result cache (:mod:`repro.xqgm.physical`;
-  see ``docs/performance.md``);
-* a batch-oriented columnar lowering of the same graphs — column batches
-  with shared selections, vectorized predicate masks, bulk hash joins and
-  sort-clustered grouped aggregation (:mod:`repro.xqgm.columnar`), reusing
-  the physical engine's compiler, stability classes and row-major result
-  cache.
+  tuples, closure expressions, one node per distinct subplan, and
+  statement-shared subplans (:mod:`repro.xqgm.physical`; see
+  ``docs/performance.md``) — the engine trigger firing runs, with the
+  evaluator above as its oracle.
 """
 
 from repro.xqgm.expressions import (
@@ -59,15 +55,8 @@ from repro.xqgm.evaluate import EvaluationContext, evaluate
 from repro.xqgm.physical import (
     PhysicalPlan,
     PlanCompiler,
-    ResultCache,
     SlotLayout,
     compile_plan,
-)
-from repro.xqgm.columnar import (
-    ColumnBatch,
-    ColumnarCompiler,
-    ColumnarPlan,
-    compile_columnar_plan,
 )
 from repro.xqgm.views import PathGraph, ViewDefinition, ViewElementSpec
 
@@ -76,10 +65,7 @@ __all__ = [
     "Arithmetic",
     "AttributeSpec",
     "BooleanExpr",
-    "ColumnBatch",
     "ColumnRef",
-    "ColumnarCompiler",
-    "ColumnarPlan",
     "Comparison",
     "Constant",
     "ElementConstructor",
@@ -95,7 +81,6 @@ __all__ = [
     "PhysicalPlan",
     "PlanCompiler",
     "ProjectOp",
-    "ResultCache",
     "SelectOp",
     "SlotLayout",
     "TableOp",
@@ -105,7 +90,6 @@ __all__ = [
     "ViewDefinition",
     "ViewElementSpec",
     "clone_graph",
-    "compile_columnar_plan",
     "compile_plan",
     "derive_keys",
     "ensure_columns",

@@ -69,11 +69,6 @@ class EvaluationContext:
     constants_tables: Mapping[str, Sequence[Mapping[str, Any]]] = field(default_factory=dict)
     collect_stats: bool = False
     stats: dict[str, int] = field(default_factory=dict)
-    #: Optional :class:`repro.xqgm.physical.ResultCache` enabling the
-    #: version-stamped reuse of STABLE subplan results across statements.
-    #: Only consulted by the compiled engines; the interpreter (the oracle)
-    #: always evaluates from scratch.
-    result_cache: Any = None
     #: The firing statement's evaluation memo
     #: (:attr:`repro.relational.triggers.TriggerContext.evaluation_memo`):
     #: operators the plan compiler marked statement-shared store their rows
@@ -86,20 +81,13 @@ class EvaluationContext:
     #: them into ``evaluation_report``).
     shared_side_evaluations: int = 0
     shared_side_reuses: int = 0
-    #: Number of column batches materialized by the columnar engine
-    #: (:mod:`repro.xqgm.columnar`) during this evaluation — one per operator
-    #: `_compute`, excluding memo/result-cache hits.  Always maintained (not
-    #: gated on ``collect_stats``) so services can report batch counts from
-    #: the hot path; the row engines leave it at zero.
-    columnar_batches: int = 0
 
     def _bump(self, counter: str, amount: int = 1) -> None:
         """Increment a stats counter when stats collection is enabled.
 
         Counters maintained by both engines: per-operator output sizes
         (``rows_<kind>``), ``table_scans``, ``index_probes`` and
-        ``hash_joins``; the physical engine additionally counts
-        ``cache_hits`` (version-stamped result-cache reuse).
+        ``hash_joins``.
         """
         if self.collect_stats:
             self.stats[counter] = self.stats.get(counter, 0) + amount

@@ -46,11 +46,8 @@ __all__ = [
     "expression_columns",
     "compile_expr",
     "compile_predicate",
-    "compile_expr_columns",
-    "compile_predicate_columns",
     "expression_uses_parameters",
     "SlotView",
-    "VectorExpr",
 ]
 
 Row = Mapping[str, Any]
@@ -470,71 +467,6 @@ class AggregateSpec:
 
         return numeric
 
-    def compile_columns(
-        self, layout: Mapping[str, int]
-    ) -> Callable[[Sequence[Sequence[Any]], Sequence[int], Mapping[str, Any] | None], Any]:
-        """Compile the aggregate into ``fn(columns, indexes, parameters)``.
-
-        The columnar GroupBy (:mod:`repro.xqgm.columnar`) calls the returned
-        function once per group run: ``columns`` are the *full* input columns
-        and ``indexes`` the row positions of the group, already ordered per
-        ``order_within_group``.  Only the columns the argument actually
-        references are gathered, so a wide input batch is never copied
-        per group.  Mirrors :meth:`compute` exactly.
-        """
-        if self.func == "count" and self.argument is None:
-            return lambda columns, indexes, parameters: len(indexes)
-        assert self.argument is not None  # validated in __post_init__
-        referenced = sorted(self.argument.referenced_columns())
-        present = [name for name in referenced if name in layout]
-        source_slots = [layout[name] for name in present]
-        sub_layout = {name: slot for slot, name in enumerate(present)}
-        argument = compile_expr_columns(self.argument, sub_layout)
-
-        def values_of(
-            columns: Sequence[Sequence[Any]],
-            indexes: Sequence[int],
-            parameters: Mapping[str, Any] | None,
-        ) -> list:
-            gathered = [[columns[s][i] for i in indexes] for s in source_slots]
-            return argument(gathered, len(indexes), parameters)
-
-        if self.func == "count":
-            return lambda columns, indexes, parameters: sum(
-                1 for value in values_of(columns, indexes, parameters) if value is not None
-            )
-        if self.func == "xmlfrag":
-            return lambda columns, indexes, parameters: Fragment(
-                [
-                    value
-                    for value in values_of(columns, indexes, parameters)
-                    if value is not None
-                ]
-            )
-        func = self.func
-
-        def numeric_columns(
-            columns: Sequence[Sequence[Any]],
-            indexes: Sequence[int],
-            parameters: Mapping[str, Any] | None,
-        ) -> Any:
-            numbers = [
-                _atomic(value)
-                for value in values_of(columns, indexes, parameters)
-                if value is not None
-            ]
-            if not numbers:
-                return None
-            if func == "sum":
-                return sum(numbers)
-            if func == "min":
-                return min(numbers)
-            if func == "max":
-                return max(numbers)
-            return sum(numbers) / len(numbers)  # avg (validated in __post_init__)
-
-        return numeric_columns
-
 
 # ---------------------------------------------------------------------------
 # Helpers
@@ -786,313 +718,12 @@ def compile_predicate(
     return holds
 
 
-# ---------------------------------------------------------------------------
-# Vectorized expression compilation (column batches)
-# ---------------------------------------------------------------------------
-#
-# The columnar execution engine (:mod:`repro.xqgm.columnar`) represents
-# intermediate results as parallel columns instead of per-row tuples.
-# ``compile_expr_columns`` lowers an expression tree once into a nest of
-# closures evaluated *column-at-a-time*: each closure takes the dense input
-# columns plus the batch length and returns one output column, so the Python
-# interpreter overhead of a tree walk amortizes across the whole batch.
-#
-# Semantics match the row engines value-for-value (SQL NULL handling,
-# atomization, WHERE truthiness, call-time errors for missing columns and
-# unbound parameters — raised only when the batch is non-empty, because the
-# row engines never evaluate an expression over zero rows).  The one
-# permitted divergence: when *several* rows would raise, the vectorized form
-# may surface a different row's error first (sub-expressions evaluate column
-# by column, not row by row); the error type is the same either way.
-
-#: A vectorized expression: ``fn(columns, length, parameters) -> column``.
-#: ``columns`` are the dense input columns (one sequence per slot, all of
-#: ``length`` values); the result is a new column of ``length`` values.
-VectorExpr = Callable[[Sequence[Sequence[Any]], int, Mapping[str, Any] | None], Sequence[Any]]
-
-
-def compile_expr_columns(expression: Expression, layout: Mapping[str, int]) -> VectorExpr:
-    """Compile ``expression`` once into a vectorized evaluator over columns.
-
-    ``layout`` maps column names to column slots.  Expression types without a
-    dedicated vectorized form may supply a ``compile_columns(layout)`` hook
-    (checked first, like ``compile_slots`` in :func:`compile_expr`); anything
-    else falls back to the row-compiled closure applied per row, which keeps
-    the engine total while still amortizing the expression-tree walk.
-    """
-    compile_columns = getattr(expression, "compile_columns", None)
-    if compile_columns is not None:
-        return compile_columns(layout)
-
-    if isinstance(expression, ColumnRef):
-        index = layout.get(expression.name)
-        if index is None:
-            name = expression.name
-
-            def missing(
-                columns: Sequence[Sequence[Any]],
-                length: int,
-                parameters: Mapping[str, Any] | None,
-            ) -> Sequence[Any]:
-                if length:
-                    raise EvaluationError(f"column {name!r} not present in tuple")
-                return []
-
-            return missing
-        return lambda columns, length, parameters, _i=index: columns[_i]
-
-    if isinstance(expression, Constant):
-        value = expression.value
-        return lambda columns, length, parameters, _v=value: [_v] * length
-
-    if isinstance(expression, Parameter):
-        name = expression.name
-
-        def parameter(
-            columns: Sequence[Sequence[Any]],
-            length: int,
-            parameters: Mapping[str, Any] | None,
-        ) -> Sequence[Any]:
-            if not length:
-                return []
-            if parameters is None or name not in parameters:
-                raise EvaluationError(f"unbound parameter {name!r}")
-            return [parameters[name]] * length
-
-        return parameter
-
-    if isinstance(expression, Comparison):
-        comparator = _COMPARATORS[expression.op]
-        left = compile_expr_columns(expression.left, layout)
-        right = compile_expr_columns(expression.right, layout)
-
-        def comparison(
-            columns: Sequence[Sequence[Any]],
-            length: int,
-            parameters: Mapping[str, Any] | None,
-        ) -> Sequence[Any]:
-            left_values = left(columns, length, parameters)
-            right_values = right(columns, length, parameters)
-            return [
-                comparator(_atomic(a), _atomic(b))
-                for a, b in zip(left_values, right_values)
-            ]
-
-        return comparison
-
-    if isinstance(expression, BooleanExpr):
-        operands = [compile_expr_columns(operand, layout) for operand in expression.operands]
-        if expression.op == "not":
-            first = operands[0]
-            return lambda columns, length, parameters: [
-                sql_not(_normalize_boolean(v)) for v in first(columns, length, parameters)
-            ]
-        combine = sql_and if expression.op == "and" else sql_or
-
-        def boolean(
-            columns: Sequence[Sequence[Any]],
-            length: int,
-            parameters: Mapping[str, Any] | None,
-        ) -> Sequence[Any]:
-            out = [_normalize_boolean(v) for v in operands[0](columns, length, parameters)]
-            for operand in operands[1:]:
-                values = operand(columns, length, parameters)
-                out = [combine(a, _normalize_boolean(b)) for a, b in zip(out, values)]
-            return out
-
-        return boolean
-
-    if isinstance(expression, Arithmetic):
-        function = _ARITHMETIC_FUNCTIONS.get(expression.op)
-        left = compile_expr_columns(expression.left, layout)
-        right = compile_expr_columns(expression.right, layout)
-        op = expression.op
-        if function is None:
-
-            def unknown(
-                columns: Sequence[Sequence[Any]],
-                length: int,
-                parameters: Mapping[str, Any] | None,
-            ) -> Sequence[Any]:
-                if length:
-                    raise EvaluationError(f"unknown arithmetic operator {op!r}")
-                return []
-
-            return unknown
-
-        def arithmetic(
-            columns: Sequence[Sequence[Any]],
-            length: int,
-            parameters: Mapping[str, Any] | None,
-        ) -> Sequence[Any]:
-            left_values = left(columns, length, parameters)
-            right_values = right(columns, length, parameters)
-            out = []
-            for raw_a, raw_b in zip(left_values, right_values):
-                a = _atomic(raw_a)
-                b = _atomic(raw_b)
-                if a is None or b is None:
-                    out.append(None)
-                    continue
-                try:
-                    out.append(function(a, b))
-                except TypeError as exc:
-                    raise EvaluationError(
-                        f"arithmetic type error: {a!r} {op} {b!r}"
-                    ) from exc
-            return out
-
-        return arithmetic
-
-    if isinstance(expression, IsNull):
-        operand = compile_expr_columns(expression.operand, layout)
-        if expression.negate:
-            return lambda columns, length, parameters: [
-                v is not None for v in operand(columns, length, parameters)
-            ]
-        return lambda columns, length, parameters: [
-            v is None for v in operand(columns, length, parameters)
-        ]
-
-    if isinstance(expression, TextConstructor):
-        value = compile_expr_columns(expression.value, layout)
-        return lambda columns, length, parameters: [
-            Text("" if v is None else v) for v in value(columns, length, parameters)
-        ]
-
-    if isinstance(expression, ElementConstructor):
-        attributes = [
-            (attribute.name, compile_expr_columns(attribute.value, layout))
-            for attribute in expression.attributes
-        ]
-        children = [compile_expr_columns(child, layout) for child in expression.children]
-        if expression.child_labels and len(expression.child_labels) == len(expression.children):
-            labels: Sequence[str | None] = expression.child_labels
-        else:
-            labels = [None] * len(expression.children)
-        name = expression.name
-        # Per-row construction memo.  Elements are immutable once built and
-        # ``Element.append`` stores children by reference without touching
-        # them, so a value-identical row may reuse the previously constructed
-        # node.  Node-valued children are keyed by identity: the memoized
-        # parent keeps them alive, so an id can never be recycled while its
-        # entry exists.  Fragments are *spliced* on append (the parent does
-        # not retain the fragment object itself), so rows carrying one skip
-        # the memo rather than risk a recycled id.
-        construction_memo: dict[tuple, Element] = {}
-
-        def element(
-            columns: Sequence[Sequence[Any]],
-            length: int,
-            parameters: Mapping[str, Any] | None,
-        ) -> Sequence[Any]:
-            # Evaluate every attribute/child expression over the whole batch
-            # first, then assemble one element per row from the value columns.
-            attribute_columns = [
-                (attribute_name, fn(columns, length, parameters))
-                for attribute_name, fn in attributes
-            ]
-            child_columns = [
-                (label, fn(columns, length, parameters))
-                for label, fn in zip(labels, children)
-            ]
-            if len(construction_memo) > 65536:
-                construction_memo.clear()
-            out = []
-            for r in range(length):
-                token_parts: list[Any] = []
-                memoizable = True
-                for _, values in attribute_columns:
-                    token_parts.append(values[r])
-                for _, values in child_columns:
-                    value = values[r]
-                    if isinstance(value, Fragment):
-                        memoizable = False
-                        break
-                    token_parts.append(id(value) if isinstance(value, XmlNode) else value)
-                if memoizable:
-                    try:
-                        token = tuple(token_parts)
-                        node = construction_memo.get(token)
-                    except TypeError:  # unhashable scalar child/attribute
-                        token = None
-                        node = None
-                    if node is not None:
-                        out.append(node)
-                        continue
-                else:
-                    token = None
-                node = Element(name)
-                for attribute_name, values in attribute_columns:
-                    value = values[r]
-                    node.set_attribute(attribute_name, "" if value is None else value)
-                for label, values in child_columns:
-                    value = values[r]
-                    if value is None:
-                        if label is not None:
-                            node.append(Element(label))
-                        continue
-                    if label is not None:
-                        wrapped = Element(label)
-                        wrapped.append(value)
-                        node.append(wrapped)
-                    else:
-                        node.append(value)
-                if token is not None:
-                    construction_memo[token] = node
-                out.append(node)
-            return out
-
-        return element
-
-    # Fallback: row-compiled closure applied per reassembled row.  Custom
-    # expressions (ones the vectorizer cannot inspect) keep exact row-engine
-    # semantics; ``compile_expr`` itself honours their ``compile_slots`` hook
-    # or evaluates them over a SlotView.
-    scalar = compile_expr(expression, layout)
-
-    def fallback(
-        columns: Sequence[Sequence[Any]],
-        length: int,
-        parameters: Mapping[str, Any] | None,
-    ) -> Sequence[Any]:
-        if not columns:
-            return [scalar((), parameters) for _ in range(length)]
-        return [scalar(row, parameters) for row in zip(*columns)]
-
-    return fallback
-
-
-def compile_predicate_columns(
-    expression: Expression, layout: Mapping[str, int]
-) -> Callable[[Sequence[Sequence[Any]], int, Mapping[str, Any] | None], list[bool]]:
-    """Compile a predicate into a vectorized mask evaluator.
-
-    Returns ``fn(columns, length, parameters) -> mask`` where ``mask`` is a
-    list of booleans under WHERE semantics (NULL/unknown counts as false),
-    one per input row.
-    """
-    compiled = compile_expr_columns(expression, layout)
-
-    def mask(
-        columns: Sequence[Sequence[Any]],
-        length: int,
-        parameters: Mapping[str, Any] | None,
-    ) -> list[bool]:
-        return [
-            is_truthy(value) if (isinstance(value, bool) or value is None) else bool(value)
-            for value in compiled(columns, length, parameters)
-        ]
-
-    return mask
-
-
 def expression_uses_parameters(expression: Expression) -> bool:
     """Whether evaluating ``expression`` may read the parameter bindings.
 
-    Decides a subplan's stability class: parameter-dependent subplans are
-    VOLATILE — never reused across firings nor shared between the trigger
-    groups fired by one statement.  Expression types defined outside this
+    Decides whether a compiled subplan is volatile: parameter-dependent
+    subplans are never shared between the trigger groups fired by one
+    statement.  Expression types defined outside this
     module answer through a ``uses_parameters()`` method (see
     :class:`repro.core.affected_nodes.NodesDiffer`); unknown types without
     one are conservatively assumed to use parameters (they cannot be

@@ -25,17 +25,16 @@ Unnest    applies super-scalar functions: splits an XML fragment column
 Constants scans an in-memory constants table (Section 5.1 trigger grouping)
 ========  =====================================================================
 
-**Engine contract.**  Three execution engines lower these operators — the
-interpreted evaluator (:mod:`repro.xqgm.evaluate`, dict rows; the oracle),
-the compiled row engine (:mod:`repro.xqgm.physical`, slot tuples) and the
-columnar engine (:mod:`repro.xqgm.columnar`, column batches).  All three
-must agree value-for-value on every operator, *including output row order*
-when no result cache serves a subplan: the duplicate-column resolution of
-each join site, the adaptive inner-join input ordering, first-appearance
-group order, and union deduplication order are part of an operator's
-semantics, not an engine detail.  The differential property suites under
-``tests/property/`` pin this contract; extend them when adding an operator
-or an engine.
+**Engine contract.**  Two execution engines run these operators — the
+interpreted evaluator (:mod:`repro.xqgm.evaluate`, dict rows; the oracle)
+and the compiled plan engine (:mod:`repro.xqgm.physical`, slot tuples).
+Both must agree value-for-value on every operator, *including output row
+order* when no statement-shared result serves a subplan: the
+duplicate-column resolution of each join site, the adaptive inner-join
+input ordering, first-appearance group order, and union deduplication order
+are part of an operator's semantics, not an engine detail.  The
+differential property suites under ``tests/property/`` pin this contract;
+extend them when adding an operator.
 """
 
 from __future__ import annotations

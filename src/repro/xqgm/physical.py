@@ -1,4 +1,4 @@
-"""Compiled physical plans: slot rows, closure expressions, result caching.
+"""Compiled physical plans: slot rows, closure expressions, statement sharing.
 
 The interpreted evaluator (:mod:`repro.xqgm.evaluate`) materializes every
 operator's output as ``dict[str, Any]`` rows, merges dictionaries row by row
@@ -27,58 +27,38 @@ its input order is a *recipe* fixed on first use of that order
 (:class:`PInnerJoin`).  The interpreter keeps evaluating the graph as
 translated.
 
-Semantics match the interpreter exactly.  With no result cache in play the
-match is bit-identical **including output row order**: the physical join
-driver runs the same adaptive input ordering (the estimates of
+Semantics match the interpreter exactly.  With nothing statement-shared in
+play the match is bit-identical **including output row order**: the physical
+join driver runs the same adaptive input ordering (the estimates of
 :func:`repro.xqgm.evaluate._input_cost_estimate`, asked of the execution
 memo by compiled node), the same build-side selection, the same index-probe
 profitability test, and the same duplicate-column resolution as the
-interpreted merge operations.  When a cached or statement-shared result
-serves a subplan, nodes below it skip evaluation and are absent from the
-execution memo, so a later join may order its inputs from static estimates
-instead of exact memoized cardinalities — the output *multiset* is always
-identical, but row order within one firing may then differ from a cold run.
-The property tests pin compiled == interpreted on randomized workloads
-(ordered when nothing was reused, normalized otherwise).
+interpreted merge operations.  When a statement-shared result serves a
+subplan, nodes below it skip evaluation and are absent from the execution
+memo, so a later join may order its inputs from static estimates instead of
+exact memoized cardinalities — the output *multiset* is always identical,
+but row order within one firing may then differ from a cold run.  The
+property tests pin compiled == interpreted on randomized workloads (ordered
+when nothing was reused, normalized otherwise).
 
-Two reuse mechanisms sit on top of the compiled plan, both driven by the
-compile-time stability classification (``STABLE`` / ``CONTEXT`` /
-``VOLATILE``, see :class:`PhysicalOp`):
-
-* **Statement-shared results.**  One statement fires every qualifying trigger
-  group and event translation with the same
-  :class:`~repro.relational.triggers.TriggerContext`, and the translations of
-  one monitored path are thin per-event combines over the *same* side
-  operators (Figure 12: INSERT, UPDATE and DELETE pairs derive from one
-  ``NEW_NODE`` and one ``OLD_NODE`` sub-plan).  The translator hands those
-  sides to :meth:`PlanCompiler.share`; a shared node stores its rows in the
-  context's statement-scoped evaluation memo on first computation and every
-  later plan execution of that statement reads them back.  The memo dies
-  with the statement, so it needs no stamps, no eviction and no warm-up.
-  This is the data-level realization of the paper's shared trigger
-  processing (Section 5).
-
-* **Cross-statement results.**  Every
-  :class:`~repro.relational.table.Table` carries a monotonic version counter
-  advanced by each mutation, and the result of a heavy ``STABLE`` subplan —
-  one reading only CURRENT table scans — is kept in a :class:`ResultCache`
-  stamped with the versions of the tables it read; it is reused on any later
-  firing iff every input table version is unchanged.
+**Statement-shared results.**  One statement fires every qualifying trigger
+group and event translation with the same
+:class:`~repro.relational.triggers.TriggerContext`, and the translations of
+one monitored path are thin per-event combines over the *same* side
+operators (Figure 12: INSERT, UPDATE and DELETE pairs derive from one
+``NEW_NODE`` and one ``OLD_NODE`` sub-plan).  The translator hands those
+sides to :meth:`PlanCompiler.share`; a shared node stores its rows in the
+context's statement-scoped evaluation memo on first computation and every
+later plan execution of that statement reads them back.  The memo dies with
+the statement, so it needs no eviction and no warm-up; nothing a plan
+computes outlives the statement.  This is the data-level realization of the
+paper's shared trigger processing (Section 5).  Only a node that is not
+*volatile* — one that reads no constants table and no parameter binding
+(see :class:`PhysicalOp`) — is shared.
 
 Plans are immutable after compilation and safe to share across threads and
 across shard services (they reference base tables by name and receive the
-database through the evaluation context).  A :class:`ResultCache`, by
-contrast, stores data derived from one database's contents and must be
-owned by exactly one database's service (each shard keeps its own).
-
-A third engine lowers the same logical graphs to batch-oriented *columnar*
-operators (:mod:`repro.xqgm.columnar`); it reuses this module's slot
-layouts, stability classes, compiler, merge-spec slot arithmetic, and result
-cache (entries stay row-major so both engines can serve each other's hits),
-while
-replacing per-row closure application with column-at-a-time evaluation.
-This compiled row engine remains the fallback and the reference the
-columnar engine is differentially fuzzed against.
+database through the evaluation context).
 """
 
 from __future__ import annotations
@@ -117,7 +97,7 @@ from repro.xqgm.operators import (
     _operator_counter,
 )
 
-__all__ = ["SlotLayout", "ResultCache", "PhysicalPlan", "PlanCompiler", "compile_plan"]
+__all__ = ["SlotLayout", "PhysicalPlan", "PlanCompiler", "compile_plan"]
 
 
 class SlotLayout:
@@ -140,87 +120,6 @@ class SlotLayout:
         return f"SlotLayout({list(self.columns)})"
 
 
-class ResultCache:
-    """Version-stamped cache of STABLE subplan results, shared across statements.
-
-    Entries map a compiled subplan's :attr:`PhysicalOp.cache_key` to
-    ``(stamp, rows)`` where the stamp is the tuple of ``(table uid, table
-    version)`` pairs for every base table the subplan reads.  The key is the
-    *logical* operator id plus the column layout it was lowered with: plans
-    lowered separately over a shared logical subgraph (trigger groups on
-    other events or base tables of the same view) serve each other's hits,
-    while a lowering made before a later translation widened that subgraph
-    (``ensure_columns`` adds pass-through key columns in place) can never be
-    handed rows of the other shape.
-
-    A lookup whose stamp differs is a miss (counted as an invalidation) and
-    the stale entry is overwritten by the next store — the cache needs no
-    notifications: any committed change (per-statement DML, batched
-    execution, bulk loads, recovery replay) advances the table version
-    counters it stamps against.
-
-    Only subplans that are a pure function of CURRENT table contents live
-    here.  Results that depend on a statement's transition tables are shared
-    through the statement's own evaluation memo instead (see
-    :meth:`PhysicalOp.rows`) and never outlive it.
-
-    One instance must only ever observe a single database (stamps are
-    per-table-instance) and is designed for the engine's single-writer
-    execution model: lookups and stores are plain dict operations (atomic
-    under the GIL; no lock on the firing hot path), so concurrent *readers*
-    of the stats see merely slightly stale counters.  The cache is bounded
-    (``max_entries``, least recently written evicted first) so long-lived
-    services cannot grow it without bound.
-    """
-
-    def __init__(self, max_entries: int = 512) -> None:
-        self._entries: dict[Any, tuple[tuple, list[tuple]]] = {}
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self.invalidations = 0
-
-    def lookup(self, key: Any, stamp: tuple) -> list[tuple] | None:
-        """Rows cached for the subplan iff its input versions are unchanged."""
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        if entry[0] != stamp:
-            self.invalidations += 1
-            self.misses += 1
-            return None
-        self.hits += 1
-        return entry[1]
-
-    def store(self, key: Any, stamp: tuple, rows: list[tuple]) -> None:
-        """Retain the rows computed under ``stamp`` (after a lookup miss)."""
-        entries = self._entries
-        # Re-inserting moves the key to the end of the dict: eviction pops
-        # the *least recently written* entry, so long-lived entries that keep
-        # getting refreshed are never the first to go (LRU-on-write).
-        entries.pop(key, None)
-        entries[key] = (stamp, rows)
-        while len(entries) > self.max_entries:
-            del entries[next(iter(entries))]
-
-    def clear(self) -> None:
-        """Drop every entry (counters are kept)."""
-        self._entries.clear()
-
-    def stats(self) -> dict[str, int]:
-        """Hit / miss / invalidation counters plus the current size."""
-        return {
-            "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "invalidations": self.invalidations,
-        }
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 # ---------------------------------------------------------------------------
 # Physical operators
 # ---------------------------------------------------------------------------
@@ -236,45 +135,31 @@ def version_stamp(database, tables: Sequence[str]) -> tuple:
     return tuple(database.table(name).version_stamp for name in tables)
 
 
-#: Subtree stability levels: what a subplan's result is a function of.
-STABLE = 2  #: CURRENT table contents only — reusable across statements
-CONTEXT = 1  #: also the firing's transition tables — shareable within one statement
-VOLATILE = 0  #: constants tables or parameters — never reused
-
-
 class PhysicalOp:
     """One compiled operator: produces slot rows for a logical node.
 
-    ``stability`` classifies the whole subtree and is the rule for what may
-    be reused:
+    ``volatile`` marks a subtree that reads a constants table or a
+    parameter binding: its rows differ between executions under one
+    statement, so it is never shared.  Every other subtree is a function of
+    the base tables and the firing's transition tables alone — the same for
+    every plan execution under one
+    :class:`~repro.relational.triggers.TriggerContext`, so it may be shared
+    by the trigger groups and sibling event translations one statement
+    fires, never beyond.
 
-    * ``STABLE`` — only CURRENT table scans below; the result is a pure
-      function of the input tables' contents, so it is reusable **across
-      statements** while those tables' version counters are unchanged
-      (``cache_eligible`` marks the STABLE nodes heavy enough to be worth a
-      :class:`ResultCache` entry, stored under ``cache_key``).
-    * ``CONTEXT`` — the subtree also reads the firing's transition tables
-      (delta scans, ``B_old`` reconstruction).  The result is the same for
-      every plan execution under one
-      :class:`~repro.relational.triggers.TriggerContext`, so it may be
-      shared by the trigger groups and sibling event translations one
-      statement fires — never beyond.
-    * ``VOLATILE`` — reads constants tables or parameter bindings; never
-      reused.
-
-    ``shared`` marks a non-VOLATILE node the translator registered through
+    ``shared`` marks a non-volatile node the translator registered through
     :meth:`PlanCompiler.share`: its rows live in the statement's evaluation
     memo (``ctx.shared_results``) from their first computation on.
     ``table_deps`` names the base tables the subtree reads; their
-    :func:`version_stamp`, assembled at lookup time, is the result cache's
-    only invalidation rule and the second half of a memo key — ``(node,
-    stamp)`` — so a trigger action that changes one of those tables while
-    its statement's other groups have yet to fire makes them recompute (the
-    superseded rows stay in the memo until the statement ends).
+    :func:`version_stamp`, assembled at lookup time, is the second half of a
+    memo key — ``(node, stamp)`` — so a trigger action that changes one of
+    those tables while its statement's other groups have yet to fire makes
+    them recompute (the superseded rows stay in the memo until the statement
+    ends).
     """
 
     __slots__ = ("logical", "logical_id", "kind", "rows_counter", "layout",
-                 "cache_key", "table_deps", "stability", "cache_eligible", "shared")
+                 "table_deps", "volatile", "shared")
 
     def __init__(self, logical: Operator, layout: SlotLayout) -> None:
         self.logical = logical
@@ -282,10 +167,8 @@ class PhysicalOp:
         self.kind = logical.kind.lower()
         self.rows_counter = "rows_" + self.kind
         self.layout = layout
-        self.cache_key = (logical.id, layout.columns)
         self.table_deps: tuple[str, ...] = ()
-        self.stability = VOLATILE
-        self.cache_eligible = False
+        self.volatile = True
         self.shared = False
 
     def rows(self, ctx: EvaluationContext, memo: dict[int, list[tuple]]) -> list[tuple]:
@@ -294,26 +177,16 @@ class PhysicalOp:
         if hit is not None:
             return hit
         shared = ctx.shared_results if self.shared else None
-        cache = ctx.result_cache if self.cache_eligible else None
-        if shared is not None or cache is not None:
-            stamp = version_stamp(ctx.database, self.table_deps)
         if shared is not None:
-            hit = shared.get((self, stamp))
+            key = (self, version_stamp(ctx.database, self.table_deps))
+            hit = shared.get(key)
             if hit is not None:
                 ctx.shared_side_reuses += 1
                 memo[self.logical_id] = hit
                 return hit
-        if cache is not None:
-            hit = cache.lookup(self.cache_key, stamp)
-            if hit is not None:
-                ctx._bump("cache_hits")
-                memo[self.logical_id] = hit
-                return hit
         out = self._compute(ctx, memo)
-        if cache is not None:
-            cache.store(self.cache_key, stamp, out)
         if shared is not None:
-            shared[(self, stamp)] = out
+            shared[key] = out
             ctx.shared_side_evaluations += 1
         memo[self.logical_id] = out
         if ctx.collect_stats:
@@ -961,9 +834,9 @@ class PhysicalPlan:
         self.root = root
         self.layout = root.layout
         #: Whether every execution under one statement's context yields the
-        #: same rows (the root is not VOLATILE) — callers may then derive
+        #: same rows (the root is not volatile) — callers may then derive
         #: from the result once per statement.
-        self.shareable = root.stability != VOLATILE
+        self.shareable = not root.volatile
         #: Base tables the plan reads: a result derived from an execution
         #: holds while their :func:`version_stamp` does.
         self.table_deps = root.table_deps
@@ -973,9 +846,7 @@ class PhysicalPlan:
 
         ``context.shared_results`` (a statement's evaluation memo) lets
         statement-shared nodes reuse what an earlier execution under the same
-        statement computed; ``context.result_cache`` reuses STABLE subplan
-        results across statements while their input table versions are
-        unchanged.
+        statement computed.
         """
         memo: dict[int, list[tuple]] = {}
         return self.root.rows(context, memo)
@@ -1059,15 +930,15 @@ class PlanCompiler:
     def __init__(self, catalog) -> None:
         self.schemas = {name: catalog.schema(name) for name in catalog.table_names()}
         self.memo: dict[tuple, PhysicalOp] = {}  # signature -> its one node
-        self._heavy: dict[int, bool] = {}  # node's logical id -> subtree does real work
+        self._taken: set[int] = set()  # logical ids the nodes answer to
         # logical id of a share()d side -> its node, once lowered
         self._shared: dict[int, PhysicalOp | None] = {}
 
     def share(self, op: Operator) -> None:
-        """Lower ``op`` as a statement-shared node (VOLATILE nodes never are).
+        """Lower ``op`` as a statement-shared node (volatile nodes never are).
 
-        Nothing is lowered here, so an operator an engine cannot lower fails
-        where the plan that needs it is compiled.  A shared side keeps the
+        Nothing is lowered here, so an operator the compiler cannot lower
+        fails where the plan that needs it is compiled.  A shared side keeps the
         node of its first lowering — every plan over it reads the one entry
         the statement's memo holds — even when a later translation has
         widened the graph below it (for operators of its own).
@@ -1103,44 +974,28 @@ class PlanCompiler:
             self.memo[signature] = node
         if op.id in self._shared:
             self._shared[op.id] = node
-            node.shared = node.stability != VOLATILE
+            node.shared = not node.volatile
         seen[op.id] = node
         return node
 
     def _classify(self, op: Operator, node: PhysicalOp, children: list[PhysicalOp]) -> None:
-        """Derive a new node's reuse classification from its children's."""
-        if node.logical_id in self._heavy:
+        """Derive a new node's sharing classification from its children's."""
+        if node.logical_id in self._taken:
             # ``op`` was widened since an earlier lowering, which still serves
             # its twins: the two nodes must not answer to one memo key.
             node.logical_id = next(_operator_counter)
-        # A node is STABLE when its whole subtree reads only CURRENT base
-        # tables; CONTEXT when transition tables or the pre-update
-        # reconstruction appear below (the same for every trigger group fired
-        # by one statement); VOLATILE — never reused — when a constants table
-        # or a parameter binding is consulted anywhere below.
-        if isinstance(op, TableOp):
-            stability = STABLE if op.variant is TableVariant.CURRENT else CONTEXT
-        elif isinstance(op, ConstantsOp):
-            stability = VOLATILE
-        else:
-            stability = min(child.stability for child in children)
-            if stability != VOLATILE and _operator_uses_parameters(op):
-                stability = VOLATILE
+        self._taken.add(node.logical_id)
+        # Volatile — never shared — when a constants table or a parameter
+        # binding is consulted anywhere below.
+        node.volatile = isinstance(op, ConstantsOp) or any(
+            child.volatile for child in children
+        ) or _operator_uses_parameters(op)
         deps: set[str] = set()
         for child in children:
             deps.update(child.table_deps)
         if isinstance(op, TableOp):
             deps.add(op.table)
         node.table_deps = tuple(sorted(deps))
-        node.stability = stability
-        # Cross-statement caching has a (small) per-node bookkeeping cost, so
-        # only STABLE nodes with real work below them — a join, aggregation,
-        # or union somewhere in the subtree — are eligible; scan/filter/
-        # projection chains recompute faster than they stamp.
-        heavy = self._heavy[node.logical_id] = isinstance(
-            op, (JoinOp, GroupByOp, UnionOp)
-        ) or any(self._heavy[child.logical_id] for child in children)
-        node.cache_eligible = stability == STABLE and heavy
 
     def _build(self, op: Operator, children: list[PhysicalOp]) -> PhysicalOp:
         if isinstance(op, TableOp):

@@ -184,7 +184,7 @@ def test_sibling_groups_execute_the_shared_plan_once_per_statement(monkeypatch, 
     sides = compiled.translations["vendor"].sides
     assert all(
         isinstance(node, PhysicalOp) and node.shared
-        for node in map(sides._compilers[0].compile, sides.shared_operators)
+        for node in map(sides._compiler.compile, sides.shared_operators)
     )
 
     for statement in _statements():

@@ -3,7 +3,7 @@
 Translation builds the event-independent half of a monitored path once
 (:class:`repro.core.pushdown.SharedSides`, cached in the ``PlanCache``) and
 every trigger group / XML event combines those very operators; at run time
-the plan engines keep each side's rows and each translation's pairs in
+the compiled plans keep each side's rows and each translation's pairs in
 ``TriggerContext.evaluation_memo``.  Pinned here:
 
 * the memo's lifetime — empty on a fresh context, one per statement, never
@@ -14,7 +14,7 @@ the plan engines keep each side's rows and each translation's pairs in
   interpreter (memo keys carry table version stamps);
 * ``drop_view`` + re-registering a *changed* view never serves a stale side,
   and an old-side variant first needed long after the other plans were
-  lowered still lowers on both engines;
+  lowered still lowers and agrees with the interpreter;
 * trigger DDL that makes a group disappear and reappear keeps the sharing.
 
 The randomized cross-engine pin is
@@ -116,9 +116,8 @@ def test_fresh_trigger_context_has_an_empty_memo_of_its_own():
     assert first.evaluation_memo is not second.evaluation_memo
 
 
-@pytest.mark.parametrize("use_columnar", [False, True])
-def test_memo_is_per_statement_and_holds_the_sides_and_pairs(use_columnar):
-    database, service = build_service(use_columnar=use_columnar)
+def test_memo_is_per_statement_and_holds_the_sides_and_pairs():
+    database, service = build_service()
     (sides,) = sides_of(service)
     seen = []
     # Registered last, so it fires after every trigger group of the service,
@@ -132,12 +131,10 @@ def test_memo_is_per_statement_and_holds_the_sides_and_pairs(use_columnar):
     service.execute(price_update(2))
     first, second = seen
     assert first is not second
-    engine = 1 if use_columnar else 0
     for memo in seen:
-        nodes = {sides._compilers[engine].compile(op) for op in sides.shared_operators}
+        nodes = {sides._compiler.compile(op) for op in sides.shared_operators}
         plans = {
-            (t.columnar_plan if use_columnar else t.physical_plan)
-            for t in (c.translations["vendor"] for c in service._groups.values())
+            c.translations["vendor"].physical_plan for c in service._groups.values()
         }
         # Each side once, each distinct translation's pairs once — nothing
         # else — each keyed with the version stamps of the tables it reads.
@@ -329,7 +326,6 @@ def test_groups_fired_after_an_actions_own_dml_see_it_like_the_interpreter(mode,
     for engine, options in (
         ("interpreted", {"use_compiled_plans": False}),
         ("compiled", {}),
-        ("columnar", {"use_columnar": True}),
     ):
         database, service = build_nesting_service(mode, _NESTED_DML[nested], **options)
         for statement in outer:
@@ -340,23 +336,18 @@ def test_groups_fired_after_an_actions_own_dml_see_it_like_the_interpreter(mode,
              None if f.new_node is None else serialize(f.new_node))
             for f in service.fired
         ]
-        report = service.evaluation_report()
-        assert report["compiled_plan_fallbacks"] == report["columnar_fallbacks"] == 0
+        assert service.evaluation_report()["compiled_plan_fallbacks"] == 0
     assert len(fired["interpreted"]) > len(NESTING) - 1  # the nested statement fired too
     assert fired["compiled"] == fired["interpreted"]
-    assert fired["columnar"] == fired["interpreted"]
 
 
-@pytest.mark.parametrize("use_columnar", [False, True])
-def test_action_dml_on_an_unrelated_table_keeps_the_sharing(use_columnar):
+def test_action_dml_on_an_unrelated_table_keeps_the_sharing():
     """The common shape of a writing action — an audit row per activation —
     touches nothing the view reads, so the statement still evaluates each
     side once."""
     counter = iter(range(1, 100))
     log = lambda db: [InsertStatement("audit", [{"id": next(counter)}])]
-    database, service = build_nesting_service(
-        ExecutionMode.GROUPED_AGG, log, use_columnar=use_columnar
-    )
+    database, service = build_nesting_service(ExecutionMode.GROUPED_AGG, log)
     (sides,) = sides_of(service)
     before = sharing(service)
     service.execute(price_update(1))
@@ -432,11 +423,10 @@ def test_cached_sides_keep_no_database_alive():
 @pytest.mark.parametrize("mode", [ExecutionMode.GROUPED, ExecutionMode.GROUPED_AGG])
 def test_old_side_variant_added_after_every_tables_sides_were_lowered(mode, push_affected_keys):
     """The full OLD_NODE side is built — and lowered by the sides' long-lived
-    compilers — only when the first group that needs it registers.  By then
+    compiler — only when the first group that needs it registers.  By then
     the sides of *both* base tables exist (building the second widens the
     shared view graph in place) and their other plans were lowered long ago;
-    the late variant must still lower on both engines and agree with the
-    interpreter."""
+    the late variant must still lower and agree with the interpreter."""
     early = [TRIGGERS[0], TRIGGERS[1], TRIGGERS[4]]  # no / shallow old node
     late = [TRIGGERS[3], TRIGGERS[5]]  # full old node: UPDATE and DELETE
     statements = [
@@ -450,7 +440,6 @@ def test_old_side_variant_added_after_every_tables_sides_were_lowered(mode, push
     for engine, options in (
         ("interpreted", {"use_compiled_plans": False}),
         ("compiled", {}),
-        ("columnar", {"use_columnar": True}),
     ):
         database = build_paper_database(with_foreign_keys=False)
         service = ActiveViewService(
@@ -477,11 +466,9 @@ def test_old_side_variant_added_after_every_tables_sides_were_lowered(mode, push
             service.execute(statement)
         report = service.evaluation_report()
         assert report["compiled_plan_fallbacks"] == 0, report
-        assert report["columnar_plan_errors"] == report["columnar_fallbacks"] == 0, report
         fired[engine] = normalize(service.fired)
     assert {f[0] for f in fired["interpreted"]} >= {"UpdFull", "Del"}
     assert fired["compiled"] == fired["interpreted"]
-    assert fired["columnar"] == fired["interpreted"]
 
 
 def test_group_that_disappears_and_reappears_keeps_sharing():

@@ -1,27 +1,26 @@
 """Property-based equivalence: compiled physical plans == interpreted == oracle.
 
-PR 4 lowers every generated trigger plan into a compiled physical form
-(slot tuples, closure expressions, version-stamped result cache) and makes
-it the default firing engine, keeping the interpreted evaluator as the
-oracle.  These properties pin the two engines to each other — and both to
-the MATERIALIZED Definition 2/3 oracle — on randomized workloads:
+Every generated trigger plan is lowered into a compiled physical form (slot
+tuples, closure expressions, statement-shared sides) — the one firing
+engine — and the interpreted evaluator stays as its oracle.  These
+properties pin the two engines to each other — and both to the MATERIALIZED
+Definition 2/3 oracle — on randomized workloads:
 
 * per-statement execution across all three execution modes (the UNGROUPED
-  mode exercises heavy result-cache sharing: every trigger is its own group
-  re-evaluating the shared plan);
-* the set-oriented batch path (``execute_batch``);
+  mode exercises heavy statement sharing: every trigger is its own group
+  reading the shared sides and pairs);
+* the set-oriented batch path (``execute_batch``), including matching error
+  behavior when a statement inside a batch fails;
 * post-recovery: a service rebuilt from snapshot + WAL replay must fire
   compiled plans identically to an interpreted service on the same
-  recovered state (recovery replay advances the same table version
-  counters as live DML, so no stale cache entry can survive);
+  recovered state;
 * a sharded concurrent server run (compiled engine on every shard worker,
   plans shared through the server's plan cache).
 
-A companion deterministic test pins the result cache's invalidation rule on
-**every commit path**: per-statement DML, batched execution, bulk loads,
-and WAL recovery replay all bump table versions, so a firing after any of
-them must observe the new data (compared against a cache-free interpreted
-evaluation of the same state).
+A companion deterministic test fires the compiled engine around **every
+commit path** — per-statement DML, batched execution, bulk loads and WAL
+recovery replay — and compares each firing against an interpreted
+evaluation of the same state.
 
 The graph-level properties at the end draw *plans* rather than workloads:
 graphs holding ``clone_graph`` copies of a subgraph under a join and under a
@@ -61,7 +60,6 @@ from repro.xqgm import (
     UnionOp,
     evaluate,
 )
-from repro.xqgm.columnar import ColumnarCompiler
 from repro.xqgm.graph import clone_graph, walk
 from repro.xqgm.physical import PInnerJoin, PlanCompiler
 from repro.xqgm.rewrite import push_semijoin
@@ -70,7 +68,7 @@ from repro.xqgm.views import catalog_view
 from tests.conftest import build_paper_database
 
 # The tier-1 run uses the (fast) default budget; CI's dedicated
-# cache-correctness stress step re-runs this file with a larger one.
+# compiled-equivalence stress step re-runs this file with a larger one.
 _EXAMPLES = int(os.environ.get("REPRO_PROPERTY_EXAMPLES", "15"))
 
 TRIGGERS = [
@@ -245,9 +243,8 @@ def test_compiled_matches_interpreted_on_batches(actions, batch_size):
 def test_compiled_matches_interpreted_post_recovery(actions, prefix, tmp_path_factory):
     """After snapshot + WAL replay, compiled firing still matches interpreted.
 
-    Recovery replays committed deltas straight into table storage, which
-    advances the same per-table version counters as live DML — so a service
-    rebuilt on recovered state can never serve a stale cached subplan.
+    Recovery replays committed deltas straight into table storage, advancing
+    the same per-table version counters as live DML.
     """
     from repro.persist import Snapshot, WriteAheadLog
     from repro.persist.recovery import SNAPSHOT_FILE, WAL_FILE, recover_database
@@ -334,29 +331,26 @@ def test_compiled_matches_oracle_through_sharded_server():
     expected = {(f.trigger, f.event.value, f.key) for f in service.fired}
     assert served == expected
     assert expected, "the property is vacuous if nothing fired"
-    # Per-shard result caches are wired and observable through the merged
-    # report (this grouped population collapses to one group per shard, so
-    # context-level sharing rightly stays idle — the UNGROUPED properties
-    # above exercise it), and every translation compiled a physical plan.
+    # Every translation compiled a physical plan (this grouped population
+    # collapses to one group per shard, so statement sharing rightly stays
+    # idle — the UNGROUPED properties above exercise it).
     report = server.evaluation_report()
-    assert "result_cache_misses" in report
     assert report["compiled_plan_fallbacks"] == 0
 
 
-def test_result_cache_invalidates_on_every_commit_path():
-    """DML, batch, bulk load, and recovery replay all invalidate the cache.
+def test_compiled_matches_interpreted_after_every_commit_path():
+    """DML, batch, bulk load, and recovery replay: the next firing sees them.
 
-    The compiled service is fired repeatedly around each commit path; after
-    every mutation its activations are compared against a fresh interpreted
-    evaluation of the *same* database — if a stale cached subplan were ever
+    The compiled service is fired around each commit path; after every
+    mutation its activations are compared against an interpreted evaluation
+    of the *same* database — if rows computed before the mutation were ever
     served, the compiled log would diverge.
     """
     from repro.persist.recovery import replay_record
     from repro.relational.dml import Batch
 
     # Without the affected-key pushdown the sides join the keys to the whole
-    # view graph: a STABLE heavy subplan (product ⋈ vendor, grouped) that the
-    # result cache carries from statement to statement.
+    # view graph (product ⋈ vendor, grouped), all of it read every firing.
     comp_db, comp = _build_service(
         ExecutionMode.UNGROUPED, use_compiled=True, push_affected_keys=False
     )
@@ -397,23 +391,18 @@ def test_result_cache_invalidates_on_every_commit_path():
         # must name the same (trigger, key) pairs.
         assert [(t, k) for t, k, _ in compiled_log] == [
             (t, k) for t, k, _ in interpreted_log
-        ], f"stale cache served after {tag}"
+        ], f"stale rows served after {tag}"
 
     check.counter = 0
 
-    # Warm the cache.  Within one statement each side is evaluated once (the
-    # sibling UPDATE groups — UNGROUPED: one per trigger — read the statement
-    # memo), so cross-statement hits need two firings over unchanged tables:
-    # the event slices of a batch.  The UPDATE slice retains the view graph,
-    # the INSERT slice is served it.
+    # Within one statement each side is evaluated once: the sibling UPDATE
+    # groups — UNGROUPED: one per trigger — read the statement memo.
     comp.execute(fire_probe(-1))
     assert comp.evaluation_report()["pairs_memo_hits"] > 0
-    assert comp.result_cache.stats()["entries"] > 0
     comp.execute_batch(Batch([
         fire_probe(-2),
         InsertStatement("vendor", [{"vid": "Buy.com", "pid": "P4", "price": 1.0}]),
     ]))
-    assert comp.result_cache.stats()["hits"] > 0
 
     # 1. per-statement DML
     comp.execute(UpdateStatement(
@@ -448,9 +437,6 @@ def test_result_cache_invalidates_on_every_commit_path():
         }],
     })
     check("recovery replay")
-
-    # Versions moved on every path, so stale stamps were discarded.
-    assert comp.result_cache.stats()["invalidations"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +523,6 @@ def _nodes(root):
     return list(seen.values())
 
 
-@pytest.mark.parametrize("compiler_class", [PlanCompiler, ColumnarCompiler])
 @given(
     kind=st.sampled_from(["join", "join_same_names", "union", "pushed"]),
     shape=st.integers(0, 3),
@@ -555,11 +540,11 @@ def _nodes(root):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_twins_under_joins_and_unions_match_interpreted_in_order(
-    compiler_class, kind, shape, variant, threshold, all_rows, with_product, updates
+    kind, shape, variant, threshold, all_rows, with_product, updates
 ):
     db = build_paper_database(with_foreign_keys=False)
     top = _twin_graph(db, kind, _leg(db, shape, variant, threshold), all_rows, with_product)
-    plan = compiler_class(db).plan(top)  # the columnar compiler inherits the merging
+    plan = PlanCompiler(db).plan(top)
     # The copies really are one node each: fewer nodes than logical operators.
     assert len(_nodes(plan.root)) < len(list(walk(top)))
     for pid, price in updates:  # one plan, several statements

@@ -3,15 +3,14 @@
 Figure 12 derives the INSERT, UPDATE and DELETE pairs of a monitored path
 from the same two sub-plans, and translation builds them once per
 ``(path, table)`` (:class:`repro.core.pushdown.SharedSides`); at run time the
-compiled and the columnar engine keep each side — and each translation's
-derived pairs — in the firing statement's evaluation memo, so every sibling
+compiled engine keeps each side — and each translation's derived pairs — in
+the firing statement's evaluation memo, so every sibling
 trigger group and sibling event reads them back.  These properties draw
 random trigger *populations*:
 
 * 2–8 trigger groups over one or two monitored paths (``/topelem``, whose
   sides are pushed and — under GROUPED-AGG — compensated, and the nested
-  ``/topelem/midelem1``, which keeps the faithful sides and exercises the
-  cross-statement result cache underneath them);
+  ``/topelem/midelem1``, which keeps the faithful sides);
 * all three XML events and all three ``OldNodeRequirement``\\ s (none /
   shallow / full), so compensated and full OLD_NODE sides sit side by side;
 * GROUPED and GROUPED-AGG,
@@ -20,13 +19,13 @@ and run random DML against them per statement, in ``execute_batch`` batches,
 and through a 2-shard :class:`~repro.serving.ActiveViewServer` whose shard
 services share one ``PlanCache``.  Each asserts
 
-1. compiled == columnar == interpreted (the oracle, which never consults the
-   memo) value-for-value — trigger, event, key, OLD_NODE and NEW_NODE;
+1. compiled == interpreted (the oracle, which never consults the memo)
+   value-for-value — trigger, event, key, OLD_NODE and NEW_NODE;
 2. **each statement evaluates every shared side at most once**:
    ``shared_side_evaluations`` grows per firing by no more than the number of
    distinct shared sides registered for the fired ``(path, table)``\\ s,
    however many groups fired;
-3. the zero-silent-fallback guards.
+3. the zero-silent-fallback guard (``compiled_plan_fallbacks == 0``).
 
 Randomness is reproducible: hypothesis draws are derived from the session
 seed printed in the pytest header (``REPRO_TEST_SEED``, see
@@ -172,11 +171,10 @@ def _build_service(mode, population, **engine):
 
 
 def _engines(mode, population):
-    """(interpreted oracle, compiled, columnar), each on its own database."""
+    """(interpreted oracle, compiled), each on its own database."""
     return (
         _build_service(mode, population, use_compiled_plans=False),
         _build_service(mode, population),
-        _build_service(mode, population, use_columnar=True),
     )
 
 
@@ -247,14 +245,9 @@ def _assert_population(service, population, mode) -> None:
             assert translation.uses_compensation == compensated
 
 
-def _assert_engines_served(compiled, columnar) -> None:
-    for service in (compiled, columnar):
-        report = service.evaluation_report()
-        assert report["compiled_plan_fallbacks"] == 0, report
-        assert report["columnar_plan_errors"] == 0, report
-        assert report["columnar_fallbacks"] == 0, report
-    if columnar.fired:
-        assert columnar.evaluation_report()["columnar_firings"] > 0
+def _assert_compiled_served(compiled) -> None:
+    report = compiled.evaluation_report()
+    assert report["compiled_plan_fallbacks"] == 0, report
 
 
 _MODES = pytest.mark.parametrize("mode", [ExecutionMode.GROUPED, ExecutionMode.GROUPED_AGG])
@@ -268,31 +261,30 @@ _MODES = pytest.mark.parametrize("mode", [ExecutionMode.GROUPED, ExecutionMode.G
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
 def test_per_statement_engines_agree_and_each_side_evaluates_once(mode, population, actions):
-    (interp_db, interp), (comp_db, comp), (col_db, col) = _engines(mode, population)
+    (interp_db, interp), (comp_db, comp) = _engines(mode, population)
     _assert_population(comp, population, mode)
 
     for action in actions:
         statements = [
             _to_statement(action, lambda leaf, db=db: db.table("leaf").get((leaf,)) is not None)
-            for db in (interp_db, comp_db, col_db)
+            for db in (interp_db, comp_db)
         ]
         if any(statement is None for statement in statements):
             assert all(statement is None for statement in statements)
             continue
         interp.execute(statements[0])
-        for service, statement in ((comp, statements[1]), (col, statements[2])):
-            before = service.evaluation_report()
-            service.execute(statement)
-            after = service.evaluation_report()
-            evaluated = after["shared_side_evaluations"] - before["shared_side_evaluations"]
-            assert evaluated <= _registered_sides(service, statement.table), (
-                f"{statement.table}: {evaluated} side evaluations in one statement"
-            )
+        before = comp.evaluation_report()
+        comp.execute(statements[1])
+        after = comp.evaluation_report()
+        evaluated = after["shared_side_evaluations"] - before["shared_side_evaluations"]
+        assert evaluated <= _registered_sides(comp, statements[1].table), (
+            f"{statements[1].table}: {evaluated} side evaluations in one statement"
+        )
 
-    assert _normalize(col.fired) == _normalize(comp.fired) == _normalize(interp.fired)
-    assert col_db.snapshot() == comp_db.snapshot() == interp_db.snapshot()
+    assert _normalize(comp.fired) == _normalize(interp.fired)
+    assert comp_db.snapshot() == interp_db.snapshot()
     assert interp.evaluation_report()["shared_side_evaluations"] == 0  # the oracle never shares
-    _assert_engines_served(comp, col)
+    _assert_compiled_served(comp)
 
 
 @_MODES
@@ -310,11 +302,11 @@ def test_batches_engines_agree_and_each_slice_evaluates_each_side_once(
     mode, population, actions, batch_size
 ):
     """``execute_batch``: one firing — one memo — per (table, event) slice."""
-    (interp_db, interp), (comp_db, comp), (col_db, col) = _engines(mode, population)
+    (interp_db, interp), (comp_db, comp) = _engines(mode, population)
 
     for start in range(0, len(actions), batch_size):
         chunks = []
-        for db in (interp_db, comp_db, col_db):
+        for db in (interp_db, comp_db):
             # Feasibility within a batch follows the statements before it.
             present = {row[0] for row in db.table("leaf")}
             chunk = []
@@ -331,44 +323,34 @@ def test_batches_engines_agree_and_each_slice_evaluates_each_side_once(
         if not chunks[0]:
             continue
         interp.execute_batch(chunks[0])
-        for service, chunk in ((comp, chunks[1]), (col, chunks[2])):
-            before = service.evaluation_report()
-            result = service.execute_batch(chunk)
-            after = service.evaluation_report()
-            allowed = sum(
-                _registered_sides(service, delta.table)
-                for delta in result.deltas if delta.rowcount
-            )
-            evaluated = after["shared_side_evaluations"] - before["shared_side_evaluations"]
-            assert evaluated <= allowed
+        before = comp.evaluation_report()
+        result = comp.execute_batch(chunks[1])
+        after = comp.evaluation_report()
+        allowed = sum(
+            _registered_sides(comp, delta.table) for delta in result.deltas if delta.rowcount
+        )
+        evaluated = after["shared_side_evaluations"] - before["shared_side_evaluations"]
+        assert evaluated <= allowed
 
-    assert (
-        _normalize(col.fired, population)
-        == _normalize(comp.fired, population)
-        == _normalize(interp.fired, population)
-    )
-    assert col_db.snapshot() == comp_db.snapshot() == interp_db.snapshot()
-    _assert_engines_served(comp, col)
+    assert _normalize(comp.fired, population) == _normalize(interp.fired, population)
+    assert comp_db.snapshot() == interp_db.snapshot()
+    _assert_compiled_served(comp)
 
 
-@pytest.mark.parametrize("use_columnar", [False, True])
 @given(population=_populations(), actions=st.lists(_actions, min_size=1, max_size=8))
 @settings(
     max_examples=max(5, _EXAMPLES // 2),
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
-def test_two_shard_server_sharing_one_plan_cache(use_columnar, population, actions):
+def test_two_shard_server_sharing_one_plan_cache(population, actions):
     """Two shard services combine the *same* sides (one PlanCache) yet never
     see each other's rows: the server's activations equal the interpreted
     single-service oracle's, and no statement evaluates a side twice."""
     interp_db, interp = _build_service(
         ExecutionMode.GROUPED_AGG, population, use_compiled_plans=False
     )
-    server = ActiveViewServer(
-        _WORKLOAD.build_sharded_database(2),
-        service_options={"use_columnar": use_columnar},
-    )
+    server = ActiveViewServer(_WORKLOAD.build_sharded_database(2))
     server.register_view(_WORKLOAD.build_view())
     server.register_action("sink", lambda *args: None)
     server.register_triggers_bulk(_definitions(population))
@@ -395,4 +377,4 @@ def test_two_shard_server_sharing_one_plan_cache(use_columnar, population, actio
     assert _normalize(server.fired, population) == _normalize(interp.fired, population)
     assert _tables(server.sharded.snapshot()) == _tables(interp_db.snapshot())
     report = server.evaluation_report()
-    assert report["compiled_plan_fallbacks"] == 0 and report["columnar_fallbacks"] == 0
+    assert report["compiled_plan_fallbacks"] == 0

@@ -23,8 +23,6 @@ in the style of ``tests/core/test_hot_path_no_reparse.py``:
 
 from __future__ import annotations
 
-import pytest
-
 from repro.core.service import ActiveViewService, ExecutionMode
 from repro.relational import TriggerEvent
 from repro.relational.dml import UpdateStatement
@@ -41,7 +39,6 @@ from repro.xqgm import (
     evaluate,
 )
 from repro.xqgm import physical
-from repro.xqgm.columnar import ColumnarCompiler
 from repro.xqgm.expressions import Comparison, Constant
 from repro.xqgm.graph import clone_graph, ensure_columns
 from repro.xqgm.physical import PhysicalOp, PlanCompiler, SlotLayout
@@ -194,15 +191,14 @@ def test_equal_but_different_literals_are_not_twins():
     assert first.input is second.input
 
 
-@pytest.mark.parametrize("compiler_class", [PlanCompiler, ColumnarCompiler])
-def test_operator_widened_between_two_plans_is_lowered_afresh(compiler_class):
+def test_operator_widened_between_two_plans_is_lowered_afresh():
     """``ensure_columns`` widens a graph in place; a plan compiled afterwards
     by the same compiler must see the added column, and the plan compiled
     before keeps running on the narrower lowering."""
     db = build_paper_database()
     narrow = ProjectOp(_vendor(db), [("V.pid", ColumnRef("V.pid"))])
     filtered = SelectOp(narrow, Comparison("=", ColumnRef("V.pid"), Constant("P1")))
-    compiler = compiler_class(db)
+    compiler = PlanCompiler(db)
     before = compiler.plan(filtered)
     expected_before = evaluate(filtered, EvaluationContext(db))
 

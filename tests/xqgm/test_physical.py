@@ -3,17 +3,21 @@
 Every operator kind and expression form is compiled and compared against the
 interpreted evaluator (the oracle) on the Figure 2 database — including
 output row *order*, which the physical engine preserves bit-for-bit.  The
-version-stamped result cache's retention and invalidation rules and the
-statement-scoped sharing of compiled nodes are pinned here; randomized
-end-to-end equivalence lives in
+edge cases a randomized workload is unlikely to hold still on are pinned
+too: NULL, NaN, empty and single-row inputs through predicates, projections
+and aggregates, selects that keep nothing, and empty groups.  The
+volatility classification and the statement-scoped sharing of compiled
+nodes close the file; randomized end-to-end equivalence lives in
 ``tests/property/test_property_compiled_equivalence.py``.
 """
+
+import math
 
 import pytest
 
 from repro.errors import EvaluationError
 from repro.relational import TriggerEvent
-from repro.relational.dml import UpdateStatement
+from repro.relational.dml import InsertStatement, UpdateStatement
 from repro.relational.triggers import TriggerContext
 from repro.xqgm import (
     AggregateSpec,
@@ -29,7 +33,6 @@ from repro.xqgm import (
     JoinOp,
     Parameter,
     ProjectOp,
-    ResultCache,
     SelectOp,
     TableOp,
     TableVariant,
@@ -48,7 +51,7 @@ from repro.xqgm.expressions import (
     expression_uses_parameters,
 )
 from repro.xqgm.operators import ConstantsOp
-from repro.xqgm.physical import CONTEXT, STABLE, VOLATILE, PlanCompiler
+from repro.xqgm.physical import PlanCompiler
 
 from tests.conftest import build_paper_database
 
@@ -66,12 +69,20 @@ def product_table(db):
     return TableOp("product", "P", db.schema("product").column_names)
 
 
+def nan_safe(rows):
+    """NaN never equals itself; a NaN computed twice must still compare equal."""
+    return [
+        {k: "NaN" if isinstance(v, float) and math.isnan(v) else v for k, v in row.items()}
+        for row in rows
+    ]
+
+
 def assert_equivalent(op, db, context=None, **context_kwargs):
     """Compiled output must equal interpreted output, including row order."""
     interpreted = evaluate(op, context or EvaluationContext(db, **context_kwargs))
     plan = compile_plan(op, db)
     compiled = plan.execute_mappings(context or EvaluationContext(db, **context_kwargs))
-    assert compiled == interpreted
+    assert nan_safe(compiled) == nan_safe(interpreted)
     return plan, compiled
 
 
@@ -298,102 +309,179 @@ class TestCompileExpr:
         assert expression_uses_parameters(Custom())
 
 
-class TestResultCache:
-    def make_plan_and_context(self, db):
-        op = GroupByOp(vendor_table(db), ["V.pid"], [AggregateSpec("n", "count")])
-        top = ProjectOp(op, [("V.pid", ColumnRef("V.pid")), ("n", ColumnRef("n"))])
-        plan = compile_plan(top, db)
-        return plan
+#: Edge-case inputs fed through a constants table: the compiled closures and
+#: the interpreter must agree on each of them, row by row.
+EDGE_ROWS = {
+    "empty": [],
+    "single": [(3, 4)],
+    "nulls": [(None, 1), (2, None), (None, None), (5, 5)],
+    "nan": [(float("nan"), 1.0), (2.0, float("nan")), (1.0, 1.0)],
+    "plain": [(1, 2), (5, 5), (9, 0)],
+}
 
-    def test_stability_classification(self, db):
-        current = GroupByOp(vendor_table(db), ["V.pid"], [AggregateSpec("n", "count")])
-        assert compile_plan(current, db).root.stability == STABLE
-        delta = GroupByOp(
-            vendor_table(db, TableVariant.DELTA_INSERTED), ["V.pid"],
-            [AggregateSpec("n", "count")],
+EDGE_EXPRESSIONS = [
+    ColumnRef("a"),
+    Constant(7),
+    Comparison("=", ColumnRef("a"), ColumnRef("b")),
+    Comparison("<", ColumnRef("a"), Constant(10)),
+    Comparison(">=", ColumnRef("a"), ColumnRef("b")),
+    Arithmetic("+", ColumnRef("a"), ColumnRef("b")),
+    Arithmetic("*", ColumnRef("a"), Constant(3)),
+    BooleanExpr("and", (
+        Comparison(">", ColumnRef("a"), Constant(0)),
+        Comparison("<", ColumnRef("b"), Constant(100)),
+    )),
+    BooleanExpr("not", (IsNull(ColumnRef("a")),)),
+    IsNull(ColumnRef("b")),
+    TextConstructor(ColumnRef("a")),
+    ElementConstructor("item", children=(ColumnRef("a"),)),
+]
+
+EDGE_AGGREGATES = [
+    AggregateSpec("rows", "count"),
+    AggregateSpec("n", "count", ColumnRef("a")),
+    AggregateSpec("total", "sum", ColumnRef("a")),
+    AggregateSpec("lo", "min", ColumnRef("a")),
+    AggregateSpec("hi", "max", ColumnRef("b")),
+    AggregateSpec("mean", "avg", ColumnRef("b")),
+    AggregateSpec("frag", "xmlfrag", ColumnRef("b")),
+]
+
+
+def edge_input(rows_key):
+    """``(constants scan, context keywords binding it)`` over ``EDGE_ROWS[rows_key]``."""
+    scan = ConstantsOp("edge", ["g", "a", "b"])
+    rows = [{"g": i % 2, "a": a, "b": b} for i, (a, b) in enumerate(EDGE_ROWS[rows_key])]
+    return scan, {"constants_tables": {"edge": rows}}
+
+
+class TestEdgeInputs:
+    @pytest.mark.parametrize("rows_key", sorted(EDGE_ROWS))
+    @pytest.mark.parametrize(
+        "expression", EDGE_EXPRESSIONS, ids=lambda e: type(e).__name__ + repr(e)[:30]
+    )
+    def test_projected_expressions(self, db, expression, rows_key):
+        scan, context = edge_input(rows_key)
+        _, rows = assert_equivalent(ProjectOp(scan, [("out", expression)]), db, **context)
+        assert len(rows) == len(EDGE_ROWS[rows_key])
+
+    @pytest.mark.parametrize("rows_key", sorted(EDGE_ROWS))
+    @pytest.mark.parametrize(
+        "expression", EDGE_EXPRESSIONS, ids=lambda e: type(e).__name__ + repr(e)[:30]
+    )
+    def test_predicates_keep_null_and_nan_rows_out(self, db, expression, rows_key):
+        """WHERE semantics: NULL/unknown keeps the row out, any other value
+        counts by its truth."""
+        scan, context = edge_input(rows_key)
+        assert_equivalent(SelectOp(scan, expression), db, **context)
+
+    def test_equality_predicate_null_is_false(self, db):
+        scan, context = edge_input("nulls")
+        _, rows = assert_equivalent(
+            SelectOp(scan, Comparison("=", ColumnRef("a"), ColumnRef("b"))), db, **context
         )
-        assert compile_plan(delta, db).root.stability == CONTEXT
+        assert [(row["a"], row["b"]) for row in rows] == [(5, 5)]
+
+    @pytest.mark.parametrize("rows_key", sorted(EDGE_ROWS))
+    @pytest.mark.parametrize("grouping", [["g"], []], ids=["grouped", "global"])
+    def test_aggregates(self, db, grouping, rows_key):
+        scan, context = edge_input(rows_key)
+        op = GroupByOp(scan, grouping, EDGE_AGGREGATES, order_within_group=["a"])
+        _, rows = assert_equivalent(op, db, **context)
+        if not EDGE_ROWS[rows_key] and grouping:
+            assert rows == []  # no group at all
+        elif not EDGE_ROWS[rows_key]:
+            (row,) = rows  # the one global group, over nothing
+            assert {k: v for k, v in row.items() if k != "frag"} == {
+                "rows": 0, "n": 0, "total": None, "lo": None, "hi": None, "mean": None,
+            }
+            assert not list(row["frag"].items)
+
+    def test_select_keeps_no_row(self, db):
+        select = SelectOp(vendor_table(db), Comparison(">", ColumnRef("V.price"), Constant(10_000)))
+        _, rows = assert_equivalent(select, db)
+        assert rows == []
+
+    def test_group_by_over_a_select_that_keeps_nothing(self, db):
+        select = SelectOp(vendor_table(db), Comparison(">", ColumnRef("V.price"), Constant(10_000)))
+        aggregates = [AggregateSpec("n", "count", ColumnRef("V.vid")),
+                      AggregateSpec("total", "sum", ColumnRef("V.price"))]
+        _, grouped = assert_equivalent(GroupByOp(select, ["V.pid"], aggregates), db)
+        assert grouped == []
+        _, overall = assert_equivalent(GroupByOp(select, [], aggregates), db)
+        assert overall == [{"n": 0, "total": None}]
+
+    def test_aggregates_over_a_null_column(self, db):
+        db.execute(UpdateStatement("product", {"mfr": None}, where=lambda r: r["pid"] == "P1"))
+        grouped = GroupByOp(
+            product_table(db), ["P.pname"],
+            [AggregateSpec("n", "count", ColumnRef("P.mfr")),
+             AggregateSpec("first", "min", ColumnRef("P.mfr"))],
+        )
+        assert_equivalent(grouped, db)
+
+    def test_join_on_a_condition_and_a_union(self, db):
+        join = JoinOp(
+            [product_table(db), vendor_table(db)],
+            Comparison("=", ColumnRef("P.pid"), ColumnRef("V.pid")),
+        )
+        _, rows = assert_equivalent(join, db)
+        assert len(rows) == 7
+        union = UnionOp([
+            ProjectOp(product_table(db), [("id", ColumnRef("P.pid"))]),
+            ProjectOp(vendor_table(db), [("id", ColumnRef("V.vid"))]),
+        ])
+        assert_equivalent(union, db)
+
+    def test_single_row_input_joined(self, db):
+        select = SelectOp(product_table(db), Comparison("=", ColumnRef("P.pid"), Constant("P2")))
+        join = JoinOp(
+            [select, vendor_table(db)],
+            Comparison("=", ColumnRef("P.pid"), ColumnRef("V.pid")),
+        )
+        _, rows = assert_equivalent(join, db)
+        assert len(rows) == 2
+
+
+class TestVolatility:
+    def test_volatile_classification(self, db):
+        """Only constants tables and parameter bindings make a subtree
+        volatile; base tables and transition tables alike are shareable."""
+        for variant in (TableVariant.CURRENT, TableVariant.OLD, TableVariant.DELTA_INSERTED):
+            grouped = GroupByOp(vendor_table(db, variant), ["V.pid"], [AggregateSpec("n", "count")])
+            plan = compile_plan(grouped, db)
+            assert not plan.root.volatile and plan.shareable
         parameterized = GroupByOp(
             SelectOp(vendor_table(db), Comparison("=", ColumnRef("V.pid"), Parameter("p"))),
             ["V.pid"], [AggregateSpec("n", "count")],
         )
-        assert compile_plan(parameterized, db).root.stability == VOLATILE
+        assert compile_plan(parameterized, db).root.volatile
+        constants = ProjectOp(ConstantsOp("consts", ["c0"]), [("c", ColumnRef("c0"))])
+        assert not compile_plan(constants, db).shareable
 
-    def test_stable_result_retained_and_served(self, db):
-        plan = self.make_plan_and_context(db)
-        cache = ResultCache()
-
-        def execute():
-            context = EvaluationContext(db, result_cache=cache)
-            return plan.execute(context)
-
-        first = execute()   # misses: the projection and the group-by below it
-        assert cache.stats()["hits"] == 0 and cache.stats()["entries"] == 2
-        second = execute()  # a hit at the root: nothing below is consulted
-        third = execute()
-        assert first == second == third
-        assert cache.stats()["hits"] == 2 and cache.stats()["misses"] == 2
-
-    def test_context_results_stay_out_of_the_cache(self, db):
-        """Delta-dependent results are statement-scoped: never cross-statement."""
-        delta = GroupByOp(
-            vendor_table(db, TableVariant.OLD), ["V.pid"], [AggregateSpec("n", "count")]
-        )
-        plan = compile_plan(delta, db)
-        assert plan.root.stability == CONTEXT and not plan.root.cache_eligible
-        cache = ResultCache()
-        plan.execute(EvaluationContext(db, result_cache=cache))
-        plan.execute(EvaluationContext(db, result_cache=cache))
-        assert cache.stats() == {"entries": 0, "hits": 0, "misses": 0, "invalidations": 0}
-
-    def test_lowerings_of_different_shape_never_share_rows(self, db):
-        """Translating for another base table may widen a shared logical
-        subgraph in place (``ensure_columns``); a plan lowered before and one
-        lowered after then read the same operator with different layouts and
-        must not be served each other's rows."""
-        from repro.xqgm.graph import ensure_columns
-
-        grouped = GroupByOp(vendor_table(db), ["V.pid"], [AggregateSpec("n", "count")])
-        shared = ProjectOp(grouped, [("n", ColumnRef("n"))])
-        narrow = compile_plan(shared, db)
-        ensure_columns(shared, ["V.pid"])
-        wide = compile_plan(shared, db)
-        assert narrow.layout.columns == ("n",) and wide.layout.columns == ("n", "V.pid")
-        assert narrow.root.logical is wide.root.logical
-
-        cache = ResultCache()
-        run = lambda plan: plan.execute(EvaluationContext(db, result_cache=cache))
-        for _ in range(2):
-            assert sorted(run(narrow)) == [(2,), (2,), (3,)]
-            assert sorted(run(wide)) == [(2, "P2"), (2, "P3"), (3, "P1")]
-        # ... while equal shapes of one logical node do share (the group-by).
-        assert cache.stats()["hits"] >= 2
-
-    def test_every_mutation_path_invalidates(self, db):
-        plan = self.make_plan_and_context(db)
-        cache = ResultCache()
+    def test_every_mutation_path_is_seen(self, db):
+        """One plan, executed again after each commit path, reads the tables
+        as they now stand — nothing computed earlier is served."""
+        op = GroupByOp(vendor_table(db), ["V.pid"], [AggregateSpec("n", "count")])
+        plan = compile_plan(op, db)
 
         def counts():
-            context = EvaluationContext(db, result_cache=cache)
-            return {row[0]: row[1] for row in plan.execute(context)}
+            rows = plan.execute_mappings(EvaluationContext(db))
+            assert rows == evaluate(op, EvaluationContext(db))
+            return {row["V.pid"]: row["n"] for row in rows}
 
-        for _ in range(3):
-            counts()  # warm to the hit state
-        assert cache.stats()["hits"] > 0
-
+        assert counts()["P1"] == 3
         # Per-statement DML.
         db.insert("vendor", {"vid": "Newegg", "pid": "P1", "price": 10.0})
         assert counts()["P1"] == 4
         # Batched execution.
-        db.execute_many([UpdateStatement(
-            "vendor", {"price": 11.0},
-            where=lambda r: r["vid"] == "Newegg" and r["pid"] == "P1",
-        ), ])
-        for _ in range(2):
-            counts()
+        db.execute_many([
+            InsertStatement("vendor", [{"vid": "Buy.com", "pid": "P1", "price": 11.0}]),
+        ])
+        assert counts()["P1"] == 5
         # Bulk load (bypasses triggers, still bumps versions).
         db.load_rows("vendor", [{"vid": "Walmart", "pid": "P1", "price": 12.0}])
-        assert counts()["P1"] == 5
+        assert counts()["P1"] == 6
         # Recovery replay writes straight into table storage.
         from repro.persist.recovery import replay_record
 
@@ -405,11 +493,10 @@ class TestResultCache:
                 "deleted": [list(db.table("vendor").get(("Walmart", "P1")))],
             }],
         })
-        assert counts()["P1"] == 4
-        assert cache.stats()["invalidations"] >= 4
+        assert counts()["P1"] == 5
 
     def test_dropped_and_recreated_table_cannot_alias(self, db):
-        """A fresh Table's version stamp never matches a stale entry."""
+        """A fresh Table's version stamp never matches a stale memo key."""
         table = db.table("vendor")
         first_stamp = table.version_stamp
         rows = table.mappings()
@@ -420,13 +507,6 @@ class TestResultCache:
         recreated = db.table("vendor")
         assert recreated.version_stamp != first_stamp
         assert recreated.version_stamp[0] != first_stamp[0]
-
-    def test_bounded_size(self, db):
-        cache = ResultCache(max_entries=2)
-        for node_id in range(5):
-            cache.lookup(node_id, (1,))
-            cache.store(node_id, (1,), [])
-        assert len(cache) <= 2
 
 
 class TestStatementSharing:
@@ -495,15 +575,12 @@ class TestStatementSharing:
         assert counts == [(1, 0), (0, 1), (1, 0), (0, 1)]
         assert memos[0] is not memos[1]
 
-    @pytest.mark.parametrize("columnar", [False, True])
-    def test_a_change_to_a_table_the_side_reads_recomputes_it(self, db, columnar):
+    def test_a_change_to_a_table_the_side_reads_recomputes_it(self, db):
         """DML issued mid-firing (a trigger action's own statement): the side
         is keyed with its tables' version stamps, so it is computed again over
         the changed table, while a write elsewhere leaves it shared."""
-        from repro.xqgm.columnar import ColumnarCompiler
-
         side = self.side(db, TableVariant.CURRENT)
-        compiler = (ColumnarCompiler if columnar else PlanCompiler)(db)
+        compiler = PlanCompiler(db)
         compiler.share(side)
         plan = compiler.plan(side)
 
@@ -511,8 +588,7 @@ class TestStatementSharing:
             context = EvaluationContext(
                 db, trigger_context, shared_results=trigger_context.evaluation_memo
             )
-            result = plan.execute(context)
-            rows = result.to_rows() if columnar else result
+            rows = plan.execute(context)
             return dict(rows)["P1"], context.shared_side_evaluations, context.shared_side_reuses
 
         def body(trigger_context):
@@ -558,11 +634,10 @@ class TestStatementSharing:
             assert len(plan.execute(context)) == expected
         assert memo == {}
 
-    def test_update_root_has_the_same_stability_in_both_compilers(self, db):
+    def test_update_root_is_shareable(self, db):
         """``NodesDiffer`` answers ``uses_parameters()``: the difference-check
-        select at the root of an UPDATE translation is CONTEXT for the row
-        compiler exactly as for the columnar one (it used to be VOLATILE in
-        the row engine only, which kept its sibling groups from sharing)."""
+        select at the root of an UPDATE translation is not volatile, so its
+        sibling groups share its pairs."""
         from repro.core.pushdown import PushdownOptions, translate_path
         from repro.xqgm.views import catalog_view
 
@@ -571,29 +646,40 @@ class TestStatementSharing:
             path_graph, TriggerEvent.UPDATE, db, PushdownOptions(check_difference=True)
         )["vendor"]
         assert translation.checks_difference
-        row_root = translation.physical_plan.root
-        columnar_root = translation.columnar_plan.root
-        assert row_root.stability == columnar_root.stability == CONTEXT
-        assert translation.physical_plan.shareable and translation.columnar_plan.shareable
-        for row_node, columnar_node in zip(
-            _walk(row_root), _walk(columnar_root), strict=True
-        ):
-            assert row_node.logical is columnar_node.logical
-            assert (row_node.stability, row_node.cache_eligible, row_node.shared) == (
-                columnar_node.stability, columnar_node.cache_eligible, columnar_node.shared
+        assert not translation.physical_plan.root.volatile
+        assert translation.physical_plan.shareable
+
+    def test_sibling_groups_receive_the_same_pair_nodes(self):
+        """Two UNGROUPED trigger groups fired by one statement receive the
+        same affected-pair node objects (the pushdown pairs memo), and the
+        firing log still matches an interpreted twin."""
+        from repro.core.service import ActiveViewService, ExecutionMode
+        from repro.xmlmodel import serialize
+        from repro.xqgm.views import catalog_view
+
+        def build(use_compiled_plans):
+            service = ActiveViewService(
+                build_paper_database(), mode=ExecutionMode.UNGROUPED,
+                use_compiled_plans=use_compiled_plans,
             )
+            service.register_view(catalog_view())
+            service.register_action("sink", lambda *args: None)
+            for name in "AB":
+                service.create_trigger(
+                    f"CREATE TRIGGER {name} AFTER UPDATE ON view('catalog')/product "
+                    "DO sink(NEW_NODE)"
+                )
+            service.execute(UpdateStatement(
+                "vendor", {"price": 99.0},
+                where=lambda r: r["vid"] == "Amazon" and r["pid"] == "P1",
+            ))
+            return service
 
-
-def _walk(node):
-    """Pre-order traversal of a compiled plan (either engine)."""
-    yield node
-    children = getattr(node, "children", None)
-    if children is None:
-        children = [
-            child for child in (
-                getattr(node, "input", None), getattr(node, "left", None),
-                getattr(node, "right", None),
-            ) if child is not None
-        ]
-    for child in children:
-        yield from _walk(child)
+        compiled, interpreted = build(True), build(False)
+        normalize = lambda fired: sorted(
+            (f.trigger, f.key, serialize(f.new_node)) for f in fired
+        )
+        assert normalize(compiled.fired) == normalize(interpreted.fired)
+        by_trigger = {f.trigger: f for f in compiled.fired}
+        assert by_trigger["A"].new_node is by_trigger["B"].new_node
+        assert compiled.evaluation_report()["pairs_memo_hits"] >= 1
