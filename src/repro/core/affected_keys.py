@@ -13,7 +13,9 @@ The key idea (mirrored here operator by operator):
   keys of the transition table.
 * ``GroupBy``: join the operator's *original* input with the affected keys of
   that input, then project the distinct grouping-column values — any group
-  containing an affected input tuple is itself affected.
+  containing an affected input tuple is itself affected.  The input is pruned
+  to the columns this reads (keys, plus whatever the view's predicates
+  reference), so no XML is constructed for it.
 * ``Select`` / ``Project``: pass the affected keys through unchanged, making
   sure the key columns are propagated to the operator's output (Figure 8,
   line 57).
@@ -41,7 +43,7 @@ from repro.relational.database import Database
 from repro.relational.schema import TableSchema
 from repro.xqgm.expressions import ColumnRef
 from repro.xqgm.graph import ensure_columns
-from repro.xqgm.rewrite import push_semijoin
+from repro.xqgm.rewrite import prune_columns, push_semijoin
 from repro.xqgm.operators import (
     ConstantsOp,
     GroupByOp,
@@ -159,10 +161,15 @@ def _create(
         # Join the operator's original input with the affected keys of that
         # input (Figure 8, line 15); grouping columns must be available there.
         ensure_columns(op.input, list(inner.graph_columns))
+        # Only keys are read from the input (Figure 16's AffectedKeys CTE
+        # selects nothing else): prune it to them, dropping the element
+        # constructors and xmlfrag aggregates but keeping whatever the view's
+        # own predicates reference.
+        key_input = prune_columns(op.input, list(op.grouping) + list(inner.graph_columns))
         # Execution detail (Trigger Pushdown / Figure 16 "AffectedKeys" CTE):
         # push the affected keys into the input as a semi-join so the join is
         # driven by the transition tables instead of scanning the input.
-        reduced_input = push_semijoin(op.input, list(inner.key_pairs), inner.op)
+        reduced_input = push_semijoin(key_input, list(inner.key_pairs), inner.op)
         joined = JoinOp(
             [reduced_input, inner.op],
             equi_pairs=list(inner.key_pairs),

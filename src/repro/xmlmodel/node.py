@@ -25,11 +25,14 @@ __all__ = [
     "text",
     "fragment",
     "as_node",
+    "assemble_element",
 ]
 
 
 def _format_atomic(value: Any) -> str:
     """Render an atomic Python value as XML text content."""
+    if type(value) is str:
+        return value
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -295,6 +298,25 @@ def as_node(value: Any) -> XmlNode | None:
     if isinstance(value, Attribute):
         raise XmlError("attributes cannot appear as children")
     return Text(value)
+
+
+def assemble_element(
+    name: str, attributes: list[Attribute], children: list[XmlNode]
+) -> Element:
+    """An element that takes ``attributes`` and ``children`` as they are.
+
+    Nothing is copied or converted: the caller hands over fresh lists of
+    finished nodes (no fragments, no atomics, distinct attribute names) —
+    what the compiled element constructor of :mod:`repro.xqgm.expressions`
+    builds.  An empty name raises :class:`XmlError`, as ``Element`` does.
+    """
+    if not name:
+        raise XmlError("element name must be non-empty")
+    node = Element.__new__(Element)
+    node.name = name
+    node.attributes = attributes
+    node.children = children
+    return node
 
 
 def element(name: str, attributes: dict[str, Any] | None = None, *children: Any) -> Element:

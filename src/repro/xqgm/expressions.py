@@ -27,7 +27,15 @@ from repro.relational.types import (
     sql_not,
     sql_or,
 )
-from repro.xmlmodel.node import Element, Fragment, Text, XmlNode
+from repro.xmlmodel.node import (
+    Attribute,
+    Element,
+    Fragment,
+    Text,
+    XmlNode,
+    as_node,
+    assemble_element,
+)
 
 __all__ = [
     "Expression",
@@ -664,43 +672,75 @@ def compile_expr(expression: Expression, layout: Mapping[str, int]) -> CompiledE
         return text
 
     if isinstance(expression, ElementConstructor):
-        attributes = [
-            (attribute.name, compile_expr(attribute.value, layout))
-            for attribute in expression.attributes
-        ]
-        children = [compile_expr(child, layout) for child in expression.children]
-        if expression.child_labels and len(expression.child_labels) == len(expression.children):
-            labels: Sequence[str | None] = expression.child_labels
-        else:
-            labels = [None] * len(expression.children)
-        name = expression.name
-        labelled = list(zip(labels, children))
-
-        def element(values: Sequence[Any], parameters: Mapping[str, Any] | None) -> Any:
-            node = Element(name)
-            for attribute_name, attribute_value in attributes:
-                value = attribute_value(values, parameters)
-                node.set_attribute(attribute_name, "" if value is None else value)
-            for label, child in labelled:
-                value = child(values, parameters)
-                if value is None:
-                    if label is not None:
-                        node.append(Element(label))
-                    continue
-                if label is not None:
-                    wrapped = Element(label)
-                    wrapped.append(value)
-                    node.append(wrapped)
-                else:
-                    node.append(value)
-            return node
-
-        return element
+        return _compile_element(expression, layout)
 
     # Fallback: interpreted evaluation over a slot view (custom expressions).
     return lambda values, parameters: expression.evaluate(
         SlotView(layout, values), parameters
     )
+
+
+#: Values a labelled position wraps as one text node (``as_node``'s last case).
+_TEXT_ATOMS = frozenset({str, int, float, bool})
+
+
+def _compile_element(expression: ElementConstructor, layout: Mapping[str, int]) -> CompiledExpr:
+    """The element constructor with its shape fixed at lowering time.
+
+    Each child position is either a labelled wrapper (one ``<label>``
+    element per call, empty for NULL) or an unlabelled node / fragment
+    spliced in place, and each attribute name has its slot — a repeated name
+    keeps its first slot and its last value, as ``Element.set_attribute``
+    does.  Every call builds the attribute and child lists of a fresh tree
+    directly, with no ``Element.append`` per child; nothing is shared
+    between calls.  An empty element name, label or attribute name raises
+    :class:`~repro.errors.XmlError` when called, as in ``evaluate``.
+    """
+    name = expression.name
+    if not name:
+        return lambda values, parameters: assemble_element(name, [], [])
+    slots: dict[str, int] = {}
+    attributes = [
+        (slots.setdefault(attribute.name, len(slots)), attribute.name,
+         compile_expr(attribute.value, layout))
+        for attribute in expression.attributes
+    ]
+    width = len(slots)
+    if expression.child_labels and len(expression.child_labels) == len(expression.children):
+        labels: Sequence[str | None] = expression.child_labels
+    else:
+        labels = [None] * len(expression.children)
+    positions = [
+        (label, compile_expr(child, layout))
+        for label, child in zip(labels, expression.children)
+    ]
+
+    def element(values: Sequence[Any], parameters: Mapping[str, Any] | None) -> Any:
+        attribute_list: list[Any] = [None] * width
+        for slot, attribute_name, attribute_value in attributes:
+            value = attribute_value(values, parameters)
+            attribute_list[slot] = Attribute(attribute_name, "" if value is None else value)
+        nodes: list[XmlNode] = []
+        for label, child in positions:
+            value = child(values, parameters)
+            if label is None:
+                if value is None:
+                    continue
+                if isinstance(value, Fragment):
+                    nodes.extend(value.items)
+                else:
+                    nodes.append(as_node(value))
+            elif type(value) in _TEXT_ATOMS:
+                nodes.append(assemble_element(label, [], [Text(value)]))
+            elif value is None:
+                nodes.append(assemble_element(label, [], []))
+            elif isinstance(value, Fragment):
+                nodes.append(assemble_element(label, [], list(value.items)))
+            else:
+                nodes.append(assemble_element(label, [], [as_node(value)]))
+        return assemble_element(name, attribute_list, nodes)
+
+    return element
 
 
 def compile_predicate(

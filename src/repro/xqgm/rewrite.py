@@ -441,7 +441,11 @@ def _prune(op: Operator, needed: list[str]) -> Operator:
         return JoinOp(new_inputs, op.condition, op.equi_pairs, op.join_kind, op.label)
 
     if isinstance(op, UnionOp):
-        kept_columns = [c for c in op.output_columns if c in needed] or list(op.output_columns)
+        # A DISTINCT union deduplicates on every column: narrowing it would
+        # change which rows count as duplicates (and so every count above).
+        kept_columns = list(op.output_columns)
+        if op.all:
+            kept_columns = [c for c in kept_columns if c in needed] or kept_columns
         new_inputs = []
         new_mappings = []
         for input_op, mapping in zip(op.inputs, op.mappings):

@@ -32,8 +32,7 @@ q6_semijoin_project AS (
   FROM q5_affected_key_semijoin
 ),
 q7_construct_vendor AS (
-  SELECT json_array('e', 'vendor', json_object(), CASE WHEN "V.pid" IS NULL THEN json_array('e', 'pid', json_object()) ELSE json_array('e', 'pid', json_object(), CASE WHEN typeof("V.pid") = 'real' THEN json_array('r', printf('%!.17g', "V.pid")) ELSE "V.pid" END) END, CASE WHEN "V.vid" IS NULL THEN json_array('e', 'vid', json_object()) ELSE json_array('e', 'vid', json_object(), CASE WHEN typeof("V.vid") = 'real' THEN json_array('r', printf('%!.17g', "V.vid")) ELSE "V.vid" END) END, CASE WHEN "V.price" IS NULL THEN json_array('e', 'price', json_object()) ELSE json_array('e', 'price', json_object(), CASE WHEN typeof("V.price") = 'real' THEN json_array('r', printf('%!.17g', "V.price")) ELSE "V.price" END) END) AS "vendor__node",
-         "V.vid" AS "V.vid",
+  SELECT "V.vid" AS "V.vid",
          "V.pid" AS "V.pid"
   FROM q6_semijoin_project
 ),
@@ -107,8 +106,7 @@ q21_semijoin_project AS (
   FROM q20_affected_key_semijoin
 ),
 q22_construct_vendor AS (
-  SELECT json_array('e', 'vendor', json_object(), CASE WHEN "V.pid" IS NULL THEN json_array('e', 'pid', json_object()) ELSE json_array('e', 'pid', json_object(), CASE WHEN typeof("V.pid") = 'real' THEN json_array('r', printf('%!.17g', "V.pid")) ELSE "V.pid" END) END, CASE WHEN "V.vid" IS NULL THEN json_array('e', 'vid', json_object()) ELSE json_array('e', 'vid', json_object(), CASE WHEN typeof("V.vid") = 'real' THEN json_array('r', printf('%!.17g', "V.vid")) ELSE "V.vid" END) END, CASE WHEN "V.price" IS NULL THEN json_array('e', 'price', json_object()) ELSE json_array('e', 'price', json_object(), CASE WHEN typeof("V.price") = 'real' THEN json_array('r', printf('%!.17g', "V.price")) ELSE "V.price" END) END) AS "vendor__node",
-         "V.vid" AS "V.vid",
+  SELECT "V.vid" AS "V.vid",
          "V.pid" AS "V.pid"
   FROM q21_semijoin_project
 ),

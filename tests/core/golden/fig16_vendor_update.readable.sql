@@ -34,8 +34,7 @@ q6_semijoin_project AS (
   FROM q5_affected_key_semijoin
 ),
 q7_construct_vendor AS (
-  SELECT XMLELEMENT(NAME "vendor", XMLELEMENT(NAME "pid", "V.pid"), XMLELEMENT(NAME "vid", "V.vid"), XMLELEMENT(NAME "price", "V.price")) AS vendor__node,
-         "V.vid" AS "V.vid",
+  SELECT "V.vid" AS "V.vid",
          "V.pid" AS "V.pid"
   FROM q6_semijoin_project
 ),
@@ -108,8 +107,7 @@ q21_semijoin_project AS (
   FROM q20_affected_key_semijoin
 ),
 q22_construct_vendor AS (
-  SELECT XMLELEMENT(NAME "vendor", XMLELEMENT(NAME "pid", "V.pid"), XMLELEMENT(NAME "vid", "V.vid"), XMLELEMENT(NAME "price", "V.price")) AS vendor__node,
-         "V.vid" AS "V.vid",
+  SELECT "V.vid" AS "V.vid",
          "V.pid" AS "V.pid"
   FROM q21_semijoin_project
 ),

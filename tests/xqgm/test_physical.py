@@ -5,7 +5,9 @@ interpreted evaluator (the oracle) on the Figure 2 database — including
 output row *order*, which the physical engine preserves bit-for-bit.  The
 edge cases a randomized workload is unlikely to hold still on are pinned
 too: NULL, NaN, empty and single-row inputs through predicates, projections
-and aggregates, selects that keep nothing, and empty groups.  The
+and aggregates, selects that keep nothing, empty groups, and every kind of
+child value an element constructor meets (against
+``ElementConstructor.evaluate``, errors included).  The
 volatility classification and the statement-scoped sharing of compiled
 nodes close the file; randomized end-to-end equivalence lives in
 ``tests/property/test_property_compiled_equivalence.py``.
@@ -15,10 +17,12 @@ import math
 
 import pytest
 
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, XmlError
 from repro.relational import TriggerEvent
 from repro.relational.dml import InsertStatement, UpdateStatement
 from repro.relational.triggers import TriggerContext
+from repro.xmlmodel import serialize
+from repro.xmlmodel.node import Attribute, Document, Element, Fragment, Text, XmlNode
 from repro.xqgm import (
     AggregateSpec,
     Arithmetic,
@@ -348,6 +352,46 @@ EDGE_AGGREGATES = [
 ]
 
 
+#: Child values an element constructor may meet: every case of
+#: ``Element.append`` (NULL, fragments spliced, atoms as text, nodes as is).
+EDGE_CHILDREN = {
+    "null": None,
+    "empty_fragment": Fragment(),
+    "single_fragment": Fragment([Element("x", {"i": 1})]),
+    "nested_fragment": Fragment([Fragment([Element("x"), "t"]), Fragment(), Text("u")]),
+    "bool": True,
+    "int": 7,
+    "float": 2.0,
+    "float_fraction": 2.5,
+    "str": "s",
+    "document": Document(Element("root", None, [Element("leaf")])),
+    "element": Element("e", {"a": 1}, [Text("t")]),
+}
+
+#: Constructor shapes: unlabelled, labelled, mixed, and a repeated attribute
+#: name (``set_attribute`` replaces it in place).
+ELEMENT_SHAPES = {
+    "unlabelled": ElementConstructor("out", children=(ColumnRef("v"),)),
+    "labelled": ElementConstructor("out", children=(ColumnRef("v"),), child_labels=("w",)),
+    "mixed": ElementConstructor(
+        "out", (AttributeSpec("a", Constant(1)),),
+        (ColumnRef("v"), Constant("k"), ColumnRef("v"), Constant(None)),
+        ("w", None, None, "empty"),
+    ),
+    "repeated_attribute": ElementConstructor(
+        "out",
+        (AttributeSpec("a", Constant(1)), AttributeSpec("b", Constant(None)),
+         AttributeSpec("a", Constant(3.5))),
+        (ColumnRef("v"),),
+    ),
+}
+
+
+def input_nodes(value):
+    """The nodes a child value brings along (a result holds them as they are)."""
+    return list(value.iter_descendants()) if isinstance(value, XmlNode) else []
+
+
 def edge_input(rows_key):
     """``(constants scan, context keywords binding it)`` over ``EDGE_ROWS[rows_key]``."""
     scan = ConstantsOp("edge", ["g", "a", "b"])
@@ -432,6 +476,58 @@ class TestEdgeInputs:
             ProjectOp(vendor_table(db), [("id", ColumnRef("V.vid"))]),
         ])
         assert_equivalent(union, db)
+
+    @pytest.mark.parametrize("value", sorted(EDGE_CHILDREN))
+    @pytest.mark.parametrize("shape", sorted(ELEMENT_SHAPES))
+    def test_element_constructor_matches_the_interpreter(self, shape, value):
+        constructor, layout = ELEMENT_SHAPES[shape], {"v": 0}
+        row = (EDGE_CHILDREN[value],)
+        compiled = compile_expr(constructor, layout)
+        expected = constructor.evaluate(SlotView(layout, row))
+        first, second = compiled(row, None), compiled(row, None)
+        assert first == second == expected
+        assert serialize(first) == serialize(expected)
+        # A fresh tree per call: apart from the input's own nodes, the two
+        # results share nothing.
+        given = {id(node) for node in input_nodes(row[0])}
+        built = {id(node) for node in first.iter_descendants()} - given
+        assert built and not built & {id(node) for node in second.iter_descendants()}
+
+    def test_element_constructor_through_a_plan(self, db):
+        scan = ConstantsOp("edge", ["v"])
+        rows = [{"v": value} for value in EDGE_CHILDREN.values()]
+        for constructor in ELEMENT_SHAPES.values():
+            _, out = assert_equivalent(
+                ProjectOp(scan, [("out", constructor)]), db,
+                constants_tables={"edge": rows},
+            )
+            assert len(out) == len(rows)
+
+    @pytest.mark.parametrize("case", [
+        "attribute_child", "labelled_attribute_child", "empty_name", "empty_label",
+        "empty_attribute_name",
+    ])
+    def test_element_constructor_errors_surface_when_called(self, case):
+        """Compiling a malformed constructor succeeds; calling it raises the
+        interpreter's ``XmlError``."""
+        attribute_row = (Attribute("n", 1),)
+        constructor, row = {
+            "attribute_child": (ELEMENT_SHAPES["unlabelled"], attribute_row),
+            "labelled_attribute_child": (ELEMENT_SHAPES["labelled"], attribute_row),
+            "empty_name": (ElementConstructor("", children=(ColumnRef("v"),)), (1,)),
+            "empty_label": (
+                ElementConstructor("out", children=(ColumnRef("v"),), child_labels=("",)), (1,)
+            ),
+            "empty_attribute_name": (
+                ElementConstructor("out", (AttributeSpec("", ColumnRef("v")),)), (1,)
+            ),
+        }[case]
+        layout = {"v": 0}
+        compiled = compile_expr(constructor, layout)
+        with pytest.raises(XmlError):
+            constructor.evaluate(SlotView(layout, row))
+        with pytest.raises(XmlError):
+            compiled(row, None)
 
     def test_single_row_input_joined(self, db):
         select = SelectOp(product_table(db), Comparison("=", ColumnRef("P.pid"), Constant("P2")))

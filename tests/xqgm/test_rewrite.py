@@ -120,6 +120,26 @@ class TestPruneColumns:
         keys = {row["P.pname"] for row in evaluate(pruned, EvaluationContext(db))}
         assert keys == {"CRT 15", "LCD 19"}
 
+    def test_distinct_union_keeps_the_columns_it_deduplicates_on(self):
+        """Narrowing a DISTINCT union changes which rows are duplicates:
+        ``a(x, 1)`` and ``b(x, 2)`` are two rows, ``a(x)`` and ``b(x)`` one."""
+        from repro.xqgm.operators import ConstantsOp, UnionOp
+
+        db = build_paper_database()
+        union = UnionOp([ConstantsOp("a", ["k", "v"]), ConstantsOp("b", ["k", "v"])])
+        top = GroupByOp(union, ["k"], [AggregateSpec("n", "count")])
+        context = {"constants_tables": {"a": [{"k": "x", "v": 1}], "b": [{"k": "x", "v": 2}]}}
+        assert evaluate(top, EvaluationContext(db, **context)) == [{"k": "x", "n": 2}]
+        pruned = prune_columns(top, ["k", "n"])
+        assert evaluate(pruned, EvaluationContext(db, **context)) == [{"k": "x", "n": 2}]
+        # A UNION ALL keeps every row whatever its columns, so it is narrowed.
+        union_all = UnionOp(
+            [ConstantsOp("a", ["k", "v"]), ConstantsOp("b", ["k", "v"])], all=True
+        )
+        narrowed = prune_columns(GroupByOp(union_all, ["k"], [AggregateSpec("n", "count")]), ["k"])
+        assert narrowed.input.output_columns == ("k",)
+        assert evaluate(narrowed, EvaluationContext(db, **context)) == [{"k": "x"}]
+
 
 class TestCompensation:
     def _old_count_graph(self, db):
