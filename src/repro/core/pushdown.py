@@ -40,16 +40,24 @@ SQL rendering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import TriggerCompilationError
 from repro.relational.database import Database
 from repro.relational.triggers import TriggerContext, TriggerEvent
 from repro.xqgm.expressions import AttributeSpec, ColumnRef, ElementConstructor, Expression
 from repro.xqgm.evaluate import EvaluationContext, evaluate
-from repro.xqgm.graph import ensure_columns
+from repro.xqgm.graph import ensure_columns, walk
 from repro.xqgm.physical import PhysicalPlan, PlanCompiler, version_stamp
-from repro.xqgm.operators import JoinOp, Operator, ProjectOp
+from repro.xqgm.operators import (
+    GroupByOp,
+    JoinKind,
+    JoinOp,
+    Operator,
+    ProjectOp,
+    SelectOp,
+    TableOp,
+)
 from repro.xqgm.rewrite import compensate_old_aggregates, prune_columns, push_semijoin
 from repro.xqgm.views import PathGraph, ViewElementSpec
 from repro.xmlmodel.serialize import EncodedPair
@@ -146,7 +154,11 @@ class SharedSides:
     The sides are lowered once, by one compiler; the per-event plans
     (:meth:`compile`) reference those compiled nodes, which the compiler
     marks statement-shared — one evaluation per relational statement serves
-    every group and event the statement fires.
+    every group and event the statement fires.  The compensated side's
+    new-state group-bys re-aggregate the very rows the ``NEW_NODE`` side's
+    group-bys aggregate; the compiler lowers each as a projection of its
+    ``NEW_NODE`` twin (:func:`_new_state_reads`), so an affected group's rows
+    are joined and grouped once per statement, as in Figure 16.
 
     Old-side variants and per-event plans are added lazily, so an instance
     is mutated after construction: callers serialize on the cache that hands
@@ -220,6 +232,8 @@ class SharedSides:
         side = _compensated_old_side(self) if compensated and self.can_compensate else None
         if side is not None:
             entry = (side, True)
+            for op, projection in _new_state_reads(side, self.new_side, self._compiler.schemas):
+                self._compiler.substitute(op, projection)
         elif compensated:
             entry = self.old_side(False)
         elif self.pushes_keys:
@@ -579,3 +593,122 @@ def _shallow_node_expression(spec: ViewElementSpec, key_columns: Sequence[str]) 
         if expression.referenced_columns() <= available:
             attributes.append(AttributeSpec(attribute_name, expression))
     return ElementConstructor(spec.name, tuple(attributes), ())
+
+
+def _new_state_reads(
+    old_side: Operator, new_side: Operator, schemas: dict
+) -> Iterator[tuple[GroupByOp, ProjectOp]]:
+    """Old-side group-bys that only re-aggregate what a NEW-side group-by does.
+
+    GROUPED-AGG compensation starts from each affected group's new-state
+    aggregates; the ``NEW_NODE`` side groups the same rows of the same level
+    for its nodes.  A pair is proved, not guessed: same grouping, inputs
+    built alike down to every scan, predicate and pushed affected-key
+    semi-join (:func:`_same_rows` — so the keys are pushed on both sides or
+    on neither), and every aggregate of the old-side group-by computed by
+    the NEW-side one.  Labels are never consulted: above a compensated level
+    a group-by of the same grouping reads the *old* state.  Yields each such
+    group-by with the projection of its NEW-side twin that replaces it.
+    """
+    on_new_side = {op.id: op for op in walk(new_side)}
+    sources = [op for op in on_new_side.values() if isinstance(op, GroupByOp)]
+    for op in walk(old_side):
+        # A group-by without aggregates costs less than the projection would.
+        if not isinstance(op, GroupByOp) or not op.aggregates or op.id in on_new_side:
+            continue
+        for source in sources:
+            if source.grouping == op.grouping and _same_rows(op.input, source.input):
+                columns = _served_by(op, source, schemas)
+                if columns is not None:
+                    yield op, ProjectOp(source, columns, label="new-state-read")
+                break
+
+
+def _served_by(
+    op: GroupByOp, source: GroupByOp, schemas: dict
+) -> list[tuple[str, Expression]] | None:
+    """``op``'s columns as a projection of ``source``'s, grouping the same rows.
+
+    ``count(*)`` is read off a ``count(c)`` whose ``c`` is never NULL.
+    """
+    columns: list[tuple[str, Expression]] = [(c, ColumnRef(c)) for c in op.grouping]
+    for aggregate in op.aggregates:
+        if aggregate.func == "xmlfrag" and op.order_within_group != source.order_within_group:
+            return None
+        match = next(
+            (
+                candidate for candidate in source.aggregates
+                if (candidate.func, candidate.argument) == (aggregate.func, aggregate.argument)
+                or (
+                    aggregate.func == candidate.func == "count"
+                    and aggregate.argument is None
+                    and isinstance(candidate.argument, ColumnRef)
+                    and _never_null(source.input, candidate.argument.name, schemas)
+                )
+            ),
+            None,
+        )
+        if match is None:
+            return None
+        columns.append((aggregate.name, ColumnRef(match.name)))
+    return columns
+
+
+def _never_null(op: Operator, column: str, schemas: dict) -> bool:
+    """Whether ``column`` is non-NULL in every row ``op`` yields."""
+    if isinstance(op, TableOp):
+        prefix = f"{op.alias}."
+        if not column.startswith(prefix):
+            return False
+        schema = schemas[op.table]
+        name = column[len(prefix):]
+        return name in schema.primary_key or not schema.column(name).nullable
+    if isinstance(op, SelectOp):
+        return _never_null(op.input, column, schemas)
+    if isinstance(op, ProjectOp):
+        expression = op.expression_for(column)
+        return isinstance(expression, ColumnRef) and _never_null(
+            op.input, expression.name, schemas
+        )
+    if isinstance(op, GroupByOp):
+        return column in op.grouping and _never_null(op.input, column, schemas)
+    if isinstance(op, JoinOp) and op.join_kind is JoinKind.INNER:
+        providers = [input_op for input_op in op.inputs if column in input_op.output_columns]
+        return all(_never_null(input_op, column, schemas) for input_op in providers)
+    return False
+
+
+def _same_rows(a: Operator, b: Operator) -> bool:
+    """Whether ``a`` yields ``b``'s rows, in ``b``'s order, but maybe fewer columns.
+
+    The graphs must be built alike operator for operator; projections and
+    aggregates may differ in which columns they keep (pruning), never in how
+    they compute a column both keep.
+    """
+    if a is b:
+        return True
+    if type(a) is not type(b) or len(a.inputs) != len(b.inputs):
+        return False
+    if isinstance(a, TableOp):
+        alike = (a.table, a.alias, a.variant) == (b.table, b.alias, b.variant)
+    elif isinstance(a, SelectOp):
+        alike = a.predicate == b.predicate
+    elif isinstance(a, ProjectOp):
+        alike = _agree(a.projections, b.projections)
+    elif isinstance(a, JoinOp):
+        alike = (a.join_kind, a.equi_pairs, a.condition) == (b.join_kind, b.equi_pairs, b.condition)
+    elif isinstance(a, GroupByOp):
+        alike = (
+            a.grouping == b.grouping
+            and a.order_within_group == b.order_within_group
+            and _agree([(x.name, x) for x in a.aggregates], [(x.name, x) for x in b.aggregates])
+        )
+    else:  # a union, unnest or constants table: view levels have none, never paired
+        alike = False
+    return alike and all(_same_rows(x, y) for x, y in zip(a.inputs, b.inputs))
+
+
+def _agree(a: Iterable[tuple[str, Any]], b: Iterable[tuple[str, Any]]) -> bool:
+    """Whether every name ``a`` and ``b`` both define has one definition."""
+    definitions = dict(b)
+    return all(definitions.get(name, value) == value for name, value in a)

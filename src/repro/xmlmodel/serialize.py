@@ -15,18 +15,25 @@ from repro.xmlmodel.node import Document, Element, Fragment, Text, XmlNode
 
 __all__ = ["serialize", "escape_text", "escape_attribute", "EncodedPair"]
 
-_TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;"}
-_ATTR_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"}
+# ``&`` first: the other replacements introduce ampersands of their own.
+_TEXT_ESCAPES = (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"))
+_ATTR_ESCAPES = (*_TEXT_ESCAPES, ('"', "&quot;"))
 
 
 def escape_text(value: str) -> str:
     """Escape character data."""
-    return "".join(_TEXT_ESCAPES.get(ch, ch) for ch in value)
+    for character, entity in _TEXT_ESCAPES:
+        if character in value:
+            value = value.replace(character, entity)
+    return value
 
 
 def escape_attribute(value: str) -> str:
     """Escape an attribute value (double-quoted)."""
-    return "".join(_ATTR_ESCAPES.get(ch, ch) for ch in value)
+    for character, entity in _ATTR_ESCAPES:
+        if character in value:
+            value = value.replace(character, entity)
+    return value
 
 
 def serialize(node: XmlNode | None, *, indent: int | None = None) -> str:

@@ -16,7 +16,10 @@ This module lowers a logical XQGM graph **once** into a physical plan:
   so per-row evaluation is a few function calls instead of a tree walk;
 * hash joins and index probes extract join keys through precomputed slot
   indexes, and tuple concatenation replaces dictionary merging;
-* group-by groups and sorts through slot indexes.
+* group-by groups and sorts through slot indexes;
+* every reshaping of a row — a projection, a permutation, a key — is one
+  :func:`operator.itemgetter` call fixed at lowering (:func:`slot_getter`),
+  so slots move in C rather than through a generator.
 
 Lowering is also where plan decisions are taken, as the relational optimizer
 takes them for the paper's generated trigger (Section 5, Figure 16): common
@@ -64,7 +67,7 @@ database through the evaluation context).
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.errors import EvaluationError
 from repro.relational.types import sort_key
@@ -118,6 +121,21 @@ class SlotLayout:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SlotLayout({list(self.columns)})"
+
+
+def slot_getter(slots: Sequence[int]) -> Callable[[tuple], tuple]:
+    """``row -> tuple(row[i] for i in slots)``, run in C.
+
+    ``itemgetter`` returns a bare value for one index, so zero or one slot
+    (and any ascending run of slots) reads a slice instead: rows are tuples,
+    and a tuple's slice is a tuple.
+    """
+    slots = tuple(slots)
+    if not slots:
+        return itemgetter(slice(0, 0))
+    if slots == tuple(range(slots[0], slots[0] + len(slots))):
+        return itemgetter(slice(slots[0], slots[0] + len(slots)))
+    return itemgetter(*slots)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +222,7 @@ class PTableScan(PhysicalOp):
     the schema, the stored row tuples are handed out without copying.
     """
 
-    __slots__ = ("schema", "passthrough", "projection")
+    __slots__ = ("schema", "passthrough", "projection", "project")
 
     def __init__(self, logical: TableOp, schema) -> None:
         super().__init__(logical, SlotLayout(
@@ -213,6 +231,7 @@ class PTableScan(PhysicalOp):
         self.schema = schema
         self.passthrough = tuple(logical.columns) == tuple(schema.column_names)
         self.projection = tuple(schema.column_index(c) for c in logical.columns)
+        self.project = slot_getter(self.projection)
         self.table_deps = (logical.table,)
 
     def _compute(self, ctx: EvaluationContext, memo: dict[int, list[tuple]]) -> list[tuple]:
@@ -220,8 +239,7 @@ class PTableScan(PhysicalOp):
         raw = _table_rows(self.logical, ctx)
         if self.passthrough:
             return raw if isinstance(raw, list) else list(raw)
-        projection = self.projection
-        return [tuple(row[i] for i in projection) for row in raw]
+        return list(map(self.project, raw))
 
 
 class PConstants(PhysicalOp):
@@ -280,13 +298,13 @@ class PProject(PhysicalOp):
         super().__init__(logical, SlotLayout([name for name, _ in logical.projections]))
         self.input = input_op
         index = input_op.layout.index
-        self.permutation: tuple[int, ...] | None = None
+        self.permutation: Callable[[tuple], tuple] | None = None
         if all(
             isinstance(expression, ColumnRef) and expression.name in index
             for _, expression in logical.projections
         ):
-            self.permutation = tuple(
-                index[expression.name] for _, expression in logical.projections
+            self.permutation = slot_getter(
+                [index[expression.name] for _, expression in logical.projections]
             )
             self.expressions: tuple = ()
         else:
@@ -296,13 +314,12 @@ class PProject(PhysicalOp):
 
     def _compute(self, ctx: EvaluationContext, memo: dict[int, list[tuple]]) -> list[tuple]:
         input_rows = self.input.rows(ctx, memo)
-        permutation = self.permutation
-        if permutation is not None:
-            return [tuple(row[i] for i in permutation) for row in input_rows]
+        if self.permutation is not None:
+            return list(map(self.permutation, input_rows))
         expressions = self.expressions
         parameters = ctx.parameters
         return [
-            tuple(fn(row, parameters) for fn in expressions) for row in input_rows
+            tuple([fn(row, parameters) for fn in expressions]) for row in input_rows
         ]
 
 
@@ -315,7 +332,7 @@ class _MergeSpec:
     (dict-merge order), so each site picks whether the right side wins.
     """
 
-    __slots__ = ("layout", "append", "overwrite", "concat")
+    __slots__ = ("layout", "append", "appended", "overwrite", "concat")
 
     def __init__(self, acc_layout: SlotLayout, right_columns: Sequence[str]) -> None:
         append: list[int] = []
@@ -330,6 +347,7 @@ class _MergeSpec:
                 overwrite.append((acc_slot, right_slot))
         self.layout = SlotLayout(merged)
         self.append = tuple(append)
+        self.appended = slot_getter(append)
         self.overwrite = tuple(overwrite)
         # Fast path: disjoint columns appended in order — plain concatenation.
         self.concat = not overwrite and self.append == tuple(range(len(right_columns)))
@@ -337,19 +355,17 @@ class _MergeSpec:
     def merge_left_wins(self, left: tuple, right: tuple) -> tuple:
         if self.concat:
             return left + right
-        append = self.append
-        return left + tuple(right[i] for i in append)
+        return left + self.appended(right)
 
     def merge_right_wins(self, left: tuple, right: tuple) -> tuple:
         if self.concat:
             return left + right
         if not self.overwrite:
-            append = self.append
-            return left + tuple(right[i] for i in append)
+            return left + self.appended(right)
         out = list(left)
         for acc_slot, right_slot in self.overwrite:
             out[acc_slot] = right[right_slot]
-        out.extend(right[i] for i in self.append)
+        out.extend(self.appended(right))
         return tuple(out)
 
 
@@ -362,15 +378,16 @@ class _JoinStep:
     ``right_key_of`` extract either side's hash key.  ``base_columns`` is set
     when ``child`` scans a CURRENT or OLD base table and the pairs name only
     its columns — the static half of the index-probe test — together with
-    ``primary`` (they are its primary key), their ``probe_indexes`` in a
-    stored row, and the merge's ``append_sources`` / ``overwrite_sources`` as
-    *schema* indexes: a probe reads raw storage tuples, not the scan's
-    (possibly projected) slots.
+    ``primary`` (they are its primary key), ``probe_key_of`` (the probe
+    value, a tuple, of an accumulated row), ``stored_key_of`` (the same
+    columns of a stored row), and the merge's ``append_of`` /
+    ``overwrite_sources`` over *schema* indexes: a probe reads raw storage
+    tuples, not the scan's (possibly projected) slots.
     """
 
     __slots__ = ("child", "spec", "left_key", "left_key_of", "right_key_of",
-                 "base_columns", "primary", "probe_indexes", "append_sources",
-                 "overwrite_sources")
+                 "base_columns", "primary", "probe_key_of", "stored_key_of",
+                 "append_of", "overwrite_sources")
 
     def __init__(
         self, acc_layout: SlotLayout, child: PhysicalOp, pairs: list[tuple[str, str]]
@@ -395,8 +412,9 @@ class _JoinStep:
         schema = child.schema
         self.base_columns = tuple(column[len(prefix):] for column in right_columns)
         self.primary = self.base_columns == tuple(schema.primary_key)
-        self.probe_indexes = tuple(schema.column_index(c) for c in self.base_columns)
-        self.append_sources = tuple(child.projection[i] for i in spec.append)
+        self.probe_key_of = slot_getter(self.left_key)
+        self.stored_key_of = slot_getter([schema.column_index(c) for c in self.base_columns])
+        self.append_of = slot_getter([child.projection[i] for i in spec.append])
         self.overwrite_sources = tuple(
             (acc_slot, child.projection[right_slot]) for acc_slot, right_slot in spec.overwrite
         )
@@ -474,7 +492,7 @@ class PInnerJoin(PhysicalOp):
         permutation = (
             None
             if acc_layout.columns == self.layout.columns
-            else acc_layout.slots(self.layout.columns)
+            else slot_getter(acc_layout.slots(self.layout.columns))
         )
         return first, tuple(steps), condition, permutation
 
@@ -510,7 +528,7 @@ class PInnerJoin(PhysicalOp):
             parameters = ctx.parameters
             result = [row for row in result if condition(row, parameters)]
         if permutation is not None:
-            result = [tuple(row[i] for i in permutation) for row in result]
+            result = list(map(permutation, result))
         return result
 
     def _join_with(
@@ -579,19 +597,17 @@ class PInnerJoin(PhysicalOp):
         if old_of_updated_table:
             key_of = table.schema.key_of
             inserted_keys = {key_of(row) for row in transition.net_inserted}
-            probe_indexes = step.probe_indexes
+            stored_key_of = step.stored_key_of
             for row in transition.net_deleted:
-                deleted_by_probe.setdefault(
-                    tuple(row[i] for i in probe_indexes), []
-                ).append(row)
+                deleted_by_probe.setdefault(stored_key_of(row), []).append(row)
 
         # {**left, ...right columns...}: the right side wins dups.
-        left_key = step.left_key
-        append_sources = step.append_sources
+        probe_key_of = step.probe_key_of
+        append_of = step.append_of
         overwrite_sources = step.overwrite_sources
         output: list[tuple] = []
         for left in left_rows:
-            probe_value = tuple(left[i] for i in left_key)
+            probe_value = probe_key_of(left)
             if primary:
                 match = table.get(probe_value)
                 matches = [match] if match is not None else []
@@ -605,11 +621,11 @@ class PInnerJoin(PhysicalOp):
                     merged = list(left)
                     for acc_slot, source in overwrite_sources:
                         merged[acc_slot] = row[source]
-                    merged.extend(row[i] for i in append_sources)
+                    merged.extend(append_of(row))
                     output.append(tuple(merged))
             else:
                 for row in matches:
-                    output.append(left + tuple(row[i] for i in append_sources))
+                    output.append(left + append_of(row))
         return output
 
 
@@ -627,8 +643,8 @@ class PTwoWayJoin(PhysicalOp):
         pairs = _pairs_for(
             set(left.layout.columns), set(right.layout.columns), logical.equi_pairs
         )
-        self.left_key = left.layout.slots([a for a, _ in pairs])
-        self.right_key = right.layout.slots([b for _, b in pairs])
+        self.left_key = slot_getter(left.layout.slots([a for a, _ in pairs]))
+        self.right_key = slot_getter(right.layout.slots([b for _, b in pairs]))
         # {**left, **match}: the right side wins duplicated columns.
         self.merge_spec = _MergeSpec(left.layout, right.layout.columns)
         self.condition = (
@@ -655,7 +671,7 @@ class PTwoWayJoin(PhysicalOp):
         right_key = self.right_key
         table: dict[tuple, list[tuple]] = {}
         for row in right_rows:
-            table.setdefault(tuple(row[i] for i in right_key), []).append(row)
+            table.setdefault(right_key(row), []).append(row)
 
         left_key = self.left_key
         condition = self.condition
@@ -665,8 +681,7 @@ class PTwoWayJoin(PhysicalOp):
 
         if self.join_kind is JoinKind.ANTI:
             for left in left_rows:
-                key = tuple(left[i] for i in left_key)
-                matches = table.get(key, [])
+                matches = table.get(left_key(left), [])
                 if condition is not None:
                     matches = [m for m in matches if condition(merge(left, m), parameters)]
                 if not matches:
@@ -674,8 +689,7 @@ class PTwoWayJoin(PhysicalOp):
         elif self.join_kind is JoinKind.LEFT_OUTER:
             null_right = tuple([None] * len(self.right.layout.columns))
             for left in left_rows:
-                key = tuple(left[i] for i in left_key)
-                matches = table.get(key, [])
+                matches = table.get(left_key(left), [])
                 if condition is not None:
                     matches = [m for m in matches if condition(merge(left, m), parameters)]
                 if matches:
@@ -696,48 +710,53 @@ class PTwoWayJoin(PhysicalOp):
 class PGroupBy(PhysicalOp):
     """Group by slots and run compiled aggregates per group."""
 
-    __slots__ = ("input", "grouping_slots", "order_slots", "aggregates")
+    __slots__ = ("input", "key_of", "global_group", "row_order", "aggregates")
 
     def __init__(self, logical: GroupByOp, input_op: PhysicalOp) -> None:
         super().__init__(logical, SlotLayout(logical.output_columns))
         self.input = input_op
-        self.grouping_slots = input_op.layout.slots(logical.grouping)
-        self.order_slots = input_op.layout.slots(logical.order_within_group)
+        self.key_of = slot_getter(input_op.layout.slots(logical.grouping))
+        # No grouping columns: one group, even over no rows.
+        self.global_group = not logical.grouping
+        self.row_order = _order_key(input_op.layout.slots(logical.order_within_group))
         self.aggregates = tuple(
             aggregate.compile(input_op.layout.index) for aggregate in logical.aggregates
         )
 
     def _compute(self, ctx: EvaluationContext, memo: dict[int, list[tuple]]) -> list[tuple]:
         input_rows = self.input.rows(ctx, memo)
-        grouping_slots = self.grouping_slots
+        key_of = self.key_of
         groups: dict[tuple, list[tuple]] = {}
-        order: list[tuple] = []
         for row in input_rows:
-            key = tuple(row[i] for i in grouping_slots)
+            key = key_of(row)
             bucket = groups.get(key)
             if bucket is None:
-                groups[key] = bucket = []
-                order.append(key)
-            bucket.append(row)
+                groups[key] = [row]
+            else:
+                bucket.append(row)
 
-        if not grouping_slots and not groups:
+        if self.global_group and not groups:
             groups[()] = []
-            order.append(())
 
-        order_slots = self.order_slots
+        row_order = self.row_order
         aggregates = self.aggregates
         parameters = ctx.parameters
         output: list[tuple] = []
-        for key in order:
-            rows = groups[key]
-            if order_slots:
-                rows = sorted(
-                    rows, key=lambda row: tuple(sort_key(row[i]) for i in order_slots)
-                )
-            output.append(
-                key + tuple(aggregate(rows, parameters) for aggregate in aggregates)
-            )
+        for key, rows in groups.items():
+            if row_order is not None:
+                rows = sorted(rows, key=row_order)
+            output.append(key + tuple([aggregate(rows, parameters) for aggregate in aggregates]))
         return output
+
+
+def _order_key(slots: Sequence[int]) -> Callable[[tuple], Any] | None:
+    """The sort key of an order-within-group, compiled for its arity."""
+    if not slots:
+        return None
+    if len(slots) == 1:
+        slot = slots[0]
+        return lambda row: sort_key(row[slot])
+    return lambda row: tuple([sort_key(row[i]) for i in slots])
 
 
 class PUnion(PhysicalOp):
@@ -749,26 +768,20 @@ class PUnion(PhysicalOp):
         super().__init__(logical, SlotLayout(logical.output_columns))
         self.children = tuple(children)
         self.all = logical.all
-        projections = []
-        for child, mapping in zip(children, logical.mappings):
-            projections.append(
-                child.layout.slots(
-                    [mapping[column] for column in logical.output_columns]
-                )
-            )
-        self.projections = tuple(projections)
+        self.projections = tuple(
+            slot_getter(child.layout.slots([mapping[column] for column in logical.output_columns]))
+            for child, mapping in zip(children, logical.mappings)
+        )
 
     def _compute(self, ctx: EvaluationContext, memo: dict[int, list[tuple]]) -> list[tuple]:
         output: list[tuple] = []
         seen: set[tuple] = set()
-        keep_all = self.all
         for child, projection in zip(self.children, self.projections):
-            for row in child.rows(ctx, memo):
-                projected = tuple(row[i] for i in projection)
-                if keep_all:
-                    output.append(projected)
-                    continue
-                fingerprint = tuple(_hashable(value) for value in projected)
+            if self.all:
+                output.extend(map(projection, child.rows(ctx, memo)))
+                continue
+            for projected in map(projection, child.rows(ctx, memo)):
+                fingerprint = tuple(map(_hashable, projected))
                 if fingerprint in seen:
                     continue
                 seen.add(fingerprint)
@@ -933,6 +946,8 @@ class PlanCompiler:
         self._taken: set[int] = set()  # logical ids the nodes answer to
         # logical id of a share()d side -> its node, once lowered
         self._shared: dict[int, PhysicalOp | None] = {}
+        # logical id -> the operator lowered in its place
+        self._substitutes: dict[int, Operator] = {}
 
     def share(self, op: Operator) -> None:
         """Lower ``op`` as a statement-shared node (volatile nodes never are).
@@ -945,6 +960,20 @@ class PlanCompiler:
         """
         self._shared.setdefault(op.id)
 
+    def substitute(self, op: Operator, replacement: Operator) -> None:
+        """Lower ``op`` as ``replacement`` wherever a plan reaches it.
+
+        The caller vouches that ``replacement`` yields ``op``'s rows, in the
+        same order, under the same columns — typically a projection of a node
+        some other side computes anyway.  The logical graph is left as it is,
+        so the interpreter still evaluates ``op`` itself.
+        """
+        if replacement.output_columns != op.output_columns:
+            raise EvaluationError(
+                f"substitute for {op.describe()} yields {list(replacement.output_columns)}"
+            )
+        self._substitutes[op.id] = replacement
+
     def plan(self, top: Operator) -> PhysicalPlan:
         """The physical plan for the graph rooted at ``top``."""
         return PhysicalPlan(self.compile(top))
@@ -956,6 +985,7 @@ class PlanCompiler:
     def _lower(self, op: Operator, seen: dict[int, PhysicalOp]) -> PhysicalOp:
         # ``seen`` (logical id -> node) holds for this call only: it keeps the
         # walk linear in a DAG, and the graph may be widened between calls.
+        op = self._substitutes.get(op.id, op)
         node = seen.get(op.id) or self._shared.get(op.id)
         if node is not None:
             return node

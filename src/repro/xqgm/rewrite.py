@@ -219,44 +219,33 @@ def compensate_old_aggregates(old_top: Operator, table: str) -> Operator | None:
                 + per-row contributions of ∇table      (rows removed by the update),
                 - per-row contributions of Δtable      (rows added by the update)))
 
-    mirroring Figure 16 lines 27-51.  Returns the rewritten graph, or ``None``
+    mirroring Figure 16 lines 27-51.  The graph is rewritten bottom-up and
+    each GroupBy is judged on its *rewritten* input: one above an already
+    compensated level no longer reads ``B_old`` and stays a plain GroupBy
+    over that level's old state.  Returns the rewritten graph, or ``None``
     when the rewrite does not apply (a non-distributive aggregate such as
     ``aggXMLFrag`` / ``min`` / ``max`` needs the actual old rows).
     """
-    applicable = _rewritable_groupbys(old_top, table)
-    if applicable is None:
-        return None
-    if not applicable:
-        # Nothing to rewrite — the old graph does not aggregate over the table.
-        return old_top
+    refused: list[GroupByOp] = []
+    rewritten: list[GroupByOp] = []
 
     def transform(op: Operator, inputs: list[Operator]) -> Operator | None:
-        """Swap each rewritable GroupBy for its compensated construction."""
-        if not isinstance(op, GroupByOp) or op.id not in applicable:
+        """Swap each GroupBy that still reads ``B_old`` for its compensation."""
+        if not isinstance(op, GroupByOp) or not _reads_old_table(inputs[0], table):
             return None
+        if not all(aggregate.is_distributive for aggregate in op.aggregates):
+            refused.append(op)
+            return None
+        rewritten.append(op)
         return _compensated_groupby(op, inputs[0], table)
 
-    return clone_graph(old_top, transform=transform)
-
-
-def _rewritable_groupbys(old_top: Operator, table: str) -> set[int] | None:
-    """GroupBy operators whose input reads ``B_old`` and which can be rewritten.
-
-    Returns ``None`` when some such GroupBy has a non-distributive aggregate
-    (the whole rewrite is then abandoned and the caller falls back to the
-    plain ``B_old`` computation).
-    """
-    applicable: set[int] = set()
-    for op in walk(old_top):
-        if not isinstance(op, GroupByOp):
-            continue
-        if not _reads_old_table(op.input, table):
-            continue
-        if all(aggregate.is_distributive for aggregate in op.aggregates):
-            applicable.add(op.id)
-        else:
-            return None
-    return applicable
+    compensated = clone_graph(old_top, transform=transform)
+    if refused:
+        return None
+    if not rewritten:
+        # Nothing to rewrite — the old graph does not aggregate over the table.
+        return old_top
+    return compensated
 
 
 def _reads_old_table(op: Operator, table: str) -> bool:
@@ -279,25 +268,33 @@ def _with_variant(op: Operator, table: str, variant: TableVariant) -> Operator:
     return clone_graph(op, transform=transform)
 
 
+#: The hidden row count every compensation carries: how many input rows each
+#: group had before the update.
+_ROWS = "__rows"
+
+
 def _compensated_groupby(op: GroupByOp, old_input: Operator, table: str) -> Operator:
     """Build the compensated replacement for one GroupBy over ``B_old``."""
     new_input = _with_variant(old_input, table, TableVariant.CURRENT)
     inserted_input = _with_variant(old_input, table, TableVariant.PRUNED_INSERTED)
     deleted_input = _with_variant(old_input, table, TableVariant.PRUNED_DELETED)
 
-    partial_columns = [f"__partial_{aggregate.name}" for aggregate in op.aggregates]
+    # The view's own aggregates plus the hidden row count, which decides
+    # whether a group existed before the update at all.
+    aggregates = [*op.aggregates, AggregateSpec(_ROWS, "count")]
+    partial_columns = [f"__partial_{aggregate.name}" for aggregate in aggregates]
     union_columns = list(op.grouping) + partial_columns
 
     # Branch 1: the new-state aggregate values.
     new_aggregate = GroupByOp(
-        new_input, op.grouping, op.aggregates, op.order_within_group, label="agg-new-state"
+        new_input, op.grouping, aggregates, op.order_within_group, label="agg-new-state"
     )
     new_branch = ProjectOp(
         new_aggregate,
         [(column, ColumnRef(column)) for column in op.grouping]
         + [
             (partial, ColumnRef(aggregate.name))
-            for partial, aggregate in zip(partial_columns, op.aggregates)
+            for partial, aggregate in zip(partial_columns, aggregates)
         ],
         label="compensate-new",
     )
@@ -309,7 +306,7 @@ def _compensated_groupby(op: GroupByOp, old_input: Operator, table: str) -> Oper
         [(column, ColumnRef(column)) for column in op.grouping]
         + [
             (partial, _row_contribution(aggregate, negate=False))
-            for partial, aggregate in zip(partial_columns, op.aggregates)
+            for partial, aggregate in zip(partial_columns, aggregates)
         ],
         label="compensate-deleted",
     )
@@ -321,7 +318,7 @@ def _compensated_groupby(op: GroupByOp, old_input: Operator, table: str) -> Oper
         [(column, ColumnRef(column)) for column in op.grouping]
         + [
             (partial, _row_contribution(aggregate, negate=True))
-            for partial, aggregate in zip(partial_columns, op.aggregates)
+            for partial, aggregate in zip(partial_columns, aggregates)
         ],
         label="compensate-inserted",
     )
@@ -332,26 +329,26 @@ def _compensated_groupby(op: GroupByOp, old_input: Operator, table: str) -> Oper
         all=True,
         label="compensation-union",
     )
-    summed: Operator = GroupByOp(
+    summed = GroupByOp(
         union,
         op.grouping,
         [
             AggregateSpec(aggregate.name, "sum", ColumnRef(partial))
-            for partial, aggregate in zip(partial_columns, op.aggregates)
+            for partial, aggregate in zip(partial_columns, aggregates)
         ],
         label="agg-old-compensated",
     )
-    # A group whose compensated count is zero did not exist before the update
-    # at all (the original GroupBy over B_old would produce no row for it), so
-    # filter it out rather than reporting a phantom old group.
-    count_aggregates = [a for a in op.aggregates if a.func == "count"]
-    if count_aggregates:
-        summed = SelectOp(
-            summed,
-            Comparison(">", ColumnRef(count_aggregates[0].name), Constant(0)),
-            label="drop-phantom-old-groups",
-        )
-    return summed
+    # A group with no row before the update — one the statement created —
+    # did not exist (the original GroupBy over B_old produces no row for it):
+    # filter it out rather than reporting a phantom old group, then drop the
+    # hidden count.
+    existed = SelectOp(
+        summed, Comparison(">", ColumnRef(_ROWS), Constant(0)), label="drop-phantom-old-groups"
+    )
+    return ProjectOp(
+        existed, [(column, ColumnRef(column)) for column in op.output_columns],
+        label="old-groups",
+    )
 
 
 def _row_contribution(aggregate: AggregateSpec, negate: bool) -> Expression:

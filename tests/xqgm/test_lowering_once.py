@@ -11,8 +11,8 @@ Pinned with program counters (they repeat exactly, wall-clock ratios do not),
 in the style of ``tests/core/test_hot_path_no_reparse.py``:
 
 * on a ``fire_hot``-shaped GROUPED-AGG population one UPDATE computes each
-  physical node at most once and 68 nodes in all (the parent commit: 80, of
-  which 23 joins; now 19);
+  physical node at most once and 67 nodes in all (before hash-consing: 80,
+  of which 23 joins; now 18);
 * after one warm-up statement a stream of statements builds nothing inside
   joins;
 * a graph without twins counts the same probes / hash joins / scans as the
@@ -96,9 +96,13 @@ def test_one_update_computes_each_distinct_subplan_once(monkeypatch):
     # 80 before hash-consing.  The affected-key subplans among these are
     # key-only since their graphs are pruned before the semi-join pushdown —
     # each cheaper, none building XML — and just as many (pruning after the
-    # pushdown copied its shared key subplans: 72).
-    assert len(computed) == 68
-    assert sum(isinstance(node, physical.PInnerJoin) for node in computed) == 19  # was 23
+    # pushdown copied its shared key subplans: 72).  68 until the
+    # compensation's new-state group-by became a projection of the NEW side's
+    # (its join, leaf projection and group-by gone, one projection in their
+    # place: 66), plus the projection dropping the compensation's hidden row
+    # count: 67.
+    assert len(computed) == 67
+    assert sum(isinstance(node, physical.PInnerJoin) for node in computed) == 18  # was 23
     report = service.evaluation_report()
     assert report["compiled_plan_fallbacks"] == 0
 
