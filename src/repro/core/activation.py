@@ -55,13 +55,12 @@ class ActionRegistry:
 class TriggerActivator:
     """Evaluates action parameters and invokes action functions.
 
-    ``strict`` controls what happens when a trigger's action function is not
-    registered: raise (strict) or record the call without invoking anything
-    (lenient — useful for benchmarking pure trigger-processing overhead).
+    A trigger whose action function is not registered still has its call
+    recorded; nothing is invoked (useful for benchmarking pure
+    trigger-processing overhead).
     """
 
     registry: ActionRegistry
-    strict: bool = False
     call_log: list[ActionCall] = field(default_factory=list)
 
     def activate(
@@ -101,12 +100,7 @@ class TriggerActivator:
             key=key,
         )
         function = self.registry.get(spec.action_name)
-        if function is None:
-            if self.strict:
-                raise TriggerActivationError(
-                    f"trigger {spec.name!r}: action function {spec.action_name!r} is not registered"
-                )
-        else:
+        if function is not None:
             try:
                 function(*call.arguments)
             except Exception as exc:  # surface action failures with context

@@ -157,14 +157,12 @@ def create_an_sides(
     path_graph: PathGraph,
     table: str,
     catalog: Database | Mapping[str, TableSchema],
-    *,
-    use_pruned_transitions: bool = True,
 ) -> AffectedNodeSides:
     """The event-independent steps of ``CreateANGraph``: affected keys, their
     union, and both node sides.
 
-    ``use_pruned_transitions`` selects the pruned transition tables of
-    Definition 8 (drop rows whose values did not change).
+    The affected keys are read from the pruned transition tables of
+    Definition 8 (rows whose values did not change are dropped).
     """
     if isinstance(catalog, Database):
         catalog = {name: catalog.schema(name) for name in catalog.table_names()}
@@ -174,18 +172,11 @@ def create_an_sides(
     node_column = path_graph.node_column
     key_columns = tuple(path_graph.key_columns)
 
-    inserted_variant = (
-        TableVariant.PRUNED_INSERTED if use_pruned_transitions else TableVariant.DELTA_INSERTED
-    )
-    deleted_variant = (
-        TableVariant.PRUNED_DELETED if use_pruned_transitions else TableVariant.DELTA_DELETED
-    )
-
     # Step 1-2: affected keys for ΔB over G, and for ∇B over G_old.
-    ak_inserted = create_ak_graph(g_top, table, inserted_variant, catalog)
+    ak_inserted = create_ak_graph(g_top, table, TableVariant.PRUNED_INSERTED, catalog)
     g_old_top = replace_table_variant(g_top, table, TableVariant.OLD)
     derive_keys(g_old_top, catalog)
-    ak_deleted = create_ak_graph(g_old_top, table, deleted_variant, catalog)
+    ak_deleted = create_ak_graph(g_old_top, table, TableVariant.PRUNED_DELETED, catalog)
 
     if ak_inserted.is_empty and ak_deleted.is_empty:
         raise TriggerCompilationError(
@@ -308,14 +299,10 @@ def create_an_graph(
     table: str,
     catalog: Database | Mapping[str, TableSchema],
     *,
-    use_pruned_transitions: bool = True,
     check_difference: bool | None = None,
 ) -> AffectedNodeGraph:
     """``CreateANGraph(E, G, B)`` of Figure 12: sides, then the event's combine."""
-    sides = create_an_sides(
-        path_graph, table, catalog, use_pruned_transitions=use_pruned_transitions
-    )
-    return an_graph_over(sides, event, check_difference)
+    return an_graph_over(create_an_sides(path_graph, table, catalog), event, check_difference)
 
 
 def _union_affected_keys(

@@ -18,14 +18,14 @@ GROUPED-AGG implementations:
   transition tables (Figure 16's ``deltaCount`` / ``HAVING SUM(...)``),
   so ``B_old`` is never materialized or re-aggregated.
 
-* **Difference-check elision** — for injective views evaluated with pruned
-  transition tables, the final ``OLD_NODE ≠ NEW_NODE`` check is dropped
-  (Theorem 3).
+* **Difference-check elision** — the transition tables are always the
+  pruned ones of Definition 8, so for injective views the final
+  ``OLD_NODE ≠ NEW_NODE`` check is dropped (Theorem 3).
 
 Translation is split the way Figure 12 is: the **event-independent half**
 (:class:`SharedSides` — affected-key union, pushed ``NEW_NODE`` side, and the
 compensated or full ``OLD_NODE`` side) is built once per (monitored path,
-base table, pushdown options), and each XML event adds only its thin
+base table, affected-key pushdown), and each XML event adds only its thin
 **combine** (join / anti join / difference check / output projection) on top
 of those very operator objects.  At run time every side is therefore
 evaluated once per relational statement, whatever mix of INSERT, UPDATE and
@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from repro.errors import TriggerCompilationError
+from repro.errors import EvaluationError, TriggerCompilationError
 from repro.relational.database import Database
 from repro.relational.triggers import TriggerContext, TriggerEvent
 from repro.xqgm.expressions import AttributeSpec, ColumnRef, ElementConstructor, Expression
@@ -99,10 +99,8 @@ class PushdownOptions:
     """Knobs selecting which Section 5 optimizations are applied."""
 
     push_affected_keys: bool = True
-    use_pruned_transitions: bool = True
     compensate_old_aggregates: bool = False
     old_node_requirement: str = OldNodeRequirement.FULL
-    check_difference: bool | None = None  # None = skip iff injective (Theorem 3)
 
     def cache_key(self) -> tuple:
         """Hashable fingerprint: two option sets with equal keys compile to
@@ -112,10 +110,8 @@ class PushdownOptions:
         compensated old side where there is one)."""
         return (
             self.push_affected_keys,
-            self.use_pruned_transitions,
             self.compensate_old_aggregates,
             self.old_node_requirement != OldNodeRequirement.FULL,
-            self.check_difference,
         )
 
 
@@ -141,7 +137,7 @@ class SharedSides:
     Figure 12 derives the INSERT, UPDATE and DELETE pairs of a monitored path
     from the same sub-plans; this object owns them once for every trigger
     group and XML event on ``(path_graph, table)`` that uses the same
-    affected-key pushdown and transition-table options:
+    affected-key pushdown:
 
     * :attr:`reference` — the faithful ``CreateANGraph`` sides;
     * :attr:`union_keys` / :attr:`new_side` — the affected-key union and the
@@ -173,13 +169,10 @@ class SharedSides:
         database: Database,
         *,
         push_affected_keys: bool = True,
-        use_pruned_transitions: bool = True,
     ) -> None:
         self.path_graph = path_graph
         self.table = table
-        self.reference: AffectedNodeSides = create_an_sides(
-            path_graph, table, database, use_pruned_transitions=use_pruned_transitions
-        )
+        self.reference: AffectedNodeSides = create_an_sides(path_graph, table, database)
         # The affected-key semi-join pushdown and the old-aggregate
         # compensation are currently applied when the monitored element is a
         # top-level element of the view (a single-level path).  Triggers on
@@ -253,19 +246,20 @@ class SharedSides:
         sides = [self.union_keys, self.new_side, *(side for side, _ in self._old_sides.values())]
         return tuple({id(side): side for side in sides}.values())
 
-    def compile(self, top: Operator) -> tuple[PhysicalPlan | None, str | None]:
-        """Lower a per-event graph over these sides: ``(plan, error)``.
+    def compile(self, top: Operator) -> PhysicalPlan:
+        """Lower a per-event graph over these sides.
 
         Runs at translation time, never on the DML hot path.  A graph the
-        compiler cannot lower yields ``(None, repr(error))``: evaluation then
-        falls back to the interpreted oracle, correct but slower, and the
-        failure is surfaced through ``ActiveViewService.evaluation_report``
-        (``compiled_plan_fallbacks``) rather than swallowed.
+        compiler cannot lower raises :class:`TriggerCompilationError`, so
+        ``CREATE TRIGGER`` fails before any SQL trigger is installed.
         """
         try:
-            return self._compiler.plan(top), None
-        except Exception as error:
-            return None, repr(error)
+            return self._compiler.plan(top)
+        except EvaluationError as error:
+            raise TriggerCompilationError(
+                f"cannot lower the plan for {'/'.join(self.path_graph.path)!r} "
+                f"on table {self.table!r}: {error}"
+            ) from error
 
 
 @dataclass
@@ -296,12 +290,8 @@ class CompiledTableTrigger:
     #: The event-independent half this translation combines — the same
     #: object for every sibling group / event on this path and table.
     sides: SharedSides
+    physical_plan: PhysicalPlan
     sql_text: str = ""
-    physical_plan: PhysicalPlan | None = None
-    #: ``repr`` of the exception if physical lowering failed (interpreter
-    #: fallback in effect); surfaced through the service's
-    #: ``evaluation_report`` so the fallback can never go unnoticed.
-    physical_compile_error: str | None = None
 
     def affected_pairs(
         self,
@@ -309,13 +299,12 @@ class CompiledTableTrigger:
         trigger_context: TriggerContext,
         *,
         use_compiled: bool = True,
-        stats: dict[str, int] | None = None,
         engine_stats: dict[str, int] | None = None,
     ) -> list[AffectedPair]:
         """Evaluate the executable graph for one fired statement.
 
-        ``use_compiled`` runs the physical plan (the default); without it, or
-        when no plan could be lowered, the interpreter evaluates the graph.
+        ``use_compiled`` runs the physical plan (the default); without it the
+        interpreter evaluates the graph.
 
         The compiled plan works through the statement's evaluation memo
         (``trigger_context.evaluation_memo``): each shared side is computed
@@ -329,9 +318,7 @@ class CompiledTableTrigger:
         they now stand — exactly what the interpreter does.  The interpreter
         never consults the memo — it stays the independent oracle.
 
-        ``stats`` collects evaluation counters (``index_probes`` /
-        ``hash_joins`` / ...).  ``engine_stats`` (always-on, unlike
-        ``stats``) accumulates the sharing counters the service reports
+        ``engine_stats`` accumulates the sharing counters the service reports
         (``shared_side_evaluations`` / ``shared_side_reuses`` /
         ``pairs_memo_hits``).
         """
@@ -350,9 +337,6 @@ class CompiledTableTrigger:
                 return pairs
 
         context = EvaluationContext(database, trigger_context)
-        if stats is not None:
-            context.collect_stats = True
-            context.stats = stats
         if plan is None:
             return [
                 AffectedPair(
@@ -423,24 +407,14 @@ def translate_path(
     for table, relational_events in per_table.items():
         def build() -> SharedSides:
             return SharedSides(
-                path_graph,
-                table,
-                database,
-                push_affected_keys=options.push_affected_keys,
-                use_pruned_transitions=options.use_pruned_transitions,
+                path_graph, table, database, push_affected_keys=options.push_affected_keys
             )
 
         if shared_sides is None:
             sides = build()
         else:
             sides = shared_sides(
-                (
-                    path_graph.view_name,
-                    tuple(path_graph.path),
-                    table,
-                    options.push_affected_keys,
-                    options.use_pruned_transitions,
-                ),
+                (path_graph.view_name, tuple(path_graph.path), table, options.push_affected_keys),
                 build,
             )
         compiled[table] = _translate_for_table(
@@ -461,11 +435,8 @@ def _translate_for_table(
     path_graph = sides.path_graph
     table = sides.table
     injective = path_graph_is_injective(path_graph, table)
-    if options.check_difference is not None:
-        check_difference = options.check_difference
-    else:
-        # Theorem 3: injective view + pruned transition tables need no check.
-        check_difference = not (injective and options.use_pruned_transitions)
+    # Theorem 3: injective view + pruned transition tables need no check.
+    check_difference = not injective
 
     reference = an_graph_over(sides.reference, xml_event, check_difference)
 
@@ -483,7 +454,7 @@ def _translate_for_table(
         reference.checks_difference,
     )
 
-    physical_plan, physical_compile_error = sides.compile(executable)
+    physical_plan = sides.compile(executable)
 
     sql_text = render_sql_trigger(
         name=f"sql_{trigger_name}_{table}",
@@ -511,9 +482,8 @@ def _translate_for_table(
         uses_compensation=uses_compensation,
         options=options,
         sides=sides,
-        sql_text=sql_text,
         physical_plan=physical_plan,
-        physical_compile_error=physical_compile_error,
+        sql_text=sql_text,
     )
 
 

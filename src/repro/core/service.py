@@ -58,9 +58,9 @@ from repro.core.pushdown import (
 )
 from repro.core.semantics import check_trigger_specifiable
 from repro.core.trigger import ActionCall, TriggerSpec
-from repro.matching.engine import GroupMatcher, MatchPlanCache, MatchStats
+from repro.matching.engine import GroupMatcher, MatchStats
 from repro.matching.indexes import PathTrie
-from repro.matching.predicates import MatchPlan
+from repro.matching.predicates import MatchPlan, analyze_condition
 
 __all__ = ["ExecutionMode", "FiredTrigger", "PlanCache", "ActiveViewService"]
 
@@ -102,7 +102,6 @@ class _CompiledGroup:
     condition: XPath | None = None
     arguments: tuple[XPath, ...] = ()
     constants_cache: list[ConstantsRow] | None = None
-    compile_seconds: float = 0.0
     #: The condition's indexable structure (None for condition-less groups).
     match_plan: MatchPlan | None = None
     _matcher: GroupMatcher | None = field(default=None, init=False, repr=False)
@@ -245,41 +244,28 @@ class ActiveViewService:
         mode: ExecutionMode = ExecutionMode.GROUPED_AGG,
         *,
         push_affected_keys: bool = True,
-        use_pruned_transitions: bool = True,
-        create_indexes: bool = True,
-        strict_actions: bool = False,
         plan_cache: PlanCache | None = None,
         use_compiled_plans: bool = True,
-        collect_eval_stats: bool = False,
         backend: Any = None,
         use_matching_indexes: bool = True,
-        match_plan_cache: MatchPlanCache | None = None,
     ) -> None:
         self.database = database
         self.mode = mode
         self.push_affected_keys = push_affected_keys
-        self.use_pruned_transitions = use_pruned_transitions
-        self.create_indexes = create_indexes
         # Compiled physical plans (repro.xqgm.physical) are the trigger-firing
-        # engine; the interpreted evaluator remains the oracle and the
-        # fallback for graphs the lowering cannot handle.  Within one
+        # engine; the interpreted evaluator remains the oracle.  Within one
         # statement the compiled plans share each OLD/NEW node side and each
         # translation's pairs through the statement's own evaluation memo
         # (TriggerContext.evaluation_memo); nothing is kept across statements.
         self.use_compiled_plans = use_compiled_plans
-        # Always-on statement-sharing counters (maintained on the hot path
-        # regardless of collect_eval_stats).
+        # Statement-sharing counters, maintained on the hot path.
         self.engine_stats: dict[str, int] = {
             "shared_side_evaluations": 0,
             "shared_side_reuses": 0,
             "pairs_memo_hits": 0,
         }
-        # When enabled, evaluation counters (index_probes / hash_joins /
-        # rows_* ...) accumulate here across firings.
-        self.collect_eval_stats = collect_eval_stats
-        self.eval_stats: dict[str, int] = {}
         self.registry = ActionRegistry()
-        self.activator = TriggerActivator(self.registry, strict=strict_actions)
+        self.activator = TriggerActivator(self.registry)
         self._views: dict[str, ViewDefinition] = {}
         self._triggers: dict[str, TriggerSpec] = {}
         self._groups: dict[tuple, _CompiledGroup] = {}
@@ -301,13 +287,8 @@ class ActiveViewService:
         # linear scan stays available as the oracle (set
         # ``use_matching_indexes = False``); selections that cannot use an
         # index are counted in ``match_stats.fallbacks`` and surfaced through
-        # :meth:`evaluation_report`.  The MatchPlanCache is shareable across
-        # services exactly like the PlanCache ("is not None" for the same
-        # empty-cache reason).
+        # :meth:`evaluation_report`.
         self.use_matching_indexes = use_matching_indexes
-        self._match_plan_cache: MatchPlanCache = (
-            match_plan_cache if match_plan_cache is not None else MatchPlanCache()
-        )
         self.match_stats = MatchStats()
         # Per-view prefix tries over monitored paths: (view, path) -> the
         # group signatures monitoring that path.  ``drop_view`` and the
@@ -465,6 +446,9 @@ class ActiveViewService:
         Parsing, view composition, event pushdown, affected-node graph
         generation, grouping and pushdown all happen here (trigger *compile
         time*); the resulting SQL triggers are registered on the database.
+        A plan the compiled engine cannot lower raises
+        :class:`~repro.errors.TriggerCompilationError` before any SQL trigger
+        is registered.
         """
         started = time.perf_counter()
         spec = parse_trigger(definition) if isinstance(definition, str) else definition
@@ -485,7 +469,6 @@ class ActiveViewService:
             compiled.note_member_added(member)
         self._triggers[spec.name] = spec
         self.last_compile_seconds = time.perf_counter() - started
-        compiled.compile_seconds += self.last_compile_seconds
         self._emit_ddl("create_trigger", spec)
         return spec
 
@@ -663,18 +646,12 @@ class ActiveViewService:
     def evaluation_report(self) -> dict[str, int]:
         """Evaluation, sharing and matching counters.
 
-        The ``index_probes`` / ``hash_joins`` / ``rows_*`` counters
-        accumulate only when the service was created with
-        ``collect_eval_stats=True``; ``compiled_plan_fallbacks``
-        (translations whose physical lowering failed and run on the
-        interpreter — expected to be zero) is always maintained, as are the
-        ``matching_*`` counters of the sublinear matching engine
-        (``matching_fallbacks`` counts candidate selections
-        that had to scan linearly because a condition has no indexable atom
-        — the equivalence suites assert it stays zero on indexable
-        populations).
+        The ``matching_*`` counters describe the sublinear matching engine
+        (``matching_fallbacks`` counts candidate selections that had to scan
+        linearly because a condition has no indexable atom — the equivalence
+        suites assert it stays zero on indexable populations).
 
-        Statement-level sharing is always counted too:
+        Statement-level sharing is counted too:
         ``shared_side_evaluations`` is how many times a shared OLD/NEW node
         side (or affected-key union) was actually computed,
         ``shared_side_reuses`` how many times a sibling trigger group or
@@ -683,19 +660,17 @@ class ActiveViewService:
         without entering the engine at all.  One statement never evaluates
         more sides than its ``(path, table)`` has registered.
         """
-        report = dict(self.eval_stats)
-        for key, value in self.match_stats.as_dict().items():
-            report[f"matching_{key}"] = value
-        report["compiled_plan_fallbacks"] = sum(
-            1
-            for compiled in self._groups.values()
-            for translation in compiled.translations.values()
-            if translation.physical_plan is None
-        )
+        report = {f"matching_{key}": value for key, value in self.match_stats.as_dict().items()}
         report.update(self.engine_stats)
-        # Always 0: the cross-statement result cache and the columnar engine
-        # are gone, but benchmarks/e2e/measure.py still reads these keys.
-        report.update(result_cache_hits=0, result_cache_misses=0, columnar_fallbacks=0)
+        # Always 0: every translation is lowered or fails CREATE TRIGGER, and
+        # the cross-statement result cache and the columnar engine are gone,
+        # but benchmarks/e2e/measure.py still reads these keys.
+        report.update(
+            compiled_plan_fallbacks=0,
+            result_cache_hits=0,
+            result_cache_misses=0,
+            columnar_fallbacks=0,
+        )
         if self.backend is not None:
             report["backend_plans"] = len(self._backend_plans)
             report["backend_lowering_fallbacks"] = len(self._backend_errors)
@@ -759,8 +734,7 @@ class ActiveViewService:
             graph = view.path_graph(spec.path, self.database)
             check_trigger_specifiable(graph.top, self.database)
             self._path_graphs[key] = graph
-            if self.create_indexes:
-                self._create_join_indexes(view)
+            self._create_join_indexes(view)
         return graph
 
     def _create_join_indexes(self, view: ViewDefinition) -> None:
@@ -781,7 +755,6 @@ class ActiveViewService:
                 requirement = OldNodeRequirement.SHALLOW
         return PushdownOptions(
             push_affected_keys=self.push_affected_keys,
-            use_pruned_transitions=self.use_pruned_transitions,
             compensate_old_aggregates=(self.mode is ExecutionMode.GROUPED_AGG),
             old_node_requirement=requirement,
         )
@@ -816,11 +789,7 @@ class ActiveViewService:
             translations=translations,
             condition=condition,
             arguments=group.parameterized_arguments(),
-            match_plan=(
-                None
-                if condition is None
-                else self._match_plan_cache.get_or_analyze(condition)
-            ),
+            match_plan=None if condition is None else analyze_condition(condition),
         )
         backend_plans = self._prepare_backend_plans(plan_key, translations)
         for table, translation in translations.items():
@@ -893,7 +862,6 @@ class ActiveViewService:
                     self.database,
                     context,
                     use_compiled=self.use_compiled_plans,
-                    stats=self.eval_stats if self.collect_eval_stats else None,
                     engine_stats=self.engine_stats,
                 )
             if not pairs:

@@ -36,13 +36,13 @@ import math
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.matching.indexes import EqualityHashIndex, Interval, IntervalTree, constant_key
-from repro.matching.predicates import MatchPlan, MatchPlanCache, ProbeAtom
+from repro.matching.predicates import MatchPlan, ProbeAtom
 from repro.xmlmodel.xpath import XPath, _as_nodeset, _number_of
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.grouping import ConstantsRow, GroupMember
 
-__all__ = ["MatchStats", "GroupMatcher", "MatchPlanCache"]
+__all__ = ["MatchStats", "GroupMatcher"]
 
 #: Incremental range registrations buffered before an index rebuild.
 _REBUILD_MIN = 64

@@ -2,7 +2,7 @@
 
 A trigger group's parameterized condition (Section 5.1: every literal
 replaced by a :class:`~repro.xmlmodel.xpath.Parameter` slot of the constants
-table) is analyzed **once per condition shape** into a :class:`MatchPlan`:
+table) is analyzed **once, when the group is compiled**, into a :class:`MatchPlan`:
 the top-level conjunction is split and each conjunct of the form ::
 
     <probe expression>  OP  Parameter(i)      (either operand order)
@@ -25,7 +25,6 @@ the linear oracle scan, and that fallback is counted (never silent).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from repro.xmlmodel.xpath import Binary, Parameter, XPath, XPathExpr, expression_shape
@@ -127,36 +126,3 @@ def analyze_condition(condition: XPath | XPathExpr) -> MatchPlan:
     return MatchPlan(atoms=tuple(atoms), covered=covered and bool(atoms),
                      shape=condition_shape(ast))
 
-
-class MatchPlanCache:
-    """Thread-safe cache of :class:`MatchPlan` analyses, keyed by shape.
-
-    The matching counterpart of :class:`repro.core.service.PlanCache`: one
-    instance may be shared by several services (the per-shard services of an
-    :class:`~repro.serving.ActiveViewServer` pass one cache here), so an
-    N-shard server analyzes each condition shape once, not once per shard.
-    Plans are immutable, so sharing needs no further synchronization.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._plans: dict[str, MatchPlan] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def get_or_analyze(self, condition: XPath) -> MatchPlan:
-        """Return the cached plan for ``condition``'s shape, analyzing once."""
-        key = condition_shape(condition)
-        with self._lock:
-            plan = self._plans.get(key)
-            if plan is not None:
-                self.hits += 1
-                return plan
-            plan = analyze_condition(condition)
-            self._plans[key] = plan
-            self.misses += 1
-            return plan
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._plans)

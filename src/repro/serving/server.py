@@ -48,7 +48,6 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.service import ActiveViewService, ExecutionMode, FiredTrigger, PlanCache
 from repro.core.trigger import TriggerSpec
-from repro.matching.predicates import MatchPlanCache
 from repro.errors import ServerStoppedError, ServingError
 from repro.relational.database import Database
 from repro.relational.dml import Statement, StatementResult
@@ -231,15 +230,11 @@ class ActiveViewServer:
         self.sharded = database
         self.max_batch = max_batch
         self.plan_cache = PlanCache()
-        # Match-plan analyses are immutable and catalog-independent, so they
-        # are shared across shard services exactly like compiled plans.
-        self.match_plan_cache = MatchPlanCache()
         self.services: list[ActiveViewService] = [
             ActiveViewService(
                 shard,
                 mode=mode,
                 plan_cache=self.plan_cache,
-                match_plan_cache=self.match_plan_cache,
                 **(service_options or {}),
             )
             for shard in database.shards

@@ -49,24 +49,16 @@ class ExperimentPoint:
     avg_ms: float
     updates: int
     fired_per_update: float
-    #: Evaluation counters captured for this point (``index_probes`` /
-    #: ``hash_joins`` / ...), populated when the setup was built with
-    #: ``collect_eval_stats=True``.
-    stats: dict = field(default_factory=dict)
 
     def as_row(self) -> dict:
         """The point as a flat dictionary (for printing / CSV)."""
-        row = {
+        return {
             "figure": self.figure,
             self.parameter: self.value,
             "mode": self.mode,
             "avg_ms_per_update": round(self.avg_ms, 3),
             "fired_per_update": round(self.fired_per_update, 2),
         }
-        for counter in ("index_probes", "hash_joins"):
-            if counter in self.stats:
-                row[counter] = self.stats[counter]
-        return row
 
 
 @dataclass
@@ -118,18 +110,6 @@ class ExperimentSetup:
         if self.baseline is not None:
             return len(self.baseline.fired)
         return 0
-
-    def evaluation_report(self) -> dict:
-        """Evaluation counters of the wired service.
-
-        Empty for the MATERIALIZED baseline (it has no generated plans).
-        The ``index_probes`` / ``hash_joins`` counters
-        accumulate only when the setup was built with
-        ``collect_eval_stats=True``.
-        """
-        if self.service is not None:
-            return self.service.evaluation_report()
-        return {}
 
 
 @dataclass
@@ -210,16 +190,9 @@ class ExperimentHarness:
         self,
         base_parameters: WorkloadParameters | None = None,
         updates: int = 20,
-        *,
-        collect_eval_stats: bool = False,
     ) -> None:
         self.base_parameters = base_parameters or WorkloadParameters()
         self.updates = updates
-        # When enabled, sweep setups collect the evaluation counters
-        # (index_probes / hash_joins) into each point's
-        # ``stats``.  Off by default so timed figure sweeps measure the
-        # bare hot path, exactly like the pre-existing baselines.
-        self.collect_eval_stats = collect_eval_stats
 
     # ------------------------------------------------------------------ setup
 
@@ -232,7 +205,6 @@ class ExperimentHarness:
         durable_dir: str | None = None,
         durability_sync: str = "flush",
         use_compiled_plans: bool = True,
-        collect_eval_stats: bool = False,
         backend: str | None = None,
         use_matching_indexes: bool = True,
     ) -> ExperimentSetup:
@@ -248,9 +220,7 @@ class ExperimentHarness:
 
         ``use_compiled_plans`` toggles the compiled physical engine (on by
         default; off runs the interpreted oracle — the comparison the
-        evaluation-hot-path benchmark draws), and ``collect_eval_stats``
-        enables the evaluation counters surfaced by
-        :meth:`ExperimentSetup.evaluation_report`.
+        evaluation-hot-path benchmark draws).
 
         ``backend`` selects an execution backend by name (e.g. ``"sqlite"``)
         and wires it through :class:`ActiveViewService`; the generated
@@ -297,7 +267,6 @@ class ExperimentHarness:
             database,
             mode=mode,
             use_compiled_plans=use_compiled_plans,
-            collect_eval_stats=collect_eval_stats,
             backend=backend,
             use_matching_indexes=use_matching_indexes,
         )
@@ -359,9 +328,7 @@ class ExperimentHarness:
         for value in values:
             parameters = make_parameters(value)
             for mode in modes:
-                setup = self.build_setup(
-                    parameters, mode, collect_eval_stats=self.collect_eval_stats
-                )
+                setup = self.build_setup(parameters, mode)
                 avg_seconds, fired = self.measure(setup)
                 points.append(
                     ExperimentPoint(
@@ -372,7 +339,6 @@ class ExperimentHarness:
                         avg_ms=avg_seconds * 1000.0,
                         updates=len(setup.statements),
                         fired_per_update=fired,
-                        stats=setup.evaluation_report(),
                     )
                 )
         return points
@@ -603,9 +569,7 @@ def main() -> None:  # pragma: no cover - CLI convenience
     """Run a scaled-down version of every experiment and print the series."""
     parameters = WorkloadParameters(leaf_tuples=8_000, fanout=32, num_triggers=200,
                                     satisfied_triggers=10, scale=1.0)
-    # The CLI report is observational, so it surfaces the evaluation
-    # counters alongside the timings (benchmarks keep them off).
-    harness = ExperimentHarness(parameters, updates=10, collect_eval_stats=True)
+    harness = ExperimentHarness(parameters, updates=10)
     print("Figure 17 (number of triggers):")
     _print_points(harness.figure17_num_triggers((1, 10, 100, 1000)))
     print("Figure 18 (hierarchy depth):")

@@ -108,7 +108,9 @@ def test_one_micro_batch_is_one_frame_one_flush_one_wakeup(tmp_path, serialize_c
     load_sibling_durable(durable, workload)
     inbox = durable.subscribe("inbox", capacity=4096)
     durable.start()
-    net = NetworkServer(durable, loops=1).start()
+    # Room for both bundles at once: the test counts frames, and a buffer
+    # the first frame has not drained yet would pause the subscription.
+    net = NetworkServer(durable, loops=1, send_buffer=SIBLINGS * (1 + BATCH)).start()
 
     def wakeups() -> int:
         return sum(loop["wake_wakeups"] for loop in net.net_report()["per_loop"])

@@ -1,7 +1,6 @@
 """Trigger DDL racing DML on the sharded server: matching indexes stay safe.
 
-PR 6 shares one :class:`~repro.matching.predicates.MatchPlanCache` across
-every shard service and maintains per-group predicate indexes incrementally
+Every shard service maintains per-group predicate indexes incrementally
 on ``create_trigger`` / ``register_triggers_bulk`` / ``drop_trigger`` /
 ``drop_view``.  DDL is a single external mutator, but it races the shard
 workers' *reads* (index probes) of the same structures, so the maintenance

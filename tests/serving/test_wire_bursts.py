@@ -205,6 +205,9 @@ def test_one_micro_batch_leaves_as_one_frame_and_two_wakeups(
         await plug
         _payload, first = await listener.frame()
         assert first["type"] == "activation_batch" and len(first["acts"]) == SIBLINGS
+        # Two welcomes, the subscription's ack, the plug's reply and its
+        # frame: a write is counted once it returned, maybe after it arrived.
+        await until(lambda: net.counters["frames_sent"] >= 5, "the writes so far are counted")
         del to_thread_calls[:]
         posts, wakeups = wake_counts(net)
         before = net.net_report()

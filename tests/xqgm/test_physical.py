@@ -733,14 +733,13 @@ class TestStatementSharing:
     def test_update_root_is_shareable(self, db):
         """``NodesDiffer`` answers ``uses_parameters()``: the difference-check
         select at the root of an UPDATE translation is not volatile, so its
-        sibling groups share its pairs."""
-        from repro.core.pushdown import PushdownOptions, translate_path
+        sibling groups share its pairs.  The ``product`` translation checks
+        the difference: the view is not injective in ``product``."""
+        from repro.core.pushdown import translate_path
         from repro.xqgm.views import catalog_view
 
         path_graph = catalog_view().path_graph("/product", db)
-        translation = translate_path(
-            path_graph, TriggerEvent.UPDATE, db, PushdownOptions(check_difference=True)
-        )["vendor"]
+        translation = translate_path(path_graph, TriggerEvent.UPDATE, db)["product"]
         assert translation.checks_difference
         assert not translation.physical_plan.root.volatile
         assert translation.physical_plan.shareable
