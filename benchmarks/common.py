@@ -8,79 +8,21 @@ a pure-Python engine rather than DB2 on the paper's hardware.
 
 Set the environment variable ``REPRO_BENCH_SCALE`` to scale the workload
 sizes (1.0 = the sizes used below; larger values approach the paper's).
+
+These scripts reproduce the paper's figures; they assert only that triggers
+fired and gate nothing.  The merge gate is the repository benchmark
+(``BENCHMARK.json``, run by ``benchmarks/e2e/run.py``).
 """
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
-import time
 
 from repro.core.service import ExecutionMode
 from repro.workloads import ExperimentHarness, WorkloadParameters
 
 #: Multiplier applied to the scaled-down benchmark sizes.
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
-
-#: Where benchmark trajectory files are written (``BENCH_<name>.json``).
-#: Override with ``REPRO_BENCH_RESULTS``; CI uploads this directory as an
-#: artifact so every run extends the repository's perf baseline.
-RESULTS_DIR = os.environ.get("REPRO_BENCH_RESULTS", "benchmarks/results")
-
-
-def record_result(name: str, record: dict, *, timestamp: str | None = None,
-                  results_dir: str | None = None, headline: str | None = None,
-                  higher_is_better: bool = False) -> pathlib.Path:
-    """Append one benchmark run's numbers to ``BENCH_<name>.json``.
-
-    The file holds a JSON list — one entry per run, appended, never
-    rewritten away — so successive runs (and successive PRs, via the CI
-    artifact) form a perf *trajectory* rather than a single point.  Each
-    entry carries a timestamp (``timestamp=`` argument, else the
-    ``REPRO_BENCH_TIMESTAMP`` environment variable — useful to stamp a whole
-    CI run coherently — else the current UTC time), the active
-    ``REPRO_BENCH_SCALE``, the git commit being measured (the
-    ``REPRO_BENCH_GIT_SHA`` environment variable, which CI sets to the
-    workflow's SHA so the regression gate can attribute points to commits),
-    and the benchmark's own numbers.
-
-    ``headline`` names the record key (dots descend into nested dicts, e.g.
-    ``"ungrouped.compiled_ms"``) that summarizes this benchmark's
-    performance; ``tools/check_bench_regression.py`` compares that metric
-    across trajectory entries and fails CI on a large regression.
-    ``higher_is_better`` states the metric's direction (throughputs vs
-    latencies).
-    """
-    directory = pathlib.Path(results_dir or RESULTS_DIR)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"BENCH_{name}.json"
-    trajectory: list = []
-    if path.exists():
-        try:
-            existing = json.loads(path.read_text(encoding="utf-8"))
-            if isinstance(existing, list):
-                trajectory = existing
-        except ValueError:
-            # An interrupted write left the file unreadable.  The history is
-            # the whole point of the trajectory, so set the damaged file
-            # aside for inspection instead of clobbering it.
-            quarantine = path.with_suffix(".json.corrupt")
-            path.replace(quarantine)
-            print(f"record_result: unreadable {path.name} moved to {quarantine.name}")
-    if timestamp is None:
-        timestamp = os.environ.get("REPRO_BENCH_TIMESTAMP")
-    if timestamp is None:
-        timestamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    entry = {"timestamp": timestamp, "scale": BENCH_SCALE, **record}
-    git_sha = os.environ.get("REPRO_BENCH_GIT_SHA")
-    if git_sha:
-        entry["git_sha"] = git_sha
-    if headline is not None:
-        entry["_headline"] = {"metric": headline, "higher_is_better": higher_is_better}
-    trajectory.append(entry)
-    path.write_text(json.dumps(trajectory, indent=2, default=str) + "\n", encoding="utf-8")
-    return path
 
 #: Scaled-down stand-in for the bold column of Table 2.
 BENCH_DEFAULTS = WorkloadParameters(
@@ -132,48 +74,4 @@ def time_updates(benchmark, parameters: WorkloadParameters, mode, rounds: int = 
     setup, statements = build_setup(parameters, mode)
     runner = StatementRunner(setup, statements)
     benchmark.pedantic(runner, rounds=rounds, iterations=1, warmup_rounds=2)
-    return runner
-
-
-class BatchRunner:
-    """Callable executing the next ``batch_size`` prepared statements as one batch.
-
-    The set-oriented counterpart of :class:`StatementRunner`: each timed call
-    submits a fresh slice of the statement pool through ``execute_batch``, so
-    the trigger pipeline runs once per call instead of once per statement.
-    The pool must hold enough statements for every timed call — re-running a
-    consumed statement would be a no-op update (empty pruned transitions)
-    and would skip the trigger path, understating batched cost.
-    """
-
-    def __init__(self, setup, statements, batch_size: int):
-        self.setup = setup
-        self.statements = list(statements)
-        self.batch_size = batch_size
-        self.position = 0
-
-    def __call__(self):
-        chunk = self.statements[self.position:self.position + self.batch_size]
-        if len(chunk) < self.batch_size:
-            raise RuntimeError(
-                "statement pool exhausted: size the pool to rounds x batch_size"
-            )
-        self.position += self.batch_size
-        self.setup.run_batch(chunk)
-
-    @property
-    def fired(self) -> int:
-        return self.setup.fired_count
-
-
-def time_batches(benchmark, parameters: WorkloadParameters, mode, batch_size: int,
-                 rounds: int = 10, warmup_rounds: int = 2):
-    """Benchmark the per-batch time for one parameter point / mode / batch size."""
-    harness = ExperimentHarness(parameters, updates=1)
-    setup = harness.build_setup(parameters, mode)
-    # Every timed (and warmup) call consumes a fresh batch of statements.
-    pool = (rounds + warmup_rounds + 1) * batch_size
-    statements = setup.workload.update_statements(pool, setup.database)
-    runner = BatchRunner(setup, statements, batch_size)
-    benchmark.pedantic(runner, rounds=rounds, iterations=1, warmup_rounds=warmup_rounds)
     return runner

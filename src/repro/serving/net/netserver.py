@@ -15,8 +15,7 @@ its connections outright — no state is shared between loops except the
 every loop reuses the bytes) and the serving core underneath.  Each
 connection costs a reader coroutine and a writer coroutine, not a thread,
 which is what makes connection-scale fan-out (10k+ subscribers) reachable;
-sharding the loops lets encode+drain work use more than one core
-(``benchmarks/bench_net_fanout.py`` drives the sweep).
+sharding the loops lets encode+drain work use more than one core.
 
 Bridging the thread world and the loops, backpressured both ways (the
 details live in :mod:`repro.serving.net.session` and

@@ -11,8 +11,8 @@ sits on the lowest (vendor-like) level.
 :class:`~repro.workloads.generator.HierarchyWorkload` builds the database,
 the view, the structurally similar trigger population, and the update
 workload for any point of Table 2's parameter space;
-:class:`~repro.workloads.harness.ExperimentHarness` runs the paper's
-experiments and produces the series behind each figure.
+:class:`~repro.workloads.harness.ExperimentHarness` wires and measures one
+parameter point; the per-figure sweeps are ``benchmarks/bench_*.py``.
 """
 
 from repro.workloads.parameters import PAPER_DEFAULTS, WorkloadParameters
@@ -20,7 +20,6 @@ from repro.workloads.generator import HierarchyWorkload
 from repro.workloads.harness import (
     ConcurrentRunResult,
     ExperimentHarness,
-    ExperimentPoint,
     run_concurrent_clients,
 )
 
@@ -28,7 +27,6 @@ __all__ = [
     "PAPER_DEFAULTS",
     "ConcurrentRunResult",
     "ExperimentHarness",
-    "ExperimentPoint",
     "HierarchyWorkload",
     "WorkloadParameters",
     "run_concurrent_clients",

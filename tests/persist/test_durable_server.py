@@ -297,28 +297,6 @@ def test_sequences_survive_outbox_compaction_crash_window(tmp_path):
     recovered.close()
 
 
-def test_harness_durable_dir_is_reusable(tmp_path):
-    """build_setup(durable_dir=...) must reset a previously used directory —
-    stale WAL records behind a fresh snapshot would corrupt recovery."""
-    from repro.core.service import ExecutionMode
-    from repro.persist import recover_database
-    from repro.workloads import ExperimentHarness, WorkloadParameters
-
-    params = WorkloadParameters(depth=2, leaf_tuples=64, fanout=16,
-                                num_triggers=4, satisfied_triggers=2, seed=1)
-    harness = ExperimentHarness(params, updates=1)
-    directory = str(tmp_path / "node")
-    for _ in range(2):  # second pass reuses the same directory
-        setup = harness.build_setup(params, ExecutionMode.GROUPED_AGG,
-                                    durable_dir=directory)
-        for statement in setup.workload.update_statements(5, setup.database):
-            setup.run_statement(statement)
-        recovered, wal = recover_database(directory)
-        assert recovered.snapshot() == setup.database.snapshot()
-        wal.close()
-        setup.wal.close()
-
-
 def test_shard_count_mismatch_is_rejected(tmp_path):
     open_server(tmp_path, shard_count=2).close()
     with pytest.raises(PersistenceError):

@@ -87,9 +87,15 @@ def test_snapshot_then_wal_tail(tmp_path):
     database.load_rows("product", PRODUCTS)
     database.load_rows("vendor", VENDORS)
     service.snapshot()  # truncates the WAL
-    database.execute(UpdateStatement("vendor", {"price": 3.0}, keys=[("Amazon", "P1")]))
-    recovered, _ = recover_database(tmp_path, name="node")
+    lsn = service.wal.last_lsn
+    for step in range(5):
+        database.execute(
+            UpdateStatement("vendor", {"price": 3.0 + step}, keys=[("Amazon", "P1")])
+        )
+    recovered, wal = recover_database(tmp_path, name="node")
     assert recovered.snapshot() == database.snapshot()
+    # Recovery replays the tail written after the snapshot and nothing older.
+    assert len(list(wal.replay())) == service.wal.last_lsn - lsn == 5
 
 
 def test_overlapping_snapshot_and_wal_do_not_double_apply(tmp_path):

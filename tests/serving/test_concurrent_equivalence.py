@@ -15,6 +15,8 @@ per monitored node, where coalescing cannot kick in.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.core.service import ActiveViewService, ExecutionMode
@@ -139,3 +141,44 @@ def test_equivalence_is_independent_of_shard_count():
         observed.append({(a.trigger, a.event.value, a.key) for a in subscriber.drain()})
     assert observed[0] == observed[1] == observed[2]
     assert observed[0]
+
+
+def test_shard_workers_run_actions_at_the_same_time():
+    """Two shards' actions overlap: each waits until another worker is inside one.
+
+    A serialised executor never has two workers inside an action: the first
+    action sits out the whole timeout, the rest stop waiting, and the overlap
+    is never seen.
+    """
+    parameters = WorkloadParameters(depth=2, leaf_tuples=512, fanout=16,
+                                    num_triggers=64, satisfied_triggers=4, seed=7)
+    workload = HierarchyWorkload(parameters)
+    server = ActiveViewServer(workload.build_sharded_database(4),
+                              mode=ExecutionMode.GROUPED_AGG)
+    server.register_view(workload.build_view())
+    lock = threading.Lock()
+    inside: set[int] = set()
+    seen: set[int] = set()
+    overlap = threading.Event()
+    gave_up = threading.Event()
+
+    def act(node):
+        thread = threading.get_ident()
+        with lock:
+            seen.add(thread)
+            inside.add(thread)
+            if len(inside) >= 2:
+                overlap.set()
+        if not gave_up.is_set() and not overlap.wait(timeout=10):
+            gave_up.set()
+        with lock:
+            inside.discard(thread)
+
+    server.register_action("collect", act)
+    for definition in workload.trigger_definitions():
+        server.create_trigger(definition)
+    with server:
+        result = run_concurrent_clients(server, workload.client_streams(8, 8))
+    assert not result.errors
+    assert overlap.is_set()
+    assert len(seen) >= 2

@@ -130,6 +130,10 @@ class TestLoopGroupPlacement:
             assert report["reuse_port"] is True
             assert report["handoffs"] == 0
             assert sum(e["connections"] for e in report["per_loop"]) == 9
+            # One encode of the activation, shared by all eight subscriber
+            # connections whichever loop serves them.
+            assert report["shared_encode_misses"] == 1
+            assert report["shared_encode_hits"] == 7
         finally:
             net.stop()
             server.stop()

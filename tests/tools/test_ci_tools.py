@@ -1,12 +1,10 @@
 """The CI support tools are code too: pin their contracts.
 
-Covers the three scripts the workflow leans on:
+Covers the two scripts the workflow leans on:
 
 * ``tools/check_flakes.py`` — failures replayed once under the printed
   seed must be classified "fails deterministically" vs "flaked", the
   report written either way, and the build failed either way;
-* ``tools/check_bench_regression.py`` — baseline entries with a renamed
-  headline metric must be *warned about by name*, never silently skipped;
 * ``tools/ci_paths.py`` — diff classification for the docs, web-smoke and e2e-gate
   jobs, including the comment-only-src-change skip.
 """
@@ -34,7 +32,6 @@ def load_tool(name: str):
 
 
 check_flakes = load_tool("check_flakes")
-check_bench = load_tool("check_bench_regression")
 
 
 class TestCheckFlakesUnits:
@@ -145,75 +142,6 @@ class TestCheckFlakesEndToEnd:
         assert process.returncode == 1
         assert payload["verdict"] == "deterministic"
         assert payload["tests"][0]["outcome"] == "fails deterministically"
-
-
-def write_trajectory(path: pathlib.Path, entries: list[dict]) -> None:
-    path.write_text(json.dumps(entries))
-
-
-def entry(metric: str, value: float, *, scale: float = 1.0) -> dict:
-    return {
-        "scale": scale,
-        metric: value,
-        "_headline": {"metric": metric, "higher_is_better": True},
-    }
-
-
-class TestBenchRegressionWarnings:
-    def test_renamed_headline_metric_is_warned_not_silently_skipped(
-        self, tmp_path, capsys
-    ):
-        results = tmp_path / "results"
-        results.mkdir()
-        write_trajectory(results / "BENCH_renamed.json", [
-            entry("old_rate", 100.0),
-            entry("old_rate", 110.0),
-            entry("new_rate", 200.0),
-            entry("new_rate", 205.0),
-        ])
-        code = check_bench.main(["--results", str(results)])
-        output = capsys.readouterr().out
-        assert code == 0
-        assert "[      warn]" in output
-        assert "'old_rate'" in output and "'new_rate'" in output
-        assert "2 entries" in output
-
-    def test_unrenamed_trajectory_stays_quiet(self, tmp_path, capsys):
-        results = tmp_path / "results"
-        results.mkdir()
-        write_trajectory(results / "BENCH_steady.json", [
-            entry("rate", 100.0), entry("rate", 101.0),
-        ])
-        code = check_bench.main(["--results", str(results)])
-        output = capsys.readouterr().out
-        assert code == 0
-        assert "warn" not in output
-
-    def test_regression_still_fails_through_the_warning(self, tmp_path, capsys):
-        results = tmp_path / "results"
-        results.mkdir()
-        write_trajectory(results / "BENCH_slow.json", [
-            entry("old_rate", 100.0),
-            entry("new_rate", 200.0),
-            entry("new_rate", 100.0),  # halved: well past the 25% gate
-        ])
-        code = check_bench.main(["--results", str(results)])
-        output = capsys.readouterr().out
-        assert code == 1
-        assert "warn" in output and "regression" in output
-
-    def test_different_scale_entries_skip_without_warning(self, tmp_path, capsys):
-        results = tmp_path / "results"
-        results.mkdir()
-        write_trajectory(results / "BENCH_scaled.json", [
-            entry("rate", 100.0, scale=0.25),
-            entry("rate", 101.0),
-            entry("rate", 99.0),
-        ])
-        code = check_bench.main(["--results", str(results)])
-        output = capsys.readouterr().out
-        assert code == 0
-        assert "warn" not in output
 
 
 def git(cwd: pathlib.Path, *args: str) -> str:

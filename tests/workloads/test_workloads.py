@@ -115,13 +115,6 @@ class TestHarness:
         _, fired_materialized = harness.measure(materialized, statements2)
         assert fired_translated == fired_materialized == SMALL.effective_satisfied
 
-    def test_figure17_points_have_expected_shape(self):
-        harness = ExperimentHarness(SMALL, updates=2)
-        points = harness.figure17_num_triggers((1, 4), modes=(ExecutionMode.GROUPED,))
-        assert len(points) == 2
-        assert {p.value for p in points} == {1, 4}
-        assert all(p.avg_ms > 0 for p in points)
-
     def test_compile_time_reports_milliseconds(self):
         harness = ExperimentHarness(SMALL, updates=1)
         report = harness.compile_time(trigger_count=3)
