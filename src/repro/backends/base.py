@@ -6,7 +6,7 @@ RDBMS (Figure 16).  This package restores that architecture as a pluggable
 layer: a :class:`Backend` mirrors the in-memory
 :class:`~repro.relational.database.Database` into an external engine and
 executes the generated trigger statements there, while the in-memory
-interpreter / compiled engines remain available as the oracle and fallback.
+interpreter / compiled engines remain available as the oracle.
 
 A backend has three responsibilities:
 
@@ -19,9 +19,9 @@ A backend has three responsibilities:
 2. **Lowering** — ``prepare(translation)`` turns one
    :class:`~repro.core.pushdown.CompiledTableTrigger` into a backend
    statement.  A plan the backend dialect cannot express raises
-   :class:`BackendLoweringError`; the service then keeps firing that
-   translation on the in-memory engines and surfaces the fallback through
-   ``evaluation_report()``.
+   :class:`BackendLoweringError`; the service then fails ``CREATE TRIGGER``
+   with :class:`~repro.errors.TriggerCompilationError` and registers
+   nothing.
 3. **Execution** — ``affected_pairs(plan, context)`` runs a prepared
    statement for one trigger firing (materializing the firing's transition
    tables first) and returns the ``(OLD_NODE, NEW_NODE)`` pairs.

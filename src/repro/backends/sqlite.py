@@ -28,8 +28,8 @@ Known representation limits (all surfaced, none silent): ``BOOLEAN``
 columns mirror as ``0``/``1`` integers, so a boolean flowing into XML text
 content would render ``"1"`` rather than ``"true"``; plans whose constructs
 the dialect cannot express raise :class:`BackendLoweringError` at prepare
-time and the service falls back to the in-memory engines for just those
-translations (visible in ``evaluation_report()``).
+time, and ``CREATE TRIGGER`` fails with
+:class:`~repro.errors.TriggerCompilationError`.
 """
 
 from __future__ import annotations
@@ -314,8 +314,7 @@ class SqliteBackend:
         """Lower one translation to an executable statement (compile time).
 
         Raises :class:`BackendLoweringError` when the plan cannot be
-        expressed in the dialect; the caller falls back to the in-memory
-        engines for this translation.
+        expressed in the dialect; the service then fails ``CREATE TRIGGER``.
         """
         if self._database is None:
             raise BackendError("attach() the backend before preparing plans")
@@ -337,7 +336,7 @@ class SqliteBackend:
         try:
             # Preparing the statement (EXPLAIN compiles without running it)
             # surfaces any SQL-level gap now, at trigger compile time, so a
-            # firing can never fail over to the oracle mid-flight.
+            # firing can never fail mid-flight.
             self._conn.execute("EXPLAIN " + lowered.sql)
         except sqlite3.Error as error:
             raise BackendLoweringError(

@@ -13,7 +13,6 @@ and diff them by canonical key).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.errors import TriggerError
 from repro.relational.database import Database
@@ -114,11 +113,6 @@ class MaterializedBaseline:
         """Re-materialize every monitored path (e.g. after bulk loads)."""
         for key, path_graph in self._paths.items():
             self._materialized[key] = self._evaluate_path(path_graph)
-
-    def materialized_nodes(self, view: str, path: Iterable[str] | str) -> dict[tuple, XmlNode]:
-        """Current materialized node map for one monitored path."""
-        steps = tuple(path.strip("/").split("/")) if isinstance(path, str) else tuple(path)
-        return dict(self._materialized[(view, steps)])
 
     # -- statement execution ----------------------------------------------------------
 

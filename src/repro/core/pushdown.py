@@ -73,7 +73,6 @@ from repro.core.affected_nodes import (
 )
 from repro.core.events import events_by_table, get_source_events
 from repro.core.injectivity import path_graph_is_injective
-from repro.core.sqlgen import render_sql_trigger
 
 __all__ = [
     "OldNodeRequirement",
@@ -291,7 +290,6 @@ class CompiledTableTrigger:
     #: object for every sibling group / event on this path and table.
     sides: SharedSides
     physical_plan: PhysicalPlan
-    sql_text: str = ""
 
     def affected_pairs(
         self,
@@ -376,7 +374,6 @@ def translate_path(
     xml_event: TriggerEvent,
     database: Database,
     options: PushdownOptions | None = None,
-    trigger_name: str = "xmlTrigger",
     shared_sides: Callable[[tuple, Callable[[], SharedSides]], SharedSides] | None = None,
 ) -> dict[str, CompiledTableTrigger]:
     """Translate one monitored path + XML event into per-table SQL triggers.
@@ -418,7 +415,7 @@ def translate_path(
                 build,
             )
         compiled[table] = _translate_for_table(
-            sides, xml_event, relational_events, options, trigger_name
+            sides, xml_event, relational_events, options
         )
     return compiled
 
@@ -428,7 +425,6 @@ def _translate_for_table(
     xml_event: TriggerEvent,
     relational_events: dict[TriggerEvent, frozenset[str] | None],
     options: PushdownOptions,
-    trigger_name: str,
 ) -> CompiledTableTrigger:
     # Everything graph-related comes from the sides: a cached instance may
     # have been built over a sibling service's (equal) path graph.
@@ -456,19 +452,6 @@ def _translate_for_table(
 
     physical_plan = sides.compile(executable)
 
-    sql_text = render_sql_trigger(
-        name=f"sql_{trigger_name}_{table}",
-        table=table,
-        events=relational_events.keys(),
-        top=executable,
-        final_columns=[OLD_NODE, NEW_NODE, *reference.key_columns],
-        order_by=list(reference.key_columns),
-        action_comment=(
-            f"translated from XML trigger(s) on path "
-            f"view('{path_graph.view_name}')/{'/'.join(path_graph.path)}"
-        ),
-    )
-
     return CompiledTableTrigger(
         table=table,
         xml_event=xml_event,
@@ -483,7 +466,6 @@ def _translate_for_table(
         options=options,
         sides=sides,
         physical_plan=physical_plan,
-        sql_text=sql_text,
     )
 
 

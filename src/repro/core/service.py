@@ -38,7 +38,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
-from repro.errors import TriggerError
+from repro.errors import TriggerCompilationError, TriggerError
 from repro.relational.database import Database
 from repro.relational.dml import Batch, BatchResult, BulkLoad, Statement, StatementResult
 from repro.relational.triggers import StatementTrigger, TriggerContext, TriggerEvent
@@ -47,6 +47,7 @@ from repro.xmlmodel.serialize import EncodedPair
 from repro.xmlmodel.xpath import XPath
 from repro.xqgm.views import PathGraph, ViewDefinition
 from repro.core.activation import ActionRegistry, TriggerActivator
+from repro.core.affected_nodes import NEW_NODE, OLD_NODE
 from repro.core.grouping import ConstantsRow, TriggerGroup
 from repro.core.language import parse_trigger
 from repro.core.pushdown import (
@@ -57,6 +58,7 @@ from repro.core.pushdown import (
     translate_path,
 )
 from repro.core.semantics import check_trigger_specifiable
+from repro.core.sqlgen import render_sql_trigger
 from repro.core.trigger import ActionCall, TriggerSpec
 from repro.matching.engine import GroupMatcher, MatchStats
 from repro.matching.indexes import PathTrie
@@ -306,10 +308,9 @@ class ActiveViewService:
         # Optional execution backend (repro.backends): mirrors the database
         # into an external engine (e.g. SQLite) and runs the generated
         # trigger statements there — the paper's Figure 16 architecture,
-        # where the RDBMS executes the translated SQL.  Translations the
-        # backend's dialect cannot express fall back to the in-memory
-        # engines above, per translation; the fallbacks are surfaced through
-        # :meth:`evaluation_report` so they can never go unnoticed.
+        # where the RDBMS executes the translated SQL.  A translation the
+        # backend's dialect cannot express fails CREATE TRIGGER; nothing
+        # falls back to the in-memory engines above.
         self.backend = None
         if backend is not None:
             from repro.backends.base import create_backend
@@ -319,7 +320,6 @@ class ActiveViewService:
         # Backend plans cached by (plan key, table): like the PlanCache,
         # structurally identical trigger groups share one lowered statement.
         self._backend_plans: dict[tuple, Any] = {}
-        self._backend_errors: dict[tuple, str] = {}
 
     # ------------------------------------------------------------------ registration
 
@@ -365,13 +365,10 @@ class ActiveViewService:
         }
         self._plan_cache.invalidate_view(name)
         # Backend plans are keyed by the same (view, path, event, options)
-        # plan keys, so the dropped view's lowered statements (and any
-        # recorded lowering failures) are evicted alongside.
+        # plan keys, so the dropped view's lowered statements are evicted
+        # alongside.
         self._backend_plans = {
             key: plan for key, plan in self._backend_plans.items() if key[0][0] != name
-        }
-        self._backend_errors = {
-            key: error for key, error in self._backend_errors.items() if key[0][0] != name
         }
         self._emit_ddl("drop_view", name)
 
@@ -446,9 +443,9 @@ class ActiveViewService:
         Parsing, view composition, event pushdown, affected-node graph
         generation, grouping and pushdown all happen here (trigger *compile
         time*); the resulting SQL triggers are registered on the database.
-        A plan the compiled engine cannot lower raises
-        :class:`~repro.errors.TriggerCompilationError` before any SQL trigger
-        is registered.
+        A plan the compiled engine (or the attached execution backend)
+        cannot lower raises :class:`~repro.errors.TriggerCompilationError`
+        before any SQL trigger is registered.
         """
         started = time.perf_counter()
         spec = parse_trigger(definition) if isinstance(definition, str) else definition
@@ -461,9 +458,10 @@ class ActiveViewService:
         if compiled is None:
             group = TriggerGroup(spec.structural_signature())
             group.add(spec)
-            compiled = self._compile_group(group, spec)
-            self._groups[signature] = compiled
-            self._note_group_added(signature, spec)
+            prepared: dict[tuple, Any] = {}
+            compiled, backend_plans = self._compile_group(group, spec, prepared)
+            self._backend_plans.update(prepared)
+            self._install_group(signature, spec, compiled, backend_plans)
         else:
             member = compiled.group.add(spec)
             compiled.note_member_added(member)
@@ -481,11 +479,12 @@ class ActiveViewService:
         definition, but the per-group constants tables and matching indexes
         are invalidated once per *touched group* instead of once per trigger,
         so registering N structurally similar triggers costs one index build
-        instead of N incremental ones.  The batch is validated up front —
-        unknown views, duplicate names (against the registry *and* within the
-        batch) and unspecifiable paths all fail before any trigger is
-        installed — so a failed bulk registration leaves the service
-        unchanged.
+        instead of N incremental ones.  The batch is validated and compiled
+        up front — unknown views, duplicate names (against the registry *and*
+        within the batch), unspecifiable paths and plans the compiled engine
+        or the execution backend cannot lower all fail before any trigger is
+        installed or any DDL is emitted — so a failed bulk registration
+        leaves the service unchanged.
         """
         started = time.perf_counter()
         specs: list[TriggerSpec] = []
@@ -502,17 +501,26 @@ class ActiveViewService:
             # an unspecifiable monitored path aborts the whole batch here,
             # before any registration mutates the service.
             self._path_graph(spec)
+        # Compile every new group before touching the registry: a lowering
+        # failure of any spec aborts the batch with nothing installed.
+        prepared: dict[tuple, Any] = {}
+        new_groups: dict[tuple, tuple] = {}
+        for spec in specs:
+            signature = self._group_signature(spec)
+            if signature not in self._groups and signature not in new_groups:
+                group = TriggerGroup(spec.structural_signature())
+                group.add(spec)
+                new_groups[signature] = (
+                    spec, *self._compile_group(group, spec, prepared)
+                )
+        self._backend_plans.update(prepared)
+        for signature, (spec, compiled, backend_plans) in new_groups.items():
+            self._install_group(signature, spec, compiled, backend_plans)
         touched: dict[tuple, _CompiledGroup] = {}
         for spec in specs:
             signature = self._group_signature(spec)
-            compiled = self._groups.get(signature)
-            if compiled is None:
-                group = TriggerGroup(spec.structural_signature())
-                group.add(spec)
-                compiled = self._compile_group(group, spec)
-                self._groups[signature] = compiled
-                self._note_group_added(signature, spec)
-            else:
+            if signature not in new_groups or new_groups[signature][0] is not spec:
+                compiled = self._groups[signature]
                 compiled.group.add(spec)
                 touched[signature] = compiled
             self._triggers[spec.name] = spec
@@ -549,12 +557,30 @@ class ActiveViewService:
         self._emit_ddl("drop_trigger", name)
 
     def generated_sql(self, trigger_name: str) -> list[str]:
-        """The SQL text of the statement triggers generated for an XML trigger."""
+        """The SQL text of the statement triggers generated for an XML trigger.
+
+        Rendered on request, in the readable Figure 16 dialect, from each
+        translation's executable graph.
+        """
         spec = self._triggers.get(trigger_name)
         if spec is None:
             raise TriggerError(f"no such trigger {trigger_name!r}")
         compiled = self._groups[self._group_signature(spec)]
-        return [translation.sql_text for translation in compiled.translations.values()]
+        return [
+            render_sql_trigger(
+                name=f"sql_{trigger_name}_{table}",
+                table=table,
+                events=translation.relational_events.keys(),
+                top=translation.executable_top,
+                final_columns=[OLD_NODE, NEW_NODE, *translation.key_columns],
+                order_by=list(translation.key_columns),
+                action_comment=(
+                    f"translated from XML trigger(s) on path "
+                    f"view('{spec.view}')/{'/'.join(spec.path)}"
+                ),
+            )
+            for table, translation in compiled.translations.items()
+        ]
 
     def group_count(self) -> int:
         """Number of trigger groups (== number of generated SQL trigger sets)."""
@@ -629,19 +655,25 @@ class ActiveViewService:
         self.activator.reset_log()
 
     def close(self) -> None:
-        """Release the execution backend, if any (idempotent).
+        """Uninstall the service's SQL triggers and release its backend (idempotent).
 
-        The backend subscribes to the database's commit listeners at
-        construction; a service that is being discarded while its database
-        lives on must be closed, or the orphaned mirror would keep replaying
-        every subsequent commit.  Services without a backend need no
-        teardown (``close`` is then a no-op).
+        A service that is being discarded while its database lives on must be
+        closed: its statement triggers would otherwise keep firing on every
+        later DML, and the backend — subscribed to the database's commit
+        listeners at construction — would keep replaying every commit into
+        its mirror.  Closing is not dropping: no ``drop_trigger`` DDL reaches
+        the listeners, so a durable registry still holds the triggers.
         """
+        for compiled in self._groups.values():
+            for sql_name in compiled.sql_trigger_names:
+                self.database.drop_trigger(sql_name)
+        self._groups.clear()
+        self._triggers.clear()
+        self._monitored.clear()
         if self.backend is not None:
             self.backend.close()
             self.backend = None
             self._backend_plans.clear()
-            self._backend_errors.clear()
 
     def evaluation_report(self) -> dict[str, int]:
         """Evaluation, sharing and matching counters.
@@ -673,20 +705,10 @@ class ActiveViewService:
         )
         if self.backend is not None:
             report["backend_plans"] = len(self._backend_plans)
-            report["backend_lowering_fallbacks"] = len(self._backend_errors)
             report["backend_statements"] = getattr(
                 self.backend, "statements_executed", 0
             )
         return report
-
-    def backend_lowering_errors(self) -> dict[tuple, str]:
-        """Per-(plan key, table) lowering errors of the execution backend.
-
-        Non-empty means some translations run on the in-memory fallback
-        engines instead of the backend; the property suite asserts this is
-        empty so backend equivalence can never pass vacuously.
-        """
-        return dict(self._backend_errors)
 
     # ------------------------------------------------------------------ internals
 
@@ -759,7 +781,16 @@ class ActiveViewService:
             old_node_requirement=requirement,
         )
 
-    def _compile_group(self, group: TriggerGroup, spec: TriggerSpec) -> _CompiledGroup:
+    def _compile_group(
+        self, group: TriggerGroup, spec: TriggerSpec, prepared: dict[tuple, Any]
+    ) -> tuple[_CompiledGroup, dict[str, Any]]:
+        """Derive the group's translations and lower them on the backend.
+
+        Registers nothing: the caller installs the group with
+        :meth:`_install_group` once every group it is creating has compiled.
+        Backend plans lowered here go into ``prepared`` rather than the plan
+        cache, for the same reason.
+        """
         path_graph = self._path_graph(spec)
         options = self._pushdown_options(group)
         plan_key = (spec.view, spec.path, spec.event, options.cache_key())
@@ -770,7 +801,6 @@ class ActiveViewService:
                 spec.event,
                 self.database,
                 options,
-                trigger_name=spec.name,
                 shared_sides=self._plan_cache.shared_sides,
             ),
         )
@@ -778,8 +808,7 @@ class ActiveViewService:
             # Structurally identical plan already derived (possibly for a
             # different group — e.g. every UNGROUPED trigger of a Figure 17
             # population, or the same trigger compiled on a sibling shard
-            # service sharing this cache); the rendered SQL keeps the first
-            # trigger's name.
+            # service sharing this cache).
             self.plan_cache_hits += 1
         else:
             self.plan_cache_misses += 1
@@ -791,8 +820,17 @@ class ActiveViewService:
             arguments=group.parameterized_arguments(),
             match_plan=None if condition is None else analyze_condition(condition),
         )
-        backend_plans = self._prepare_backend_plans(plan_key, translations)
-        for table, translation in translations.items():
+        return compiled, self._prepare_backend_plans(plan_key, translations, prepared)
+
+    def _install_group(
+        self,
+        signature: tuple,
+        spec: TriggerSpec,
+        compiled: _CompiledGroup,
+        backend_plans: dict[str, Any],
+    ) -> None:
+        """Register a compiled group's SQL triggers on the database."""
+        for table, translation in compiled.translations.items():
             self._sql_trigger_counter += 1
             sql_name = f"sqlTrigger{self._sql_trigger_counter}_{table}"
             trigger = StatementTrigger(
@@ -802,26 +840,31 @@ class ActiveViewService:
                 body=self._make_trigger_body(
                     compiled, translation, backend_plans.get(table)
                 ),
-                sql_text=translation.sql_text,
                 metadata={
-                    "xml_trigger_group": group.signature,
+                    "xml_trigger_group": compiled.group.signature,
                     "mode": self.mode.value,
                     "uses_compensation": translation.uses_compensation,
                 },
             )
             self.database.register_trigger(trigger)
             compiled.sql_trigger_names.append(sql_name)
-        return compiled
+        self._groups[signature] = compiled
+        self._note_group_added(signature, spec)
 
     def _prepare_backend_plans(
-        self, plan_key: tuple, translations: dict[str, CompiledTableTrigger]
+        self,
+        plan_key: tuple,
+        translations: dict[str, CompiledTableTrigger],
+        prepared: dict[tuple, Any],
     ) -> dict[str, Any]:
         """Lower the group's translations on the execution backend, if any.
 
-        Prepared statements are cached by ``(plan key, table)`` — mirroring
-        the :class:`PlanCache` sharing — and a translation whose lowering
-        fails is recorded once and permanently served by the in-memory
-        engines instead (the fallback count is in :meth:`evaluation_report`).
+        Prepared statements are shared by ``(plan key, table)`` — mirroring
+        the :class:`PlanCache` sharing — across the cache and ``prepared``,
+        which collects the statements lowered by the current registration.
+        A translation the backend cannot lower raises
+        :class:`~repro.errors.TriggerCompilationError`; the caller then drops
+        ``prepared``, so a failed ``CREATE TRIGGER`` leaves no plan behind.
         """
         if self.backend is None:
             return {}
@@ -829,17 +872,17 @@ class ActiveViewService:
 
         plans: dict[str, Any] = {}
         for table, translation in translations.items():
-            cache_key = (plan_key, table)
-            if cache_key in self._backend_errors:
-                continue
-            plan = self._backend_plans.get(cache_key)
+            key = (plan_key, table)
+            plan = self._backend_plans.get(key, prepared.get(key))
             if plan is None:
                 try:
                     plan = self.backend.prepare(translation)
                 except BackendLoweringError as error:
-                    self._backend_errors[cache_key] = str(error)
-                    continue
-                self._backend_plans[cache_key] = plan
+                    raise TriggerCompilationError(
+                        f"the {self.backend.name} backend cannot lower the plan "
+                        f"for {'/'.join(plan_key[1])!r} on table {table!r}: {error}"
+                    ) from error
+                prepared[key] = plan
             plans[table] = plan
         return plans
 
@@ -847,23 +890,27 @@ class ActiveViewService:
         self,
         compiled: _CompiledGroup,
         translation: CompiledTableTrigger,
-        backend_plan: Any = None,
+        backend_plan: Any,
     ) -> Callable[[TriggerContext], None]:
-        def body(context: TriggerContext) -> None:
-            # self.backend is re-read per firing: after close() the in-memory
-            # engines take over (the mirror is gone).
-            if backend_plan is not None and self.backend is not None:
-                # Figure 16 for real: the lowered statement runs inside the
-                # backend engine against its mirrored tables (the commit
-                # listener updated them before this trigger fired).
-                pairs = self.backend.affected_pairs(backend_plan, context)
-            else:
-                pairs = translation.affected_pairs(
+        if backend_plan is not None:
+            # Figure 16 for real: the lowered statement runs inside the
+            # backend engine against its mirrored tables (the commit
+            # listener updated them before this trigger fired).
+            backend = self.backend
+
+            def pairs_of(context: TriggerContext):
+                return backend.affected_pairs(backend_plan, context)
+        else:
+            def pairs_of(context: TriggerContext):
+                return translation.affected_pairs(
                     self.database,
                     context,
                     use_compiled=self.use_compiled_plans,
                     engine_stats=self.engine_stats,
                 )
+
+        def body(context: TriggerContext) -> None:
+            pairs = pairs_of(context)
             if not pairs:
                 return
             self._activate_group(

@@ -35,8 +35,9 @@ text, in one of two *dialects*:
 
     Constructs the dialect cannot express faithfully (``Unnest``,
     constants-table scans, parameters, ``B_old`` of a keyless table, ...)
-    raise :class:`SqlLoweringError`; the caller falls back to the in-memory
-    engines, which remain the oracle.
+    raise :class:`SqlLoweringError`, and a service with the SQLite backend
+    fails ``CREATE TRIGGER`` for that plan; the in-memory engines remain the
+    oracle.
 """
 
 from __future__ import annotations
@@ -89,7 +90,7 @@ class SqlLoweringError(ReproError):
     """The plan uses a construct the target SQL dialect cannot express.
 
     Raised only by the *executable* lowerings; the readable dialect always
-    succeeds.  Callers treat this as "fall back to the in-memory engines".
+    succeeds.  The SQLite backend turns it into a refused ``CREATE TRIGGER``.
     """
 
 
@@ -398,7 +399,7 @@ class _SqliteExpr:
             if expression.op == "%":
                 # SQLite "%" is a truncated remainder; Python's is floored
                 # (-7 % 3 is 2 in Python, -1 in SQLite).  Inexpressible
-                # faithfully, so refuse and let the caller fall back.
+                # faithfully, so refuse (CREATE TRIGGER fails).
                 raise SqlLoweringError(
                     "'%' has truncated-remainder semantics on SQLite but "
                     "floored semantics in the interpreter"
@@ -749,7 +750,8 @@ def lower_plan_for_sqlite(
     """Lower a trigger plan for ``table`` into an executable SQLite statement.
 
     Raises :class:`SqlLoweringError` when the plan uses a construct the
-    dialect cannot express; callers fall back to the in-memory engines.
+    dialect cannot express; the SQLite backend then refuses
+    ``CREATE TRIGGER``.
     """
     renderer = _SqliteRenderer(table, catalog)
     final_name = renderer.render(top)

@@ -87,7 +87,7 @@ class TransactionError(RelationalError):
 
 class ShardRoutingError(RelationalError):
     """A statement could not be routed to a single shard (e.g. its keys span
-    shards under the configured shard-key policy)."""
+    shards under the configured routing key)."""
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,8 @@ substrate:
   serialization of full engine state that truncates the WAL behind it;
 * :func:`recover_database` (:mod:`repro.persist.recovery`) — snapshot + WAL
   replay with trigger firing suppressed;
-* :class:`DurableService` / :class:`DurableServer`
-  (:mod:`repro.persist.durable`) — the recovered middleware and serving
-  stacks, including the durable **activation outbox** that makes
+* :class:`DurableServer` (:mod:`repro.persist.durable`) — the recovered
+  serving stack, including the durable **activation outbox** that makes
   at-least-once activation delivery hold *across restarts*.
 
 ``docs/persistence.md`` documents the record formats and crash-consistency
@@ -22,14 +21,13 @@ guarantees; ``docs/operations.md`` is the deployment runbook.
 """
 
 from repro.persist.codec import decode_value, encode_value
-from repro.persist.durable import DurableServer, DurableService
+from repro.persist.durable import DurableServer
 from repro.persist.recovery import recover_database
 from repro.persist.snapshot import Snapshot
 from repro.persist.wal import RecordLog, WriteAheadLog
 
 __all__ = [
     "DurableServer",
-    "DurableService",
     "RecordLog",
     "Snapshot",
     "WriteAheadLog",

@@ -1,22 +1,17 @@
-"""Durable facades: a single-writer durable service and a durable server.
+"""The durable server: the persistence primitives composed around serving.
 
-Two compositions of the persistence primitives:
-
-* :class:`DurableService` — one :class:`~repro.relational.database.Database`
-  + :class:`~repro.core.service.ActiveViewService` whose committed changes
-  stream into a :class:`~repro.persist.wal.WriteAheadLog` and whose registry
-  DDL streams into a DDL log.  Construction *is* recovery: pointed at a
-  directory with prior state it rebuilds tables from snapshot + WAL replay
-  (triggers suppressed), rehydrates views and XML triggers from the DDL log,
-  and only then attaches the logs for new work.
-* :class:`DurableServer` — the sharded serving stack
-  (:class:`~repro.serving.server.ActiveViewServer`) with one WAL per shard,
-  a shared DDL log, and a durable **activation outbox**: every activation is
-  appended to the outbox *before* any subscriber sees it, named subscribers
-  acknowledge consumption through persisted cursors, and after a restart
-  every accepted-but-unacknowledged activation is redelivered in per-shard
-  order — the paper's at-least-once activation contract extended across
-  process lifetimes.
+:class:`DurableServer` is the sharded serving stack
+(:class:`~repro.serving.server.ActiveViewServer`) with one WAL per shard, a
+shared DDL log, and a durable **activation outbox**: every activation is
+appended to the outbox *before* any subscriber sees it, named subscribers
+acknowledge consumption through persisted cursors, and after a restart every
+accepted-but-unacknowledged activation is redelivered in per-shard order —
+the paper's at-least-once activation contract extended across process
+lifetimes.  Construction *is* recovery: pointed at a directory with prior
+state it rebuilds each shard from snapshot + WAL replay (triggers
+suppressed), rehydrates views and XML triggers from the DDL log, and only
+then attaches the logs for new work.  A single-writer deployment is the
+default ``shard_count=1``.
 
 Views and actions are *code*, so they cannot be pickled out of a log;
 recovery re-binds them from the caller-supplied ``views=[...]`` /
@@ -34,7 +29,7 @@ import pathlib
 import threading
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from repro.core.service import ActiveViewService, ExecutionMode
+from repro.core.service import ExecutionMode
 from repro.core.trigger import TriggerSpec
 from repro.errors import CursorError, PersistenceError, RecoveryError
 from repro.persist.records import (
@@ -53,7 +48,7 @@ from repro.serving.server import ActiveViewServer
 from repro.serving.subscribers import Activation, Subscriber
 from repro.xqgm.views import ViewDefinition
 
-__all__ = ["DurableService", "DurableServer", "OUTBOX_FILE", "CURSORS_FILE", "META_FILE"]
+__all__ = ["DurableServer", "OUTBOX_FILE", "CURSORS_FILE", "META_FILE"]
 
 OUTBOX_FILE = "outbox.log"
 CURSORS_FILE = "cursors.log"
@@ -136,121 +131,6 @@ class _RegistryLog:
         self.log.rewrite(records)
 
 
-class DurableService:
-    """A durable single-writer active-view service rooted in one directory.
-
-    Directory layout: ``snapshot.bin`` (latest snapshot), ``wal.log``
-    (records since the snapshot), ``ddl.log`` (registry).  Opening the same
-    directory again recovers exactly the pre-crash tables and registry; see
-    ``docs/persistence.md`` for the semantics and the property test
-    ``tests/property/test_property_recovery.py`` for the pinned contract.
-
-    Parameters mirror :class:`~repro.core.service.ActiveViewService`, plus:
-
-    views:
-        Every :class:`ViewDefinition` this directory's registry may
-        reference.  Registrations replay from the DDL log; fresh views are
-        registered with :meth:`ensure_view`.
-    actions:
-        ``{name: callable}`` re-bound on every open (actions are code).
-    sync:
-        WAL/DDL append durability: ``"none"`` | ``"flush"`` | ``"fsync"``.
-    """
-
-    def __init__(
-        self,
-        directory: str | os.PathLike,
-        *,
-        views: Sequence[ViewDefinition] = (),
-        actions: Mapping[str, Callable[..., Any]] | None = None,
-        mode: ExecutionMode = ExecutionMode.GROUPED_AGG,
-        sync: str = "flush",
-        name: str | None = None,
-        service_options: Mapping[str, Any] | None = None,
-    ) -> None:
-        self.directory = pathlib.Path(directory)
-        self.database, self.wal = recover_database(self.directory, name=name, sync=sync)
-        self.service = ActiveViewService(
-            self.database, mode=mode, **dict(service_options or {})
-        )
-        self._resolver = {view.name: view for view in views}
-        for action_name, function in (actions or {}).items():
-            self.service.register_action(action_name, function)
-        self._registry = _RegistryLog(self.directory / DDL_FILE, sync)
-        self._registry.replay_into(
-            self.service.register_view,
-            self.service.create_trigger,
-            self._resolver,
-        )
-        # Recovery done — from here on, log everything.
-        self.wal.attach(self.database)
-        self.service.add_ddl_listener(self._registry.record)
-
-    # ------------------------------------------------------------------ registry
-
-    def ensure_view(self, view: ViewDefinition) -> None:
-        """Register a view unless the recovered registry already has it."""
-        self._resolver[view.name] = view
-        if view.name not in self.service.views:
-            self.service.register_view(view)
-
-    def ensure_trigger(self, definition: str | TriggerSpec) -> TriggerSpec:
-        """Create a trigger unless the recovered registry already has it."""
-        from repro.core.language import parse_trigger
-
-        spec = parse_trigger(definition) if isinstance(definition, str) else definition
-        existing = {existing.name: existing for existing in self.service.triggers}
-        if spec.name in existing:
-            return existing[spec.name]
-        return self.service.create_trigger(spec)
-
-    # ------------------------------------------------------------------ lifecycle
-
-    def snapshot(self) -> Snapshot:
-        """Write a snapshot, truncate the WAL behind it, compact the DDL log."""
-        # The database lock quiesces DML for a consistent capture (the
-        # single-writer contract makes this the only writer anyway).
-        with self.database._lock:
-            snapshot = Snapshot.capture(self.database, wal_lsn=self.wal.last_lsn)
-        snapshot.write(self.directory / SNAPSHOT_FILE)
-        self.wal.truncate()
-        self._registry.compact(
-            self.service.views, list(self.service.triggers)
-        )
-        return snapshot
-
-    def close(self) -> None:
-        """Detach the logs and close the files (no implicit snapshot)."""
-        self.wal.detach()
-        self.service.remove_ddl_listener(self._registry.record)
-        self.wal.close()
-        self._registry.log.close()
-
-    def __enter__(self) -> "DurableService":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------ passthrough
-
-    def execute(self, statement: Statement):
-        """Execute one statement (logged, triggers fire, actions run)."""
-        return self.service.execute(statement)
-
-    def execute_batch(self, statements):
-        """Execute a batch set-at-a-time (one WAL record for the whole batch)."""
-        return self.service.execute_batch(statements)
-
-    @property
-    def fired(self):
-        """XML trigger firings observed by the underlying service."""
-        return self.service.fired
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"DurableService({self.directory}, wal_lsn={self.wal.last_lsn})"
-
-
 class DurableServer:
     """The sharded serving layer with per-shard WALs and a durable outbox.
 
@@ -276,8 +156,8 @@ class DurableServer:
     everything accepted but not acked before the crash is redelivered first,
     in per-shard order.
 
-    ``key_fn`` / ``policy`` must be the same on every open (routing is code,
-    like views); the shard count is checked against ``meta.log``.
+    ``key_fn`` must be the same on every open (routing is code, like views);
+    the shard count is checked against ``meta.log``.
     """
 
     def __init__(
@@ -285,7 +165,6 @@ class DurableServer:
         directory: str | os.PathLike,
         *,
         shard_count: int = 1,
-        policy: str = "key",
         key_fn: RoutingKeyFunction | None = None,
         views: Sequence[ViewDefinition] = (),
         actions: Mapping[str, Callable[..., Any]] | None = None,
@@ -309,7 +188,7 @@ class DurableServer:
             databases.append(database)
             self.wals.append(wal)
         self.sharded = ShardedDatabase.from_databases(
-            databases, name=name, policy=policy, key_fn=key_fn
+            databases, name=name, key_fn=key_fn
         )
         self.server = ActiveViewServer(
             self.sharded,

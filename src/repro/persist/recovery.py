@@ -13,9 +13,8 @@ outbox (:mod:`repro.persist.outbox`), which redelivers
 accepted-but-unacknowledged activations to subscribers after restart.
 
 The registry (views / XML triggers) is rehydrated separately from the DDL
-log by :class:`repro.persist.DurableService` /
-:class:`repro.persist.DurableServer`; this module only rebuilds relational
-state.
+log by :class:`repro.persist.DurableServer`; this module only rebuilds
+relational state.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ A :class:`Snapshot` captures everything a
 secondary index definitions, and rows, plus the foreign-key enforcement flag
 — together with the WAL position (``wal_lsn``) the capture is consistent
 with.  Snapshots bound recovery time: replay only has to process WAL records
-*beyond* the snapshot's LSN, and :meth:`repro.persist.DurableService.snapshot`
-truncates the log once the snapshot is safely on disk.
+*beyond* the snapshot's LSN, and :meth:`repro.persist.DurableServer.snapshot`
+truncates each shard's log once the snapshot is safely on disk.
 
 Writes are crash-atomic: the file is written to a temporary sibling, flushed
 and fsynced, then :func:`os.replace`\\ d over the target — a crash mid-write
@@ -61,8 +61,9 @@ class Snapshot:
         """Capture a database's full state.
 
         The caller must quiesce the database (hold its single-writer role)
-        for the duration — :meth:`repro.persist.DurableService.snapshot` does
-        this by capturing under the database lock.
+        for the duration — :meth:`repro.persist.DurableServer.snapshot` does
+        this by draining the shard queues and capturing under each shard's
+        database lock.
         """
         tables = []
         for name in database.table_names():

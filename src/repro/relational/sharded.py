@@ -7,10 +7,10 @@ This module supplies the partitioning substrate the serving layer
 (:mod:`repro.serving`) builds on:
 
 * :class:`ShardRouter` — a deterministic mapping from ``(table, primary key)``
-  to a shard index, with three policies: route by **table** name, by
-  **primary-key hash**, or by a custom **routing key** function (e.g. "the
-  top-level ancestor of this row", which the hierarchy workload uses so each
-  XML subtree lives wholly on one shard).
+  to a shard index: the **primary-key hash**, or the hash of a custom
+  **routing key** function (e.g. "the top-level ancestor of this row", which
+  the hierarchy workload uses so each XML subtree lives wholly on one shard,
+  or the table name, which keeps whole tables together).
 * :class:`ShardedDatabase` — N databases sharing one catalog (every shard has
   every table's schema and indexes) with rows placed by the router.  DML
   statements are routed the same way, so a row is always read and written on
@@ -22,9 +22,10 @@ from (the node's whole join/grouping neighborhood, e.g. a product and all its
 vendors).  When that holds, each shard's view is exactly the restriction of
 the global view to the nodes it owns, so the union of per-shard trigger
 activations equals the unsharded system's — the equivalence property
-``tests/serving/test_concurrent_equivalence.py`` pins down.  The ``table``
-policy satisfies it for single-table views; multi-table views need a routing
-key function that follows the view's foreign-key paths (see
+``tests/serving/test_concurrent_equivalence.py`` pins down.  A table-affine
+``key_fn=lambda table, key: table`` satisfies it for single-table views;
+multi-table views need a routing key function that follows the view's
+foreign-key paths (see
 :meth:`repro.workloads.generator.HierarchyWorkload.routing_key_fn`).
 """
 
@@ -67,43 +68,33 @@ def stable_hash(value: Any) -> int:
 class ShardRouter:
     """Deterministically maps rows and statements to shard indexes.
 
-    ``policy`` selects how the routing value is derived:
-
-    * ``"key"`` (default) — the row's primary-key tuple; spreads every table
-      uniformly, appropriate when each monitored XML node is built from a
-      single row (single-table views).
-    * ``"table"`` — the table name; all rows of one table share a shard, so
-      any single-table view is trivially view-closed and different tables can
-      be served in parallel.
-    * a :data:`RoutingKeyFunction` passed as ``key_fn`` — derives an
-      application-level routing value (e.g. the owning top element's id) so
-      related rows across tables co-locate.  This is the policy multi-table
-      views need (see the module docstring's view-closure contract).
+    The routing value is the row's primary-key tuple, which spreads every
+    table uniformly — appropriate when each monitored XML node is built from
+    a single row (single-table views) — unless a :data:`RoutingKeyFunction`
+    is passed as ``key_fn``.  It derives an application-level routing value
+    (e.g. the owning top element's id) so related rows across tables
+    co-locate, which multi-table views need (see the module docstring's
+    view-closure contract); ``key_fn=lambda table, key: table`` keeps all
+    rows of one table on one shard.
     """
 
     def __init__(
         self,
         shard_count: int,
-        policy: str = "key",
         key_fn: RoutingKeyFunction | None = None,
     ) -> None:
         if shard_count < 1:
             raise ShardRoutingError("shard_count must be at least 1")
-        if policy not in ("key", "table"):
-            raise ShardRoutingError(f"unknown shard policy {policy!r} (use 'key' or 'table')")
         self.shard_count = shard_count
-        self.policy = policy
         self.key_fn = key_fn
 
     def shard_of(self, table: str, key: tuple | None) -> int:
         """Shard index owning the row of ``table`` with primary key ``key``."""
         if self.key_fn is not None:
             return stable_hash(self.key_fn(table, key)) % self.shard_count
-        if self.policy == "table":
-            return stable_hash(table) % self.shard_count
         if key is None:
             raise ShardRoutingError(
-                f"cannot route a keyless row of {table!r} under the 'key' policy"
+                f"cannot route a keyless row of {table!r} without a key_fn"
             )
         return stable_hash(key) % self.shard_count
 
@@ -125,13 +116,11 @@ class ShardRouter:
         """
         if self.shard_count == 1:
             return 0
-        if self.policy == "table" and self.key_fn is None:
-            return self.shard_of(statement.table, None)
         if isinstance(statement, InsertStatement) and not schema.primary_key:
             # A keyless INSERT must never broadcast — every shard would apply
             # it and the rows would duplicate shard_count times.  Route it
             # like a keyless loaded row instead: deterministic under a
-            # key_fn, rejected under the 'key' policy (same as load_rows).
+            # key_fn, rejected without one (same as load_rows).
             return self.shard_of(statement.table, None)
         keys = self._statement_keys(statement, schema)
         if keys is None:
@@ -187,16 +176,10 @@ class ShardedDatabase:
         shard_count: int,
         *,
         name: str = "sharded",
-        policy: str = "key",
         key_fn: RoutingKeyFunction | None = None,
-        router: ShardRouter | None = None,
     ) -> None:
         self.name = name
-        self.router = router or ShardRouter(shard_count, policy=policy, key_fn=key_fn)
-        if self.router.shard_count != shard_count:
-            raise ShardRoutingError(
-                f"router covers {self.router.shard_count} shards, expected {shard_count}"
-            )
+        self.router = ShardRouter(shard_count, key_fn)
         self.shards: list[Database] = [
             Database(name=f"{name}_shard{index}") for index in range(shard_count)
         ]
@@ -206,9 +189,7 @@ class ShardedDatabase:
         cls,
         databases: Sequence[Database],
         *,
-        router: ShardRouter | None = None,
         name: str = "sharded",
-        policy: str = "key",
         key_fn: RoutingKeyFunction | None = None,
     ) -> "ShardedDatabase":
         """Wrap existing databases as shards (catalogs must already match).
@@ -221,12 +202,7 @@ class ShardedDatabase:
             raise ShardRoutingError("at least one database is required")
         instance = cls.__new__(cls)
         instance.name = name
-        instance.router = router or ShardRouter(len(databases), policy=policy, key_fn=key_fn)
-        if instance.router.shard_count != len(databases):
-            raise ShardRoutingError(
-                f"router covers {instance.router.shard_count} shards, "
-                f"expected {len(databases)}"
-            )
+        instance.router = ShardRouter(len(databases), key_fn)
         instance.shards = list(databases)
         return instance
 

@@ -149,10 +149,6 @@ class Table:
         target = tuple(columns)
         return any(cols == target for cols, _ in self._indexes.values())
 
-    def index_names(self) -> list[str]:
-        """Names of all indexes on this table."""
-        return list(self._indexes)
-
     def index_definitions(self) -> list[tuple[str, tuple[str, ...]]]:
         """``(name, columns)`` for every index (used by persistence snapshots)."""
         return [(name, columns) for name, (columns, _) in self._indexes.items()]

@@ -215,15 +215,13 @@ class StatementTrigger:
     """An ``AFTER ... FOR EACH STATEMENT`` trigger registered on one table.
 
     ``body`` is invoked once per qualifying statement with a
-    :class:`TriggerContext`.  The optional ``sql_text`` holds the rendered SQL
-    of the generated trigger (Figure 16 of the paper) for inspection.
+    :class:`TriggerContext`.
     """
 
     name: str
     table: str
     events: frozenset[TriggerEvent]
     body: Callable[[TriggerContext], Any]
-    sql_text: str | None = None
     enabled: bool = True
     metadata: dict[str, Any] = field(default_factory=dict)
 

@@ -37,11 +37,9 @@ from repro.serving.net.protocol import (
     PROTOCOL_VERSION,
     SUPPORTED_CAPS,
     activation_from_wire,
-    decode_payload,
     encode_frame,
     negotiate_caps,
     read_frame,
-    read_frame_payload,
     run_from_wire,
     statement_to_wire,
 )
@@ -51,29 +49,6 @@ __all__ = ["NetClient", "NetSubscription"]
 
 #: Sentinel queued into a subscription to mark end-of-stream (pause/close).
 _STREAM_END = object()
-
-#: Process-wide decode memo for server *push* frames, keyed by the frame's
-#: CRC-verified payload bytes.  The server encodes a delivery run once and
-#: writes the identical frame to every subscriber; a process
-#: holding many subscriber connections receives those same bytes once per
-#: connection, and this is the decode-side mirror of that shared encode
-#: cache: one payload decode + one Activation materialization per distinct
-#: frame.  Sharing the Activation objects across connections matches
-#: in-process delivery, where every subscriber receives the same
-#: (read-only) Activation instance.  Only fully validated activation pushes
-#: are stored, so a cache hit can never skip a validation step.  Plain-dict
-#: operations are GIL-atomic; the worst cross-loop race costs a duplicate
-#: decode.
-_PUSH_DECODE_CACHE: dict[bytes, tuple[bool, tuple[Activation, ...]]] = {}
-_PUSH_DECODE_CACHE_LIMIT = 128
-
-
-def _remember_push(payload: bytes, is_batch: bool,
-                   activations: tuple[Activation, ...]) -> None:
-    if len(_PUSH_DECODE_CACHE) >= _PUSH_DECODE_CACHE_LIMIT:
-        _PUSH_DECODE_CACHE.pop(next(iter(_PUSH_DECODE_CACHE)))
-    _PUSH_DECODE_CACHE[payload] = (is_batch, activations)
-
 
 class NetSubscription:
     """The activation stream of one subscription, consumed asynchronously.
@@ -328,23 +303,10 @@ class NetClient:
         error: Exception = NetworkError("connection closed by the server")
         try:
             while True:
-                payload_bytes = await read_frame_payload(
-                    self._reader, max_frame=self._max_frame
-                )
-                cached = _PUSH_DECODE_CACHE.get(payload_bytes)
-                if cached is not None:
-                    is_batch, activations = cached
-                    if is_batch:
-                        self.batches_received += 1
-                    if self.subscription is not None:
-                        for activation in activations:
-                            self.subscription._on_decoded(activation)
-                    continue
-                message = decode_payload(payload_bytes)
+                message = await read_frame(self._reader, max_frame=self._max_frame)
                 mtype = message["type"]
                 if mtype == "activation":
                     activation = activation_from_wire(message.get("payload"))
-                    _remember_push(payload_bytes, False, (activation,))
                     if self.subscription is not None:
                         self.subscription._on_decoded(activation)
                 elif mtype == "activation_batch":
@@ -353,7 +315,6 @@ class NetClient:
                     # drop.  Each distinct node text is parsed once.
                     activations = tuple(run_from_wire(message))
                     self.batches_received += 1
-                    _remember_push(payload_bytes, True, activations)
                     if self.subscription is not None:
                         for activation in activations:
                             self.subscription._on_decoded(activation)

@@ -143,9 +143,9 @@ async def read_frame_payload(
 
     Raises :class:`~repro.errors.ProtocolError` for bad lengths and CRC
     mismatches and lets ``asyncio.IncompleteReadError`` / connection errors
-    propagate for torn transports.  Callers that want to memoize decoding
-    of identical frames (fan-out consumers) key on the returned bytes;
-    everyone else goes through :func:`read_frame`.
+    propagate for torn transports.  Callers that want the raw payload (to
+    measure or compare it) use this; everyone else goes through
+    :func:`read_frame`.
     """
     header = await reader.readexactly(HEADER.size)
     length, crc = HEADER.unpack(header)

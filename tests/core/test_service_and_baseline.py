@@ -63,9 +63,9 @@ class TestServiceBasics:
 
     def test_generated_sql_resembles_figure_16(self):
         service, _ = build_service(ExecutionMode.GROUPED_AGG)
-        sql_texts = service.generated_sql("Notify")
-        assert any("AFTER" in text and "ON VENDOR" in text for text in sql_texts)
-        assert any("FOR EACH STATEMENT" in text for text in sql_texts)
+        rendered = service.generated_sql("Notify")
+        assert any("AFTER" in text and "ON VENDOR" in text for text in rendered)
+        assert any("FOR EACH STATEMENT" in text for text in rendered)
 
     def test_group_count_stays_one_for_similar_triggers(self):
         triggers = [

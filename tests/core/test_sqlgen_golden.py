@@ -64,9 +64,7 @@ def _render(event: TriggerEvent, dialect: str) -> str:
     database = build_paper_database()
     view = catalog_view()
     path_graph = view.path_graph("/product", database)
-    translations = translate_path(
-        path_graph, event, database, PushdownOptions(), trigger_name="PaperTrigger"
-    )
+    translations = translate_path(path_graph, event, database, PushdownOptions())
     translation = translations["vendor"]
     catalog = {name: database.schema(name) for name in database.table_names()}
     return render_sql_trigger(

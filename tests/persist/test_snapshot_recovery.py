@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import RecoveryError
-from repro.persist import DurableService, Snapshot, recover_database
+from repro.persist import DurableServer, Snapshot, recover_database
 from repro.relational import Column, DataType, TableSchema
 from repro.relational.dml import (
     Batch,
@@ -80,22 +80,22 @@ def test_wal_only_recovery_reproduces_every_prefix(tmp_path):
 
 
 def test_snapshot_then_wal_tail(tmp_path):
-    service = DurableService(tmp_path, views=[catalog_view()])
-    database = service.database
+    durable = DurableServer(tmp_path, views=[catalog_view()])
+    database = durable.sharded.shards[0]
     for schema_source in build_paper_database()._tables.values():
         database.create_table(schema_source.schema)
     database.load_rows("product", PRODUCTS)
     database.load_rows("vendor", VENDORS)
-    service.snapshot()  # truncates the WAL
-    lsn = service.wal.last_lsn
+    durable.snapshot()  # truncates the WAL
+    lsn = durable.wals[0].last_lsn
     for step in range(5):
         database.execute(
             UpdateStatement("vendor", {"price": 3.0 + step}, keys=[("Amazon", "P1")])
         )
-    recovered, wal = recover_database(tmp_path, name="node")
+    recovered, wal = recover_database(tmp_path / "shard0", name="node")
     assert recovered.snapshot() == database.snapshot()
     # Recovery replays the tail written after the snapshot and nothing older.
-    assert len(list(wal.replay())) == service.wal.last_lsn - lsn == 5
+    assert len(list(wal.replay())) == durable.wals[0].last_lsn - lsn == 5
 
 
 def test_overlapping_snapshot_and_wal_do_not_double_apply(tmp_path):
@@ -128,69 +128,70 @@ def test_keyless_table_bag_replay(tmp_path):
     assert sorted(recovered.table("events").rows()) == sorted(database.table("events").rows())
 
 
+def _open(directory, actions):
+    return DurableServer(directory, views=[catalog_view()], actions=actions)
+
+
 def test_drop_table_and_drop_view_replay(tmp_path):
-    service = DurableService(tmp_path, views=[catalog_view()],
-                             actions={"notify": lambda *a: None})
-    database = service.database
+    durable = _open(tmp_path, {"notify": lambda *a: None})
+    database = durable.sharded.shards[0]
     for schema_source in build_paper_database()._tables.values():
         database.create_table(schema_source.schema)
     database.load_rows("product", PRODUCTS)
     database.load_rows("vendor", VENDORS)
-    service.ensure_view(catalog_view())
-    service.ensure_trigger(
+    durable.ensure_view(catalog_view())
+    durable.ensure_trigger(
         "CREATE TRIGGER W AFTER UPDATE ON view('catalog')/product DO notify(NEW_NODE)"
     )
-    service.service.drop_view("catalog")  # cascades: trigger dropped too
-    reopened = DurableService(tmp_path, views=[catalog_view()],
-                              actions={"notify": lambda *a: None})
-    assert reopened.service.views == []
-    assert reopened.service.triggers == []
+    durable.server.drop_view("catalog")  # cascades: trigger dropped too
+    reopened = _open(tmp_path, {"notify": lambda *a: None})
+    assert reopened.server.services[0].views == []
+    assert reopened.server.triggers == []
 
 
 def test_drop_view_then_drop_tables_still_recovers(tmp_path):
     """Registry replay is *net*: a registration cancelled by a later drop is
     never re-validated, so dropping the view's backing tables afterwards must
     not poison the directory."""
-    service = DurableService(tmp_path, views=[catalog_view()],
-                             actions={"notify": lambda *a: None})
-    database = service.database
+    durable = _open(tmp_path, {"notify": lambda *a: None})
+    database = durable.sharded.shards[0]
     for schema_source in build_paper_database()._tables.values():
         database.create_table(schema_source.schema)
-    service.ensure_view(catalog_view())
-    service.ensure_trigger(
+    durable.ensure_view(catalog_view())
+    durable.ensure_trigger(
         "CREATE TRIGGER W AFTER UPDATE ON view('catalog')/product DO notify(NEW_NODE)"
     )
-    service.service.drop_view("catalog")
+    durable.server.drop_view("catalog")
     database.drop_table("vendor")
     database.drop_table("product")
-    service.close()
-    reopened = DurableService(tmp_path, views=[catalog_view()],
-                              actions={"notify": lambda *a: None})
-    assert reopened.service.views == []
-    assert reopened.database.table_names() == []
+    durable.close()
+    reopened = _open(tmp_path, {"notify": lambda *a: None})
+    assert reopened.server.services[0].views == []
+    assert reopened.sharded.table_names() == []
 
 
 def test_recovered_registry_fires_on_new_work(tmp_path):
     notified: list = []
-    service = DurableService(tmp_path, views=[catalog_view()],
-                             actions={"notify": notified.append})
-    database = service.database
+    durable = _open(tmp_path, {"notify": notified.append})
+    database = durable.sharded.shards[0]
     for schema_source in build_paper_database()._tables.values():
         database.create_table(schema_source.schema)
     database.load_rows("product", PRODUCTS)
     database.load_rows("vendor", VENDORS)
-    service.ensure_view(catalog_view())
-    service.ensure_trigger(
+    durable.ensure_view(catalog_view())
+    durable.ensure_trigger(
         "CREATE TRIGGER W AFTER UPDATE ON view('catalog')/product "
         "WHERE OLD_NODE/@name = 'CRT 15' DO notify(NEW_NODE)"
     )
-    service.execute(UpdateStatement("vendor", {"price": 42.0}, keys=[("Amazon", "P1")]))
-    assert [fired.trigger for fired in service.fired] == ["W"]
+    with durable:
+        durable.execute(UpdateStatement("vendor", {"price": 42.0}, keys=[("Amazon", "P1")]))
+    assert [fired.trigger for fired in durable.server.fired] == ["W"]
 
+    # Reopen without close(): the crash simulation.
     relit: list = []
-    reopened = DurableService(tmp_path, views=[catalog_view()],
-                              actions={"notify": relit.append})
-    assert reopened.fired == []  # replay fired nothing
-    reopened.execute(UpdateStatement("vendor", {"price": 41.0}, keys=[("Amazon", "P1")]))
-    assert [fired.trigger for fired in reopened.fired] == ["W"]
+    reopened = _open(tmp_path, {"notify": relit.append})
+    assert reopened.server.fired == []  # replay fired nothing
+    with reopened:
+        reopened.execute(UpdateStatement("vendor", {"price": 41.0}, keys=[("Amazon", "P1")]))
+    assert [fired.trigger for fired in reopened.server.fired] == ["W"]
     assert len(relit) == 1

@@ -16,9 +16,9 @@ randomized workloads:
 * the relational mirror itself: after every run, SQLite's table contents
   must equal the in-memory database's.
 
-Every property first asserts the backend recorded **zero lowering
-fallbacks** — otherwise the firings would come from the in-memory engines
-and the comparison would be vacuous.
+The comparison cannot pass vacuously: a translation the backend cannot
+lower fails ``CREATE TRIGGER``, so every firing of a backend service comes
+from SQLite.
 """
 
 from __future__ import annotations
@@ -102,10 +102,6 @@ def _build_service(mode, *, backend=None, use_compiled=False):
     service.register_action("sink", lambda *args: None)
     for text in TRIGGERS:
         service.create_trigger(text)
-    if backend is not None:
-        # If any translation failed to lower, the comparisons below would be
-        # exercising the in-memory fallback — a vacuous pass.
-        assert service.backend_lowering_errors() == {}
     return db, service
 
 
@@ -234,7 +230,6 @@ def test_sqlite_matches_on_generated_hierarchy_workload():
                                   use_compiled_plans=False)
     setup_b = harness.build_setup(parameters, ExecutionMode.GROUPED_AGG,
                                   backend="sqlite")
-    assert setup_b.service.backend_lowering_errors() == {}
     statements_i = setup_i.workload.update_statements(30, setup_i.database)
     statements_b = setup_b.workload.update_statements(30, setup_b.database)
     for a, b in zip(statements_i, statements_b):
@@ -243,5 +238,4 @@ def test_sqlite_matches_on_generated_hierarchy_workload():
     assert _normalize(setup_b.service.fired) == _normalize(setup_i.service.fired)
     assert setup_b.service.fired, "the property is vacuous if nothing fired"
     report = setup_b.service.evaluation_report()
-    assert report["backend_lowering_fallbacks"] == 0
     assert report["backend_statements"] > 0

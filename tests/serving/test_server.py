@@ -32,7 +32,7 @@ from tests.serving.conftest import build_sharded_paper_database, by_product
 
 class TestShardRouter:
     def test_key_policy_is_deterministic_and_covers_all_shards(self):
-        router = ShardRouter(4, policy="key")
+        router = ShardRouter(4)
         shards = {router.shard_of("t", (value,)) for value in range(64)}
         assert shards == {0, 1, 2, 3}
         assert all(
@@ -40,22 +40,24 @@ class TestShardRouter:
             for value in range(64)
         )
 
-    def test_table_policy_routes_whole_tables(self):
-        router = ShardRouter(4, policy="table")
-        assert router.shard_of("product", ("P1",)) == router.shard_of("product", ("P2",))
-        statement = UpdateStatement("product", {"mfr": "x"})  # predicate-free
-        schema = build_paper_database().schema("product")
-        assert router.shard_of_statement(statement, schema) is not None
-
     def test_custom_key_fn_colocates_related_rows(self):
         router = ShardRouter(8, key_fn=by_product)
         assert router.shard_of("vendor", ("Amazon", "P1")) == router.shard_of(
             "product", ("P1",)
         )
 
+    def test_table_key_fn_routes_whole_tables(self):
+        router = ShardRouter(4, key_fn=lambda table, key: table)
+        assert router.shard_of("product", ("P1",)) == router.shard_of("product", ("P2",))
+        # Keys that would span shards under primary-key routing route to the
+        # table's one shard instead of raising.
+        schema = build_paper_database().schema("product")
+        statement = UpdateStatement("product", {"mfr": "x"}, keys=[("P1",), ("P2",), ("P3",)])
+        assert router.shard_of_statement(statement, schema) == router.shard_of("product", None)
+
     def test_keyless_row_under_key_policy_is_rejected(self):
         with pytest.raises(ShardRoutingError):
-            ShardRouter(2, policy="key").shard_of("t", None)
+            ShardRouter(2).shard_of("t", None)
 
     def test_statement_spanning_shards_is_rejected(self):
         db = build_sharded_paper_database(2)
@@ -74,8 +76,6 @@ class TestShardRouter:
     def test_bad_configuration_rejected(self):
         with pytest.raises(ShardRoutingError):
             ShardRouter(0)
-        with pytest.raises(ShardRoutingError):
-            ShardRouter(2, policy="bogus")
 
 
 # ------------------------------------------------------------------- sharded db
@@ -142,7 +142,7 @@ class TestShardedDatabase:
         routable.create_table(TableSchema("log", [Column("msg", DataType.TEXT)]))
         routable.execute(InsertStatement("log", [{"msg": "hello"}]))
         assert routable.row_count("log") == 1
-        # Under the 'key' policy it cannot be routed at all — reject it, the
+        # Without a key_fn it cannot be routed at all — reject it, the
         # same way load_rows does for keyless tables.
         strict = ShardedDatabase(2, name="strict")
         strict.create_table(TableSchema("log", [Column("msg", DataType.TEXT)]))
