@@ -40,37 +40,37 @@ _VIEW_RE = re.compile(
 )
 
 
-def _find_keyword(text: str, keyword: str, start: int = 0) -> int:
-    """Find a top-level keyword (outside quotes and parentheses), or -1."""
-    pattern = re.compile(rf"\b{keyword}\b", re.IGNORECASE)
+# What the clause scan looks at: a quoted run (to its closing quote, or to
+# the end), a parenthesis, or a whole-word WHERE / DO.  Everything else is
+# skipped by ``finditer`` in C.
+_SCAN_RE = re.compile(
+    r"""'[^']*'?|"[^"]*"?|(?P<open>\()|(?P<close>\))|\b(?P<keyword>WHERE|DO)\b""",
+    re.IGNORECASE,
+)
+_PATH_STEP_RE = re.compile(r"[A-Za-z_][\w\-\.]*")
+_ACTION_RE = re.compile(r"^(?P<fn>[A-Za-z_][\w\.]*)\s*\((?P<args>.*)\)\s*$", re.DOTALL)
+
+
+def _find_clauses(text: str) -> tuple[int, int]:
+    """Offsets of the WHERE and DO keywords outside quotes and parentheses.
+
+    DO is the first top-level ``DO`` (-1 if none); WHERE is the first
+    top-level ``WHERE`` before it (-1 if none).  One scan, stopping at DO.
+    """
     depth = 0
-    quote: str | None = None
-    i = start
-    while i < len(text):
-        ch = text[i]
-        if quote is not None:
-            if ch == quote:
-                quote = None
-            i += 1
-            continue
-        if ch in "'\"":
-            quote = ch
-            i += 1
-            continue
-        if ch == "(":
+    where = -1
+    for match in _SCAN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "open":
             depth += 1
-            i += 1
-            continue
-        if ch == ")":
+        elif kind == "close":
             depth -= 1
-            i += 1
-            continue
-        if depth == 0:
-            match = pattern.match(text, i)
-            if match:
-                return i
-        i += 1
-    return -1
+        elif kind == "keyword" and depth == 0:
+            if match.group().upper() == "DO":
+                return where, match.start()
+            if where == -1:
+                where = match.start()
+    return where, -1
 
 
 def _split_arguments(text: str) -> list[str]:
@@ -142,7 +142,7 @@ def parse_trigger(text: str) -> TriggerSpec:
     if not path_steps:
         raise TriggerSyntaxError(f"trigger {name!r}: the monitored path must name an element")
     for step in path_steps:
-        if not re.fullmatch(r"[A-Za-z_][\w\-\.]*", step):
+        if not _PATH_STEP_RE.fullmatch(step):
             raise TriggerSyntaxError(
                 f"trigger {name!r}: unsupported path step {step!r} "
                 "(only child element steps are supported in the trigger Path)"
@@ -150,19 +150,18 @@ def parse_trigger(text: str) -> TriggerSpec:
 
     rest = rest[view_match.end():]
 
-    where_index = _find_keyword(rest, "WHERE")
-    do_index = _find_keyword(rest, "DO")
+    where_index, do_index = _find_clauses(rest)
     if do_index == -1:
         raise TriggerSyntaxError(f"trigger {name!r}: missing DO <action>(...) clause")
 
     condition: str | None = None
-    if where_index != -1 and where_index < do_index:
+    if where_index != -1:
         condition = rest[where_index + len("WHERE"): do_index].strip()
         if not condition:
             raise TriggerSyntaxError(f"trigger {name!r}: empty WHERE condition")
 
     action_text = rest[do_index + len("DO"):].strip().rstrip(";").strip()
-    action_match = re.match(r"^(?P<fn>[A-Za-z_][\w\.]*)\s*\((?P<args>.*)\)\s*$", action_text, re.DOTALL)
+    action_match = _ACTION_RE.match(action_text)
     if not action_match:
         raise TriggerSyntaxError(
             f"trigger {name!r}: the action must be a function call, got {action_text!r}"

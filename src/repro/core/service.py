@@ -33,6 +33,7 @@ Three execution modes reproduce the systems evaluated in Section 6:
 from __future__ import annotations
 
 import enum
+import itertools
 import threading
 import time
 from dataclasses import dataclass, field
@@ -59,12 +60,16 @@ from repro.core.pushdown import (
 )
 from repro.core.semantics import check_trigger_specifiable
 from repro.core.sqlgen import render_sql_trigger
-from repro.core.trigger import ActionCall, TriggerSpec
+from repro.core.trigger import ActionCall, Skeletons, TriggerSpec
 from repro.matching.engine import GroupMatcher, MatchStats
 from repro.matching.indexes import PathTrie
 from repro.matching.predicates import MatchPlan, analyze_condition
 
 __all__ = ["ExecutionMode", "FiredTrigger", "PlanCache", "ActiveViewService"]
+
+# SQL trigger names are unique per process, so any number of services can
+# install groups on one Database without their names colliding.
+_SQL_TRIGGER_IDS = itertools.count(1)
 
 
 class ExecutionMode(enum.Enum):
@@ -303,7 +308,6 @@ class ActiveViewService:
         # creation/drop) so the persistence layer can log them for registry
         # rehydration after a restart (see repro.persist).
         self._ddl_listeners: list[Callable[[str, Any], None]] = []
-        self._sql_trigger_counter = 0
         self.last_compile_seconds = 0.0
         # Optional execution backend (repro.backends): mirrors the database
         # into an external engine (e.g. SQLite) and runs the generated
@@ -476,10 +480,13 @@ class ActiveViewService:
         """Create a batch of XML triggers, building matching indexes once.
 
         Semantically equivalent to calling :meth:`create_trigger` per
-        definition, but the per-group constants tables and matching indexes
-        are invalidated once per *touched group* instead of once per trigger,
-        so registering N structurally similar triggers costs one index build
-        instead of N incremental ones.  The batch is validated and compiled
+        definition, but each distinct expression *skeleton* (the text with
+        its literals taken out, see :func:`~repro.core.trigger.analyze`) is
+        parsed once per call, and the per-group constants tables and
+        matching indexes are invalidated once per *touched group* instead of
+        once per trigger, so registering N triggers that differ only in
+        constants costs one parse per expression and one index build instead
+        of N of each.  The batch is validated and compiled
         up front — unknown views, duplicate names (against the registry *and*
         within the batch), unspecifiable paths and plans the compiled engine
         or the execution backend cannot lower all fail before any trigger is
@@ -503,9 +510,13 @@ class ActiveViewService:
             self._path_graph(spec)
         # Compile every new group before touching the registry: a lowering
         # failure of any spec aborts the batch with nothing installed.
+        # One parse per distinct skeleton: a Figure 17 population that
+        # differs only in constants parses its condition and arguments once.
+        skeletons: Skeletons = {}
         prepared: dict[tuple, Any] = {}
         new_groups: dict[tuple, tuple] = {}
         for spec in specs:
+            spec.structural_signature(skeletons)
             signature = self._group_signature(spec)
             if signature not in self._groups and signature not in new_groups:
                 group = TriggerGroup(spec.structural_signature())
@@ -831,8 +842,7 @@ class ActiveViewService:
     ) -> None:
         """Register a compiled group's SQL triggers on the database."""
         for table, translation in compiled.translations.items():
-            self._sql_trigger_counter += 1
-            sql_name = f"sqlTrigger{self._sql_trigger_counter}_{table}"
+            sql_name = f"sqlTrigger{next(_SQL_TRIGGER_IDS)}_{table}"
             trigger = StatementTrigger(
                 name=sql_name,
                 table=table,

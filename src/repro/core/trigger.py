@@ -14,9 +14,9 @@ from typing import Any
 from repro.errors import TriggerSyntaxError
 from repro.relational.triggers import TriggerEvent
 from repro.xmlmodel.node import XmlNode
-from repro.xmlmodel.xpath import XPath, analyze_expression
+from repro.xmlmodel.xpath import XPath, analyze_expression, split_literals
 
-__all__ = ["TriggerSpec", "ExpressionAnalysis", "ActionCall", "XmlTriggerEvent"]
+__all__ = ["TriggerSpec", "ExpressionAnalysis", "ActionCall", "XmlTriggerEvent", "analyze"]
 
 # The XML trigger events are the same three verbs as relational events.
 XmlTriggerEvent = TriggerEvent
@@ -26,18 +26,53 @@ _UNSET = object()
 
 @dataclass(frozen=True)
 class ExpressionAnalysis:
-    """Everything trigger registration needs from one expression, one parse.
+    """Everything trigger registration needs from one expression.
 
     Grouping (the shape), the constants table (the constants) and grouped
-    evaluation (the parameterized expression) all derive from the same parse;
-    computing them together and caching the result on the spec keeps bulk
-    registration of very large trigger populations at one parse per
-    expression instead of one per consumer.
+    evaluation (the parameterized expression) all derive from one parse and
+    are cached on the spec.  Bulk registration goes further and parses once
+    per distinct *skeleton* — the expression's text with each literal
+    replaced by its kind (:func:`~repro.xmlmodel.xpath.split_literals`):
+    texts that differ only in literals share the first one's parameterized
+    expression and shape and take their constants from the split.
     """
 
     parameterized: XPath
     constants: tuple[Any, ...]
     shape: str
+
+
+#: Skeleton -> the analysis of the first text seen with it; one dict lives
+#: for one bulk registration call (see :func:`analyze`).
+Skeletons = dict[tuple[str, ...], ExpressionAnalysis]
+
+
+def analyze(text: str, skeletons: Skeletons | None = None) -> ExpressionAnalysis:
+    """The :class:`ExpressionAnalysis` of ``text``: one parse per skeleton.
+
+    Without ``skeletons`` the text is parsed.  With it, a text whose
+    skeleton was parsed before in the same dict reuses that parameterized
+    expression and shape with its own constants; otherwise it is parsed
+    (which validates it and raises its own error) and recorded.  A parse is
+    recorded only if it saw exactly the split's literals, in order, as
+    constants — a literal the grammar takes as structure (an attribute test
+    written as a string) keeps its skeleton parsing per text.
+    """
+    if skeletons is None or (split := split_literals(text)) is None:
+        return _parse(text)
+    skeleton, constants = split
+    shared = skeletons.get(skeleton)
+    if shared is not None:
+        return ExpressionAnalysis(shared.parameterized, constants, shared.shape)
+    analysis = _parse(text)
+    if analysis.constants == constants:
+        skeletons[skeleton] = analysis
+    return analysis
+
+
+def _parse(text: str) -> ExpressionAnalysis:
+    parameterized, constants, shape = analyze_expression(text)
+    return ExpressionAnalysis(XPath(parameterized), tuple(constants), shape)
 
 
 @dataclass
@@ -89,45 +124,43 @@ class TriggerSpec:
 
     # -- analysis (grouping signature, constants, parameterized forms) -------------
 
-    def condition_analysis(self) -> ExpressionAnalysis | None:
-        """The condition's :class:`ExpressionAnalysis` (cached; one parse ever)."""
+    def condition_analysis(
+        self, skeletons: Skeletons | None = None
+    ) -> ExpressionAnalysis | None:
+        """The condition's :class:`ExpressionAnalysis` (cached on the spec)."""
         cached = self.__dict__.get("_condition_analysis", _UNSET)
         if cached is _UNSET:
             if self.condition is None or not self.condition.strip():
                 cached = None
             else:
-                parameterized, constants, shape = analyze_expression(self.condition)
-                cached = ExpressionAnalysis(XPath(parameterized), tuple(constants), shape)
+                cached = analyze(self.condition, skeletons)
             self.__dict__["_condition_analysis"] = cached
         return cached
 
-    def argument_analyses(self) -> tuple[ExpressionAnalysis, ...]:
+    def argument_analyses(
+        self, skeletons: Skeletons | None = None
+    ) -> tuple[ExpressionAnalysis, ...]:
         """Per action argument :class:`ExpressionAnalysis` (cached)."""
         cached = self.__dict__.get("_argument_analyses")
         if cached is None:
-            analyses = []
-            for argument in self.action_args:
-                parameterized, constants, shape = analyze_expression(argument)
-                analyses.append(
-                    ExpressionAnalysis(XPath(parameterized), tuple(constants), shape)
-                )
-            cached = tuple(analyses)
+            cached = tuple(analyze(argument, skeletons) for argument in self.action_args)
             self.__dict__["_argument_analyses"] = cached
         return cached
 
-    def structural_signature(self) -> tuple:
+    def structural_signature(self, skeletons: Skeletons | None = None) -> tuple:
         """Signature under which structurally similar triggers are grouped.
 
         Two triggers share a group (and hence one generated SQL trigger per
         table-event) iff they monitor the same view path for the same event
         and their conditions / action parameters differ only in literal
-        constants.
+        constants.  ``skeletons`` is passed on to the first analysis of the
+        condition and arguments (see :func:`analyze`).
         """
         cached = self.__dict__.get("_structural_signature")
         if cached is None:
-            analysis = self.condition_analysis()
+            analysis = self.condition_analysis(skeletons)
             condition_shape = None if analysis is None else analysis.shape
-            argument_shapes = tuple(a.shape for a in self.argument_analyses())
+            argument_shapes = tuple(a.shape for a in self.argument_analyses(skeletons))
             cached = (self.view, self.path, self.event.value, condition_shape,
                       self.action_name, argument_shapes)
             self.__dict__["_structural_signature"] = cached

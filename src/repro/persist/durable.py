@@ -68,15 +68,17 @@ class _RegistryLog:
     def replay_into(
         self,
         register_view: Callable[[ViewDefinition], None],
-        create_trigger: Callable[[TriggerSpec], None],
+        register_triggers: Callable[[list[TriggerSpec]], Any],
         resolver: Mapping[str, ViewDefinition],
     ) -> None:
         """Rehydrate the *net* registry: only registrations that survived.
 
         The log is first folded to its net effect (a registration cancelled
         by a later drop is skipped entirely, as are the drop's cascaded
-        trigger drops), then the surviving views and triggers are
-        re-registered in first-registration order.  Netting matters for more
+        trigger drops), then the surviving views are re-registered and the
+        surviving triggers bulk-registered in one call, in first-registration
+        order: one parse per expression skeleton and one matching-index build
+        per group, however many triggers survive.  Netting matters for more
         than speed: transient registry states may reference tables that were
         dropped later in the history, and re-validating them against the
         *final* (post-WAL-replay) table catalog would fail even though the
@@ -109,8 +111,7 @@ class _RegistryLog:
                     "in views=[...] (views are code and cannot be logged)"
                 )
             register_view(resolver[name])
-        for spec in triggers.values():
-            create_trigger(spec)
+        register_triggers(list(triggers.values()))
 
     def record(self, kind: str, payload: Any) -> None:
         if kind in ("register_view", "drop_view"):
@@ -203,7 +204,7 @@ class DurableServer:
         self._registry = _RegistryLog(self.directory / DDL_FILE, sync)
         self._registry.replay_into(
             self.server.register_view,
-            self.server.create_trigger,
+            self.server.register_triggers_bulk,
             self._resolver,
         )
 

@@ -17,11 +17,14 @@ axes).
 The same expression parser doubles as the shape under trigger *grouping*
 (Section 5.1): :func:`split_constants` extracts literal constants from a
 condition and replaces them with placeholder parameters, so structurally
-similar conditions can share one constants table.
+similar conditions can share one constants table.  :func:`split_literals`
+finds the same constants without parsing, from the tokenizer's own regex,
+so bulk registration parses one text per literal-free skeleton.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -34,6 +37,7 @@ __all__ = [
     "evaluate_xpath",
     "split_constants",
     "analyze_expression",
+    "split_literals",
     "XPathExpr",
 ]
 
@@ -138,13 +142,30 @@ class Unary(XPathExpr):
 # Lexer
 # ---------------------------------------------------------------------------
 
-_SYMBOLS = ["//", "!=", "<=", ">=", "::", "(", ")", "[", "]", "/", "@", "$", ",",
-            "=", "<", ">", "+", "-", "*", "."]
 _AXES = {"child", "descendant", "descendant-or-self", "attribute", "self"}
 _FUNCTIONS = {
     "count", "not", "exists", "empty", "string", "number", "sum", "min", "max",
     "avg", "contains", "starts-with", "concat", "true", "false", "boolean",
 }
+
+# The one lexical grammar: :func:`_tokenize` and :func:`split_literals` both
+# scan with it, so the parser's tokens and the grouping skeleton cannot drift
+# apart.  Alternatives are tried in order: whitespace, a quoted string, a
+# quote with no closing partner, a number (a digit, or '.' before a digit,
+# then digits and dots), a symbol (two-character ones first), a name (a
+# letter or '_', then letters, digits, '_' and '-'), anything else.  ``\w``
+# is ``str.isalnum()`` or '_' and ``\d`` is ``str.isdecimal()``; a name's
+# first character is checked with ``str.isalpha()`` by the tokenizer.
+_TOKEN_RE = re.compile(
+    r"""(?P<space>[ \t\r\n]+)
+      | (?P<string>'[^']*'|"[^"]*")
+      | (?P<unterminated>['"])
+      | (?P<number>(?:\d|\.(?=\d))[\d.]*)
+      | (?P<symbol>//|!=|<=|>=|::|[()\[\]/@$,=<>+*.-])
+      | (?P<name>[^\W\d][\w-]*)
+      | (?P<error>.)""",
+    re.VERBOSE | re.DOTALL,
+)
 
 
 @dataclass
@@ -154,50 +175,71 @@ class _Token:
     pos: int
 
 
+def _number(raw: str) -> int | float:
+    """A number token's value: ``float`` if it has a '.', else ``int``."""
+    return float(raw) if "." in raw else int(raw)
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "space":
             continue
-        if ch in "'\"":
-            end = text.find(ch, i + 1)
-            if end == -1:
-                raise XPathError(f"unterminated string literal at offset {i}")
-            tokens.append(_Token("string", text[i + 1 : end], i))
-            i = end + 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            raw = text[i:j]
-            value = float(raw) if "." in raw else int(raw)
-            tokens.append(_Token("number", value, i))
-            i = j
-            continue
-        matched = False
-        for symbol in _SYMBOLS:
-            if text.startswith(symbol, i):
-                # '.' followed by a digit was handled above; a lone '.' is a symbol.
-                tokens.append(_Token("symbol", symbol, i))
-                i += len(symbol)
-                matched = True
-                break
-        if matched:
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_-"):
-                j += 1
-            tokens.append(_Token("name", text[i:j], i))
-            i = j
-            continue
-        raise XPathError(f"unexpected character {ch!r} at offset {i}")
+        raw = match.group()
+        pos = match.start()
+        if kind == "string":
+            tokens.append(_Token("string", raw[1:-1], pos))
+        elif kind == "number":
+            try:
+                value = _number(raw)
+            except ValueError:
+                raise XPathError(f"invalid number {raw!r} at offset {pos}") from None
+            tokens.append(_Token("number", value, pos))
+        elif kind == "symbol":
+            tokens.append(_Token("symbol", raw, pos))
+        elif kind == "name" and (raw[0].isalpha() or raw[0] == "_"):
+            tokens.append(_Token("name", raw, pos))
+        elif kind == "unterminated":
+            raise XPathError(f"unterminated string literal at offset {pos}")
+        else:
+            raise XPathError(f"unexpected character {raw[0]!r} at offset {pos}")
     return tokens
+
+
+def split_literals(text: str) -> tuple[tuple[str, ...], tuple[Any, ...]] | None:
+    """Split an expression into its literal-free *skeleton* and its literals.
+
+    The skeleton is ``(segment, kind, segment, kind, ..., segment)``: the
+    source text between literals, verbatim, with each literal's token kind
+    (``'string'`` or ``'number'``) in its place.  It is a tuple, not a string
+    with placeholders spliced in, so no text can collide with another's
+    skeleton.  Two texts with equal skeletons tokenize alike but for their
+    literal values, so they parse alike: same parameterized AST and shape
+    (:func:`analyze_expression`), constants in source order — wherever the
+    grammar takes every literal as a value (it also accepts a string as the
+    test of ``axis::@'name'``).  No parse happens here.  Returns ``None``
+    when a number literal does not convert; parsing the text reports that
+    error.
+    """
+    skeleton: list[str] = []
+    constants: list[Any] = []
+    start = 0
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "string":
+            constants.append(match.group()[1:-1])
+        elif kind == "number":
+            try:
+                constants.append(_number(match.group()))
+            except ValueError:
+                return None
+        else:
+            continue
+        skeleton += (text[start : match.start()], kind)
+        start = match.end()
+    skeleton.append(text[start:])
+    return tuple(skeleton), tuple(constants)
 
 
 # ---------------------------------------------------------------------------
@@ -830,8 +872,10 @@ def analyze_expression(expression: str | XPathExpr) -> tuple[XPathExpr, list[Any
     """Parameterized AST, extracted constants, and canonical shape — one parse.
 
     Equivalent to ``split_constants`` followed by ``expression_shape`` but
-    parses the source text only once; trigger registration calls this per
-    expression so bulk registration of very large populations stays cheap.
+    parses the source text only once.  Trigger registration calls this once
+    per expression in ``create_trigger`` and once per distinct skeleton
+    (:func:`split_literals`) per bulk registration call; the other texts of
+    a skeleton reuse the result with their own constants.
     """
     parameterized, constants = split_constants(expression)
     return parameterized, constants, _shape(parameterized)

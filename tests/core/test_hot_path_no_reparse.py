@@ -12,6 +12,12 @@ These tests pin the invariant mechanically: after registration, a stream
 of firing statements performs **zero** XPath parses — in the translated
 service (every mode) and in the MATERIALIZED baseline.
 
+Registration itself parses once per distinct expression *skeleton* (the
+text with its literals taken out) per bulk call: a Figure 17 population of
+1 000 triggers that differ only in a constant costs two parses (one
+condition skeleton, one argument skeleton), bulk-registered or recovered
+from the DDL log, and groups exactly as per-trigger registration does.
+
 The same counter-based style pins the other per-statement invariant of the
 hot path: a statement fired against N sibling trigger groups runs the plan
 engine **once**, not N times (the groups read the statement's evaluation
@@ -26,11 +32,14 @@ import pytest
 from repro.core.baseline import MaterializedBaseline
 from repro.core.language import parse_trigger
 from repro.core.service import ActiveViewService, ExecutionMode
+from repro.persist.recovery import DDL_FILE
 from repro.relational.dml import UpdateStatement
+from repro.workloads import HierarchyWorkload, WorkloadParameters
 from repro.xmlmodel import xpath as xpath_module
 from repro.xqgm.views import catalog_view
 
 from tests.conftest import build_paper_database
+from tests.persist.test_durable_server import open_server, populate
 
 TRIGGERS = [
     "CREATE TRIGGER Crt AFTER UPDATE ON view('catalog')/product "
@@ -142,6 +151,122 @@ def test_analysis_is_cached_per_spec(count_parses):
     assert count_parses["calls"] == warmup, (
         "trigger accessors re-parsed despite the per-spec caches"
     )
+
+
+#: A small hierarchy database; only the trigger population matters here.
+FIRE_HOT = WorkloadParameters(
+    depth=2, leaf_tuples=256, fanout=16, num_triggers=1_000, satisfied_triggers=20, seed=4242
+)
+
+
+def _hierarchy_service(mode: ExecutionMode) -> tuple[ActiveViewService, HierarchyWorkload]:
+    workload = HierarchyWorkload(FIRE_HOT)
+    service = ActiveViewService(workload.build_database(), mode)
+    service.register_view(workload.build_view())
+    service.register_action("collect", lambda node: None)
+    return service, workload
+
+
+def test_bulk_registration_parses_once_per_skeleton(count_parses):
+    service, workload = _hierarchy_service(ExecutionMode.GROUPED_AGG)
+    definitions = workload.trigger_definitions()
+    assert len(definitions) == 1_000
+    count_parses["calls"] = 0
+    service.register_triggers_bulk(definitions)
+    # "OLD_NODE/@name = '…'" and "NEW_NODE": two skeletons, two parses.
+    assert count_parses["calls"] == 2
+    assert service.group_count() == 1
+
+
+def _mixed_population(workload: HierarchyWorkload) -> list[str]:
+    """Four shapes, string and number literals, one shape without literals."""
+    view = f"view('{workload.parameters.view_name}')/{workload.level_element(0)}"
+    definitions = []
+    for index in range(60):
+        condition = [
+            f"WHERE OLD_NODE/@name = '{workload.top_name(index % 7)}' ",
+            f"WHERE OLD_NODE/@name = {index % 5} ",
+            f"WHERE count(NEW_NODE/*) >= {index % 3} and NEW_NODE/@name != 'x{index}' ",
+            "",
+        ][index % 4]
+        definitions.append(
+            f"CREATE TRIGGER m{index} AFTER UPDATE ON {view} {condition}"
+            f"DO collect(NEW_NODE)"
+        )
+    return definitions
+
+
+def _grouping(service: ActiveViewService) -> dict:
+    return {
+        signature: (
+            [
+                (row.trigger_names, row.condition_constants, row.argument_constants)
+                for row in compiled.group.constants_table()
+            ],
+            None if compiled.condition is None else compiled.condition.ast,
+            [argument.ast for argument in compiled.arguments],
+        )
+        for signature, compiled in service._groups.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "mode", [ExecutionMode.UNGROUPED, ExecutionMode.GROUPED, ExecutionMode.GROUPED_AGG]
+)
+def test_bulk_grouping_equals_per_trigger_registration(count_parses, mode):
+    bulk, workload = _hierarchy_service(mode)
+    single, _ = _hierarchy_service(mode)
+    definitions = _mixed_population(workload)
+
+    count_parses["calls"] = 0
+    bulk.register_triggers_bulk(definitions)
+    # Four skeletons: the string and the number condition (one shape, two
+    # literal kinds), the two-literal condition and the argument; the
+    # condition-less shape has no condition to parse.
+    assert count_parses["calls"] == 4
+    for definition in definitions:
+        single.create_trigger(definition)
+
+    assert bulk.group_count() == single.group_count()
+    assert _grouping(bulk) == _grouping(single)
+    for left, right in zip(bulk.triggers, single.triggers):
+        assert left.structural_signature() == right.structural_signature()
+        assert left.condition_constants() == right.condition_constants()
+
+
+def test_create_trigger_parses_each_expression_at_most_once(count_parses):
+    service = ActiveViewService(build_paper_database(with_foreign_keys=False))
+    service.register_view(catalog_view())
+    service.register_action("sink", lambda *args: None)
+    for text in TRIGGERS:
+        spec = parse_trigger(text)
+        expressions = len(spec.action_args) + (spec.condition is not None)
+        count_parses["calls"] = 0
+        service.create_trigger(spec)
+        assert count_parses["calls"] <= expressions
+
+
+def test_recovery_replay_parses_once_per_skeleton(tmp_path, count_parses):
+    server = open_server(tmp_path)
+    populate(server)  # one view and one condition-less trigger
+    server.server.register_triggers_bulk(
+        f"CREATE TRIGGER Crt{index} AFTER UPDATE ON view('catalog')/product "
+        f"WHERE OLD_NODE/@name = 'CRT {index}' DO notify(NEW_NODE)"
+        for index in range(200)
+    )
+    ddl_bytes = (tmp_path / DDL_FILE).stat().st_size
+    groups = [service.group_count() for service in server.server.services]
+
+    count_parses["calls"] = 0
+    recovered = open_server(tmp_path)  # crash: no close()
+    # "OLD_NODE/@name = '…'" and "NEW_NODE", for both shards together.
+    assert count_parses["calls"] == 2
+    assert [spec.name for spec in recovered.server.triggers] == [
+        spec.name for spec in server.server.triggers
+    ]
+    assert [service.group_count() for service in recovered.server.services] == groups
+    # Replay re-registers through the server but logs nothing new.
+    assert (tmp_path / DDL_FILE).stat().st_size == ddl_bytes
 
 
 def _sibling_groups(count: int) -> list[str]:

@@ -5,6 +5,7 @@ import pytest
 from repro.core.baseline import MaterializedBaseline
 from repro.core.language import parse_trigger
 from repro.core.service import ActiveViewService, ExecutionMode
+from repro.relational.dml import UpdateStatement
 from repro.xmlmodel import serialize
 from repro.xqgm.views import catalog_view
 
@@ -86,6 +87,22 @@ class TestServiceBasics:
         service.update("vendor", {"price": 75.0},
                        where=lambda r: r["vid"] == "Amazon" and r["pid"] == "P1")
         assert service.fired == []
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_two_services_on_one_database_both_fire(self, mode):
+        # SQL trigger names must not collide between services sharing a
+        # database: both install the same XML trigger and both fire.
+        db = build_paper_database()
+        first, first_sink = build_service(mode, db=db)
+        second, second_sink = build_service(mode, db=db)
+        db.execute(UpdateStatement("vendor", {"price": 75.0}, keys=[("Amazon", "P1")]))
+        assert [f.trigger for f in first.fired] == ["Notify"]
+        assert [f.trigger for f in second.fired] == ["Notify"]
+        assert len(first_sink) == len(second_sink) == 1
+        second.drop_trigger("Notify")
+        assert [t.name for t in db.triggers()] == [
+            name for compiled in first._groups.values() for name in compiled.sql_trigger_names
+        ]
 
     def test_duplicate_trigger_name_rejected(self):
         service, _ = build_service(ExecutionMode.GROUPED)
