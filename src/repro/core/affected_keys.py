@@ -11,17 +11,22 @@ The key idea (mirrored here operator by operator):
 
 * ``Table``: the affected keys of the updated table are simply the primary
   keys of the transition table.
-* ``GroupBy``: join the operator's *original* input with the affected keys of
-  that input, then project the distinct grouping-column values — any group
-  containing an affected input tuple is itself affected.  The input is pruned
-  to the columns this reads (keys, plus whatever the view's predicates
-  reference), so no XML is constructed for it.
+* ``GroupBy``: *restrict* the operator's original input to its affected
+  tuples, then project the distinct grouping-column values — any group
+  containing an affected input tuple is itself affected.
 * ``Select`` / ``Project``: pass the affected keys through unchanged, making
   sure the key columns are propagated to the operator's output (Figure 8,
   line 57).
-* ``Join``: a union of cross-products — affected keys of one leg paired with
-  all rows of the other leg.
-* ``Union``: union of the per-input affected keys, mapped to output columns.
+* ``Join``: a union over the affected legs — the join restricted to the
+  affected tuples of one leg, the other legs reduced through the join's own
+  predicates.
+* ``Union``: union of the per-input affected keys, each input restricted
+  and mapped to output columns.
+
+All three cases restrict the same way (:func:`_restricted`): the input is
+pruned to the columns read (keys, join columns, and whatever the view's
+predicates reference, so no XML is constructed for it), the affected keys
+are pushed into it as semi-joins, and the result is joined with them.
 
 Because the affected-key graph re-uses the *original* operators of the view
 graph (shared subgraphs), evaluating it sees complete groups rather than just
@@ -36,7 +41,7 @@ collide with the original graph's columns; the returned
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.errors import TriggerCompilationError
 from repro.relational.database import Database
@@ -73,6 +78,12 @@ class AffectedKeyGraph:
 
     op: Operator | None
     key_pairs: tuple[tuple[str, str], ...]
+    #: Whether some join below was reached through more than one leg.  Its
+    #: affected tuples then include rows that did not change themselves —
+    #: the other legs' rows joined with a changed one (siblings under an
+    #: affected ancestor) — and only the ``OLD_NODE ≠ NEW_NODE`` check tells
+    #: them apart, which a keys-only GROUPED-AGG old side cannot do.
+    multi_leg_join: bool = False
 
     @property
     def is_empty(self) -> bool:
@@ -159,22 +170,9 @@ def _create(
         if inner.is_empty:
             return AffectedKeyGraph(None, ())
         # Join the operator's original input with the affected keys of that
-        # input (Figure 8, line 15); grouping columns must be available there.
-        ensure_columns(op.input, list(inner.graph_columns))
-        # Only keys are read from the input (Figure 16's AffectedKeys CTE
-        # selects nothing else): prune it to them, dropping the element
-        # constructors and xmlfrag aggregates but keeping whatever the view's
-        # own predicates reference.
-        key_input = prune_columns(op.input, list(op.grouping) + list(inner.graph_columns))
-        # Execution detail (Trigger Pushdown / Figure 16 "AffectedKeys" CTE):
-        # push the affected keys into the input as a semi-join so the join is
-        # driven by the transition tables instead of scanning the input.
-        reduced_input = push_semijoin(key_input, list(inner.key_pairs), inner.op)
-        joined = JoinOp(
-            [reduced_input, inner.op],
-            equi_pairs=list(inner.key_pairs),
-            label=f"ak-join[group#{op.id}]",
-        )
+        # input (Figure 8, line 15); only keys are read from it (Figure 16's
+        # AffectedKeys CTE selects nothing else).
+        joined = _restricted(op.input, inner, op.grouping, f"ak-join[group#{op.id}]")
         grouped = GroupByOp(joined, op.grouping, [], label=f"ak-groups[#{op.id}]")
         suffix = _ak_suffix(op)
         projections = [
@@ -182,7 +180,7 @@ def _create(
         ]
         projected = ProjectOp(grouped, projections, label=f"ak-group-keys[#{op.id}]")
         pairs = tuple((column, f"{column}{suffix}") for column in op.grouping)
-        return AffectedKeyGraph(projected, pairs)
+        return AffectedKeyGraph(projected, pairs, inner.multi_leg_join)
 
     # ---- Select / Project --------------------------------------------------------
     if isinstance(op, (SelectOp, ProjectOp, UnnestOp)):
@@ -192,7 +190,7 @@ def _create(
         # Ensure the operator propagates the key columns ("Add K to
         # O.outputColumns", line 57).
         ensure_columns(op, list(inner.graph_columns))
-        return AffectedKeyGraph(inner.op, inner.key_pairs)
+        return inner
 
     # ---- Join ----------------------------------------------------------------------
     if isinstance(op, JoinOp):
@@ -213,60 +211,46 @@ def _create_for_join(
     delta_variant: TableVariant,
     catalog: Mapping[str, TableSchema],
 ) -> AffectedKeyGraph:
-    """Join case of Figure 8 (lines 36-39): union of per-leg cross-products.
+    """Join case of Figure 8 (lines 36-39): one branch per affected leg.
 
-    With one affected leg the restriction passes through unchanged; when the
-    updated table reaches the join through several legs, each affected leg is
-    crossed with the *original* other legs and the branches are unioned on
-    the join's canonical key columns.
+    With one affected leg the restriction passes through unchanged.  When
+    the updated table reaches the join through several legs, each branch is
+    the join itself restricted to the affected tuples of one leg
+    (:func:`_restricted`) — the join keeps its own predicates, so the other
+    legs are reduced through them rather than crossed whole — and the
+    branches are unioned on the join's canonical key.
+
+    A nested path joins the parent level with a scan of the parent's table
+    under the parent's own alias (``path-link``, see
+    :meth:`~repro.xqgm.views.ViewDefinition.path_graph`), so two legs may
+    name a column alike.  That is safe here: the only such column is the
+    parent element key the two legs are joined on, equal in every joined row.
     """
     results = [_create(input_op, table, delta_variant, catalog) for input_op in op.inputs]
     affected = [(i, result) for i, result in enumerate(results) if not result.is_empty]
     if not affected:
         return AffectedKeyGraph(None, ())
     if len(affected) == 1:
-        index, inner = affected[0]
+        _, inner = affected[0]
         ensure_columns(op, list(inner.graph_columns))
-        return AffectedKeyGraph(inner.op, inner.key_pairs)
+        return inner
 
-    # More than one leg can be affected (the updated table appears several
-    # times in the view): build a union of cross-products (Figure 8, 36-39).
-    suffix = _ak_suffix(op)
-    combined_pairs: list[tuple[str, str]] = []
-    for input_op in op.inputs:
-        input_key = getattr(input_op, "canonical_key", None) or ()
-        for column in input_key:
-            combined_pairs.append((column, f"{column}{suffix}"))
-    if not combined_pairs:
+    join_key = getattr(op, "canonical_key", None)
+    if not join_key:
         raise TriggerCompilationError(
-            "Join inputs have no derived canonical keys; run derive_keys() first"
+            "Join operator has no derived canonical key; run derive_keys() first"
         )
-
+    ensure_columns(op, list(join_key))
+    suffix = _ak_suffix(op)
     branches: list[Operator] = []
     for index, inner in affected:
-        legs: list[Operator] = []
-        rename: dict[str, str] = {}
-        for i, input_op in enumerate(op.inputs):
-            if i == index:
-                legs.append(inner.op)
-                for graph_column, key_column in inner.key_pairs:
-                    rename[graph_column] = key_column
-            else:
-                legs.append(input_op)
-        cross = JoinOp(legs, label=f"ak-cross[#{op.id}:{index}]")
-        projections = []
-        for graph_column, output_column in combined_pairs:
-            source = rename.get(graph_column, graph_column)
-            projections.append((output_column, ColumnRef(source)))
-        branches.append(ProjectOp(cross, projections, label=f"ak-branch[#{op.id}:{index}]"))
-
-    output_columns = [output_column for _, output_column in combined_pairs]
-    if len(branches) == 1:
-        union: Operator = branches[0]
-    else:
-        union = UnionOp(branches, columns=output_columns, label=f"ak-union[#{op.id}]")
-    ensure_columns(op, [graph_column for graph_column, _ in combined_pairs])
-    return AffectedKeyGraph(union, tuple(combined_pairs))
+        restricted = _restricted(op, inner, join_key, f"ak-join[#{op.id}:{index}]")
+        projections = [(f"{column}{suffix}", ColumnRef(column)) for column in join_key]
+        branches.append(ProjectOp(restricted, projections, label=f"ak-branch[#{op.id}:{index}]"))
+    output_columns = [f"{column}{suffix}" for column in join_key]
+    union = UnionOp(branches, columns=output_columns, label=f"ak-union[#{op.id}]")
+    pairs = tuple((column, f"{column}{suffix}") for column in join_key)
+    return AffectedKeyGraph(union, pairs, multi_leg_join=True)
 
 
 def _create_for_union(
@@ -283,20 +267,20 @@ def _create_for_union(
         )
     suffix = _ak_suffix(op)
     branches: list[Operator] = []
+    multi_leg_join = False
     for input_op, mapping in zip(op.inputs, op.mappings):
         inner = _create(input_op, table, delta_variant, catalog)
         if inner.is_empty:
             continue
+        multi_leg_join = multi_leg_join or inner.multi_leg_join
         # Restrict the input to its affected tuples, then project the union's
         # key columns (mapped through this input's column mapping).
-        ensure_columns(input_op, list(inner.graph_columns))
-        joined = JoinOp(
-            [input_op, inner.op], equi_pairs=list(inner.key_pairs), label=f"ak-union-join[#{op.id}]"
-        )
-        projections = []
-        for output_column in union_key:
-            input_column = mapping[output_column]
-            projections.append((f"{output_column}{suffix}", ColumnRef(input_column)))
+        input_key = [mapping[output_column] for output_column in union_key]
+        joined = _restricted(input_op, inner, input_key, f"ak-union-join[#{op.id}]")
+        projections = [
+            (f"{output_column}{suffix}", ColumnRef(input_column))
+            for output_column, input_column in zip(union_key, input_key)
+        ]
         branches.append(ProjectOp(joined, projections, label=f"ak-union-branch[#{op.id}]"))
     if not branches:
         return AffectedKeyGraph(None, ())
@@ -306,4 +290,22 @@ def _create_for_union(
     else:
         union = UnionOp(branches, columns=output_columns, label=f"ak-union[#{op.id}]")
     pairs = tuple((column, f"{column}{suffix}") for column in union_key)
-    return AffectedKeyGraph(union, pairs)
+    return AffectedKeyGraph(union, pairs, multi_leg_join)
+
+
+def _restricted(
+    source: Operator, inner: AffectedKeyGraph, columns: Sequence[str], label: str
+) -> Operator:
+    """``source`` restricted to its affected tuples, reading only keys.
+
+    ``source`` is pruned to ``columns`` plus the affected-key columns (a
+    join also keeps its join columns, a select its predicate's), so no
+    element constructor or ``xmlfrag`` aggregate is evaluated for it; the
+    affected keys are pushed into it as semi-joins, so it is driven by the
+    transition tables instead of scanned; and the result is joined with the
+    keys on :attr:`AffectedKeyGraph.key_pairs`.
+    """
+    ensure_columns(source, list(inner.graph_columns))
+    pruned = prune_columns(source, list(columns) + list(inner.graph_columns))
+    reduced = push_semijoin(pruned, list(inner.key_pairs), inner.op)
+    return JoinOp([reduced, inner.op], equi_pairs=list(inner.key_pairs), label=label)

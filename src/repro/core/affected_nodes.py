@@ -17,13 +17,14 @@ relational statement, *without materializing the view*:
    injective views evaluated with pruned transition tables (Theorem 3 /
    ``CreateANOpt``).
 
-Steps 1–3 do not depend on the event: :func:`create_an_sides` builds them
-once (:class:`AffectedNodeSides`) and :func:`an_graph_over` /
-:func:`combine_sides` add the per-event steps 4–5 on top, referencing the
-same side operators for all three events.
-The Trigger Pushdown stage (Section 5) re-derives optimized sides from the
-same pieces (semi-join pushdown of the affected keys, GROUPED-AGG
-compensation) and combines them the same way.
+Steps 1–3 do not depend on the event: :func:`create_an_sides` builds steps
+1–2 once (:class:`AffectedNodeSides`), the two node sides of step 3 are
+joined over them, and :func:`combine_sides` adds the per-event steps 4–5,
+referencing the same side operators for all three events.
+:func:`create_an_graph` builds the step 3 sides faithfully; the Trigger
+Pushdown stage (Section 5) builds optimized ones from the same pieces
+(semi-join pushdown of the affected keys, GROUPED-AGG compensation) and
+combines them the same way.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ __all__ = [
     "AffectedNodeGraph",
     "AffectedNodeSides",
     "NodesDiffer",
-    "an_graph_over",
     "create_an_graph",
     "create_an_sides",
     "combine_sides",
@@ -103,16 +103,15 @@ class NodesDiffer(Expression):
 
 @dataclass
 class AffectedNodeSides:
-    """The event-independent half of Figure 12, built once per (``G``, ``B``).
+    """The event-independent inputs of Figure 12, built once per (``G``, ``B``).
 
-    INSERT, UPDATE and DELETE pairs all derive from the same two sub-plans —
-    keys ⋈ ``G`` (:attr:`new_side`, producing ``NEW_NODE``) and keys ⋈
-    ``G_old`` (:attr:`old_side`, producing ``OLD_NODE``) over one affected-key
-    union (:attr:`union_keys`); only the last operator differs per event
-    (:func:`combine_sides`).  The three event graphs of one monitored path
-    therefore reference the *same* operator objects here, which is what lets
-    the compiled plans evaluate each side once per statement however many
-    trigger groups and events that statement fires.
+    INSERT, UPDATE and DELETE pairs all derive from the same two sub-plans
+    over one affected-key union (:attr:`union_keys`) — keys ⋈ ``G``
+    (producing ``NEW_NODE``) and keys ⋈ :attr:`g_old_top` (producing
+    ``OLD_NODE``); only the last operator differs per event
+    (:func:`combine_sides`).  The node sides are built by the caller: the
+    faithful ones by :func:`create_an_graph`, the pushed ones by
+    :class:`~repro.core.pushdown.SharedSides`.
     """
 
     table: str
@@ -125,9 +124,15 @@ class AffectedNodeSides:
     ak_deleted: AffectedKeyGraph | None
     union_keys: Operator
     union_key_columns: tuple[str, ...]
-    new_side: Operator
-    old_side: Operator
     g_old_top: Operator
+
+    @property
+    def multi_leg_join(self) -> bool:
+        """Whether either affected-key graph reached some join through
+        several legs (:attr:`AffectedKeyGraph.multi_leg_join`)."""
+        return any(
+            ak is not None and ak.multi_leg_join for ak in (self.ak_inserted, self.ak_deleted)
+        )
 
 
 @dataclass
@@ -158,8 +163,8 @@ def create_an_sides(
     table: str,
     catalog: Database | Mapping[str, TableSchema],
 ) -> AffectedNodeSides:
-    """The event-independent steps of ``CreateANGraph``: affected keys, their
-    union, and both node sides.
+    """The event-independent steps of ``CreateANGraph``: affected keys and
+    their union.
 
     The affected keys are read from the pruned transition tables of
     Definition 8 (rows whose values did not change are dropped).
@@ -169,7 +174,6 @@ def create_an_sides(
 
     g_top = path_graph.top
     derive_keys(g_top, catalog)
-    node_column = path_graph.node_column
     key_columns = tuple(path_graph.key_columns)
 
     # Step 1-2: affected keys for ΔB over G, and for ∇B over G_old.
@@ -209,18 +213,6 @@ def create_an_sides(
         ak_inserted, ak_deleted, covered_key_columns, union_key_columns
     )
 
-    # Step 4: join the keys back with G (NEW_NODE) and G_old (OLD_NODE).
-    new_side = _node_side(
-        union_keys, union_key_columns, g_top, node_column, key_columns,
-        node_output=NEW_NODE, key_suffix="", label="new-nodes",
-        join_columns=covered_key_columns,
-    )
-    old_side = _node_side(
-        union_keys, union_key_columns, g_old_top, node_column, key_columns,
-        node_output=OLD_NODE, key_suffix="#old", label="old-nodes",
-        join_columns=covered_key_columns,
-    )
-
     return AffectedNodeSides(
         table=table,
         path_graph=path_graph,
@@ -231,8 +223,6 @@ def create_an_sides(
         ak_deleted=None if ak_deleted.is_empty else ak_deleted,
         union_keys=union_keys,
         union_key_columns=union_key_columns,
-        new_side=new_side,
-        old_side=old_side,
         g_old_top=g_old_top,
     )
 
@@ -274,25 +264,6 @@ def combine_sides(
     raise TriggerCompilationError(f"unknown trigger event {event!r}")  # pragma: no cover
 
 
-def an_graph_over(
-    sides: AffectedNodeSides, event: TriggerEvent, check_difference: bool | None = None
-) -> AffectedNodeGraph:
-    """``G_affected`` for ``event`` over already built sides.
-
-    ``check_difference`` forces/suppresses the final ``OLD_NODE ≠ NEW_NODE``
-    selection for UPDATE events; the default (``None``) is the safe one —
-    verify the node actually changed.  Callers suppress the check for
-    injective views with pruned transition tables (Theorem 3).
-    """
-    checks = event is TriggerEvent.UPDATE and (
-        True if check_difference is None else bool(check_difference)
-    )
-    top = combine_sides(
-        event, sides.new_side, sides.old_side, sides.key_columns, sides.old_key_columns, checks
-    )
-    return AffectedNodeGraph(event=event, top=top, checks_difference=checks, sides=sides)
-
-
 def create_an_graph(
     event: TriggerEvent,
     path_graph: PathGraph,
@@ -301,8 +272,32 @@ def create_an_graph(
     *,
     check_difference: bool | None = None,
 ) -> AffectedNodeGraph:
-    """``CreateANGraph(E, G, B)`` of Figure 12: sides, then the event's combine."""
-    return an_graph_over(create_an_sides(path_graph, table, catalog), event, check_difference)
+    """``CreateANGraph(E, G, B)`` of Figure 12, faithfully: no pushdown.
+
+    ``check_difference`` forces/suppresses the final ``OLD_NODE ≠ NEW_NODE``
+    selection for UPDATE events; the default (``None``) is the safe one —
+    verify the node actually changed.  Callers suppress the check for
+    injective views with pruned transition tables (Theorem 3).
+    """
+    sides = create_an_sides(path_graph, table, catalog)
+    checks = event is TriggerEvent.UPDATE and (
+        True if check_difference is None else bool(check_difference)
+    )
+    # Step 4: join the keys back with G (NEW_NODE) and G_old (OLD_NODE).
+    node_sides = [
+        _node_side(
+            sides.union_keys, sides.union_key_columns, graph_top,
+            path_graph.node_column, sides.key_columns,
+            node_output=output, key_suffix=suffix, label=label,
+            join_columns=sides.covered_key_columns,
+        )
+        for graph_top, output, suffix, label in (
+            (path_graph.top, NEW_NODE, "", "new-nodes"),
+            (sides.g_old_top, OLD_NODE, "#old", "old-nodes"),
+        )
+    ]
+    top = combine_sides(event, *node_sides, sides.key_columns, sides.old_key_columns, checks)
+    return AffectedNodeGraph(event=event, top=top, checks_difference=checks, sides=sides)
 
 
 def _union_affected_keys(

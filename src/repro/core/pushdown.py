@@ -25,16 +25,16 @@ GROUPED-AGG implementations:
 Translation is split the way Figure 12 is: the **event-independent half**
 (:class:`SharedSides` — affected-key union, pushed ``NEW_NODE`` side, and the
 compensated or full ``OLD_NODE`` side) is built once per (monitored path,
-base table, affected-key pushdown), and each XML event adds only its thin
-**combine** (join / anti join / difference check / output projection) on top
-of those very operator objects.  At run time every side is therefore
+base table), alike for a top-level and a nested path, and each XML event
+adds only its thin **combine** (join / anti join / difference check /
+output projection) on top of those very operator objects.  At run time every side is therefore
 evaluated once per relational statement, whatever mix of INSERT, UPDATE and
 DELETE trigger groups that statement fires (see
 :meth:`CompiledTableTrigger.affected_pairs`).
 
-The result, :class:`CompiledTableTrigger`, carries both the faithful
-reference graph and the optimized executable graph, plus a Figure 16-style
-SQL rendering.
+The result, :class:`CompiledTableTrigger`, carries the optimized executable
+graph and its lowered physical plan (``ActiveViewService.generated_sql``
+renders it as Figure 16-style SQL).
 """
 
 from __future__ import annotations
@@ -64,9 +64,7 @@ from repro.xmlmodel.serialize import EncodedPair
 from repro.core.affected_nodes import (
     NEW_NODE,
     OLD_NODE,
-    AffectedNodeGraph,
     AffectedNodeSides,
-    an_graph_over,
     combine_sides,
     create_an_sides,
     _node_side,
@@ -97,7 +95,6 @@ class OldNodeRequirement:
 class PushdownOptions:
     """Knobs selecting which Section 5 optimizations are applied."""
 
-    push_affected_keys: bool = True
     compensate_old_aggregates: bool = False
     old_node_requirement: str = OldNodeRequirement.FULL
 
@@ -108,7 +105,6 @@ class PushdownOptions:
         "FULL or not" reaches the translation (NONE and SHALLOW both take the
         compensated old side where there is one)."""
         return (
-            self.push_affected_keys,
             self.compensate_old_aggregates,
             self.old_node_requirement != OldNodeRequirement.FULL,
         )
@@ -135,16 +131,23 @@ class SharedSides:
 
     Figure 12 derives the INSERT, UPDATE and DELETE pairs of a monitored path
     from the same sub-plans; this object owns them once for every trigger
-    group and XML event on ``(path_graph, table)`` that uses the same
-    affected-key pushdown:
+    group and XML event on ``(path_graph, table)``, at any depth of the path:
 
-    * :attr:`reference` — the faithful ``CreateANGraph`` sides;
+    * :attr:`reference` — the faithful ``CreateANGraph`` steps the sides
+      are built from (affected-key graphs, their union, key columns,
+      ``G_old``);
     * :attr:`union_keys` / :attr:`new_side` — the affected-key union and the
-      ``NEW_NODE`` side actually evaluated (affected keys pushed into ``G`` as
-      semi-joins when the path is single-level, the reference side otherwise);
+      ``NEW_NODE`` side actually evaluated, with the affected keys pushed
+      into ``G`` as semi-joins through every level of the path;
     * :meth:`old_side` — the ``OLD_NODE`` side, in up to two variants: the
-      full pre-update nodes, and the GROUPED-AGG *compensated* side that
-      decides which keys existed without touching ``B_old``.
+      full pre-update nodes (keys pushed into ``G_old`` alike), and the
+      GROUPED-AGG *compensated* side that decides which keys existed without
+      touching ``B_old``.  Compensation is used where the affected keys name
+      changed tuples only: not where an affected-key graph was reached
+      through several legs of one join
+      (:attr:`~repro.core.affected_keys.AffectedKeyGraph.multi_leg_join`),
+      whose keys include unchanged siblings under an affected ancestor that
+      only the ``OLD_NODE ≠ NEW_NODE`` check on full nodes drops.
 
     The sides are lowered once, by one compiler; the per-event plans
     (:meth:`compile`) reference those compiled nodes, which the compiler
@@ -166,26 +169,12 @@ class SharedSides:
         path_graph: PathGraph,
         table: str,
         database: Database,
-        *,
-        push_affected_keys: bool = True,
     ) -> None:
         self.path_graph = path_graph
         self.table = table
         self.reference: AffectedNodeSides = create_an_sides(path_graph, table, database)
-        # The affected-key semi-join pushdown and the old-aggregate
-        # compensation are currently applied when the monitored element is a
-        # top-level element of the view (a single-level path).  Triggers on
-        # nested paths (whose affected keys span several hierarchy levels)
-        # keep the faithful CreateANGraph sides, which are always correct.
-        single_level = len(path_graph.level_specs) == 1
-        self.pushes_keys = push_affected_keys and single_level
-        self.can_compensate = single_level
         self.union_keys = self.reference.union_keys
-        self.new_side = (
-            self._pushed_side(path_graph.top, NEW_NODE, "", "new-nodes-pushed")
-            if self.pushes_keys
-            else self.reference.new_side
-        )
+        self.new_side = self._pushed_side(path_graph.top, NEW_NODE, "", "new-nodes-pushed")
         # compensated? -> (old side, uses_compensation)
         self._old_sides: dict[bool, tuple[Operator, bool]] = {}
         # Compilation captures only schema information, so the plans run
@@ -215,26 +204,25 @@ class SharedSides:
         """``(OLD_NODE side, uses_compensation)`` for the requested variant.
 
         ``compensated`` asks for the GROUPED-AGG keys-only side; where that
-        rewrite does not apply (nested paths, non-distributive aggregates)
-        the full side is returned instead, flagged ``False``.
+        rewrite does not apply (affected keys through several legs of a join,
+        non-distributive aggregates) the full side is returned instead,
+        flagged ``False``.
         """
         entry = self._old_sides.get(compensated)
         if entry is not None:
             return entry
-        side = _compensated_old_side(self) if compensated and self.can_compensate else None
+        side = _compensated_old_side(self) if compensated else None
         if side is not None:
             entry = (side, True)
             for op, projection in _new_state_reads(side, self.new_side, self._compiler.schemas):
                 self._compiler.substitute(op, projection)
         elif compensated:
             entry = self.old_side(False)
-        elif self.pushes_keys:
+        else:
             entry = (
                 self._pushed_side(self.reference.g_old_top, OLD_NODE, "#old", "old-nodes-pushed"),
                 False,
             )
-        else:
-            entry = (self.reference.old_side, False)
         self._old_sides[compensated] = entry
         self._compiler.share(entry[0])
         return entry
@@ -279,7 +267,6 @@ class CompiledTableTrigger:
     xml_event: TriggerEvent
     relational_events: dict[TriggerEvent, frozenset[str] | None]
     path_graph: PathGraph
-    reference_graph: AffectedNodeGraph
     executable_top: Operator
     key_columns: tuple[str, ...]
     injective: bool
@@ -403,17 +390,12 @@ def translate_path(
     compiled: dict[str, CompiledTableTrigger] = {}
     for table, relational_events in per_table.items():
         def build() -> SharedSides:
-            return SharedSides(
-                path_graph, table, database, push_affected_keys=options.push_affected_keys
-            )
+            return SharedSides(path_graph, table, database)
 
         if shared_sides is None:
             sides = build()
         else:
-            sides = shared_sides(
-                (path_graph.view_name, tuple(path_graph.path), table, options.push_affected_keys),
-                build,
-            )
+            sides = shared_sides((path_graph.view_name, tuple(path_graph.path), table), build)
         compiled[table] = _translate_for_table(
             sides, xml_event, relational_events, options
         )
@@ -434,8 +416,6 @@ def _translate_for_table(
     # Theorem 3: injective view + pruned transition tables need no check.
     check_difference = not injective
 
-    reference = an_graph_over(sides.reference, xml_event, check_difference)
-
     # The thin per-event combine over the shared (optimized) sides.
     old_side, uses_compensation = sides.old_side(
         options.compensate_old_aggregates
@@ -445,9 +425,9 @@ def _translate_for_table(
         xml_event,
         sides.new_side,
         old_side,
-        reference.key_columns,
+        sides.reference.key_columns,
         sides.reference.old_key_columns,
-        reference.checks_difference,
+        check_difference,
     )
 
     physical_plan = sides.compile(executable)
@@ -457,9 +437,8 @@ def _translate_for_table(
         xml_event=xml_event,
         relational_events=dict(relational_events),
         path_graph=path_graph,
-        reference_graph=reference,
         executable_top=executable,
-        key_columns=reference.key_columns,
+        key_columns=sides.reference.key_columns,
         injective=injective,
         checks_difference=check_difference,
         uses_compensation=uses_compensation,
@@ -472,12 +451,15 @@ def _translate_for_table(
 def _compensated_old_side(sides: SharedSides) -> Operator | None:
     """GROUPED-AGG old side: keys of pre-update nodes, without touching B_old.
 
-    Returns ``None`` when the rewrite does not apply (non-distributive
-    aggregates feeding the view's predicates, or the compensation being
-    structurally impossible), in which case the caller falls back to the
-    plain (pushed) ``G_old`` evaluation.
+    Returns ``None`` when the rewrite does not apply (affected keys that
+    include unchanged tuples, non-distributive aggregates feeding the view's
+    predicates, or the compensation being structurally impossible), in
+    which case the caller falls back to the plain (pushed) ``G_old``
+    evaluation.
     """
     reference = sides.reference
+    if reference.multi_leg_join:
+        return None
     path_graph = sides.path_graph
     key_columns = reference.key_columns
     union_keys = sides.union_keys
@@ -511,12 +493,10 @@ def _compensated_old_side(sides: SharedSides) -> Operator | None:
         return None
 
     pairs = list(zip(reference.covered_key_columns, reference.union_key_columns))
-    old_graph: Operator = compensated
-    if sides.pushes_keys:
-        try:
-            old_graph = push_semijoin(compensated, pairs, union_keys)
-        except Exception:
-            old_graph = compensated
+    try:
+        old_graph = push_semijoin(compensated, pairs, union_keys)
+    except Exception:
+        old_graph = compensated
 
     joined = JoinOp(
         [union_keys, old_graph],

@@ -250,7 +250,6 @@ class ActiveViewService:
         database: Database,
         mode: ExecutionMode = ExecutionMode.GROUPED_AGG,
         *,
-        push_affected_keys: bool = True,
         plan_cache: PlanCache | None = None,
         use_compiled_plans: bool = True,
         backend: Any = None,
@@ -258,7 +257,6 @@ class ActiveViewService:
     ) -> None:
         self.database = database
         self.mode = mode
-        self.push_affected_keys = push_affected_keys
         # Compiled physical plans (repro.xqgm.physical) are the trigger-firing
         # engine; the interpreted evaluator remains the oracle.  Within one
         # statement the compiled plans share each OLD/NEW node side and each
@@ -787,7 +785,6 @@ class ActiveViewService:
             if member.spec.references_old_node():
                 requirement = OldNodeRequirement.SHALLOW
         return PushdownOptions(
-            push_affected_keys=self.push_affected_keys,
             compensate_old_aggregates=(self.mode is ExecutionMode.GROUPED_AGG),
             old_node_requirement=requirement,
         )

@@ -53,10 +53,9 @@ def analyze(text: str, skeletons: Skeletons | None = None) -> ExpressionAnalysis
     Without ``skeletons`` the text is parsed.  With it, a text whose
     skeleton was parsed before in the same dict reuses that parameterized
     expression and shape with its own constants; otherwise it is parsed
-    (which validates it and raises its own error) and recorded.  A parse is
-    recorded only if it saw exactly the split's literals, in order, as
-    constants — a literal the grammar takes as structure (an attribute test
-    written as a string) keeps its skeleton parsing per text.
+    (which validates it and raises its own error) and recorded.  The
+    grammar takes every literal as a value, so the parse's constants are the
+    split's literals, in order.
     """
     if skeletons is None or (split := split_literals(text)) is None:
         return _parse(text)
@@ -64,9 +63,7 @@ def analyze(text: str, skeletons: Skeletons | None = None) -> ExpressionAnalysis
     shared = skeletons.get(skeleton)
     if shared is not None:
         return ExpressionAnalysis(shared.parameterized, constants, shared.shape)
-    analysis = _parse(text)
-    if analysis.constants == constants:
-        skeletons[skeleton] = analysis
+    analysis = skeletons[skeleton] = _parse(text)
     return analysis
 
 

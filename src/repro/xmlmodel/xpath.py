@@ -216,9 +216,8 @@ def split_literals(text: str) -> tuple[tuple[str, ...], tuple[Any, ...]] | None:
     with placeholders spliced in, so no text can collide with another's
     skeleton.  Two texts with equal skeletons tokenize alike but for their
     literal values, so they parse alike: same parameterized AST and shape
-    (:func:`analyze_expression`), constants in source order — wherever the
-    grammar takes every literal as a value (it also accepts a string as the
-    test of ``axis::@'name'``).  No parse happens here.  Returns ``None``
+    (:func:`analyze_expression`), constants in source order: the grammar
+    takes every literal as a value.  No parse happens here.  Returns ``None``
     when a number literal does not convert; parsing the text reports that
     error.
     """
@@ -422,9 +421,7 @@ class _Parser:
                 if axis not in _AXES:
                     raise XPathError(f"unsupported axis {axis!r} (Appendix D restriction)")
                 if self._accept_symbol("@"):
-                    test_token = self._next()
-                    test = test_token.value
-                    axis = "attribute"
+                    axis, test = "attribute", self.parse_attribute_step().test
                 else:
                     token2 = self._next()
                     if token2.kind == "symbol" and token2.value == "*":

@@ -152,7 +152,13 @@ def _push(op: Operator, pairs: list[tuple[str, str]], keys_op: Operator) -> Oper
                 if graph_column in input_op.output_columns
             ]
             if local:
-                new_inputs.append(_push(input_op, local, keys_op))
+                # Keys distinct on every pushed column repeat on a subset of
+                # them: an input restricted on only some columns would be
+                # multiplied by the repeats, so re-distinct on its own.
+                local_keys = keys_op
+                if len(local) < len(pairs):
+                    local_keys = _distinct_keys(keys_op, [key_column for _, key_column in local])
+                new_inputs.append(_push(input_op, local, local_keys))
                 pushed_flags.append(True)
             else:
                 new_inputs.append(input_op)

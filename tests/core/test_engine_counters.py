@@ -14,15 +14,24 @@ Counters repeat exactly across runs and machines; wall-clock ratios do not.
 * The SQLite backend runs one statement per trigger group, not per trigger:
   GROUPED and GROUPED-AGG run one per UPDATE at 4 and at 40 triggers,
   UNGROUPED one per trigger per UPDATE.
+* A nested path reads like a top-level one: with the affected keys pushed
+  through every level, one leaf UPDATE reads at most twice the table rows
+  under ``/topelem/...`` that it reads under ``/topelem`` (4 096 leaves,
+  fanout 16, depths 3 and 4), and ``/topelem`` reads exactly what it read
+  before nested paths were pushed down.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.pushdown import OldNodeRequirement, PushdownOptions, translate_path
 from repro.core.service import ActiveViewService, ExecutionMode
 from repro.core.trigger import TriggerSpec, XmlTriggerEvent
+from repro.relational.dml import UpdateStatement
+from repro.relational.triggers import TriggerContext, TriggerEvent
 from repro.workloads import ExperimentHarness, HierarchyWorkload, WorkloadParameters
+from repro.xqgm.evaluate import EvaluationContext
 
 #: Small fixed database for the matching check: only the population grows.
 MATCHING_DATABASE = WorkloadParameters(
@@ -156,3 +165,54 @@ def test_sqlite_runs_one_statement_per_group(mode, per_trigger, triggers):
     report = setup.service.evaluation_report()
     assert report["backend_statements"] == updates * (triggers if per_trigger else 1)
     assert setup.fired_count == updates * 4
+
+
+#: ``(rows_table, index_probes)`` of one leaf UPDATE under ``/topelem``:
+#: depth -> {compensated: counts}.  These are the counts of the translation
+#: the benchmark's triggers use; pushing keys into nested paths leaves them
+#: exactly as they were.
+TOP_LEVEL_READS = {
+    3: {False: (514, 12), True: (516, 10)},
+    4: {False: (1_538, 21), True: (1_540, 17)},
+}
+
+
+@pytest.mark.parametrize("depth", [3, 4])
+def test_nested_paths_read_like_the_top_level(depth):
+    workload = HierarchyWorkload(
+        WorkloadParameters(
+            depth=depth, leaf_tuples=4_096, fanout=16, num_triggers=1,
+            satisfied_triggers=1, seed=1,
+        )
+    )
+    database = workload.build_database()
+    view = workload.build_view()
+    plans = {}
+    for compensate in (False, True):  # GROUPED, GROUPED-AGG
+        options = PushdownOptions(
+            compensate_old_aggregates=compensate,
+            old_node_requirement=OldNodeRequirement.NONE,
+        )
+        for level in range(depth):
+            path = [workload.level_element(i) for i in range(level + 1)]
+            translation = translate_path(
+                view.path_graph(path, database), TriggerEvent.UPDATE, database, options
+            )["leaf"]
+            plans[compensate, level] = translation.physical_plan
+
+    result = database.execute(
+        UpdateStatement("leaf", {"price": 1_234.5}, keys=[(7,)]), fire_triggers=False
+    )
+    trigger_context = TriggerContext(
+        database, "leaf", TriggerEvent.UPDATE, result.inserted, result.deleted
+    )
+    reads = {}
+    for key, plan in plans.items():
+        context = EvaluationContext(database, trigger_context, collect_stats=True)
+        assert len(plan.execute(context)) == 1
+        reads[key] = (context.stats["rows_table"], context.stats.get("index_probes", 0))
+
+    for compensate in (False, True):
+        assert reads[compensate, 0] == TOP_LEVEL_READS[depth][compensate]
+        for level in range(1, depth):
+            assert reads[compensate, level][0] <= 2 * reads[compensate, 0][0], (level, reads)

@@ -419,9 +419,8 @@ def test_cached_sides_keep_no_database_alive():
     assert len(cache) > 0 and cache._sides
 
 
-@pytest.mark.parametrize("push_affected_keys", [True, False])
 @pytest.mark.parametrize("mode", [ExecutionMode.GROUPED, ExecutionMode.GROUPED_AGG])
-def test_old_side_variant_added_after_every_tables_sides_were_lowered(mode, push_affected_keys):
+def test_old_side_variant_added_after_every_tables_sides_were_lowered(mode):
     """The full OLD_NODE side is built — and lowered by the sides' long-lived
     compiler — only when the first group that needs it registers.  By then
     the sides of *both* base tables exist (building the second widens the
@@ -442,9 +441,7 @@ def test_old_side_variant_added_after_every_tables_sides_were_lowered(mode, push
         ("compiled", {}),
     ):
         database = build_paper_database(with_foreign_keys=False)
-        service = ActiveViewService(
-            database, mode=mode, push_affected_keys=push_affected_keys, **options
-        )
+        service = ActiveViewService(database, mode=mode, **options)
         service.register_view(catalog_view())
         service.register_action("sink", lambda *args: None)
         for text in early:

@@ -349,25 +349,23 @@ def test_compiled_matches_interpreted_after_every_commit_path():
     from repro.persist.recovery import replay_record
     from repro.relational.dml import Batch
 
-    # Without the affected-key pushdown the sides join the keys to the whole
-    # view graph (product ⋈ vendor, grouped), all of it read every firing.
-    comp_db, comp = _build_service(
-        ExecutionMode.UNGROUPED, use_compiled=True, push_affected_keys=False
-    )
+    comp_db, comp = _build_service(ExecutionMode.UNGROUPED, use_compiled=True)
 
     def fire_probe(n):
-        """A no-op-free UPDATE probe that fires the product-path triggers."""
-        return UpdateStatement(
-            "vendor", {"price": 100.0 + n},
-            where=lambda r: r["vid"] == "Amazon" and r["pid"] == "P1",
-        )
+        """A no-op-free UPDATE probe that fires the product-path triggers.
+
+        It prices every vendor, so every product is an affected key and the
+        pushed-down sides read the whole view graph (product ⋈ vendor,
+        grouped) each firing — whatever a commit path below changed.
+        """
+        return UpdateStatement("vendor", {"price": 100.0 + n}, where=lambda r: True)
 
     def check(tag):
         """Compiled firings for one probe == interpreted firings on same state.
 
         The same service executes one price probe through the compiled
         engine and a second distinct price probe with the engine flipped to
-        interpreted (the flag is read per firing): both touch the same
+        interpreted (the flag is read per firing): both touch every
         monitored node, so the (trigger, key) activations must agree —
         unless the compiled side served stale cached rows.
         """
@@ -378,8 +376,7 @@ def test_compiled_matches_interpreted_after_every_commit_path():
         compiled_log = _normalize(comp.fired[mark:])
         # A second, distinct price value so neither update is a no-op.
         revert = UpdateStatement(
-            "vendor", {"price": 500.0 + check.counter},
-            where=lambda r: r["vid"] == "Amazon" and r["pid"] == "P1",
+            "vendor", {"price": 500.0 + check.counter}, where=lambda r: True
         )
         mark2 = len(comp.fired)
         saved = comp.use_compiled_plans

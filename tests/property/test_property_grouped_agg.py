@@ -15,8 +15,8 @@ off the ``NEW_NODE`` side's own group-by.  Two properties pin it to
   the *compensated* one — the old state — and must never be derived from the
   NEW side.  Spare top elements gain and lose their leaves (INSERT and DELETE
   of whole top nodes, as in the benchmark's ``fire_mixed_churn``), leaves
-  come and go under populated tops and change price, with the affected keys
-  pushed and not, per statement and per ``execute_batch``:
+  come and go under populated tops and change price, per statement and per
+  ``execute_batch``:
   compiled == interpreted value for value, in order, and both == oracle.
 
 Randomness is reproducible from the session seed (``REPRO_TEST_SEED``, see
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import os
 
-import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.core.baseline import MaterializedBaseline
@@ -245,12 +244,12 @@ _hierarchy_actions = st.lists(
 )
 
 
-def _hierarchy_services(push_affected_keys: bool):
+def _hierarchy_services():
     services = []
     for compiled in (True, False):
         service = ActiveViewService(
             _hierarchy_database(), mode=ExecutionMode.GROUPED_AGG,
-            push_affected_keys=push_affected_keys, use_compiled_plans=compiled,
+            use_compiled_plans=compiled,
         )
         service.register_view(_WORKLOAD.build_view())
         service.register_action("collect", lambda node: None)
@@ -264,12 +263,11 @@ def _hierarchy_services(push_affected_keys: bool):
     return services, oracle
 
 
-@pytest.mark.parametrize("push_affected_keys", [True, False])
 @given(actions=_hierarchy_actions)
 @example(actions=[("fill_spare", 0, 0, 5), ("update_leaf", 1, 0, 7), ("empty_spare", 0, 0, 1)])
 @_SETTINGS
-def test_depth3_grouped_agg_per_statement_matches_oracle(push_affected_keys, actions):
-    (compiled, interpreted), oracle = _hierarchy_services(push_affected_keys)
+def test_depth3_grouped_agg_per_statement_matches_oracle(actions):
+    (compiled, interpreted), oracle = _hierarchy_services()
     stream = _Stream()
     for action in actions:
         _, statement = stream.statement(action, compiled.database)
@@ -285,15 +283,14 @@ def test_depth3_grouped_agg_per_statement_matches_oracle(push_affected_keys, act
     assert compiled.evaluation_report()["compiled_plan_fallbacks"] == 0
 
 
-@pytest.mark.parametrize("push_affected_keys", [True, False])
 @given(actions=_hierarchy_actions)
 @example(actions=[("fill_spare", 0, 0, 5), ("update_leaf", 1, 0, 7), ("fill_spare", 1, 0, 3)])
 @_SETTINGS
-def test_depth3_grouped_agg_batch_matches_oracle(push_affected_keys, actions):
+def test_depth3_grouped_agg_batch_matches_oracle(actions):
     """One batch of statements on distinct top elements: a batch fires net
     transitions, which equal the per-statement ones only when no two
     statements touch one node."""
-    (compiled, interpreted), oracle = _hierarchy_services(push_affected_keys)
+    (compiled, interpreted), oracle = _hierarchy_services()
     stream = _Stream()
     batch, tops = [], set()
     for action in actions:

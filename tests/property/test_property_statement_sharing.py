@@ -8,9 +8,10 @@ the firing statement's evaluation memo, so every sibling
 trigger group and sibling event reads them back.  These properties draw
 random trigger *populations*:
 
-* 2–8 trigger groups over one or two monitored paths (``/topelem``, whose
-  sides are pushed and — under GROUPED-AGG — compensated, and the nested
-  ``/topelem/midelem1``, which keeps the faithful sides);
+* 2–8 trigger groups over one or two monitored paths (``/topelem`` and the
+  nested ``/topelem/midelem1``; both push their affected keys, and under
+  GROUPED-AGG a translation is compensated unless an affected-key graph
+  crosses a join through several legs);
 * all three XML events and all three ``OldNodeRequirement``\\ s (none /
   shallow / full), so compensated and full OLD_NODE sides sit side by side;
 * GROUPED and GROUPED-AGG,
@@ -237,9 +238,13 @@ def _assert_population(service, population, mode) -> None:
             assert (translation.options.old_node_requirement == OldNodeRequirement.FULL) == (
                 requirement == OldNodeRequirement.FULL
             )
+            crossed = translation.sides.reference.multi_leg_join
+            # /topelem is reached through one leg of every join: its
+            # translations keep compensation wherever the mode allows it.
+            assert crossed is False or path != "topelem"
             compensated = (
                 mode is ExecutionMode.GROUPED_AGG
-                and path == "topelem"
+                and not crossed
                 and requirement != OldNodeRequirement.FULL
             )
             assert translation.uses_compensation == compensated

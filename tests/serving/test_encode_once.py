@@ -50,8 +50,12 @@ def test_each_distinct_node_is_serialized_once_per_statement(tmp_path, serialize
     load_sibling_durable(durable, workload)
     inbox = durable.subscribe("inbox", capacity=4096)
     durable.start()
-    net = NetworkServer(durable).start()
-    gateway = WebGateway(durable).start()
+    # Room for every activation of the scenario: the plug's frame may still
+    # be undrained when the batch's bundle arrives, and a full send buffer
+    # pauses the subscription (the slow-consumer policy), ending the stream.
+    room = SIBLINGS * (2 + BATCH)
+    net = NetworkServer(durable, send_buffer=room).start()
+    gateway = WebGateway(durable, send_buffer=room).start()
 
     async def scenario() -> None:
         loop = asyncio.get_running_loop()

@@ -126,6 +126,14 @@ class TestParserErrors:
         with pytest.raises(XPathError):
             parse_xpath("   ")
 
+    @pytest.mark.parametrize("text", ["NEW_NODE/self::@5", "NEW_NODE/child::@'a'"])
+    def test_attribute_step_after_an_axis_needs_a_name(self, text):
+        with pytest.raises(XPathError):
+            parse_xpath(text)
+
+    def test_attribute_step_after_an_axis(self):
+        assert parse_xpath("NEW_NODE/child::@name") == parse_xpath("NEW_NODE/@name")
+
 
 class TestConstantSplitting:
     def test_constants_extracted_in_order(self):

@@ -79,6 +79,23 @@ class TestPushSemijoin:
         # index), not through a full scan feeding a hash join.
         assert ctx.stats.get("index_probes", 0) > 0
 
+    def test_join_legs_holding_some_pushed_columns_are_not_multiplied(self):
+        """Keys distinct on (P.pid, V.vid) repeat P1 on P.pid alone: the
+        product leg, restricted on that column only, must keep one P1 row."""
+        from repro.xqgm.operators import ConstantsOp
+
+        db = build_paper_database()
+        p = TableOp("product", "P", db.schema("product").column_names)
+        v = TableOp("vendor", "V", db.schema("vendor").column_names)
+        graph = JoinOp([p, v], equi_pairs=[("V.pid", "P.pid")])
+        keys = ConstantsOp("keys", ["kp", "kv"])
+        rows = [{"kp": "P1", "kv": "Amazon"}, {"kp": "P1", "kv": "Bestbuy"}]
+        pushed = push_semijoin(graph, [("P.pid", "kp"), ("V.vid", "kv")], keys)
+        result = evaluate(pushed, EvaluationContext(db, constants_tables={"keys": rows}))
+        assert sorted((r["P.pid"], r["V.vid"]) for r in result) == [
+            ("P1", "Amazon"), ("P1", "Bestbuy"),
+        ]
+
     def test_push_through_select_above_groupby(self):
         db = build_paper_database()
         graph = SelectOp(_product_count_graph(db), Comparison(">=", ColumnRef("n"), Constant(2)))
