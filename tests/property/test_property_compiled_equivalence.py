@@ -1,49 +1,33 @@
-"""Property-based equivalence: compiled physical plans == interpreted == oracle.
+"""Compiled physical plans == interpreted, where the statement streams of
+:mod:`tests.property.differential` do not reach.
 
-Every generated trigger plan is lowered into a compiled physical form (slot
-tuples, closure expressions, statement-shared sides) — the one firing
-engine — and the interpreted evaluator stays as its oracle.  These
-properties pin the two engines to each other — and both to the MATERIALIZED
-Definition 2/3 oracle — on randomized workloads:
+The randomized engine differentials over statement streams live in
+:mod:`tests.property.differential` and the suites built on it
+(``test_property_evaluators.py`` above all).  This file keeps what does not
+fit that shape:
 
-* per-statement execution across all three execution modes (the UNGROUPED
-  mode exercises heavy statement sharing: every trigger is its own group
-  reading the shared sides and pairs);
-* the set-oriented batch path (``execute_batch``), including matching error
-  behavior when a statement inside a batch fails;
-* post-recovery: a service rebuilt from snapshot + WAL replay must fire
-  compiled plans identically to an interpreted service on the same
-  recovered state;
-* a sharded concurrent server run (compiled engine on every shard worker,
-  plans shared through the server's plan cache).
-
-A companion deterministic test fires the compiled engine around **every
-commit path** — per-statement DML, batched execution, bulk loads and WAL
-recovery replay — and compares each firing against an interpreted
-evaluation of the same state.
-
-The graph-level properties at the end draw *plans* rather than workloads:
-graphs holding ``clone_graph`` copies of a subgraph under a join and under a
-union (the structural twins translation produces, which lowering merges into
-one physical node) and a three-input inner join whose input cardinalities
-flip between executions of one plan (two recipes of one node) — compiled ==
-interpreted in rows **and order**.
+* a sharded server fed by concurrent clients (compiled shard workers,
+  plans shared through the server's plan cache) against a sequential
+  interpreted service;
+* the compiled engine fired around **every commit path** — per-statement
+  DML, batched execution, bulk loads and WAL recovery replay — each firing
+  compared against an interpreted evaluation of the same state;
+* graph-level properties that draw *plans* rather than workloads: graphs
+  holding ``clone_graph`` copies of a subgraph under a join and under a
+  union (the structural twins translation produces, which lowering merges
+  into one physical node) and a three-input inner join whose input
+  cardinalities flip between executions of one plan (two recipes of one
+  node) — compiled == interpreted in rows **and order**.
 """
 
 from __future__ import annotations
 
-import os
+from hypothesis import given, strategies as st
 
-import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
-
-from repro.core.baseline import MaterializedBaseline
-from repro.core.language import parse_trigger
 from repro.core.service import ActiveViewService, ExecutionMode
-from repro.relational.dml import DeleteStatement, InsertStatement, UpdateStatement
+from repro.relational.dml import InsertStatement, UpdateStatement
 from repro.relational import TriggerEvent
 from repro.relational.triggers import TriggerContext
-from repro.xmlmodel import serialize
 from repro.xqgm import (
     AggregateSpec,
     Arithmetic,
@@ -63,234 +47,9 @@ from repro.xqgm import (
 from repro.xqgm.graph import clone_graph, walk
 from repro.xqgm.physical import PInnerJoin, PlanCompiler
 from repro.xqgm.rewrite import push_semijoin
-from repro.xqgm.views import catalog_view
 
 from tests.conftest import build_paper_database
-
-# The tier-1 run uses the (fast) default budget; CI's dedicated
-# compiled-equivalence stress step re-runs this file with a larger one.
-_EXAMPLES = int(os.environ.get("REPRO_PROPERTY_EXAMPLES", "15"))
-
-TRIGGERS = [
-    "CREATE TRIGGER UpdCrt AFTER UPDATE ON view('catalog')/product "
-    "WHERE OLD_NODE/@name = 'CRT 15' DO sink(NEW_NODE)",
-    "CREATE TRIGGER UpdAny AFTER UPDATE ON view('catalog')/product DO sink(NEW_NODE/@name)",
-    "CREATE TRIGGER UpdBig AFTER UPDATE ON view('catalog')/product "
-    "WHERE count(NEW_NODE/vendor) >= 3 DO sink(NEW_NODE/@name)",
-    "CREATE TRIGGER Ins AFTER INSERT ON view('catalog')/product DO sink(NEW_NODE/@name)",
-    "CREATE TRIGGER Del AFTER DELETE ON view('catalog')/product DO sink(OLD_NODE/@name)",
-]
-
-_PIDS = ["P1", "P2", "P3", "P4"]
-_VIDS = ["Amazon", "Bestbuy", "Circuitcity", "Buy.com", "Newegg", "Walmart"]
-
-_actions = st.one_of(
-    st.builds(
-        lambda vid, pid, price: ("insert_vendor", vid, pid, price),
-        st.sampled_from(_VIDS), st.sampled_from(_PIDS), st.integers(10, 300),
-    ),
-    st.builds(
-        lambda vid, pid, price: ("update_price", vid, pid, price),
-        st.sampled_from(_VIDS), st.sampled_from(_PIDS), st.integers(10, 300),
-    ),
-    st.builds(lambda vid, pid: ("delete_vendor", vid, pid),
-              st.sampled_from(_VIDS), st.sampled_from(_PIDS)),
-    st.builds(lambda pid, name: ("rename_product", pid, name),
-              st.sampled_from(_PIDS), st.sampled_from(["CRT 15", "LCD 19", "OLED 27"])),
-)
-
-
-def _to_statement(action, database):
-    kind = action[0]
-    if kind == "insert_vendor":
-        _, vid, pid, price = action
-        if database.table("vendor").get((vid, pid)) is not None:
-            return None  # would violate the primary key
-        return InsertStatement("vendor", [{"vid": vid, "pid": pid, "price": float(price)}])
-    if kind == "update_price":
-        _, vid, pid, price = action
-        return UpdateStatement(
-            "vendor", {"price": float(price)},
-            where=lambda r, vid=vid, pid=pid: r["vid"] == vid and r["pid"] == pid,
-        )
-    if kind == "delete_vendor":
-        _, vid, pid = action
-        return DeleteStatement(
-            "vendor", where=lambda r, vid=vid, pid=pid: r["vid"] == vid and r["pid"] == pid
-        )
-    _, pid, name = action
-    return UpdateStatement(
-        "product", {"pname": name}, where=lambda r, pid=pid: r["pid"] == pid
-    )
-
-
-def _build_service(mode, use_compiled, **options):
-    db = build_paper_database(with_foreign_keys=False)
-    db.load_rows("product", [{"pid": "P4", "pname": "OLED 27", "mfr": "LG"}])
-    service = ActiveViewService(db, mode=mode, use_compiled_plans=use_compiled, **options)
-    service.register_view(catalog_view())
-    service.register_action("sink", lambda *args: None)
-    for text in TRIGGERS:
-        service.create_trigger(text)
-    return db, service
-
-
-def _build_oracle():
-    db = build_paper_database(with_foreign_keys=False)
-    db.load_rows("product", [{"pid": "P4", "pname": "OLED 27", "mfr": "LG"}])
-    oracle = MaterializedBaseline(db)
-    oracle.register_view(catalog_view())
-    oracle.register_action("sink", lambda *args: None)
-    for text in TRIGGERS:
-        oracle.create_trigger(parse_trigger(text))
-    return db, oracle
-
-
-def _normalize(fired):
-    return sorted(
-        (f.trigger, f.key, serialize(f.new_node) if f.new_node is not None else None)
-        for f in fired
-    )
-
-
-@pytest.mark.parametrize(
-    "mode", [ExecutionMode.UNGROUPED, ExecutionMode.GROUPED, ExecutionMode.GROUPED_AGG]
-)
-@given(actions=st.lists(_actions, min_size=1, max_size=6))
-@settings(
-    max_examples=_EXAMPLES,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
-)
-def test_compiled_matches_interpreted_and_oracle(mode, actions):
-    oracle_db, oracle = _build_oracle()
-    interp_db, interp = _build_service(mode, use_compiled=False)
-    comp_db, comp = _build_service(mode, use_compiled=True)
-    assert comp.use_compiled_plans
-
-    oracle_log = []
-    for action in actions:
-        oracle_statement = _to_statement(action, oracle_db)
-        interp_statement = _to_statement(action, interp_db)
-        comp_statement = _to_statement(action, comp_db)
-        if oracle_statement is None or interp_statement is None or comp_statement is None:
-            continue
-        _, _, calls = oracle.execute(oracle_statement)
-        oracle_log.extend(
-            (c.trigger_name, c.key, serialize(c.new_node) if c.new_node is not None else None)
-            for c in calls
-        )
-        interp.execute(interp_statement)
-        comp.execute(comp_statement)
-
-    assert _normalize(comp.fired) == _normalize(interp.fired) == sorted(oracle_log)
-    # Same final relational state everywhere.
-    assert comp_db.snapshot() == interp_db.snapshot() == oracle_db.snapshot()
-
-
-@given(
-    actions=st.lists(_actions, min_size=1, max_size=8),
-    batch_size=st.integers(1, 4),
-)
-@settings(
-    max_examples=_EXAMPLES,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-def test_compiled_matches_interpreted_on_batches(actions, batch_size):
-    """The set-oriented batch commit path: compiled == interpreted, per batch."""
-    interp_db, interp = _build_service(ExecutionMode.UNGROUPED, use_compiled=False)
-    comp_db, comp = _build_service(ExecutionMode.UNGROUPED, use_compiled=True)
-
-    for start in range(0, len(actions), batch_size):
-        chunk = actions[start:start + batch_size]
-        interp_chunk = [
-            s for s in (_to_statement(a, interp_db) for a in chunk) if s is not None
-        ]
-        comp_chunk = [
-            s for s in (_to_statement(a, comp_db) for a in chunk) if s is not None
-        ]
-        # Both databases hold identical state (asserted below), so the same
-        # actions produce the same feasible statement lists.
-        assert len(interp_chunk) == len(comp_chunk)
-        if not interp_chunk:
-            continue
-        # A failing statement (e.g. duplicate-key inserts within one batch)
-        # leaves its predecessors applied; both engines must fail alike and
-        # leave identical state behind.
-        errors = []
-        for service, batch_chunk in ((interp, interp_chunk), (comp, comp_chunk)):
-            try:
-                service.execute_batch(batch_chunk)
-                errors.append(None)
-            except Exception as error:
-                errors.append(type(error).__name__)
-        assert errors[0] == errors[1]
-        assert comp_db.snapshot() == interp_db.snapshot()
-
-    assert _normalize(comp.fired) == _normalize(interp.fired)
-
-
-@given(
-    actions=st.lists(_actions, min_size=2, max_size=8),
-    prefix=st.integers(1, 8),
-)
-@settings(
-    max_examples=max(10, _EXAMPLES * 2 // 3),
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-def test_compiled_matches_interpreted_post_recovery(actions, prefix, tmp_path_factory):
-    """After snapshot + WAL replay, compiled firing still matches interpreted.
-
-    Recovery replays committed deltas straight into table storage, advancing
-    the same per-table version counters as live DML.
-    """
-    from repro.persist import Snapshot, WriteAheadLog
-    from repro.persist.recovery import SNAPSHOT_FILE, WAL_FILE, recover_database
-
-    prefix = min(prefix, len(actions))
-    directory = tmp_path_factory.mktemp("compiled-recovery")
-
-    # Run the prefix on a durable database (plain service, compiled engine).
-    live_db, live = _build_service(ExecutionMode.GROUPED_AGG, use_compiled=True)
-    wal = WriteAheadLog(directory / WAL_FILE, sync="flush")
-    wal.truncate()
-    Snapshot.capture(live_db, wal_lsn=0).write(directory / SNAPSHOT_FILE)
-    wal.attach(live_db)
-    for action in actions[:prefix]:
-        statement = _to_statement(action, live_db)
-        if statement is not None:
-            live.execute(statement)
-    wal.close()
-
-    # Recover twice: one database per engine under test.
-    def recovered_service(use_compiled):
-        database, recovered_wal = recover_database(directory)
-        recovered_wal.close()
-        service = ActiveViewService(
-            database, mode=ExecutionMode.GROUPED_AGG, use_compiled_plans=use_compiled
-        )
-        service.register_view(catalog_view())
-        service.register_action("sink", lambda *args: None)
-        for text in TRIGGERS:
-            service.create_trigger(text)
-        return database, service
-
-    interp_db, interp = recovered_service(False)
-    comp_db, comp = recovered_service(True)
-    assert interp_db.snapshot() == live_db.snapshot() == comp_db.snapshot()
-
-    for action in actions[prefix:]:
-        interp_statement = _to_statement(action, interp_db)
-        comp_statement = _to_statement(action, comp_db)
-        if interp_statement is None or comp_statement is None:
-            continue
-        interp.execute(interp_statement)
-        comp.execute(comp_statement)
-
-    assert _normalize(comp.fired) == _normalize(interp.fired)
-    assert comp_db.snapshot() == interp_db.snapshot()
+from tests.property.differential import EXAMPLES, PIDS, budget, catalog, catalog_database
 
 
 def test_compiled_matches_oracle_through_sharded_server():
@@ -331,11 +90,8 @@ def test_compiled_matches_oracle_through_sharded_server():
     expected = {(f.trigger, f.event.value, f.key) for f in service.fired}
     assert served == expected
     assert expected, "the property is vacuous if nothing fired"
-    # Every translation compiled a physical plan (this grouped population
-    # collapses to one group per shard, so statement sharing rightly stays
-    # idle — the UNGROUPED properties above exercise it).
-    report = server.evaluation_report()
-    assert report["compiled_plan_fallbacks"] == 0
+    # The shard workers fired through the compiled engine.
+    assert server.evaluation_report()["shared_side_evaluations"] > 0
 
 
 def test_compiled_matches_interpreted_after_every_commit_path():
@@ -349,7 +105,9 @@ def test_compiled_matches_interpreted_after_every_commit_path():
     from repro.persist.recovery import replay_record
     from repro.relational.dml import Batch
 
-    comp_db, comp = _build_service(ExecutionMode.UNGROUPED, use_compiled=True)
+    comp_db = catalog_database()
+    comp = ActiveViewService(comp_db, ExecutionMode.UNGROUPED)
+    catalog().install(comp)
 
     def fire_probe(n):
         """A no-op-free UPDATE probe that fires the product-path triggers.
@@ -373,7 +131,7 @@ def test_compiled_matches_interpreted_after_every_commit_path():
         probe = fire_probe(check.counter)
         check.counter += 1
         comp.execute(probe)
-        compiled_log = _normalize(comp.fired[mark:])
+        compiled_log = sorted((f.trigger, f.key) for f in comp.fired[mark:])
         # A second, distinct price value so neither update is a no-op.
         revert = UpdateStatement(
             "vendor", {"price": 500.0 + check.counter}, where=lambda r: True
@@ -382,13 +140,11 @@ def test_compiled_matches_interpreted_after_every_commit_path():
         saved = comp.use_compiled_plans
         comp.use_compiled_plans = False
         comp.execute(revert)
-        interpreted_log = _normalize(comp.fired[mark2:])
+        interpreted_log = sorted((f.trigger, f.key) for f in comp.fired[mark2:])
         comp.use_compiled_plans = saved
         # Same triggers, same node, equivalent transitions: the two logs
         # must name the same (trigger, key) pairs.
-        assert [(t, k) for t, k, _ in compiled_log] == [
-            (t, k) for t, k, _ in interpreted_log
-        ], f"stale rows served after {tag}"
+        assert compiled_log == interpreted_log, f"stale rows served after {tag}"
 
     check.counter = 0
 
@@ -528,14 +284,10 @@ def _nodes(root):
     all_rows=st.booleans(),
     with_product=st.booleans(),
     updates=st.lists(
-        st.tuples(st.sampled_from(_PIDS[:3]), st.integers(10, 400)), min_size=1, max_size=3
+        st.tuples(st.sampled_from(PIDS[:3]), st.integers(10, 400)), min_size=1, max_size=3
     ),
 )
-@settings(
-    max_examples=_EXAMPLES * 4,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+@budget(EXAMPLES * 4)
 def test_twins_under_joins_and_unions_match_interpreted_in_order(
     kind, shape, variant, threshold, all_rows, with_product, updates
 ):
@@ -577,12 +329,12 @@ def _grow(db, table, count, serial):
         ])
     else:
         db.load_rows("vendor", [
-            {"vid": f"v{serial}_{i}", "pid": _PIDS[i % 3], "price": 5.0 + i} for i in range(count)
+            {"vid": f"v{serial}_{i}", "pid": PIDS[i % 3], "price": 5.0 + i} for i in range(count)
         ])
 
 
 @given(growth=_growth)
-@settings(max_examples=_EXAMPLES * 2, deadline=None)
+@budget(EXAMPLES * 2)
 def test_three_input_join_follows_flipping_cardinalities(growth):
     db = build_paper_database(with_foreign_keys=False)
     top = _three_way(db)

@@ -19,50 +19,37 @@ off the ``NEW_NODE`` side's own group-by.  Two properties pin it to
   ``execute_batch``:
   compiled == interpreted value for value, in order, and both == oracle.
 
+Both go through :mod:`tests.property.differential`, so OLD_NODE is compared
+too: by its attributes where the translation is compensated, whole
+elsewhere.
+
 Randomness is reproducible from the session seed (``REPRO_TEST_SEED``, see
 ``docs/testing.md``); CI's stress step pins it and raises the budget.
 """
 
 from __future__ import annotations
 
-import os
+from dataclasses import replace
 
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
-from repro.core.baseline import MaterializedBaseline
-from repro.core.language import parse_trigger
-from repro.core.service import ActiveViewService, ExecutionMode
 from repro.relational.dml import DeleteStatement, InsertStatement, UpdateStatement
 from repro.workloads import HierarchyWorkload, WorkloadParameters
-from repro.xmlmodel import serialize
 from repro.xqgm.views import catalog_view
 
-from tests.conftest import build_paper_database
-
-_EXAMPLES = int(os.environ.get("REPRO_PROPERTY_EXAMPLES", "15"))
-_SETTINGS = settings(
-    max_examples=_EXAMPLES,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+from tests.property.differential import (
+    BATCH,
+    COMPILED,
+    INTERPRETED,
+    ORACLE,
+    Scenario,
+    budget,
+    catalog,
+    catalog_actions,
+    catalog_steps,
+    in_order,
+    replay,
 )
-
-
-def _oracle_calls(oracle: MaterializedBaseline, statement) -> list[tuple]:
-    _, _, calls = oracle.execute(statement)
-    return [(c.trigger_name, c.key, serialize(c.new_node)) for c in calls]
-
-
-def _fired(service: ActiveViewService, since: int) -> list[tuple]:
-    return [
-        (f.trigger, f.event, f.key, serialize(f.old_node), serialize(f.new_node))
-        for f in service.fired[since:]
-    ]
-
-
-def _as_oracle(fired: list[tuple]) -> list[tuple]:
-    """Trigger, key and NEW_NODE: GROUPED-AGG's OLD_NODE is shallow by design."""
-    return sorted((trigger, key, new) for trigger, _, key, _, new in fired)
-
 
 # ---------------------------------------------------------------------------
 # No phantom OLD_NODE: a having-free catalog view
@@ -74,8 +61,6 @@ _CATALOG_TRIGGERS = [
     "WHERE OLD_NODE/@name != 'none' DO sink(NEW_NODE/@name)",
     "CREATE TRIGGER Del AFTER DELETE ON view('catalog')/product DO sink(OLD_NODE/@name)",
 ]
-_PIDS = ["P1", "P2", "P3", "P4"]
-_VIDS = ["Amazon", "Bestbuy", "Newegg"]
 
 
 def _having_free_catalog():
@@ -84,63 +69,12 @@ def _having_free_catalog():
     return view
 
 
-def _catalog_database():
-    database = build_paper_database(with_foreign_keys=False)
-    # P4 has no vendor yet, so it has no <product> node yet either.
-    database.load_rows("product", [{"pid": "P4", "pname": "OLED 27", "mfr": "LG"}])
-    return database
-
-
-def _catalog_statement(action, database):
-    kind, vid, pid, price = action
-    present = database.table("vendor").get((vid, pid)) is not None
-    if kind == "insert":
-        return None if present else InsertStatement(
-            "vendor", [{"vid": vid, "pid": pid, "price": float(price)}]
-        )
-    if kind == "update":
-        return UpdateStatement("vendor", {"price": float(price)}, keys=[(vid, pid)])
-    return DeleteStatement("vendor", keys=[(vid, pid)])
-
-
-_catalog_actions = st.lists(
-    st.tuples(
-        st.sampled_from(["insert", "update", "delete"]),
-        st.sampled_from(_VIDS),
-        st.sampled_from(_PIDS),
-        st.integers(10, 300),
-    ),
-    min_size=1,
-    max_size=6,
-)
-
-
-@given(actions=_catalog_actions)
-@example(actions=[("insert", "Amazon", "P4", 9)])  # the first vendor of P4
-@_SETTINGS
+@given(actions=st.lists(catalog_actions(), min_size=1, max_size=6))
+@example(actions=[("insert_vendor", "Amazon", "P4", 9)])  # the first vendor of P4
+@budget()
 def test_having_free_view_reports_no_phantom_old_node(actions):
-    oracle_db = _catalog_database()
-    oracle = MaterializedBaseline(oracle_db)
-    oracle.register_view(_having_free_catalog())
-    oracle.register_action("sink", lambda *args: None)
-    for text in _CATALOG_TRIGGERS:
-        oracle.create_trigger(parse_trigger(text))
-    service_db = _catalog_database()
-    service = ActiveViewService(service_db, mode=ExecutionMode.GROUPED_AGG)
-    service.register_view(_having_free_catalog())
-    service.register_action("sink", lambda *args: None)
-    for text in _CATALOG_TRIGGERS:
-        service.create_trigger(text)
-
-    for action in actions:
-        statement = _catalog_statement(action, service_db)
-        if statement is None:
-            continue
-        marker = len(service.fired)
-        service.execute(statement)
-        expected = _oracle_calls(oracle, _catalog_statement(action, oracle_db))
-        assert _as_oracle(_fired(service, marker)) == sorted(expected), action
-    assert service.evaluation_report()["compiled_plan_fallbacks"] == 0
+    scenario = catalog(_CATALOG_TRIGGERS, [_having_free_catalog()])
+    replay(scenario, [ORACLE, COMPILED], catalog_steps(actions))
 
 
 # ---------------------------------------------------------------------------
@@ -182,51 +116,54 @@ def _hierarchy_database():
     return database
 
 
+_SCENARIO = Scenario(
+    _hierarchy_database, [_WORKLOAD.build_view()], _HIERARCHY_TRIGGERS, action="collect"
+)
+
+
 def _mids_of(top: int) -> list[int]:
     if top > _TOPS:
         return [_MIDS + top - _TOPS]
     return [top + _TOPS * branch for branch in range(2)]
 
 
-class _Stream:
-    """Turns drawn actions into statements against the evolving data."""
-
-    def __init__(self) -> None:
-        self.next_leaf = _LEAVES + 1
-
-    def statement(self, action, database):
-        kind, top, pick, price = action
-        leaves = database.table("leaf")
-        if kind == "fill_spare":
-            top = _TOPS + 1 + top % _SPARES
-            if any(row[1] in _mids_of(top) for row in leaves.rows()):
-                return top, None
-            first = self.next_leaf
-            self.next_leaf += 2
-            mid = _mids_of(top)[0]
-            return top, InsertStatement("leaf", [
-                {"id": leaf, "parent_id": mid, "price": float(price), "code": f"new{leaf}"}
-                for leaf in (first, first + 1)
-            ])
-        if kind == "empty_spare":
-            top = _TOPS + 1 + top % _SPARES
-            doomed = [row[0] for row in leaves.rows() if row[1] in _mids_of(top)]
-            return top, DeleteStatement("leaf", keys=[(leaf,) for leaf in doomed]) if doomed else None
-        top = 1 + top % _TOPS
-        under = sorted(row[0] for row in leaves.rows() if row[1] in _mids_of(top))
-        if kind == "insert_leaf":
-            leaf = self.next_leaf
-            self.next_leaf += 1
-            mid = _mids_of(top)[pick % 2]
-            return top, InsertStatement(
-                "leaf", [{"id": leaf, "parent_id": mid, "price": float(price), "code": f"n{leaf}"}]
-            )
-        if not under:
-            return top, None
-        leaf = under[pick % len(under)]
-        if kind == "delete_leaf":
-            return top, DeleteStatement("leaf", keys=[(leaf,)])
-        return top, UpdateStatement("leaf", {"price": 1000.0 + price}, keys=[(leaf,)])
+def _statements(actions) -> list[tuple]:
+    """``(top, statement)`` per action that applies, against the leaf rows
+    as the statements before it leave them."""
+    leaves = {row[0]: row[1] for row in _hierarchy_database().table("leaf")}
+    next_leaf, statements = _LEAVES + 1, []
+    for kind, top, pick, price in actions:
+        spare = kind in ("fill_spare", "empty_spare")
+        top = _TOPS + 1 + top % _SPARES if spare else 1 + top % _TOPS
+        mids = _mids_of(top)
+        under = sorted(leaf for leaf, mid in leaves.items() if mid in mids)
+        if kind == "fill_spare" and not under:
+            rows = [
+                {"id": leaf, "parent_id": mids[0], "price": float(price), "code": f"new{leaf}"}
+                for leaf in (next_leaf, next_leaf + 1)
+            ]
+        elif kind == "insert_leaf":
+            rows = [{"id": next_leaf, "parent_id": mids[pick % 2], "price": float(price),
+                     "code": f"n{next_leaf}"}]
+        elif kind == "empty_spare" and under:
+            doomed = under
+        elif kind in ("delete_leaf", "update_leaf") and under:
+            doomed = [under[pick % len(under)]]
+        else:
+            continue
+        if kind in ("fill_spare", "insert_leaf"):
+            next_leaf += len(rows)
+            leaves.update((row["id"], row["parent_id"]) for row in rows)
+            statements.append((top, InsertStatement("leaf", rows)))
+        elif kind == "update_leaf":
+            statements.append((top, UpdateStatement(
+                "leaf", {"price": 1000.0 + price}, keys=[(leaf,) for leaf in doomed]
+            )))
+        else:
+            for leaf in doomed:
+                del leaves[leaf]
+            statements.append((top, DeleteStatement("leaf", keys=[(leaf,) for leaf in doomed])))
+    return statements
 
 
 _hierarchy_actions = st.lists(
@@ -244,69 +181,29 @@ _hierarchy_actions = st.lists(
 )
 
 
-def _hierarchy_services():
-    services = []
-    for compiled in (True, False):
-        service = ActiveViewService(
-            _hierarchy_database(), mode=ExecutionMode.GROUPED_AGG,
-            use_compiled_plans=compiled,
-        )
-        service.register_view(_WORKLOAD.build_view())
-        service.register_action("collect", lambda node: None)
-        service.register_triggers_bulk(_HIERARCHY_TRIGGERS)
-        services.append(service)
-    oracle = MaterializedBaseline(_hierarchy_database())
-    oracle.register_view(_WORKLOAD.build_view())
-    oracle.register_action("collect", lambda node: None)
-    for text in _HIERARCHY_TRIGGERS:
-        oracle.create_trigger(parse_trigger(text))
-    return services, oracle
-
-
 @given(actions=_hierarchy_actions)
 @example(actions=[("fill_spare", 0, 0, 5), ("update_leaf", 1, 0, 7), ("empty_spare", 0, 0, 1)])
-@_SETTINGS
+@budget()
 def test_depth3_grouped_agg_per_statement_matches_oracle(actions):
-    (compiled, interpreted), oracle = _hierarchy_services()
-    stream = _Stream()
-    for action in actions:
-        _, statement = stream.statement(action, compiled.database)
-        if statement is None:
-            continue
-        fired = []
-        for service in (compiled, interpreted):
-            marker = len(service.fired)
-            service.execute(statement)
-            fired.append(_fired(service, marker))
-        assert fired[0] == fired[1], action
-        assert _as_oracle(fired[0]) == sorted(_oracle_calls(oracle, statement)), action
-    assert compiled.evaluation_report()["compiled_plan_fallbacks"] == 0
+    steps = [[statement] for _, statement in _statements(actions)]
+    run = replay(_SCENARIO, [ORACLE, COMPILED, INTERPRETED], steps)
+    assert in_order(run.targets["compiled"]) == in_order(run.targets["interpreted"])
 
 
 @given(actions=_hierarchy_actions)
 @example(actions=[("fill_spare", 0, 0, 5), ("update_leaf", 1, 0, 7), ("fill_spare", 1, 0, 3)])
-@_SETTINGS
+@budget()
 def test_depth3_grouped_agg_batch_matches_oracle(actions):
     """One batch of statements on distinct top elements: a batch fires net
     transitions, which equal the per-statement ones only when no two
     statements touch one node."""
-    (compiled, interpreted), oracle = _hierarchy_services()
-    stream = _Stream()
     batch, tops = [], set()
-    for action in actions:
-        top, statement = stream.statement(action, compiled.database)
-        if statement is None or top in tops:
-            continue
-        tops.add(top)
-        batch.append(statement)
+    for top, statement in _statements(actions):
+        if top not in tops:
+            tops.add(top)
+            batch.append(statement)
     if not batch:
         return
-    fired = []
-    for service in (compiled, interpreted):
-        marker = len(service.fired)
-        service.execute_batch(batch)
-        fired.append(_fired(service, marker))
-    assert fired[0] == fired[1]
-    expected = sorted(call for statement in batch for call in _oracle_calls(oracle, statement))
-    assert _as_oracle(fired[0]) == expected
-    assert compiled.evaluation_report()["compiled_plan_fallbacks"] == 0
+    interpreted = replace(INTERPRETED, batched=True)
+    run = replay(_SCENARIO, [ORACLE, BATCH, interpreted], [batch])
+    assert in_order(run.targets["batch"]) == in_order(run.targets["interpreted"])

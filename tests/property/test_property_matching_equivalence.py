@@ -21,42 +21,51 @@ interleaved with trigger DDL (register / bulk-register / drop / drop_view):
 Every population here is fully indexable, and the indexed services assert
 **zero** silent fallbacks to the linear scan (``matching_fallbacks`` in the
 evaluation report) — an unindexable plan slipping through would hide index
-bugs behind the fallback's correct answers.
+bugs behind the fallback's correct answers.  The comparison is
+:mod:`tests.property.differential`'s.
 """
 
 from __future__ import annotations
 
-import os
+from dataclasses import replace
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.core.service import ActiveViewService, ExecutionMode
-from repro.relational.dml import DeleteStatement, InsertStatement, UpdateStatement
-from repro.xmlmodel import serialize
 from repro.xqgm.views import catalog_view
 
-from tests.conftest import build_paper_database
+from tests.property.differential import (
+    COMPILED,
+    EXAMPLES,
+    NAMES,
+    Replay,
+    Scenario,
+    budget,
+    catalog,
+    catalog_actions,
+    catalog_database,
+    catalog_steps,
+    replay,
+)
 
-_EXAMPLES = int(os.environ.get("REPRO_PROPERTY_EXAMPLES", "15"))
-
-_PIDS = ["P1", "P2", "P3", "P4"]
-_VIDS = ["Amazon", "Bestbuy", "Circuitcity", "Buy.com", "Newegg", "Walmart"]
-_NAMES = ["CRT 15", "LCD 19", "OLED 27"]
+#: The indexed GROUPED_AGG engine, its linear-scan oracle, and UNGROUPED.
+_ENGINES = [
+    replace(COMPILED, name="indexed"),
+    replace(COMPILED, name="linear", options={"use_matching_indexes": False}),
+    replace(COMPILED, name="ungrouped", mode=ExecutionMode.UNGROUPED),
+]
 
 # -- randomized trigger populations -------------------------------------------------
 #
 # Every template is indexable: equality atoms, range atoms, or no condition.
-# (Catalog triggers monitored on the nested product/vendor path translate
-# but cannot *fire* in the seed evaluator — a pre-existing limitation shared
-# by every engine — so the executing properties stay on the product path;
-# path overlap is exercised on the hierarchy view below, and vendor-path
-# matchers are pinned directly in
-# ``test_matcher_candidates_match_linear_rows_directly``.)
+# (The executing properties stay on the product path; path overlap is
+# exercised on the hierarchy view below, and vendor-path matchers are pinned
+# directly in ``test_matcher_candidates_match_linear_rows_directly``.)
 
 _trigger_templates = st.one_of(
     st.builds(
         lambda name, var: ("product", f"{var}/@name = '{name}'"),
-        st.sampled_from(_NAMES), st.sampled_from(["OLD_NODE", "NEW_NODE"]),
+        st.sampled_from(NAMES), st.sampled_from(["OLD_NODE", "NEW_NODE"]),
     ),
     st.builds(
         lambda low: ("product", f"NEW_NODE/vendor/price >= {low}"),
@@ -87,157 +96,40 @@ def _definition(index: int, template) -> str:
     )
 
 
-# -- randomized DML ----------------------------------------------------------------
-
-_dml = st.one_of(
-    st.builds(
-        lambda vid, pid, price: ("insert_vendor", vid, pid, price),
-        st.sampled_from(_VIDS), st.sampled_from(_PIDS), st.integers(10, 300),
-    ),
-    st.builds(
-        lambda vid, pid, price: ("update_price", vid, pid, price),
-        st.sampled_from(_VIDS), st.sampled_from(_PIDS), st.integers(10, 300),
-    ),
-    st.builds(lambda vid, pid: ("delete_vendor", vid, pid),
-              st.sampled_from(_VIDS), st.sampled_from(_PIDS)),
-    st.builds(lambda pid, name: ("rename_product", pid, name),
-              st.sampled_from(_PIDS), st.sampled_from(_NAMES)),
-)
-
-
-def _to_statement(action, database):
-    kind = action[0]
-    if kind == "insert_vendor":
-        _, vid, pid, price = action
-        if database.table("vendor").get((vid, pid)) is not None:
-            return None  # would violate the primary key
-        return InsertStatement("vendor", [{"vid": vid, "pid": pid, "price": float(price)}])
-    if kind == "update_price":
-        _, vid, pid, price = action
-        return UpdateStatement(
-            "vendor", {"price": float(price)},
-            where=lambda r, vid=vid, pid=pid: r["vid"] == vid and r["pid"] == pid,
-        )
-    if kind == "delete_vendor":
-        _, vid, pid = action
-        return DeleteStatement(
-            "vendor", where=lambda r, vid=vid, pid=pid: r["vid"] == vid and r["pid"] == pid
-        )
-    _, pid, name = action
-    return UpdateStatement(
-        "product", {"pname": name}, where=lambda r, pid=pid: r["pid"] == pid
-    )
-
-
-def _build_service(mode, use_matching_indexes):
-    database = build_paper_database(with_foreign_keys=False)
-    database.load_rows("product", [{"pid": "P4", "pname": "OLED 27", "mfr": "LG"}])
-    service = ActiveViewService(
-        database, mode=mode, use_matching_indexes=use_matching_indexes
-    )
-    service.register_view(catalog_view())
-    service.register_action("sink", lambda *args: None)
-    return database, service
-
-
-def _normalize(fired):
-    return sorted(
-        (f.trigger, f.key, serialize(f.new_node) if f.new_node is not None else None)
-        for f in fired
-    )
-
-
-def _engines():
-    """(database, service) triples: indexed, linear oracle, ungrouped."""
-    return (
-        _build_service(ExecutionMode.GROUPED_AGG, use_matching_indexes=True),
-        _build_service(ExecutionMode.GROUPED_AGG, use_matching_indexes=False),
-        _build_service(ExecutionMode.UNGROUPED, use_matching_indexes=True),
-    )
-
-
-def _assert_equivalent(engines):
-    (_, indexed), (_, linear), (_, ungrouped) = engines
-    assert _normalize(indexed.fired) == _normalize(linear.fired) == _normalize(
-        ungrouped.fired
-    )
-    databases = [database for database, _ in engines]
-    assert databases[0].snapshot() == databases[1].snapshot() == databases[2].snapshot()
-    for service in (indexed, ungrouped):
-        assert service.evaluation_report()["matching_fallbacks"] == 0
+def _assert_no_fallbacks(targets) -> None:
+    for name in ("indexed", "ungrouped"):
+        assert targets[name].evaluation_report()["matching_fallbacks"] == 0
 
 
 @given(
     templates=st.lists(_trigger_templates, min_size=1, max_size=8),
-    actions=st.lists(_dml, min_size=1, max_size=6),
+    actions=st.lists(catalog_actions(), min_size=1, max_size=6),
 )
-@settings(
-    max_examples=_EXAMPLES,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@budget()
 def test_indexed_matches_linear_and_ungrouped_per_statement(templates, actions):
-    engines = _engines()
-    definitions = [_definition(i, t) for i, t in enumerate(templates)]
-    for _, service in engines:
-        for definition in definitions:
-            service.create_trigger(definition)
-    for action in actions:
-        statements = [_to_statement(action, database) for database, _ in engines]
-        if any(statement is None for statement in statements):
-            continue
-        for (_, service), statement in zip(engines, statements):
-            service.execute(statement)
-    _assert_equivalent(engines)
+    scenario = catalog([_definition(i, t) for i, t in enumerate(templates)])
+    _assert_no_fallbacks(replay(scenario, _ENGINES, catalog_steps(actions)).targets)
 
 
 @given(
     templates=st.lists(_trigger_templates, min_size=1, max_size=8),
-    actions=st.lists(_dml, min_size=1, max_size=8),
+    actions=st.lists(catalog_actions(), min_size=1, max_size=8),
     batch_size=st.integers(1, 4),
 )
-@settings(
-    max_examples=_EXAMPLES,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@budget()
 def test_indexed_matches_linear_and_ungrouped_per_batch(templates, actions, batch_size):
     """The set-oriented batch path probes the same indexes: all engines agree."""
-    engines = _engines()
-    definitions = [_definition(i, t) for i, t in enumerate(templates)]
-    for _, service in engines:
-        service.register_triggers_bulk(definitions)
-    for start in range(0, len(actions), batch_size):
-        chunk = actions[start:start + batch_size]
-        per_engine = [
-            [s for s in (_to_statement(a, database) for a in chunk) if s is not None]
-            for database, _ in engines
-        ]
-        # Identical state everywhere, so identical feasible statement lists.
-        assert len({len(statements) for statements in per_engine}) == 1
-        if not per_engine[0]:
-            continue
-        errors = []
-        for (_, service), statements in zip(engines, per_engine):
-            try:
-                service.execute_batch(statements)
-                errors.append(None)
-            except Exception as error:
-                errors.append(type(error).__name__)
-        assert len(set(errors)) == 1  # all engines fail (or succeed) alike
-    _assert_equivalent(engines)
+    scenario = catalog([_definition(i, t) for i, t in enumerate(templates)])
+    engines = [replace(engine, batched=True) for engine in _ENGINES]
+    _assert_no_fallbacks(replay(scenario, engines, catalog_steps(actions, batch_size)).targets)
 
 
 @given(
     templates=st.lists(_trigger_templates, min_size=2, max_size=10),
-    actions=st.lists(_dml, min_size=2, max_size=8),
+    actions=st.lists(catalog_actions(), min_size=2, max_size=8),
     ddl_seed=st.randoms(use_true_random=False),
 )
-@settings(
-    max_examples=_EXAMPLES,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@budget()
 def test_equivalence_under_interleaved_ddl(templates, actions, ddl_seed):
     """Register / bulk-register / drop / drop_view interleaved with DML.
 
@@ -245,7 +137,6 @@ def test_equivalence_under_interleaved_ddl(templates, actions, ddl_seed):
     drop_view teardown, rebuild after invalidation) must leave the indexed
     engine indistinguishable from the scan at every point in the schedule.
     """
-    engines = _engines()
     definitions = [_definition(i, t) for i, t in enumerate(templates)]
 
     # A deterministic DDL schedule derived from the drawn Random: each DML
@@ -269,51 +160,42 @@ def test_equivalence_under_interleaved_ddl(templates, actions, ddl_seed):
         else:
             schedule.append(("noop", None))
 
-    for (kind, payload), action in zip(schedule, actions):
-        for _, service in engines:
-            if kind == "create":
-                service.create_trigger(payload)
-            elif kind == "bulk":
-                service.register_triggers_bulk(payload)
-            elif kind == "drop":
-                service.drop_trigger(payload)
-        statements = [_to_statement(action, database) for database, _ in engines]
-        if any(statement is None for statement in statements):
-            continue
-        for (_, service), statement in zip(engines, statements):
-            service.execute(statement)
+    steps = catalog_steps(actions)
+    with Replay(catalog(()), _ENGINES) as run:
+        services = list(run.targets.values())
+        for (kind, payload), step in zip(schedule, steps):
+            for service in services:
+                if kind == "create":
+                    service.create_trigger(payload)
+                elif kind == "bulk":
+                    service.register_triggers_bulk(payload)
+                elif kind == "drop":
+                    service.drop_trigger(payload)
+            run.step(step)
 
-    # Same surviving triggers everywhere.
-    names = {tuple(sorted(s.name for s in service.triggers)) for _, service in engines}
-    assert len(names) == 1
-    _assert_equivalent(engines)
+        # Same surviving triggers everywhere.
+        names = {tuple(sorted(s.name for s in service.triggers)) for service in services}
+        assert len(names) == 1
+        _assert_no_fallbacks(run.targets)
 
-    # drop_view tears every index down; re-registering starts clean and the
-    # engines still agree on a fresh round of DML.
-    for _, service in engines:
-        service.drop_view("catalog")
-        assert service.triggers == []
-        service.register_view(catalog_view())
-        for definition in definitions[:3]:
-            service.create_trigger(definition)
-    for action in actions:
-        statements = [_to_statement(action, database) for database, _ in engines]
-        if any(statement is None for statement in statements):
-            continue
-        for (_, service), statement in zip(engines, statements):
-            service.execute(statement)
-    _assert_equivalent(engines)
+        # drop_view tears every index down; re-registering starts clean and
+        # the engines still agree on a fresh round of DML.
+        for service in services:
+            service.drop_view("catalog")
+            assert service.triggers == []
+            service.register_view(catalog_view())
+            for definition in definitions[:3]:
+                service.create_trigger(definition)
+        for step in steps:
+            run.step(step)
+        _assert_no_fallbacks(run.targets)
 
 
 @given(
     population_seed=st.integers(0, 2**32 - 1),
     statements_count=st.integers(2, 6),
 )
-@settings(
-    max_examples=max(5, _EXAMPLES // 3),
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@budget(max(5, EXAMPLES // 3))
 def test_equivalence_with_overlapping_paths(population_seed, statements_count):
     """Overlapping monitored paths on the nested hierarchy view.
 
@@ -345,31 +227,14 @@ def test_equivalence_with_overlapping_paths(population_seed, statements_count):
     rng.shuffle(templates)
     templates = templates[: rng.randint(2, len(templates))]
 
-    engines = []
-    for use_indexes, mode in [
-        (True, ExecutionMode.GROUPED_AGG),
-        (False, ExecutionMode.GROUPED_AGG),
-        (True, ExecutionMode.UNGROUPED),
-    ]:
-        database = workload.build_database()
-        service = ActiveViewService(
-            database, mode=mode, use_matching_indexes=use_indexes
-        )
-        service.register_view(workload.build_view())
-        service.register_action("sink", lambda *args: None)
-        for index, (path, condition) in enumerate(templates):
-            where = f"WHERE {condition} " if condition else ""
-            service.create_trigger(
-                f"CREATE TRIGGER t{index} AFTER UPDATE ON view('{view_name}')/{path} "
-                f"{where}DO sink(NEW_NODE)"
-            )
-        engines.append((database, service))
-
-    reference_db = engines[0][0]
-    for statement in workload.update_statements(statements_count, reference_db):
-        for _, service in engines:
-            service.execute(statement)
-    _assert_equivalent(engines)
+    definitions = [
+        f"CREATE TRIGGER t{index} AFTER UPDATE ON view('{view_name}')/{path} "
+        f"{f'WHERE {condition} ' if condition else ''}DO sink(NEW_NODE)"
+        for index, (path, condition) in enumerate(templates)
+    ]
+    scenario = Scenario(workload.build_database, [workload.build_view()], definitions)
+    statements = workload.update_statements(statements_count, workload.build_database())
+    _assert_no_fallbacks(replay(scenario, _ENGINES, [[s] for s in statements]).targets)
 
 
 def test_matcher_candidates_match_linear_rows_directly():
@@ -383,7 +248,9 @@ def test_matcher_candidates_match_linear_rows_directly():
     """
     from repro.matching import MatchStats
 
-    database, service = _build_service(ExecutionMode.GROUPED_AGG, True)
+    database = catalog_database()
+    service = ActiveViewService(database, ExecutionMode.GROUPED_AGG)
+    catalog(()).install(service)
     for index, (path, condition) in enumerate([
         ("product", "OLD_NODE/@name = 'CRT 15'"),
         ("product", "OLD_NODE/@name = 'LCD 19'"),

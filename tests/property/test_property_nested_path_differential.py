@@ -21,31 +21,30 @@ materialized path before and after each statement:
 * the same view without foreign keys, on the nested levels: a top row
   deleted while its subtree stays in the tables, then inserted again.
 
-In every mode the keys and the whole node each action reads must equal the
-oracle's.  The one exception is by design: where a translation uses
-GROUPED-AGG's compensated OLD_NODE side, an action that reads ``OLD_NODE``
-but none of its descendants gets the element with its attributes only, and
-is compared so.  That side may serve a translation only where its affected
+In every mode the firings — trigger, event, key and both nodes — must
+equal the oracle's under the one OLD_NODE rule of
+:mod:`tests.property.differential`: where a translation uses
+GROUPED-AGG's compensated OLD_NODE side, OLD_NODE is compared by its
+attributes.  That side may serve a translation only where its affected
 keys name changed tuples, never where an affected-key graph was reached
 through several legs of one join.
 """
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
-from repro.core.baseline import MaterializedBaseline
-from repro.core.language import parse_trigger
-from repro.core.service import ActiveViewService, ExecutionMode
+from repro.core.service import ExecutionMode
 from repro.relational.dml import DeleteStatement, InsertStatement, UpdateStatement
 from repro.workloads import HierarchyWorkload, WorkloadParameters
-from repro.xmlmodel import Element, serialize
 from repro.xqgm.views import catalog_view
 
 from tests.conftest import build_paper_database
+from tests.property.differential import BATCH, COMPILED, MODES, ORACLE, Scenario, fired, replay
 
-_BATCHED = pytest.mark.parametrize("batched", [False, True], ids=["execute", "execute_batch"])
-_MODES = pytest.mark.parametrize("mode", list(ExecutionMode), ids=lambda mode: mode.value)
+_ENGINES = pytest.mark.parametrize("engine", [COMPILED, BATCH], ids=["execute", "execute_batch"])
 
 #: The node each trigger's action reads: DELETE has no NEW_NODE.
 _ACTIONS = {"INSERT": "NEW_NODE", "UPDATE": "NEW_NODE", "DELETE": "OLD_NODE"}
@@ -64,51 +63,11 @@ def _translation(service, trigger: str, table: str):
     return compiled.translations.get(table)
 
 
-def _run(build_database, view, triggers, statements, mode, batched):
-    """``(service, service log, oracle log)`` for one run of ``statements``:
-    sorted ``(trigger, key, serialized node the action reads)``.
-
-    Batched, the statements go through one ``execute_batch`` call each, so
-    every statement is its own (table, event) firing, as in the oracle.
-    """
-    oracle = MaterializedBaseline(build_database())
-    oracle.register_view(view)
-    oracle.register_action("sink", lambda node: None)
-    service = ActiveViewService(build_database(), mode)
-    service.register_view(view)
-    service.register_action("sink", lambda node: None)
-    for text in triggers:
-        oracle.create_trigger(parse_trigger(text))
-        service.create_trigger(text)
-
-    def node(trigger, old, new, table):
-        if _ACTIONS[trigger] == "NEW_NODE":
-            return serialize(new)
-        translation = _translation(service, trigger, table)
-        if translation is not None and translation.uses_compensation:
-            # The compensated OLD_NODE side of a trigger that reads OLD_NODE
-            # itself but none of its descendants builds the element with its
-            # attributes only (OldNodeRequirement.SHALLOW).
-            old = Element(old.name, old.attributes)
-        return serialize(old)
-
-    expected, fired = [], []
-    for statement in statements:
-        table = statement.table
-        expected.extend(
-            (c.trigger_name, c.key, node(c.trigger_name, c.old_node, c.new_node, table))
-            for c in oracle.execute(statement)[2]
-        )
-        start = len(service.fired)
-        if batched:
-            service.execute_batch([statement])
-        else:
-            service.execute(statement)
-        fired.extend(
-            (f.trigger, f.key, node(f.trigger, f.old_node, f.new_node, table))
-            for f in service.fired[start:]
-        )
-    return service, sorted(fired), sorted(expected)
+def _run(scenario, statements, mode, engine):
+    """``(service, oracle's records)`` for ``statements``, one step each, on
+    the oracle and ``engine``."""
+    run = replay(scenario, [ORACLE, engine], [[statement] for statement in statements], mode)
+    return run.targets[engine.name], fired(run)
 
 
 def _assert_compensation_gated(service) -> None:
@@ -138,17 +97,22 @@ _CATALOG_STATEMENTS = {
 }
 
 
-@_BATCHED
-@_MODES
+@functools.cache
+def _product_vendor(event: str) -> Scenario:
+    """One scenario per event, so its cases translate once per mode."""
+    return Scenario(
+        build_paper_database, [catalog_view()], [_trigger("catalog", "product/vendor", event)]
+    )
+
+
+@_ENGINES
+@MODES
 @pytest.mark.parametrize("event", list(_CATALOG_STATEMENTS))
-def test_product_vendor_fires_like_the_oracle(event, mode, batched):
-    service, fired, expected = _run(
-        build_paper_database, catalog_view(),
-        [_trigger("catalog", "product/vendor", event)],
-        [_CATALOG_STATEMENTS[event]], mode, batched,
+def test_product_vendor_fires_like_the_oracle(event, mode, engine):
+    service, expected = _run(
+        _product_vendor(event), [_CATALOG_STATEMENTS[event]], mode, engine
     )
     assert expected, "the differential is vacuous if the oracle fires nothing"
-    assert fired == expected
     _assert_compensation_gated(service)
 
 
@@ -168,6 +132,24 @@ def _workload(depth: int) -> HierarchyWorkload:
             depth=depth, leaf_tuples=_TOPS * fanout, fanout=fanout,
             num_triggers=1, satisfied_triggers=1, seed=3,
         )
+    )
+
+
+@functools.cache
+def _hierarchy(depth: int, level: int, foreign_keys: bool = True) -> Scenario:
+    """One trigger per XML event on ``level`` of the depth-``depth`` view;
+    one scenario per level, so its cases translate once per mode."""
+    workload = _workload(depth)
+
+    def build_database():
+        database = workload.build_database()
+        database.enforce_foreign_keys = foreign_keys
+        return database
+
+    path = "/".join(workload.level_element(i) for i in range(level + 1))
+    return Scenario(
+        build_database, [workload.build_view()],
+        [_trigger("hierarchy", path, event) for event in _ACTIONS],
     )
 
 
@@ -222,21 +204,16 @@ def _levels():
             yield pytest.param(depth, level, id=f"depth{depth}-level{level}")
 
 
-@_BATCHED
-@_MODES
+@_ENGINES
+@MODES
 @pytest.mark.parametrize("depth, level", list(_levels()))
-def test_hierarchy_level_fires_like_the_oracle(depth, level, mode, batched):
-    workload = _workload(depth)
-    path = "/".join(workload.level_element(i) for i in range(level + 1))
-    service, fired, expected = _run(
-        workload.build_database, workload.build_view(),
-        [_trigger("hierarchy", path, event) for event in _ACTIONS],
-        _hierarchy_statements(workload), mode, batched,
+def test_hierarchy_level_fires_like_the_oracle(depth, level, mode, engine):
+    service, expected = _run(
+        _hierarchy(depth, level), _hierarchy_statements(_workload(depth)), mode, engine
     )
-    assert {trigger for trigger, _, _ in expected} == set(_ACTIONS), (
+    assert {record[0] for record in expected} == set(_ACTIONS), (
         "every XML event must fire at least once on every level"
     )
-    assert fired == expected
     _assert_compensation_gated(service)
 
 
@@ -265,14 +242,11 @@ def test_update_of_a_column_outside_the_view_fires_nothing(depth, level, mode):
     twice), so the check compares an attributes-only element with the full
     new one and fires.
     """
-    workload = _workload(depth)
-    path = "/".join(workload.level_element(i) for i in range(level + 1))
-    _, fired, expected = _run(
-        workload.build_database, workload.build_view(),
-        [_trigger("hierarchy", path, event) for event in _ACTIONS],
-        [UpdateStatement("top", {"mfr": "other"}, keys=[(3,)])], mode, batched=False,
+    _, expected = _run(
+        _hierarchy(depth, level), [UpdateStatement("top", {"mfr": "other"}, keys=[(3,)])],
+        mode, COMPILED,
     )
-    assert fired == expected == []
+    assert expected == []
 
 
 def _nested_levels():
@@ -281,10 +255,10 @@ def _nested_levels():
             yield pytest.param(depth, level, id=f"depth{depth}-level{level}")
 
 
-@_BATCHED
-@_MODES
+@_ENGINES
+@MODES
 @pytest.mark.parametrize("depth, level", list(_nested_levels()))
-def test_top_element_deleted_under_its_children_and_inserted_again(depth, level, mode, batched):
+def test_top_element_deleted_under_its_children_and_inserted_again(depth, level, mode, engine):
     """Without foreign keys a top row can leave with its subtree still in
     the tables: every nested element under it leaves the view, and comes
     back when the row is inserted again.
@@ -293,25 +267,14 @@ def test_top_element_deleted_under_its_children_and_inserted_again(depth, level,
     several legs, so GROUPED-AGG serves these statements with the
     compensated OLD_NODE side.
     """
-    workload = _workload(depth)
-
-    def build_database():
-        database = workload.build_database()
-        database.enforce_foreign_keys = False
-        return database
-
-    columns = build_database().schema("top").column_names
-    row = next(
-        dict(zip(columns, values)) for values in build_database().table("top") if values[0] == 4
+    scenario = _hierarchy(depth, level, foreign_keys=False)
+    top = scenario.database().table("top")
+    row = next(dict(zip(top.schema.column_names, values)) for values in top if values[0] == 4)
+    service, expected = _run(
+        scenario, [DeleteStatement("top", keys=[(4,)]), InsertStatement("top", [row])],
+        mode, engine,
     )
-    path = "/".join(workload.level_element(i) for i in range(level + 1))
-    service, fired, expected = _run(
-        build_database, workload.build_view(),
-        [_trigger("hierarchy", path, event) for event in _ACTIONS],
-        [DeleteStatement("top", keys=[(4,)]), InsertStatement("top", [row])], mode, batched,
-    )
-    assert {trigger for trigger, _, _ in expected} == {"DELETE", "INSERT"}
-    assert fired == expected
+    assert {record[0] for record in expected} == {"DELETE", "INSERT"}
     if mode is ExecutionMode.GROUPED_AGG:
         assert all(
             _translation(service, trigger, "top").uses_compensation

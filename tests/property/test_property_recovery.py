@@ -24,59 +24,37 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from repro.core.service import ActiveViewService, ExecutionMode
 from repro.persist import DurableServer
-from repro.relational.dml import DeleteStatement, InsertStatement, UpdateStatement
 from repro.xqgm.views import catalog_view
 
-from tests.conftest import build_paper_database
-from tests.serving.conftest import build_sharded_paper_database, by_product
+from tests.property.differential import (
+    COMPILED,
+    KINDS,
+    ORACLE,
+    budget,
+    catalog,
+    catalog_actions,
+    catalog_sharded,
+    catalog_steps,
+    fired,
+    replay,
+    tables,
+)
+from tests.serving.conftest import by_product
 
 TRIGGERS = [
     "CREATE TRIGGER UpdAny AFTER UPDATE ON view('catalog')/product DO sink(NEW_NODE/@name)",
     "CREATE TRIGGER Ins AFTER INSERT ON view('catalog')/product DO sink(NEW_NODE/@name)",
     "CREATE TRIGGER Del AFTER DELETE ON view('catalog')/product DO sink(OLD_NODE/@name)",
 ]
-
-_PIDS = ["P1", "P2", "P3"]
-_VIDS = ["Amazon", "Bestbuy", "Circuitcity", "Buy.com", "Newegg", "Walmart"]
-
-_actions = st.one_of(
-    st.builds(
-        lambda vid, pid, price: ("insert_vendor", vid, pid, price),
-        st.sampled_from(_VIDS), st.sampled_from(_PIDS), st.integers(10, 300),
-    ),
-    st.builds(
-        lambda vid, pid, price: ("update_price", vid, pid, price),
-        st.sampled_from(_VIDS), st.sampled_from(_PIDS), st.integers(10, 300),
-    ),
-    st.builds(lambda vid, pid: ("delete_vendor", vid, pid),
-              st.sampled_from(_VIDS), st.sampled_from(_PIDS)),
-)
+#: Two shards split the products: a rename could merge elements across them.
+_KINDS = [kind for kind in KINDS if kind != "rename_product"]
 
 
-def _to_statement(action, database):
-    kind = action[0]
-    if kind == "insert_vendor":
-        _, vid, pid, price = action
-        if database.table("vendor").get((vid, pid)) is not None:
-            return None  # would violate the primary key
-        return InsertStatement("vendor", [{"vid": vid, "pid": pid, "price": float(price)}])
-    if kind == "update_price":
-        _, vid, pid, price = action
-        return UpdateStatement("vendor", {"price": float(price)}, keys=[(vid, pid)])
-    _, vid, pid = action
-    return DeleteStatement("vendor", keys=[(vid, pid)])
-
-
-def _signature(fired_or_activation):
-    return (
-        fired_or_activation.trigger,
-        fired_or_activation.event.value,
-        fired_or_activation.key,
-    )
+def _signature(activation):
+    return activation.trigger, activation.event.value, activation.key
 
 
 def _open(directory: Path) -> DurableServer:
@@ -89,33 +67,26 @@ def _open(directory: Path) -> DurableServer:
     )
 
 
-@settings(
-    max_examples=10,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
+@budget(10)
 @given(
-    actions=st.lists(_actions, min_size=1, max_size=10),
+    actions=st.lists(catalog_actions(_KINDS), min_size=1, max_size=10),
     prefix=st.integers(0, 10),
     acked=st.integers(0, 30),
     torn_tail=st.booleans(),
 )
 def test_kill_and_recover_matches_sequential_oracle(actions, prefix, acked, torn_tail):
-    prefix = min(prefix, len(actions))
+    statements = [s for step in catalog_steps(actions[:prefix]) for s in step]
 
-    # Sequential oracle: a plain in-memory service executing the same prefix.
-    oracle_db = build_paper_database()
-    oracle = ActiveViewService(oracle_db, mode=ExecutionMode.GROUPED_AGG)
-    oracle.register_view(catalog_view())
-    oracle.register_action("sink", lambda value: None)
-    for definition in TRIGGERS:
-        oracle.create_trigger(definition)
+    # Sequential oracle: the same prefix replayed on the materializing
+    # oracle and a compiled service, one statement at a time.
+    sequential = replay(catalog(TRIGGERS), [ORACLE, COMPILED], [[s] for s in statements])
+    oracle = sequential.targets["compiled"]
 
     with tempfile.TemporaryDirectory() as raw_dir:
         directory = Path(raw_dir)
         server = _open(directory)
         sharded = server.sharded
-        reference = build_sharded_paper_database(1)  # borrow schema + data
+        reference = catalog_sharded()  # borrow schema + data
         for table_name in reference.table_names():
             sharded.create_table(reference.schema(table_name))
         merged = reference.snapshot()
@@ -127,11 +98,7 @@ def test_kill_and_recover_matches_sequential_oracle(actions, prefix, acked, torn
         inbox = server.subscribe("inbox", capacity=1024)
 
         with server:
-            for action in actions[:prefix]:
-                statement = _to_statement(action, oracle_db)
-                if statement is None:
-                    continue
-                oracle.execute(statement)
+            for statement in statements:
                 server.execute(statement)
 
         delivered = inbox.drain()
@@ -147,11 +114,7 @@ def test_kill_and_recover_matches_sequential_oracle(actions, prefix, acked, torn
         recovered = _open(directory)
         try:
             # Tables: exactly the oracle's state for the executed prefix.
-            oracle_state = {
-                name: sorted(rows, key=repr)
-                for name, rows in oracle_db.snapshot().items()
-            }
-            assert recovered.sharded.snapshot() == oracle_state
+            assert tables(recovered.sharded.snapshot()) == tables(oracle.database.snapshot())
             # Registry: every trigger (and the view) rehydrated.
             assert sorted(t.name for t in recovered.server.triggers) == sorted(
                 spec.name for spec in oracle.triggers
@@ -159,7 +122,7 @@ def test_kill_and_recover_matches_sequential_oracle(actions, prefix, acked, torn
             assert recovered.server.services[0].views == ["catalog"]
 
             # Delivery: the serving run produced the oracle's activations...
-            oracle_multiset = Counter(_signature(f) for f in oracle.fired)
+            oracle_multiset = Counter(record[:3] for record in fired(sequential))
             assert Counter(_signature(a) for a in delivered) == oracle_multiset
 
             # ...and everything accepted-but-unacked comes back (at-least-once).

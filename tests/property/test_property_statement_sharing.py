@@ -25,8 +25,9 @@ services share one ``PlanCache``.  Each asserts
 2. **each statement evaluates every shared side at most once**:
    ``shared_side_evaluations`` grows per firing by no more than the number of
    distinct shared sides registered for the fired ``(path, table)``\\ s,
-   however many groups fired;
-3. the zero-silent-fallback guard (``compiled_plan_fallbacks == 0``).
+   however many groups fired, and by at least one.
+
+Both are the checks of :mod:`tests.property.differential`, which runs them.
 
 Randomness is reproducible: hypothesis draws are derived from the session
 seed printed in the pytest header (``REPRO_TEST_SEED``, see
@@ -35,21 +36,27 @@ seed printed in the pytest header (``REPRO_TEST_SEED``, see
 
 from __future__ import annotations
 
-import os
+from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.core.pushdown import OldNodeRequirement
-from repro.core.service import ActiveViewService, ExecutionMode
+from repro.core.service import ExecutionMode
 from repro.relational.dml import DeleteStatement, InsertStatement, UpdateStatement
-from repro.serving import ActiveViewServer
 from repro.workloads import HierarchyWorkload, WorkloadParameters
-from repro.xmlmodel import serialize
 
-# The tier-1 run uses the (fast) default budget; CI's stress step re-runs
-# this file with a larger one (and a pinned seed).
-_EXAMPLES = int(os.environ.get("REPRO_PROPERTY_EXAMPLES", "15"))
+from tests.property.differential import (
+    BATCH,
+    COMPILED,
+    EXAMPLES,
+    INTERPRETED,
+    SERVER,
+    Scenario,
+    budget,
+    fired,
+    replay,
+)
 
 #: 6 top elements x 2 mid elements x 2 leaves: one deleted leaf takes its mid
 #: element below the view's ``count >= 2`` predicate (a DELETE on the nested
@@ -126,7 +133,7 @@ def _definitions(population) -> list[str]:
 _actions = st.one_of(
     st.builds(lambda leaf, price: ("update_leaf", leaf, price),
               st.integers(1, _LEAVES), st.integers(1, 900)),
-    st.builds(lambda leaf: ("delete_leaf", leaf), st.integers(1, _LEAVES + 4)),
+    st.builds(lambda leaf: ("delete_leaf", leaf, 0), st.integers(1, _LEAVES + 4)),
     st.builds(lambda leaf, price: ("insert_leaf", leaf, price),
               st.integers(1, _LEAVES + 4), st.integers(1, 900)),
     st.builds(lambda top, name: ("rename_top", top, name),
@@ -136,89 +143,38 @@ _actions = st.one_of(
 )
 
 
-def _to_statement(action, exists):
-    """Realize an action against the current leaf population (``exists``
-    answers for a leaf id); ``None`` when it cannot apply.  Every statement
-    names its keys, so a sharded server routes it to one shard."""
-    kind = action[0]
-    if kind == "update_leaf":
-        _, leaf, price = action
-        if not exists(leaf):
-            return None
-        return UpdateStatement("leaf", {"price": price + 0.25}, keys=[(leaf,)])
-    if kind == "delete_leaf":
-        return DeleteStatement("leaf", keys=[(action[1],)]) if exists(action[1]) else None
-    if kind == "insert_leaf":
-        _, leaf, price = action
-        if exists(leaf):
-            return None
-        # Round-robin parents, like the generator: ancestry stays arithmetic
-        # (which is what the sharded placement routes by).
-        return InsertStatement("leaf", [{
-            "id": leaf, "parent_id": ((leaf - 1) % _MIDS) + 1,
-            "price": price + 0.5, "code": f"new{leaf}",
-        }])
-    table = "top" if kind == "rename_top" else "mid1"
-    return UpdateStatement(table, {"name": action[2]}, keys=[(action[1],)])
+def _steps(actions, batch_size: int = 1) -> list[list]:
+    """The statements of ``actions``, ``batch_size`` to a step, against the
+    leaf rows the statements before leave; an action that cannot apply is
+    dropped.  Every statement names its keys, so a sharded server routes it
+    to one shard."""
+    present = {row[0] for row in _WORKLOAD.build_database().table("leaf")}
+    statements = []
+    for kind, target, value in actions:
+        if kind == "update_leaf" and target in present:
+            statements.append(UpdateStatement("leaf", {"price": value + 0.25}, keys=[(target,)]))
+        elif kind == "delete_leaf" and target in present:
+            present.discard(target)
+            statements.append(DeleteStatement("leaf", keys=[(target,)]))
+        elif kind == "insert_leaf" and target not in present:
+            present.add(target)
+            # Round-robin parents, like the generator: ancestry stays
+            # arithmetic (which is what the sharded placement routes by).
+            statements.append(InsertStatement("leaf", [{
+                "id": target, "parent_id": ((target - 1) % _MIDS) + 1,
+                "price": value + 0.5, "code": f"new{target}",
+            }]))
+        elif kind in ("rename_top", "rename_mid"):
+            table = "top" if kind == "rename_top" else "mid1"
+            statements.append(UpdateStatement(table, {"name": value}, keys=[(target,)]))
+    return [statements[i:i + batch_size] for i in range(0, len(statements), batch_size)]
 
 
-def _build_service(mode, population, **engine):
-    database = _WORKLOAD.build_database()
-    service = ActiveViewService(database, mode=mode, **engine)
-    service.register_view(_WORKLOAD.build_view())
-    service.register_action("sink", lambda *args: None)
-    service.register_triggers_bulk(_definitions(population))
-    return database, service
-
-
-def _engines(mode, population):
-    """(interpreted oracle, compiled), each on its own database."""
-    return (
-        _build_service(mode, population, use_compiled_plans=False),
-        _build_service(mode, population),
+def _scenario(population) -> Scenario:
+    return Scenario(
+        _WORKLOAD.build_database, [_WORKLOAD.build_view()], _definitions(population),
+        lambda: _WORKLOAD.build_sharded_database(2),
     )
-
-
-def _normalize(fired, population=None):
-    """Sorted (trigger, event, key, OLD_NODE, NEW_NODE) activations.
-
-    With a ``population`` the OLD_NODE is compared only for groups that need
-    the *full* old node.  That is for executions through the batch path,
-    which activates a node at most once per trigger and batch: where the
-    compensated old side offers two candidate pairs for one key (a renamed
-    top element keeps a group under its old and its new name), which one
-    survives depends on pair order — and order is what the engines do not
-    promise once a side was read back from the statement memo.
-    """
-    text = lambda node: None if node is None else serialize(node)
-    full = None if population is None else {
-        f"g{group}m"
-        for group, (template, _, _, _) in enumerate(population)
-        if _TEMPLATES[template][1] == OldNodeRequirement.FULL
-    }
-    return sorted(
-        (
-            f.trigger, f.event.value, f.key,
-            text(f.old_node) if full is None or f.trigger[:-1] in full else None,
-            text(f.new_node),
-        )
-        for f in fired
-    )
-
-
-def _tables(snapshot) -> dict:
-    """Table contents irrespective of row (and shard) order."""
-    return {table: sorted(rows) for table, rows in snapshot.items()}
-
-
-def _registered_sides(service, table) -> int:
-    """Distinct shared sides over every (path, ``table``) translation installed."""
-    sides = {}
-    for compiled in service._groups.values():
-        translation = compiled.translations.get(table)
-        if translation is not None:
-            sides.update((id(op), op) for op in translation.sides.shared_operators)
-    return len(sides)
 
 
 def _assert_population(service, population, mode) -> None:
@@ -250,46 +206,15 @@ def _assert_population(service, population, mode) -> None:
             assert translation.uses_compensation == compensated
 
 
-def _assert_compiled_served(compiled) -> None:
-    report = compiled.evaluation_report()
-    assert report["compiled_plan_fallbacks"] == 0, report
-
-
 _MODES = pytest.mark.parametrize("mode", [ExecutionMode.GROUPED, ExecutionMode.GROUPED_AGG])
 
 
 @_MODES
 @given(population=_populations(), actions=st.lists(_actions, min_size=1, max_size=8))
-@settings(
-    max_examples=_EXAMPLES,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
-)
+@budget()
 def test_per_statement_engines_agree_and_each_side_evaluates_once(mode, population, actions):
-    (interp_db, interp), (comp_db, comp) = _engines(mode, population)
-    _assert_population(comp, population, mode)
-
-    for action in actions:
-        statements = [
-            _to_statement(action, lambda leaf, db=db: db.table("leaf").get((leaf,)) is not None)
-            for db in (interp_db, comp_db)
-        ]
-        if any(statement is None for statement in statements):
-            assert all(statement is None for statement in statements)
-            continue
-        interp.execute(statements[0])
-        before = comp.evaluation_report()
-        comp.execute(statements[1])
-        after = comp.evaluation_report()
-        evaluated = after["shared_side_evaluations"] - before["shared_side_evaluations"]
-        assert evaluated <= _registered_sides(comp, statements[1].table), (
-            f"{statements[1].table}: {evaluated} side evaluations in one statement"
-        )
-
-    assert _normalize(comp.fired) == _normalize(interp.fired)
-    assert comp_db.snapshot() == interp_db.snapshot()
-    assert interp.evaluation_report()["shared_side_evaluations"] == 0  # the oracle never shares
-    _assert_compiled_served(comp)
+    run = replay(_scenario(population), [INTERPRETED, COMPILED], _steps(actions), mode)
+    _assert_population(run.targets["compiled"], population, mode)
 
 
 @_MODES
@@ -298,88 +223,51 @@ def test_per_statement_engines_agree_and_each_side_evaluates_once(mode, populati
     actions=st.lists(_actions, min_size=1, max_size=10),
     batch_size=st.integers(1, 4),
 )
-@settings(
-    max_examples=_EXAMPLES,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
-)
+@budget()
 def test_batches_engines_agree_and_each_slice_evaluates_each_side_once(
     mode, population, actions, batch_size
 ):
     """``execute_batch``: one firing — one memo — per (table, event) slice."""
-    (interp_db, interp), (comp_db, comp) = _engines(mode, population)
-
-    for start in range(0, len(actions), batch_size):
-        chunks = []
-        for db in (interp_db, comp_db):
-            # Feasibility within a batch follows the statements before it.
-            present = {row[0] for row in db.table("leaf")}
-            chunk = []
-            for action in actions[start:start + batch_size]:
-                statement = _to_statement(action, present.__contains__)
-                if statement is None:
-                    continue
-                if action[0] == "delete_leaf":
-                    present.discard(action[1])
-                elif action[0] == "insert_leaf":
-                    present.add(action[1])
-                chunk.append(statement)
-            chunks.append(chunk)
-        if not chunks[0]:
-            continue
-        interp.execute_batch(chunks[0])
-        before = comp.evaluation_report()
-        result = comp.execute_batch(chunks[1])
-        after = comp.evaluation_report()
-        allowed = sum(
-            _registered_sides(comp, delta.table) for delta in result.deltas if delta.rowcount
-        )
-        evaluated = after["shared_side_evaluations"] - before["shared_side_evaluations"]
-        assert evaluated <= allowed
-
-    assert _normalize(comp.fired, population) == _normalize(interp.fired, population)
-    assert comp_db.snapshot() == interp_db.snapshot()
-    _assert_compiled_served(comp)
+    engines = [replace(INTERPRETED, batched=True), BATCH]
+    replay(_scenario(population), engines, _steps(actions, batch_size), mode)
 
 
 @given(population=_populations(), actions=st.lists(_actions, min_size=1, max_size=8))
-@settings(
-    max_examples=max(5, _EXAMPLES // 2),
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
-)
+@budget(max(5, EXAMPLES // 2))
 def test_two_shard_server_sharing_one_plan_cache(population, actions):
     """Two shard services combine the *same* sides (one PlanCache) yet never
     see each other's rows: the server's activations equal the interpreted
-    single-service oracle's, and no statement evaluates a side twice."""
-    interp_db, interp = _build_service(
-        ExecutionMode.GROUPED_AGG, population, use_compiled_plans=False
-    )
-    server = ActiveViewServer(_WORKLOAD.build_sharded_database(2))
-    server.register_view(_WORKLOAD.build_view())
-    server.register_action("sink", lambda *args: None)
-    server.register_triggers_bulk(_definitions(population))
-    first, second = server.services
+    service's through the path a shard worker takes, and no statement
+    evaluates a side twice."""
+    engines = [replace(INTERPRETED, batched=True), SERVER]
+    run = replay(_scenario(population), engines, _steps(actions))
+    first, second = run.targets["server"].services
     for signature, compiled in first._groups.items():
         for table, translation in compiled.translations.items():
             sibling = second._groups[signature].translations[table]
             assert sibling is translation and sibling.sides is translation.sides
 
-    with server:
-        for action in actions:
-            statement = _to_statement(
-                action, lambda leaf: interp_db.table("leaf").get((leaf,)) is not None
-            )
-            if statement is None:
-                continue
-            interp.execute_batch([statement])  # the path a shard worker takes
-            before = server.evaluation_report()
-            server.execute(statement)
-            after = server.evaluation_report()
-            evaluated = after["shared_side_evaluations"] - before["shared_side_evaluations"]
-            assert evaluated <= _registered_sides(first, statement.table)
 
-    assert _normalize(server.fired, population) == _normalize(interp.fired, population)
-    assert _tables(server.sharded.snapshot()) == _tables(interp_db.snapshot())
-    report = server.evaluation_report()
-    assert report["compiled_plan_fallbacks"] == 0
+@pytest.mark.parametrize("renames_first", [True, False], ids=["renames-first", "leaves-first"])
+def test_a_batch_renaming_two_tops_into_one_name_keeps_one_old_node_per_key(renames_first):
+    """The batch path keeps one activation per (trigger, event, key) and
+    batch.  Here the ``top`` and ``leaf`` slices of one batch each offer a
+    pair for keys 1 and 2, with different OLD_NODE names; the pair kept is
+    the first slice's, an order the batch fixes for every engine.  Within
+    the ``top`` slice the compensated side offers one group per key, not one
+    under the old and one under the new name: a compensated group counts the
+    rows it had before the update and is dropped when it had none."""
+    population = [(4, "topelem", ["name_3"], 1), (5, "topelem", ["name_3"], 1)]
+    renames = [("rename_top", 1, "renamed"), ("rename_top", 2, "renamed")]
+    leaves = [("update_leaf", 1, 7), ("update_leaf", 2, 9)]
+    actions = renames + leaves if renames_first else leaves + renames
+    engines = [replace(INTERPRETED, batched=True), BATCH]
+    run = replay(_scenario(population), engines, _steps(actions, 4), ExecutionMode.GROUPED_AGG)
+    _assert_population(run.targets["batch"], population, ExecutionMode.GROUPED_AGG)
+    # (trigger, key, the kept OLD_NODE's @name)
+    kept = [(trigger, key, old.split('"')[1]) for trigger, _, key, old, _ in fired(run)]
+    assert [(trigger, key) for trigger, key, _ in kept] == [
+        ("g0m0", (1,)), ("g0m0", (2,)), ("g1m0", (1,)), ("g1m0", (2,)),
+    ]
+    if renames_first:
+        assert [name for _, _, name in kept] == ["name_1", "name_2"] * 2

@@ -2,7 +2,7 @@
 
 The protocol-level abuse cases (garbage, torn frames, bad CRCs) live in
 ``test_net_protocol_fuzz.py``; the delivery-equivalence properties in
-``tests/property/test_property_net_equivalence.py``.  This module pins the
+``tests/property/test_property_delivery.py``.  This module pins the
 happy paths and the two regressions that keep connection-scale fan-out
 honest: a stalled subscriber must not block anyone else, and its server-side
 buffer must stay at the configured bound.

@@ -73,7 +73,10 @@ def test_retained_state_is_the_same_after_n_and_2n_statements(tmp_path, monkeypa
                 for _ in range(SIBLINGS):
                     await client.ack(await stream.get(timeout=30))
                     inbox.ack(inbox.get(timeout=30))
-            await client.ping()  # every ack above has reached the server
+                # Every ack above has reached the server before the next
+                # statement: a re-check then sees only one bundle unacked,
+                # so the mark stays PENDING_RECHECK.
+                await client.ping()
 
         await serve(0, STATEMENTS)
         at_n = retained(), len(durable._pending), net.frame_cache.retained_bytes

@@ -81,4 +81,4 @@ def test_one_update_builds_only_the_elements_it_fires(monkeypatch):
     assert built == delivered, f"built and never delivered: {names}"
     # One shallow OLD topelem; the NEW topelem with 2 mids x (1 + 2 leaves x 3).
     assert len(built) == 1 + 1 + 2 * (1 + 2 * 3)
-    assert service.evaluation_report()["compiled_plan_fallbacks"] == 0
+    assert service.evaluation_report()["shared_side_evaluations"] > 0  # the compiled engine ran

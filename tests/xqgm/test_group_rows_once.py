@@ -66,7 +66,7 @@ def _count(monkeypatch, service, statement, leaf_key: str):
     service.execute(statement)
     monkeypatch.undo()
     assert len(service.fired) == fired + 2
-    assert service.evaluation_report()["compiled_plan_fallbacks"] == 0
+    assert service.evaluation_report()["shared_side_evaluations"] > 0  # the compiled engine ran
     return computed, grouped_leaf_rows[0]
 
 

@@ -10,7 +10,7 @@ child value an element constructor meets (against
 ``ElementConstructor.evaluate``, errors included).  The
 volatility classification and the statement-scoped sharing of compiled
 nodes close the file; randomized end-to-end equivalence lives in
-``tests/property/test_property_compiled_equivalence.py``.
+``tests/property/test_property_evaluators.py``.
 """
 
 import math

@@ -116,7 +116,7 @@ def test_version_stamps_are_taken_only_to_key_the_statement_memo(monkeypatch):
     memo = memos[-1]
     assert memo.side_lookups > 0 and memo.plan_lookups > 0
     assert len(stamps) == memo.side_lookups + memo.plan_lookups
-    assert service.evaluation_report()["compiled_plan_fallbacks"] == 0
+    assert service.evaluation_report()["shared_side_evaluations"] > 0  # the compiled engine ran
 
 
 def test_no_rows_outlive_the_statement_memo(monkeypatch):
