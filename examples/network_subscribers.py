@@ -172,11 +172,9 @@ def main() -> None:
     try:
         server = open_server(directory)
         server.start()
-        # Two loops so the walkthrough also exercises connection placement
-        # (SO_REUSEPORT where the platform has it, hand-off elsewhere).
-        net = NetworkServer(server, loops=2).start()
+        net = NetworkServer(server).start()  # one event loop on a daemon thread
         host, port = net.address
-        print(f"network front end listening on {host}:{port} (loops=2)")
+        print(f"network front end listening on {host}:{port}")
         try:
             asyncio.run(run_clients(host, port))
         finally:

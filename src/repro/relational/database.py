@@ -300,7 +300,10 @@ class Database:
           INSERT of the new one (at the view level that *is* the net
           effect: one monitored node disappears, another appears);
         * if a statement raises, earlier statements stay applied (matching
-          sequential execution) but **no** triggers have fired yet.
+          sequential execution) and the triggers fire for their coalesced
+          deltas before the statement's error propagates; a trigger that
+          raises while they fire raises its own error, chained to the
+          statement's.
 
         Accepts a :class:`~repro.relational.dml.Batch`, a
         :class:`~repro.relational.dml.BulkLoad`, or any iterable mixing plain
@@ -317,53 +320,59 @@ class Database:
                     coalescer.absorb(result)
             finally:
                 # A failing statement leaves its predecessors applied (the
-                # documented semantics), so their net deltas must still reach
-                # the commit listeners — otherwise recovery would lose them.
+                # documented semantics), so their net deltas still reach the
+                # commit listeners — otherwise recovery would lose them — and
+                # still fire, so no view changes without its activation.
                 self._batch_depth -= 1
                 batch.deltas = coalescer.deltas()
                 self._emit_apply(batch.deltas)
-            if fire_triggers:
-                # Union each table's slices so every firing can reconstruct the
-                # true pre-batch table state, however many events touched it.
-                # The multiset cancellation (bag_difference both ways) is a no-op
-                # for keyed tables (their slices are already net-disjoint) but
-                # essential for tables without a primary key, whose per-event
-                # slices may carry the same row as both inserted and deleted.
-                per_table: dict[str, tuple[list, list]] = {}
-                schemas: dict[str, Any] = {}
-                for delta in batch.deltas:
-                    inserted, deleted = per_table.setdefault(delta.table, ([], []))
-                    inserted.extend(delta.inserted.rows)
-                    deleted.extend(delta.deleted.rows)
-                    schemas[delta.table] = delta.inserted.schema
-                nets: dict[str, tuple[TransitionTable, TransitionTable]] = {}
-                for table, (inserted, deleted) in per_table.items():
-                    inserted_t = TransitionTable(schemas[table], inserted)
-                    deleted_t = TransitionTable(schemas[table], deleted)
-                    nets[table] = (
-                        bag_difference(inserted_t, deleted_t),
-                        bag_difference(deleted_t, inserted_t),
-                    )
-                # One scratch set shared by every firing of this batch, letting
-                # downstream consumers (the active-view service) deduplicate
-                # logical transitions rediscovered by sibling event slices.
-                batch_seen: set = set()
-                for delta in batch.deltas:
-                    if not delta.rowcount:
-                        continue
-                    batch_inserted, batch_deleted = nets[delta.table]
-                    fired = self._fire_for(
-                        delta.table,
-                        TriggerEvent.parse(delta.event),
-                        delta.inserted,
-                        delta.deleted,
-                        statements=delta.statements,
-                        batch_inserted=batch_inserted,
-                        batch_deleted=batch_deleted,
-                        batch_seen=batch_seen,
-                    )
-                    batch.fired_sql_triggers.extend(fired)
+                if fire_triggers:
+                    batch.fired_sql_triggers.extend(self._fire_batch(batch.deltas))
             return batch
+
+    def _fire_batch(self, deltas: list) -> list[str]:
+        """Fire the statement triggers once per net (table, event) slice."""
+        # Union each table's slices so every firing can reconstruct the true
+        # pre-batch table state, however many events touched it.  The
+        # multiset cancellation (bag_difference both ways) is a no-op for
+        # keyed tables (their slices are already net-disjoint) but essential
+        # for tables without a primary key, whose per-event slices may carry
+        # the same row as both inserted and deleted.
+        per_table: dict[str, tuple[list, list]] = {}
+        schemas: dict[str, Any] = {}
+        for delta in deltas:
+            inserted, deleted = per_table.setdefault(delta.table, ([], []))
+            inserted.extend(delta.inserted.rows)
+            deleted.extend(delta.deleted.rows)
+            schemas[delta.table] = delta.inserted.schema
+        nets: dict[str, tuple[TransitionTable, TransitionTable]] = {}
+        for table, (inserted, deleted) in per_table.items():
+            inserted_t = TransitionTable(schemas[table], inserted)
+            deleted_t = TransitionTable(schemas[table], deleted)
+            nets[table] = (
+                bag_difference(inserted_t, deleted_t),
+                bag_difference(deleted_t, inserted_t),
+            )
+        # One scratch set shared by every firing of this batch, letting
+        # downstream consumers (the active-view service) deduplicate logical
+        # transitions rediscovered by sibling event slices.
+        batch_seen: set = set()
+        fired: list[str] = []
+        for delta in deltas:
+            if not delta.rowcount:
+                continue
+            batch_inserted, batch_deleted = nets[delta.table]
+            fired += self._fire_for(
+                delta.table,
+                TriggerEvent.parse(delta.event),
+                delta.inserted,
+                delta.deleted,
+                statements=delta.statements,
+                batch_inserted=batch_inserted,
+                batch_deleted=batch_deleted,
+                batch_seen=batch_seen,
+            )
+        return fired
 
     @staticmethod
     def _flatten(

@@ -9,8 +9,9 @@ a subscription turns the connection into an activation stream consumed with
 ``async for``.
 
 One background reader task demultiplexes everything arriving on the socket:
-replies resolve per-request futures keyed by message id, ``activation``
-frames feed the connection's :class:`NetSubscription`, and a ``paused``
+replies resolve per-request futures keyed by message id,
+``activation_batch`` frames feed the connection's :class:`NetSubscription`,
+and a ``paused``
 frame (the server's slow-consumer policy) ends the stream with
 :attr:`NetSubscription.paused` set — the consumer then acks what it
 processed and calls :meth:`NetClient.subscribe` again (same name) to resume
@@ -35,10 +36,7 @@ from repro.relational.dml import Statement
 from repro.serving.net.protocol import (
     DEFAULT_MAX_FRAME,
     PROTOCOL_VERSION,
-    SUPPORTED_CAPS,
-    activation_from_wire,
     encode_frame,
-    negotiate_caps,
     read_frame,
     run_from_wire,
     statement_to_wire,
@@ -144,10 +142,6 @@ class NetClient:
         self._closed = False
         #: Populated from the ``welcome`` frame (shard count, durability).
         self.server_info: dict = {}
-        #: Capabilities negotiated with the server (the intersection of what
-        #: both endpoints announced); ``activation_batch`` in here means the
-        #: server sends each delivery run as one node-table frame.
-        self.caps: frozenset[str] = frozenset()
         #: The connection's subscription, once :meth:`subscribe` succeeded.
         self.subscription: NetSubscription | None = None
         # Coalesced acks: highest pending position per shard, flushed by a
@@ -171,22 +165,12 @@ class NetClient:
         port: int,
         *,
         max_frame: int = DEFAULT_MAX_FRAME,
-        caps: Iterable[str] | None = None,
     ) -> "NetClient":
-        """Open a connection, run the hello/welcome handshake.
-
-        ``caps`` announces capabilities to the server (default: everything
-        this client implementation speaks, currently ``activation_batch``).
-        Pass ``caps=()`` to negotiate none — the server then sends one
-        ``activation`` frame per fired trigger.
-        """
-        announce = sorted(SUPPORTED_CAPS if caps is None else caps)
+        """Open a connection, run the hello/welcome version handshake."""
         reader, writer = await asyncio.open_connection(host, port)
         client = cls(reader, writer, max_frame=max_frame)
         try:
-            await client._send(
-                {"type": "hello", "version": PROTOCOL_VERSION, "caps": announce}
-            )
+            await client._send({"type": "hello", "version": PROTOCOL_VERSION})
             welcome = await read_frame(reader, max_frame=max_frame)
             if welcome["type"] == "error":
                 raise NetworkError(
@@ -204,7 +188,6 @@ class NetClient:
             writer.close()
             raise
         client.server_info = dict(welcome.get("server") or {})
-        client.caps = negotiate_caps(welcome.get("caps")).intersection(announce)
         client._reader_task = asyncio.ensure_future(client._reader_loop())
         return client
 
@@ -305,11 +288,7 @@ class NetClient:
             while True:
                 message = await read_frame(self._reader, max_frame=self._max_frame)
                 mtype = message["type"]
-                if mtype == "activation":
-                    activation = activation_from_wire(message.get("payload"))
-                    if self.subscription is not None:
-                        self.subscription._on_decoded(activation)
-                elif mtype == "activation_batch":
+                if mtype == "activation_batch":
                     # Strictly validated even when no subscription is live:
                     # a malformed frame is a protocol error, not a silent
                     # drop.  Each distinct node text is parsed once.

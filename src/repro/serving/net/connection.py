@@ -2,13 +2,12 @@
 
 :class:`_Connection` is a :class:`~repro.serving.net.session.Session` that
 speaks the length+CRC framed protocol of :mod:`repro.serving.net.protocol`:
-it reads frames, negotiates capabilities in the ``hello``/``welcome``
-handshake and routes ``submit`` / ``ddl`` / ``stats`` through the shared
-request layer (:mod:`repro.serving.net.requests`).  Everything a
-subscription *does* — attach, acks, watermarks, framing a delivery run, the
-slow-consumer pause — is the session's; the handshake only decides whether
-this peer takes a run as one ``activation_batch`` frame (it announced the
-capability) or as one ``activation`` frame per fired trigger.
+it reads frames, checks the peer's protocol version in the
+``hello``/``welcome`` handshake and routes ``submit`` / ``ddl`` / ``stats``
+through the shared request layer (:mod:`repro.serving.net.requests`).
+Everything a subscription *does* — attach, acks, watermarks, framing a
+delivery run as ``activation_batch`` frames, the slow-consumer pause — is
+the session's.
 
 A client may pipeline submits.  Each is on its shard queue before the next
 frame is read, so a pipelined burst executes as one micro-batch; the reader
@@ -24,13 +23,7 @@ import asyncio
 
 from repro.errors import ProtocolError, ServingError
 from repro.serving.net import requests
-from repro.serving.net.protocol import (
-    CAP_ACTIVATION_BATCH,
-    PROTOCOL_VERSION,
-    encode_frame,
-    negotiate_caps,
-    read_frame,
-)
+from repro.serving.net.protocol import PROTOCOL_VERSION, encode_frame, read_frame
 from repro.serving.net.session import REPLY_SLACK, Session
 
 __all__ = ["_Connection"]
@@ -49,8 +42,8 @@ class _Connection(Session):
     ack_needs_subscription = True
     encode = staticmethod(encode_frame)
 
-    def __init__(self, runtime, reader, writer) -> None:
-        super().__init__(runtime, reader, writer)
+    def __init__(self, front, reader, writer) -> None:
+        super().__init__(front, reader, writer)
         #: Statements submitted on this connection whose reply has not yet
         #: been written out.
         self._unanswered = 0
@@ -87,17 +80,14 @@ class _Connection(Session):
                 f"protocol version mismatch: client {hello.get('version')!r}, "
                 f"server {PROTOCOL_VERSION}"
             )
-        caps = negotiate_caps(hello.get("caps"))
-        self.run_frames = CAP_ACTIVATION_BATCH in caps
+        # Other fields of the hello (a ``caps`` list, say) are ignored.
         self.send(
             {
                 "type": "welcome",
                 "version": PROTOCOL_VERSION,
-                "caps": sorted(caps),
                 "server": {
                     "shards": self.front.core.shard_count,
                     "durable": self.front.durable is not None,
-                    "loops": self.front.loops,
                 },
             }
         )
@@ -168,7 +158,7 @@ class _Connection(Session):
             self.send(answer, after=answered)
 
         # No await: the connection keeps dispatching while tickets resolve.
-        requests.ticket_results(tickets, self.runtime.wake_hub).add_done_callback(reply)
+        requests.ticket_results(tickets, self.front.wake_hub).add_done_callback(reply)
 
     async def _handle_ddl(self, msg_id: int, message: dict) -> None:
         try:

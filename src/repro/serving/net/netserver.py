@@ -8,16 +8,14 @@ full serving surface — DML submission (single and batch, with ticket-style
 ``result`` replies), trigger DDL including bulk registration, activation
 subscriptions with resumable cursors, and server statistics.
 
-The front end is a **loop group** (:mod:`repro.serving.net.loops`):
-``loops`` asyncio event loops, each on its own daemon thread, each owning
-its connections outright — no state is shared between loops except the
-:class:`~repro.serving.net.frames.SharedFrameCache` (one activation encode,
-every loop reuses the bytes) and the serving core underneath.  Each
-connection costs a reader coroutine and a writer coroutine, not a thread,
-which is what makes connection-scale fan-out (10k+ subscribers) reachable;
-sharding the loops lets encode+drain work use more than one core.
+The front end runs one asyncio event loop on one daemon thread
+(:mod:`repro.serving.net.loops`).  Each connection costs a reader coroutine
+and a writer coroutine, not a thread, which is what makes connection-scale
+fan-out (10k+ subscribers) reachable, and one encode of a delivery run
+(:class:`~repro.serving.net.frames.SharedFrameCache`) serves every
+connection handed the same activations.
 
-Bridging the thread world and the loops, backpressured both ways (the
+Bridging the thread world and the loop, backpressured both ways (the
 details live in :mod:`repro.serving.net.session` and
 :mod:`repro.serving.net.requests`):
 
@@ -25,22 +23,21 @@ details live in :mod:`repro.serving.net.session` and
   straight onto the shard queues, in arrival order, so a pipelined burst
   runs as one micro-batch; only a full shard queue moves that statement's
   enqueue to a worker thread, which blocks that connection's dispatch loop
-  and never an event loop.
+  and never the event loop.
 * **Activations outbound** — each subscription's ``_offer_many`` never
   blocks the shard worker: it reserves the bundle's slots of the
-  connection's bounded send buffer and hands the run to the owning loop,
-  which frames it once — one ``activation_batch`` (node table plus rows)
-  for clients that negotiated the capability, split only at half of
-  ``max_frame``; slots release only after the frame drains.  A slow
-  consumer **pauses**: detach, terminal ``paused`` frame behind everything
-  already framed, durable resume via the persisted cursor.
+  connection's bounded send buffer and hands the run to the loop, which
+  frames it once — one ``activation_batch`` (node table plus rows), a run
+  of one included, split only at half of ``max_frame``; slots release only
+  after the frame drains.  A slow consumer **pauses**: detach, terminal
+  ``paused`` frame behind everything already framed, durable resume via
+  the persisted cursor.
 
-``docs/networking.md`` is the protocol reference (the "scaling the front
-end" section covers loop-count tuning);
+``docs/networking.md`` is the protocol reference;
 ``tests/serving/test_net_protocol_fuzz.py`` pins the no-crash guarantee and
-``tests/property/test_property_net_equivalence.py`` pins delivery
-equivalence against the in-process subscriber oracle across loop counts and
-frame shapes.
+the ``tcp`` cases of ``tests/property/test_property_delivery.py`` pin
+delivery equivalence against the in-process subscriber oracle, whole runs
+and byte-budget splits.
 """
 
 from __future__ import annotations
@@ -70,14 +67,8 @@ class NetworkServer(FrontEnd):
         Bind address.  ``port=0`` (default) picks an ephemeral port; read
         :attr:`address` after :meth:`start`.
     loops:
-        Event loops in the acceptor group, one daemon thread each.  ``1``
-        (default) reproduces the single-loop front end exactly.
-    reuse_port:
-        ``None`` (default) uses SO_REUSEPORT listeners when ``loops > 1``
-        and the platform supports the option, falling back to the
-        accept-and-hand-off strategy otherwise; ``False`` forces the
-        hand-off fallback (deterministic round-robin placement — tests use
-        this).
+        Accepted only as ``1``; any other value raises
+        :class:`~repro.errors.NetworkError`.
     max_frame:
         Per-frame payload cap, enforced before any payload is read —
         configurable on both endpoints.  A delivery run that would encode
@@ -95,7 +86,6 @@ class NetworkServer(FrontEnd):
         host: str = "127.0.0.1",
         port: int = 0,
         loops: int = 1,
-        reuse_port: bool | None = None,
         max_frame: int = DEFAULT_MAX_FRAME,
         send_buffer: int = 256,
         write_buffer_limit: int | None = None,
@@ -104,17 +94,23 @@ class NetworkServer(FrontEnd):
             server, host=host, port=port, send_buffer=send_buffer,
             write_buffer_limit=write_buffer_limit,
         )
-        if loops < 1:
-            raise NetworkError("loops must be at least 1")
-        self.loops = loops
-        self.reuse_port = reuse_port
+        # The keyword stays only because benchmarks/e2e/serve.py passes
+        # loops=1; the front end runs one event loop.
+        if loops != 1:
+            raise NetworkError("NetworkServer runs one event loop: loops must be 1")
         self.max_frame = max_frame
-        #: One encode per delivery run, shared by every loop.
+        #: One encode per delivery run, shared by every connection.
         self.frame_cache = SharedFrameCache(max_frame=max_frame)
 
-    async def _serve_connection(self, runtime, reader, writer) -> None:
-        await _Connection(runtime, reader, writer).run()
+    async def _serve_connection(self, reader, writer) -> None:
+        await _Connection(self, reader, writer).run()
 
     def net_report(self) -> dict:
-        """Wire-encodable counters + per-loop and per-subscription detail."""
-        return self._report()
+        """Wire-encodable counters + per-subscription detail."""
+        report = self._report()
+        # A one-row ``per_loop`` stays only because benchmarks/e2e/serving.py
+        # reads its wake-up counters from ``per_loop[0]``.
+        report["per_loop"] = [
+            {"wake_posts": report["wake_posts"], "wake_wakeups": report["wake_wakeups"]}
+        ]
+        return report

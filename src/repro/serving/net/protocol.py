@@ -30,8 +30,8 @@ DML statements cross the wire as constant records only
 primary-key target lists are all expressible; Python callables (predicate
 ``where=`` / computed ``assignments=``) are *code* and are rejected
 client-side rather than pickled.  Activations reuse the durable outbox
-record vocabulary (:mod:`repro.persist.records`): one that travels alone is
-the flat record, a delivery run is the outbox's node table plus thin rows
+record vocabulary (:mod:`repro.persist.records`): every delivery run, a run
+of one included, is the outbox's node table plus thin rows
 (:func:`~repro.persist.records.run_to_record`), so every distinct node text
 crosses the wire — and is parsed by the receiver — once per frame.
 """
@@ -45,11 +45,7 @@ from typing import Any, Mapping
 
 from repro.errors import ProtocolError
 from repro.persist.codec import decode_value, encode_value
-from repro.persist.records import (
-    activation_from_record,
-    activation_to_record,
-    run_from_record,
-)
+from repro.persist.records import activation_to_record, run_from_record
 from repro.relational.dml import (
     DeleteStatement,
     InsertStatement,
@@ -63,10 +59,7 @@ __all__ = [
     "PROTOCOL_VERSION",
     "DEFAULT_MAX_FRAME",
     "HEADER",
-    "CAP_ACTIVATION_BATCH",
-    "SUPPORTED_CAPS",
     "MAX_BATCH_ACTIVATIONS",
-    "negotiate_caps",
     "encode_frame",
     "read_frame",
     "read_frame_payload",
@@ -75,16 +68,14 @@ __all__ = [
     "statement_from_wire",
     "result_to_wire",
     "activation_to_wire",
-    "activation_from_wire",
     "run_from_wire",
 ]
 
 #: Bumped on any frame- or message-level incompatibility; the ``hello`` /
-#: ``welcome`` handshake rejects mismatched peers explicitly.  Capabilities
-#: (below) extend the protocol *within* a version: a peer that does not
-#: announce a capability simply never receives its frames.  Version 2 gave
-#: ``activation_batch`` its node-table shape.
-PROTOCOL_VERSION = 2
+#: ``welcome`` handshake rejects mismatched peers explicitly.  Version 2
+#: gave ``activation_batch`` its node-table shape; version 3 sends every
+#: delivery run as one, a run of one included, and has no capabilities.
+PROTOCOL_VERSION = 3
 
 #: Default cap on one frame's payload (bytes).  Large enough for a bulk
 #: trigger registration or a fat activation node, small enough that a
@@ -94,35 +85,10 @@ DEFAULT_MAX_FRAME = 8 * 1024 * 1024
 #: ``(length, crc32)`` — the same header the WAL's record frames use.
 HEADER = struct.Struct(">II")
 
-#: Capability: the client understands ``activation_batch`` frames (a whole
-#: delivery run in one length+CRC frame).  A client that does not announce
-#: it receives one ``activation`` frame per activation.
-CAP_ACTIVATION_BATCH = "activation_batch"
-
-#: Every capability this endpoint implementation knows how to speak.
-SUPPORTED_CAPS = frozenset({CAP_ACTIVATION_BATCH})
-
 #: Hard cap on activations in one node-table frame.  The byte budget
 #: usually splits a run far earlier; this bounds what a hostile or buggy
 #: peer can make the decoder materialize from a single frame.
 MAX_BATCH_ACTIVATIONS = 4096
-
-
-def negotiate_caps(announced: Any) -> frozenset[str]:
-    """Validate a ``hello``/``welcome`` ``caps`` field and intersect it.
-
-    ``None`` (field absent — an old peer) negotiates no capabilities.
-    Unknown capability names are ignored, not rejected: a newer peer may
-    announce things we do not speak, and the intersection is the contract.
-    Anything that is not a list of strings is a :class:`ProtocolError`.
-    """
-    if announced is None:
-        return frozenset()
-    if not isinstance(announced, (list, tuple)) or not all(
-        isinstance(cap, str) for cap in announced
-    ):
-        raise ProtocolError("'caps' must be a list of capability name strings")
-    return SUPPORTED_CAPS.intersection(announced)
 
 
 # ------------------------------------------------------------------ framing
@@ -295,7 +261,11 @@ def result_to_wire(result: StatementResult) -> dict:
 
 
 def activation_to_wire(activation: Activation) -> dict:
-    """Encode an activation exactly as the durable outbox records it."""
+    """Encode an activation exactly as the durable outbox records it.
+
+    No protocol message carries this flat record; the function stays only
+    because ``benchmarks/e2e/replay.py`` measures its encode.
+    """
     return activation_to_record(activation)
 
 
@@ -306,18 +276,6 @@ def activation_to_wire(activation: Activation) -> dict:
 #: ``records.NODE_CACHE_LIMIT``; plain-dict operations keep it safe under
 #: the GIL (the worst race costs one duplicate parse).
 _WIRE_NODE_CACHE: dict[str, Any] = {}
-
-
-def activation_from_wire(record: Any) -> Activation:
-    """Decode an activation wire record (strictly validated)."""
-    if not isinstance(record, dict):
-        raise ProtocolError("activation record must be a dict")
-    try:
-        return activation_from_record(record, node_cache=_WIRE_NODE_CACHE)
-    except ProtocolError:
-        raise
-    except Exception as error:
-        raise ProtocolError(f"malformed activation record: {error}") from error
 
 
 def run_from_wire(

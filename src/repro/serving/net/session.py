@@ -1,8 +1,8 @@
 """The one session runtime every front end's connections run on.
 
-Everything in this module runs on (or hands off to) **one** event loop of a
-front end's loop group (:mod:`repro.serving.net.loops`) and knows nothing
-about any wire format:
+Everything in this module runs on (or hands off to) the front end's one
+event loop (:mod:`repro.serving.net.loops`) and knows nothing about any
+wire format:
 
 * :class:`WakeHub` and :class:`LoopSubscriber` bridge shard worker threads
   to the loop without ever blocking them, under a bounded per-subscription
@@ -17,8 +17,9 @@ about any wire format:
 
 The unit of delivery is the **run**: what one loop wake-up drains from a
 subscription — normally everything one shard micro-batch fired — leaves as
-one frame (:mod:`repro.serving.net.frames`), encoded once and shared by
-every connection handed the same activations.
+one node-table frame (:mod:`repro.serving.net.frames`), a run of one
+included, encoded once and shared by every connection handed the same
+activations.
 
 A transport subclasses :class:`Session` and supplies its *codec*: how a
 control message becomes bytes (:meth:`Session.encode`), which frame cache
@@ -27,7 +28,7 @@ answering malformed request fields (:attr:`Session.bad_input`), and
 whether an ack with no subscription is a protocol error
 (:attr:`Session.ack_needs_subscription`) — plus its reader loop.  The TCP
 connection (:mod:`repro.serving.net.connection`) adds length+CRC framing,
-the hello handshake and pipelined submits; the WebSocket session
+the hello version check and pipelined submits; the WebSocket session
 (:mod:`repro.serving.web.gateway`) adds RFC 6455 framing and JSON text.
 """
 
@@ -43,7 +44,7 @@ from repro.errors import CursorError, ProtocolError
 from repro.serving.subscribers import Activation, Subscriber
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.serving.net.loops import _LoopRuntime
+    from repro.serving.net.loops import FrontEnd
 
 __all__ = ["LoopSubscriber", "REPLY_SLACK", "Session", "WakeHub", "subscription_filter"]
 
@@ -304,13 +305,12 @@ class Session:
 
     def __init__(
         self,
-        runtime: "_LoopRuntime",
+        front: "FrontEnd",
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        self.runtime = runtime
-        self.front = runtime.front
-        self.counters = runtime.counters
+        self.front = front
+        self.counters = front.counters
         self.reader = reader
         self.writer = writer
         # Bounded: a subscription's frames respect its inflight cap (a frame
@@ -325,9 +325,6 @@ class Session:
         self._writer_task: asyncio.Task | None = None
         self.subscriber: LoopSubscriber | None = None
         self._sent_watermark: dict[int, int] = {}
-        #: Whether the peer takes a run as one node-table frame; otherwise
-        #: every activation travels as its own ``activation`` frame.
-        self.run_frames = True
 
     # ------------------------------------------------------------------ sending
 
@@ -400,7 +397,7 @@ class Session:
             raw = self.writer.get_extra_info("socket")
             if raw is not None:
                 raw.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, limit)
-        self.runtime.sessions.add(self)
+        self.front.sessions.add(self)
         self._writer_task = asyncio.ensure_future(self._writer_loop())
         try:
             await self._read_loop()
@@ -415,7 +412,7 @@ class Session:
     async def _cleanup(self) -> None:
         self._detach_subscriber()
         # Flush what is already queued (bounded by the send buffer); the
-        # loop runtime closes the transport once this returns.  A dead peer
+        # front end closes the transport once this returns.  A dead peer
         # just errors the writer loop out.
         try:
             self._out.put_nowait(None)
@@ -425,7 +422,7 @@ class Session:
             await asyncio.wait_for(self._writer_task, timeout=5)
         except (asyncio.TimeoutError, asyncio.CancelledError):
             self._writer_task.cancel()
-        self.runtime.sessions.discard(self)
+        self.front.sessions.discard(self)
 
     def _detach_subscriber(self) -> None:
         if self.subscriber is not None:
@@ -470,7 +467,7 @@ class Session:
         subscriber = LoopSubscriber(
             name or f"{self.transport}-anon-{id(self)}",
             limit=self.front.send_buffer,
-            hub=self.runtime.wake_hub,
+            hub=self.front.wake_hub,
             deliver=self._deliver_run,
             overflow=self._pause_subscription,
             accept=subscription_filter(view, path),
@@ -530,21 +527,19 @@ class Session:
                 watermark[activation.shard] = activation.sequence
         counters = self.counters
         counters["activations_sent"] += len(run)
-        # Framed once per run and shared by every subscribed connection on
-        # every loop — at fan-out scale the encode would otherwise dominate.
-        cache = self.front.frame_cache
+        # Framed once per run and shared by every subscribed connection — at
+        # fan-out scale the encode would otherwise dominate.
+        frames, hit = self.front.frame_cache.encode_run(run)
+        counters["shared_encode_hits" if hit else "shared_encode_misses"] += 1
         subscriber = self.subscriber  # None once a failed attach let go of it
-        for part in [run] if self.run_frames else [[a] for a in run]:
-            frames, hit = cache.run_frames(part)
-            counters["shared_encode_hits" if hit else "shared_encode_misses"] += 1
-            for frame, count in frames:
-                if count > 1:
-                    counters["activation_batches_sent"] += 1
-                    counters["batched_activations_sent"] += count
-                self.send(
-                    frame,
-                    after=partial(subscriber.release, count) if subscriber is not None else None,
-                )
+        for frame, count in frames:
+            if count > 1:
+                counters["activation_batches_sent"] += 1
+                counters["batched_activations_sent"] += count
+            self.send(
+                frame,
+                after=partial(subscriber.release, count) if subscriber is not None else None,
+            )
 
     def _pause_subscription(self) -> None:  # loop thread
         if self.subscriber is None:

@@ -671,9 +671,9 @@ class ActiveViewServer:
                 self._deliver_bundle(shard)
         except Exception as exc:  # noqa: BLE001 - forwarded to the submitters
             # execute_many semantics: a failing statement's predecessors are
-            # applied and no trigger has fired (a failing action or hook comes
-            # later).  The whole micro-batch's tickets carry the error;
-            # max_batch bounds this blast radius.
+            # applied and their triggers fired (delivered above, as for a
+            # failing action or hook).  The whole micro-batch's tickets carry
+            # the error; max_batch bounds this blast radius.
             stats.errors += 1
             for submission in chunk:
                 submission.ticket._fail(exc)

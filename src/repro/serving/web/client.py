@@ -19,11 +19,7 @@ import os
 
 from repro.errors import NetworkError, ProtocolError
 from repro.relational.dml import Statement
-from repro.serving.net.protocol import (
-    activation_from_wire,
-    run_from_wire,
-    statement_to_wire,
-)
+from repro.serving.net.protocol import run_from_wire, statement_to_wire
 from repro.serving.subscribers import Activation
 from repro.serving.web import wsproto
 from repro.serving.web.http import DEFAULT_MAX_HEADER
@@ -421,12 +417,6 @@ class WsClient:
             if self.subscription is not None:
                 for activation in activations:
                     self.subscription._push(activation)
-            return
-        if mtype == "activation":
-            if self.subscription is not None:
-                self.subscription._push(
-                    activation_from_wire(message.get("payload"))
-                )
             return
         if mtype == "paused":
             if self.subscription is not None:

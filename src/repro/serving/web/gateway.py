@@ -7,20 +7,19 @@ including bulk registration, and server statistics; and WebSocket
 subscription streams carrying JSON-encoded activations with server-side
 view/path filters, client acks, and durable resumable cursors.
 
-Only the bytes are the gateway's own.  It is hosted on the front ends' loop
-runtime (:mod:`repro.serving.net.loops`, at the constant one loop), REST
-bodies are answered by the shared request layer
-(:mod:`repro.serving.net.requests`), and a WebSocket session *is* a
-:class:`~repro.serving.net.session.Session` — so the delivery discipline
-holds by construction: shard workers never block, each subscription buffers
+Only the bytes are the gateway's own.  It runs on the front ends' one event
+loop (:mod:`repro.serving.net.loops`), REST bodies are answered by the
+shared request layer (:mod:`repro.serving.net.requests`), and a WebSocket
+session *is* a :class:`~repro.serving.net.session.Session` — so the
+delivery discipline holds by construction: shard workers never block, each subscription buffers
 at most ``send_buffer`` undrained activations, a slow consumer is
 **paused** (detach → flush → terminal ``paused`` message with per-shard
 sent watermarks) rather than blocked or silently dropped, and a durable
 resume fast-forwards the persisted cursor before re-subscribing.
 
 One delivery run — what a shard micro-batch fired, as one ``activations``
-message of a node table plus rows — is JSON-encoded (and WebSocket-framed)
-**once** process-wide via
+message of a node table plus rows, a run of one included — is JSON-encoded
+(and WebSocket-framed) **once** via
 :class:`~repro.serving.web.webframes.JsonFrameCache`; server→client frames
 are unmasked per RFC 6455, which is exactly what makes the bytes shareable
 across subscribers.
@@ -190,8 +189,8 @@ class WebGateway(FrontEnd):
 
     # ---------------------------------------------------------------- serving
 
-    async def _serve_connection(self, runtime, reader, writer) -> None:
-        counters = runtime.counters
+    async def _serve_connection(self, reader, writer) -> None:
+        counters = self.counters
         while True:
             try:
                 request = await read_request(
@@ -227,9 +226,9 @@ class WebGateway(FrontEnd):
                 )
                 await writer.drain()
                 counters["ws_upgrades"] += 1
-                await _WsSession(runtime, reader, writer).run()
+                await _WsSession(self, reader, writer).run()
                 return  # the session consumed the connection
-            writer.write(await self._route(request, runtime))
+            writer.write(await self._route(request))
             await writer.drain()
             counters["responses_sent"] += 1
             if not request.keep_alive:
@@ -250,19 +249,19 @@ class WebGateway(FrontEnd):
 
     # ---------------------------------------------------------------- routing
 
-    async def _route(self, request: HttpRequest, runtime) -> bytes:
+    async def _route(self, request: HttpRequest) -> bytes:
         try:
-            return json_response(await self._answer(request, runtime))
+            return json_response(await self._answer(request))
         except ProtocolError as error:
             # Malformed input; an HttpError carries a more specific status.
-            runtime.counters["protocol_errors"] += 1
+            self.counters["protocol_errors"] += 1
             return error_response(
                 getattr(error, "status", 400), str(error), keep_alive=True
             )
         except Exception as error:  # noqa: BLE001 - surfaced, never a crash
             return error_response(500, str(error), keep_alive=True)
 
-    async def _answer(self, request: HttpRequest, runtime) -> dict:
+    async def _answer(self, request: HttpRequest) -> dict:
         """The JSON body answering one REST request."""
         method, path = request.method, request.path
         if method == "GET" and path == "/v1/stats":
@@ -295,19 +294,17 @@ class WebGateway(FrontEnd):
             op = "create_trigger" if one else "register_triggers_bulk"
             return {"names": await requests.run_ddl(self.core, op, payload)}
         if path == "/v1/submit":
-            results = await self._submit([payload.get("statement")], runtime)
+            results = await self._submit([payload.get("statement")])
             return {"results": results[0]}
-        return {
-            "results": await self._submit(payload.get("statements"), runtime)
-        }
+        return {"results": await self._submit(payload.get("statements"))}
 
-    async def _submit(self, records: Any, runtime) -> list[list[dict]]:
+    async def _submit(self, records: Any) -> list[list[dict]]:
         tickets = await requests.submit(self.core, records)
-        runtime.counters["statements_submitted"] += len(tickets)
-        results = requests.ticket_results(tickets, runtime.wake_hub)
+        self.counters["statements_submitted"] += len(tickets)
+        results = requests.ticket_results(tickets, self.wake_hub)
         # One timer on the future the tickets resolve: a REST submit's round
         # trip is the caller's whole latency, so no waiter task around it.
-        timer = runtime.loop.call_later(_SUBMIT_TIMEOUT, _expire, results)
+        timer = self.loop.call_later(_SUBMIT_TIMEOUT, _expire, results)
         try:
             return await results
         finally:
@@ -317,13 +314,9 @@ class WebGateway(FrontEnd):
 
     def web_report(self) -> dict:
         """Wire-encodable counters plus per-subscription detail."""
-        report = self._report()
-        per_loop = report.pop("per_loop")
         return {
-            **{_WS_COUNTER_NAMES.get(k, k): v for k, v in report.items()},
-            "ws_sessions_active": sum(len(r.sessions) for r in self._runtimes),
-            "wake_posts": sum(loop["wake_posts"] for loop in per_loop),
-            "wake_wakeups": sum(loop["wake_wakeups"] for loop in per_loop),
+            **{_WS_COUNTER_NAMES.get(k, k): v for k, v in self._report().items()},
+            "ws_sessions_active": len(self.sessions),
         }
 
 

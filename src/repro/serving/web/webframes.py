@@ -4,8 +4,8 @@ Server→client WebSocket frames are unmasked (RFC 6455 masks only the client
 direction), so one encode — JSON message body *and* the complete TEXT frame
 around it — is byte-identical for every subscriber.  :class:`JsonFrameCache`
 is the front ends' one :class:`~repro.serving.net.frames.FrameCache` with
-that encoder plugged in: a delivery run is one ``activations`` message
-(node table plus rows), a run of one the plain ``activation`` message.
+that encoder plugged in: a delivery run, a run of one included, is one
+``activations`` message (node table plus rows).
 """
 
 from __future__ import annotations
@@ -34,5 +34,9 @@ class JsonFrameCache(FrameCache):
         super().__init__(text_frame, "activations", max_frame, budget_bytes)
 
     def frame(self, activation: Activation) -> bytes:
-        """The complete ``{"type": "activation", ...}`` TEXT frame."""
-        return self.run_frames((activation,))[0][0][0]
+        """The complete TEXT frame of a run of one ``activation``.
+
+        Only ``benchmarks/e2e/replay.py`` calls this; the gateway frames
+        runs through :meth:`encode_run`.
+        """
+        return self.encode_run((activation,))[0][0][0]

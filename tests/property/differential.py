@@ -8,8 +8,8 @@ step on every evaluator's *own* database and asserts, step by step, that
 all evaluators agree on
 
 * the type of the relational error the step raised (``None`` when it
-  succeeded; a failing statement leaves its predecessors applied on every
-  evaluator) — any other error fails the replay;
+  succeeded; a failing statement leaves its predecessors applied, and
+  fired, on every evaluator) — any other error fails the replay;
 * the multiset of ``(trigger, event, key, OLD text, NEW text)`` it fired;
 * the tables afterwards (sorted rows, so shards compare with one database),
   and for ``backend="sqlite"`` the mirror inside SQLite.

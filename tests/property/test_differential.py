@@ -21,6 +21,7 @@ from repro.core.service import ExecutionMode
 from repro.xmlmodel import Element
 
 from tests.property.differential import (
+    BATCH,
     COMPILED,
     EVERY_EVALUATOR,
     INTERPRETED,
@@ -78,6 +79,18 @@ def test_catalog_steps_skip_present_inserts_and_keep_duplicate_new_ones():
     assert error == "IntegrityError", "the second insert of one row fails"
     assert records, "the first fires"
     assert ("Newegg", "P1", 1.0) in run.runs[0].tables()["vendor"], "the first stays applied"
+
+
+def test_a_failing_batch_fires_its_applied_prefix_like_the_oracle():
+    """One new vendor row inserted twice in one step: the first insert
+    applies and fires, the second raises — per statement and batched."""
+    steps = catalog_steps(
+        [("insert_vendor", "Newegg", "P1", 1), ("insert_vendor", "Newegg", "P1", 2)], batch_size=2,
+    )
+    run = replay(catalog(), [ORACLE, BATCH], steps)
+    (error, records), = run.log
+    assert error == "IntegrityError"
+    assert records, "the applied prefix fires"
 
 
 @MODES

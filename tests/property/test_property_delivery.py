@@ -22,10 +22,9 @@ the *same* durable server, so the comparison isolates the network path:
 framing, cursor persistence, and resume.  Both transports run on one
 session runtime, so every case runs on both, with a byte budget that splits
 every delivery run, with server-side filters that keep a subset of a
-bundle, and with a send buffer that takes only a prefix of one.  Two cases
-belong to one transport: the frame shapes of TCP (every loop count,
-``caps=()`` single frames) and the client-supplied cursor of the
-WebSocket subscription.
+bundle, and with a send buffer that takes only a prefix of one.  One case
+belongs to one transport: the client-supplied cursor of the WebSocket
+subscription.
 """
 
 from __future__ import annotations
@@ -75,14 +74,12 @@ def _outlet_view() -> ViewDefinition:
 class _Tcp:
     """The wire protocol: one ``NetClient`` both executes and subscribes."""
 
-    #: Examples per kill-and-resume case and per filtered case.  TCP runs
-    #: six kill cases (frame shape × loops) and two filtered ones, so each
-    #: case draws fewer examples than a WebSocket case.
+    #: Examples per kill-and-resume case and per filtered case.
     kill_examples = max(3, min(EXAMPLES, 60) // 4)
     filtered_examples = max(3, min(EXAMPLES, 60) // 2)
 
-    def front(self, server, send_buffer, loops):
-        return NetworkServer(server, send_buffer=send_buffer, loops=loops)
+    def front(self, server, send_buffer):
+        return NetworkServer(server, send_buffer=send_buffer)
 
     def split(self, front) -> None:
         front.frame_cache = SharedFrameCache(max_frame=2)
@@ -90,8 +87,8 @@ class _Tcp:
     def report(self, front) -> dict:
         return front.net_report()
 
-    async def consumer(self, host, port, caps=None):
-        return await NetClient.connect(host, port, caps=caps)
+    async def consumer(self, host, port):
+        return await NetClient.connect(host, port)
 
     async def submit(self, host, port, statements, batched, via=None) -> None:
         """Pipelined ``execute``s (or one batch frame) on ``via``, else on a
@@ -115,8 +112,7 @@ class _Ws:
     kill_examples = min(EXAMPLES, 30) // 2 + 1
     filtered_examples = min(EXAMPLES, 30)
 
-    def front(self, server, send_buffer, loops):
-        assert loops == 1
+    def front(self, server, send_buffer):
         return WebGateway(server, send_buffer=send_buffer)
 
     def split(self, front) -> None:
@@ -125,7 +121,7 @@ class _Ws:
     def report(self, front) -> dict:
         return front.web_report()
 
-    async def consumer(self, host, port, caps=None):
+    async def consumer(self, host, port):
         return await WsClient.connect(host, port)
 
     async def submit(self, host, port, statements, batched, via=None) -> None:
@@ -185,12 +181,12 @@ def _open_stack(directory: Path, outlet: bool = False):
 
 
 @contextmanager
-def _serving(transport, *, outlet=False, send_buffer=4096, loops=1, split=False):
+def _serving(transport, *, outlet=False, send_buffer=4096, split=False):
     """``(front end, in-process oracle subscriber)`` over a durable server."""
     with tempfile.TemporaryDirectory() as raw_dir:
         server = _open_stack(Path(raw_dir), outlet)
         oracle = server.subscribe("oracle", capacity=4096)
-        front = transport.front(server, send_buffer, loops)
+        front = transport.front(server, send_buffer)
         if split:
             transport.split(front)
         server.start()
@@ -233,36 +229,32 @@ async def _consume_session(client, subscription, *, stop_after=None, ack_upto=No
 
 
 def _kill_cases():
-    for loops in (1, 4):
-        for shape in ("runs", "split", "singles"):
-            yield pytest.param(TCP, loops, shape, id=f"tcp-{loops}-{shape}")
-    for shape in ("runs", "split"):
-        yield pytest.param(WS, 1, shape, id=f"ws-{shape}")
+    for transport, name in ((TCP, "tcp"), (WS, "ws")):
+        for shape in ("runs", "split"):
+            yield pytest.param(transport, shape, id=f"{name}-{shape}")
 
 
-@pytest.mark.parametrize("transport, loops, shape", list(_kill_cases()))
-def test_delivery_with_kill_and_resume_matches_oracle(transport, loops, shape):
+@pytest.mark.parametrize("transport, shape", list(_kill_cases()))
+def test_delivery_with_kill_and_resume_matches_oracle(transport, shape):
     """``runs`` is one node-table frame per delivery run, ``split`` the same
-    under a byte budget no two activations fit, ``singles`` a TCP client
-    without the capability."""
+    under a byte budget no two activations fit."""
     budget(transport.kill_examples)(given(
         actions=st.lists(catalog_actions(), min_size=1, max_size=10),
         kill_after=st.integers(0, 20),
         ack_prefix=st.integers(0, 20),
         batched=st.booleans(),
-    )(_check_kill_and_resume))(transport, loops, shape)
+    )(_check_kill_and_resume))(transport, shape)
 
 
-def _check_kill_and_resume(transport, loops, shape, actions, kill_after, ack_prefix, batched):
-    caps = () if shape == "singles" else None
-    with _serving(transport, loops=loops, split=shape == "split") as (front, oracle):
+def _check_kill_and_resume(transport, shape, actions, kill_after, ack_prefix, batched):
+    with _serving(transport, split=shape == "split") as (front, oracle):
         host, port = front.address
         sessions, delivered = asyncio.run(_kill_and_resume(
             transport, host, port, oracle, _statements(actions), kill_after, ack_prefix,
-            caps, batched,
+            batched,
         ))
         report = transport.report(front)
-    if shape != "runs":
+    if shape == "split":
         assert report["activation_batches_sent"] == 0
 
     oracle_signatures = Counter(_signature(a) for a in delivered)
@@ -279,9 +271,9 @@ def _check_kill_and_resume(transport, loops, shape, actions, kill_after, ack_pre
 
 
 async def _kill_and_resume(
-    transport, host, port, oracle, statements, kill_after, ack_prefix, caps, batched
+    transport, host, port, oracle, statements, kill_after, ack_prefix, batched
 ):
-    client = await transport.consumer(host, port, caps)
+    client = await transport.consumer(host, port)
     subscription = await client.subscribe("consumer")
     assert subscription.durable, "silent fallback to a non-durable stream"
     await transport.submit(host, port, statements, batched, via=client)
@@ -300,7 +292,7 @@ async def _kill_and_resume(
 
     # Session 2 (post-crash): resume from the durable cursor and run dry.
     # Everything past the acked prefix must come back.
-    revived = await transport.consumer(host, port, caps)
+    revived = await transport.consumer(host, port)
     resumed = await revived.subscribe("consumer")
     assert resumed.durable
     second = await _consume_session(revived, resumed)
@@ -334,14 +326,8 @@ def test_batched_submission_delivers_identically(transport, actions):
     assert Counter(_signature(a) for a in consumed) == Counter(_signature(a) for a in delivered)
 
 
-def _filtered_cases():
-    yield pytest.param(TCP, None, id="tcp-runs")
-    yield pytest.param(TCP, (), id="tcp-singles")
-    yield pytest.param(WS, None, id="ws")
-
-
-@pytest.mark.parametrize("transport, caps", list(_filtered_cases()))
-def test_filtered_and_paused_streams_match_the_filtered_oracle(transport, caps):
+@pytest.mark.parametrize("transport", [TCP, WS], ids=["tcp-runs", "ws"])
+def test_filtered_and_paused_streams_match_the_filtered_oracle(transport):
     """A filter keeps a subset of each bundle; a small send buffer takes a
     prefix of what is left and pauses.  Acking and re-subscribing until the
     stream runs dry yields exactly the oracle's activations the filter keeps
@@ -354,10 +340,10 @@ def test_filtered_and_paused_streams_match_the_filtered_oracle(transport, caps):
         ]),
         send_buffer=st.sampled_from([1, 2, 3, 5, 4096]),
         batched=st.booleans(),
-    )(_check_filtered))(transport, caps)
+    )(_check_filtered))(transport)
 
 
-def _check_filtered(transport, caps, actions, keep, send_buffer, batched):
+def _check_filtered(transport, actions, keep, send_buffer, batched):
     def kept(activation) -> bool:
         return (
             keep.get("view", activation.view) == activation.view
@@ -368,7 +354,7 @@ def _check_filtered(transport, caps, actions, keep, send_buffer, batched):
         host, port = front.address
 
         async def scenario():
-            client = await transport.consumer(host, port, caps)
+            client = await transport.consumer(host, port)
             sessions, pauses = [], []
             subscription = await client.subscribe("picky", **keep)
             await transport.submit(host, port, _statements(actions), batched)

@@ -250,17 +250,74 @@ class TestExecuteMany:
         assert result.fired_sql_triggers == []
         assert len(result.deltas) == 1  # deltas are still coalesced and reported
 
-    def test_error_leaves_earlier_statements_applied_and_no_firings(self):
+    def test_error_fires_the_applied_prefix_then_raises(self):
         db, firings = make_db()
         with pytest.raises(IntegrityError):
+            db.execute_many(
+                [
+                    InsertStatement("t", [{"id": 1, "v": 1}]),
+                    InsertStatement("t", [{"id": 2, "v": 2}]),
+                    InsertStatement("t", [{"id": 1, "v": 3}]),  # duplicate key
+                    InsertStatement("t", [{"id": 4, "v": 4}]),  # never applied
+                ]
+            )
+        assert db.row_count("t") == 2  # the prefix stays applied...
+        assert firings == [("INSERT", [(1, 1), (2, 2)], [], 2)]  # ...and fired once
+
+    def test_error_on_the_first_statement_fires_nothing(self):
+        db, firings = make_db()
+        db.load_rows("t", [(1, 10)])
+        with pytest.raises(IntegrityError):
+            db.execute_many(
+                [
+                    InsertStatement("t", [{"id": 1, "v": 2}]),  # duplicate key
+                    UpdateStatement("t", {"v": 11}, keys=[(1,)]),  # never applied
+                ]
+            )
+        assert firings == []  # an empty prefix has nothing to fire
+        assert db.row_count("t") == 1
+
+    def test_a_failed_batch_coalesces_its_prefix_like_a_whole_one(self):
+        """The prefix fires exactly as a batch of just those statements
+        would: one firing per event, INSERT, UPDATE, DELETE in that order,
+        each with the prefix's net delta."""
+        prefix = [
+            DeleteStatement("t", keys=[(2,)]),
+            UpdateStatement("t", {"v": 11}, keys=[(1,)]),
+            InsertStatement("t", [{"id": 3, "v": 30}]),
+            UpdateStatement("t", {"v": 12}, keys=[(1,)]),
+        ]
+        whole, expected = make_db()
+        whole.load_rows("t", [(1, 10), (2, 20)])
+        whole.execute_many(prefix)
+        db, firings = make_db()
+        db.load_rows("t", [(1, 10), (2, 20)])
+        with pytest.raises(IntegrityError):
+            db.execute_many(
+                [*prefix, InsertStatement("t", [{"id": 3, "v": 31}])]  # duplicate key
+            )
+        assert firings == expected == [
+            ("INSERT", [(3, 30)], [], 4),
+            ("UPDATE", [(1, 12)], [(1, 10)], 4),
+            ("DELETE", [], [(2, 20)], 4),
+        ]
+        assert db.snapshot() == whole.snapshot()
+
+    def test_a_trigger_raising_on_the_prefix_chains_the_statement_error(self):
+        db, _firings = make_db()
+
+        def explode(ctx) -> None:
+            raise RuntimeError("trigger body failed")
+
+        db.register_trigger(StatementTrigger("boom", "t", {"INSERT"}, body=explode))
+        with pytest.raises(RuntimeError, match="trigger body failed") as raised:
             db.execute_many(
                 [
                     InsertStatement("t", [{"id": 1, "v": 1}]),
                     InsertStatement("t", [{"id": 1, "v": 2}]),  # duplicate key
                 ]
             )
-        assert db.row_count("t") == 1  # first statement stays applied...
-        assert firings == []  # ...but nothing has fired yet
+        assert isinstance(raised.value.__context__, IntegrityError)
 
     def test_batch_and_bulkload_inputs(self):
         db, firings = make_db()

@@ -110,10 +110,10 @@ def test_one_micro_batch_is_one_frame_one_flush_one_wakeup(tmp_path, serialize_c
     durable.start()
     # Room for both bundles at once: the test counts frames, and a buffer
     # the first frame has not drained yet would pause the subscription.
-    net = NetworkServer(durable, loops=1, send_buffer=SIBLINGS * (1 + BATCH)).start()
+    net = NetworkServer(durable, send_buffer=SIBLINGS * (1 + BATCH)).start()
 
     def wakeups() -> int:
-        return sum(loop["wake_wakeups"] for loop in net.net_report()["per_loop"])
+        return net.net_report()["wake_wakeups"]
 
     async def scenario() -> None:
         loop = asyncio.get_running_loop()

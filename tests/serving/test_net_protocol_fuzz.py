@@ -264,12 +264,12 @@ class TestLiveServerFuzz:
         asyncio.run(scenario())
         # Every hostile connection was torn down; nothing leaked.
         deadline = 50
-        while live.connection_count > 0 and deadline > 0:
+        while len(live.connections) > 0 and deadline > 0:
             import time
 
             time.sleep(0.1)
             deadline -= 1
-        assert live.connection_count == 0
+        assert len(live.connections) == 0
         assert live.counters["protocol_errors"] > 0
 
     def test_mid_frame_disconnect_during_handshake(self, live):
@@ -311,26 +311,55 @@ class TestLiveServerFuzz:
         asyncio.run(scenario())
 
     def test_version_one_hello_is_refused_explicitly(self, live):
-        """A peer of the previous protocol version is told so, then cut —
-        it would not understand the node-table ``activation_batch``."""
+        """Peers of the previous protocol versions are told so, then cut —
+        version 1 would not understand the node-table ``activation_batch``,
+        version 2 expects a run of one as a plain ``activation``."""
         host, port = live.address
 
-        async def scenario():
+        async def scenario(version):
             reader, writer = await asyncio.open_connection(host, port)
             writer.write(encode_frame(
-                {"type": "hello", "version": 1, "caps": ["activation_batch"]}
+                {"type": "hello", "version": version, "caps": ["activation_batch"]}
             ))
             await writer.drain()
             error = await asyncio.wait_for(read_frame(reader), timeout=5)
             assert error["type"] == "error" and error["code"] == "protocol"
-            assert "version mismatch: client 1, server 2" in error["message"]
+            assert f"version mismatch: client {version}, server 3" in error["message"]
             assert await asyncio.wait_for(reader.read(), timeout=5) == b""
             writer.close()
             async with await NetClient.connect(host, port) as client:
                 await client.ping()
 
-        assert PROTOCOL_VERSION == 2
-        asyncio.run(scenario())
+        assert PROTOCOL_VERSION == 3
+        for version in (1, 2):
+            asyncio.run(scenario(version))
+
+    def test_a_hello_naming_capabilities_is_welcomed_and_they_are_ignored(self, live):
+        """A current-version ``hello`` may still list ``caps`` (a version-2
+        habit, or names unknown to this server); nothing is negotiated and
+        the ``welcome`` carries only the version and the server facts."""
+        host, port = live.address
+
+        async def scenario():
+            reader, writer = await asyncio.open_connection(host, port)
+            writer.write(encode_frame({
+                "type": "hello", "version": PROTOCOL_VERSION,
+                "caps": ["activation_batch", "no-such-capability"],
+            }))
+            writer.write(encode_frame({"type": "ping", "id": 7}))
+            await writer.drain()
+            welcome = await asyncio.wait_for(read_frame(reader), timeout=5)
+            pong = await asyncio.wait_for(read_frame(reader), timeout=5)
+            writer.close()
+            return welcome, pong
+
+        welcome, pong = asyncio.run(scenario())
+        assert welcome == {
+            "type": "welcome",
+            "version": PROTOCOL_VERSION,
+            "server": {"shards": 2, "durable": False},
+        }
+        assert pong["type"] == "pong" and pong["id"] == 7
 
     def test_oversized_frame_gets_error_frame_then_close(self, live):
         host, port = live.address
@@ -469,8 +498,7 @@ def hostile_push_outcome(frames: list[bytes], *, max_frame: int = 64 * 1024):
                 {
                     "type": "welcome",
                     "version": PROTOCOL_VERSION,
-                    "caps": ["activation_batch"],
-                    "server": {"shards": 1, "durable": False, "loops": 1},
+                    "server": {"shards": 1, "durable": False},
                 }
             )
         )

@@ -1,19 +1,16 @@
-"""The multi-loop front end and the framing of delivery runs.
+"""The framing of delivery runs on the TCP front end.
 
-Pins the PR-specific behaviors the generic wire tests do not: connection
-placement across the loop group (both accept strategies), per-loop stats
-reporting, one frame per delivery run — where a run ends, how the byte
-budget and the row cap split one — the ``activation_batch`` capability
-negotiation (an un-upgraded client keeps getting single frames), and
-client-side ack coalescing with durable-cursor semantics intact.
+Pins what the generic wire tests do not: one frame per delivery run —
+where a run ends, how the byte budget and the row cap split one, and that
+a run of one is the same node-table message, never split however large —
+one encode of a run shared by every subscribed connection, client-side ack
+coalescing with durable-cursor semantics intact, and the stats frame's
+detail and counters, which survive a stop and start.
 """
 
 from __future__ import annotations
 
 import asyncio
-import socket
-
-import pytest
 
 from repro.persist import DurableServer
 from repro.relational.dml import InsertStatement, UpdateStatement
@@ -22,8 +19,10 @@ from repro.serving.net import NetClient, NetworkServer, SharedFrameCache
 from repro.serving.net.protocol import (
     HEADER,
     MAX_BATCH_ACTIVATIONS,
-    activation_from_wire,
+    PROTOCOL_VERSION,
     decode_payload,
+    encode_frame,
+    read_frame,
     run_from_wire,
 )
 from repro.xqgm.views import catalog_view
@@ -33,8 +32,6 @@ from tests.serving.conftest import build_sharded_paper_database, by_product
 WATCH_ALL = (
     "CREATE TRIGGER W AFTER UPDATE ON view('catalog')/product DO notify(NEW_NODE)"
 )
-
-HAS_REUSE_PORT = hasattr(socket, "SO_REUSEPORT")
 
 
 def run(coroutine):
@@ -70,109 +67,41 @@ def make_durable(tmp_path) -> DurableServer:
     return server
 
 
-# ----------------------------------------------------------------- placement
+# ------------------------------------------------------------------ fan-out
 
 
-class TestLoopGroupPlacement:
-    def test_handoff_fallback_deals_connections_round_robin(self):
-        server = make_server()
-        net = NetworkServer(server, loops=3, reuse_port=False).start()
-        try:
-            host, port = net.address
+def test_one_encode_serves_every_subscriber():
+    server = make_server()
+    net = NetworkServer(server).start()
+    try:
+        host, port = net.address
 
-            async def scenario():
-                clients = [await NetClient.connect(host, port) for _ in range(6)]
-                for client in clients:
-                    await client.ping()
-                report = net.net_report()
-                for client in clients:
-                    await client.close()
-                return report
+        async def scenario():
+            clients = [await NetClient.connect(host, port) for _ in range(8)]
+            subscriptions = [await c.subscribe() for c in clients]
+            producer = await NetClient.connect(host, port)
+            await producer.execute(
+                UpdateStatement("product", {"mfr": "LG"}, keys=[("P1",)])
+            )
+            for subscription in subscriptions:
+                activation = await subscription.get(timeout=10)
+                assert activation is not None
+                assert activation.trigger == "W"
+            report = net.net_report()
+            for client in clients:
+                await client.close()
+            await producer.close()
+            return report
 
-            report = run(scenario())
-            assert report["loops"] == 3
-            assert report["reuse_port"] is False
-            placement = [entry["connections"] for entry in report["per_loop"]]
-            assert placement == [2, 2, 2]
-            # Two of the six accepts were handed off loop 0 -> {1, 2} twice.
-            assert report["handoffs"] == 4
-        finally:
-            net.stop()
-            server.stop()
-
-    @pytest.mark.skipif(not HAS_REUSE_PORT, reason="platform lacks SO_REUSEPORT")
-    def test_reuse_port_group_serves_and_fans_out_across_loops(self):
-        server = make_server()
-        net = NetworkServer(server, loops=2).start()
-        try:
-            host, port = net.address
-
-            async def scenario():
-                clients = [await NetClient.connect(host, port) for _ in range(8)]
-                subscriptions = [await c.subscribe() for c in clients]
-                producer = await NetClient.connect(host, port)
-                await producer.execute(
-                    UpdateStatement("product", {"mfr": "LG"}, keys=[("P1",)])
-                )
-                # Every subscriber receives the activation no matter which
-                # loop the kernel balanced its connection onto.
-                for subscription in subscriptions:
-                    activation = await subscription.get(timeout=10)
-                    assert activation is not None
-                    assert activation.trigger == "W"
-                report = net.net_report()
-                for client in clients:
-                    await client.close()
-                await producer.close()
-                return report
-
-            report = run(scenario())
-            assert report["reuse_port"] is True
-            assert report["handoffs"] == 0
-            assert sum(e["connections"] for e in report["per_loop"]) == 9
-            # One encode of the activation, shared by all eight subscriber
-            # connections whichever loop serves them.
-            assert report["shared_encode_misses"] == 1
-            assert report["shared_encode_hits"] == 7
-        finally:
-            net.stop()
-            server.stop()
-
-    def test_per_loop_report_sums_to_the_aggregate(self):
-        server = make_server()
-        net = NetworkServer(server, loops=2, reuse_port=False).start()
-        try:
-            host, port = net.address
-
-            async def scenario():
-                clients = [await NetClient.connect(host, port) for _ in range(4)]
-                for client in clients:
-                    await client.subscribe()
-                    await client.ping()
-                report = net.net_report()
-                for client in clients:
-                    await client.close()
-                return report
-
-            report = run(scenario())
-            per_loop = report["per_loop"]
-            assert len(per_loop) == 2
-            for key in (
-                "connections",
-                "subscriptions",
-                "frames_sent",
-                "bytes_sent",
-                "subscriptions_paused",
-                "shared_encode_hits",
-            ):
-                assert all(key in entry for entry in per_loop)
-            for counter in ("frames_sent", "bytes_sent", "subscriptions_opened"):
-                assert sum(e[counter] for e in per_loop) == report[counter]
-            assert sum(e["subscriptions"] for e in per_loop) == 4
-            assert report["bytes_sent"] > 0
-        finally:
-            net.stop()
-            server.stop()
+        report = run(scenario())
+        assert report["connections_active"] == 9
+        # One encode of the activation, shared by all eight subscriber
+        # connections.
+        assert report["shared_encode_misses"] == 1
+        assert report["shared_encode_hits"] == 7
+    finally:
+        net.stop()
+        server.stop()
 
 
 # ------------------------------------------------------------------ run frames
@@ -204,11 +133,11 @@ async def add_second_node(producer: NetClient) -> None:
 
 
 def built_activation(sequence: int, shard: int = 0):
-    return activation_from_wire({
-        "shard": shard, "sequence": sequence, "trigger": "t", "view": "v",
-        "path": ["p"], "event": "UPDATE", "key": [sequence],
-        "old": None, "new": f"<p>{sequence:04d}" + "x" * 96 + "</p>",
+    (activation,) = run_from_wire({
+        "nodes": [[None, f"<p>{sequence:04d}" + "x" * 96 + "</p>"]],
+        "acts": [[shard, sequence, "t", "v", ["p"], "UPDATE", [sequence], 0]],
     })
+    return activation
 
 
 class TestRunFrames:
@@ -224,7 +153,6 @@ class TestRunFrames:
 
             async def scenario():
                 client = await NetClient.connect(host, port)
-                assert "activation_batch" in client.caps
                 subscription = await client.subscribe()
                 producer = await NetClient.connect(host, port)
                 await add_second_node(producer)
@@ -240,8 +168,9 @@ class TestRunFrames:
                         activation = await subscription.get(timeout=10)
                         assert activation is not None
                         received.append(activation)
-                    # Each awaited statement was framed before its reply.
-                    assert client.batches_received == turn + 1
+                    # Each awaited statement was framed before its reply:
+                    # one node-table frame per statement, a run of one too.
+                    assert client.batches_received == 2 * (turn + 1)
                 report = net.net_report()
                 await client.close()
                 await producer.close()
@@ -257,8 +186,44 @@ class TestRunFrames:
             net.stop()
             server.stop()
 
+    def test_a_run_of_one_is_a_node_table_frame(self):
+        """A peer that names no capabilities still gets a lone activation
+        as ``activation_batch`` — the one delivery message — and the batch
+        counters, which count frames carrying more than one, stay at 0."""
+        server = make_server()
+        net = NetworkServer(server).start()
+        try:
+            host, port = net.address
+
+            async def scenario():
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(encode_frame({"type": "hello", "version": PROTOCOL_VERSION}))
+                writer.write(encode_frame({"type": "subscribe", "id": 1}))
+                await writer.drain()
+                assert (await read_frame(reader))["type"] == "welcome"
+                assert (await read_frame(reader))["type"] == "subscribed"
+                async with await NetClient.connect(host, port) as producer:
+                    await producer.execute(
+                        UpdateStatement("product", {"mfr": "LG"}, keys=[("P1",)])
+                    )
+                pushed = await asyncio.wait_for(read_frame(reader), timeout=10)
+                writer.close()
+                return pushed
+
+            pushed = run(scenario())
+            assert pushed["type"] == "activation_batch"
+            (activation,) = run_from_wire(pushed)
+            assert activation.trigger == "W" and activation.key == ("CRT 15",)
+            report = net.net_report()
+            assert report["activations_sent"] == 1
+            assert report["activation_batches_sent"] == 0
+            assert report["batched_activations_sent"] == 0
+        finally:
+            net.stop()
+            server.stop()
+
     def test_a_run_over_the_byte_budget_degrades_to_smaller_frames(self):
-        """A frame budget below one activation never builds a multi-frame."""
+        """A frame budget below one activation sends each as its own frame."""
         server = make_server()
         net = NetworkServer(server).start()
         net.frame_cache = SharedFrameCache(max_frame=2)
@@ -287,8 +252,8 @@ class TestRunFrames:
 
             keys, report, batches = run(scenario())
             assert keys == sorted(keys) and len(keys) == 2 * rounds
-            assert report["activation_batches_sent"] == 0
-            assert batches == 0
+            assert report["activation_batches_sent"] == 0  # no frame carries two
+            assert batches == 2 * rounds
             assert report["activations_sent"] == 2 * rounds
         finally:
             net.stop()
@@ -296,69 +261,36 @@ class TestRunFrames:
 
     def test_the_byte_budget_halves_a_run_until_every_frame_fits(self):
         run_of = [built_activation(sequence) for sequence in range(1, 14)]
-        whole = SharedFrameCache().run_frames(run_of)[0]
+        whole = SharedFrameCache().encode_run(run_of)[0]
         assert [count for _frame, count in whole] == [13]
         limit = len(whole[0][0]) // 3
-        frames, hit = SharedFrameCache(max_frame=2 * limit).run_frames(run_of)
+        frames, hit = SharedFrameCache(max_frame=2 * limit).encode_run(run_of)
         assert not hit and len(frames) > 2
         assert all(len(frame) <= limit for frame, _count in frames)
         assert sum(count for _frame, count in frames) == 13
         decoded = []
         for frame, count in frames:
             message = decode_payload(frame[HEADER.size:])
-            part = (
-                run_from_wire(message) if message["type"] == "activation_batch"
-                else [activation_from_wire(message["payload"])]
-            )
+            assert message["type"] == "activation_batch"
+            part = run_from_wire(message)
             assert len(part) == count
             decoded += part
         assert decoded == run_of
 
+    def test_one_activation_over_the_byte_budget_leaves_whole(self):
+        (lone,) = run_of = [built_activation(1)]
+        frames, _hit = SharedFrameCache(max_frame=2).encode_run(run_of)
+        assert [count for _frame, count in frames] == [1]
+        message = decode_payload(frames[0][0][HEADER.size:])
+        assert message["type"] == "activation_batch"
+        assert run_from_wire(message) == [lone]
+
     def test_a_run_beyond_the_row_cap_is_split_before_it_is_encoded(self):
         run_of = [built_activation(sequence) for sequence in range(MAX_BATCH_ACTIVATIONS + 2)]
-        frames, _hit = SharedFrameCache().run_frames(run_of)
+        frames, _hit = SharedFrameCache().encode_run(run_of)
         assert [count for _frame, count in frames] == [
             MAX_BATCH_ACTIVATIONS // 2 + 1, MAX_BATCH_ACTIVATIONS // 2 + 1
         ]
-
-    def test_un_upgraded_client_still_gets_every_activation_single_framed(self):
-        """caps=() negotiates nothing: one ``activation`` frame per firing,
-        also for a run a capable client would get as one frame."""
-        server = make_server()
-        net = NetworkServer(server).start()
-        try:
-            host, port = net.address
-            rounds = 3
-
-            async def scenario():
-                client = await NetClient.connect(host, port, caps=())
-                assert client.caps == frozenset()
-                subscription = await client.subscribe()
-                producer = await NetClient.connect(host, port, caps=())
-                await add_second_node(producer)
-                received = []
-                for turn in range(rounds):
-                    await producer.execute(
-                        UpdateStatement("product", {"mfr": f"o{turn}"}, keys=TWO_NODES)
-                    )
-                    for _ in range(2):
-                        activation = await subscription.get(timeout=10)
-                        assert activation is not None
-                        received.append(activation)
-                report = net.net_report()
-                batches = client.batches_received
-                await client.close()
-                await producer.close()
-                return received, report, batches
-
-            received, report, batches = run(scenario())
-            assert len(received) == 2 * rounds
-            assert batches == 0
-            assert report["activation_batches_sent"] == 0
-            assert report["activations_sent"] == 2 * rounds
-        finally:
-            net.stop()
-            server.stop()
 
 
 # ------------------------------------------------------------- ack coalescing
@@ -462,11 +394,9 @@ class TestAckCoalescing:
 
 
 class TestStatsPlumbing:
-    def test_stats_frame_carries_per_loop_queue_and_durability_detail(
-        self, tmp_path
-    ):
+    def test_stats_frame_carries_wake_queue_and_durability_detail(self, tmp_path):
         server = make_durable(tmp_path)
-        net = NetworkServer(server, loops=2, reuse_port=False).start()
+        net = NetworkServer(server).start()
         try:
             host, port = net.address
 
@@ -491,8 +421,11 @@ class TestStatsPlumbing:
             )
             assert len(stats["queues"]) == 2
             net_stats = stats["net"]
-            assert net_stats["loops"] == 2
-            assert len(net_stats["per_loop"]) == 2
+            assert net_stats["wake_posts"] > 0
+            assert net_stats["per_loop"] == [{
+                "wake_posts": net_stats["wake_posts"],
+                "wake_wakeups": net_stats["wake_wakeups"],
+            }]
             assert any(
                 sub["name"] == "watcher" for sub in net_stats["subscriptions"]
             )
@@ -501,6 +434,37 @@ class TestStatsPlumbing:
             assert durability["outbox_pending"] == 0
             cursor = durability["cursors"]["watcher"]
             assert cursor[activation.shard] == activation.sequence
+        finally:
+            net.stop()
+            server.stop()
+
+    def test_counters_keep_counting_across_stop_and_start(self):
+        """The front end's counters live on it, not on a running loop: a
+        stop and a fresh start add to them instead of starting over."""
+        server = make_server()
+        net = NetworkServer(server).start()
+        try:
+
+            async def one_delivery(mfr: str) -> None:
+                host, port = net.address
+                async with await NetClient.connect(host, port) as client:
+                    subscription = await client.subscribe()
+                    async with await NetClient.connect(host, port) as producer:
+                        await producer.execute(
+                            UpdateStatement("product", {"mfr": mfr}, keys=[("P1",)])
+                        )
+                    activation = await subscription.get(timeout=10)
+                    assert activation is not None and activation.trigger == "W"
+
+            run(one_delivery("LG"))
+            first = net.net_report()
+            net.stop()
+            net.start()
+            run(one_delivery("Sony"))
+            second = net.net_report()
+            assert first["activations_sent"] == 1
+            assert second["activations_sent"] == 2
+            assert second["connections_opened"] == 2 * first["connections_opened"] == 4
         finally:
             net.stop()
             server.stop()

@@ -53,14 +53,9 @@ def stack():
         server.stop()
 
 
-@pytest.fixture(params=[1, 2], ids=["loops1", "loops2"])
-def durable_stack(tmp_path, request):
-    """A started durable server + network front end (single- and multi-loop).
-
-    The multi-loop variant forces the accept-and-hand-off fallback so the
-    connection placement is deterministic round-robin — every durable-cursor
-    and slow-consumer scenario below runs against both front-end shapes.
-    """
+@pytest.fixture
+def durable_stack(tmp_path):
+    """A started durable server + network front end with a small send buffer."""
     server = DurableServer(
         tmp_path,
         shard_count=2,
@@ -81,8 +76,6 @@ def durable_stack(tmp_path, request):
         server,
         send_buffer=8,
         write_buffer_limit=4096,
-        loops=request.param,
-        reuse_port=False,
     ).start()
     try:
         yield server, net
@@ -121,11 +114,15 @@ class TestWireBasics:
 
         async def scenario():
             async with await NetClient.connect(host, port) as client:
-                return dict(client.server_info), set(client.caps)
+                return dict(client.server_info)
 
-        info, caps = run(scenario())
-        assert info == {"shards": 2, "durable": False, "loops": 1}
-        assert caps == {"activation_batch"}
+        assert run(scenario()) == {"shards": 2, "durable": False}
+
+    def test_the_front_end_runs_one_loop(self, stack):
+        server, _ = stack
+        NetworkServer(server, loops=1)
+        with pytest.raises(NetworkError, match="loops must be 1"):
+            NetworkServer(server, loops=2)
 
     def test_execute_round_trip_and_result_summary(self, stack):
         server, net = stack
@@ -488,8 +485,8 @@ class TestSlowConsumerRegression:
                 frame = await asyncio.wait_for(read_frame(reader), timeout=10)
                 if frame["type"] == "paused":
                     break
-                assert frame["type"] == "activation"
-                flushed += 1
+                assert frame["type"] == "activation_batch"
+                flushed += len(frame["acts"])
             assert flushed == stalled["delivered"]
             assert flushed < statements  # the pause really cut the stream short
 

@@ -115,16 +115,16 @@ def test_frame_cache_evicts_oldest_frames_by_bytes_and_re_encodes_on_return():
 
     cache = SharedFrameCache(1000)
     activations = [activation(sequence) for sequence in range(10, 22)]
-    frames = [cache.run_frames([a]) for a in activations]
+    frames = [cache.encode_run([a]) for a in activations]
     size = len(frames[0][0][0][0])
     assert all(not hit and parts == [(parts[0][0], 1)] and len(parts[0][0]) == size
                for parts, hit in frames)
     assert cache.retained_bytes == (1000 // size) * size  # as many as fit, no more
-    assert cache.run_frames(activations[-1:]) == (frames[-1][0], True)
-    assert cache.run_frames(activations[:1]) == (frames[0][0], False)  # evicted: a miss
+    assert cache.encode_run(activations[-1:]) == (frames[-1][0], True)
+    assert cache.encode_run(activations[:1]) == (frames[0][0], False)  # evicted: a miss
     run = activations[-3:]
-    parts, hit = cache.run_frames(run)
+    parts, hit = cache.encode_run(run)
     assert not hit and [count for _frame, count in parts] == [3]
     # An equal run — other list, other Activation objects — is the same entry.
-    assert cache.run_frames([activation(a.sequence) for a in run]) == (parts, True)
+    assert cache.encode_run([activation(a.sequence) for a in run]) == (parts, True)
     assert cache.retained_bytes <= 1000

@@ -26,6 +26,7 @@ from repro.persist import DurableServer
 from repro.relational.dml import InsertStatement, UpdateStatement
 from repro.serving import ActiveViewServer
 from repro.serving.net import NetClient, NetworkServer
+from repro.serving.net.protocol import run_from_wire
 from repro.serving.web import (
     GatewayError,
     WebClient,
@@ -302,7 +303,7 @@ class TestRest:
         release = threading.Event()
         live.core.register_action("block", lambda node: release.wait(30))
         monkeypatch.setattr(gateway_module, "_SUBMIT_TIMEOUT", 0.3)
-        loop = live._runtimes[0].loop
+        loop = live.loop
         statement = UpdateStatement("vendor", {"price": 71.0}, keys=[("Amazon", "P1")])
 
         async def scenario():
@@ -339,7 +340,7 @@ class TestRest:
             assert raw.recv(65536).startswith(b"HTTP/1.1 200")
             idle.append(raw)  # keep-alive: parked in the next request read
         try:
-            assert live.connection_count == 3
+            assert len(live.connections) == 3
             live.stop()  # must not hang on, or complain about, the idle ones
             assert live.address is None
             live.stop()  # idempotent
@@ -396,6 +397,57 @@ class TestWebSocket:
                         await sub.get(timeout=0.5)
 
         run(scenario())
+
+    def test_a_lone_activation_arrives_as_an_activations_message(self, live):
+        """On the raw socket a run of one is the node-table ``activations``
+        message too — the WebSocket transport has no other delivery shape —
+        and the batch counters, which count frames of more than one, stay 0."""
+        import base64 as b64
+
+        host, port = live.address
+
+        async def scenario():
+            async with await WebClient.connect(host, port) as admin:
+                await admin.create_trigger(PRICE_WATCH)
+                reader, writer = await asyncio.open_connection(host, port)
+                key = b64.b64encode(os.urandom(16)).decode()
+                writer.write(
+                    (
+                        f"GET /ws HTTP/1.1\r\nHost: h\r\nUpgrade: websocket\r\n"
+                        f"Connection: Upgrade\r\nSec-WebSocket-Key: {key}\r\n"
+                        f"Sec-WebSocket-Version: 13\r\n\r\n"
+                    ).encode()
+                )
+                writer.write(
+                    wsproto.encode_frame(
+                        wsproto.OP_TEXT,
+                        json.dumps({"type": "subscribe", "id": 1}).encode(),
+                        mask=True,
+                    )
+                )
+                await writer.drain()
+                await reader.readuntil(b"\r\n\r\n")
+                ws_reader = wsproto.WsReader(reader, require_mask=False)
+                _opcode, payload = await ws_reader.next_message()
+                assert json.loads(payload)["type"] == "subscribed"
+                await admin.submit(
+                    UpdateStatement("vendor", {"price": 79.0}, keys=[("Amazon", "P1")])
+                )
+                opcode, payload = await asyncio.wait_for(
+                    ws_reader.next_message(), timeout=10
+                )
+                writer.close()
+                return opcode, json.loads(payload)
+
+        opcode, message = run(scenario())
+        assert opcode == wsproto.OP_TEXT
+        assert message["type"] == "activations"
+        (activation,) = run_from_wire(message)
+        assert activation.trigger == "PriceWatch"
+        report = live.web_report()
+        assert report["activations_sent"] == 1
+        assert report["activation_batches_sent"] == 0
+        assert report["batched_activations_sent"] == 0
 
     def test_cursor_without_durable_backend_is_refused(self, live):
         host, port = live.address
@@ -595,9 +647,9 @@ class TestCloseHandshake:
 
         run(scenario())
         deadline = time.time() + 5
-        while live.connection_count and time.time() < deadline:
+        while len(live.connections) and time.time() < deadline:
             time.sleep(0.05)
-        assert live.connection_count == 0
+        assert len(live.connections) == 0
 
     def test_mid_frame_disconnect_is_a_clean_goodbye(self, live):
         host, port = live.address
@@ -616,9 +668,9 @@ class TestCloseHandshake:
 
         run(scenario())
         deadline = time.time() + 5
-        while live.connection_count and time.time() < deadline:
+        while len(live.connections) and time.time() < deadline:
             time.sleep(0.05)
-        assert live.connection_count == 0
+        assert len(live.connections) == 0
         # A mid-frame disconnect is indistinguishable from a crash — it
         # must be a clean goodbye, not a protocol error.
         assert live.counters["protocol_errors"] == 0
@@ -690,9 +742,9 @@ class TestCloseHandshake:
 
         run(scenario())
         deadline = time.time() + 5
-        while live.connection_count and time.time() < deadline:
+        while len(live.connections) and time.time() < deadline:
             time.sleep(0.05)
-        assert live.connection_count == 0
+        assert len(live.connections) == 0
 
     def test_ack_with_no_subscription_is_ignored(self, live):
         host, port = live.address

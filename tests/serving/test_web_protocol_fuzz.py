@@ -430,12 +430,12 @@ class TestLiveGatewayFuzz:
         asyncio.run(scenario())
         # Every hostile connection was torn down; nothing leaked.
         deadline = 50
-        while live.connection_count > 0 and deadline > 0:
+        while len(live.connections) > 0 and deadline > 0:
             import time
 
             time.sleep(0.1)
             deadline -= 1
-        assert live.connection_count == 0
+        assert len(live.connections) == 0
         assert live.counters["protocol_errors"] > 0
 
     def test_bad_method_on_ws_endpoint(self, live):

@@ -1,12 +1,14 @@
 """The CI support tools are code too: pin their contracts.
 
-Covers the two scripts the workflow leans on:
+Covers the scripts the workflow leans on:
 
 * ``tools/check_flakes.py`` — failures replayed once under the printed
   seed must be classified "fails deterministically" vs "flaked", the
   report written either way, and the build failed either way;
 * ``tools/ci_paths.py`` — diff classification for the docs, web-smoke and e2e-gate
-  jobs, including the comment-only-src-change skip.
+  jobs, including the comment-only-src-change skip;
+* ``tools/check_docs.py`` — every repository path the docs and docstrings
+  name must exist.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ def load_tool(name: str):
 
 
 check_flakes = load_tool("check_flakes")
+check_docs = load_tool("check_docs")
 
 
 class TestCheckFlakesUnits:
@@ -237,3 +240,53 @@ class TestCiPathsClassification:
         assert classify_at(diff_repo) == {
             "docs": "false", "web": "false", "bench": "true",
         }
+
+
+class TestCheckDocsPaths:
+    def test_a_named_path_that_does_not_exist_fails(self, tmp_path: pathlib.Path):
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "src/pkg").mkdir(parents=True)
+        (tmp_path / "tests/property").mkdir(parents=True)
+        (tmp_path / "tests/property/test_delivery.py").write_text("")
+        (tmp_path / "README.md").write_text(
+            "See `tests/property/test_delivery.py` and `tests/**/*.py`.\n"
+        )
+        (tmp_path / "docs/guide.md").write_text(
+            "Intro.\n\nPinned by `tests/property/test_{delivery,gone}.py::test_x`.\n"
+        )
+        (tmp_path / "src/pkg/mod.py").write_text('"""Reads docs/guide.md and docs/old.md."""\n')
+        sources = check_docs.path_sources(tmp_path)
+        assert check_docs.missing_paths(sources, tmp_path) == [
+            "docs/guide.md:3: tests/property/test_gone.py",
+            "src/pkg/mod.py:1: docs/old.md",
+        ]
+
+    def test_every_brace_group_expands_to_each_alternative(self):
+        assert check_docs._expand("tests/{net,web}/test_{a,b}.py") == [
+            "tests/net/test_a.py",
+            "tests/net/test_b.py",
+            "tests/web/test_a.py",
+            "tests/web/test_b.py",
+        ]
+        assert check_docs._expand("docs/api.md") == ["docs/api.md"]
+
+    def test_the_default_run_fails_on_a_missing_path_before_any_block_runs(
+        self, monkeypatch, capsys
+    ):
+        ran: list[pathlib.Path] = []
+        monkeypatch.setattr(
+            check_docs, "missing_paths", lambda files: ["docs/x.md:3: tests/gone.py"]
+        )
+        monkeypatch.setattr(
+            check_docs, "run_file",
+            lambda path, *, require_blocks: ran.append(path) or 0,
+        )
+        assert check_docs.main([]) == 1
+        assert ran == []
+        assert "FAIL docs/x.md:3: tests/gone.py does not exist" in capsys.readouterr().err
+        # A file named on the command line is run without the path check.
+        assert check_docs.main(["docs/api.md"]) == 0
+        assert ran == [pathlib.Path("docs/api.md")]
+
+    def test_the_repository_names_no_missing_path(self):
+        assert check_docs.missing_paths(check_docs.path_sources()) == []

@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Docs drift check: execute every Python code block in the documentation.
+"""Docs drift check: execute every Python code block in the documentation,
+and find every repository path it names.
 
 The documentation's examples are part of the public-API contract: if a rename
 or behaviour change breaks a snippet, this script fails and CI goes red.
@@ -11,6 +12,12 @@ By default the script checks ``README.md`` plus every ``docs/*.md`` file.
 Files without Python blocks are reported and skipped (architecture diagrams
 and benchmark guides are prose); a file passed *explicitly* on the command
 line must contain at least one block, so a typo'd path cannot silently pass.
+
+Before any block runs, the default run also reads ``README.md``,
+``docs/*.md`` and ``src/**/*.py`` for ``src/``, ``tests/``, ``benchmarks/``,
+``tools/``, ``examples/`` and ``docs/`` paths ending in ``.py``, ``.md`` or
+``.json`` (``{a,b}`` braces expanded; globs skipped) and fails if one of
+them does not exist, so a moved test cannot leave its old name behind.
 
 Usage:  PYTHONPATH=src python tools/check_docs.py [path-to-markdown ...]
 Exits non-zero on the first failing block, printing the block and the error.
@@ -25,6 +32,13 @@ import traceback
 
 _BLOCK = re.compile(r"^```python\s*$(.*?)^```\s*$", re.MULTILINE | re.DOTALL)
 
+#: A repository path as the docs and docstrings spell it.
+_PATH = re.compile(
+    r"(?<![\w./{-])((?:src|tests|benchmarks|tools|examples|docs)/[\w./{},-]*?"
+    r"\.(?:py|md|json))(?![\w*])"
+)
+_BRACE = re.compile(r"\{([^{}]*)\}")
+
 _REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -33,6 +47,39 @@ def default_targets() -> list[pathlib.Path]:
     targets = [_REPO_ROOT / "README.md"]
     targets.extend(sorted((_REPO_ROOT / "docs").glob("*.md")))
     return targets
+
+
+def path_sources(root: pathlib.Path = _REPO_ROOT) -> list[pathlib.Path]:
+    """The files whose path references must exist."""
+    return [
+        root / "README.md",
+        *sorted((root / "docs").glob("*.md")),
+        *sorted((root / "src").rglob("*.py")),
+    ]
+
+
+def _expand(path: str) -> list[str]:
+    match = _BRACE.search(path)
+    if match is None:
+        return [path]
+    return [
+        expanded
+        for choice in match.group(1).split(",")
+        for expanded in _expand(path[: match.start()] + choice + path[match.end():])
+    ]
+
+
+def missing_paths(files: list[pathlib.Path], root: pathlib.Path = _REPO_ROOT) -> list[str]:
+    """``file:line: path`` for every named path under ``root`` that is absent."""
+    missing = []
+    for source in files:
+        text = source.read_text(encoding="utf-8")
+        for match in _PATH.finditer(text):
+            for path in _expand(match.group(1)):
+                if not (root / path).exists():
+                    line = text.count("\n", 0, match.start()) + 1
+                    missing.append(f"{source.relative_to(root)}:{line}: {path}")
+    return missing
 
 
 def _failure_line(error: Exception, filename: str) -> int | None:
@@ -89,6 +136,12 @@ def run_file(path: pathlib.Path, *, require_blocks: bool) -> int:
 
 def main(argv: list[str]) -> int:
     explicit = bool(argv)
+    if not explicit:
+        missing = missing_paths(path_sources())
+        for entry in missing:
+            print(f"FAIL {entry} does not exist", file=sys.stderr)
+        if missing:
+            return 1
     targets = [pathlib.Path(arg) for arg in argv] or default_targets()
     for target in targets:
         status = run_file(target, require_blocks=explicit)
