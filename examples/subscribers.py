@@ -1,24 +1,26 @@
-"""Networked serving end to end: TCP clients, durable cursors, crash-resume.
+"""Networked serving end to end: durable cursors and crash-resume, twice.
 
-Puts the asyncio front end (:mod:`repro.serving.net`) over a
-:class:`~repro.persist.DurableServer` on the paper's product/vendor example
-and walks the full client story — everything below travels over a real TCP
-socket as CRC-checked frames:
+Puts a :class:`~repro.persist.DurableServer` on the paper's product/vendor
+example behind each front end in turn and walks the same client story over
+real sockets — first the TCP front end (:mod:`repro.serving.net`, CRC-checked
+binary frames), then the web gateway (:mod:`repro.serving.web`, HTTP/1.1
+requests and RFC 6455 WebSocket frames carrying JSON).  The subscriber side
+is the same client session on both (``NetClient`` / ``WsClient``); only the
+admin connection differs (``NetClient`` itself over TCP, ``WebClient`` REST
+calls on the web side):
 
-1. start the durable server + :class:`~repro.serving.net.NetworkServer`,
-   create the price-watch trigger *over the wire* with
-   :meth:`NetClient.create_trigger`;
-2. open a second client holding a **named durable subscription** and a third
-   holding an anonymous filtered one (``path=["product"]``), submit
-   updates (single and batched) from the first client, and watch both
-   subscribers receive the activations;
-3. **crash the consumer** mid-stream — kill its connection with activations
-   consumed but not acked — then reconnect under the same subscription name:
-   the durable cursor redelivers exactly the unacked tail, at-least-once,
+1. start the durable server + its front end, create the price-watch
+   trigger from the admin connection;
+2. open a **named durable subscription** and an anonymous filtered one
+   (``path=["product"]``), submit updates (single and batched) from the
+   admin connection, and watch both streams receive the activations;
+3. **crash the consumer** mid-stream — kill its socket with activations
+   consumed but not acked — then resubscribe under the same name: the
+   durable cursor redelivers exactly the unacked tail, at-least-once,
    per-shard ordered;
-4. print the server's wire-level accounting (``stats`` frame).
+4. print the front end's accounting (the admin connection's ``stats``).
 
-Run with:  PYTHONPATH=src python examples/network_subscribers.py
+Run with:  PYTHONPATH=src python examples/subscribers.py
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from repro.persist import DurableServer
 from repro.relational import Column, DataType, ForeignKey, TableSchema
 from repro.relational.dml import InsertStatement, UpdateStatement
 from repro.serving.net import NetClient, NetworkServer
+from repro.serving.web import WebClient, WebGateway, WsClient
 from repro.xqgm.views import catalog_view
 
 PRODUCTS = [
@@ -43,6 +46,13 @@ VENDORS = [
     {"vid": "Bestbuy", "pid": "P1", "price": 120.0},
     {"vid": "Buy.com", "pid": "P2", "price": 200.0},
     {"vid": "Bestbuy", "pid": "P2", "price": 180.0},
+]
+
+#: ``(title, front end, admin client, subscriber client, admin's submit and
+#: submit-batch methods, stats section)`` — everything that differs.
+TRANSPORTS = [
+    ("TCP", NetworkServer, NetClient, NetClient, "execute", "execute_batch", "net"),
+    ("REST + WebSocket", WebGateway, WebClient, WsClient, "submit", "submit_batch", "web"),
 ]
 
 
@@ -84,9 +94,10 @@ def open_server(directory: Path) -> DurableServer:
     return server
 
 
-async def run_clients(host: str, port: int) -> None:
-    # ---- 1. DDL over the wire ---------------------------------------------
-    async with await NetClient.connect(host, port) as admin:
+async def run_clients(host, port, admin_client, subscriber_client,
+                      submit, submit_batch, section) -> None:
+    # ---- 1. trigger DDL from the admin connection -------------------------
+    async with await admin_client.connect(host, port) as admin:
         name = await admin.create_trigger("""
             CREATE TRIGGER PriceWatch AFTER UPDATE ON view('catalog')/product
             DO notify(NEW_NODE)
@@ -95,22 +106,22 @@ async def run_clients(host: str, port: int) -> None:
             CREATE TRIGGER NewProduct AFTER INSERT ON view('catalog')/product
             DO notify(NEW_NODE)
         """])
-        print(f"registered triggers over the wire: {name!r} + {bulk}")
+        print(f"registered triggers: {name!r} + {bulk}")
 
         # ---- 2. one durable consumer, one anonymous filtered one ----------
-        consumer = await NetClient.connect(host, port)
+        consumer = await subscriber_client.connect(host, port)
         inbox = await consumer.subscribe("inbox")
         assert inbox.durable, "expected a durable cursor-backed stream"
 
-        watcher = await NetClient.connect(host, port)
+        watcher = await subscriber_client.connect(host, port)
         watching = await watcher.subscribe(view="catalog", path=["product"])
 
-        await admin.execute(UpdateStatement(
+        await getattr(admin, submit)(UpdateStatement(
             "vendor", {"price": 75.0}, keys=[("Amazon", "P1")]))
         # The batch: a price update plus a brand-new product.  P3 enters the
         # view (and fires NewProduct) only once its *second* vendor lands —
         # the catalog view keeps the paper's HAVING count(vendor) >= 2.
-        await admin.execute_batch([
+        await getattr(admin, submit_batch)([
             UpdateStatement("vendor", {"price": 190.0}, keys=[("Buy.com", "P2")]),
             InsertStatement("product",
                             [{"pid": "P3", "pname": "Plasma 42", "mfr": "LG"}]),
@@ -134,7 +145,7 @@ async def run_clients(host: str, port: int) -> None:
         consumer._writer.transport.abort()  # the crash: no goodbye, no acks
         await consumer.close()
 
-        revived = await NetClient.connect(host, port)
+        revived = await subscriber_client.connect(host, port)
         resumed = await revived.subscribe("inbox")
         redelivered = []
         while True:
@@ -146,7 +157,7 @@ async def run_clients(host: str, port: int) -> None:
                 break
             redelivered.append(activation)
             await revived.ack(activation)
-        print(f"reconnected as 'inbox': {len(redelivered)} unacked "
+        print(f"resubscribed as 'inbox': {len(redelivered)} unacked "
               f"activation(s) redelivered from the durable cursor:")
         for activation in redelivered:
             print(f"  [{activation.shard}:{activation.sequence}] "
@@ -154,35 +165,35 @@ async def run_clients(host: str, port: int) -> None:
         unacked = {(a.shard, a.sequence) for a in consumed[1:]}
         assert unacked <= {(a.shard, a.sequence) for a in redelivered}
 
-        # ---- 4. wire-level accounting -------------------------------------
-        stats = await revived.stats()
-        net = stats["net"]
-        print(f"server: {net['connections_opened']} connections, "
-              f"{net['frames_received']} frames in / {net['frames_sent']} out, "
-              f"{net['activations_sent']} activations pushed, "
-              f"{net['protocol_errors']} protocol errors")
-        assert stats["activations_published"] == 3
-
+        # ---- 4. front-end accounting --------------------------------------
         await revived.close()
         await watcher.close()
+        stats = await admin.stats()
+        front = stats[section]
+        print(f"front end: {front['connections_opened']} connections, "
+              f"{front['activations_sent']} activations pushed, "
+              f"{front['protocol_errors']} protocol errors")
+        assert stats["activations_published"] == 3
 
 
 def main() -> None:
-    directory = Path(tempfile.mkdtemp(prefix="net-subscribers-"))
-    try:
-        server = open_server(directory)
-        server.start()
-        net = NetworkServer(server).start()  # one event loop on a daemon thread
-        host, port = net.address
-        print(f"network front end listening on {host}:{port}")
+    for title, front_end, admin_client, subscriber_client, *calls in TRANSPORTS:
+        directory = Path(tempfile.mkdtemp(prefix="subscribers-"))
         try:
-            asyncio.run(run_clients(host, port))
+            server = open_server(directory)
+            server.start()
+            front = front_end(server).start()  # one event loop on a daemon thread
+            host, port = front.address
+            print(f"== {title}: front end listening on {host}:{port}")
+            try:
+                asyncio.run(run_clients(
+                    host, port, admin_client, subscriber_client, *calls))
+            finally:
+                front.stop()
+                server.stop()
+                server.close()
         finally:
-            net.stop()
-            server.stop()
-            server.close()
-    finally:
-        shutil.rmtree(directory, ignore_errors=True)
+            shutil.rmtree(directory, ignore_errors=True)
 
 
 if __name__ == "__main__":

@@ -301,9 +301,12 @@ class Database:
           effect: one monitored node disappears, another appears);
         * if a statement raises, earlier statements stay applied (matching
           sequential execution) and the triggers fire for their coalesced
-          deltas before the statement's error propagates; a trigger that
+          deltas before the statement's error propagates, carrying the
+          partial :class:`BatchResult` as its ``batch`` attribute (its
+          ``statements`` are the ones applied, so the failing statement is
+          the next one and those behind it never ran); a trigger that
           raises while they fire raises its own error, chained to the
-          statement's.
+          statement's and without ``batch``.
 
         Accepts a :class:`~repro.relational.dml.Batch`, a
         :class:`~repro.relational.dml.BulkLoad`, or any iterable mixing plain
@@ -315,7 +318,11 @@ class Database:
             self._batch_depth += 1
             try:
                 for statement in self._flatten(statements):
-                    result = self.execute(statement, fire_triggers=False)
+                    try:
+                        result = self.execute(statement, fire_triggers=False)
+                    except Exception as error:
+                        error.batch = batch
+                        raise
                     batch.statements.append(result)
                     coalescer.absorb(result)
             finally:

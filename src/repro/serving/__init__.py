@@ -19,7 +19,7 @@ This package turns the single-caller pipeline of
 
 See ``docs/api.md`` for the full reference,
 ``examples/concurrent_subscribers.py`` for the in-process walkthrough, and
-``examples/network_subscribers.py`` + ``docs/networking.md`` for the
+``examples/subscribers.py`` + ``docs/networking.md`` for the
 network layer.
 """
 

@@ -12,7 +12,7 @@ half — shared with the web gateway (:mod:`repro.serving.web`) — is
 :mod:`repro.serving.net.frames` (the shared encode cache).
 """
 
-from repro.serving.net.client import NetClient, NetSubscription
+from repro.serving.net.client import ClientSession, NetClient, SubscriptionStream
 from repro.serving.net.frames import SharedFrameCache
 from repro.serving.net.netserver import NetworkServer
 from repro.serving.net.protocol import (
@@ -33,11 +33,12 @@ from repro.serving.net.session import (
 )
 
 __all__ = [
+    "ClientSession",
     "LoopSubscriber",
     "NetClient",
-    "NetSubscription",
     "NetworkServer",
     "SharedFrameCache",
+    "SubscriptionStream",
     "WakeHub",
     "subscription_filter",
     "PROTOCOL_VERSION",

@@ -189,7 +189,8 @@ class ActiveViewServer:
         Micro-batch cap: a shard worker drains at most this many queued
         statements into one ``execute_batch`` call.  Bounds both the latency
         of the first statement in a batch and the blast radius of a failing
-        statement (a failure fails its whole micro-batch's tickets).
+        action or hook (it fails its whole micro-batch's tickets; a failing
+        statement fails only its own).
     queue_capacity:
         Per-shard submission-queue bound; :meth:`submit` blocks when the
         owning shard's queue is full (producer backpressure) and
@@ -661,28 +662,41 @@ class ActiveViewServer:
 
     def _run_chunk(self, shard: int, chunk: Sequence[_Submission]) -> None:
         stats = self.stats[shard]
-        statements = [submission.statement for submission in chunk]
-        try:
+        while chunk:
             try:
-                batch = self.services[shard].execute_batch(statements)
-            finally:
-                # Whatever fired is delivered — also when a later action
-                # raised — as one bundle, before any ticket resolves.
-                self._deliver_bundle(shard)
-        except Exception as exc:  # noqa: BLE001 - forwarded to the submitters
-            # execute_many semantics: a failing statement's predecessors are
-            # applied and their triggers fired (delivered above, as for a
-            # failing action or hook).  The whole micro-batch's tickets carry
-            # the error; max_batch bounds this blast radius.
-            stats.errors += 1
-            for submission in chunk:
-                submission.ticket._fail(exc)
-            return
-        stats.batches += 1
-        stats.statements += len(chunk)
-        stats.max_batch = max(stats.max_batch, len(chunk))
-        for submission, result in zip(chunk, batch.statements):
-            submission.ticket._resolve(result)
+                try:
+                    batch = self.services[shard].execute_batch(
+                        [submission.statement for submission in chunk]
+                    )
+                finally:
+                    # Whatever fired is delivered — also when a later action
+                    # raised — as one bundle, before any ticket resolves.
+                    self._deliver_bundle(shard)
+            except Exception as exc:  # noqa: BLE001 - forwarded to the submitters
+                stats.errors += 1
+                batch = getattr(exc, "batch", None)
+                if batch is None:
+                    # An action or hook raised: the whole micro-batch's
+                    # tickets carry the error; max_batch bounds this blast
+                    # radius.
+                    for submission in chunk:
+                        submission.ticket._fail(exc)
+                    return
+                # A statement raised (execute_many semantics): its
+                # predecessors were applied, fired and delivered above and
+                # resolve with their results; the statements behind it never
+                # ran and go on as the next batch.
+                applied = len(batch.statements)
+                chunk[applied].ticket._fail(exc)
+                done, chunk = chunk[:applied], chunk[applied + 1:]
+            else:
+                done, chunk = chunk, ()
+            if done:
+                stats.batches += 1
+                stats.statements += len(done)
+                stats.max_batch = max(stats.max_batch, len(done))
+                for submission, result in zip(done, batch.statements):
+                    submission.ticket._resolve(result)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "running" if self._running else "stopped"

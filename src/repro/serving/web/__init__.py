@@ -10,12 +10,7 @@ cache (:mod:`repro.serving.web.webframes`), the gateway itself
 is the endpoint and message-schema reference.
 """
 
-from repro.serving.web.client import (
-    GatewayError,
-    WebClient,
-    WebSubscription,
-    WsClient,
-)
+from repro.serving.web.client import GatewayError, WebClient, WsClient
 from repro.serving.web.gateway import WebGateway
 from repro.serving.web.http import HttpError, HttpRequest, read_request
 from repro.serving.web.webframes import JsonFrameCache
@@ -28,7 +23,6 @@ __all__ = [
     "JsonFrameCache",
     "WebClient",
     "WebGateway",
-    "WebSubscription",
     "WsClient",
     "WsReader",
     "accept_key",

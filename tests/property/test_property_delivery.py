@@ -101,10 +101,6 @@ class _Tcp:
         if via is None:
             await client.close()
 
-    def paused_at(self, subscription) -> dict:
-        assert subscription.ended  # nothing arrives after the pause notice
-        return {int(shard): seq for shard, seq in subscription.pause_info["sent"].items()}
-
 
 class _Ws:
     """The web gateway: REST statements, one WebSocket subscription."""
@@ -132,9 +128,6 @@ class _Ws:
             else:
                 for statement in statements:
                     await rest.submit(statement)
-
-    def paused_at(self, subscription) -> dict:
-        return subscription.sent_watermark
 
 
 TCP, WS = _Tcp(), _Ws()
@@ -364,7 +357,7 @@ def _check_filtered(transport, actions, keep, send_buffer, batched):
                 sessions.append(session)
                 if not subscription.paused:
                     break
-                pauses.append((transport.paused_at(subscription), list(session)))
+                pauses.append((subscription.sent_watermark, list(session)))
                 await client.ping()  # the acks are in before the resume
                 subscription = await client.subscribe("picky", **keep)
             await client.close()

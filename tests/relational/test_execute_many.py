@@ -252,7 +252,7 @@ class TestExecuteMany:
 
     def test_error_fires_the_applied_prefix_then_raises(self):
         db, firings = make_db()
-        with pytest.raises(IntegrityError):
+        with pytest.raises(IntegrityError) as excinfo:
             db.execute_many(
                 [
                     InsertStatement("t", [{"id": 1, "v": 1}]),
@@ -263,6 +263,8 @@ class TestExecuteMany:
             )
         assert db.row_count("t") == 2  # the prefix stays applied...
         assert firings == [("INSERT", [(1, 1), (2, 2)], [], 2)]  # ...and fired once
+        # The error says how far the batch got: the third statement failed.
+        assert [r.rowcount for r in excinfo.value.batch.statements] == [1, 1]
 
     def test_error_on_the_first_statement_fires_nothing(self):
         db, firings = make_db()

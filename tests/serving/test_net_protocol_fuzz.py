@@ -23,7 +23,7 @@ import random
 
 import pytest
 
-from repro.errors import ProtocolError
+from repro.errors import NetworkError, ProtocolError
 from repro.persist.codec import encode_value
 from repro.relational.dml import UpdateStatement
 from repro.serving import ActiveViewServer
@@ -487,7 +487,8 @@ def hostile_push_outcome(frames: list[bytes], *, max_frame: int = 64 * 1024):
     Returns ``(activations_received, stream_ended)``.  The invariant under
     test: no hostile push may hang the client or escape as anything but a
     clean stream end — the reader loop converts ``ProtocolError`` /
-    ``IncompleteReadError`` into subscription termination.
+    ``IncompleteReadError`` into subscription termination, and a request
+    after the end fails at once.
     """
 
     async def handle(reader, writer):
@@ -537,6 +538,9 @@ def hostile_push_outcome(frames: list[bytes], *, max_frame: int = 64 * 1024):
                     continue
                 if activation is None:
                     ended = True
+                    # The connection is gone: a request fails, it never hangs.
+                    with pytest.raises(NetworkError, match="closed"):
+                        await client.ping()
                     break
                 received.append(activation)
             await client.close()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.core.service import ExecutionMode
@@ -247,6 +249,49 @@ class TestActiveViewServer:
             )
             assert good.rowcount == 1
         assert sum(stats.errors for stats in server.stats) == 1
+
+    def test_failing_statement_leaves_its_micro_batch_neighbours_their_results(self):
+        """A statement that raises inside a micro-batch fails its own ticket
+        only: the statements ahead of it were applied, fired and delivered
+        and resolve with their results, and the ones behind it run next.
+        A client told otherwise would retry an applied statement."""
+        server, notifications = build_server(shard_count=1)
+        entered, release = threading.Event(), threading.Event()
+
+        def park(node) -> None:
+            entered.set()
+            assert release.wait(30)
+
+        server.register_action("park", park)
+        server.create_trigger(
+            "CREATE TRIGGER Park AFTER UPDATE ON view('catalog')/product "
+            "WHERE NEW_NODE/@name = 'LCD 19' DO park(NEW_NODE)"
+        )
+        subscriber = server.subscribe("audit")
+        with server:
+            # Park the worker inside an action, then queue one micro-batch.
+            plug = server.submit(
+                UpdateStatement("vendor", {"price": 1.0}, keys=[("Buy.com", "P2")])
+            )
+            assert entered.wait(30)
+            update, duplicate, behind = (
+                server.submit(statement) for statement in (
+                    UpdateStatement("vendor", {"price": 2.0}, keys=[("Bestbuy", "P1")]),
+                    InsertStatement("vendor", [{"vid": "Amazon", "pid": "P1", "price": 9.0}]),
+                    UpdateStatement("vendor", {"price": 3.0}, keys=[("Amazon", "P1")]),
+                )
+            )
+            release.set()
+            assert plug.result(timeout=10).rowcount == 1
+            assert update.result(timeout=10).rowcount == 1
+            with pytest.raises(IntegrityError):
+                duplicate.result(timeout=10)
+            assert behind.result(timeout=10).rowcount == 1
+        prices = {row[:2]: row[2] for row in server.sharded.snapshot()["vendor"]}
+        assert prices[("Bestbuy", "P1")] == 2.0 and prices[("Amazon", "P1")] == 3.0
+        assert [a.trigger for a in subscriber.drain()] == ["Park", "Crt", "Crt"]
+        assert len(notifications) == 2
+        assert server.stats[0].errors == 1
 
     def test_submit_after_stop_raises(self):
         server, _ = build_server()

@@ -783,17 +783,6 @@ def transport(request, durable_live):
         yield "tcp", lambda: NetClient.connect(*net.address)
 
 
-async def _subscribe_raw(client, **fields):
-    """Send a subscribe request the typed clients would refuse to build."""
-    if isinstance(client, NetClient):
-        return await client._request({"type": "subscribe", **fields})
-    client._next_id += 1
-    reply = asyncio.get_running_loop().create_future()
-    client._replies[client._next_id] = reply
-    client._send_json({"type": "subscribe", "id": client._next_id, **fields})
-    return await reply
-
-
 async def _drain(subscription) -> list:
     received = []
     while True:
@@ -807,6 +796,32 @@ async def _drain(subscription) -> list:
 
 
 class TestSharedSessionRuntime:
+    def test_refused_resubscribe_leaves_the_live_stream_its_activations(
+        self, durable_live, transport
+    ):
+        """A second subscribe on a connection with a live stream is refused,
+        and the first stream keeps receiving: the refused one never takes
+        over the connection's deliveries."""
+        _kind, connect = transport
+        host, port = durable_live.address
+
+        async def scenario():
+            async with await WebClient.connect(host, port) as admin:
+                await admin.create_trigger(PRICE_WATCH)
+                client = await connect()
+                first = await client.subscribe("inbox")
+                with pytest.raises(NetworkError, match="active subscription"):
+                    await client.subscribe("other")
+                await admin.submit(
+                    UpdateStatement("vendor", {"price": 35.0},
+                                    keys=[("Amazon", "P1")])
+                )
+                activation = await first.get(timeout=2)
+                assert activation.trigger == "PriceWatch"
+                await client.close()
+
+        run(scenario())
+
     def test_cursor_beyond_head_is_refused_and_resume_loses_nothing(
         self, durable_live, transport
     ):
@@ -884,7 +899,8 @@ class TestSharedSessionRuntime:
         async def scenario():
             client = await connect()
             with pytest.raises(NetworkError, match=BAD_INPUT[kind]) as excinfo:
-                await _subscribe_raw(client, name="inbox", cursor=cursor)
+                # A request the typed subscribe would refuse to build.
+                await client._request({"type": "subscribe", "name": "inbox", "cursor": cursor})
             assert "cursor" in str(excinfo.value)
             assert "Error" not in str(excinfo.value)  # no leaked internals
             await client.ping()  # refused before any damage: still alive

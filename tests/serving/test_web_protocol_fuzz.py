@@ -30,7 +30,7 @@ import struct
 
 import pytest
 
-from repro.errors import ProtocolError
+from repro.errors import NetworkError, ProtocolError
 from repro.relational.dml import UpdateStatement
 from repro.serving import ActiveViewServer
 from repro.serving.web import WebClient, WebGateway, WsClient
@@ -541,8 +541,8 @@ def hostile_ws_push_outcome(messages: list[bytes]):
     """Upgrade a real WsClient against a scripted gateway, push ``messages``.
 
     Returns ``(activations_received, stream_ended)``: a hostile push may
-    only ever end the stream — never hang the client, never escape its
-    reader as an exception.
+    only ever end the stream — never hang the client (a request after the
+    end fails at once), never escape its reader as an exception.
     """
 
     async def handle(reader, writer):
@@ -575,6 +575,9 @@ def hostile_ws_push_outcome(messages: list[bytes]):
                 if activation is None:
                     break
                 received.append(activation)
+            # The connection is gone: a request fails, it never hangs.
+            with pytest.raises(NetworkError, match="closed"):
+                await client.ping()
             await client.close()
             return received, True
         finally:

@@ -230,7 +230,7 @@ class TestCiPathsClassification:
 
     def test_web_example_change_triggers_web(self, diff_repo):
         (diff_repo / "examples").mkdir()
-        (diff_repo / "examples/web_subscribers.py").write_text("print('hi')\n")
+        (diff_repo / "examples/subscribers.py").write_text("print('hi')\n")
         assert classify_at(diff_repo) == {
             "docs": "true", "web": "true", "bench": "false",
         }

@@ -4,8 +4,9 @@
 The docs job executes every Python block in ``README.md`` and ``docs/*.md``
 against the live API, so it must run whenever the docs themselves change
 *or* the public behaviour under them might have.  The web-smoke job runs
-``examples/web_subscribers.py`` end to end, so it must run whenever the
-serving/persistence stack under the web gateway might have changed.  The
+``examples/subscribers.py`` (TCP, then REST + WebSocket) end to end, so it
+must run whenever the serving/persistence stack under the web gateway might
+have changed.  The
 e2e-gate job runs the repo benchmark (``BENCHMARK.json``) on the base and
 head checkouts, so it must run whenever the program under ``src/repro/``
 might behave differently, or the benchmark's declaration did.  But a
@@ -52,7 +53,7 @@ _IGNORED_PREFIXES = ("tests/", "benchmarks/", "tools/", ".github/")
 _WEB_PATHS = (
     "src/repro/serving/",
     "src/repro/persist/",
-    "examples/web_subscribers.py",
+    "examples/subscribers.py",
 )
 
 #: What the e2e gate measures: the program, and the benchmark's declaration.
