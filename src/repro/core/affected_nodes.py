@@ -49,12 +49,14 @@ from repro.xqgm.operators import (
     UnionOp,
 )
 from repro.xqgm.views import PathGraph
+from repro.xmlmodel.node import DeferredElement
 from repro.core.affected_keys import AffectedKeyGraph, create_ak_graph
 
 __all__ = [
     "AffectedNodeGraph",
     "AffectedNodeSides",
     "NodesDiffer",
+    "nodes_differ",
     "create_an_graph",
     "create_an_sides",
     "combine_sides",
@@ -66,22 +68,32 @@ OLD_NODE = "OLD_NODE"
 NEW_NODE = "NEW_NODE"
 
 
-class NodesDiffer(Expression):
-    """Predicate ``OLD_NODE ≠ NEW_NODE`` using deep XML value equality.
+def nodes_differ(old: Any, new: Any) -> bool:
+    """``old ≠ new`` for two node values, with deep equality's answer.
 
-    The paper implements this as a string comparison of the serialized nodes
-    in the tagger (Appendix E.1); deep structural equality of our node model
-    is equivalent because serialization is deterministic.
+    The paper's tagger decides ``OLD_NODE ≠ NEW_NODE`` by comparing the
+    serialized nodes (Appendix E.1).  Two elements the compiled engine
+    built are decided from their shapes, else from their template texts,
+    and are assembled only when those texts are equal
+    (:meth:`DeferredElement.differs`); any other pair — the interpreter's
+    trees, NULL — compares with ``!=``.
     """
+    if type(old) is DeferredElement and type(new) is DeferredElement:
+        return old.differs(new)
+    return old != new
+
+
+class NodesDiffer(Expression):
+    """Predicate ``OLD_NODE ≠ NEW_NODE``: :func:`nodes_differ` on the two
+    node columns — a text comparison, as in the paper's tagger
+    (Appendix E.1), wherever the text can tell the nodes apart."""
 
     def __init__(self, left: str = OLD_NODE, right: str = NEW_NODE) -> None:
         self.left = left
         self.right = right
 
     def evaluate(self, row: Mapping[str, Any], parameters: Mapping[str, Any] | None = None) -> Any:
-        left = row.get(self.left)
-        right = row.get(self.right)
-        return left != right
+        return nodes_differ(row.get(self.left), row.get(self.right))
 
     def referenced_columns(self) -> set[str]:
         return {self.left, self.right}

@@ -11,14 +11,16 @@ the pipeline in three places:
 * trigger Conditions and Action parameters are XPath/XQuery expressions over
   those nodes (Section 2.2).
 
-This package supplies the XML node classes, a serializer, a small
-well-formedness-checking parser, and the XPath-subset evaluator used for
-conditions and action parameters (child / descendant / attribute / self axes
-only, matching Appendix D).
+This package supplies the XML node classes, a serializer, the element
+shapes behind the compiled constructor's deferred elements
+(:mod:`repro.xmlmodel.shape`), a small well-formedness-checking parser, and
+the XPath-subset evaluator used for conditions and action parameters
+(child / descendant / attribute / self axes only, matching Appendix D).
 """
 
 from repro.xmlmodel.node import (
     Attribute,
+    DeferredElement,
     Document,
     Element,
     Fragment,
@@ -34,6 +36,7 @@ from repro.xmlmodel.xpath import XPath, evaluate_xpath, parse_xpath
 
 __all__ = [
     "Attribute",
+    "DeferredElement",
     "Document",
     "Element",
     "EncodedPair",

@@ -3,9 +3,10 @@
 The model is deliberately small: elements (with ordered attributes and
 children), text nodes, and fragments (ordered sequences of nodes, the result
 of the paper's ``aggXMLFrag`` aggregate).  Nodes compare by *value*
-(deep equality), which is exactly the notion the paper needs when deciding
-whether ``OLD_NODE ≠ NEW_NODE`` (Definition 2 and Appendix E.1: "implemented
-as a string comparison in the tagger").
+(deep equality).  The compiled element constructor returns
+:class:`DeferredElement`: an element that keeps its constructor's shape and
+slot values, and builds its attribute and child lists only when something
+reads them.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from repro.errors import XmlError
 __all__ = [
     "XmlNode",
     "Element",
+    "DeferredElement",
     "Text",
     "Fragment",
     "Attribute",
@@ -26,10 +28,11 @@ __all__ = [
     "fragment",
     "as_node",
     "assemble_element",
+    "format_atomic",
 ]
 
 
-def _format_atomic(value: Any) -> str:
+def format_atomic(value: Any) -> str:
     """Render an atomic Python value as XML text content."""
     if type(value) is str:
         return value
@@ -69,7 +72,7 @@ class Attribute:
         if not name:
             raise XmlError("attribute name must be non-empty")
         self.name = name
-        self.value = _format_atomic(value)
+        self.value = format_atomic(value)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Attribute):
@@ -94,7 +97,7 @@ class Text(XmlNode):
     __slots__ = ("value",)
 
     def __init__(self, value: Any) -> None:
-        self.value = _format_atomic(value)
+        self.value = format_atomic(value)
 
     def string_value(self) -> str:
         return self.value
@@ -208,6 +211,68 @@ class Element(XmlNode):
         return f"Element(<{self.name}> {len(self.children)} children)"
 
 
+class DeferredElement(Element):
+    """An element assembled only where something reads its structure.
+
+    It holds ``shape`` — an element shape fixed when the constructor was
+    lowered (:class:`repro.xmlmodel.shape.ElementShape`) — and ``values``,
+    the constructor's slot values, evaluated when the element was built.
+    ``name`` and :meth:`attribute` answer from those values; the first read
+    of ``attributes`` or ``children`` (an XPath child or descendant step,
+    :meth:`copy`, :meth:`iter_descendants`, equality, a mutation) assembles
+    both lists through the shape, once.  :attr:`text` is the compact
+    serialization written by the shape's template from the same values: a
+    snapshot of the element as built, which later mutation does not change.
+    """
+
+    __slots__ = ("shape", "values", "_text")
+
+    def __init__(self, shape: Any, values: Sequence[Any]) -> None:
+        self.name = shape.name
+        self.shape = shape
+        self.values = values
+        self._text: str | None = None
+
+    def __getattr__(self, name: str) -> Any:
+        # Reached only while the ``attributes`` / ``children`` slots are unset.
+        if name != "attributes" and name != "children":
+            raise AttributeError(name)
+        self.attributes, self.children = self.shape.assemble(self.values)
+        return object.__getattribute__(self, name)
+
+    def attribute(self, name: str) -> str | None:
+        return self.shape.attribute(self.values, name)
+
+    @property
+    def text(self) -> str:
+        """The compact XML text of this element as built."""
+        text = self._text
+        if text is None:
+            text = self._text = self.shape.render(self.values)
+        return text
+
+    def differs(self, other: "DeferredElement") -> bool:
+        """``self != other`` (deep equality), assembling neither element
+        where their shapes or texts already tell them apart.
+
+        Another name or attribute list, or children on one side only
+        (GROUPED-AGG's attributes-only compensated ``OLD_NODE`` against a
+        ``NEW_NODE`` with children), decides without text.  Otherwise
+        unequal texts decide: the text is a function of the tree.  Equal
+        texts are confirmed by deep equality, since text does not show
+        where one text node ends and the next begins (adjacent unlabelled
+        atoms ``'a', 'b'`` and ``'ab', ''`` both write ``ab``).
+        """
+        shape, other_shape = self.shape, other.shape
+        if shape.head != other_shape.head or (
+            shape.empty(self.values) != other_shape.empty(other.values)
+        ):
+            return True
+        if self.text != other.text:
+            return True
+        return not Element.__eq__(self, other)
+
+
 class Fragment(XmlNode):
     """An ordered sequence of nodes (the result of ``aggXMLFrag``)."""
 
@@ -307,8 +372,8 @@ def assemble_element(
 
     Nothing is copied or converted: the caller hands over fresh lists of
     finished nodes (no fragments, no atomics, distinct attribute names) —
-    what the compiled element constructor of :mod:`repro.xqgm.expressions`
-    builds.  An empty name raises :class:`XmlError`, as ``Element`` does.
+    what :meth:`repro.xmlmodel.shape.ElementShape.assemble` builds.  An
+    empty name raises :class:`XmlError`, as ``Element`` does.
     """
     if not name:
         raise XmlError("element name must be non-empty")

@@ -5,13 +5,16 @@ Used by examples, the baseline's node comparison, tests, and — through
 a log or a socket.  The output is deterministic (attribute order is the
 insertion order recorded on the element), which is what makes the paper's
 "string comparison in the tagger" (Appendix E.1) a sound way to detect
-``OLD_NODE = NEW_NODE``.
+``OLD_NODE = NEW_NODE``.  A compiled element's compact text is written by
+its shape's template (:class:`~repro.xmlmodel.shape.ElementShape`, with
+the escapes below), byte for byte what the walk below writes for the
+assembled tree.
 """
 
 from __future__ import annotations
 
 from repro.errors import XmlError
-from repro.xmlmodel.node import Document, Element, Fragment, Text, XmlNode
+from repro.xmlmodel.node import DeferredElement, Document, Element, Fragment, Text, XmlNode
 
 __all__ = ["serialize", "escape_text", "escape_attribute", "EncodedPair"]
 
@@ -40,10 +43,14 @@ def serialize(node: XmlNode | None, *, indent: int | None = None) -> str:
     """Serialize a node (element, text, fragment, or document) to a string.
 
     ``indent=None`` produces compact output; an integer pretty-prints with
-    that many spaces per nesting level.
+    that many spaces per nesting level.  The compact text of a
+    :class:`~repro.xmlmodel.node.DeferredElement` is its template text: no
+    tree is walked or assembled for it.
     """
     if node is None:
         return ""
+    if indent is None and type(node) is DeferredElement:
+        return node.text
     parts: list[str] = []
     _serialize(node, parts, indent, 0)
     return "".join(parts)
@@ -69,6 +76,9 @@ def _serialize(node: XmlNode, parts: list[str], indent: int | None, depth: int) 
 
 
 def _serialize_element(node: Element, parts: list[str], indent: int | None, depth: int) -> None:
+    if indent is None and type(node) is DeferredElement:
+        parts.append(node.text)
+        return
     pad = "" if indent is None else " " * (indent * depth)
     parts.append(f"{pad}<{node.name}")
     for attribute in node.attributes:
@@ -97,18 +107,22 @@ def _serialize_element(node: Element, parts: list[str], indent: int | None, dept
 
 
 class EncodedPair:
-    """Compact XML text of one (OLD_NODE, NEW_NODE) pair, serialized at most once.
+    """Compact XML text of one (OLD_NODE, NEW_NODE) pair, written at most once.
 
     Section 5 computes each affected pair once per statement however many
     triggers watch the node; this holder extends that to the pair's *text*.
     It is created with the pair, handed by reference to every firing of the
     pair, and read by every encoder behind it (outbox record, TCP frame,
-    WebSocket frame), so one statement serializes each distinct node once.
+    WebSocket frame), so one statement writes each distinct node's text once.
 
-    The text lives here, not on the node: an :class:`Element` is mutable,
-    a delivered pair is a read-only snapshot.  Filling is idempotent — two
-    threads racing on an empty slot both store the same string — so readers
-    on shard workers and event loops need no lock.
+    A node the compiled engine fired is a
+    :class:`~repro.xmlmodel.node.DeferredElement`: its text comes from its
+    shape's template and stays on the node, fixed as it was built; no tree
+    is assembled for it.  Any other node is serialized here on first read.
+    A pair decoded from a log or a frame is created with the text it
+    arrived as.  Filling is idempotent — two threads racing on an empty
+    slot both store the same string — so readers on shard workers and
+    event loops need no lock.
     """
 
     __slots__ = ("_old_node", "_new_node", "_old_text", "_new_text")

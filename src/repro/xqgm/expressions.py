@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, XmlError
 from repro.relational.types import (
     is_truthy,
     sql_and,
@@ -29,13 +29,13 @@ from repro.relational.types import (
 )
 from repro.xmlmodel.node import (
     Attribute,
+    DeferredElement,
     Element,
     Fragment,
     Text,
     XmlNode,
-    as_node,
-    assemble_element,
 )
+from repro.xmlmodel.shape import ElementShape
 
 __all__ = [
     "Expression",
@@ -680,67 +680,42 @@ def compile_expr(expression: Expression, layout: Mapping[str, int]) -> CompiledE
     )
 
 
-#: Values a labelled position wraps as one text node (``as_node``'s last case).
-_TEXT_ATOMS = frozenset({str, int, float, bool})
-
-
 def _compile_element(expression: ElementConstructor, layout: Mapping[str, int]) -> CompiledExpr:
     """The element constructor with its shape fixed at lowering time.
 
-    Each child position is either a labelled wrapper (one ``<label>``
-    element per call, empty for NULL) or an unlabelled node / fragment
-    spliced in place, and each attribute name has its slot — a repeated name
-    keeps its first slot and its last value, as ``Element.set_attribute``
-    does.  Every call builds the attribute and child lists of a fresh tree
-    directly, with no ``Element.append`` per child; nothing is shared
-    between calls.  An empty element name, label or attribute name raises
-    :class:`~repro.errors.XmlError` when called, as in ``evaluate``.
+    Each call evaluates the attribute and child slots and returns a
+    :class:`~repro.xmlmodel.node.DeferredElement` over them: no attribute
+    or child list, no wrapper element and no text node is built until
+    something reads the element's structure (:class:`ElementShape`).  An
+    attribute value in a child position raises
+    :class:`~repro.errors.XmlError` at the call, as ``as_node`` does in
+    ``evaluate``; so does every call of a constructor with an empty element
+    name, label or attribute name.
     """
     name = expression.name
-    if not name:
-        return lambda values, parameters: assemble_element(name, [], [])
-    slots: dict[str, int] = {}
-    attributes = [
-        (slots.setdefault(attribute.name, len(slots)), attribute.name,
-         compile_expr(attribute.value, layout))
-        for attribute in expression.attributes
-    ]
-    width = len(slots)
     if expression.child_labels and len(expression.child_labels) == len(expression.children):
         labels: Sequence[str | None] = expression.child_labels
     else:
         labels = [None] * len(expression.children)
-    positions = [
-        (label, compile_expr(child, layout))
-        for label, child in zip(labels, expression.children)
-    ]
+    attribute_names = [attribute.name for attribute in expression.attributes]
+    if not name or "" in labels or "" in attribute_names:
+        def malformed(values: Sequence[Any], parameters: Mapping[str, Any] | None) -> Any:
+            raise XmlError(f"element {name!r}: empty element, label or attribute name")
 
-    def element(values: Sequence[Any], parameters: Mapping[str, Any] | None) -> Any:
-        attribute_list: list[Any] = [None] * width
-        for slot, attribute_name, attribute_value in attributes:
-            value = attribute_value(values, parameters)
-            attribute_list[slot] = Attribute(attribute_name, "" if value is None else value)
-        nodes: list[XmlNode] = []
-        for label, child in positions:
-            value = child(values, parameters)
-            if label is None:
-                if value is None:
-                    continue
-                if isinstance(value, Fragment):
-                    nodes.extend(value.items)
-                else:
-                    nodes.append(as_node(value))
-            elif type(value) in _TEXT_ATOMS:
-                nodes.append(assemble_element(label, [], [Text(value)]))
-            elif value is None:
-                nodes.append(assemble_element(label, [], []))
-            elif isinstance(value, Fragment):
-                nodes.append(assemble_element(label, [], list(value.items)))
-            else:
-                nodes.append(assemble_element(label, [], [as_node(value)]))
-        return assemble_element(name, attribute_list, nodes)
+        return malformed
+    shape = ElementShape(name, attribute_names, labels)
+    parts = [attribute.value for attribute in expression.attributes]
+    parts += expression.children
+    children = range(len(attribute_names), len(parts))
 
-    return element
+    def deferred(slot_values: Sequence[Any]) -> DeferredElement:
+        for index in children:
+            if isinstance(slot_values[index], Attribute):
+                raise XmlError("attributes cannot appear as children")
+        return DeferredElement(shape, slot_values)
+
+    slots = [compile_expr(part, layout) for part in parts]
+    return lambda values, parameters: deferred([slot(values, parameters) for slot in slots])
 
 
 def compile_predicate(

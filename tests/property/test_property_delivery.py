@@ -36,7 +36,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.persist import DurableServer
 from repro.serving.net import NetClient, NetworkServer, SharedFrameCache
@@ -227,16 +227,23 @@ def _kill_cases():
             yield pytest.param(transport, shape, id=f"{name}-{shape}")
 
 
+#: One statement whose bundle fires two activations on one shard: a
+#: delivery run of two, whatever the session seed draws.
+_RENAME = [("rename_product", "Amazon", "P1", 1)]
+
+
 @pytest.mark.parametrize("transport, shape", list(_kill_cases()))
 def test_delivery_with_kill_and_resume_matches_oracle(transport, shape):
     """``runs`` is one node-table frame per delivery run, ``split`` the same
     under a byte budget no two activations fit."""
-    budget(transport.kill_examples)(given(
+    check = given(
         actions=st.lists(catalog_actions(), min_size=1, max_size=10),
         kill_after=st.integers(0, 20),
         ack_prefix=st.integers(0, 20),
         batched=st.booleans(),
-    )(_check_kill_and_resume))(transport, shape)
+    )(_check_kill_and_resume)
+    check = example(actions=_RENAME, kill_after=20, ack_prefix=0, batched=False)(check)
+    budget(transport.kill_examples)(check)(transport, shape)
 
 
 def _check_kill_and_resume(transport, shape, actions, kill_after, ack_prefix, batched):
@@ -261,6 +268,35 @@ def _check_kill_and_resume(transport, shape, actions, kill_after, ack_prefix, ba
     assert all(count == 1 for count in oracle_signatures.values())
     for session in sessions:
         _assert_per_shard_order(session)
+    # The union above forgives an activation one session lost when the
+    # other carried it, so each session is held to its own stream as well.
+    first, second = sessions
+    streams = _per_shard(delivered)
+    # Session 1 reads a gapless prefix of every shard's stream.  (Where it
+    # stopped is not checked: a 300 ms stall ends it early, and session 2
+    # then carries the rest.)
+    for shard, stream in _per_shard(first).items():
+        assert stream == streams[shard][: len(stream)], f"shard {shard}: a gap in session 1"
+    # Session 2 resumes right after the acked prefix: every shard's stream
+    # past its highest acked sequence, nothing missing, nothing repeated.
+    cursor: dict[int, int] = {}
+    for activation in first[: min(ack_prefix, len(first))]:
+        cursor[activation.shard] = max(cursor.get(activation.shard, 0), activation.sequence)
+    resumed = {
+        shard: [s for s in stream if s[1] > cursor.get(shard, 0)]
+        for shard, stream in streams.items()
+    }
+    assert _per_shard(second) == {shard: s for shard, s in resumed.items() if s}, (
+        "session 2 is not the stream past the acked cursor"
+    )
+
+
+def _per_shard(activations) -> dict[int, list]:
+    """Signatures by shard, in the order they came."""
+    streams: dict[int, list] = {}
+    for activation in activations:
+        streams.setdefault(activation.shard, []).append(_signature(activation))
+    return streams
 
 
 async def _kill_and_resume(
