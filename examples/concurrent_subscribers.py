@@ -46,9 +46,10 @@ def main() -> None:
     server.register_action("collect", lambda node: None)
     for definition in workload.trigger_definitions():
         server.create_trigger(definition)
+    report = server.evaluation_report()
     print(f"installed {len(server.triggers)} triggers on {SHARDS} shards "
-          f"(plan cache: {server.plan_cache.misses} compiles, "
-          f"{server.plan_cache.hits} reuses)")
+          f"(plan cache: {report['plan_cache_misses']} compiles, "
+          f"{report['plan_cache_hits']} reuses)")
 
     # A bounded subscriber consumed live from its own thread.
     inbox = server.subscribe("inbox", capacity=32)

@@ -187,8 +187,6 @@ class SqliteBackend:
         self._database: Database | None = None
         self._listener = None
         self._transition_ready: set[str] = set()
-        #: Lowered statements executed (one per backend-served firing).
-        self.statements_executed = 0
         #: Rows replayed into the mirror via the commit stream.
         self.rows_mirrored = 0
 
@@ -381,7 +379,6 @@ class SqliteBackend:
             )
         self._materialize_transitions(plan, context)
         rows = self._conn.execute(plan.sql).fetchall()
-        self.statements_executed += 1
         pairs: list[AffectedPair] = []
         node_slots = set(plan.node_slots)
         for row in rows:
@@ -435,4 +432,4 @@ class SqliteBackend:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         attached = self._database.name if self._database is not None else None
-        return f"SqliteBackend(attached={attached!r}, executed={self.statements_executed})"
+        return f"SqliteBackend(attached={attached!r})"

@@ -282,9 +282,9 @@ class CompiledTableTrigger:
         self,
         database: Database,
         trigger_context: TriggerContext,
+        counters: dict[str, int],
         *,
         use_compiled: bool = True,
-        engine_stats: dict[str, int] | None = None,
     ) -> list[AffectedPair]:
         """Evaluate the executable graph for one fired statement.
 
@@ -303,14 +303,11 @@ class CompiledTableTrigger:
         they now stand — exactly what the interpreter does.  The interpreter
         never consults the memo — it stays the independent oracle.
 
-        ``engine_stats`` accumulates the sharing counters the service reports
-        (``shared_side_evaluations`` / ``shared_side_reuses`` /
-        ``pairs_memo_hits``).
+        ``counters`` (the service's, seeded) counts the sharing:
+        ``pairs_memo_hits`` here, and — as the evaluation's ``stats`` — the
+        shared operators' ``shared_side_evaluations`` /
+        ``shared_side_reuses``.
         """
-        def bump(counter: str, amount: int = 1) -> None:
-            if engine_stats is not None and amount:
-                engine_stats[counter] = engine_stats.get(counter, 0) + amount
-
         plan = self.physical_plan if use_compiled else None
         memo = trigger_context.evaluation_memo
         memo_key = None
@@ -318,10 +315,10 @@ class CompiledTableTrigger:
             memo_key = (plan, version_stamp(database, plan.table_deps))
             pairs = memo.get(memo_key)
             if pairs is not None:
-                bump("pairs_memo_hits")
+                counters["pairs_memo_hits"] += 1
                 return pairs
 
-        context = EvaluationContext(database, trigger_context)
+        context = EvaluationContext(database, trigger_context, stats=counters)
         if plan is None:
             return [
                 AffectedPair(
@@ -344,8 +341,6 @@ class CompiledTableTrigger:
             )
             for row in plan.execute(context)
         ]
-        bump("shared_side_evaluations", context.shared_side_evaluations)
-        bump("shared_side_reuses", context.shared_side_reuses)
         if memo_key is not None:
             memo[memo_key] = pairs
         return pairs

@@ -46,6 +46,7 @@ from repro.relational.triggers import StatementTrigger, TriggerContext, TriggerE
 from repro.xmlmodel.node import XmlNode
 from repro.xmlmodel.serialize import EncodedPair
 from repro.xmlmodel.xpath import XPath
+from repro.xqgm.evaluate import SHARED_COUNTERS
 from repro.xqgm.views import PathGraph, ViewDefinition
 from repro.core.activation import ActionRegistry, TriggerActivator
 from repro.core.affected_nodes import NEW_NODE, OLD_NODE
@@ -61,7 +62,7 @@ from repro.core.pushdown import (
 from repro.core.semantics import check_trigger_specifiable
 from repro.core.sqlgen import render_sql_trigger
 from repro.core.trigger import ActionCall, Skeletons, TriggerSpec
-from repro.matching.engine import GroupMatcher, MatchStats
+from repro.matching.engine import MATCH_COUNTERS, GroupMatcher
 from repro.matching.indexes import PathTrie
 from repro.matching.predicates import MatchPlan, analyze_condition
 
@@ -70,6 +71,14 @@ __all__ = ["ExecutionMode", "FiredTrigger", "PlanCache", "ActiveViewService"]
 # SQL trigger names are unique per process, so any number of services can
 # install groups on one Database without their names colliding.
 _SQL_TRIGGER_IDS = itertools.count(1)
+
+#: Every key of :attr:`ActiveViewService.counters`.
+_COUNTERS = MATCH_COUNTERS + SHARED_COUNTERS + (
+    "pairs_memo_hits",
+    "plan_cache_hits",
+    "plan_cache_misses",
+    "backend_statements",
+)
 
 
 class ExecutionMode(enum.Enum):
@@ -179,8 +188,6 @@ class PlanCache:
         self._lock = threading.RLock()
         self._plans: dict[tuple, dict[str, CompiledTableTrigger]] = {}
         self._sides: dict[tuple, SharedSides] = {}
-        self.hits = 0
-        self.misses = 0
 
     def get_or_compile(
         self,
@@ -191,19 +198,18 @@ class PlanCache:
         with self._lock:
             translations = self._plans.get(key)
             if translations is not None:
-                self.hits += 1
                 return translations, True
             translations = compile_fn()
             self._plans[key] = translations
-            self.misses += 1
             return translations, False
 
     def shared_sides(self, key: tuple, build: Callable[[], SharedSides]) -> SharedSides:
         """The sides cached under ``key``, built at most once.
 
         The ``shared_sides`` hook of
-        :func:`~repro.core.pushdown.translate_path`; not counted in
-        :attr:`hits` / :attr:`misses`, which describe whole translations.
+        :func:`~repro.core.pushdown.translate_path`; not counted in a
+        service's ``plan_cache_hits`` / ``plan_cache_misses``, which describe
+        whole translations.
         """
         with self._lock:
             sides = self._sides.get(key)
@@ -263,12 +269,10 @@ class ActiveViewService:
         # translation's pairs through the statement's own evaluation memo
         # (TriggerContext.evaluation_memo); nothing is kept across statements.
         self.use_compiled_plans = use_compiled_plans
-        # Statement-sharing counters, maintained on the hot path.
-        self.engine_stats: dict[str, int] = {
-            "shared_side_evaluations": 0,
-            "shared_side_reuses": 0,
-            "pairs_memo_hits": 0,
-        }
+        # The service's one store of counts (see evaluation_report), seeded
+        # with every key it will hold: shard workers and the DDL thread then
+        # write different keys of it, and no increment resizes it.
+        self.counters: dict[str, int] = dict.fromkeys(_COUNTERS, 0)
         self.registry = ActionRegistry()
         self.activator = TriggerActivator(self.registry)
         self._views: dict[str, ViewDefinition] = {}
@@ -285,16 +289,12 @@ class ActiveViewService:
         # "plan_cache or PlanCache()" would discard an *empty* shared cache
         # (PlanCache defines __len__, so an empty one is falsy).
         self._plan_cache: PlanCache = plan_cache if plan_cache is not None else PlanCache()
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
         # Sublinear matching (repro.matching): per-group predicate indexes
         # select candidate constants rows in ~O(matching triggers).  The
         # linear scan stays available as the oracle (set
         # ``use_matching_indexes = False``); selections that cannot use an
-        # index are counted in ``match_stats.fallbacks`` and surfaced through
-        # :meth:`evaluation_report`.
+        # index are counted in ``counters["matching_fallbacks"]``.
         self.use_matching_indexes = use_matching_indexes
-        self.match_stats = MatchStats()
         # Per-view prefix tries over monitored paths: (view, path) -> the
         # group signatures monitoring that path.  ``drop_view`` and the
         # :meth:`monitored_groups` diagnostic walk the trie instead of
@@ -685,7 +685,8 @@ class ActiveViewService:
             self._backend_plans.clear()
 
     def evaluation_report(self) -> dict[str, int]:
-        """Evaluation, sharing and matching counters.
+        """A copy of :attr:`counters`: evaluation, sharing, matching,
+        plan-cache and backend counts.
 
         The ``matching_*`` counters describe the sublinear matching engine
         (``matching_fallbacks`` counts candidate selections that had to scan
@@ -700,9 +701,14 @@ class ActiveViewService:
         ``pairs_memo_hits`` how many firings returned a translation's pairs
         without entering the engine at all.  One statement never evaluates
         more sides than its ``(path, table)`` has registered.
+
+        ``plan_cache_hits`` / ``plan_cache_misses`` count this service's
+        :class:`PlanCache` lookups (summed over the services sharing a cache,
+        they are that cache's lookups); ``backend_statements`` the SQL
+        statements the backend ran (0 without one), and with a backend the
+        report adds ``backend_plans``, the prepared statements.
         """
-        report = {f"matching_{key}": value for key, value in self.match_stats.as_dict().items()}
-        report.update(self.engine_stats)
+        report = dict(self.counters)
         # Always 0: every translation is lowered or fails CREATE TRIGGER, and
         # the cross-statement result cache and the columnar engine are gone,
         # but benchmarks/e2e/measure.py still reads these keys.
@@ -714,10 +720,17 @@ class ActiveViewService:
         )
         if self.backend is not None:
             report["backend_plans"] = len(self._backend_plans)
-            report["backend_statements"] = getattr(
-                self.backend, "statements_executed", 0
-            )
         return report
+
+    @property
+    def plan_cache_hits(self) -> int:
+        """``counters["plan_cache_hits"]`` (benchmarks/e2e reads this name)."""
+        return self.counters["plan_cache_hits"]
+
+    @property
+    def plan_cache_misses(self) -> int:
+        """``counters["plan_cache_misses"]`` (benchmarks/e2e reads this name)."""
+        return self.counters["plan_cache_misses"]
 
     # ------------------------------------------------------------------ internals
 
@@ -812,14 +825,11 @@ class ActiveViewService:
                 shared_sides=self._plan_cache.shared_sides,
             ),
         )
-        if was_hit:
-            # Structurally identical plan already derived (possibly for a
-            # different group — e.g. every UNGROUPED trigger of a Figure 17
-            # population, or the same trigger compiled on a sibling shard
-            # service sharing this cache).
-            self.plan_cache_hits += 1
-        else:
-            self.plan_cache_misses += 1
+        # A hit is a structurally identical plan already derived (possibly
+        # for a different group — e.g. every UNGROUPED trigger of a Figure 17
+        # population, or the same trigger compiled on a sibling shard service
+        # sharing this cache).
+        self.counters["plan_cache_hits" if was_hit else "plan_cache_misses"] += 1
         condition = group.parameterized_condition()
         compiled = _CompiledGroup(
             group=group,
@@ -899,21 +909,24 @@ class ActiveViewService:
         translation: CompiledTableTrigger,
         backend_plan: Any,
     ) -> Callable[[TriggerContext], None]:
+        counters = self.counters
         if backend_plan is not None:
             # Figure 16 for real: the lowered statement runs inside the
             # backend engine against its mirrored tables (the commit
-            # listener updated them before this trigger fired).
+            # listener updated them before this trigger fired).  One call
+            # runs exactly one SQL statement.
             backend = self.backend
 
             def pairs_of(context: TriggerContext):
+                counters["backend_statements"] += 1
                 return backend.affected_pairs(backend_plan, context)
         else:
             def pairs_of(context: TriggerContext):
                 return translation.affected_pairs(
                     self.database,
                     context,
+                    counters,
                     use_compiled=self.use_compiled_plans,
-                    engine_stats=self.engine_stats,
                 )
 
         def body(context: TriggerContext) -> None:
@@ -947,12 +960,12 @@ class ActiveViewService:
         arguments = compiled.arguments
         matcher = compiled.matcher() if self.use_matching_indexes else None
         constants_rows = compiled.constants_rows() if matcher is None else []
-        stats = self.match_stats
+        counters = self.counters
         for pair in pairs:
             variables = {"OLD_NODE": pair.old_node, "NEW_NODE": pair.new_node}
             if matcher is not None:
                 rows, check_condition = matcher.candidates(
-                    variables, stats, shared_probe_cache=probe_cache
+                    variables, counters, shared_probe_cache=probe_cache
                 )
             else:
                 rows, check_condition = constants_rows, condition is not None

@@ -31,7 +31,7 @@ index is counted and surfaced through ``evaluation_report()`` — a fallback
 can never go unnoticed.
 """
 
-from repro.matching.engine import GroupMatcher, MatchStats
+from repro.matching.engine import MATCH_COUNTERS, GroupMatcher, MatchStats
 from repro.matching.indexes import EqualityHashIndex, IntervalTree, PathTrie, constant_key
 from repro.matching.predicates import MatchPlan, ProbeAtom, analyze_condition
 
@@ -44,5 +44,6 @@ __all__ = [
     "ProbeAtom",
     "analyze_condition",
     "GroupMatcher",
+    "MATCH_COUNTERS",
     "MatchStats",
 ]

@@ -19,8 +19,9 @@ the whole condition and nothing forced a conservative widening, the
 candidates *are* the matches and the caller can skip condition evaluation
 entirely; otherwise the full parameterized condition re-checks each
 candidate, so indexing never changes semantics.  Selections that cannot use
-an index at all fall back to the linear scan and are **counted** in
-:class:`MatchStats` (surfaced through ``evaluation_report()``).
+an index at all fall back to the linear scan and are **counted**
+(``matching_fallbacks``, one of the :data:`MATCH_COUNTERS` that the caller's
+counters dict holds and ``evaluation_report()`` surfaces).
 
 Row bookkeeping is incremental — ``create_trigger`` adds one row (or extends
 an existing row's trigger list), ``drop_trigger`` removes one — and a whole
@@ -42,31 +43,33 @@ from repro.xmlmodel.xpath import XPath, _as_nodeset, _number_of
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.grouping import ConstantsRow, GroupMember
 
-__all__ = ["MatchStats", "GroupMatcher"]
+__all__ = ["MATCH_COUNTERS", "MatchStats", "GroupMatcher"]
 
 #: Incremental range registrations buffered before an index rebuild.
 _REBUILD_MIN = 64
 
 
-class MatchStats:
-    """Counters describing how candidate selection behaved.
+#: The counters :meth:`GroupMatcher.candidates` increments: indexed
+#: selections, linear-scan selections (no indexable atom — the number the
+#: equivalence suites assert to be **zero** on indexable populations, so a
+#: silently degraded population can never masquerade as an indexed one),
+#: atoms that could not narrow (non-numeric probe) and candidate rows
+#: returned by indexed selections.
+MATCH_COUNTERS = (
+    "matching_probes",
+    "matching_fallbacks",
+    "matching_wide_probes",
+    "matching_candidate_rows",
+)
 
-    ``fallbacks`` counts selections that had to scan linearly because the
-    condition had no indexable atom — the number the equivalence suites
-    assert to be **zero** on indexable populations, so a silently degraded
-    population can never masquerade as an indexed one.
+
+def MatchStats() -> dict[str, int]:
+    """A counters dict seeded with :data:`MATCH_COUNTERS`.
+
+    Kept under the name of the class it replaced only because
+    ``benchmarks/e2e/replay.py`` imports it.
     """
-
-    __slots__ = ("probes", "fallbacks", "wide_probes", "candidate_rows")
-
-    def __init__(self) -> None:
-        self.probes = 0          # indexed candidate selections
-        self.fallbacks = 0       # linear-scan selections (unindexable condition)
-        self.wide_probes = 0     # atoms that could not narrow (non-numeric probe)
-        self.candidate_rows = 0  # total candidate rows returned by indexed selections
-
-    def as_dict(self) -> dict[str, int]:
-        return {name: getattr(self, name) for name in self.__slots__}
+    return dict.fromkeys(MATCH_COUNTERS, 0)
 
 
 class _EqAtomIndex:
@@ -280,7 +283,7 @@ class GroupMatcher:
     def candidates(
         self,
         variables: dict[str, Any],
-        stats: MatchStats | None = None,
+        counters: dict[str, int],
         *,
         shared_probe_cache: dict | None = None,
     ) -> tuple[list["ConstantsRow"], bool]:
@@ -288,7 +291,8 @@ class GroupMatcher:
         condition must still be evaluated per candidate.
 
         No condition: every row matches trivially (that *is* O(matches)).
-        No indexable atom: linear fallback, counted in ``stats.fallbacks``.
+        No indexable atom: linear fallback, counted in
+        ``counters["matching_fallbacks"]``.
         Otherwise: per-atom index lookups, intersected; the residual check
         is skipped only when the plan covers the condition exactly and no
         atom had to widen conservatively.
@@ -304,12 +308,10 @@ class GroupMatcher:
         if self.condition is None:
             return self.rows(), False
         if plan is None or not plan.indexable:
-            if stats is not None:
-                stats.fallbacks += 1
+            counters["matching_fallbacks"] += 1
             return self.rows(), True
 
-        if stats is not None:
-            stats.probes += 1
+        counters["matching_probes"] += 1
         probe_values: dict[str, list[Any]]
         if shared_probe_cache is None:
             probe_values = {}
@@ -342,8 +344,7 @@ class GroupMatcher:
                     ids |= rng.stab(number)
                 if wide:
                     widened = True
-                    if stats is not None:
-                        stats.wide_probes += 1
+                    counters["matching_wide_probes"] += 1
                     continue  # the atom contributes no narrowing
                 ids.update(rng.loose)
                 selected = ids if selected is None else (selected & ids)
@@ -353,8 +354,7 @@ class GroupMatcher:
         if selected is None:
             # Every atom widened: nothing narrowed, check all rows.
             result = self.rows()
-            if stats is not None:
-                stats.candidate_rows += len(result)
+            counters["matching_candidate_rows"] += len(result)
             return result, True
         rows = self._rows
         result = []
@@ -362,8 +362,7 @@ class GroupMatcher:
             row = rows[ordinal] if ordinal < len(rows) else None
             if row is not None and row.trigger_names:
                 result.append(row)
-        if stats is not None:
-            stats.candidate_rows += len(result)
+        counters["matching_candidate_rows"] += len(result)
         needs_residual = (not plan.covered) or widened or self._has_loose
         return result, needs_residual
 

@@ -7,7 +7,9 @@ thread.  The front end owns the listener, that thread and loop, its
 :class:`~repro.serving.net.session.WakeHub`, the open connections and
 subscribing sessions, and the wire counters.  Everything mutable is touched
 only from the loop thread (reads from other threads are reporting-only), so
-the delivery path takes no lock of the front end's.
+the delivery path takes no lock of the front end's; the one exception is the
+seeded ``wake_posts`` / ``wake_wakeups`` counters, which producer threads
+bump under the hub's own lock.
 
 One loop is all this process uses: the interpreter runs one thread at a
 time, so a second loop thread would only contend with the first and with
@@ -39,7 +41,7 @@ __all__ = ["FrontEnd"]
 #: Listen backlog of the listener socket.
 _BACKLOG = 512
 
-#: Counters every transport's sessions keep.
+#: Counters every transport's sessions (and its wake hub) keep.
 _COUNTERS = (
     "connections_opened",
     "frames_received",
@@ -56,6 +58,8 @@ _COUNTERS = (
     "shared_encode_misses",
     "protocol_errors",
     "overflow_closes",
+    "wake_posts",
+    "wake_wakeups",
 )
 
 
@@ -179,7 +183,7 @@ class FrontEnd:
     def _run(self, listener: socket.socket, started: threading.Event) -> None:
         loop = asyncio.new_event_loop()
         asyncio.set_event_loop(loop)
-        self.wake_hub = WakeHub(loop)
+        self.wake_hub = WakeHub(loop, self.counters)
         self.loop = loop
         try:
             loop.run_until_complete(self._serve(listener, started))
@@ -265,12 +269,9 @@ class FrontEnd:
             for subscriber in (s.subscriber for s in list(self.sessions))
             if subscriber is not None
         ]
-        hub = self.wake_hub
         return {
             **self.counters,
             "connections_active": len(self.connections),
-            "wake_posts": hub.posts if hub is not None else 0,
-            "wake_wakeups": hub.wakeups if hub is not None else 0,
             "subscriptions": subscriptions,
         }
 

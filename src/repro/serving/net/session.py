@@ -69,17 +69,18 @@ class WakeHub:
     callback) is exactly as strong as scheduling each callable directly.
     """
 
-    __slots__ = ("_loop", "_lock", "_pending", "_armed", "_dead", "posts", "wakeups")
+    __slots__ = ("_loop", "_lock", "_pending", "_armed", "_dead", "_counters")
 
-    def __init__(self, loop: asyncio.AbstractEventLoop) -> None:
+    def __init__(self, loop: asyncio.AbstractEventLoop, counters: dict[str, int]) -> None:
         self._loop = loop
+        #: The front end's counters: posts and wake-ups go to its seeded
+        #: ``wake_posts`` / ``wake_wakeups``, written under ``_lock``.
+        self._counters = counters
         self._lock = threading.Lock()
         #: ``(fn, on_fail)`` pairs not yet handed to the loop.
         self._pending: list[tuple[Callable[[], None], Callable[[], None] | None]] = []
         self._armed = False
         self._dead = False
-        self.posts = 0
-        self.wakeups = 0
 
     def post(
         self, fn: Callable[[], None], on_fail: Callable[[], None] | None = None
@@ -90,10 +91,10 @@ class WakeHub:
             dead = self._dead
             if not dead:
                 self._pending.append((fn, on_fail))
-                self.posts += 1
+                self._counters["wake_posts"] += 1
                 if not self._armed:
                     self._armed = arm = True
-                    self.wakeups += 1
+                    self._counters["wake_wakeups"] += 1
         if dead:
             if on_fail is not None:
                 on_fail()

@@ -159,11 +159,6 @@ class ShardStats:
     max_batch: int = 0
     errors: int = 0
 
-    @property
-    def mean_batch(self) -> float:
-        """Average micro-batch size observed so far."""
-        return self.statements / self.batches if self.batches else 0.0
-
     def as_dict(self) -> dict[str, int]:
         """Plain-scalar form (wire-encodable for the ``stats`` reply)."""
         return {

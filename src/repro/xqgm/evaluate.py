@@ -42,13 +42,18 @@ from repro.xqgm.operators import (
 from repro.relational.types import sort_key
 from repro.xmlmodel.node import Fragment, XmlNode
 
-__all__ = ["EvaluationContext", "evaluate"]
+__all__ = ["EvaluationContext", "SHARED_COUNTERS", "evaluate"]
 
 Row = dict[str, Any]
 
 # Probing a base table through an index beats a hash join when the driving
 # side is much smaller than the table; this threshold guards the switch.
 _PROBE_RATIO = 0.5
+
+
+#: Statement-shared operators computed / served from
+#: ``EvaluationContext.shared_results``, counted in ``EvaluationContext.stats``.
+SHARED_COUNTERS = ("shared_side_evaluations", "shared_side_reuses")
 
 
 @dataclass
@@ -68,7 +73,10 @@ class EvaluationContext:
     parameters: Mapping[str, Any] | None = None
     constants_tables: Mapping[str, Sequence[Mapping[str, Any]]] = field(default_factory=dict)
     collect_stats: bool = False
-    stats: dict[str, int] = field(default_factory=dict)
+    #: Counters, seeded with :data:`SHARED_COUNTERS` (always maintained);
+    #: the per-operator ones only with ``collect_stats``.  A firing passes
+    #: its service's counters dict here.
+    stats: dict[str, int] = field(default_factory=lambda: dict.fromkeys(SHARED_COUNTERS, 0))
     #: The firing statement's evaluation memo
     #: (:attr:`repro.relational.triggers.TriggerContext.evaluation_memo`):
     #: operators the plan compiler marked statement-shared store their rows
@@ -76,11 +84,6 @@ class EvaluationContext:
     #: group / event translation the statement fires.  ``None`` (evaluation
     #: outside a firing) disables sharing; the interpreter never consults it.
     shared_results: dict | None = None
-    #: Statement-shared operators computed / served from ``shared_results``
-    #: during this evaluation (always maintained; the service accumulates
-    #: them into ``evaluation_report``).
-    shared_side_evaluations: int = 0
-    shared_side_reuses: int = 0
 
     def _bump(self, counter: str, amount: int = 1) -> None:
         """Increment a stats counter when stats collection is enabled.

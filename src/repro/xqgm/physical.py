@@ -199,13 +199,13 @@ class PhysicalOp:
             key = (self, version_stamp(ctx.database, self.table_deps))
             hit = shared.get(key)
             if hit is not None:
-                ctx.shared_side_reuses += 1
+                ctx.stats["shared_side_reuses"] += 1
                 memo[self.logical_id] = hit
                 return hit
         out = self._compute(ctx, memo)
         if shared is not None:
             shared[key] = out
-            ctx.shared_side_evaluations += 1
+            ctx.stats["shared_side_evaluations"] += 1
         memo[self.logical_id] = out
         if ctx.collect_stats:
             ctx._bump(self.rows_counter, len(out))

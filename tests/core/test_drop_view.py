@@ -61,7 +61,7 @@ def test_drop_view_invalidates_plan_cache():
     # Re-registering and re-creating recompiles from scratch (a cache miss).
     service.register_view(catalog_view())
     service.create_trigger(WATCH)
-    assert cache.misses == 2
+    assert service.plan_cache_misses == 2
     assert [trigger.name for trigger in service.triggers] == ["W"]
 
 

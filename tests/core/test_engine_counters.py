@@ -106,6 +106,66 @@ FIGURE17_SHAPE = WorkloadParameters(
 )
 
 
+#: Keys that read 0 in every report (the benchmark still reads them).
+RETIRED = {
+    "compiled_plan_fallbacks": 0, "result_cache_hits": 0,
+    "result_cache_misses": 0, "columnar_fallbacks": 0,
+}
+
+#: ``evaluation_report()`` after 20 UPDATEs of the :data:`FIGURE17_SHAPE`
+#: workload, per (mode, backend): every key, with its value.  UNGROUPED
+#: probes once per trigger (50 groups × 20 UPDATEs) and compiles one plan
+#: for 50 groups; the grouped modes probe once per UPDATE.  On SQLite no
+#: side is shared in memory and every group firing is one SQL statement.
+FIGURE17_REPORTS = {
+    (ExecutionMode.UNGROUPED, None): {
+        "matching_probes": 1_000, "matching_candidate_rows": 400,
+        "pairs_memo_hits": 980, "shared_side_evaluations": 60,
+        "plan_cache_hits": 49, "plan_cache_misses": 1,
+    },
+    (ExecutionMode.UNGROUPED, "sqlite"): {
+        "matching_probes": 1_000, "matching_candidate_rows": 400,
+        "plan_cache_hits": 49, "plan_cache_misses": 1,
+        "backend_plans": 2, "backend_statements": 1_000,
+    },
+    (ExecutionMode.GROUPED, None): {
+        "matching_probes": 20, "matching_candidate_rows": 20,
+        "shared_side_evaluations": 60, "plan_cache_misses": 1,
+    },
+    (ExecutionMode.GROUPED, "sqlite"): {
+        "matching_probes": 20, "matching_candidate_rows": 20,
+        "plan_cache_misses": 1, "backend_plans": 2, "backend_statements": 20,
+    },
+    (ExecutionMode.GROUPED_AGG, None): {
+        "matching_probes": 20, "matching_candidate_rows": 20,
+        "shared_side_evaluations": 60, "plan_cache_misses": 1,
+    },
+    (ExecutionMode.GROUPED_AGG, "sqlite"): {
+        "matching_probes": 20, "matching_candidate_rows": 20,
+        "plan_cache_misses": 1, "backend_plans": 2, "backend_statements": 20,
+    },
+}
+
+
+@pytest.mark.parametrize("mode, backend", list(FIGURE17_REPORTS))
+def test_figure17_report_is_pinned_key_for_key(mode, backend):
+    setup = ExperimentHarness(FIGURE17_SHAPE).build_setup(FIGURE17_SHAPE, mode, backend=backend)
+    for statement in setup.workload.update_statements(20, setup.database):
+        setup.run_statement(statement)
+    zero = dict.fromkeys(
+        (
+            "matching_fallbacks", "matching_wide_probes", "pairs_memo_hits",
+            "shared_side_evaluations", "shared_side_reuses", "plan_cache_hits",
+            "backend_statements",
+        ),
+        0,
+    )
+    assert setup.service.evaluation_report() == {
+        **zero, **RETIRED, **FIGURE17_REPORTS[mode, backend]
+    }
+    assert setup.fired_count == 20 * FIGURE17_SHAPE.effective_satisfied
+
+
 @pytest.fixture
 def plan_executes(monkeypatch):
     """Count :meth:`PhysicalPlan.execute` calls; returns the counter."""

@@ -287,9 +287,9 @@ def test_sibling_groups_execute_the_shared_plan_once_per_statement(monkeypatch, 
 
     def counting_execute(self, context):
         counter["executes"] += 1
-        before = context.shared_side_evaluations
+        before = context.stats["shared_side_evaluations"]
         rows = original_execute(self, context)
-        counter["side_computes"] += context.shared_side_evaluations - before
+        counter["side_computes"] += context.stats["shared_side_evaluations"] - before
         return rows
 
     monkeypatch.setattr(PhysicalPlan, "execute", counting_execute)

@@ -19,8 +19,8 @@ from repro.core.language import parse_trigger
 from repro.core.service import ActiveViewService, ExecutionMode
 from repro.errors import TriggerError, TriggerSyntaxError
 from repro.matching import (
+    MATCH_COUNTERS,
     GroupMatcher,
-    MatchStats,
     PathTrie,
     analyze_condition,
     constant_key,
@@ -294,29 +294,29 @@ class TestGroupMatcherFallback:
 
     def test_unindexable_condition_counts_fallback(self):
         matcher = self._matcher("NEW_NODE/@name != 'x'")
-        stats = MatchStats()
+        stats = dict.fromkeys(MATCH_COUNTERS, 0)
         node = Element("product", {"name": "y"})
         rows, needs_residual = matcher.candidates({"NEW_NODE": node, "OLD_NODE": node}, stats)
         assert needs_residual and len(rows) == 1
-        assert stats.fallbacks == 1 and stats.probes == 0
+        assert stats["matching_fallbacks"] == 1 and stats["matching_probes"] == 0
 
     def test_indexable_condition_probes_without_fallback(self):
         matcher = self._matcher("NEW_NODE/@name = 'x'")
-        stats = MatchStats()
+        stats = dict.fromkeys(MATCH_COUNTERS, 0)
         node = Element("product", {"name": "x"})
         rows, needs_residual = matcher.candidates({"NEW_NODE": node, "OLD_NODE": node}, stats)
         assert not needs_residual and len(rows) == 1
-        assert stats.fallbacks == 0 and stats.probes == 1
+        assert stats["matching_fallbacks"] == 0 and stats["matching_probes"] == 1
 
     def test_non_numeric_probe_widens_range_atom(self):
         matcher = self._matcher("NEW_NODE/@price < 10")
-        stats = MatchStats()
+        stats = dict.fromkeys(MATCH_COUNTERS, 0)
         node = Element("product", {"price": "not-a-number"})
         rows, needs_residual = matcher.candidates({"NEW_NODE": node, "OLD_NODE": node}, stats)
         # The numeric tree cannot exclude any row for a non-numeric value:
         # the full condition decides (string comparison semantics preserved).
         assert needs_residual and len(rows) == 1
-        assert stats.wide_probes == 1 and stats.fallbacks == 0
+        assert stats["matching_wide_probes"] == 1 and stats["matching_fallbacks"] == 0
 
 
 # ---------------------------------------------------------------------------

@@ -246,7 +246,7 @@ def test_matcher_candidates_match_linear_rows_directly():
     and equal it exactly whenever the matcher certifies coverage (no
     residual evaluation needed).
     """
-    from repro.matching import MatchStats
+    from repro.matching import MATCH_COUNTERS
 
     database = catalog_database()
     service = ActiveViewService(database, ExecutionMode.GROUPED_AGG)
@@ -282,7 +282,7 @@ def test_matcher_candidates_match_linear_rows_directly():
         pairs = list(zip(nodes, nodes)) + list(zip(nodes, nodes[1:] + nodes[:1]))
         for old_node, new_node in pairs:
             variables = {"OLD_NODE": old_node, "NEW_NODE": new_node}
-            candidates, needs_residual = matcher.candidates(variables, MatchStats())
+            candidates, needs_residual = matcher.candidates(variables, dict.fromkeys(MATCH_COUNTERS, 0))
             truth = {
                 id(row) for row in rows
                 if condition.as_boolean(variables, parameters=row.condition_constants)

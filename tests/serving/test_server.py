@@ -195,8 +195,9 @@ class TestActiveViewServer:
 
     def test_plan_cache_is_shared_across_shards(self):
         server, _ = build_server(shard_count=4)
-        assert server.plan_cache.misses == 1
-        assert server.plan_cache.hits == 3
+        report = server.evaluation_report()
+        assert report["plan_cache_misses"] == 1
+        assert report["plan_cache_hits"] == 3
 
     def test_broadcast_statement_returns_all_parts(self):
         server, _ = build_server()

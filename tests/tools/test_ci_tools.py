@@ -5,7 +5,7 @@ Covers the scripts the workflow leans on:
 * ``tools/check_flakes.py`` — failures replayed once under the printed
   seed must be classified "fails deterministically" vs "flaked", the
   report written either way, and the build failed either way;
-* ``tools/ci_paths.py`` — diff classification for the docs, web-smoke and e2e-gate
+* ``tools/ci_paths.py`` — diff classification for the docs and e2e-gate
   jobs, including the comment-only-src-change skip;
 * ``tools/check_docs.py`` — every repository path the docs and docstrings
   name must exist.
@@ -187,59 +187,34 @@ def classify_at(repo: pathlib.Path) -> dict:
 
 
 class TestCiPathsClassification:
-    def test_serving_change_triggers_web_and_docs(self, diff_repo):
+    def test_serving_change_triggers_docs_and_bench(self, diff_repo):
         (diff_repo / "src/repro/serving/gateway.py").write_text(
             "def serve():\n    return 99\n"
         )
-        assert classify_at(diff_repo) == {
-            "docs": "true", "web": "true", "bench": "true",
-        }
+        assert classify_at(diff_repo) == {"docs": "true", "bench": "true"}
 
     def test_persist_change_triggers_the_e2e_gate(self, diff_repo):
         (diff_repo / "src/repro/persist").mkdir()
         (diff_repo / "src/repro/persist/durable.py").write_text(
             "def append():\n    return 1\n"
         )
-        assert classify_at(diff_repo) == {
-            "docs": "true", "web": "true", "bench": "true",
-        }
+        assert classify_at(diff_repo) == {"docs": "true", "bench": "true"}
 
     def test_comment_only_serving_change_skips_all(self, diff_repo):
         (diff_repo / "src/repro/serving/gateway.py").write_text(
             "# a comment\ndef serve():\n    return 1\n"
         )
-        assert classify_at(diff_repo) == {
-            "docs": "false", "web": "false", "bench": "false",
-        }
-
-    def test_non_serving_src_change_skips_web(self, diff_repo):
-        (diff_repo / "src/repro/xqgm/eval.py").write_text(
-            "def evaluate():\n    return 3\n"
-        )
-        assert classify_at(diff_repo) == {
-            "docs": "true", "web": "false", "bench": "true",
-        }
+        assert classify_at(diff_repo) == {"docs": "false", "bench": "false"}
 
     def test_test_churn_skips_all(self, diff_repo):
         (diff_repo / "tests/test_x.py").write_text(
             "def test_x():\n    assert True\n"
         )
-        assert classify_at(diff_repo) == {
-            "docs": "false", "web": "false", "bench": "false",
-        }
-
-    def test_web_example_change_triggers_web(self, diff_repo):
-        (diff_repo / "examples").mkdir()
-        (diff_repo / "examples/subscribers.py").write_text("print('hi')\n")
-        assert classify_at(diff_repo) == {
-            "docs": "true", "web": "true", "bench": "false",
-        }
+        assert classify_at(diff_repo) == {"docs": "false", "bench": "false"}
 
     def test_benchmark_declaration_change_triggers_only_bench(self, diff_repo):
         (diff_repo / "BENCHMARK.json").write_text('{"run_seconds": 12}\n')
-        assert classify_at(diff_repo) == {
-            "docs": "false", "web": "false", "bench": "true",
-        }
+        assert classify_at(diff_repo) == {"docs": "false", "bench": "true"}
 
 
 class TestCheckDocsPaths:

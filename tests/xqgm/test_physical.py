@@ -659,7 +659,7 @@ class TestStatementSharing:
                     EvaluationContext(db, trigger_context)
                 )
                 counts.append(
-                    (context.shared_side_evaluations, context.shared_side_reuses)
+                    (context.stats["shared_side_evaluations"], context.stats["shared_side_reuses"])
                 )
             # One entry: the side, keyed with its tables' version stamps.
             assert list(memo) == [
@@ -685,7 +685,8 @@ class TestStatementSharing:
                 db, trigger_context, shared_results=trigger_context.evaluation_memo
             )
             rows = plan.execute(context)
-            return dict(rows)["P1"], context.shared_side_evaluations, context.shared_side_reuses
+            stats = context.stats
+            return dict(rows)["P1"], stats["shared_side_evaluations"], stats["shared_side_reuses"]
 
         def body(trigger_context):
             assert count(trigger_context) == (3, 1, 0)
@@ -708,7 +709,8 @@ class TestStatementSharing:
             for _ in range(2):
                 context = EvaluationContext(db, trigger_context)  # no shared_results
                 plan.execute(context)
-                assert context.shared_side_evaluations == context.shared_side_reuses == 0
+                stats = context.stats
+                assert stats["shared_side_evaluations"] == stats["shared_side_reuses"] == 0
             evaluate(side, EvaluationContext(
                 db, trigger_context, shared_results=trigger_context.evaluation_memo
             ))

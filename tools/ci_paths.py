@@ -1,12 +1,10 @@
 #!/usr/bin/env python
-"""Decide which CI jobs a diff actually needs — docs, web-smoke and e2e-gate.
+"""Decide which CI jobs a diff actually needs — docs and e2e-gate.
 
 The docs job executes every Python block in ``README.md`` and ``docs/*.md``
-against the live API, so it must run whenever the docs themselves change
-*or* the public behaviour under them might have.  The web-smoke job runs
-``examples/subscribers.py`` (TCP, then REST + WebSocket) end to end, so it
-must run whenever the serving/persistence stack under the web gateway might
-have changed.  The
+against the live API and runs the examples (``examples/subscribers.py``
+drives TCP, then REST + WebSocket, end to end), so it must run whenever the
+docs themselves change *or* the public behaviour under them might have.  The
 e2e-gate job runs the repo benchmark (``BENCHMARK.json``) on the base and
 head checkouts, so it must run whenever the program under ``src/repro/``
 might behave differently, or the benchmark's declaration did.  But a
@@ -19,17 +17,14 @@ conservatism is the right failure mode here) triggers them.
 
 Anything that is not a ``src`` Python file is classified by path alone:
 docs / README / examples / the checker itself always need the docs job;
-test and benchmark churn never does.  The web-smoke job cares only about
-the gateway's dependency cone: ``src/repro/serving/``, ``src/repro/persist/``,
-and its own example script; the e2e gate only about ``src/repro/`` and
-``BENCHMARK.json``.
+test and benchmark churn never does.  The e2e gate cares only about
+``src/repro/`` and ``BENCHMARK.json``.
 
 Usage (from CI)::
 
     python tools/ci_paths.py --base <sha> --head <sha>
 
-Prints ``bench=true|false``, ``docs=true|false`` and ``web=true|false`` and
-appends the same lines to ``$GITHUB_OUTPUT`` when set.  Any git/parse error makes every
+Prints ``bench=true|false`` and ``docs=true|false`` and appends the same lines to ``$GITHUB_OUTPUT`` when set.  Any git/parse error makes every
 answer ``true`` — the jobs run when in doubt.
 """
 
@@ -47,14 +42,6 @@ _DOC_PATHS = ("README.md", "docs/", "examples/", "tools/check_docs.py")
 
 #: Paths whose changes never affect executed doc blocks.
 _IGNORED_PREFIXES = ("tests/", "benchmarks/", "tools/", ".github/")
-
-#: The web-smoke job's dependency cone: the gateway package and everything
-#: it serves (delivery machinery, durable cursors), plus its own example.
-_WEB_PATHS = (
-    "src/repro/serving/",
-    "src/repro/persist/",
-    "examples/subscribers.py",
-)
 
 #: What the e2e gate measures: the program, and the benchmark's declaration.
 _BENCH_PATHS = ("src/repro/", "BENCHMARK.json")
@@ -94,16 +81,15 @@ def _semantically_changed(base: str, head: str, path: str) -> bool:
 
 
 def classify(base: str, head: str) -> dict[str, bool]:
-    """Which skippable jobs the ``base...head`` diff needs: docs, web, bench."""
+    """Which skippable jobs the ``base...head`` diff needs: docs, bench."""
     changed = [
         line
         for line in _git("diff", "--name-only", f"{base}...{head}").splitlines()
         if line.strip()
     ]
     docs = False
-    web = False
     bench = False
-    # Cache AST comparisons: a serving-layer file feeds all three decisions.
+    # Cache AST comparisons: a src file feeds both decisions.
     semantic: dict[str, bool] = {}
 
     def changed_semantically(path: str) -> bool:
@@ -112,11 +98,6 @@ def classify(base: str, head: str) -> dict[str, bool]:
         return semantic[path]
 
     for path in changed:
-        if not web and path.startswith(_WEB_PATHS):
-            web = (
-                changed_semantically(path)
-                if path.startswith("src/") else True
-            )
         if not bench and path.startswith(_BENCH_PATHS):
             bench = (
                 changed_semantically(path)
@@ -134,7 +115,7 @@ def classify(base: str, head: str) -> dict[str, bool]:
             pass
         elif changed_semantically(path):
             docs = True
-    return {"docs": docs, "web": web, "bench": bench}
+    return {"docs": docs, "bench": bench}
 
 
 def docs_needed(base: str, head: str) -> bool:
@@ -151,7 +132,7 @@ def main(argv: list[str]) -> int:
         outputs = classify(args.base, args.head)
     except Exception as error:  # noqa: BLE001 - any failure means "run the jobs"
         print(f"ci_paths: {error} — defaulting to every job", file=sys.stderr)
-        outputs = {"docs": True, "web": True, "bench": True}
+        outputs = {"docs": True, "bench": True}
     lines = [
         f"{job}={'true' if needed else 'false'}"
         for job, needed in sorted(outputs.items())
